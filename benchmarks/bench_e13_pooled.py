@@ -769,17 +769,21 @@ def _drive_curve_clients(client, stream, n_clients):
 
 
 def test_e13_mux_connection_curve():
-    """Leg 5 (PR 10): connections-vs-throughput for the pooled threaded
-    wire against the framed mux wire.
+    """Leg 5: connections-vs-throughput for the pooled threaded wire, the
+    pooled client against the asyncio server's HTTP/1.1 transport, and
+    the framed mux wire.
 
     The same warm-cache reencrypt stream is pushed by 1, 8, 64 and 512
     concurrent client threads.  The threaded stack pays one socket (and
-    one server handler thread) per concurrent client; the mux stack
-    multiplexes every thread over a single framed connection.  At low
-    concurrency the two are equivalent; once connection setup and
-    per-connection threads dominate (>= 64 clients) the mux side must be
-    ahead.  Responses stay on warm gateway caches so the leg measures
-    transport structure, not scheme math.
+    one server handler thread) per concurrent client; asyncio HTTP pays
+    the socket but not the thread; the mux stack multiplexes every
+    thread over a single framed connection.  At low concurrency the
+    three are equivalent; once connection setup and per-connection
+    threads dominate (>= 64 clients) the mux side must be ahead of the
+    threaded pool.  All three transports call the same request engine,
+    so the columns differ only in transport.  Responses stay on warm
+    gateway caches so the leg measures transport structure, not scheme
+    math.
     """
     from repro.service.wire import AsyncGatewayServer, MuxRemoteGateway
 
@@ -806,6 +810,14 @@ def test_e13_mux_connection_curve():
             dials = pooled.connections_opened
             pooled.close()
 
+        with AsyncGatewayServer(setting.gateway, group) as server:
+            pooled = RemoteGateway(
+                server.http_url, group, pool_size=n_clients, trace_requests=False
+            )
+            aio_http_s = _drive_curve_clients(pooled, stream, n_clients)
+            aio_http_dials = pooled.connections_opened
+            pooled.close()
+
         with AsyncGatewayServer(setting.gateway, group, max_streams=1024) as server:
             mux = MuxRemoteGateway(server.url, group, trace_requests=False)
             mux_s = _drive_curve_clients(mux, stream, n_clients)
@@ -815,8 +827,10 @@ def test_e13_mux_connection_curve():
 
         curve[n_clients] = {
             "threaded_s": threaded_s,
+            "aio_http_s": aio_http_s,
             "mux_s": mux_s,
             "threaded_dials": dials,
+            "aio_http_dials": aio_http_dials,
             "mux_peak_streams": peak_streams,
         }
         rows.append(
@@ -824,6 +838,8 @@ def test_e13_mux_connection_curve():
                 str(n_clients),
                 "%.0f" % (CURVE_REQUESTS / threaded_s),
                 str(dials),
+                "%.0f" % (CURVE_REQUESTS / aio_http_s),
+                str(aio_http_dials),
                 "%.0f" % (CURVE_REQUESTS / mux_s),
                 str(peak_streams),
                 "%.2fx" % (threaded_s / mux_s),
@@ -834,7 +850,10 @@ def test_e13_mux_connection_curve():
     print_table(
         "E13: connections vs throughput, %d warm reencrypts per point"
         % CURVE_REQUESTS,
-        ["clients", "pool req/s", "dials", "mux req/s", "peak streams", "mux gain"],
+        [
+            "clients", "pool req/s", "dials", "aio-http req/s", "aio dials",
+            "mux req/s", "peak streams", "mux gain",
+        ],
         rows,
     )
 
@@ -855,8 +874,10 @@ def test_e13_mux_connection_curve():
         "points": {
             str(n_clients): {
                 "threaded_req_s": round(CURVE_REQUESTS / point["threaded_s"], 1),
+                "aio_http_req_s": round(CURVE_REQUESTS / point["aio_http_s"], 1),
                 "mux_req_s": round(CURVE_REQUESTS / point["mux_s"], 1),
                 "threaded_dials": point["threaded_dials"],
+                "aio_http_dials": point["aio_http_dials"],
                 "mux_peak_streams": point["mux_peak_streams"],
                 "mux_gain": round(point["threaded_s"] / point["mux_s"], 3),
             }

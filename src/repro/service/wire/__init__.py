@@ -1,23 +1,26 @@
 """HTTP/JSON wire protocol for the re-encryption gateway.
 
 The paper's proxy is a *server* patients and clinicians reach over a
-network; this package makes that literal.  Five layers:
+network; this package makes that literal.  Six layers:
 
 * :mod:`repro.service.wire.codec` — versioned JSON messages for every
   gateway request/response dataclass, reusing the canonical container
   serialization for group elements; malformed input is rejected with
   the stable ``invalid-request`` code — plus the length-prefixed mux
   framing the async transport multiplexes those messages inside;
+* :mod:`repro.service.wire.engine` — :class:`WireRequestExecutor`, the
+  one request engine every transport calls: scheme-id-prefixed routes
+  (``GET /v1/schemes`` enumeration), auth, idempotency, op dispatch and
+  the error taxonomy mapped to HTTP statuses;
 * :mod:`repro.service.wire.server` — :class:`GatewayHttpServer`, one or
-  several scheme fleets behind stdlib ``ThreadingHTTPServer``
-  (scheme-id-prefixed routes, ``GET /v1/schemes`` enumeration) with the
-  error taxonomy mapped to HTTP statuses;
+  several scheme fleets behind stdlib ``ThreadingHTTPServer``, a thin
+  HTTP adapter over the engine;
 * :mod:`repro.service.wire.client` — :class:`RemoteGateway`, the same
   typed API as the in-process gateway, so drivers and benchmarks run
   unchanged against either;
 * :mod:`repro.service.wire.aio_server` — :class:`AsyncGatewayServer`,
   the asyncio escape from thread-per-connection: one event loop, both
-  mux framing and HTTP/1.1 on one port, gateway calls on a bounded
+  mux framing and HTTP/1.1 on one port, engine calls on a bounded
   worker pool;
 * :mod:`repro.service.wire.aio_client` — :class:`MuxRemoteGateway`
   (many in-flight requests over ONE socket) and the URL-dispatching
@@ -44,7 +47,8 @@ from repro.service.wire.codec import (
     scheme_document,
     to_wire,
 )
-from repro.service.wire.server import STATUS_BY_CODE, GatewayHttpServer
+from repro.service.wire.engine import STATUS_BY_CODE
+from repro.service.wire.server import GatewayHttpServer
 
 __all__ = [
     "ERROR_TYPES",

@@ -17,559 +17,58 @@ each connection:
   matching client.
 
 * **HTTP/1.1** (first octet an ASCII method byte — no HTTP verb starts
-  with NUL): a minimal keep-alive HTTP server, so the existing pooled
+  with NUL): a minimal keep-alive HTTP server with the stdlib's limits
+  and connection semantics, so the existing pooled
   :class:`~repro.service.wire.client.RemoteGateway` (and bare ``curl``)
   can talk to an async server unchanged.
 
-Both transports feed the same :class:`WireRequestExecutor`, a
-transport-independent port of the threaded handler's semantics: same
-routes, same auth gates, same idempotency window, same taxonomy bodies.
-The payload encoders live in ``codec`` (``sort_keys`` everywhere), so a
-response produced here is byte-identical to the threaded stack's — the
-conformance suite (``tests/test_wire_aio.py``) asserts exactly that.
-
-The threaded :class:`~repro.service.wire.server.GatewayHttpServer`
-deliberately stays as an independent implementation: it is the
-conformance reference this server is checked against.
+This module holds only those transports.  Both feed the
+:class:`~repro.service.wire.engine.WireRequestExecutor` the threaded
+:class:`~repro.service.wire.server.GatewayHttpServer` uses too, so every
+stack answers byte-identically; ``tests/data/wire_transcript.json`` pins
+those bytes.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
-import json
-import random
+import itertools
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass
+from http import HTTPStatus
 from typing import Sequence
-from urllib.parse import parse_qs, urlsplit
 
 from repro.core.api import PreBackend
 from repro.pairing.group import PairingGroup
-from repro.service.auth.errors import ForbiddenError
-from repro.service.auth.signing import AUTH_HEADER
-from repro.service.gateway import (
-    EntryMissingError,
-    FetchRequest,
-    GatewayError,
-    GrantRequest,
-    InvalidRequestError,
-    ReEncryptRequest,
-    RevokeRequest,
-)
+from repro.service.gateway import InvalidRequestError
 from repro.service.metrics import WireServerStats
-from repro.service.telemetry import (
-    TRACE_HEADER,
-    EventLog,
-    TraceContext,
-    render_prometheus,
-    span_to_json,
-)
+from repro.service.telemetry import TRACE_HEADER, EventLog
 from repro.service.wire.codec import (
     FRAME_HEADER_LEN,
     MUX_PROTOCOL,
     FrameProtocolError,
-    GrantBatchRequest,
-    GrantBatchResponse,
-    KeyExportRequest,
-    KeyExportResponse,
-    ReEncryptBatchRequest,
-    ReEncryptBatchResponse,
-    ResizeRequest,
     decode_frame_payload,
     encode_frame,
     frame_length,
-    from_wire,
     mux_hello,
     mux_response,
-    neutral_error_to_wire,
-    scheme_document,
-    to_wire,
 )
-from repro.service.wire.server import (
-    PROMETHEUS_CONTENT_TYPE,
-    STATUS_BY_CODE,
-    IdempotencyWindow,
-    build_host_map,
+from repro.service.wire.engine import (
+    MAX_HEADERS,
+    HostingServer,
+    WireRequestExecutor,
+    WireResponse,
+    body_length,
+    rejection,
 )
 
 __all__ = ["AsyncGatewayServer", "WireRequestExecutor", "WireResponse"]
 
 _SERVER_ID = "repro-gateway-aio/1.0"
-_MAX_BODY_BYTES = 64 * 1024 * 1024
-
-_POST_OPS = frozenset({"grant", "revoke", "reencrypt", "fetch", "resize", "export"})
-_GET_OPS = frozenset({"metrics", "scheme"})
-_IDEMPOTENT_OPS = frozenset({"revoke", "resize"})
-
-_AUTH_HEADER_LOWER = AUTH_HEADER.lower()
-_TRACE_HEADER_LOWER = TRACE_HEADER.lower()
 
 
-@dataclass
-class WireResponse:
-    """One finished request, transport-agnostic: status + body + echo."""
-
-    status: int
-    body: bytes
-    content_type: str = "application/json"
-    trace_echo: str | None = None
-    close: bool = False
-
-
-class _UnknownEndpoint(Exception):
-    def __init__(self, path: str):
-        super().__init__(path)
-        self.path = path
-
-
-class WireRequestExecutor:
-    """The transport-independent request engine behind the async server.
-
-    ``handle`` takes one parsed request (method, target, body, lowercase
-    headers, client address string) and returns a :class:`WireResponse`.
-    It is synchronous and thread-safe — the server runs it on its
-    bounded worker pool — and mirrors the threaded handler's semantics
-    route for route so the two stacks answer byte-identically.
-    """
-
-    def __init__(
-        self,
-        hosts: dict,
-        scheme_ids: list,
-        event_log: EventLog,
-        dedup: IdempotencyWindow,
-        auth=None,
-        trace_sample: float = 1.0,
-        wire_stats: WireServerStats | None = None,
-    ):
-        self.hosts = hosts
-        self.scheme_ids = list(scheme_ids)
-        self.single = scheme_ids[0] if len(scheme_ids) == 1 else None
-        self.event_log = event_log
-        self.dedup = dedup
-        self.auth = auth
-        self.trace_sample = float(trace_sample)
-        self.wire_stats = wire_stats
-        # Same deterministic seed as the threaded server, guarded the
-        # same way: sampled counts stay exact and cross-stack identical.
-        self._trace_rng = random.Random(0x5EED)
-        self._trace_rng_lock = threading.Lock()
-
-    # ------------------------------------------------------------- helpers
-
-    @staticmethod
-    def _json(status: int, payload: str, trace: str | None = None,
-              close: bool = False) -> WireResponse:
-        return WireResponse(
-            status, payload.encode("utf-8"), "application/json", trace, close
-        )
-
-    def _error(
-        self,
-        error: GatewayError,
-        backend: PreBackend | None = None,
-        trace: str | None = None,
-        close: bool = False,
-    ) -> WireResponse:
-        payload = (
-            to_wire(backend, error) if backend is not None else neutral_error_to_wire(error)
-        )
-        return self._json(STATUS_BY_CODE.get(error.code, 500), payload, trace, close)
-
-    def _unknown_endpoint(self, path: str, trace: str | None) -> WireResponse:
-        return self._json(
-            404,
-            neutral_error_to_wire(InvalidRequestError("unknown endpoint %r" % path)),
-            trace,
-        )
-
-    def _resolve(self, path: str):
-        if not path.startswith("/v1/"):
-            raise _UnknownEndpoint(path)
-        rest = path[len("/v1/"):]
-        if "/" in rest:
-            scheme_id, op = rest.rsplit("/", 1)
-            pair = self.hosts.get(scheme_id)
-            if pair is None:
-                raise _UnknownEndpoint(path)
-            return op, pair[0], pair[1]
-        if self.single is None:
-            raise InvalidRequestError(
-                "this server hosts several schemes (%s); use /v1/<scheme>/%s"
-                % (", ".join(self.scheme_ids), rest)
-            )
-        gateway, backend = self.hosts[self.single]
-        return rest, gateway, backend
-
-    # ------------------------------------------------------------ entrance
-
-    def handle(
-        self,
-        method: str,
-        target: str,
-        body: bytes,
-        headers: dict[str, str],
-        client: str,
-    ) -> WireResponse:
-        """One request in, one :class:`WireResponse` out; never raises."""
-        try:
-            # The echo is re-serialized from the strict parse, never the
-            # raw client value (same CR/LF sanitization as the threaded
-            # server's fixed path).
-            parsed_trace = TraceContext.from_header(headers.get(_TRACE_HEADER_LOWER))
-            echo = parsed_trace.to_header() if parsed_trace is not None else None
-            if method == "GET":
-                result = self._handle_get(target, headers, echo, client)
-            elif method == "POST":
-                result = self._handle_post(
-                    target, body, headers, parsed_trace, echo, client
-                )
-            else:
-                result = self._json(
-                    501,
-                    neutral_error_to_wire(
-                        InvalidRequestError("unsupported method %r" % method)
-                    ),
-                    echo,
-                    close=True,
-                )
-        except Exception as error:  # noqa: BLE001 - transport boundary
-            self.event_log.emit(
-                "server-error",
-                op=method,
-                error=str(error),
-                error_type=type(error).__name__,
-                traceback=traceback.format_exc(limit=8),
-            )
-            result = self._json(
-                500,
-                neutral_error_to_wire(GatewayError("internal error: %s" % error)),
-                close=True,
-            )
-        # Access-line parity with the threaded server's log_message hook:
-        # every request (either transport) lands in the structured event
-        # log instead of a stderr nobody reads.
-        self.event_log.emit(
-            "http-log",
-            client=client,
-            message='"%s %s" %d %d' % (method, target, result.status, len(result.body)),
-        )
-        return result
-
-    # ----------------------------------------------------------------- GET
-
-    def _authorize_observability(
-        self, op: str, target: str, headers: dict, client: str
-    ) -> GatewayError | None:
-        """The rejection to send (or None) for a GET observability route."""
-        if self.auth is None:
-            return None
-        try:
-            # The client signs the path it requests, query string included.
-            self.auth.verify("GET", target, b"", headers.get(_AUTH_HEADER_LOWER))
-        except GatewayError as error:
-            self.event_log.emit(
-                "auth-failure",
-                op=op,
-                code=error.code,
-                client=client,
-                detail=str(error),
-            )
-            return error
-        return None
-
-    def _prometheus(self, hosts: dict) -> WireResponse:
-        snapshots = {
-            scheme_id: fleet.snapshot() for scheme_id, (fleet, _backend) in hosts.items()
-        }
-        wire = self.wire_stats.snapshot() if self.wire_stats is not None else None
-        return WireResponse(
-            200,
-            render_prometheus(snapshots, wire=wire).encode("utf-8"),
-            PROMETHEUS_CONTENT_TYPE,
-        )
-
-    def _handle_get(
-        self, target: str, headers: dict, echo: str | None, client: str
-    ) -> WireResponse:
-        parts = urlsplit(target)
-        base = parts.path
-        query = parse_qs(parts.query)
-        out_format = (query.get("format") or [""])[0]
-        if base == "/v1/health":
-            return self._json(200, json.dumps({"status": "ok"}), echo)
-        if base == "/v1/schemes":
-            return self._json(
-                200,
-                json.dumps(
-                    {
-                        "schemes": [
-                            scheme_document(self.hosts[scheme_id][1])
-                            for scheme_id in self.scheme_ids
-                        ]
-                    },
-                    sort_keys=True,
-                ),
-                echo,
-            )
-        if base.startswith("/v1/trace/"):
-            denied = self._authorize_observability("trace", target, headers, client)
-            if denied is not None:
-                return self._error(denied, trace=echo)
-            return self._trace_response(base[len("/v1/trace/"):], echo)
-        if base == "/v1/events":
-            denied = self._authorize_observability("events", target, headers, client)
-            if denied is not None:
-                return self._error(denied, trace=echo)
-            return self._events_response((query.get("tail") or [""])[0], echo)
-        if base == "/v1/metrics" and out_format == "prometheus":
-            denied = self._authorize_observability("metrics", target, headers, client)
-            if denied is not None:
-                return self._error(denied, trace=echo)
-            return self._prometheus(self.hosts)
-        try:
-            op, gateway, backend = self._resolve(base)
-            if op not in _GET_OPS:
-                raise _UnknownEndpoint(base)
-        except _UnknownEndpoint as error:
-            return self._unknown_endpoint(error.path, echo)
-        except InvalidRequestError as error:
-            return self._error(error, trace=echo)
-        if op == "metrics":
-            denied = self._authorize_observability("metrics", target, headers, client)
-            if denied is not None:
-                return self._error(denied, trace=echo)
-            if out_format == "prometheus":
-                return self._prometheus({backend.scheme_id: (gateway, backend)})
-            return self._json(200, to_wire(backend, gateway.snapshot()), echo)
-        return self._json(
-            200, json.dumps(scheme_document(backend), sort_keys=True), echo
-        )
-
-    def _trace_response(self, trace_id: str, echo: str | None) -> WireResponse:
-        for scheme_id in self.scheme_ids:
-            fleet, _backend = self.hosts[scheme_id]
-            tracer = getattr(fleet, "tracer", None)
-            if tracer is None:
-                continue
-            spans = tracer.trace(trace_id)
-            if spans:
-                return self._json(
-                    200,
-                    json.dumps(
-                        {
-                            "trace": trace_id,
-                            "scheme": scheme_id,
-                            "spans": [span_to_json(span) for span in spans],
-                        },
-                        sort_keys=True,
-                    ),
-                    echo,
-                )
-        return self._error(EntryMissingError("no trace %r" % trace_id), trace=echo)
-
-    def _events_response(self, tail: str, echo: str | None) -> WireResponse:
-        count: int | None = None
-        if tail:
-            try:
-                count = int(tail)
-            except ValueError:
-                count = -1
-            if count < 1:
-                return self._error(
-                    InvalidRequestError("tail must be a positive integer"), trace=echo
-                )
-        return self._json(
-            200, json.dumps({"events": self.event_log.tail(count)}, sort_keys=True), echo
-        )
-
-    # ---------------------------------------------------------------- POST
-
-    def _authenticate(self, op: str, base: str, raw: bytes, headers: dict):
-        if self.auth is None:
-            return None
-        credential = self.auth.verify("POST", base, raw, headers.get(_AUTH_HEADER_LOWER))
-        if not self.auth.store.allows(credential, op):
-            raise ForbiddenError(
-                "tenant %r (roles: %s) may not call %r"
-                % (credential.tenant, ", ".join(credential.roles) or "-", op)
-            )
-        return credential.tenant
-
-    def _auth_failure(
-        self, op: str, gateway, backend, headers: dict, client: str,
-        error: GatewayError, echo: str | None,
-    ) -> WireResponse:
-        header = headers.get(_AUTH_HEADER_LOWER) or ""
-        tenant = None
-        for part in header.split(";"):
-            if part.startswith("tenant="):
-                tenant = part[len("tenant="):] or None
-                break
-        metrics = getattr(gateway, "metrics", None)
-        if metrics is not None and hasattr(metrics, "observe_auth_failure"):
-            metrics.observe_auth_failure(error.code, op=op, tenant=tenant)
-        self.event_log.emit(
-            "auth-failure",
-            scheme=backend.scheme_id,
-            op=op,
-            code=error.code,
-            tenant=tenant,
-            client=client,
-            detail=str(error),
-        )
-        return self._error(error, backend, trace=echo)
-
-    @staticmethod
-    def _stamp_tenant(request, tenant: str):
-        if isinstance(request, (GrantBatchRequest, ReEncryptBatchRequest)):
-            return dataclasses.replace(
-                request,
-                requests=tuple(
-                    dataclasses.replace(item, tenant=tenant)
-                    for item in request.requests
-                ),
-            )
-        return dataclasses.replace(request, tenant=tenant)
-
-    def _handle_post(
-        self,
-        target: str,
-        raw: bytes,
-        headers: dict,
-        trace: TraceContext | None,
-        echo: str | None,
-        client: str,
-    ) -> WireResponse:
-        if trace is not None and self.trace_sample < 1.0:
-            with self._trace_rng_lock:
-                sampled = self._trace_rng.random() < self.trace_sample
-            if not sampled:
-                trace = None
-        base = urlsplit(target).path
-        try:
-            op, gateway, backend = self._resolve(base)
-            if op not in _POST_OPS:
-                raise _UnknownEndpoint(base)
-        except _UnknownEndpoint as error:
-            return self._unknown_endpoint(error.path, echo)
-        except InvalidRequestError as error:
-            return self._error(error, trace=echo)
-        try:
-            auth_tenant = self._authenticate(op, base, raw, headers)
-        except GatewayError as error:
-            return self._auth_failure(op, gateway, backend, headers, client, error, echo)
-        try:
-            payload = self._dispatch(op, gateway, backend, raw, trace, auth_tenant)
-        except GatewayError as error:
-            return self._error(error, backend, trace=echo)
-        except Exception as error:  # noqa: BLE001 - wire boundary
-            self.event_log.emit(
-                "server-error",
-                scheme=backend.scheme_id,
-                op=op,
-                error=str(error),
-                error_type=type(error).__name__,
-                trace=trace.trace_id if trace is not None else None,
-                traceback=traceback.format_exc(limit=8),
-            )
-            return self._error(
-                GatewayError("internal error: %s" % error), backend, trace=echo
-            )
-        return self._json(200, payload, echo)
-
-    def _dispatch(
-        self, op: str, gateway, backend: PreBackend, raw: bytes,
-        trace: TraceContext | None, auth_tenant: str | None,
-    ) -> str:
-        tracer = getattr(gateway, "tracer", None)
-        traced = tracer is not None and trace is not None
-        root = tracer.span(trace, "http:%s" % op) if traced else nullcontext(None)
-        with root as http_span:
-            sub = http_span.context if http_span is not None else None
-            with (
-                tracer.span(sub, "decode", {"bytes": len(raw)})
-                if traced
-                else nullcontext()
-            ):
-                if op == "grant":
-                    request = from_wire(
-                        backend, raw, expect=(GrantRequest, GrantBatchRequest)
-                    )
-                elif op == "revoke":
-                    request = from_wire(backend, raw, expect=RevokeRequest)
-                elif op == "reencrypt":
-                    request = from_wire(
-                        backend, raw, expect=(ReEncryptRequest, ReEncryptBatchRequest)
-                    )
-                elif op == "fetch":
-                    request = from_wire(backend, raw, expect=FetchRequest)
-                elif op == "export":
-                    request = from_wire(backend, raw, expect=KeyExportRequest)
-                else:  # op == "resize"
-                    request = from_wire(backend, raw, expect=ResizeRequest)
-                if auth_tenant is not None:
-                    request = self._stamp_tenant(request, auth_tenant)
-            dedup_key = None
-            dedup_token = None
-            if op in _IDEMPOTENT_OPS:
-                request_id = getattr(request, "request_id", None)
-                if request_id:
-                    dedup_key = (backend.scheme_id, op, request_id)
-                    cached, dedup_token = self.dedup.claim(dedup_key)
-                    if cached is not None:
-                        if http_span is not None:
-                            http_span.set("idempotent_replay", True)
-                        return cached
-            try:
-                kwargs = {"trace": sub} if traced else {}
-                if op == "grant":
-                    if isinstance(request, GrantBatchRequest):
-                        response = GrantBatchResponse(
-                            responses=tuple(
-                                gateway.grant(item, **kwargs)
-                                for item in request.requests
-                            )
-                        )
-                    else:
-                        response = gateway.grant(request, **kwargs)
-                elif op == "revoke":
-                    response = gateway.revoke(request, **kwargs)
-                elif op == "reencrypt":
-                    if isinstance(request, ReEncryptBatchRequest):
-                        response = ReEncryptBatchResponse(
-                            responses=tuple(
-                                gateway.reencrypt_batch(list(request.requests), **kwargs)
-                            )
-                        )
-                    else:
-                        response = gateway.reencrypt(request, **kwargs)
-                elif op == "fetch":
-                    response = gateway.fetch(request, **kwargs)
-                elif op == "export":
-                    response = KeyExportResponse(keys=tuple(gateway.list_keys()))
-                else:  # op == "resize"
-                    response = gateway.resize(
-                        request.shard_count, tenant=request.tenant, **kwargs
-                    )
-                with (
-                    tracer.span(sub, "encode") if traced else nullcontext()
-                ):
-                    payload = to_wire(backend, response)
-            except BaseException:
-                if dedup_token is not None:
-                    self.dedup.complete(dedup_key, dedup_token, None)
-                raise
-            if dedup_token is not None:
-                self.dedup.complete(dedup_key, dedup_token, payload)
-        return payload
-
-
-class AsyncGatewayServer:
+class AsyncGatewayServer(HostingServer):
     """Serve gateways over mux frames *and* HTTP/1.1 from one event loop.
 
     The constructor surface mirrors :class:`GatewayHttpServer` (gateway/
@@ -600,28 +99,13 @@ class AsyncGatewayServer:
         workers: int = 8,
         max_streams: int = 256,
     ):
-        if not 0.0 <= trace_sample <= 1.0:
-            raise ValueError("trace_sample must be in [0, 1]")
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if max_streams < 1:
             raise ValueError("max_streams must be >= 1")
-        self.hosts, self.scheme_ids = build_host_map(gateway, group, gateways)
-        self.gateway = self.hosts[self.scheme_ids[0]][0]
-        self.backend = self.hosts[self.scheme_ids[0]][1]
-        self.group = self.backend.group
-        self.event_log = event_log if event_log is not None else EventLog()
-        self.dedup = IdempotencyWindow()
-        self.auth = auth
         self.stats = WireServerStats()
-        self.executor = WireRequestExecutor(
-            self.hosts,
-            self.scheme_ids,
-            self.event_log,
-            self.dedup,
-            auth=auth,
-            trace_sample=trace_sample,
-            wire_stats=self.stats,
+        super().__init__(
+            gateway, group, gateways, event_log, auth, trace_sample, wire_stats=self.stats
         )
         self.max_streams = max_streams
         self._tls = tls
@@ -853,7 +337,7 @@ class AsyncGatewayServer:
                 str(name).lower(): str(value) for name, value in raw_headers.items()
             }
             result = await asyncio.get_running_loop().run_in_executor(
-                self._pool, self.executor.handle, method, target, body, headers, peer
+                self._pool, self.engine.handle, method, target, body, headers, peer
             )
             frame = encode_frame(
                 mux_response(
@@ -891,101 +375,63 @@ class AsyncGatewayServer:
     ) -> None:
         peer = self._peer(writer)
         while True:
-            if prefix is not None:
-                line = prefix + await reader.readline()
-                prefix = None
-            else:
-                line = await reader.readline()
+            line = prefix + await reader.readline()
+            prefix = b""
             if not line or line in (b"\r\n", b"\n"):
                 return
-            parts = line.decode("latin-1").strip().split()
+            parts = line.decode("latin-1").split()
             if len(parts) < 2:
-                await self._write_http(
-                    writer,
-                    WireResponse(
-                        400,
-                        neutral_error_to_wire(
-                            InvalidRequestError("malformed request line")
-                        ).encode("utf-8"),
-                        close=True,
-                    ),
-                    close=True,
-                )
+                await self._write_http(writer, rejection(400, "malformed request line"))
                 return
             method, target = parts[0].upper(), parts[1]
+            # HTTP/1.1 keeps the connection unless told to close; older
+            # versions close unless told to keep it (the stdlib's rule).
+            legacy = len(parts) < 3 or parts[2] < "HTTP/1.1"
             headers: dict[str, str] = {}
-            while True:
+            for count in itertools.count(1):
                 hline = await reader.readline()
+                if count > MAX_HEADERS:
+                    await self._write_http(writer, rejection(431, "Too many headers"))
+                    return
                 if hline in (b"\r\n", b"\n", b""):
                     break
                 name, sep, value = hline.decode("latin-1").partition(":")
                 if sep:
                     headers[name.strip().lower()] = value.strip()
-            reject: InvalidRequestError | None = None
-            length = 0
-            if headers.get("transfer-encoding"):
-                reject = InvalidRequestError("Transfer-Encoding is not supported")
-            else:
-                try:
-                    length = int(headers.get("content-length", "0") or "0")
-                except ValueError:
-                    reject = InvalidRequestError("invalid Content-Length")
-                else:
-                    if length < 0 or length > _MAX_BODY_BYTES:
-                        reject = InvalidRequestError(
-                            "unacceptable Content-Length %d" % length
-                        )
-            if reject is not None:
+            try:
+                length = body_length(headers)
+            except InvalidRequestError as error:
                 # The body was never drained; this connection is
-                # desynchronized — answer and close, like the threaded
-                # server's rejection path.
-                await self._write_http(
-                    writer,
-                    WireResponse(
-                        400, neutral_error_to_wire(reject).encode("utf-8"), close=True
-                    ),
-                    close=True,
-                )
+                # desynchronized, so the rejection closes it.
+                await self._write_http(writer, rejection(400, str(error)))
                 return
             body = await reader.readexactly(length) if length else b""
             self.stats.stream_started()
             try:
                 result = await asyncio.get_running_loop().run_in_executor(
-                    self._pool, self.executor.handle, method, target, body, headers, peer
+                    self._pool, self.engine.handle, method, target, body, headers, peer
                 )
             finally:
                 self.stats.stream_finished()
-            client_close = headers.get("connection", "").lower() == "close"
-            closing = result.close or client_close
+            connection = headers.get("connection", "").lower()
+            keep_alive = connection == "keep-alive" if legacy else connection != "close"
+            closing = result.close or not keep_alive
             await self._write_http(writer, result, close=closing)
             if closing:
                 return
 
     async def _write_http(
-        self, writer: asyncio.StreamWriter, result: WireResponse, close: bool
+        self, writer: asyncio.StreamWriter, result: WireResponse, close: bool = False
     ) -> None:
         head = [
-            "HTTP/1.1 %d %s" % (result.status, _REASONS.get(result.status, "OK")),
+            "HTTP/1.1 %d %s" % (result.status, HTTPStatus(result.status).phrase),
             "Server: %s" % _SERVER_ID,
             "Content-Type: %s" % result.content_type,
             "Content-Length: %d" % len(result.body),
         ]
         if result.trace_echo:
             head.append("%s: %s" % (TRACE_HEADER, result.trace_echo))
-        if close:
+        if close or result.close:
             head.append("Connection: close")
         writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + result.body)
         await writer.drain()
-
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    401: "Unauthorized",
-    403: "Forbidden",
-    404: "Not Found",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    501: "Not Implemented",
-    503: "Service Unavailable",
-}

@@ -21,7 +21,7 @@ from repro.service.gateway import ReEncryptionGateway
 from repro.service.metrics import GatewayMetrics
 from repro.service.telemetry import escape_label_value, render_prometheus
 from repro.service.wire import GatewayHttpServer
-from repro.service.wire.server import PROMETHEUS_CONTENT_TYPE
+from repro.service.wire.engine import PROMETHEUS_CONTENT_TYPE
 
 ALL_SCHEMES = sorted(available_schemes())
 

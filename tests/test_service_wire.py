@@ -64,7 +64,7 @@ from repro.service.wire import (
     from_wire,
     to_wire,
 )
-from repro.service.wire.server import IdempotencyWindow
+from repro.service.wire.engine import IdempotencyWindow
 
 
 @pytest.fixture()
@@ -848,7 +848,7 @@ class TestTraceSamplingDeterminism:
             setting.gateway, setting.group, trace_sample=0.5
         ) as server:
             probe = _ReentrancyProbeRng(0x5EED)
-            server._httpd.wire_trace_rng = probe
+            server.engine._trace_rng = probe
             request = _request_stream(setting)[0]
             body = to_wire(setting.group, request).encode("utf-8")
             traces = [TraceContext.generate() for _ in range(96)]

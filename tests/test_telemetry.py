@@ -16,6 +16,7 @@ fixed-bucket histograms, bounded event log), then integration:
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
 
@@ -44,7 +45,7 @@ from repro.service.telemetry import (
     span_from_json,
     span_to_json,
 )
-from repro.service.wire import GatewayHttpServer, RemoteGateway
+from repro.service.wire import AsyncGatewayServer, GatewayHttpServer, RemoteGateway
 
 
 # ------------------------------------------------------------ trace contexts
@@ -644,3 +645,24 @@ class TestServerErrorEvents:
         assert event["error_type"] == "RuntimeError"
         assert "shard fleet on fire" in event["error"]
         assert "traceback" in event
+
+    @pytest.mark.parametrize("server_class", [GatewayHttpServer, AsyncGatewayServer])
+    def test_get_crash_answers_500_with_a_server_error_event(self, group, server_class):
+        """A GET whose gateway call raises is answered, not dropped."""
+        events = EventLog()
+        with server_class(_ExplodingGateway(), group, event_log=events) as server:
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=10.0)
+            try:
+                conn.request("GET", "/v1/metrics")
+                response = conn.getresponse()
+                document = json.loads(response.read())
+            finally:
+                conn.close()
+        assert response.status == 500
+        assert response.getheader("Content-Type") == "application/json"
+        assert document["type"] == "error"
+        assert document["body"]["code"] == "gateway-error"
+        assert "metrics on fire" in document["body"]["message"]
+        errors = [event for event in events.tail() if event["kind"] == "server-error"]
+        assert errors and errors[-1]["error_type"] == "RuntimeError"
+        assert "connection-error" not in {event["kind"] for event in events.tail()}

@@ -1,17 +1,22 @@
-"""Conformance tests for the asyncio wire stack against the threaded one.
+"""Conformance tests for the wire stacks: threaded HTTP, asyncio HTTP, mux.
 
-The threaded :class:`GatewayHttpServer` + pooled :class:`RemoteGateway`
-pair is the reference implementation; these tests stand all three stacks
-up over *identically seeded* gateways and assert the asyncio server
-(HTTP/1.1 mode and mux framing mode) answers byte-for-byte what the
-reference answers — success payloads and taxonomy error bodies alike.
-On top of the byte conformance: typed-client parity for every operation,
-auth and TLS variants, and the one-socket multiplexing bound.
+All three transports sit over one request engine, so conformance is
+pinned by data instead of by a second implementation: the golden
+transcript ``tests/data/wire_transcript.json`` holds the exact
+``(method, path, status, content type, body)`` of a scripted request
+stream, and every stack must replay it byte for byte over an identically
+seeded gateway — success payloads and taxonomy error bodies alike.  On
+top of the transcript: typed-client parity for every operation, auth and
+TLS variants, and the one-socket multiplexing bound.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import http.client
+import itertools
+import json
+import socket
 import sys
 import threading
 import time
@@ -51,11 +56,22 @@ from repro.service.wire import (
     connect_gateway,
     to_wire,
 )
-from repro.service.wire.codec import KeyExportRequest, ResizeRequest
+from repro.service.wire.codec import (
+    FRAME_HEADER_LEN,
+    KeyExportRequest,
+    ResizeRequest,
+    decode_frame_payload,
+    encode_frame,
+    frame_length,
+    mux_hello,
+    mux_request,
+)
 
 SEED = "aio-conformance"
 PREFIX = "/v1/tipre/v1"
 REPO_ROOT = Path(__file__).resolve().parents[1]
+TRANSCRIPT_PATH = REPO_ROOT / "tests" / "data" / "wire_transcript.json"
+STACKS = ("threaded", "aio-http", "mux")
 
 
 def _build():
@@ -150,15 +166,92 @@ def _op_sequence(setting):
     ]
 
 
-def _replay(client, sequence):
-    return [
-        client._raw_request(method, path, data) for method, path, data in sequence
-    ]
+def transcript_stream(setting):
+    """The golden transcript's requests: the op sequence, then a method
+    the server does not implement (a stdlib-level rejection)."""
+    return _op_sequence(setting) + [("PUT", "/v1/grant", b"{}")]
+
+
+class _HttpExchanger:
+    """Raw keep-alive HTTP exchanges: status, content type and body."""
+
+    def __init__(self, host: str, port: int):
+        self.conn = http.client.HTTPConnection(host, port, timeout=30.0)
+
+    def __call__(self, method: str, path: str, body: bytes | None):
+        self.conn.request(
+            method, path, body=body, headers={"Content-Type": "application/json"}
+        )
+        response = self.conn.getresponse()
+        data = response.read()
+        if response.will_close:
+            self.conn.close()  # the next request dials a fresh connection
+        return response.status, response.getheader("Content-Type"), data
+
+    def close(self) -> None:
+        self.conn.close()
+
+
+class _MuxExchanger:
+    """Raw request/response frames, one at a time, over one mux socket."""
+
+    def __init__(self, host: str, port: int):
+        self.sock = socket.create_connection((host, port), timeout=30.0)
+        self.reader = self.sock.makefile("rb")
+        self.ids = itertools.count(1)
+        self.sock.sendall(encode_frame(mux_hello()))
+        self._read_frame()  # the server's hello
+
+    def _read_frame(self) -> dict:
+        header = self.reader.read(FRAME_HEADER_LEN)
+        return decode_frame_payload(self.reader.read(frame_length(header)))
+
+    def __call__(self, method: str, path: str, body: bytes | None):
+        text = body.decode("utf-8") if body is not None else None
+        self.sock.sendall(encode_frame(mux_request(next(self.ids), method, path, text)))
+        document = self._read_frame()
+        return (
+            document["status"],
+            document["content_type"],
+            document["body"].encode("utf-8"),
+        )
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+
+def record_transcript(stack: str) -> list[dict]:
+    """Replay :func:`transcript_stream` on a fresh twin served by ``stack``
+    (one of :data:`STACKS`); every exchange becomes one transcript entry."""
+    setting = _build()
+    server_class = GatewayHttpServer if stack == "threaded" else AsyncGatewayServer
+    server = server_class(setting.gateway, setting.group).start()
+    exchanger = _MuxExchanger if stack == "mux" else _HttpExchanger
+    exchange = exchanger(server.host, server.port)
+    try:
+        entries = []
+        for method, path, body in transcript_stream(setting):
+            status, content_type, data = exchange(method, path, body)
+            entries.append(
+                {
+                    "method": method,
+                    "path": path,
+                    "status": status,
+                    "content_type": content_type,
+                    "body": data.decode("utf-8"),
+                }
+            )
+        return entries
+    finally:
+        exchange.close()
+        server.close()
+        setting.gateway.close()
 
 
 @pytest.fixture()
 def three_stacks():
-    """Reference, asyncio-HTTP and asyncio-mux stacks over identical twins."""
+    """Threaded, asyncio-HTTP and asyncio-mux stacks over identical twins."""
     settings_ = [_build() for _ in range(3)]
     threaded = GatewayHttpServer(settings_[0].gateway, settings_[0].group).start()
     aio_http = AsyncGatewayServer(settings_[1].gateway, settings_[1].group).start()
@@ -180,20 +273,16 @@ def three_stacks():
 
 
 class TestCrossStackConformance:
-    def test_every_op_bit_identical_across_stacks(self, three_stacks):
-        """Same scripted stream -> same (status, body) bytes on all three."""
-        settings_, clients = three_stacks
-        transcripts = [
-            _replay(client, _op_sequence(setting))
-            for setting, client in zip(settings_, clients)
-        ]
-        reference = transcripts[0]
-        for transcript in transcripts[1:]:
-            assert transcript == reference
+    def test_every_op_bit_identical_across_stacks(self):
+        """Every stack replays the golden transcript byte for byte."""
+        golden = json.loads(TRANSCRIPT_PATH.read_text(encoding="utf-8"))
+        for stack in STACKS:
+            assert record_transcript(stack) == golden, stack
         # Sanity: the script really exercised both outcomes.
-        statuses = [status for status, _body in reference]
+        statuses = [entry["status"] for entry in golden]
         assert 200 in statuses and 400 in statuses
-        assert 404 in statuses and 503 in statuses
+        assert 404 in statuses and 503 in statuses and 501 in statuses
+        assert {entry["content_type"] for entry in golden} == {"application/json"}
 
     def test_resize_parity_across_stacks(self, three_stacks):
         """Resize moves identical keys everywhere; only timing may differ."""
@@ -231,6 +320,109 @@ class TestCrossStackConformance:
                 client.reencrypt(request)
             with pytest.raises(StoreUnavailableError):
                 client.fetch(FetchRequest(tenant="t", patient="p"))
+
+
+# ------------------------------------------------------- HTTP/1.1 transports
+
+
+def _raw_http_exchange(server, payload: bytes) -> tuple[bytes, bool]:
+    """Send raw bytes to ``server``; return what came back and whether the
+    server closed the connection (rather than leaving it idle open)."""
+    sock = socket.create_connection((server.host, server.port), timeout=3.0)
+    chunks = []
+    try:
+        sock.sendall(payload)
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks), True
+            chunks.append(chunk)
+    except socket.timeout:
+        return b"".join(chunks), False
+    finally:
+        sock.close()
+
+
+def _parse_response(raw: bytes) -> tuple[int, dict, bytes]:
+    head, _, body = raw.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(lines[0].split()[1]), headers, body
+
+
+@pytest.fixture(params=["threaded", "aio-http"])
+def http_server(request):
+    setting = _build()
+    if request.param == "threaded":
+        server = GatewayHttpServer(setting.gateway, setting.group)
+    else:
+        server = AsyncGatewayServer(setting.gateway, setting.group)
+    with server:
+        yield server
+    setting.gateway.close()
+
+
+class TestHttpTransports:
+    """Both HTTP stacks follow the stdlib's HTTP semantics and limits, and
+    every rejection carries the taxonomy body."""
+
+    def _assert_taxonomy_rejection(self, raw: bytes, status: int) -> None:
+        got, headers, body = _parse_response(raw)
+        assert got == status
+        assert headers["content-type"] == "application/json"
+        assert headers["connection"] == "close"
+        document = json.loads(body)
+        assert document["type"] == "error"
+        assert document["body"]["code"] == "invalid-request"
+
+    def test_http10_request_is_closed_after_the_response(self, http_server):
+        raw, closed = _raw_http_exchange(http_server, b"GET /v1/health HTTP/1.0\r\n\r\n")
+        status, _headers, body = _parse_response(raw)
+        assert status == 200 and json.loads(body) == {"status": "ok"}
+        assert closed, "an HTTP/1.0 connection without keep-alive must close"
+
+    def test_http10_keep_alive_stays_open(self, http_server):
+        raw, closed = _raw_http_exchange(
+            http_server,
+            b"GET /v1/health HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+        )
+        assert _parse_response(raw)[0] == 200
+        assert not closed
+
+    def test_too_many_headers_is_431_with_a_taxonomy_body(self, http_server):
+        padding = b"".join(b"X-Pad-%d: x\r\n" % index for index in range(500))
+        raw, closed = _raw_http_exchange(
+            http_server, b"GET /v1/health HTTP/1.1\r\n" + padding + b"\r\n"
+        )
+        self._assert_taxonomy_rejection(raw, 431)
+        assert closed
+
+    def test_header_count_up_to_the_stdlib_cap_is_accepted(self, http_server):
+        # http.client counts the blank line that ends the head toward its
+        # 100-line cap, so 99 header lines is the most either stack takes.
+        padding = b"".join(b"X-Pad-%d: x\r\n" % index for index in range(98))
+        raw, _closed = _raw_http_exchange(
+            http_server,
+            b"GET /v1/health HTTP/1.1\r\nConnection: close\r\n" + padding + b"\r\n",
+        )
+        assert _parse_response(raw)[0] == 200
+
+    def test_malformed_request_line_is_400_with_a_taxonomy_body(self, http_server):
+        raw, closed = _raw_http_exchange(http_server, b"BOGUS\r\n\r\n")
+        self._assert_taxonomy_rejection(raw, 400)
+        assert closed
+
+    def test_chunked_body_is_rejected_and_closed(self, http_server):
+        raw, closed = _raw_http_exchange(
+            http_server,
+            b"POST /v1/reencrypt HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"2\r\n{}\r\n0\r\n\r\n",
+        )
+        self._assert_taxonomy_rejection(raw, 400)
+        assert closed
 
 
 # ----------------------------------------------------------- typed mux client
