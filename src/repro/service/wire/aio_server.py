@@ -60,7 +60,6 @@ from repro.service.wire.engine import (
     WireRequestExecutor,
     WireResponse,
     body_length,
-    rejection,
 )
 
 __all__ = ["AsyncGatewayServer", "WireRequestExecutor", "WireResponse"]
@@ -379,9 +378,11 @@ class AsyncGatewayServer(HostingServer):
             prefix = b""
             if not line or line in (b"\r\n", b"\n"):
                 return
-            parts = line.decode("latin-1").split()
+            request_line = line.decode("latin-1").strip()
+            parts = request_line.split()
             if len(parts) < 2:
-                await self._write_http(writer, rejection(400, "malformed request line"))
+                refusal = self.engine.refuse(400, "malformed request line", request_line, peer)
+                await self._write_http(writer, refusal)
                 return
             method, target = parts[0].upper(), parts[1]
             # HTTP/1.1 keeps the connection unless told to close; older
@@ -391,7 +392,8 @@ class AsyncGatewayServer(HostingServer):
             for count in itertools.count(1):
                 hline = await reader.readline()
                 if count > MAX_HEADERS:
-                    await self._write_http(writer, rejection(431, "Too many headers"))
+                    refusal = self.engine.refuse(431, "Too many headers", request_line, peer)
+                    await self._write_http(writer, refusal)
                     return
                 if hline in (b"\r\n", b"\n", b""):
                     break
@@ -402,8 +404,9 @@ class AsyncGatewayServer(HostingServer):
                 length = body_length(headers)
             except InvalidRequestError as error:
                 # The body was never drained; this connection is
-                # desynchronized, so the rejection closes it.
-                await self._write_http(writer, rejection(400, str(error)))
+                # desynchronized, so the refusal closes it.
+                refusal = self.engine.refuse(400, str(error), request_line, peer)
+                await self._write_http(writer, refusal)
                 return
             body = await reader.readexactly(length) if length else b""
             self.stats.stream_started()

@@ -100,7 +100,6 @@ __all__ = [
     "WireResponse",
     "body_length",
     "build_host_map",
-    "rejection",
 ]
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -283,17 +282,6 @@ class WireResponse:
     content_type: str = "application/json"
     trace_echo: str | None = None
     close: bool = False
-
-
-def rejection(status: int, message: str) -> WireResponse:
-    """A transport-level refusal (an unparseable head, an unframeable
-    body): the taxonomy's invalid-request body, closing the connection —
-    whatever follows on the socket can no longer be trusted as a request."""
-    return WireResponse(
-        status,
-        neutral_error_to_wire(InvalidRequestError(message)).encode("utf-8"),
-        close=True,
-    )
 
 
 def body_length(headers: dict[str, str]) -> int:
@@ -525,14 +513,28 @@ class WireRequestExecutor:
                 neutral_error_to_wire(GatewayError("internal error: %s" % error)),
                 close=True,
             )
-        # Every request (any transport) leaves an access line in the
-        # structured event log instead of a stderr nobody reads.
+        self._log_access("%s %s" % (method, target), client, result)
+        return result
+
+    def refuse(self, status: int, message: str, request: str, client: str) -> WireResponse:
+        """A transport-level refusal (an unparseable head, an unframeable
+        body): the taxonomy's invalid-request body, closing the connection —
+        whatever follows on the socket can no longer be trusted as a request.
+        ``request`` is the request line, as far as the transport read it."""
+        result = self._json(
+            status, neutral_error_to_wire(InvalidRequestError(message)), close=True
+        )
+        self._log_access(request, client, result)
+        return result
+
+    def _log_access(self, request: str, client: str, result: WireResponse) -> None:
+        # Every answer (any transport, handled or refused) leaves one
+        # access line in the structured event log, not a stderr line.
         self.event_log.emit(
             "http-log",
             client=client,
-            message='"%s %s" %d %d' % (method, target, result.status, len(result.body)),
+            message='"%s" %d %d' % (request, result.status, len(result.body)),
         )
-        return result
 
     # ----------------------------------------------------------------- GET
 

@@ -36,7 +36,6 @@ from repro.service.wire.engine import (
     WireRequestExecutor,
     WireResponse,
     body_length,
-    rejection,
 )
 
 __all__ = ["GatewayHttpServer"]
@@ -54,11 +53,11 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     def log_request(self, code="-", size="-") -> None:  # noqa: D102
-        pass  # the engine writes every request's access line itself
+        pass  # the engine writes every answer's access line itself
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib name
-        # The stdlib's remaining diagnostics (timeouts, rejected heads)
-        # become structured events instead of stderr lines nobody reads.
+        # The stdlib's remaining diagnostics (a timed-out request) become
+        # structured events instead of stderr lines nobody reads.
         self.server.engine.event_log.emit(
             "http-log", client=self.client_address[0], message=format % args
         )
@@ -87,8 +86,8 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             length = body_length(headers)
         except InvalidRequestError as error:
             # The body was never read, so this HTTP/1.1 connection is
-            # desynchronized; the rejection closes it.
-            self._respond(rejection(400, str(error)))
+            # desynchronized; the refusal closes it.
+            self._respond(self._refuse(400, str(error)))
             return
         body = self.rfile.read(length) if length else b""
         self._respond(
@@ -101,7 +100,6 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
 
     def send_error(self, code: int, message: str | None = None, explain=None) -> None:
         """Answer a stdlib-level rejection with a taxonomy body, not HTML."""
-        self.log_error("code %d, message %s", code, message)
         # A request line too broken to name its version parses as
         # HTTP/0.9, whose responses carry no status line or headers.
         self.request_version = self.protocol_version
@@ -113,8 +111,13 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
                 self.client_address[0],
             )
         else:
-            result = rejection(code, message or HTTPStatus(code).phrase)
+            result = self._refuse(code, message or HTTPStatus(code).phrase)
         self._respond(result)
+
+    def _refuse(self, status: int, message: str) -> WireResponse:
+        return self.server.engine.refuse(
+            status, message, self.requestline, self.client_address[0]
+        )
 
 
 class _EventedThreadingHTTPServer(ThreadingHTTPServer):

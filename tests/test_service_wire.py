@@ -52,6 +52,7 @@ from repro.service.metrics import GatewayMetrics
 from repro.service.telemetry import TRACE_HEADER, TraceContext
 from repro.service.wire import (
     ERROR_TYPES,
+    AsyncGatewayServer,
     GatewayHttpServer,
     GrantBatchRequest,
     GrantBatchResponse,
@@ -550,42 +551,38 @@ class TestHttpSurface:
             assert response.status == 200
             assert json.loads(response.read()) == {"status": "ok"}
 
+    @staticmethod
+    def _assert_refused_and_closed(loopback, header: str, value: str, body: bytes = b""):
+        """POST with one framing header on both HTTP stacks: each answers
+        400 invalid-request with Connection: close."""
+        setting, threaded, _client = loopback
+        with AsyncGatewayServer(setting.gateway, setting.group) as aio_http:
+            for server in (threaded, aio_http):
+                connection = http.client.HTTPConnection(
+                    server.host, server.port, timeout=10.0
+                )
+                try:
+                    connection.putrequest("POST", "/v1/reencrypt")
+                    connection.putheader(header, value)
+                    connection.endheaders()
+                    connection.send(body)
+                    response = connection.getresponse()
+                    document = json.loads(response.read())
+                    assert response.status == 400, server
+                    assert response.getheader("Connection") == "close", server
+                    assert document["body"]["code"] == "invalid-request", server
+                finally:
+                    connection.close()
+
     def test_pre_read_rejection_closes_the_connection(self, loopback):
         """A body the server refuses to read must not desync keep-alive:
         the 400 carries Connection: close so stale bytes die with it."""
-        import http.client
-
-        _setting, server, _client = loopback
-        connection = http.client.HTTPConnection(server.host, server.port, timeout=10.0)
-        try:
-            connection.putrequest("POST", "/v1/reencrypt")
-            connection.putheader("Content-Length", "not-a-number")
-            connection.endheaders()
-            response = connection.getresponse()
-            body = response.read()
-            assert response.status == 400
-            assert response.getheader("Connection") == "close"
-            assert json.loads(body)["body"]["code"] == "invalid-request"
-        finally:
-            connection.close()
+        self._assert_refused_and_closed(loopback, "Content-Length", "not-a-number")
 
     def test_chunked_body_rejected_and_connection_closed(self, loopback):
-        import http.client
-
-        _setting, server, _client = loopback
-        connection = http.client.HTTPConnection(server.host, server.port, timeout=10.0)
-        try:
-            connection.putrequest("POST", "/v1/reencrypt")
-            connection.putheader("Transfer-Encoding", "chunked")
-            connection.endheaders()
-            connection.send(b"5\r\nhello\r\n0\r\n\r\n")
-            response = connection.getresponse()
-            body = response.read()
-            assert response.status == 400
-            assert response.getheader("Connection") == "close"
-            assert json.loads(body)["body"]["code"] == "invalid-request"
-        finally:
-            connection.close()
+        self._assert_refused_and_closed(
+            loopback, "Transfer-Encoding", "chunked", b"5\r\nhello\r\n0\r\n\r\n"
+        )
 
     def test_posted_error_message_is_rejected_not_executed(self, loopback):
         setting, server, _client = loopback

@@ -19,6 +19,7 @@ from __future__ import annotations
 import http.client
 import io
 import json
+import socket
 
 import pytest
 
@@ -593,10 +594,38 @@ class TestWireTelemetry:
             quiet.close()
 
     def test_http_log_lines_become_events(self, telemetry_loopback):
+        """Every answer leaves exactly one access line on both HTTP stacks:
+        handled requests, refusals the transport makes before the engine
+        runs a request, and the stdlib's own rejections."""
         setting, server, client = telemetry_loopback
         client.reencrypt(_one_request(setting))
         kinds = {event["kind"] for event in server.event_log.tail()}
         assert "http-log" in kinds
+        padding = b"".join(b"X-Pad-%d: x\r\n" % index for index in range(200))
+        exchanges = [
+            (b"GET /v1/health HTTP/1.1\r\nConnection: close\r\n\r\n", 200),
+            (b"PUT /v1/grant HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 501),
+            (b"POST /v1/grant HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", 400),
+            (b"POST /v1/grant HTTP/1.1\r\nContent-Length: nope\r\n\r\n", 400),
+            (b"BOGUS\r\n\r\n", 400),
+            (b"GET /v1/health HTTP/1.1\r\n" + padding + b"\r\n", 431),
+        ]
+        with AsyncGatewayServer(setting.gateway, setting.group) as aio_http:
+            for stack in (server, aio_http):
+                for payload, status in exchanges:
+                    before = len(stack.event_log.tail())
+                    with socket.create_connection((stack.host, stack.port), timeout=10.0) as sock:
+                        sock.sendall(payload)
+                        raw = b""
+                        while chunk := sock.recv(65536):
+                            raw += chunk
+                    assert raw.split(b" ", 2)[1] == b"%d" % status, payload
+                    lines = [
+                        event for event in stack.event_log.tail()[before:]
+                        if event["kind"] == "http-log"
+                    ]
+                    assert len(lines) == 1, (stack, payload, lines)
+                    assert '" %d ' % status in lines[0]["message"], payload
 
     def test_metrics_text_serves_prometheus(self, telemetry_loopback):
         setting, _server, client = telemetry_loopback

