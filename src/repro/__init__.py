@@ -30,19 +30,26 @@ Quickstart::
     m = pre.decrypt_reencrypted(pre.preenc(ct, rk), bob)
 """
 
-from repro.core import EpochSchedule, ProxyService, TemporalPre, TypeAndIdentityPre
-from repro.hybrid import HybridPre
-from repro.ibe import (
-    BonehFranklinIbe,
-    FullIdentIbe,
-    KeyGenerationCenter,
-    KgcRegistry,
-    ThresholdKgc,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "core": ("EpochSchedule", "ProxyService", "TemporalPre", "TypeAndIdentityPre"),
+        "hybrid": ("HybridPre",),
+        "ibe": (
+            "BonehFranklinIbe",
+            "FullIdentIbe",
+            "KeyGenerationCenter",
+            "KgcRegistry",
+            "ThresholdKgc",
+        ),
+        "math.drbg": ("HmacDrbg", "system_random"),
+        "pairing": ("PairingGroup",),
+        "phr": ("PhrSystem",),
+        "service": ("ReEncryptionGateway",),
+    },
 )
-from repro.math.drbg import HmacDrbg, system_random
-from repro.pairing import PairingGroup
-from repro.phr import PhrSystem
-from repro.service import ReEncryptionGateway
 
 __version__ = "1.0.0"
 

@@ -1,14 +1,21 @@
 """Baseline schemes from the paper's related-work comparison."""
 
-from repro.baselines.afgh import AfghScheme
-from repro.baselines.bb1 import Bb1Ibe
-from repro.baselines.bbs import BbsProxyScheme
-from repro.baselines.dodis_ivan import DodisIvanScheme
-from repro.baselines.elgamal import ElGamal
-from repro.baselines.green_ateniese import GreenAtenieseIbp1
-from repro.baselines.interface import PROPERTY_NAMES, PreAdapter, all_adapters
-from repro.baselines.matsuo import MatsuoStylePre
-from repro.baselines.multi_keypair import MultiKeypairDelegation
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "afgh": ("AfghScheme",),
+        "bb1": ("Bb1Ibe",),
+        "bbs": ("BbsProxyScheme",),
+        "dodis_ivan": ("DodisIvanScheme",),
+        "elgamal": ("ElGamal",),
+        "green_ateniese": ("GreenAtenieseIbp1",),
+        "interface": ("PROPERTY_NAMES", "PreAdapter", "all_adapters"),
+        "matsuo": ("MatsuoStylePre",),
+        "multi_keypair": ("MultiKeypairDelegation",),
+    },
+)
 
 __all__ = [
     "ElGamal",

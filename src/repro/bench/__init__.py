@@ -1,8 +1,15 @@
 """Benchmark instrumentation: operation counters, timers, table rendering."""
 
-from repro.bench.counters import OperationCounter, count_operations, record_operation
-from repro.bench.report import print_table, render_table
-from repro.bench.timing import TimedResult, measure
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "counters": ("OperationCounter", "count_operations", "record_operation"),
+        "report": ("print_table", "render_table"),
+        "timing": ("TimedResult", "measure"),
+    },
+)
 
 __all__ = [
     "OperationCounter",

@@ -336,12 +336,6 @@ def _cmd_tenants(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.bench.report import print_table
     from repro.core.api import TIPRE_SCHEME_ID, available_schemes
-    from repro.service.driver import (
-        run_demo,
-        run_remote_demo,
-        run_remote_scheme_demo,
-        run_scheme_demo,
-    )
 
     if args.http is not None and args.connect is not None:
         print("error: --http and --connect are mutually exclusive", file=sys.stderr)
@@ -409,6 +403,8 @@ def _cmd_serve(args) -> int:
                 file=sys.stderr,
             )
             return 2
+        from repro.service.driver import run_remote_demo, run_remote_scheme_demo
+
         if args.scheme == TIPRE_SCHEME_ID:
             report = run_remote_demo(
                 args.connect,
@@ -442,6 +438,8 @@ def _cmd_serve(args) -> int:
             report.rows(),
         )
         return 0
+    from repro.service.driver import run_demo, run_scheme_demo
+
     if args.scheme == TIPRE_SCHEME_ID:
         # The original seeded workload, kept bit-stable for E9/E10/E11.
         report = run_demo(
@@ -521,12 +519,10 @@ def _serve_http(args, scheme_ids: list[str]) -> int:
     per-scheme durable subdirectory — behind scheme-id-prefixed routes.
     """
     from repro.core.api import create_backend
-    from repro.pairing.group import PairingGroup
     from repro.service.gateway import ReEncryptionGateway
     from repro.service.telemetry import EventLog, jsonl_sink
-    from repro.service.wire import AsyncGatewayServer, GatewayHttpServer
 
-    server_class = AsyncGatewayServer if args.async_wire else GatewayHttpServer
+    server_class = _server_class(args.async_wire)
     tls, verifier, policy = _security_from_args(args)
     # One hosted scheme keeps the historical shared group (existing
     # clients negotiate against its name); several schemes each get a
@@ -609,27 +605,36 @@ def _serve_http(args, scheme_ids: list[str]) -> int:
     return 0
 
 
+def _server_class(async_wire: bool):
+    """The wire server class ``serve`` runs; the other one is not imported."""
+    if async_wire:
+        from repro.service.wire.aio_server import AsyncGatewayServer
+
+        return AsyncGatewayServer
+    from repro.service.wire.server import GatewayHttpServer
+
+    return GatewayHttpServer
+
+
 def _security_from_args(args):
     """TLS context, request verifier and policy engine from serve flags.
 
     All three are None when the corresponding flag is absent, so a bare
-    ``serve --http`` stays the historical anonymous plaintext server.
+    ``serve --http`` stays the historical anonymous plaintext server
+    (and imports none of the auth modules behind them).
     """
-    from repro.service.auth import (
-        PolicyEngine,
-        RequestVerifier,
-        TenantCredentialStore,
-        server_context,
-    )
-
     tls = None
     if args.tls_cert is not None:
+        from repro.service.auth.tls import server_context
+
         tls = server_context(args.tls_cert, args.tls_key)
     elif args.tls_key is not None:
         raise ValueError("--tls-key given without --tls-cert")
     verifier = None
     policy = None
     if args.tenant_config is not None:
+        from repro.service.auth import PolicyEngine, RequestVerifier, TenantCredentialStore
+
         store = TenantCredentialStore(args.tenant_config)
         verifier = RequestVerifier(store)
         policy = PolicyEngine(store)
@@ -667,9 +672,8 @@ def _serve_fleet(args) -> int:
     """
     from repro.service.fleet import FleetGateway, FleetSupervisor
     from repro.service.telemetry import EventLog, jsonl_sink
-    from repro.service.wire import AsyncGatewayServer, GatewayHttpServer
 
-    server_class = AsyncGatewayServer if args.async_wire else GatewayHttpServer
+    server_class = _server_class(args.async_wire)
     event_stream = None
     if args.event_log is not None:
         event_stream = Path(args.event_log).open("a", encoding="utf-8")

@@ -1,17 +1,24 @@
 """The paper's core contribution: type-and-identity-based proxy re-encryption."""
 
-from repro.core.api import (
-    PreBackend,
-    SchemeCapabilities,
-    SchemeRegistry,
-    available_schemes,
-    create_backend,
-    resolve_backend,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "api": (
+            "PreBackend",
+            "SchemeCapabilities",
+            "SchemeRegistry",
+            "available_schemes",
+            "create_backend",
+            "resolve_backend",
+        ),
+        "ciphertexts": ("ProxyKey", "ReEncryptedCiphertext", "TypedCiphertext"),
+        "epochs": ("EpochSchedule", "ExpiredDelegationError", "TemporalPre"),
+        "proxy": ("NoProxyKeyError", "ProxyService", "ReEncryptionLogEntry"),
+        "scheme": ("DelegationError", "TypeAndIdentityPre", "TypeMismatchError"),
+    },
 )
-from repro.core.ciphertexts import ProxyKey, ReEncryptedCiphertext, TypedCiphertext
-from repro.core.epochs import EpochSchedule, ExpiredDelegationError, TemporalPre
-from repro.core.proxy import NoProxyKeyError, ProxyService, ReEncryptionLogEntry
-from repro.core.scheme import DelegationError, TypeAndIdentityPre, TypeMismatchError
 
 __all__ = [
     "PreBackend",

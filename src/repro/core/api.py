@@ -24,8 +24,9 @@ against, so one production gateway serves any registered scheme:
   duck-type the attribute surface of the paper's native containers, so
   the router, key table, batcher and caches work on either unchanged;
 * :class:`SchemeRegistry` — stable scheme ids (``tipre/v1``,
-  ``afgh/v1``, ``green-ateniese/v1``, ...) to backend classes, with the
-  built-in schemes loaded on first use.
+  ``afgh/v1``, ``green-ateniese/v1``, ...) to backend classes; a
+  built-in scheme's module is imported only when that scheme is first
+  looked up, so a process serving one scheme never loads the others.
 
 Scheme ids are *wire- and disk-stable*: the HTTP codec tags every
 element envelope with one and rejects mismatches as ``invalid-request``,
@@ -364,10 +365,15 @@ class SchemeRegistry:
     Ids are versioned slugs (``tipre/v1``) so that an incompatible
     envelope change registers as a *new* id instead of silently
     corrupting wire peers and durable logs written under the old one.
+
+    ``builtins`` maps ids to the module whose import registers them:
+    those ids are listed and contained from the start, and a lookup
+    imports the module on first use.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, builtins: dict[str, str] | None = None) -> None:
         self._backends: dict[str, type[PreBackend]] = {}
+        self._builtins = dict(builtins or {})
 
     def register(
         self, backend_class: type[PreBackend], replace: bool = False
@@ -383,31 +389,43 @@ class SchemeRegistry:
         return backend_class
 
     def backend_class(self, scheme_id: str) -> type[PreBackend]:
+        if scheme_id not in self._backends and scheme_id in self._builtins:
+            __import__(self._builtins[scheme_id])  # registers on import
         try:
             return self._backends[scheme_id]
         except KeyError:
             raise UnknownSchemeError(
                 "unknown scheme id %r (registered: %s)"
-                % (scheme_id, ", ".join(sorted(self._backends)) or "none")
+                % (scheme_id, ", ".join(sorted(self.ids())) or "none")
             ) from None
 
     def create(self, scheme_id: str, group) -> PreBackend:
         return self.backend_class(scheme_id)(group)
 
     def ids(self) -> list[str]:
-        """Registered ids, the paper's scheme first, then alphabetical."""
-        rest = sorted(scheme_id for scheme_id in self._backends if scheme_id != TIPRE_SCHEME_ID)
-        head = [TIPRE_SCHEME_ID] if TIPRE_SCHEME_ID in self._backends else []
+        """Known ids, the paper's scheme first, then alphabetical."""
+        known = set(self._backends) | set(self._builtins)
+        rest = sorted(scheme_id for scheme_id in known if scheme_id != TIPRE_SCHEME_ID)
+        head = [TIPRE_SCHEME_ID] if TIPRE_SCHEME_ID in known else []
         return head + rest
 
     def __contains__(self, scheme_id: str) -> bool:
-        return scheme_id in self._backends
+        return scheme_id in self._backends or scheme_id in self._builtins
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.ids())
 
 
-REGISTRY = SchemeRegistry()
+REGISTRY = SchemeRegistry(
+    builtins={
+        TIPRE_SCHEME_ID: "repro.core.tipre_backend",
+        "afgh/v1": "repro.baselines.backends",
+        "bbs/v1": "repro.baselines.backends",
+        "dodis-ivan/v1": "repro.baselines.backends",
+        "green-ateniese/v1": "repro.baselines.backends",
+        "matsuo/v1": "repro.baselines.backends",
+    }
+)
 
 
 def register_backend(backend_class: type[PreBackend]) -> type[PreBackend]:
@@ -415,28 +433,21 @@ def register_backend(backend_class: type[PreBackend]) -> type[PreBackend]:
     return REGISTRY.register(backend_class)
 
 
-_BUILTINS_LOADED = False
-
-
 def load_builtin_backends() -> SchemeRegistry:
-    """Import the built-in backend modules (idempotent); returns REGISTRY."""
-    global _BUILTINS_LOADED
-    if not _BUILTINS_LOADED:
-        import repro.baselines.backends  # noqa: F401  (registers on import)
-        import repro.core.tipre_backend  # noqa: F401
-
-        _BUILTINS_LOADED = True
+    """Import every built-in backend module (idempotent); returns REGISTRY."""
+    for scheme_id in REGISTRY.ids():
+        REGISTRY.backend_class(scheme_id)
     return REGISTRY
 
 
 def available_schemes() -> list[str]:
-    """Every registered scheme id, built-ins included."""
-    return load_builtin_backends().ids()
+    """Every known scheme id, built-ins included, without importing any."""
+    return REGISTRY.ids()
 
 
 def create_backend(scheme_id: str, group) -> PreBackend:
     """Instantiate the backend registered under ``scheme_id``."""
-    return load_builtin_backends().create(scheme_id, group)
+    return REGISTRY.create(scheme_id, group)
 
 
 def resolve_backend(obj) -> PreBackend:

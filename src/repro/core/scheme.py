@@ -170,25 +170,14 @@ class TypeAndIdentityPre:
         With ``unchecked=True`` the metadata guard is skipped so that the
         security experiments can demonstrate (rather than assume) that a
         mismatched transformation yields garbage.
+
+        A batch of one: the proxy key is long-lived and every request
+        under it pairs against ``rk``, so its Miller precomputation is
+        built on first use and cached (:meth:`preenc_batch`).  Raises
+        :class:`~repro.pairing.miller.PointOrderError` when ``rk`` is not
+        of order q.
         """
-        if not unchecked and not proxy_key.matches(ciphertext):
-            if proxy_key.type_label != ciphertext.type_label:
-                raise TypeMismatchError(
-                    "proxy key is for type %r, ciphertext has type %r"
-                    % (proxy_key.type_label, ciphertext.type_label)
-                )
-            raise DelegationError("proxy key does not match the ciphertext's delegator")
-        c2 = self.group.gt_mul(ciphertext.c2, self.group.pair(ciphertext.c1, proxy_key.rk_point))
-        return ReEncryptedCiphertext(
-            delegator_domain=proxy_key.delegator_domain,
-            delegator=proxy_key.delegator,
-            delegatee_domain=proxy_key.delegatee_domain,
-            delegatee=proxy_key.delegatee,
-            type_label=ciphertext.type_label,
-            c1=ciphertext.c1,
-            c2=c2,
-            encrypted_blind=proxy_key.encrypted_blind,
-        )
+        return self.preenc_batch([ciphertext], proxy_key, unchecked)[0]
 
     def preenc_batch(
         self,
@@ -202,8 +191,8 @@ class TypeAndIdentityPre:
         ``rk`` point, so the Miller-loop precomputation for ``rk`` is paid
         once and the final exponentiations share a batch inversion
         (:meth:`PairingGroup.pair_batch`).  Results are bit-identical to
-        calling :meth:`preenc` per item — the pairing is symmetric, so
-        ``e(c1, rk) == e(rk, c1)`` exactly.
+        the paper's per-item ``c2 * e(c1, rk)`` — the pairing is symmetric,
+        so ``e(c1, rk) == e(rk, c1)`` exactly.
         """
         if not unchecked:
             for ciphertext in ciphertexts:

@@ -1,10 +1,17 @@
 """Elliptic-curve substrate: curves, points, and type-A pairing parameters."""
 
-from repro.ec.curve import EllipticCurve, Point
-from repro.ec.jacobian import batch_normalize, jac_scalar_mul
-from repro.ec.scalarmult import FixedBaseTable, wnaf_mul, wnaf_mul_affine
-from repro.ec.params import available_parameter_sets, generate_parameters, get_params
-from repro.ec.supersingular import SupersingularCurve
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "curve": ("EllipticCurve", "Point"),
+        "jacobian": ("batch_normalize", "jac_scalar_mul"),
+        "scalarmult": ("FixedBaseTable", "wnaf_mul", "wnaf_mul_affine"),
+        "params": ("available_parameter_sets", "generate_parameters", "get_params"),
+        "supersingular": ("SupersingularCurve",),
+    },
+)
 
 __all__ = [
     "EllipticCurve",

@@ -1,14 +1,21 @@
 """Hybrid (KEM/DEM) encryption: GT-element KEM + hash-based authenticated DEM."""
 
-from repro.hybrid.kdf import hkdf, hkdf_expand, hkdf_extract
-from repro.hybrid.kem import HybridCiphertext, HybridPre, HybridReEncrypted
-from repro.hybrid.symmetric import (
-    KEY_LEN,
-    NONCE_LEN,
-    TAG_LEN,
-    AuthenticationError,
-    open_sealed,
-    seal,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "kdf": ("hkdf", "hkdf_expand", "hkdf_extract"),
+        "kem": ("HybridCiphertext", "HybridPre", "HybridReEncrypted"),
+        "symmetric": (
+            "KEY_LEN",
+            "NONCE_LEN",
+            "TAG_LEN",
+            "AuthenticationError",
+            "open_sealed",
+            "seal",
+        ),
+    },
 )
 
 __all__ = [

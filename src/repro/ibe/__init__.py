@@ -1,15 +1,22 @@
 """Boneh--Franklin identity-based encryption and KGC infrastructure."""
 
-from repro.ibe.boneh_franklin import BonehFranklinIbe
-from repro.ibe.full_ident import DecryptionError, FullIdentCiphertext, FullIdentIbe
-from repro.ibe.threshold import KeyShareServer, PartialKey, ThresholdKgc
-from repro.ibe.kgc import KeyGenerationCenter, KgcRegistry
-from repro.ibe.keys import (
-    IbeByteCiphertext,
-    IbeCiphertext,
-    IbeMasterKey,
-    IbeParams,
-    IbePrivateKey,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "boneh_franklin": ("BonehFranklinIbe",),
+        "full_ident": ("DecryptionError", "FullIdentCiphertext", "FullIdentIbe"),
+        "threshold": ("KeyShareServer", "PartialKey", "ThresholdKgc"),
+        "kgc": ("KeyGenerationCenter", "KgcRegistry"),
+        "keys": (
+            "IbeByteCiphertext",
+            "IbeCiphertext",
+            "IbeMasterKey",
+            "IbeParams",
+            "IbePrivateKey",
+        ),
+    },
 )
 
 __all__ = [

@@ -9,29 +9,36 @@ Everything the elliptic-curve and pairing layers need, built from scratch:
 * :mod:`repro.math.drbg` -- seedable HMAC-DRBG and an OS-entropy source.
 """
 
-from repro.math.backend import (
-    IntBackend,
-    active_backend,
-    available_backends,
-    backend_name,
-    set_int_backend,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "backend": (
+            "IntBackend",
+            "active_backend",
+            "available_backends",
+            "backend_name",
+            "set_int_backend",
+        ),
+        "drbg": ("HmacDrbg", "RandomSource", "SystemRandomSource", "system_random"),
+        "fields": ("Fp2Element", "FpElement", "PrimeField", "QuadraticExtField"),
+        "ntheory": (
+            "batch_modinv",
+            "bytes_to_int",
+            "crt",
+            "egcd",
+            "int_to_bytes",
+            "is_quadratic_residue",
+            "jacobi_symbol",
+            "legendre_symbol",
+            "modinv",
+            "sqrt_mod",
+        ),
+        "primes": ("is_probable_prime", "next_prime", "random_prime"),
+        "shamir": ("Share", "reconstruct_secret", "split_secret"),
+    },
 )
-from repro.math.drbg import HmacDrbg, RandomSource, SystemRandomSource, system_random
-from repro.math.fields import Fp2Element, FpElement, PrimeField, QuadraticExtField
-from repro.math.ntheory import (
-    batch_modinv,
-    bytes_to_int,
-    crt,
-    egcd,
-    int_to_bytes,
-    is_quadratic_residue,
-    jacobi_symbol,
-    legendre_symbol,
-    modinv,
-    sqrt_mod,
-)
-from repro.math.primes import is_probable_prime, next_prime, random_prime
-from repro.math.shamir import Share, reconstruct_secret, split_secret
 
 __all__ = [
     "HmacDrbg",

@@ -14,6 +14,7 @@ raw curve classes.
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
 
 from repro.bench.counters import record_operation
@@ -50,10 +51,15 @@ class PairingGroup:
         self.generator = params.generator
         # Miller-loop precomputations for repeatedly-paired points, the
         # pairing analogue of the fixed-base scalar table: keyed by affine
-        # coordinates, LRU-bounded, promoted on the second sighting so
-        # one-shot ciphertext points never pollute the cache.
+        # coordinates, LRU-bounded.  pair_batch's fixed point (a
+        # re-encryption key) is built on first use; pair promotes a point
+        # on its second sighting, so one-shot ciphertext points never
+        # pollute the cache.  Executor threads pair concurrently, so one
+        # lock guards both maps (an LRU touch is a get plus a move that an
+        # eviction must not split); precomputations are built outside it.
         self._pair_precomps: OrderedDict[tuple[int, int], MillerPrecomp] = OrderedDict()
         self._pair_seen: dict[tuple[int, int], int] = {}
+        self._precomp_lock = threading.Lock()
 
     @classmethod
     def shared(cls, name: str) -> "PairingGroup":
@@ -202,31 +208,36 @@ class PairingGroup:
         return (int(point.x), int(point.y))
 
     def _cached_precomp(self, key: tuple[int, int]) -> MillerPrecomp | None:
-        pre = self._pair_precomps.get(key)
-        if pre is not None:
-            self._pair_precomps.move_to_end(key)
-        return pre
+        with self._precomp_lock:
+            pre = self._pair_precomps.get(key)
+            if pre is not None:
+                self._pair_precomps.move_to_end(key)
+            return pre
 
     def _store_precomp(self, key: tuple[int, int], pre: MillerPrecomp) -> None:
-        self._pair_precomps[key] = pre
-        self._pair_precomps.move_to_end(key)
-        while len(self._pair_precomps) > _PRECOMP_CACHE_SIZE:
-            self._pair_precomps.popitem(last=False)
+        with self._precomp_lock:
+            self._pair_precomps[key] = pre
+            self._pair_precomps.move_to_end(key)
+            while len(self._pair_precomps) > _PRECOMP_CACHE_SIZE:
+                self._pair_precomps.popitem(last=False)
 
     def _note_seen(self, key: tuple[int, int]) -> bool:
         """Count a cache miss; True once the point deserves a cached precomp."""
-        if len(self._pair_seen) >= _PRECOMP_SEEN_LIMIT:
-            self._pair_seen.clear()
-        count = self._pair_seen.get(key, 0) + 1
-        self._pair_seen[key] = count
-        return count >= 2
+        with self._precomp_lock:
+            if len(self._pair_seen) >= _PRECOMP_SEEN_LIMIT:
+                self._pair_seen.clear()
+            count = self._pair_seen.get(key, 0) + 1
+            self._pair_seen[key] = count
+            return count >= 2
 
     def precompute_pairing(self, point: Point) -> MillerPrecomp:
         """Build (or fetch) and cache the Miller precomputation for ``point``.
 
-        Schemes call this eagerly for long-lived points (public keys,
-        re-encryption keys); ordinary :meth:`pair` calls promote any point
-        seen twice automatically.
+        :meth:`pair_batch` goes through here for its fixed point, so every
+        re-encryption key is precomputed on first use; ordinary
+        :meth:`pair` calls promote any point seen twice automatically.
+        Raises :class:`~repro.pairing.miller.PointOrderError` when
+        ``point`` is not of order q.
         """
         key = self._point_key(point)
         pre = self._cached_precomp(key)
@@ -307,14 +318,25 @@ class PairingGroup:
         return bytes([parity]) + int(point.x).to_bytes(size, "big")
 
     def deserialize_g1(self, data: bytes) -> Point:
+        """Inverse of :meth:`serialize_g1`; accepts only its canonical output.
+
+        Raises :class:`ValueError` for any other encoding of a point (an
+        x-coordinate of p or more, an identity tag with a payload), so
+        every decoded point re-serializes to the bytes it came from.
+        """
         size = (self.params.p.bit_length() + 7) // 8
         if len(data) != size + 1:
             raise ValueError("bad G1 encoding length")
         if data[0] == 2:
+            if any(data[1:]):
+                raise ValueError("G1 identity encoding carries a payload")
             return self.g1_identity()
         if data[0] not in (0, 1):
             raise ValueError("bad G1 encoding tag")
-        point = self.params.curve.lift_x(bytes_to_int(data[1:]), y_parity=data[0])
+        x = bytes_to_int(data[1:])
+        if x >= self.params.p:
+            raise ValueError("G1 x-coordinate is not reduced modulo p")
+        point = self.params.curve.lift_x(x, y_parity=data[0])
         if point is None:
             raise ValueError("x-coordinate is not on the curve")
         return point
@@ -325,12 +347,14 @@ class PairingGroup:
         return int(element.a).to_bytes(size, "big") + int(element.b).to_bytes(size, "big")
 
     def deserialize_gt(self, data: bytes) -> Fp2Element:
+        """Inverse of :meth:`serialize_gt`; coordinates must be below p."""
         size = (self.params.p.bit_length() + 7) // 8
         if len(data) != 2 * size:
             raise ValueError("bad GT encoding length")
-        return Fp2Element(
-            self.params.ext_field, bytes_to_int(data[:size]), bytes_to_int(data[size:])
-        )
+        a, b = bytes_to_int(data[:size]), bytes_to_int(data[size:])
+        if a >= self.params.p or b >= self.params.p:
+            raise ValueError("GT coordinate is not reduced modulo p")
+        return Fp2Element(self.params.ext_field, a, b)
 
     def g1_element_size(self) -> int:
         """Size in bytes of a serialized G1 element."""

@@ -36,6 +36,7 @@ from repro.math.ntheory import batch_modinv, modinv
 
 __all__ = [
     "MillerPrecomp",
+    "PointOrderError",
     "fp2_mul_raw",
     "fp2_square_raw",
     "fp2_pow_raw",
@@ -102,12 +103,20 @@ def final_exponentiation_batch(params: SupersingularCurve, values):
     return out
 
 
+class PointOrderError(ArithmeticError):
+    """A Miller loop's point is not of order q: it lies outside G1.
+
+    Decoding checks only that a point is on the curve, so a point taken
+    from the network (a granted re-encryption key) can raise this.
+    """
+
+
 class MillerPrecomp:
     """Precomputed line coefficients of ``f_{q,P}`` for a fixed point ``P``.
 
     Construction costs one chain walk plus two batch inversions (so ~2
     ``modinv`` total); each :meth:`evaluate` is then inversion-free.
-    Raises :class:`ArithmeticError` when ``P`` is not of order ``q`` —
+    Raises :class:`PointOrderError` when ``P`` is not of order ``q`` —
     the same condition the affine Miller loop checks at its end.
     """
 
@@ -137,8 +146,9 @@ class MillerPrecomp:
                 kinds.append(False)
                 t = _jac.jac_add_mixed(t, x0, y0, a, p)
         if not _jac.jac_is_infinity(t):
-            raise ArithmeticError(
-                "Miller loop did not terminate at infinity; P not of order q"
+            raise PointOrderError(
+                "Miller loop did not terminate at infinity: the point is not "
+                "of order q, so it lies outside G1"
             )
 
         # Pass 2: one batch inversion normalises every chain point.

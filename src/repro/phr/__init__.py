@@ -1,23 +1,21 @@
 """The fine-grained PHR disclosure application (paper Section 5)."""
 
-from repro.phr.actors import AccessDeniedError, CategoryProxy, Patient, Requester
-from repro.phr.bundle import BundleError, export_bundle, import_bundle
-from repro.phr.recovery import (
-    KeyCustodianShare,
-    backup_private_key,
-    recover_private_key,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "actors": ("AccessDeniedError", "CategoryProxy", "Patient", "Requester"),
+        "bundle": ("BundleError", "export_bundle", "import_bundle"),
+        "recovery": ("KeyCustodianShare", "backup_private_key", "recover_private_key"),
+        "audit": ("AuditEvent", "AuditLog"),
+        "generator": ("PhrGenerator", "WorkloadMix"),
+        "policy": ("DisclosurePolicy", "Grant"),
+        "records": ("DEFAULT_TAXONOMY", "PhrCategory", "PhrEntry", "Sensitivity"),
+        "store": ("EncryptedPhrStore", "EntryNotFoundError", "FilePhrStore", "StoredRecord"),
+        "workflow": ("PhrSystem",),
+    },
 )
-from repro.phr.audit import AuditEvent, AuditLog
-from repro.phr.generator import PhrGenerator, WorkloadMix
-from repro.phr.policy import DisclosurePolicy, Grant
-from repro.phr.records import DEFAULT_TAXONOMY, PhrCategory, PhrEntry, Sensitivity
-from repro.phr.store import (
-    EncryptedPhrStore,
-    EntryNotFoundError,
-    FilePhrStore,
-    StoredRecord,
-)
-from repro.phr.workflow import PhrSystem
 
 __all__ = [
     "PhrSystem",

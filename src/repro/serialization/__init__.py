@@ -1,26 +1,33 @@
 """Canonical serialization for keys, ciphertexts and proxy keys."""
 
-from repro.serialization.containers import (
-    deserialize_hybrid,
-    deserialize_hybrid_reencrypted,
-    deserialize_ibe_ciphertext,
-    deserialize_params,
-    deserialize_private_key,
-    deserialize_proxy_key,
-    deserialize_reencrypted,
-    deserialize_typed_ciphertext,
-    from_json_envelope,
-    serialize_hybrid,
-    serialize_hybrid_reencrypted,
-    serialize_ibe_ciphertext,
-    serialize_params,
-    serialize_private_key,
-    serialize_proxy_key,
-    serialize_reencrypted,
-    serialize_typed_ciphertext,
-    to_json_envelope,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "containers": (
+            "deserialize_hybrid",
+            "deserialize_hybrid_reencrypted",
+            "deserialize_ibe_ciphertext",
+            "deserialize_params",
+            "deserialize_private_key",
+            "deserialize_proxy_key",
+            "deserialize_reencrypted",
+            "deserialize_typed_ciphertext",
+            "from_json_envelope",
+            "serialize_hybrid",
+            "serialize_hybrid_reencrypted",
+            "serialize_ibe_ciphertext",
+            "serialize_params",
+            "serialize_private_key",
+            "serialize_proxy_key",
+            "serialize_reencrypted",
+            "serialize_typed_ciphertext",
+            "to_json_envelope",
+        ),
+        "encoding": ("MAGIC", "VERSION", "EncodingError", "Reader", "Writer"),
+    },
 )
-from repro.serialization.encoding import MAGIC, VERSION, EncodingError, Reader, Writer
 
 __all__ = [
     "Writer",

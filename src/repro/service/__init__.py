@@ -34,65 +34,72 @@ request-serving system:
   resize migration.
 """
 
-from repro.service.batch import BatchGroup, BatchItemError, ReEncryptBatcher
-from repro.service.cache import CacheStats, LruCache
-from repro.service.driver import (
-    DemoReport,
-    DemoSetting,
-    SchemeDemoSetting,
-    build_scheme_setting,
-    build_setting,
-    drive_scheme_requests,
-    resolve_remote_group,
-    run_demo,
-    run_scheme_demo,
-)
-from repro.service.fleet import FleetGateway, FleetSupervisor, StaticFleet
-from repro.service.gateway import (
-    AuditEvent,
-    DelegationNotFoundError,
-    EntryMissingError,
-    FetchRequest,
-    FetchResponse,
-    GatewayError,
-    GrantRequest,
-    GrantResponse,
-    InvalidRequestError,
-    RateLimitedError,
-    ReEncryptionGateway,
-    ReEncryptRequest,
-    ReEncryptResponse,
-    ResizeReport,
-    RevokeRequest,
-    RevokeResponse,
-    StoreUnavailableError,
-    TokenBucket,
-)
-from repro.service.metrics import GatewayMetrics, LatencySummary, MetricsSnapshot
-from repro.service.persistence import (
-    AppendLogKeyStore,
-    DurableProxyKeyTable,
-    LogFormatError,
-    scheme_state_subdir,
-)
-from repro.service.pool import ShardPool
-from repro.service.router import ShardRouter
-from repro.service.telemetry import (
-    TRACE_HEADER,
-    EventLog,
-    Histogram,
-    HistogramSnapshot,
-    Span,
-    TraceContext,
-    Tracer,
-    jsonl_sink,
-    render_prometheus,
-)
-from repro.service.wire import (
-    GatewayHttpServer,
-    RemoteGateway,
-    SchemeMismatchError,
-    WireTransportError,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "batch": ("BatchGroup", "BatchItemError", "ReEncryptBatcher"),
+        "cache": ("CacheStats", "LruCache"),
+        "driver": (
+            "DemoReport",
+            "DemoSetting",
+            "SchemeDemoSetting",
+            "build_scheme_setting",
+            "build_setting",
+            "drive_scheme_requests",
+            "resolve_remote_group",
+            "run_demo",
+            "run_scheme_demo",
+        ),
+        "fleet": ("FleetGateway", "FleetSupervisor", "StaticFleet"),
+        "gateway": (
+            "AuditEvent",
+            "DelegationNotFoundError",
+            "EntryMissingError",
+            "FetchRequest",
+            "FetchResponse",
+            "GatewayError",
+            "GrantRequest",
+            "GrantResponse",
+            "InvalidRequestError",
+            "RateLimitedError",
+            "ReEncryptionGateway",
+            "ReEncryptRequest",
+            "ReEncryptResponse",
+            "ResizeReport",
+            "RevokeRequest",
+            "RevokeResponse",
+            "StoreUnavailableError",
+            "TokenBucket",
+        ),
+        "metrics": ("GatewayMetrics", "LatencySummary", "MetricsSnapshot"),
+        "persistence": (
+            "AppendLogKeyStore",
+            "DurableProxyKeyTable",
+            "LogFormatError",
+            "scheme_state_subdir",
+        ),
+        "pool": ("ShardPool",),
+        "router": ("ShardRouter",),
+        "telemetry": (
+            "TRACE_HEADER",
+            "EventLog",
+            "Histogram",
+            "HistogramSnapshot",
+            "Span",
+            "TraceContext",
+            "Tracer",
+            "jsonl_sink",
+            "render_prometheus",
+        ),
+        "wire": (
+            "GatewayHttpServer",
+            "RemoteGateway",
+            "SchemeMismatchError",
+            "WireTransportError",
+        ),
+    },
 )
 
 __all__ = [

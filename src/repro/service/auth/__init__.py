@@ -22,32 +22,35 @@ anonymous requests exactly as before, so existing tests, benches and
 examples run unchanged.
 """
 
-from repro.service.auth.credentials import (
-    DEFAULT_ROLES,
-    TenantCredential,
-    TenantCredentialStore,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "credentials": ("DEFAULT_ROLES", "TenantCredential", "TenantCredentialStore"),
+        "errors": (
+            "AuthenticationError",
+            "AuthRequiredError",
+            "BadSignatureError",
+            "ForbiddenError",
+            "ReplayedNonceError",
+            "StaleTimestampError",
+            "UnknownTenantError",
+        ),
+        "policy": ("PolicyEngine",),
+        "signing": (
+            "AUTH_HEADER",
+            "ReplayWindow",
+            "RequestSigner",
+            "RequestVerifier",
+            "build_auth_header",
+            "canonical_request",
+            "parse_auth_header",
+            "sign_request",
+        ),
+        "tls": ("client_context", "server_context"),
+    },
 )
-from repro.service.auth.errors import (
-    AuthenticationError,
-    AuthRequiredError,
-    BadSignatureError,
-    ForbiddenError,
-    ReplayedNonceError,
-    StaleTimestampError,
-    UnknownTenantError,
-)
-from repro.service.auth.policy import PolicyEngine
-from repro.service.auth.signing import (
-    AUTH_HEADER,
-    ReplayWindow,
-    RequestSigner,
-    RequestVerifier,
-    build_auth_header,
-    canonical_request,
-    parse_auth_header,
-    sign_request,
-)
-from repro.service.auth.tls import client_context, server_context
 
 __all__ = [
     "AUTH_HEADER",

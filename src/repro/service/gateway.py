@@ -45,6 +45,7 @@ from repro.core.proxy import (
     ProxyService,
 )
 from repro.core.scheme import TypeAndIdentityPre
+from repro.pairing.miller import PointOrderError
 from repro.phr.store import EntryNotFoundError, StoredRecord
 from repro.service.batch import BatchItemError, ReEncryptBatcher
 from repro.service.cache import CacheStats, LruCache
@@ -542,6 +543,19 @@ class ReEncryptionGateway:
                 detail=detail or None,
             )
 
+    def _rejection(
+        self,
+        op: str,
+        tenant: str,
+        error_class: type[GatewayError],
+        detail: str,
+        trace: TraceContext | None,
+    ) -> GatewayError:
+        """Count and audit a refused transformation; returns the error to raise."""
+        self.metrics.observe_rejection(op=op, tenant=tenant, code=error_class.code)
+        self._record_audit(tenant, op, error_class.code, detail, trace=trace)
+        return error_class(detail)
+
     def _admit(
         self,
         tenant: str,
@@ -737,20 +751,17 @@ class ReEncryptionGateway:
                 try:
                     key = self._resolve_key(index, shard)
                 except NoProxyKeyError as error:
-                    self.metrics.observe_rejection(
-                        op="reencrypt",
-                        tenant=request.tenant,
-                        code=DelegationNotFoundError.code,
-                    )
-                    self._record_audit(
-                        request.tenant,
-                        "reencrypt",
-                        DelegationNotFoundError.code,
-                        str(error),
-                        trace=trace,
-                    )
-                    raise DelegationNotFoundError(str(error)) from error
-                result = shard.reencrypt_with_key(ciphertext, key)
+                    raise self._rejection(
+                        "reencrypt", request.tenant, DelegationNotFoundError, str(error), trace
+                    ) from error
+                try:
+                    result = shard.reencrypt_with_key(ciphertext, key)
+                except PointOrderError as error:
+                    # Grants are not subgroup-checked, so a key whose point
+                    # is on the curve but outside G1 fails on first use.
+                    raise self._rejection(
+                        "reencrypt", request.tenant, InvalidRequestError, str(error), trace
+                    ) from error
                 if self._cache_results:
                     self._result_cache.put(result_key, result)
         latency_ms = (self.clock() - start) * 1000
@@ -927,28 +938,18 @@ class ReEncryptionGateway:
             with self._span(trace, "shard-crypto", groups=len(groups)):
                 self._pool.run_many([(None, group_task(group)) for group in groups])
         except BatchItemError as error:
-            tenant = requests[error.position].tenant
+            error_class = GatewayError
             if isinstance(error.cause, NoProxyKeyError):
-                self.metrics.observe_rejection(
-                    op="reencrypt-batch",
-                    tenant=tenant,
-                    code=DelegationNotFoundError.code,
-                )
-                self._record_audit(
-                    tenant,
-                    "reencrypt-batch",
-                    DelegationNotFoundError.code,
-                    str(error.cause),
-                    trace=trace,
-                )
-                raise DelegationNotFoundError(str(error.cause)) from error
-            self.metrics.observe_rejection(
-                op="reencrypt-batch", tenant=tenant, code=GatewayError.code
-            )
-            self._record_audit(
-                tenant, "reencrypt-batch", GatewayError.code, str(error.cause), trace=trace
-            )
-            raise GatewayError(str(error.cause)) from error
+                error_class = DelegationNotFoundError
+            elif isinstance(error.cause, PointOrderError):
+                error_class = InvalidRequestError
+            raise self._rejection(
+                "reencrypt-batch",
+                requests[error.position].tenant,
+                error_class,
+                str(error.cause),
+                trace,
+            ) from error
         elapsed_ms = (self.clock() - start) * 1000
         per_item_ms = elapsed_ms / len(requests)
         for request, shard_name in zip(requests, shard_names):

@@ -27,28 +27,35 @@ network; this package makes that literal.  Six layers:
   :func:`connect_gateway` factory.
 """
 
-from repro.service.wire.aio_client import MuxRemoteGateway, connect_gateway
-from repro.service.wire.aio_server import AsyncGatewayServer
-from repro.service.wire.client import RemoteGateway, SchemeMismatchError, WireTransportError
-from repro.service.wire.codec import (
-    ERROR_TYPES,
-    MUX_PROTOCOL,
-    WIRE_FORMAT,
-    FrameProtocolError,
-    GrantBatchRequest,
-    GrantBatchResponse,
-    ReEncryptBatchRequest,
-    ReEncryptBatchResponse,
-    ResizeRequest,
-    decode_frame_payload,
-    encode_frame,
-    from_wire,
-    neutral_error_to_wire,
-    scheme_document,
-    to_wire,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "aio_client": ("MuxRemoteGateway", "connect_gateway"),
+        "aio_server": ("AsyncGatewayServer",),
+        "client": ("RemoteGateway", "SchemeMismatchError", "WireTransportError"),
+        "codec": (
+            "ERROR_TYPES",
+            "MUX_PROTOCOL",
+            "WIRE_FORMAT",
+            "FrameProtocolError",
+            "GrantBatchRequest",
+            "GrantBatchResponse",
+            "ReEncryptBatchRequest",
+            "ReEncryptBatchResponse",
+            "ResizeRequest",
+            "decode_frame_payload",
+            "encode_frame",
+            "from_wire",
+            "neutral_error_to_wire",
+            "scheme_document",
+            "to_wire",
+        ),
+        "engine": ("STATUS_BY_CODE",),
+        "server": ("GatewayHttpServer",),
+    },
 )
-from repro.service.wire.engine import STATUS_BY_CODE
-from repro.service.wire.server import GatewayHttpServer
 
 __all__ = [
     "ERROR_TYPES",

@@ -22,6 +22,7 @@ from repro.core.api import (
     UnknownSchemeError,
     available_schemes,
     create_backend,
+    load_builtin_backends,
     resolve_backend,
 )
 from repro.core.scheme import DelegationError, TypeAndIdentityPre
@@ -82,6 +83,12 @@ class TestRegistry:
         registry.register(TipreBackend)
         registry.register(Impostor, replace=True)
         assert registry.backend_class(TIPRE_SCHEME_ID) is Impostor
+
+    def test_builtin_table_names_what_the_modules_register(self):
+        """available_schemes() imports no backend module, so the global
+        registry's built-in table must list exactly the ids they register."""
+        registry = load_builtin_backends()
+        assert sorted(registry._backends) == sorted(registry._builtins)
 
     def test_global_registry_contains_and_iterates(self):
         assert TIPRE_SCHEME_ID in REGISTRY

@@ -47,6 +47,24 @@ class TestCurveConstruction:
         lifted = CURVE.lift_x(G.x, y_parity=(int(G.y) & 1) ^ 1)
         assert lifted == -G
 
+    @pytest.mark.parametrize("p", [1019, 1009])  # p = 3 and p = 1 (mod 4)
+    def test_lift_x_agrees_with_brute_force(self, p):
+        field = PrimeField(p)
+        curve = EllipticCurve(field, field(2), field(3))
+        roots: dict[int, list[int]] = {}
+        for y in range(p):
+            roots.setdefault(y * y % p, []).append(y)
+        for x in range(p):
+            rhs = (x**3 + 2 * x + 3) % p
+            for parity in (0, 1):
+                lifted = curve.lift_x(x, y_parity=parity)
+                if rhs not in roots:
+                    assert lifted is None
+                    continue
+                assert curve.contains(lifted) and int(lifted.x) == x
+                assert int(lifted.y) in roots[rhs]
+                assert int(lifted.y) % 2 == parity or rhs == 0
+
     def test_lift_x_non_residue_returns_none(self):
         # Scan for an x with no point; on a random curve about half qualify.
         field = CURVE.field

@@ -1,9 +1,13 @@
 """Tests for the PairingGroup facade and the operation counters."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.pairing.group as group_module
 from repro.bench.counters import OperationCounter, count_operations, record_operation
 from repro.math.drbg import HmacDrbg
 from repro.pairing.group import PairingGroup
@@ -144,6 +148,77 @@ class TestSerialization:
 
     def test_scalar_size(self, g):
         assert g.scalar_size() == (g.order.bit_length() + 7) // 8
+
+
+@pytest.mark.parametrize("name", ["TOY", "SS256", "SS512"])
+class TestCanonicalDecoding:
+    """Every accepted encoding is the one serialize_* writes."""
+
+    def test_g1_x_plus_p_rejected(self, name):
+        group = PairingGroup.shared(name)
+        p, size = group.params.p, group.g1_element_size() - 1
+        point = next(
+            point
+            for point in (group.hash_to_g1(b"canonical-%d" % i) for i in range(64))
+            if int(point.x) + p < 256**size
+        )
+        blob = group.serialize_g1(point)
+        assert group.deserialize_g1(blob) == point
+        with pytest.raises(ValueError, match="not reduced"):
+            group.deserialize_g1(blob[:1] + (int(point.x) + p).to_bytes(size, "big"))
+
+    def test_g1_identity_with_payload_rejected(self, name):
+        group = PairingGroup.shared(name)
+        blob = group.serialize_g1(group.g1_identity())
+        with pytest.raises(ValueError, match="payload"):
+            group.deserialize_g1(blob[:-1] + b"\x01")
+
+    def test_gt_coordinates_at_or_above_p_rejected(self, name):
+        group = PairingGroup.shared(name)
+        p, size = group.params.p, group.gt_element_size() // 2
+        for a, b in ((p, 1), (1, p + 1)):
+            with pytest.raises(ValueError, match="not reduced"):
+                group.deserialize_gt(a.to_bytes(size, "big") + b.to_bytes(size, "big"))
+
+
+class TestPrecompCacheThreads:
+    def test_lookups_race_evictions_safely(self, monkeypatch):
+        """Eight threads share a two-entry Miller-precomputation cache.
+
+        A cache hit is a lookup plus an LRU touch; another thread's
+        eviction landing between the two used to raise KeyError.
+        """
+        monkeypatch.setattr(group_module, "_PRECOMP_CACHE_SIZE", 2)
+        # The cache is under test, not the Miller loop: a stand-in that
+        # "precomputes" a point as itself is built at once, so lookups
+        # and evictions interleave thousands of times per second.
+        monkeypatch.setattr(group_module, "MillerPrecomp", lambda params, point: point)
+        group = PairingGroup("TOY")
+        points = [group.hash_to_g1(b"race-%d" % i) for i in range(12)]
+        errors = []
+
+        def worker(stride: int) -> None:
+            try:
+                for _ in range(3000):
+                    for i in range(len(points)):
+                        point = points[i * stride % len(points)]
+                        assert group.precompute_pairing(point) == point
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(stride,)) for stride in range(1, 9)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(group._pair_precomps) <= 2
 
 
 class TestCounters:

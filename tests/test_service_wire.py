@@ -10,6 +10,8 @@ results and the same error taxonomy as in-process calls.
 
 from __future__ import annotations
 
+import base64
+import dataclasses
 import http.client
 import json
 import random
@@ -301,6 +303,32 @@ class TestCodecRejection:
         with pytest.raises(InvalidRequestError):
             from_wire(group, json.dumps(message))
 
+    @pytest.mark.parametrize("element", ["g1-unreduced", "g1-identity-payload", "gt-unreduced"])
+    def test_non_canonical_element_rejected(self, group, pre_objects, element):
+        """An element encoding serialize_* never writes is invalid-request."""
+        _scheme, _key, ciphertext, *_rest = pre_objects
+        p, size = group.params.p, group.g1_element_size() - 1
+        if element == "g1-unreduced":
+            canonical = group.serialize_g1(ciphertext.c1)
+            tampered = canonical[:1] + (int(ciphertext.c1.x) + p).to_bytes(size, "big")
+        elif element == "g1-identity-payload":
+            ciphertext = dataclasses.replace(ciphertext, c1=group.g1_identity())
+            canonical = group.serialize_g1(ciphertext.c1)
+            tampered = canonical[:-1] + b"\x01"
+        else:
+            canonical = group.serialize_gt(ciphertext.c2)
+            tampered = (int(ciphertext.c2.a) + p).to_bytes(size, "big") + canonical[size:]
+        request = ReEncryptRequest(
+            tenant="t", ciphertext=ciphertext, delegatee_domain="KGC2", delegatee="bob"
+        )
+        message = json.loads(to_wire(group, request))
+        envelope = message["body"]["ciphertext"]
+        blob = base64.b64decode(envelope["payload"])
+        assert blob.count(canonical) == 1 and len(tampered) == len(canonical)
+        envelope["payload"] = base64.b64encode(blob.replace(canonical, tampered)).decode()
+        with pytest.raises(InvalidRequestError, match="not reduced|payload"):
+            from_wire(group, json.dumps(message))
+
     def test_expect_rejects_other_valid_types(self, group):
         text = to_wire(group, GrantResponse(shard="s"))
         with pytest.raises(InvalidRequestError, match="expected"):
@@ -386,6 +414,45 @@ class TestLoopback:
             response.ciphertext, setting.delegatee_keys[delegatee]
         )
         assert recovered == message
+
+    @pytest.mark.parametrize("op", ["reencrypt", "reencrypt_batch"])
+    def test_proxy_key_outside_g1_is_invalid_request(self, loopback, op):
+        """A granted key whose point is on the curve but outside G1.
+
+        Grants are not subgroup-checked, so the first transformation
+        under the key finds it: invalid-request, never a 500 or a served
+        (and cached) result that does not decrypt.
+        """
+        setting, _server, client = loopback
+        params = setting.group.params
+        (patient, type_label), entries = sorted(setting.pool.items())[0]
+        ciphertext, _message = entries[0]
+        delegatee = setting.delegatees[0]
+        key = next(
+            key
+            for key in setting.gateway.list_keys()
+            if (key.delegator, key.type_label, key.delegatee) == (patient, type_label, delegatee)
+        )
+        outside = next(
+            point
+            for point in (params.curve.lift_x(x) for x in range(1, 1000))
+            if point is not None and not params.is_in_subgroup(point)
+        )
+        client.grant(
+            GrantRequest(tenant=patient, proxy_key=dataclasses.replace(key, rk_point=outside))
+        )
+        request = ReEncryptRequest(
+            tenant=patient,
+            ciphertext=ciphertext,
+            delegatee_domain=DELEGATEE_DOMAIN,
+            delegatee=delegatee,
+        )
+        for _attempt in range(2):  # the refusal is not cached away either
+            with pytest.raises(InvalidRequestError, match="outside G1"):
+                if op == "reencrypt":
+                    client.reencrypt(request)
+                else:
+                    client.reencrypt_batch([request, request])
 
     def test_driver_runs_unchanged_against_the_wire(self, loopback):
         """drive_requests cannot tell a RemoteGateway from the local one."""
