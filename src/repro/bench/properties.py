@@ -16,8 +16,8 @@ from __future__ import annotations
 from repro.core.api import (
     CAPABILITY_NAMES,
     PROPERTY_NAMES,
+    REGISTRY,
     SchemeRegistry,
-    load_builtin_backends,
 )
 
 __all__ = [
@@ -31,7 +31,7 @@ def declared_property_matrix(
     registry: SchemeRegistry | None = None,
 ) -> dict[str, dict[str, bool]]:
     """Scheme id -> the five E4 property flags, from declared capabilities."""
-    registry = load_builtin_backends() if registry is None else registry
+    registry = REGISTRY if registry is None else registry
     return {
         scheme_id: registry.backend_class(scheme_id).capabilities.properties()
         for scheme_id in registry.ids()
@@ -42,7 +42,7 @@ def declared_capability_matrix(
     registry: SchemeRegistry | None = None,
 ) -> dict[str, dict[str, bool]]:
     """Scheme id -> every capability flag (E4 properties + operational)."""
-    registry = load_builtin_backends() if registry is None else registry
+    registry = REGISTRY if registry is None else registry
     return {
         scheme_id: registry.backend_class(scheme_id).capabilities.as_dict()
         for scheme_id in registry.ids()
@@ -60,7 +60,7 @@ def property_table_rows(
     unknown = [name for name in flags if name not in CAPABILITY_NAMES]
     if unknown:
         raise ValueError("unknown capability flags: %s" % ", ".join(unknown))
-    registry = load_builtin_backends() if registry is None else registry
+    registry = REGISTRY if registry is None else registry
     rows = []
     for scheme_id in registry.ids():
         backend_class = registry.backend_class(scheme_id)

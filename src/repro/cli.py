@@ -180,12 +180,11 @@ def _cmd_redecrypt(args) -> int:
 def _cmd_schemes(args) -> int:
     """List every registered scheme backend with its capability flags."""
     from repro.bench.report import print_table
-    from repro.core.api import CAPABILITY_NAMES, load_builtin_backends
+    from repro.core.api import CAPABILITY_NAMES, REGISTRY
 
-    registry = load_builtin_backends()
     rows = []
-    for scheme_id in registry.ids():
-        backend_class = registry.backend_class(scheme_id)
+    for scheme_id in REGISTRY.ids():
+        backend_class = REGISTRY.backend_class(scheme_id)
         flags = backend_class.capabilities.as_dict()
         rows.append(
             [scheme_id, backend_class.display_name]

@@ -55,7 +55,6 @@ __all__ = [
     "DuplicateSchemeError",
     "REGISTRY",
     "register_backend",
-    "load_builtin_backends",
     "available_schemes",
     "create_backend",
     "resolve_backend",
@@ -431,13 +430,6 @@ REGISTRY = SchemeRegistry(
 def register_backend(backend_class: type[PreBackend]) -> type[PreBackend]:
     """Class decorator: add a backend to the process-wide registry."""
     return REGISTRY.register(backend_class)
-
-
-def load_builtin_backends() -> SchemeRegistry:
-    """Import every built-in backend module (idempotent); returns REGISTRY."""
-    for scheme_id in REGISTRY.ids():
-        REGISTRY.backend_class(scheme_id)
-    return REGISTRY
 
 
 def available_schemes() -> list[str]:

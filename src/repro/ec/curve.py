@@ -18,7 +18,6 @@ bit-identical points.
 from __future__ import annotations
 
 from repro.ec import jacobian as _jac
-from repro.math import backend as _backend
 from repro.math.fields import PrimeField
 
 __all__ = ["EllipticCurve", "Point"]
@@ -66,19 +65,10 @@ class EllipticCurve:
         """
         x = x if not isinstance(x, int) else self.field(x)
         rhs = x * x * x + self.a * x + self.b
-        field = self.field
-        if isinstance(field, PrimeField) and field.p % 4 == 3:
-            # rhs^((p+1)/4) squares back to rhs exactly when rhs is a
-            # square, so one exponentiation both finds and checks the root
-            # (no Jacobi symbol).  It is the root sqrt_mod returns.
-            root = _backend.active_backend().powmod(rhs.value, (field.p + 1) // 4, field.p)
-            if root * root % field.p != rhs.value:
-                return None
-            y = field(root)
-        else:
-            if not rhs.is_square():
-                return None
+        try:
             y = rhs.sqrt()
+        except ValueError:
+            return None
         if int(y) % 2 != y_parity % 2:
             y = -y
         return Point(self, x, y)

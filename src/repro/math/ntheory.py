@@ -127,10 +127,15 @@ def sqrt_mod(a: int, p: int) -> int:
         return 0
     if p == 2:
         return a
+    if p % 4 == 3:
+        # a^((p+1)/4) squares back to a exactly when a is a residue, so one
+        # exponentiation both finds and checks the root (no Jacobi symbol).
+        root = _backend.active_backend().powmod(a, (p + 1) // 4, p)
+        if root * root % p != a:
+            raise ValueError("%d is not a quadratic residue modulo %d" % (a, p))
+        return root
     if not is_quadratic_residue(a, p):
         raise ValueError("%d is not a quadratic residue modulo %d" % (a, p))
-    if p % 4 == 3:
-        return _backend.active_backend().powmod(a, (p + 1) // 4, p)
     # Tonelli--Shanks: write p - 1 = q * 2^s with q odd.
     q, s = p - 1, 0
     while q % 2 == 0:

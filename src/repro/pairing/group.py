@@ -321,8 +321,9 @@ class PairingGroup:
         """Inverse of :meth:`serialize_g1`; accepts only its canonical output.
 
         Raises :class:`ValueError` for any other encoding of a point (an
-        x-coordinate of p or more, an identity tag with a payload), so
-        every decoded point re-serializes to the bytes it came from.
+        x-coordinate of p or more, an identity tag with a payload, an odd
+        parity tag on a point whose y is 0), so every decoded point
+        re-serializes to the bytes it came from.
         """
         size = (self.params.p.bit_length() + 7) // 8
         if len(data) != size + 1:
@@ -339,6 +340,8 @@ class PairingGroup:
         point = self.params.curve.lift_x(x, y_parity=data[0])
         if point is None:
             raise ValueError("x-coordinate is not on the curve")
+        if int(point.y) & 1 != data[0]:
+            raise ValueError("G1 parity tag is not canonical")
         return point
 
     def serialize_gt(self, element: Fp2Element) -> bytes:

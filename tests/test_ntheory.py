@@ -101,13 +101,14 @@ class TestSqrtMod:
         assert sqrt_mod(0, P_3MOD4) == 0
 
     def test_non_residue_raises(self):
-        # Find a non-residue and check the error path.
-        for a in range(2, 100):
-            if not is_quadratic_residue(a, P_1MOD4):
+        # Every non-residue below 100 takes the error path, on both the
+        # exponentiation (p = 3 mod 4) and Tonelli--Shanks branches.
+        for p in (P_3MOD4, P_1MOD4):
+            non_residues = [a for a in range(2, 100) if not is_quadratic_residue(a, p)]
+            assert non_residues
+            for a in non_residues:
                 with pytest.raises(ValueError):
-                    sqrt_mod(a, P_1MOD4)
-                return
-        pytest.fail("no non-residue found (impossible)")
+                    sqrt_mod(a, p)
 
     @given(st.integers(min_value=1, max_value=P_1MOD4 - 1))
     def test_tonelli_shanks_property(self, a):

@@ -173,6 +173,15 @@ class TestCanonicalDecoding:
         with pytest.raises(ValueError, match="payload"):
             group.deserialize_g1(blob[:-1] + b"\x01")
 
+    def test_g1_odd_parity_on_zero_y_rejected(self, name):
+        # y^2 = x^3 + x has y = 0 at x = 0, where only parity 0 is written.
+        group = PairingGroup.shared(name)
+        size = group.g1_element_size() - 1
+        point = group.deserialize_g1(b"\x00" + b"\x00" * size)
+        assert int(point.x) == int(point.y) == 0
+        with pytest.raises(ValueError, match="not canonical"):
+            group.deserialize_g1(b"\x01" + b"\x00" * size)
+
     def test_gt_coordinates_at_or_above_p_rejected(self, name):
         group = PairingGroup.shared(name)
         p, size = group.params.p, group.gt_element_size() // 2

@@ -303,7 +303,9 @@ class TestCodecRejection:
         with pytest.raises(InvalidRequestError):
             from_wire(group, json.dumps(message))
 
-    @pytest.mark.parametrize("element", ["g1-unreduced", "g1-identity-payload", "gt-unreduced"])
+    @pytest.mark.parametrize(
+        "element", ["g1-unreduced", "g1-identity-payload", "g1-zero-y-odd", "gt-unreduced"]
+    )
     def test_non_canonical_element_rejected(self, group, pre_objects, element):
         """An element encoding serialize_* never writes is invalid-request."""
         _scheme, _key, ciphertext, *_rest = pre_objects
@@ -315,6 +317,11 @@ class TestCodecRejection:
             ciphertext = dataclasses.replace(ciphertext, c1=group.g1_identity())
             canonical = group.serialize_g1(ciphertext.c1)
             tampered = canonical[:-1] + b"\x01"
+        elif element == "g1-zero-y-odd":
+            # (0, 0) is on y^2 = x^3 + x; only its parity-0 tag is canonical.
+            ciphertext = dataclasses.replace(ciphertext, c1=group.params.curve.lift_x(0))
+            canonical = group.serialize_g1(ciphertext.c1)
+            tampered = b"\x01" + canonical[1:]
         else:
             canonical = group.serialize_gt(ciphertext.c2)
             tampered = (int(ciphertext.c2.a) + p).to_bytes(size, "big") + canonical[size:]
@@ -326,7 +333,7 @@ class TestCodecRejection:
         blob = base64.b64decode(envelope["payload"])
         assert blob.count(canonical) == 1 and len(tampered) == len(canonical)
         envelope["payload"] = base64.b64encode(blob.replace(canonical, tampered)).decode()
-        with pytest.raises(InvalidRequestError, match="not reduced|payload"):
+        with pytest.raises(InvalidRequestError, match="not reduced|payload|not canonical"):
             from_wire(group, json.dumps(message))
 
     def test_expect_rejects_other_valid_types(self, group):
