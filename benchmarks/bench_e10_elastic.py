@@ -118,8 +118,8 @@ def test_e10_concurrent_beats_sequential_on_remote_shards():
     rows = []
 
     # Remote-shard model: the wait dominates, concurrency overlaps it.
-    sequential = _gateway(setting.scheme, keys, workers=0, latency_s=REMOTE_RTT_S)
-    concurrent = _gateway(setting.scheme, keys, workers=WORKERS, latency_s=REMOTE_RTT_S)
+    sequential = _gateway(setting.backend, keys, workers=0, latency_s=REMOTE_RTT_S)
+    concurrent = _gateway(setting.backend, keys, workers=WORKERS, latency_s=REMOTE_RTT_S)
     seq_remote, seq_out = _timed_batch(sequential, requests)
     con_remote, con_out = _timed_batch(concurrent, requests)
     assert [r.ciphertext for r in con_out] == [r.ciphertext for r in seq_out]
@@ -135,8 +135,8 @@ def test_e10_concurrent_beats_sequential_on_remote_shards():
     )
 
     # Single-host CPU model: the GIL serializes pairing math; report it.
-    sequential = _gateway(setting.scheme, keys, workers=0, latency_s=0.0)
-    concurrent = _gateway(setting.scheme, keys, workers=WORKERS, latency_s=0.0)
+    sequential = _gateway(setting.backend, keys, workers=0, latency_s=0.0)
+    concurrent = _gateway(setting.backend, keys, workers=WORKERS, latency_s=0.0)
     seq_cpu, _ = _timed_batch(sequential, requests)
     con_cpu, _ = _timed_batch(concurrent, requests)
     sequential.close()
@@ -218,7 +218,7 @@ def test_e10_kill_and_reload_restores_every_delegation():
 
         start = time.perf_counter()
         reloaded = ReEncryptionGateway(
-            setting.scheme, shard_count=SHARDS, state_dir=state_dir
+            setting.backend, shard_count=SHARDS, state_dir=state_dir
         )
         reload_ms = (time.perf_counter() - start) * 1000
 
@@ -237,8 +237,8 @@ def test_e10_kill_and_reload_restores_every_delegation():
                     delegatee=delegatee,
                 )
             )
-            recovered_message = setting.scheme.decrypt_reencrypted(
-                response.ciphertext, setting.delegatee_keys[delegatee]
+            recovered_message = setting.backend.decrypt_reencrypted(
+                response.ciphertext, setting.delegatee_domain, delegatee
             )
             assert recovered_message == message
             verified += 1

@@ -90,14 +90,14 @@ def test_e11_wire_roundtrip_overhead_and_byte_fidelity():
     group = setting.group
 
     # In-process reference: a fresh fleet, cold caches.
-    local_gateway = _fresh_gateway(setting.scheme, keys)
+    local_gateway = _fresh_gateway(setting.backend, keys)
     start = time.perf_counter()
     local_responses = [local_gateway.reencrypt(request) for request in requests]
     local_s = time.perf_counter() - start
     local_gateway.close()
 
     # The same stream through a real HTTP server, also cold.
-    wire_gateway = _fresh_gateway(setting.scheme, keys)
+    wire_gateway = _fresh_gateway(setting.backend, keys)
     with GatewayHttpServer(wire_gateway, group) as server:
         client = RemoteGateway(server.url, group)
         start = time.perf_counter()
@@ -154,7 +154,7 @@ def test_e11_batched_beats_sequential_over_the_wire():
     group = setting.group
     n = len(requests)
 
-    sequential_gateway = _fresh_gateway(setting.scheme, keys)
+    sequential_gateway = _fresh_gateway(setting.backend, keys)
     with GatewayHttpServer(sequential_gateway, group) as server:
         client = RemoteGateway(server.url, group)
         sequential_s = float("inf")
@@ -164,7 +164,7 @@ def test_e11_batched_beats_sequential_over_the_wire():
             sequential_s = min(sequential_s, time.perf_counter() - start)
     sequential_gateway.close()
 
-    batched_gateway = _fresh_gateway(setting.scheme, keys)
+    batched_gateway = _fresh_gateway(setting.backend, keys)
     with GatewayHttpServer(batched_gateway, group) as server:
         client = RemoteGateway(server.url, group)
         batched_s = float("inf")
@@ -214,7 +214,7 @@ def test_e11_kill_restart_serves_every_delegation_from_state_dir():
 
         # Process 1: a durable fleet; every grant arrives over the wire.
         gateway_1 = ReEncryptionGateway(
-            setting.scheme, shard_count=SHARDS, state_dir=state_dir
+            setting.backend, shard_count=SHARDS, state_dir=state_dir
         )
         server_1 = GatewayHttpServer(gateway_1, group).start()
         client_1 = RemoteGateway(server_1.url, group)
@@ -229,7 +229,7 @@ def test_e11_kill_restart_serves_every_delegation_from_state_dir():
         # Process 2: same state dir, fresh fleet, fresh server.
         start = time.perf_counter()
         gateway_2 = ReEncryptionGateway(
-            setting.scheme, shard_count=SHARDS, state_dir=state_dir
+            setting.backend, shard_count=SHARDS, state_dir=state_dir
         )
         restart_ms = (time.perf_counter() - start) * 1000
         recovered = {ProxyKeyTable.index_of(key) for key in _installed_keys(gateway_2)}
@@ -249,8 +249,8 @@ def test_e11_kill_restart_serves_every_delegation_from_state_dir():
                             delegatee=delegatee,
                         )
                     )
-                    recovered_message = setting.scheme.decrypt_reencrypted(
-                        response.ciphertext, setting.delegatee_keys[delegatee]
+                    recovered_message = setting.backend.decrypt_reencrypted(
+                        response.ciphertext, setting.delegatee_domain, delegatee
                     )
                     assert recovered_message == message
                     verified += 1

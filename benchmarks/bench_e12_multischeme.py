@@ -25,7 +25,7 @@ import time
 
 from repro.bench.report import print_table
 from repro.core.api import REGISTRY, available_schemes
-from repro.service.driver import build_scheme_setting, drive_scheme_requests
+from repro.service.driver import build_setting, drive_requests
 
 REQUESTS = 72
 BATCH = 6
@@ -33,7 +33,7 @@ SHARDS = 3
 
 
 def _run_one(scheme_id: str, batch_size: int):
-    setting = build_scheme_setting(
+    setting = build_setting(
         scheme_id=scheme_id,
         group_name="TOY",
         shard_count=SHARDS,
@@ -45,7 +45,7 @@ def _run_one(scheme_id: str, batch_size: int):
     )
     try:
         start = time.perf_counter()
-        verified = drive_scheme_requests(
+        verified = drive_requests(
             setting,
             REQUESTS,
             seed="e12-requests",

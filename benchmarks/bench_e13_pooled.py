@@ -58,9 +58,8 @@ from repro.core.proxy import ProxyService
 from repro.serialization.containers import serialize_reencrypted
 from repro.service.driver import (
     DELEGATEE_DOMAIN,
-    build_scheme_setting,
     build_setting,
-    drive_scheme_requests,
+    drive_requests,
     resolve_remote_group,
 )
 from repro.service.gateway import GrantRequest, ReEncryptionGateway, ReEncryptRequest
@@ -209,7 +208,7 @@ def test_e13_pooled_client_beats_single_connection_under_concurrency():
     for pool_size in (1, THREADS):
         # A fresh fleet per configuration: cold caches, so every request
         # pays the modelled shard round trip in both runs.
-        gateway = _latency_gateway(setting.scheme, keys)
+        gateway = _latency_gateway(setting.backend, keys)
         with GatewayHttpServer(gateway) as server:
             elapsed_s, opened, peak = _drive_pool(
                 server.url, group, partitions, expected, pool_size
@@ -286,10 +285,10 @@ def _drive_scheme_concurrently(setting, url, pool_size, n_requests):
         for key in list(setting.gateway.shard_named(name).table):
             client.grant(GrantRequest(tenant="bench", proxy_key=key))
     start = time.perf_counter()
-    verified = drive_scheme_requests(
+    verified = drive_requests(
         setting,
         n_requests,
-        seed="e13-" + setting.scheme_id,
+        seed="e13-" + setting.backend.scheme_id,
         verify_every=4,
         gateway=client,
     )
@@ -308,7 +307,7 @@ def test_e13_one_process_hosts_two_scheme_fleets():
         # A multi-scheme server hosts each fleet on its own derived pairing
         # group (the single-group hosting fix); probe for the right one.
         settings = {
-            scheme_id: build_scheme_setting(
+            scheme_id: build_setting(
                 scheme_id=scheme_id,
                 group_name="TOY",
                 shard_count=2,
@@ -615,7 +614,7 @@ def test_e13_tls_hmac_overhead_within_budget(tmp_path):
         # No modelled shard latency here: the leg measures the *relative*
         # cost of the security layer, so the plaintext side must not be
         # padded with sleeps that would dilute the overhead.
-        gateway = ReEncryptionGateway(setting.scheme, shard_count=2)
+        gateway = ReEncryptionGateway(setting.backend, shard_count=2)
         for key in keys:
             gateway.grant(GrantRequest(tenant="bench", proxy_key=key))
         return gateway

@@ -37,12 +37,7 @@ from pathlib import Path
 
 import repro
 from repro.bench.report import print_table, record_bench_snapshot
-from repro.service.driver import (
-    build_scheme_setting,
-    build_setting,
-    drive_requests,
-    drive_scheme_requests,
-)
+from repro.service.driver import build_setting, drive_requests
 from repro.service.gateway import GrantRequest, ReEncryptionGateway
 from repro.service.telemetry import TraceContext
 from repro.service.wire import RemoteGateway
@@ -76,7 +71,7 @@ class _TracedGateway:
 def _fleet(setting, telemetry: bool) -> ReEncryptionGateway:
     """A fresh fleet holding the setting's keys, telemetry on or off."""
     gateway = ReEncryptionGateway(
-        setting.scheme, shard_count=SHARDS, telemetry=telemetry
+        setting.backend, shard_count=SHARDS, telemetry=telemetry
     )
     for name in setting.gateway.shard_names:
         for key in setting.gateway.shard_named(name).table:
@@ -223,7 +218,7 @@ def _spawn_server():
 
 
 def test_e14_trace_round_trips_through_a_real_server_process():
-    setting = build_scheme_setting(
+    setting = build_setting(
         scheme_id="tipre/v1",
         group_name="TOY",
         shard_count=2,
@@ -239,7 +234,7 @@ def test_e14_trace_round_trips_through_a_real_server_process():
         for name in setting.gateway.shard_names:
             for key in list(setting.gateway.shard_named(name).table):
                 client.grant(GrantRequest(tenant="bench", proxy_key=key))
-        verified = drive_scheme_requests(
+        verified = drive_requests(
             setting, 8, seed="e14-wire-stream", verify_every=1, gateway=client
         )
         assert verified > 0

@@ -172,8 +172,8 @@ def _resize_under_load(tmp_path) -> dict:
                 )
                 try:
                     response = gateway.reencrypt(request)
-                    recovered = setting.scheme.decrypt_reencrypted(
-                        response.ciphertext, setting.delegatee_keys[delegatee]
+                    recovered = setting.backend.decrypt_reencrypted(
+                        response.ciphertext, setting.delegatee_domain, delegatee
                     )
                     assert recovered == message
                 except BaseException as error:  # noqa: BLE001 - asserted below

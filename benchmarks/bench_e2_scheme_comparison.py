@@ -1,6 +1,6 @@
 """E2 — the paper's scheme vs every baseline PRE scheme.
 
-Same message load through the shared adapter lifecycle on SS256:
+Same message load through every registered backend's lifecycle on SS256:
 encryption, re-encryption key generation, proxy transformation and
 delegatee decryption, plus the ciphertext/key size table.
 
@@ -15,47 +15,64 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.interface import all_adapters
 from repro.bench.report import print_table
+from repro.core.api import REGISTRY, create_backend
 from repro.core.scheme import TypeAndIdentityPre
 from repro.math.drbg import HmacDrbg
 from repro.pairing.group import PairingGroup
 
-_ADAPTER_IDS = [a.name for a in all_adapters(PairingGroup.shared("SS256"))]
+DELEGATOR_DOMAIN = "KGC1"
+DELEGATEE_DOMAIN = "KGC2"
+TYPE_LABEL = "benchmark-type"
 
 
-def _prepared(name: str):
-    group = PairingGroup.shared("SS256")
-    adapter = next(a for a in all_adapters(group) if a.name == name)
-    rng = HmacDrbg("e2-%s" % name)
-    adapter.setup(rng)
-    message = adapter.sample_message(rng)
-    ciphertext = adapter.encrypt(message, rng)
-    rekey = adapter.rekey(rng)
-    transformed = adapter.reencrypt(ciphertext, rekey)
-    return adapter, rng, message, ciphertext, rekey, transformed
+def _delegatee_domain(backend) -> str:
+    return DELEGATOR_DOMAIN if backend.single_authority else DELEGATEE_DOMAIN
 
 
-@pytest.mark.parametrize("name", _ADAPTER_IDS)
-def test_encrypt(benchmark, name):
-    adapter, rng, message, *_ = _prepared(name)
+def _encrypt(backend, message, rng):
+    return backend.encrypt(DELEGATOR_DOMAIN, "delegator", message, TYPE_LABEL, rng)
+
+
+def _decrypt_reencrypted(backend, transformed):
+    return backend.decrypt_reencrypted(transformed, _delegatee_domain(backend), "delegatee")
+
+
+def _prepared(scheme_id: str):
+    backend = create_backend(scheme_id, PairingGroup.shared("SS256"))
+    rng = HmacDrbg("e2-%s" % backend.display_name)
+    backend.setup(rng)
+    backend.create_party(DELEGATOR_DOMAIN, "delegator", rng)
+    backend.create_party(_delegatee_domain(backend), "delegatee", rng)
+    message = backend.sample_message(rng)
+    ciphertext = _encrypt(backend, message, rng)
+    rekey = backend.rekey(
+        DELEGATOR_DOMAIN, "delegator", _delegatee_domain(backend), "delegatee", TYPE_LABEL, rng
+    )
+    transformed = backend.reencrypt(ciphertext, rekey)
+    return backend, rng, message, ciphertext, rekey, transformed
+
+
+@pytest.mark.parametrize("scheme_id", REGISTRY.ids())
+def test_encrypt(benchmark, scheme_id):
+    backend, rng, message, *_ = _prepared(scheme_id)
     benchmark.group = "E2 encrypt"
-    benchmark.pedantic(lambda: adapter.encrypt(message, rng), rounds=5, iterations=1)
+    benchmark.pedantic(lambda: _encrypt(backend, message, rng), rounds=5, iterations=1)
 
 
-@pytest.mark.parametrize("name", _ADAPTER_IDS)
-def test_reencrypt(benchmark, name):
-    adapter, _, _, ciphertext, rekey, _ = _prepared(name)
+@pytest.mark.parametrize("scheme_id", REGISTRY.ids())
+def test_reencrypt(benchmark, scheme_id):
+    backend, _, _, ciphertext, rekey, _ = _prepared(scheme_id)
     benchmark.group = "E2 re-encrypt"
-    benchmark.pedantic(lambda: adapter.reencrypt(ciphertext, rekey), rounds=5, iterations=1)
+    benchmark.pedantic(lambda: backend.reencrypt(ciphertext, rekey), rounds=5, iterations=1)
 
 
-@pytest.mark.parametrize("name", _ADAPTER_IDS)
-def test_decrypt_reencrypted(benchmark, name):
-    adapter, _, message, _, _, transformed = _prepared(name)
+@pytest.mark.parametrize("scheme_id", REGISTRY.ids())
+def test_decrypt_reencrypted(benchmark, scheme_id):
+    backend, _, message, _, _, transformed = _prepared(scheme_id)
     benchmark.group = "E2 re-decrypt"
     result = benchmark.pedantic(
-        lambda: adapter.decrypt_reencrypted(transformed), rounds=5, iterations=1
+        lambda: _decrypt_reencrypted(backend, transformed), rounds=5, iterations=1
     )
     assert result == message
 

@@ -11,9 +11,9 @@ bidirectionality and collusion; Dodis--Ivan fails collusion.
 
 from __future__ import annotations
 
-from repro.baselines.interface import PROPERTY_NAMES, all_adapters
-from repro.bench.properties import declared_property_matrix, property_table_rows
+from repro.bench.properties import property_table_rows
 from repro.bench.report import print_table
+from repro.core.api import PROPERTY_NAMES
 from repro.math.drbg import HmacDrbg
 from repro.pairing.group import PairingGroup
 from repro.security.properties import (
@@ -48,15 +48,6 @@ def test_e4_property_matrix_report(benchmark):
         ["scheme", "name"] + list(PROPERTY_NAMES),
         rows,
     )
-    # The bench adapters must tell the identical story: both views read
-    # the registry, and a divergence would mean a stale adapter list.
-    matrix = declared_property_matrix()
-    adapter_view = {
-        adapter.backend_class.scheme_id: adapter.properties
-        for adapter in all_adapters(group)
-    }
-    assert adapter_view == matrix, "bench adapters disagree with the registry"
-
     rng = HmacDrbg("e4")
     rows = []
     for label, demonstration in DEMONSTRATIONS:

@@ -45,7 +45,7 @@ def _request_stream(setting, n_requests, seed):
 
 def _direct_baseline(setting, seed):
     """One monolithic ProxyService holding every key — the seed's design."""
-    proxy = ProxyService(setting.scheme)
+    proxy = ProxyService(setting.backend)
     for shard_name in setting.gateway.shard_names:
         for key in setting.gateway.shard_named(shard_name).table:
             proxy.install_key(key)
@@ -127,8 +127,8 @@ def test_e9_batching_equivalence():
             delegatee=delegatee,
         )
         response = sequential.gateway.reencrypt(request)
-        recovered = sequential.scheme.decrypt_reencrypted(
-            response.ciphertext, sequential.delegatee_keys[delegatee]
+        recovered = sequential.backend.decrypt_reencrypted(
+            response.ciphertext, sequential.delegatee_domain, delegatee
         )
         assert recovered == message
         batch_requests.append((request, delegatee))
@@ -136,8 +136,8 @@ def test_e9_batching_equivalence():
 
     responses = batched.gateway.reencrypt_batch([r for r, _ in batch_requests])
     for response, (_, delegatee), message in zip(responses, batch_requests, batch_messages):
-        recovered = batched.scheme.decrypt_reencrypted(
-            response.ciphertext, batched.delegatee_keys[delegatee]
+        recovered = batched.backend.decrypt_reencrypted(
+            response.ciphertext, batched.delegatee_domain, delegatee
         )
         assert recovered == message
         checked += 1

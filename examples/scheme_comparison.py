@@ -1,45 +1,54 @@
 """Compare the paper's scheme against every baseline PRE scheme.
 
 Runs the identical lifecycle (encrypt -> rekey -> re-encrypt -> decrypt)
-through each adapter, printing the property matrix of Section 4.3 /
-Ateniese et al. and measured per-operation costs.
+through every backend in the scheme registry, printing the property
+matrix of Section 4.3 / Ateniese et al. and measured per-operation costs.
 
 Run:  python examples/scheme_comparison.py
 """
 
 from repro import HmacDrbg, PairingGroup
-from repro.baselines import PROPERTY_NAMES, all_adapters
 from repro.bench import measure, print_table
+from repro.bench.properties import property_table_rows
+from repro.core.api import PROPERTY_NAMES, REGISTRY, create_backend
 
 group = PairingGroup("SS256")
 rng = HmacDrbg("scheme-comparison")
 
 # --- property matrix ---------------------------------------------------------
-rows = []
-for adapter in all_adapters(group):
-    rows.append(
-        [adapter.name] + ["yes" if adapter.properties[p] else "no" for p in PROPERTY_NAMES]
-    )
-print_table("PRE property matrix", ["scheme"] + list(PROPERTY_NAMES), rows)
+print_table(
+    "PRE property matrix", ["scheme", "name"] + list(PROPERTY_NAMES), property_table_rows()
+)
 
 # --- per-operation timing ------------------------------------------------------
 rows = []
-for adapter in all_adapters(group):
-    adapter.setup(rng)
-    message = adapter.sample_message(rng)
-    ciphertext = adapter.encrypt(message, rng)
-    rekey = adapter.rekey(rng)
-    transformed = adapter.reencrypt(ciphertext, rekey)
+for scheme_id in REGISTRY.ids():
+    backend = create_backend(scheme_id, group)
+    backend.setup(rng)
+    # Single-authority schemes keep both parties in the delegator's domain.
+    delegatee_domain = "KGC1" if backend.single_authority else "KGC2"
+    backend.create_party("KGC1", "delegator", rng)
+    backend.create_party(delegatee_domain, "delegatee", rng)
+    message = backend.sample_message(rng)
+    ciphertext = backend.encrypt("KGC1", "delegator", message, "comparison", rng)
+    rekey = backend.rekey("KGC1", "delegator", delegatee_domain, "delegatee", "comparison", rng)
+    transformed = backend.reencrypt(ciphertext, rekey)
 
-    encrypt = measure("enc", lambda: adapter.encrypt(message, rng), repeats=3)
-    reencrypt = measure("reenc", lambda: adapter.reencrypt(ciphertext, rekey), repeats=3)
-    decrypt = measure(
-        "dec", lambda: adapter.decrypt_reencrypted(transformed), repeats=3
+    encrypt = measure(
+        "enc",
+        lambda: backend.encrypt("KGC1", "delegator", message, "comparison", rng),
+        repeats=3,
     )
-    assert adapter.decrypt_reencrypted(transformed) == message
+    reencrypt = measure("reenc", lambda: backend.reencrypt(ciphertext, rekey), repeats=3)
+    decrypt = measure(
+        "dec",
+        lambda: backend.decrypt_reencrypted(transformed, delegatee_domain, "delegatee"),
+        repeats=3,
+    )
+    assert backend.decrypt_reencrypted(transformed, delegatee_domain, "delegatee") == message
     rows.append(
         [
-            adapter.name,
+            backend.display_name,
             "%.1f" % encrypt.median_ms,
             "%.1f" % reencrypt.median_ms,
             "%.1f" % decrypt.median_ms,

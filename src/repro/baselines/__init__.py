@@ -11,7 +11,6 @@ __getattr__, __dir__ = lazy_exports(
         "dodis_ivan": ("DodisIvanScheme",),
         "elgamal": ("ElGamal",),
         "green_ateniese": ("GreenAtenieseIbp1",),
-        "interface": ("PROPERTY_NAMES", "PreAdapter", "all_adapters"),
         "matsuo": ("MatsuoStylePre",),
         "multi_keypair": ("MultiKeypairDelegation",),
     },
@@ -26,7 +25,4 @@ __all__ = [
     "Bb1Ibe",
     "MatsuoStylePre",
     "MultiKeypairDelegation",
-    "PreAdapter",
-    "all_adapters",
-    "PROPERTY_NAMES",
 ]

@@ -402,67 +402,40 @@ def _cmd_serve(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        from repro.service.driver import run_remote_demo, run_remote_scheme_demo
+        from repro.service.driver import run_remote_demo
 
-        if args.scheme == TIPRE_SCHEME_ID:
-            report = run_remote_demo(
-                args.connect,
-                group_name=args.group,
-                n_requests=args.requests,
-                seed=args.seed or "gateway-demo",
-                batch_size=args.batch,
-                pool_size=args.pool_size,
-                tenant=args.auth_tenant,
-                secret=args.auth_secret,
-                tls_ca=args.tls_ca,
-                trace_requests=args.trace_sample,
-            )
-        else:
-            report = run_remote_scheme_demo(
-                args.connect,
-                scheme_id=args.scheme,
-                group_name=args.group,
-                n_requests=args.requests,
-                seed=args.seed or "gateway-demo",
-                batch_size=args.batch,
-                pool_size=args.pool_size,
-                tenant=args.auth_tenant,
-                secret=args.auth_secret,
-                tls_ca=args.tls_ca,
-                trace_requests=args.trace_sample,
-            )
+        report = run_remote_demo(
+            args.connect,
+            scheme_id=args.scheme,
+            group_name=args.group,
+            n_requests=args.requests,
+            seed=args.seed or "gateway-demo",
+            batch_size=args.batch,
+            pool_size=args.pool_size,
+            tenant=args.auth_tenant,
+            secret=args.auth_secret,
+            tls_ca=args.tls_ca,
+            trace_requests=args.trace_sample,
+        )
         print_table(
             "remote gateway %s: %d requests" % (args.connect, args.requests),
             ["metric", "value"],
             report.rows(),
         )
         return 0
-    from repro.service.driver import run_demo, run_scheme_demo
+    from repro.service.driver import run_demo
 
-    if args.scheme == TIPRE_SCHEME_ID:
-        # The original seeded workload, kept bit-stable for E9/E10/E11.
-        report = run_demo(
-            group_name=args.group,
-            shard_count=args.shards,
-            n_requests=args.requests,
-            seed=args.seed or "gateway-demo",
-            batch_size=args.batch,
-            rate_per_s=args.rate,
-            workers=args.workers,
-            state_dir=args.state_dir,
-        )
-    else:
-        report = run_scheme_demo(
-            scheme_id=args.scheme,
-            group_name=args.group,
-            shard_count=args.shards,
-            n_requests=args.requests,
-            seed=args.seed or "gateway-demo",
-            batch_size=args.batch,
-            rate_per_s=args.rate,
-            workers=args.workers,
-            state_dir=args.state_dir,
-        )
+    report = run_demo(
+        scheme_id=args.scheme,
+        group_name=args.group,
+        shard_count=args.shards,
+        n_requests=args.requests,
+        seed=args.seed or "gateway-demo",
+        batch_size=args.batch,
+        rate_per_s=args.rate,
+        workers=args.workers,
+        state_dir=args.state_dir,
+    )
     print_table(
         "gateway: %d requests over %d shards" % (args.requests, args.shards),
         ["metric", "value"],

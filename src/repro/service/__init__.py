@@ -44,13 +44,11 @@ __getattr__, __dir__ = lazy_exports(
         "driver": (
             "DemoReport",
             "DemoSetting",
-            "SchemeDemoSetting",
-            "build_scheme_setting",
             "build_setting",
-            "drive_scheme_requests",
+            "drive_requests",
             "resolve_remote_group",
             "run_demo",
-            "run_scheme_demo",
+            "run_remote_demo",
         ),
         "fleet": ("FleetGateway", "FleetSupervisor", "StaticFleet"),
         "gateway": (
@@ -139,7 +137,6 @@ __all__ = [
     "ResizeReport",
     "RevokeRequest",
     "RevokeResponse",
-    "SchemeDemoSetting",
     "SchemeMismatchError",
     "ShardPool",
     "StaticFleet",
@@ -151,13 +148,12 @@ __all__ = [
     "Tracer",
     "TRACE_HEADER",
     "WireTransportError",
-    "build_scheme_setting",
     "build_setting",
-    "drive_scheme_requests",
+    "drive_requests",
     "jsonl_sink",
     "render_prometheus",
     "resolve_remote_group",
     "run_demo",
-    "run_scheme_demo",
+    "run_remote_demo",
     "scheme_state_subdir",
 ]

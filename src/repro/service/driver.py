@@ -1,21 +1,17 @@
 """A self-contained gateway workload: build, drive, verify, report.
 
-``repro-pre serve`` and the E9 benchmark both need the same thing — a
-two-domain delegation setting, a shard fleet behind a gateway, and a
-repeated-delegatee request stream — so it lives here once.  Everything is
-seeded: two runs with the same arguments produce the same grants, the
-same request sequence and the same cache behaviour.
-
-Two families of entry points:
-
-* :func:`build_setting` / :func:`run_demo` / :func:`run_remote_demo` —
-  the original workload, hard-seeded to the paper's scheme (kept
-  byte-stable for the E9/E10/E11 benchmarks);
-* :func:`build_scheme_setting` / :func:`run_scheme_demo` /
-  :func:`run_remote_scheme_demo` — the scheme-agnostic equivalents: the
-  same shape of workload driven through any registered
-  :class:`~repro.core.api.PreBackend`, locally or over the wire, with
-  the same decrypt-and-compare verification.
+``repro-pre serve`` and the service benchmarks all need the same thing —
+a two-domain delegation setting, a shard fleet behind a gateway, and a
+repeated-delegatee request stream — so it lives here once.  Every scheme
+operation goes through a registered :class:`~repro.core.api.PreBackend`
+(the paper's ``tipre/v1`` unless ``scheme_id`` says otherwise), so the
+identical workload exercises the paper's scheme and every baseline
+alike: :func:`run_demo` drives an in-process gateway, and
+:func:`run_remote_demo` grants the same proxy keys to a remote gateway
+and replays the same stream over the wire, both with the same
+decrypt-and-compare verification.  Everything is seeded: two runs with
+the same arguments produce the same grants, the same request sequence
+and the same cache behaviour.
 """
 
 from __future__ import annotations
@@ -24,11 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.api import TIPRE_SCHEME_ID, PreBackend, create_backend
-from repro.core.scheme import TypeAndIdentityPre
-from repro.ibe.keys import IbePrivateKey
-from repro.ibe.kgc import KgcRegistry
 from repro.math.drbg import HmacDrbg
-from repro.math.fields import Fp2Element
 from repro.pairing.group import PairingGroup
 from repro.service.gateway import (
     GrantRequest,
@@ -41,15 +33,11 @@ from repro.service.metrics import MetricsSnapshot
 __all__ = [
     "DemoSetting",
     "DemoReport",
-    "SchemeDemoSetting",
     "build_setting",
+    "drive_requests",
+    "resolve_remote_group",
     "run_demo",
     "run_remote_demo",
-    "build_scheme_setting",
-    "drive_scheme_requests",
-    "resolve_remote_group",
-    "run_scheme_demo",
-    "run_remote_scheme_demo",
 ]
 
 DELEGATOR_DOMAIN = "KGC1"
@@ -58,17 +46,26 @@ DELEGATEE_DOMAIN = "KGC2"
 
 @dataclass
 class DemoSetting:
-    """A fully-granted delegation universe ready to serve requests."""
+    """A fully-granted delegation universe over one registered backend.
 
-    group: PairingGroup
-    scheme: TypeAndIdentityPre
+    The backend holds every party's key material (the client side of the
+    deployment); the gateway holds only proxy keys — exactly the trust
+    split of the paper's semi-trusted proxy, for any scheme.
+    """
+
+    backend: PreBackend
     gateway: ReEncryptionGateway
     patients: list[str]
     delegatees: list[str]
     types: list[str]
-    delegatee_keys: dict[str, IbePrivateKey]
-    # (patient, type) -> list of (ciphertext, plaintext GT element)
-    pool: dict[tuple[str, str], list[tuple[object, Fp2Element]]]
+    delegator_domain: str
+    delegatee_domain: str
+    # (patient, type) -> list of (ciphertext, plaintext)
+    pool: dict[tuple[str, str], list[tuple[object, object]]] = field(default_factory=dict)
+
+    @property
+    def group(self) -> PairingGroup:
+        return self.backend.group
 
 
 @dataclass(frozen=True)
@@ -107,6 +104,7 @@ class DemoReport:
 
 
 def build_setting(
+    scheme_id: str = TIPRE_SCHEME_ID,
     group_name: str = "TOY",
     shard_count: int = 4,
     n_patients: int = 4,
@@ -115,134 +113,80 @@ def build_setting(
     ciphertexts_per_pair: int = 2,
     seed: str = "gateway-demo",
     rate_per_s: float | None = None,
-    scheme: TypeAndIdentityPre | None = None,
     workers: int = 0,
     state_dir: str | None = None,
     group: PairingGroup | None = None,
 ) -> DemoSetting:
-    """Stand up KGCs, users, grants and a ciphertext pool behind a gateway.
+    """Stand up parties, grants and a ciphertext pool behind a gateway.
 
-    ``group`` overrides the ``group_name`` lookup — the remote drivers
-    pass the group a multi-scheme server actually hosts the scheme on
-    (which may be a per-scheme derived group, not the shared base).
+    Patients delegate typed records to readers; single-authority schemes
+    keep both sides in one domain.  ``group`` overrides the
+    ``group_name`` lookup — the remote driver passes the group a
+    multi-scheme server actually hosts the scheme on (which may be a
+    per-scheme derived group, not the shared base).
     """
     if group is None:
-        group = scheme.group if scheme is not None else PairingGroup.shared(group_name)
+        group = PairingGroup.shared(group_name)
+    backend = create_backend(scheme_id, group)
     rng = HmacDrbg(seed)
-    registry = KgcRegistry(group, rng)
-    kgc1 = registry.create(DELEGATOR_DOMAIN)
-    kgc2 = registry.create(DELEGATEE_DOMAIN)
-    scheme = scheme or TypeAndIdentityPre(group)
+    backend.setup(rng)
+    delegator_domain = DELEGATOR_DOMAIN
+    delegatee_domain = (
+        delegator_domain if backend.single_authority else DELEGATEE_DOMAIN
+    )
     # The limiter is attached after the grant phase (below): the demo rate
     # limits the request stream, not its own setup.
     gateway = ReEncryptionGateway(
-        scheme, shard_count=shard_count, workers=workers, state_dir=state_dir
+        backend, shard_count=shard_count, workers=workers, state_dir=state_dir
     )
 
     patients = ["patient-%02d" % i for i in range(n_patients)]
     delegatees = ["reader-%02d" % i for i in range(n_delegatees)]
     types = ["type-%d" % i for i in range(n_types)]
-    delegatee_keys = {name: kgc2.extract(name) for name in delegatees}
-
-    pool: dict[tuple[str, str], list[tuple[object, Fp2Element]]] = {}
     for patient in patients:
-        patient_key = kgc1.extract(patient)
+        backend.create_party(delegator_domain, patient, rng)
+    for delegatee in delegatees:
+        backend.create_party(delegatee_domain, delegatee, rng)
+
+    setting = DemoSetting(
+        backend=backend,
+        gateway=gateway,
+        patients=patients,
+        delegatees=delegatees,
+        types=types,
+        delegator_domain=delegator_domain,
+        delegatee_domain=delegatee_domain,
+    )
+    for patient in patients:
         for type_label in types:
             for delegatee in delegatees:
                 gateway.grant(
                     GrantRequest(
                         tenant=patient,
-                        proxy_key=scheme.pextract(
-                            patient_key, delegatee, type_label, kgc2.params, rng
+                        proxy_key=backend.rekey(
+                            delegator_domain,
+                            patient,
+                            delegatee_domain,
+                            delegatee,
+                            type_label,
+                            rng,
                         ),
                     )
                 )
-            entries = pool.setdefault((patient, type_label), [])
+            entries = setting.pool.setdefault((patient, type_label), [])
             for _ in range(ciphertexts_per_pair):
-                message = group.random_gt(rng)
-                ciphertext = scheme.encrypt(kgc1.params, patient_key, message, type_label, rng)
-                entries.append((ciphertext, message))
+                message = backend.sample_message(rng)
+                entries.append(
+                    (
+                        backend.encrypt(
+                            delegator_domain, patient, message, type_label, rng
+                        ),
+                        message,
+                    )
+                )
     if rate_per_s is not None:
         gateway.set_rate_limit(rate_per_s)
-    return DemoSetting(
-        group=group,
-        scheme=scheme,
-        gateway=gateway,
-        patients=patients,
-        delegatees=delegatees,
-        types=types,
-        delegatee_keys=delegatee_keys,
-        pool=pool,
-    )
-
-
-def _drive_stream(
-    setting,
-    gateway,
-    delegatee_domain: str,
-    verify,
-    n_requests: int,
-    seed: str,
-    batch_size: int,
-    verify_every: int,
-) -> int:
-    """The shared seeded request loop behind both driver families.
-
-    ``setting`` only needs ``patients``/``types``/``delegatees``/``pool``;
-    ``verify(request, response, message)`` is the family-specific
-    decrypt-and-compare (and must raise on mismatch).  The RNG draw
-    order is part of the drivers' bit-stability contract — never reorder
-    the four choices.
-    """
-    rng = HmacDrbg(seed)
-    verified = 0
-    pending: list[tuple[ReEncryptRequest, object]] = []
-
-    def checked(request: ReEncryptRequest, response, message) -> None:
-        nonlocal verified
-        verify(request, response, message)
-        verified += 1
-
-    for i in range(n_requests):
-        patient = rng.choice(setting.patients)
-        type_label = rng.choice(setting.types)
-        delegatee = rng.choice(setting.delegatees)
-        ciphertext, message = rng.choice(setting.pool[(patient, type_label)])
-        request = ReEncryptRequest(
-            tenant=patient,
-            ciphertext=ciphertext,
-            delegatee_domain=delegatee_domain,
-            delegatee=delegatee,
-        )
-        # A rate-limited request is a normal workload outcome: the gateway
-        # already counted it; the stream moves on (a batch is dropped whole).
-        if batch_size > 1:
-            pending.append((request, message))
-            if len(pending) >= batch_size:
-                try:
-                    responses = gateway.reencrypt_batch([r for r, _ in pending])
-                except RateLimitedError:
-                    responses = []
-                for j, (response, (req, msg)) in enumerate(zip(responses, pending)):
-                    if (i + j) % verify_every == 0:
-                        checked(req, response, msg)
-                pending.clear()
-        else:
-            try:
-                response = gateway.reencrypt(request)
-            except RateLimitedError:
-                continue
-            if i % verify_every == 0:
-                checked(request, response, message)
-    if pending:
-        try:
-            responses = gateway.reencrypt_batch([r for r, _ in pending])
-        except RateLimitedError:
-            responses = []
-        for response, (req, msg) in zip(responses, pending):
-            checked(req, response, msg)
-        pending.clear()
-    return verified
+    return setting
 
 
 def _grant_all_remote(local_gateway: ReEncryptionGateway, remote) -> None:
@@ -276,36 +220,75 @@ def drive_requests(
 ) -> int:
     """Replay a seeded repeated-delegatee stream; returns verified count.
 
-    Every ``verify_every``-th response is decrypted with the delegatee's
+    Every ``verify_every``-th response (and every response of the final
+    partial batch) is decrypted through the backend with the delegatee's
     key and compared to the stored plaintext — the end-to-end check that
     caching and batching never change what the delegatee recovers.
 
     ``gateway`` overrides the setting's own gateway: pass a
-    :class:`~repro.service.wire.client.RemoteGateway` and the identical
-    stream drives a remote process instead — same requests, same
-    verification, which is exactly how the CLI's ``--connect`` mode and
-    the E11 benchmark compare wire against in-process behaviour.
+    :class:`~repro.service.wire.client.RemoteGateway` speaking the same
+    backend and the identical stream drives a remote process instead —
+    same requests, same verification, which is exactly how the CLI's
+    ``--connect`` mode and the E11 benchmark compare wire against
+    in-process behaviour.  The RNG draw order is part of the workload's
+    bit-stability contract — never reorder the four choices.
     """
+    gateway = gateway if gateway is not None else setting.gateway
+    rng = HmacDrbg(seed)
+    verified = 0
+    pending: list[tuple[ReEncryptRequest, object]] = []
 
-    def verify(request: ReEncryptRequest, response, message: Fp2Element) -> None:
-        recovered = setting.scheme.decrypt_reencrypted(
-            response.ciphertext, setting.delegatee_keys[request.delegatee]
+    def verify(request: ReEncryptRequest, response, message) -> None:
+        nonlocal verified
+        recovered = setting.backend.decrypt_reencrypted(
+            response.ciphertext, setting.delegatee_domain, request.delegatee
         )
         assert recovered == message, "gateway returned a wrong transformation"
+        verified += 1
 
-    return _drive_stream(
-        setting,
-        gateway if gateway is not None else setting.gateway,
-        DELEGATEE_DOMAIN,
-        verify,
-        n_requests,
-        seed,
-        batch_size,
-        verify_every,
-    )
+    for i in range(n_requests):
+        patient = rng.choice(setting.patients)
+        type_label = rng.choice(setting.types)
+        delegatee = rng.choice(setting.delegatees)
+        ciphertext, message = rng.choice(setting.pool[(patient, type_label)])
+        request = ReEncryptRequest(
+            tenant=patient,
+            ciphertext=ciphertext,
+            delegatee_domain=setting.delegatee_domain,
+            delegatee=delegatee,
+        )
+        # A rate-limited request is a normal workload outcome: the gateway
+        # already counted it; the stream moves on (a batch is dropped whole).
+        if batch_size > 1:
+            pending.append((request, message))
+            if len(pending) >= batch_size:
+                try:
+                    responses = gateway.reencrypt_batch([r for r, _ in pending])
+                except RateLimitedError:
+                    responses = []
+                for j, (response, (req, msg)) in enumerate(zip(responses, pending)):
+                    if (i + j) % verify_every == 0:
+                        verify(req, response, msg)
+                pending.clear()
+        else:
+            try:
+                response = gateway.reencrypt(request)
+            except RateLimitedError:
+                continue
+            if i % verify_every == 0:
+                verify(request, response, message)
+    if pending:
+        try:
+            responses = gateway.reencrypt_batch([r for r, _ in pending])
+        except RateLimitedError:
+            responses = []
+        for response, (req, msg) in zip(responses, pending):
+            verify(req, response, msg)
+    return verified
 
 
 def run_demo(
+    scheme_id: str = TIPRE_SCHEME_ID,
     group_name: str = "TOY",
     shard_count: int = 4,
     n_requests: int = 200,
@@ -322,6 +305,7 @@ def run_demo(
     with every key already installed.
     """
     setting = build_setting(
+        scheme_id=scheme_id,
         group_name=group_name,
         shard_count=shard_count,
         seed=seed,
@@ -342,6 +326,7 @@ def run_demo(
             shard_keys=setting.gateway.shard_key_counts(),
             workers=workers,
             state_dir=state_dir,
+            scheme_id=scheme_id,
         )
     finally:
         setting.gateway.close()
@@ -399,255 +384,6 @@ def resolve_remote_group(
 
 def run_remote_demo(
     url: str,
-    group_name: str = "TOY",
-    n_requests: int = 200,
-    seed: str = "gateway-demo",
-    batch_size: int = 0,
-    pool_size: int = 1,
-    tenant: str | None = None,
-    secret: str | None = None,
-    tls_ca: str | None = None,
-    trace_requests: bool | float = True,
-) -> DemoReport:
-    """Drive a *remote* gateway over HTTP with the same seeded workload.
-
-    The delegation universe is built locally (the "twin"), its proxy keys
-    are granted to the remote fleet over the wire, and then the identical
-    request stream of :func:`run_demo` is replayed through a
-    :class:`~repro.service.wire.client.RemoteGateway` — with the same
-    end-to-end decrypt-and-compare verification, which only passes if the
-    remote process returns bit-identical transformations.  The server can
-    be a bare ``repro-pre serve --http`` process: it needs no prior state,
-    only the same pairing group.
-    """
-    from repro.service.wire.aio_client import connect_gateway
-
-    group = resolve_remote_group(url, TIPRE_SCHEME_ID, group_name, tls_ca=tls_ca)
-    setting = build_setting(group_name=group_name, seed=seed, group=group)
-    try:
-        with connect_gateway(
-            url,
-            setting.group,
-            pool_size=pool_size,
-            tenant=tenant,
-            secret=secret,
-            tls_ca=tls_ca,
-            trace_requests=trace_requests,
-        ) as remote:
-            _grant_all_remote(setting.gateway, remote)
-            verified = drive_requests(
-                setting,
-                n_requests,
-                seed=seed + "-requests",
-                batch_size=batch_size,
-                gateway=remote,
-            )
-            last_trace = getattr(remote, "last_trace", None)
-            snapshot = remote.snapshot()
-        return DemoReport(
-            snapshot=snapshot,
-            shard_count=0,
-            requests=n_requests,
-            batch_size=batch_size,
-            verified=verified,
-            shard_keys={},
-            state_dir=None,
-            trace_id=last_trace.trace_id if last_trace is not None else None,
-        )
-    finally:
-        setting.gateway.close()
-
-
-# ------------------------------------------------- scheme-agnostic workload
-
-
-@dataclass
-class SchemeDemoSetting:
-    """A fully-granted delegation universe over one registered backend.
-
-    The backend holds every party's key material (the client side of the
-    deployment); the gateway holds only proxy keys — exactly the trust
-    split of the paper's semi-trusted proxy, for any scheme.
-    """
-
-    scheme_id: str
-    backend: PreBackend
-    gateway: ReEncryptionGateway
-    patients: list[str]
-    delegatees: list[str]
-    types: list[str]
-    delegator_domain: str
-    delegatee_domain: str
-    # (patient, type) -> list of (wrapped ciphertext, plaintext)
-    pool: dict[tuple[str, str], list[tuple[object, object]]] = field(default_factory=dict)
-
-    @property
-    def group(self):
-        return self.backend.group
-
-
-def build_scheme_setting(
-    scheme_id: str = TIPRE_SCHEME_ID,
-    group_name: str = "TOY",
-    shard_count: int = 4,
-    n_patients: int = 4,
-    n_delegatees: int = 3,
-    n_types: int = 3,
-    ciphertexts_per_pair: int = 2,
-    seed: str = "gateway-demo",
-    rate_per_s: float | None = None,
-    workers: int = 0,
-    state_dir: str | None = None,
-    group: PairingGroup | None = None,
-) -> SchemeDemoSetting:
-    """Stand up parties, grants and a ciphertext pool for any backend.
-
-    The same shape as :func:`build_setting` — patients delegating typed
-    records to readers behind a sharded gateway — but every scheme
-    operation goes through the registered backend, so the identical
-    workload exercises ``tipre/v1`` and every baseline alike.  ``group``
-    overrides the ``group_name`` lookup (see :func:`build_setting`).
-    """
-    if group is None:
-        group = PairingGroup.shared(group_name)
-    backend = create_backend(scheme_id, group)
-    rng = HmacDrbg(seed)
-    backend.setup(rng)
-    delegator_domain = DELEGATOR_DOMAIN
-    delegatee_domain = (
-        delegator_domain if backend.single_authority else DELEGATEE_DOMAIN
-    )
-    gateway = ReEncryptionGateway(
-        backend, shard_count=shard_count, workers=workers, state_dir=state_dir
-    )
-
-    patients = ["patient-%02d" % i for i in range(n_patients)]
-    delegatees = ["reader-%02d" % i for i in range(n_delegatees)]
-    types = ["type-%d" % i for i in range(n_types)]
-    for patient in patients:
-        backend.create_party(delegator_domain, patient, rng)
-    for delegatee in delegatees:
-        backend.create_party(delegatee_domain, delegatee, rng)
-
-    setting = SchemeDemoSetting(
-        scheme_id=scheme_id,
-        backend=backend,
-        gateway=gateway,
-        patients=patients,
-        delegatees=delegatees,
-        types=types,
-        delegator_domain=delegator_domain,
-        delegatee_domain=delegatee_domain,
-    )
-    for patient in patients:
-        for type_label in types:
-            for delegatee in delegatees:
-                gateway.grant(
-                    GrantRequest(
-                        tenant=patient,
-                        proxy_key=backend.rekey(
-                            delegator_domain,
-                            patient,
-                            delegatee_domain,
-                            delegatee,
-                            type_label,
-                            rng,
-                        ),
-                    )
-                )
-            entries = setting.pool.setdefault((patient, type_label), [])
-            for _ in range(ciphertexts_per_pair):
-                message = backend.sample_message(rng)
-                entries.append(
-                    (
-                        backend.encrypt(
-                            delegator_domain, patient, message, type_label, rng
-                        ),
-                        message,
-                    )
-                )
-    if rate_per_s is not None:
-        gateway.set_rate_limit(rate_per_s)
-    return setting
-
-
-def drive_scheme_requests(
-    setting: SchemeDemoSetting,
-    n_requests: int,
-    seed: str = "gateway-requests",
-    batch_size: int = 0,
-    verify_every: int = 8,
-    gateway=None,
-) -> int:
-    """Replay a seeded repeated-delegatee stream; returns verified count.
-
-    The same stream shape as :func:`drive_requests` (shared loop);
-    verification decrypts through the backend, so it works for every
-    scheme's message space.  ``gateway`` may be a
-    :class:`~repro.service.wire.client.RemoteGateway` speaking the same
-    backend.
-    """
-
-    def verify(request: ReEncryptRequest, response, message) -> None:
-        recovered = setting.backend.decrypt_reencrypted(
-            response.ciphertext, setting.delegatee_domain, request.delegatee
-        )
-        assert recovered == message, "gateway returned a wrong transformation"
-
-    return _drive_stream(
-        setting,
-        gateway if gateway is not None else setting.gateway,
-        setting.delegatee_domain,
-        verify,
-        n_requests,
-        seed,
-        batch_size,
-        verify_every,
-    )
-
-
-def run_scheme_demo(
-    scheme_id: str = TIPRE_SCHEME_ID,
-    group_name: str = "TOY",
-    shard_count: int = 4,
-    n_requests: int = 200,
-    seed: str = "gateway-demo",
-    batch_size: int = 0,
-    rate_per_s: float | None = None,
-    workers: int = 0,
-    state_dir: str | None = None,
-) -> DemoReport:
-    """The E9-style demo for any registered backend."""
-    setting = build_scheme_setting(
-        scheme_id=scheme_id,
-        group_name=group_name,
-        shard_count=shard_count,
-        seed=seed,
-        rate_per_s=rate_per_s,
-        workers=workers,
-        state_dir=state_dir,
-    )
-    try:
-        verified = drive_scheme_requests(
-            setting, n_requests, seed=seed + "-requests", batch_size=batch_size
-        )
-        return DemoReport(
-            snapshot=setting.gateway.snapshot(),
-            shard_count=shard_count,
-            requests=n_requests,
-            batch_size=batch_size,
-            verified=verified,
-            shard_keys=setting.gateway.shard_key_counts(),
-            workers=workers,
-            state_dir=state_dir,
-            scheme_id=scheme_id,
-        )
-    finally:
-        setting.gateway.close()
-
-
-def run_remote_scheme_demo(
-    url: str,
     scheme_id: str = TIPRE_SCHEME_ID,
     group_name: str = "TOY",
     n_requests: int = 200,
@@ -659,19 +395,21 @@ def run_remote_scheme_demo(
     tls_ca: str | None = None,
     trace_requests: bool | float = True,
 ) -> DemoReport:
-    """Drive a *remote* gateway running any scheme over HTTP.
+    """Drive a *remote* gateway over the wire with the same seeded workload.
 
-    Builds the delegation universe locally (all party secrets stay on
-    this side), negotiates the scheme with the server, grants every
-    proxy key over the wire and replays the seeded stream with full
-    decrypt-and-compare verification — the end-to-end proof that a
-    remote ``serve --http --scheme X`` process returns transformations
-    the delegatee can actually open.
+    The delegation universe is built locally (all party secrets stay on
+    this side), the scheme is negotiated with the server, every proxy
+    key is granted over the wire, and then the request stream of
+    :func:`run_demo` is replayed through a remote client — with the
+    same decrypt-and-compare verification, which only passes if the
+    remote process returns transformations the delegatee can open.  The
+    server can be a bare ``repro-pre serve --http --scheme X`` process:
+    it needs no prior state, only the same pairing group.
     """
     from repro.service.wire.aio_client import connect_gateway
 
     group = resolve_remote_group(url, scheme_id, group_name, tls_ca=tls_ca)
-    setting = build_scheme_setting(
+    setting = build_setting(
         scheme_id=scheme_id, group_name=group_name, seed=seed, group=group
     )
     try:
@@ -685,7 +423,7 @@ def run_remote_scheme_demo(
             trace_requests=trace_requests,
         ) as remote:
             _grant_all_remote(setting.gateway, remote)
-            verified = drive_scheme_requests(
+            verified = drive_requests(
                 setting,
                 n_requests,
                 seed=seed + "-requests",

@@ -51,24 +51,6 @@ class LatencySummary:
     max_ms: float
 
     @staticmethod
-    def of(samples: list[float]) -> "LatencySummary":
-        if not samples:
-            return LatencySummary(count=0, p50_ms=0.0, p90_ms=0.0, p99_ms=0.0, max_ms=0.0)
-        ordered = sorted(samples)
-
-        def pct(q: float) -> float:
-            # Nearest-rank on n-1: int(q * n) overshoots the rank (p50 of
-            # two samples would report the max), inflating every quantile.
-            return ordered[int(q * (len(ordered) - 1))]
-        return LatencySummary(
-            count=len(ordered),
-            p50_ms=pct(0.50),
-            p90_ms=pct(0.90),
-            p99_ms=pct(0.99),
-            max_ms=ordered[-1],
-        )
-
-    @staticmethod
     def from_histogram(histogram: HistogramSnapshot) -> "LatencySummary":
         """Summary view of a histogram: exact count/max, estimated quantiles."""
         if histogram.count == 0:
@@ -92,7 +74,6 @@ class MetricsSnapshot:
     rate_limited: int
     elapsed_s: float
     shard_requests: dict[str, int]
-    latency: dict[str, LatencySummary]
     caches: dict[str, CacheStats]
     resizes: int = 0
     keys_migrated: int = 0
@@ -103,6 +84,14 @@ class MetricsSnapshot:
     # authentication failures by taxonomy code.
     tenant_queue_ms: dict[str, HistogramSnapshot] = field(default_factory=dict)
     auth_failures: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def latency(self) -> dict[str, LatencySummary]:
+        """Per-operation percentile summaries, derived from ``histograms``."""
+        return {
+            kind: LatencySummary.from_histogram(histogram)
+            for kind, histogram in self.histograms.items()
+        }
 
     @property
     def throughput_rps(self) -> float:
@@ -130,8 +119,7 @@ class MetricsSnapshot:
         if self.resizes:
             rows.append(["resizes", str(self.resizes)])
             rows.append(["keys migrated", str(self.keys_migrated)])
-        for kind in sorted(self.latency):
-            summary = self.latency[kind]
+        for kind, summary in sorted(self.latency.items()):
             if summary.count:
                 rows.append(
                     ["%s p50/p90 ms" % kind, "%.2f / %.2f" % (summary.p50_ms, summary.p90_ms)]
@@ -205,10 +193,6 @@ def merge_snapshots(parts: dict[str, MetricsSnapshot]) -> MetricsSnapshot:
         rate_limited=rate_limited,
         elapsed_s=elapsed_s,
         shard_requests=shard_requests,
-        latency={
-            kind: LatencySummary.from_histogram(histogram)
-            for kind, histogram in histograms.items()
-        },
         caches=caches,
         resizes=resizes,
         keys_migrated=keys_migrated,
@@ -354,10 +338,6 @@ class GatewayMetrics:
                 rate_limited=self.rate_limited,
                 elapsed_s=self.clock() - self._started_at,
                 shard_requests=dict(self.shard_requests),
-                latency={
-                    kind: LatencySummary.from_histogram(snapshot)
-                    for kind, snapshot in histograms.items()
-                },
                 caches=dict(caches or {}),
                 resizes=self.resizes,
                 keys_migrated=self.keys_migrated,

@@ -359,7 +359,7 @@ class RemoteGateway:
     def _parse_json(self, body: bytes, path: str) -> dict:
         try:
             document = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
+        except (ValueError, UnicodeDecodeError, RecursionError) as error:
             raise WireTransportError("undecodable %s body" % path) from error
         if not isinstance(document, dict):
             raise WireTransportError("%s body must be a JSON object" % path)

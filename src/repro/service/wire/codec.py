@@ -600,16 +600,6 @@ def _enc_latency(summary: LatencySummary) -> dict:
     }
 
 
-def _dec_latency(body: dict) -> LatencySummary:
-    return LatencySummary(
-        count=_get(body, "count", int),
-        p50_ms=float(_get(body, "p50_ms", (int, float))),
-        p90_ms=float(_get(body, "p90_ms", (int, float))),
-        p99_ms=float(_get(body, "p99_ms", (int, float))),
-        max_ms=float(_get(body, "max_ms", (int, float))),
-    )
-
-
 def _enc_cache_stats(stats: CacheStats) -> dict:
     return {
         "name": stats.name,
@@ -719,11 +709,6 @@ def _dec_metrics_snapshot(backend: PreBackend, body: dict) -> MetricsSnapshot:
         for k, v in shard_requests.items()
     ):
         raise InvalidRequestError("shard_requests must map shard -> int")
-    latency = {}
-    for kind, summary in _get(body, "latency", dict).items():
-        if not isinstance(summary, dict):
-            raise InvalidRequestError("latency summaries must be JSON objects")
-        latency[kind] = _dec_latency(summary)
     caches = {}
     for name, stats in _get(body, "caches", dict).items():
         if not isinstance(stats, dict):
@@ -762,7 +747,6 @@ def _dec_metrics_snapshot(backend: PreBackend, body: dict) -> MetricsSnapshot:
         rate_limited=_get(body, "rate_limited", int),
         elapsed_s=float(_get(body, "elapsed_s", (int, float))),
         shard_requests=dict(shard_requests),
-        latency=latency,
         caches=caches,
         resizes=_get(body, "resizes", int),
         keys_migrated=_get(body, "keys_migrated", int),
@@ -883,7 +867,7 @@ def from_wire(
     backend = resolve_backend(context)
     try:
         message = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as error:
         raise InvalidRequestError("malformed JSON: %s" % error) from error
     if not isinstance(message, dict):
         raise InvalidRequestError("wire message must be a JSON object")
@@ -969,7 +953,7 @@ def decode_frame_payload(payload: bytes) -> dict:
     """Parse one frame payload into its JSON document."""
     try:
         document = json.loads(payload)
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as error:
         raise FrameProtocolError("malformed frame payload: %s" % error) from error
     if not isinstance(document, dict):
         raise FrameProtocolError("frame payload must be a JSON object")

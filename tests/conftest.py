@@ -24,6 +24,12 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: SS256 or subprocess work that takes seconds per test"
+    )
+
+
 @pytest.fixture(scope="session")
 def group() -> PairingGroup:
     """The TOY pairing group (session-scoped: parameter parsing is cached)."""

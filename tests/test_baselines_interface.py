@@ -1,50 +1,45 @@
-"""Tests for the adapter interface and the multi-keypair strawman."""
+"""Tests for the registry's scheme comparison facts and the multi-keypair strawman."""
 
 import pytest
 
-from repro.baselines.interface import PROPERTY_NAMES, all_adapters
 from repro.baselines.multi_keypair import MultiKeypairDelegation
+from repro.core.api import REGISTRY, create_backend
 from repro.ibe.kgc import KgcRegistry
 
 
+def _capabilities(scheme_id):
+    return REGISTRY.backend_class(scheme_id).capabilities
+
+
 class TestAdapters:
-    def test_every_adapter_full_lifecycle(self, group, rng):
-        for adapter in all_adapters(group):
-            adapter.setup(rng)
-            message = adapter.sample_message(rng)
-            ciphertext = adapter.encrypt(message, rng)
-            assert adapter.decrypt_original(ciphertext) == message, adapter.name
-            rk = adapter.rekey(rng)
-            transformed = adapter.reencrypt(ciphertext, rk)
-            assert adapter.decrypt_reencrypted(transformed) == message, adapter.name
+    """Each registered backend adapts one scheme to the PreBackend API; the
+    E2/E4 comparison tables iterate the registry and print these facts."""
 
-    def test_property_matrices_complete(self, group):
-        for adapter in all_adapters(group):
-            assert set(adapter.properties) == set(PROPERTY_NAMES), adapter.name
-            assert all(isinstance(v, bool) for v in adapter.properties.values())
+    def test_paper_scheme_is_first_and_unique_in_type_granularity(self):
+        scheme_ids = REGISTRY.ids()
+        assert "this paper" in REGISTRY.backend_class(scheme_ids[0]).display_name
+        granular = [s for s in scheme_ids if _capabilities(s).type_granular]
+        assert granular == [scheme_ids[0]]
 
-    def test_paper_scheme_is_first_and_unique_in_type_granularity(self, group):
-        adapters = all_adapters(group)
-        assert "this paper" in adapters[0].name
-        granular = [a.name for a in adapters if a.properties["type_granular"]]
-        assert granular == [adapters[0].name]
+    def test_bbs_flagged_bidirectional_and_interactive(self):
+        bbs = _capabilities("bbs/v1")
+        assert not bbs.unidirectional
+        assert not bbs.non_interactive
+        assert not bbs.collusion_safe
 
-    def test_bbs_flagged_bidirectional_and_interactive(self, group):
-        bbs = next(a for a in all_adapters(group) if "BBS" in a.name)
-        assert not bbs.properties["unidirectional"]
-        assert not bbs.properties["non_interactive"]
-        assert not bbs.properties["collusion_safe"]
-
-    def test_identity_based_flags(self, group):
-        by_name = {a.name: a for a in all_adapters(group)}
-        assert by_name["Green-Ateniese IBP1"].properties["identity_based"]
-        assert not by_name["AFGH (TISSEC'06)"].properties["identity_based"]
+    def test_identity_based_flags(self):
+        assert _capabilities("green-ateniese/v1").identity_based
+        assert not _capabilities("afgh/v1").identity_based
 
     def test_ciphertext_components_positive(self, group, rng):
-        for adapter in all_adapters(group):
-            adapter.setup(rng)
-            ciphertext = adapter.encrypt(adapter.sample_message(rng), rng)
-            assert adapter.ciphertext_components(ciphertext) >= 2
+        for scheme_id in REGISTRY.ids():
+            backend = create_backend(scheme_id, group)
+            backend.setup(rng)
+            backend.create_party("KGC1", "delegator", rng)
+            ciphertext = backend.encrypt(
+                "KGC1", "delegator", backend.sample_message(rng), "t", rng
+            )
+            assert backend.ciphertext_components(ciphertext) >= 2, scheme_id
 
 
 class TestMultiKeypair:

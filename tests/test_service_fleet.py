@@ -88,8 +88,8 @@ def _reencrypt_request(setting, pool_key, delegatee) -> tuple[ReEncryptRequest, 
 
 
 def _verify(setting, request, response, message) -> None:
-    recovered = setting.scheme.decrypt_reencrypted(
-        response.ciphertext, setting.delegatee_keys[request.delegatee]
+    recovered = setting.backend.decrypt_reencrypted(
+        response.ciphertext, setting.delegatee_domain, request.delegatee
     )
     assert recovered == message, "fleet returned a wrong transformation"
 

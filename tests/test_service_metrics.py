@@ -1,7 +1,7 @@
-"""Tests for gateway metrics: percentiles, throughput, shard balance."""
+"""Tests for gateway metrics: throughput, shard balance, rendering."""
 
 from repro.service.cache import LruCache
-from repro.service.metrics import GatewayMetrics, LatencySummary
+from repro.service.metrics import GatewayMetrics
 
 
 class ManualClock:
@@ -10,39 +10,6 @@ class ManualClock:
 
     def __call__(self):
         return self.now
-
-
-class TestLatencySummary:
-    def test_empty_is_all_zero(self):
-        summary = LatencySummary.of([])
-        assert (summary.count, summary.p50_ms, summary.max_ms) == (0, 0.0, 0.0)
-
-    def test_percentiles_over_known_samples(self):
-        summary = LatencySummary.of([float(i) for i in range(1, 101)])  # 1..100 ms
-        assert summary.count == 100
-        assert summary.p50_ms == 50.0
-        assert summary.p90_ms == 90.0
-        assert summary.p99_ms == 99.0
-        assert summary.max_ms == 100.0
-
-    def test_single_sample(self):
-        summary = LatencySummary.of([7.5])
-        assert summary.p50_ms == summary.p99_ms == summary.max_ms == 7.5
-
-    def test_two_samples_p50_is_the_min_not_the_max(self):
-        """Regression: int(q * n) indexed past the median — p50 of two
-        samples reported the max, inflating every published p50/p90."""
-        summary = LatencySummary.of([1.0, 9.0])
-        assert summary.p50_ms == 1.0  # rank int(0.50 * 1) = 0
-        assert summary.p90_ms == 1.0  # rank int(0.90 * 1) = 0
-        assert summary.max_ms == 9.0
-
-    def test_four_samples_exact_ranks(self):
-        summary = LatencySummary.of([4.0, 2.0, 3.0, 1.0])
-        assert summary.p50_ms == 2.0  # rank int(0.50 * 3) = 1
-        assert summary.p90_ms == 3.0  # rank int(0.90 * 3) = 2
-        assert summary.p99_ms == 3.0  # rank int(0.99 * 3) = 2
-        assert summary.max_ms == 4.0
 
 
 class TestSnapshot:

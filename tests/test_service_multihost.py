@@ -23,7 +23,7 @@ import urllib.request
 import pytest
 
 from repro.core.api import create_backend
-from repro.service.driver import build_scheme_setting, drive_scheme_requests
+from repro.service.driver import build_setting, drive_requests
 from repro.service.gateway import (
     GrantRequest,
     ReEncryptionGateway,
@@ -61,7 +61,7 @@ def _small_setting(scheme_id: str, **kwargs):
         seed="multihost-" + scheme_id,
     )
     defaults.update(kwargs)
-    return build_scheme_setting(**defaults)
+    return build_setting(**defaults)
 
 
 def _grant_all(setting, client) -> int:
@@ -124,7 +124,7 @@ class TestPrefixedRouting:
             try:
                 client = RemoteGateway(server.url, setting.backend)
                 granted[scheme_id] = _grant_all(setting, client)
-                verified = drive_scheme_requests(
+                verified = drive_requests(
                     setting,
                     8,
                     seed="multihost-" + scheme_id,

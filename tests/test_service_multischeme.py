@@ -17,11 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.api import create_backend
-from repro.service.driver import (
-    build_scheme_setting,
-    drive_scheme_requests,
-    run_scheme_demo,
-)
+from repro.service.driver import build_setting, drive_requests, run_demo
 from repro.service.gateway import (
     GrantRequest,
     InvalidRequestError,
@@ -54,13 +50,13 @@ def _small_setting(scheme_id, **kwargs):
         seed="multischeme-" + scheme_id,
     )
     defaults.update(kwargs)
-    return build_scheme_setting(**defaults)
+    return build_setting(**defaults)
 
 
 class TestInProcessEveryScheme:
     @pytest.mark.parametrize("scheme_id", ALL_SCHEMES)
     def test_seeded_workload_verifies(self, scheme_id):
-        report = run_scheme_demo(
+        report = run_demo(
             scheme_id=scheme_id,
             shard_count=2,
             n_requests=24,
@@ -154,7 +150,7 @@ class TestWireEveryScheme:
                     for key in list(setting.gateway.shard_named(name).table):
                         client.grant(GrantRequest(tenant="t", proxy_key=key))
                 # ... then re-encrypt remotely and decrypt locally.
-                verified = drive_scheme_requests(
+                verified = drive_requests(
                     setting,
                     12,
                     seed="wire-" + scheme_id,

@@ -224,6 +224,28 @@ class TestCodecRoundTrips:
             invalidations=0,
         )
 
+    def test_metrics_latency_is_derived_from_histograms(self, group):
+        """The encoded ``latency`` member is a view of ``histograms``:
+        decoding ignores it, so a stale or bogus copy cannot disagree."""
+        metrics = GatewayMetrics()
+        for latency_ms in (1.0, 3.0, 40.0):
+            metrics.observe("reencrypt", latency_ms, "shard-00")
+        snapshot = metrics.snapshot()
+        message = json.loads(to_wire(group, snapshot))
+        summary = snapshot.latency["reencrypt"]
+        assert message["body"]["latency"]["reencrypt"] == {
+            "count": 3,
+            "p50_ms": summary.p50_ms,
+            "p90_ms": summary.p90_ms,
+            "p99_ms": summary.p99_ms,
+            "max_ms": 40.0,
+        }
+        message["body"]["latency"] = "not a summary map"
+        decoded = from_wire(group, json.dumps(message))
+        assert decoded.latency == snapshot.latency
+        del message["body"]["latency"]
+        assert from_wire(group, json.dumps(message)).latency == snapshot.latency
+
     def test_every_error_code_round_trips_to_its_class(self, group):
         for code, cls in ERROR_TYPES.items():
             decoded = from_wire(group, to_wire(group, cls("boom %s" % code)))
@@ -249,8 +271,10 @@ class TestCodecRoundTrips:
 
 class TestCodecRejection:
     def test_malformed_json(self, group):
-        with pytest.raises(InvalidRequestError):
-            from_wire(group, "{not json")
+        # "[" * 1000 nests past the json module's recursion limit.
+        for text in ("{not json", "[" * 1000):
+            with pytest.raises(InvalidRequestError, match="malformed JSON"):
+                from_wire(group, text)
 
     def test_non_object_message(self, group):
         with pytest.raises(InvalidRequestError):
@@ -417,8 +441,8 @@ class TestLoopback:
                 delegatee=delegatee,
             )
         )
-        recovered = setting.scheme.decrypt_reencrypted(
-            response.ciphertext, setting.delegatee_keys[delegatee]
+        recovered = setting.backend.decrypt_reencrypted(
+            response.ciphertext, setting.delegatee_domain, delegatee
         )
         assert recovered == message
 
@@ -597,6 +621,7 @@ class TestHttpSurface:
         _setting, server, _client = loopback
         cases = [
             (b"{broken json", 400, "invalid-request"),
+            (b"[" * 1000, 400, "invalid-request"),  # nested past json's recursion limit
             (json.dumps({"wire": "nope/v0", "type": "x", "body": {}}).encode(), 400, "invalid-request"),
         ]
         for payload, status, code in cases:

@@ -17,6 +17,7 @@ import http.client
 import itertools
 import json
 import socket
+import struct
 import sys
 import threading
 import time
@@ -477,8 +478,8 @@ class TestMuxTypedClient:
                 delegatee=delegatee,
             )
         )
-        recovered = setting.scheme.decrypt_reencrypted(
-            response.ciphertext, setting.delegatee_keys[delegatee]
+        recovered = setting.backend.decrypt_reencrypted(
+            response.ciphertext, setting.delegatee_domain, delegatee
         )
         assert recovered == message
 
@@ -543,6 +544,84 @@ class TestConnectGateway:
         assert pooled.pool_size == 8
         with pytest.raises(ValueError):
             connect_gateway("ftp://127.0.0.1:9", group)
+
+
+# ------------------------------------------------------- deeply nested JSON
+
+# Past the json module's recursion limit: json.loads raises RecursionError.
+NESTED = b"[" * 1000
+
+
+def _raw_frame(payload: bytes) -> bytes:
+    return struct.pack(">I", len(payload)) + payload
+
+
+class TestDeeplyNestedJson:
+    """Each JSON parser facing the network turns nesting too deep to parse
+    into its own rejection, never a 500, a traceback or a dead thread."""
+
+    def test_nested_body_is_invalid_request_on_every_stack(self, three_stacks):
+        _settings, clients = three_stacks
+        for client in clients:
+            status, body = client._raw_request("POST", PREFIX + "/reencrypt", NESTED)
+            assert status == 400, client
+            assert json.loads(body)["body"]["code"] == "invalid-request", client
+
+    def test_nested_frame_closes_the_connection_as_a_frame_error(self):
+        setting = _build()
+        events = EventLog()
+        with AsyncGatewayServer(setting.gateway, setting.group, event_log=events) as server:
+            exchange = _MuxExchanger(server.host, server.port)
+            try:
+                exchange.sock.sendall(_raw_frame(NESTED))
+                assert exchange.reader.read() == b""  # closed without an answer
+            finally:
+                exchange.close()
+        setting.gateway.close()
+        errors = [e for e in events.tail() if e["kind"] == "connection-error"]
+        assert errors and errors[-1].get("error_type") == "FrameProtocolError"
+
+    def test_nested_negotiation_body_is_a_transport_error(self, group):
+        client = RemoteGateway("http://127.0.0.1:9", group, negotiate=False)
+        with pytest.raises(WireTransportError, match="undecodable"):
+            client._parse_json(NESTED, "/v1/schemes")
+
+    def test_mux_client_fails_fast_on_a_nested_response_frame(self, group):
+        """The client's reader fails the connection at once instead of
+        dying and leaving the caller to wait out its timeout."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve() -> None:
+            while True:
+                try:
+                    conn, _ = listener.accept()
+                except OSError:
+                    return  # listener closed
+                with conn, conn.makefile("rb") as reader:
+                    for reply in (encode_frame(mux_hello()), _raw_frame(NESTED)):
+                        header = reader.read(FRAME_HEADER_LEN)
+                        if len(header) < FRAME_HEADER_LEN:
+                            break
+                        reader.read(frame_length(header))
+                        conn.sendall(reply)
+                    reader.read()  # until the client hangs up
+
+        threading.Thread(target=serve, daemon=True).start()
+        client = MuxRemoteGateway(
+            "mux://127.0.0.1:%d" % listener.getsockname()[1],
+            group,
+            timeout=5.0,
+            negotiate=False,
+            trace_requests=False,
+        )
+        try:
+            started = time.monotonic()
+            with pytest.raises(WireTransportError):
+                client._raw_request("GET", "/v1/health", None)
+            assert time.monotonic() - started < 2.5
+        finally:
+            client.close()
+            listener.close()
 
 
 # ------------------------------------------------------------- multiplexing
