@@ -23,6 +23,10 @@ against, so one production gateway serves any registered scheme:
   native containers carry no (domain, identity, type) metadata.  They
   duck-type the attribute surface of the paper's native containers, so
   the router, key table, batcher and caches work on either unchanged;
+* :class:`Encoded` / :class:`EncodedCiphertext` — an envelope held as
+  its canonical bytes (plus, for a ciphertext, its routing header) and
+  decoded only when something reads a component, which is how a wire
+  server answers a cached re-encryption without decompressing a point;
 * :class:`SchemeRegistry` — stable scheme ids (``tipre/v1``,
   ``afgh/v1``, ``green-ateniese/v1``, ...) to backend classes; a
   built-in scheme's module is imported only when that scheme is first
@@ -49,6 +53,8 @@ __all__ = [
     "WrappedCiphertext",
     "WrappedProxyKey",
     "WrappedReEncrypted",
+    "Encoded",
+    "EncodedCiphertext",
     "PreBackend",
     "SchemeRegistry",
     "UnknownSchemeError",
@@ -169,6 +175,71 @@ class WrappedReEncrypted:
     delegatee: str
     type_label: str
     payload: Any
+
+
+# ------------------------------------------------------- canonical bytes
+
+
+class Encoded:
+    """An envelope held as its canonical bytes, decoded on first use.
+
+    ``blob`` is the envelope's canonical encoding and ``decode`` the
+    backend hook that turns it back into the envelope (``element``, when
+    the caller already holds it).  Reading any other attribute decodes
+    once and forwards to the decoded envelope, so an ``Encoded`` stands
+    in for what it holds.  Two encodings compare by their bytes — the
+    decoders accept only canonical encodings, so equal bytes are equal
+    envelopes — and an encoding equals a decoded envelope when its own
+    decoding does.
+    """
+
+    __slots__ = ("blob", "_decode", "_element")
+
+    def __init__(self, blob: bytes, decode, element: Any = None):
+        self.blob = blob
+        self._decode = decode
+        self._element = element
+
+    @property
+    def element(self) -> Any:
+        """The decoded envelope (decoding raises what ``decode`` raises)."""
+        if self._element is None:
+            self._element = self._decode(self.blob)
+        return self._element
+
+    def __getattr__(self, name: str) -> Any:
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return getattr(self.element, name)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Encoded):
+            return self.blob == other.blob
+        return self.element == other
+
+    def __hash__(self) -> int:
+        return hash(self.element)
+
+    def __repr__(self) -> str:
+        return "%s(%d bytes)" % (type(self).__name__, len(self.blob))
+
+
+class EncodedCiphertext(Encoded):
+    """A ciphertext envelope as canonical bytes plus its routing header.
+
+    The header — the ``domain``, ``identity`` and ``type_label`` every
+    envelope family writes before its elements — is all the router, key
+    table and result cache read, so a request answered from the cache
+    is never decoded.
+    """
+
+    __slots__ = ("domain", "identity", "type_label")
+
+    def __init__(self, blob: bytes, decode, domain: str, identity: str, type_label: str):
+        super().__init__(blob, decode)
+        self.domain = domain
+        self.identity = identity
+        self.type_label = type_label
 
 
 # ----------------------------------------------------------------- backend
@@ -342,6 +413,44 @@ class PreBackend(ABC):
         payload = self._decode_payload("reencrypted", reader.read_bytes())
         reader.finish()
         return WrappedReEncrypted(scheme_id, *parts, payload=payload)
+
+    # ------------------------------------------------ canonical-bytes views
+
+    def encoded_ciphertext(self, blob: bytes) -> EncodedCiphertext:
+        """Check a ciphertext envelope; hold it as bytes plus its header.
+
+        Every check :meth:`deserialize_ciphertext` makes runs here except
+        the square roots that decompress G1 points, which wait until a
+        component is read.
+        """
+        with self.group.deferred_square_roots():
+            shell = self.deserialize_ciphertext(blob)
+        return EncodedCiphertext(
+            blob, self.deserialize_ciphertext, shell.domain, shell.identity, shell.type_label
+        )
+
+    def encoded_reencrypted(self, blob: bytes) -> Encoded:
+        """Check a re-encrypted envelope; hold it as bytes until it is read.
+
+        The deferred decoding runs under the calling thread's
+        :meth:`~repro.pairing.group.PairingGroup.known_points`, so a
+        client decompresses no point it already holds.
+        """
+        with self.group.deferred_square_roots():
+            self.deserialize_reencrypted(blob)
+        return Encoded(blob, self.group.bind_known_points(self.deserialize_reencrypted))
+
+    def ciphertext_bytes(self, ciphertext) -> bytes:
+        """A ciphertext's canonical bytes, whether held decoded or encoded."""
+        if isinstance(ciphertext, Encoded):
+            return ciphertext.blob
+        return self.serialize_ciphertext(ciphertext)
+
+    def reencrypted_bytes(self, ciphertext) -> bytes:
+        """A re-encrypted ciphertext's canonical bytes, decoded or encoded."""
+        if isinstance(ciphertext, Encoded):
+            return ciphertext.blob
+        return self.serialize_reencrypted(ciphertext)
 
 
 # ---------------------------------------------------------------- registry

@@ -59,7 +59,7 @@ class KeyTableBackend(Protocol):
         """The key at ``index`` was removed from the table."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReEncryptionLogEntry:
     """One entry of the proxy's transformation log."""
 
@@ -261,15 +261,7 @@ class ProxyService:
         cannot cross the policy boundary.
         """
         result = self.backend.reencrypt(ciphertext, key)
-        self._log.append(
-            ReEncryptionLogEntry(
-                delegator=ciphertext.identity,
-                delegatee=key.delegatee,
-                type_label=ciphertext.type_label,
-                sequence=self._sequence,
-            )
-        )
-        self._sequence += 1
+        self._log_transformation(key)
         return result
 
     def reencrypt_many_with_key(
@@ -284,17 +276,23 @@ class ProxyService:
         transforming).
         """
         results = self.backend.reencrypt_batch(ciphertexts, key)
-        for ciphertext in ciphertexts:
-            self._log.append(
-                ReEncryptionLogEntry(
-                    delegator=ciphertext.identity,
-                    delegatee=key.delegatee,
-                    type_label=ciphertext.type_label,
-                    sequence=self._sequence,
-                )
-            )
-            self._sequence += 1
+        for _ in ciphertexts:
+            self._log_transformation(key)
         return results
+
+    def _log_transformation(self, key: ProxyKey) -> None:
+        # The backend's guard matched the key to the ciphertext, so the
+        # key's strings name the same delegation — and the bounded log
+        # then shares one copy per delegation instead of one per request.
+        self._log.append(
+            ReEncryptionLogEntry(
+                delegator=key.delegator,
+                delegatee=key.delegatee,
+                type_label=key.type_label,
+                sequence=self._sequence,
+            )
+        )
+        self._sequence += 1
 
     @property
     def log(self) -> list[ReEncryptionLogEntry]:

@@ -16,6 +16,8 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 from repro.bench.counters import record_operation
 from repro.ec.curve import Point
@@ -36,6 +38,16 @@ __all__ = ["PairingGroup"]
 # points grow it without limit.
 _PRECOMP_CACHE_SIZE = 128
 _PRECOMP_SEEN_LIMIT = 4096
+# Bound of a known_points map: a client files every point it encodes or
+# decompresses, and a request's own points are needed only until its
+# response is decoded.
+_KNOWN_POINTS_LIMIT = 1024
+
+
+def _file_point(points: dict, data: bytes, point: Point) -> None:
+    if len(points) >= _KNOWN_POINTS_LIMIT and data not in points:
+        points.clear()
+    points[data] = point
 
 
 class PairingGroup:
@@ -60,6 +72,8 @@ class PairingGroup:
         self._pair_precomps: OrderedDict[tuple[int, int], MillerPrecomp] = OrderedDict()
         self._pair_seen: dict[tuple[int, int], int] = {}
         self._precomp_lock = threading.Lock()
+        # Per-thread decoding scope: deferred_square_roots / known_points.
+        self._decoding = threading.local()
 
     @classmethod
     def shared(cls, name: str) -> "PairingGroup":
@@ -314,16 +328,19 @@ class PairingGroup:
         size = (self.params.p.bit_length() + 7) // 8
         if point.is_infinity():
             return b"\x02" + b"\x00" * size
-        parity = int(point.y) & 1
-        return bytes([parity]) + int(point.x).to_bytes(size, "big")
+        data = bytes([int(point.y) & 1]) + int(point.x).to_bytes(size, "big")
+        points = getattr(self._decoding, "points", None)
+        if points is not None:
+            _file_point(points, data, point)
+        return data
 
-    def deserialize_g1(self, data: bytes) -> Point:
-        """Inverse of :meth:`serialize_g1`; accepts only its canonical output.
+    def _g1_x(self, data: bytes) -> int | None:
+        """The structural checks of a G1 encoding: its x, or None for the identity.
 
-        Raises :class:`ValueError` for any other encoding of a point (an
-        x-coordinate of p or more, an identity tag with a payload, an odd
-        parity tag on a point whose y is 0), so every decoded point
-        re-serializes to the bytes it came from.
+        Everything :meth:`deserialize_g1` rejects short of the square
+        root: a wrong length or tag, an identity tag with a payload, an
+        x-coordinate of p or more, an odd parity tag on a point whose y
+        is 0 (x^3 + ax + b = 0, so only the even tag is canonical).
         """
         size = (self.params.p.bit_length() + 7) // 8
         if len(data) != size + 1:
@@ -331,18 +348,101 @@ class PairingGroup:
         if data[0] == 2:
             if any(data[1:]):
                 raise ValueError("G1 identity encoding carries a payload")
-            return self.g1_identity()
+            return None
         if data[0] not in (0, 1):
             raise ValueError("bad G1 encoding tag")
+        p = self.params.p
         x = bytes_to_int(data[1:])
-        if x >= self.params.p:
+        if x >= p:
             raise ValueError("G1 x-coordinate is not reduced modulo p")
+        curve = self.params.curve
+        if data[0] == 1 and (x * x * x + int(curve.a) * x + int(curve.b)) % p == 0:
+            raise ValueError("G1 parity tag is not canonical")
+        return x
+
+    def deserialize_g1(self, data: bytes) -> Point:
+        """Inverse of :meth:`serialize_g1`; accepts only its canonical output.
+
+        Raises :class:`ValueError` for any other encoding of a point (an
+        x-coordinate of p or more, an identity tag with a payload, an odd
+        parity tag on a point whose y is 0), so every decoded point
+        re-serializes to the bytes it came from.  Decompressing a point
+        costs a square root (one exponentiation mod p), recorded as
+        ``g1_decompress``; :meth:`deferred_square_roots` and
+        :meth:`known_points` are the two ways to skip it.
+        """
+        x = self._g1_x(data)
+        if x is None:
+            return self.g1_identity()
+        scope = self._decoding
+        if getattr(scope, "deferred", False):
+            return None
+        points = getattr(scope, "points", None)
+        if points is not None:
+            point = points.get(data)
+            if point is not None:
+                return point
+        record_operation("g1_decompress")
         point = self.params.curve.lift_x(x, y_parity=data[0])
         if point is None:
             raise ValueError("x-coordinate is not on the curve")
-        if int(point.y) & 1 != data[0]:
-            raise ValueError("G1 parity tag is not canonical")
+        if points is not None:
+            _file_point(points, data, point)
         return point
+
+    @contextmanager
+    def deferred_square_roots(self) -> Iterator[None]:
+        """Check G1 encodings without decompressing them (this thread, this block).
+
+        Inside the block :meth:`deserialize_g1` runs every structural
+        check and returns ``None`` in place of a non-identity point, so
+        walking an envelope with its decoder validates everything but
+        the square roots.  The decoded shell is for reading strings off,
+        never for arithmetic.
+        """
+        scope = self._decoding
+        previous = getattr(scope, "deferred", False)
+        scope.deferred = True
+        try:
+            yield
+        finally:
+            scope.deferred = previous
+
+    @contextmanager
+    def known_points(self, points: dict) -> Iterator[None]:
+        """Share decoded points through ``points`` (this thread, this block).
+
+        Inside the block :meth:`serialize_g1` files each point it encodes
+        under its encoding, and :meth:`deserialize_g1` answers an
+        encoding found there without a square root, filing each point it
+        does decompress.  Sound because encodings are canonical: one
+        encoding, one point.  ``points`` is bounded by emptying it when
+        it fills up.
+        """
+        scope = self._decoding
+        previous = getattr(scope, "points", None)
+        scope.points = points
+        try:
+            yield
+        finally:
+            scope.points = previous
+
+    def bind_known_points(self, decode: Callable) -> Callable:
+        """``decode`` running under the calling thread's current :meth:`known_points`.
+
+        For decoding later, on any thread, what was received inside a
+        :meth:`known_points` block; without an active block ``decode``
+        comes back as it is.
+        """
+        points = getattr(self._decoding, "points", None)
+        if points is None:
+            return decode
+
+        def bound(blob: bytes):
+            with self.known_points(points):
+                return decode(blob)
+
+        return bound
 
     def serialize_gt(self, element: Fp2Element) -> bytes:
         size = (self.params.p.bit_length() + 7) // 8

@@ -14,7 +14,9 @@ Miller function.  Two classic optimisations apply on this curve:
   only the tangent/secant line numerators.
 * **Frobenius-assisted final exponentiation** — ``f^(p-1)`` is computed as
   ``conj(f) / f`` (one conjugation + one inversion) before the remaining
-  ``(p+1)/q`` power.
+  ``(p+1)/q`` power, which the default path takes by signed window: the
+  Frobenius step lands on the norm-1 subgroup, where conjugation is the
+  inverse, so negative digits are free.
 
 The default path runs on :class:`~repro.pairing.miller.MillerPrecomp`:
 the doubling/addition chain for the first argument is computed in
@@ -41,6 +43,8 @@ from repro.pairing.miller import (
     final_exponentiation_batch,
     final_exponentiation_raw,
     fp2_mul_raw,
+    fp2_pow_raw,
+    frobenius_step_raw,
 )
 
 __all__ = [
@@ -113,8 +117,15 @@ def tate_pairing_affine(params: SupersingularCurve, p_point: Point, q_point: Poi
 
 
 def _final_exponentiation(params: SupersingularCurve, f: Fp2Element) -> Fp2Element:
-    """``f^((p^2-1)/q)``: Frobenius for the (p-1) part, then the cofactor."""
-    fa, fb = final_exponentiation_raw(params, f.a, f.b)
+    """``f^((p^2-1)/q)``: Frobenius for the (p-1) part, then the cofactor.
+
+    Plain square-and-multiply (:func:`fp2_pow_raw`), the reference the
+    default path's signed-window :func:`final_exponentiation_raw` is
+    compared against.
+    """
+    p = params.base_field.p
+    ga, gb = frobenius_step_raw(f.a, f.b, p)
+    fa, fb = fp2_pow_raw(ga, gb, (params.p + 1) // params.q, p)
     return Fp2Element(params.ext_field, fa, fb)
 
 

@@ -4,12 +4,18 @@ Two caches front the shards:
 
 * the **proxy-key cache** short-circuits the shard's key-table lookup for
   the (delegator, delegatee, type) triples that dominate a workload;
-* the **KEM-result cache** stores the output of ``Preenc`` keyed by the
-  full (ciphertext, delegatee) pair.  ``Preenc`` is deterministic — the
-  transformed ciphertext is a pure function of the input ciphertext and
-  the installed key — so replaying a cached result is sound as long as the
-  entry is invalidated when the underlying key changes, which the gateway
-  does on every grant and revoke.
+* the **KEM-result cache** stores the output of ``Preenc`` as canonical
+  bytes, one map per delegation: ``{delegation: {ciphertext bytes:
+  re-encrypted bytes}}``.  ``Preenc`` is deterministic — the transformed
+  ciphertext is a pure function of the input ciphertext and the installed
+  key — so replaying a cached result is sound as long as the delegation's
+  map is dropped when its key changes, which the gateway does on every
+  grant and revoke.
+
+Every entry lives in a group (``None`` unless the caller names one), and
+one recency order spans all groups: eviction takes the least recently
+used entry wherever it is filed, and :meth:`LruCache.invalidate_where`
+drops one group's entries without looking at any other.
 
 Hits, misses and evictions are reported both locally (:class:`CacheStats`)
 and through :func:`repro.bench.counters.record_operation`, so the E9
@@ -22,14 +28,13 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
 from repro.bench.counters import record_operation
 
 __all__ = ["LruCache", "CacheStats"]
 
-# Distinguishes "not cached" from "cached None" in lookups that must tell
-# them apart (invalidate's counter, get_or_compute's miss path).
+# Distinguishes "not cached" from "cached None" in invalidate's counter.
 _MISSING = object()
 
 
@@ -52,7 +57,7 @@ class CacheStats:
 
 
 class LruCache:
-    """A bounded mapping with least-recently-used eviction and accounting.
+    """A bounded, grouped mapping with least-recently-used eviction.
 
     Thread-safe: a single internal lock covers entries *and* counters, so
     concurrent shard workers never corrupt the recency order or lose a
@@ -65,10 +70,14 @@ class LruCache:
         self.capacity = capacity
         self.name = name
         self._lock = threading.Lock()
-        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
-        # key -> [flight lock, waiter count]; single-flight state for
-        # get_or_compute, pruned when the last waiter leaves.
-        self._flights: dict[Hashable, list] = {}
+        # group -> (the group object first filed, {key: value}).  Recency
+        # keys reuse that first group object, so all of a group's entries
+        # share one copy of it rather than each keeping the caller's.
+        self._groups: dict[Hashable, tuple[Hashable, dict]] = {}
+        self._order: OrderedDict[tuple, None] = OrderedDict()  # (group, key), oldest first
+        self._hit_op = "%s_hit" % name
+        self._miss_op = "%s_miss" % name
+        self._eviction_op = "%s_eviction" % name
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -76,77 +85,56 @@ class LruCache:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._order)
 
     def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
+        return self.contains(key)
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        """Look up ``key``, refreshing its recency on a hit."""
+    def contains(self, key: Hashable, group: Hashable = None) -> bool:
+        """Whether ``key`` is cached, without touching recency or stats."""
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
+            filed = self._groups.get(group)
+            return filed is not None and key in filed[1]
+
+    def get(self, key: Hashable, default: Any = None, group: Hashable = None) -> Any:
+        """Look up ``key`` in ``group``, refreshing its recency on a hit."""
+        with self._lock:
+            filed = self._groups.get(group)
+            if filed is not None and key in filed[1]:
+                self._order.move_to_end((filed[0], key))
                 self._hits += 1
-                record_operation("%s_hit" % self.name)
-                return self._entries[key]
+                record_operation(self._hit_op)
+                return filed[1][key]
             self._misses += 1
-            record_operation("%s_miss" % self.name)
+            record_operation(self._miss_op)
             return default
 
-    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
-        """Return the cached value or compute, store and return it.
-
-        ``compute`` may raise; nothing is cached in that case (and the
-        next waiter computes for itself).
-
-        Concurrent misses on the same key are *single-flight*: one
-        caller runs ``compute`` while the others block on a per-key
-        flight lock and then read the stored value — an expensive
-        pairing is never paid twice for one key.  ``compute`` still runs
-        outside the cache-wide lock, so a slow computation for one key
-        never serializes lookups (or computations) for other keys.
-        """
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                record_operation("%s_hit" % self.name)
-                return self._entries[key]
-            self._misses += 1
-            record_operation("%s_miss" % self.name)
-            flight = self._flights.setdefault(key, [threading.Lock(), 0])
-            flight[1] += 1
-        try:
-            with flight[0]:
-                # A previous flight holder may have stored the value while
-                # this thread waited; re-check without touching the stats —
-                # the miss above already described this caller's outcome.
-                with self._lock:
-                    if key in self._entries:
-                        self._entries.move_to_end(key)
-                        return self._entries[key]
-                value = compute()
-                self.put(key, value)
-                return value
-        finally:
-            with self._lock:
-                flight[1] -= 1
-                if flight[1] == 0 and self._flights.get(key) is flight:
-                    del self._flights[key]
-
-    def put(self, key: Hashable, value: Any) -> None:
+    def put(self, key: Hashable, value: Any, group: Hashable = None) -> None:
         """Insert (or refresh) an entry, evicting the oldest when full."""
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = value
-            if len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            filed = self._groups.get(group)
+            if filed is None:
+                filed = self._groups[group] = (group, {})
+            entry = (filed[0], key)
+            if entry in self._order:
+                self._order.move_to_end(entry)
+            else:
+                self._order[entry] = None
+            filed[1][key] = value
+            if len(self._order) > self.capacity:
+                oldest_group, oldest_key = self._order.popitem(last=False)[0]
+                self._drop(oldest_group, oldest_key)
                 self._evictions += 1
-                record_operation("%s_eviction" % self.name)
+                record_operation(self._eviction_op)
 
-    def invalidate(self, key: Hashable) -> bool:
+    def _drop(self, group: Hashable, key: Hashable) -> None:
+        """Remove ``key`` from its group's map (the lock is held)."""
+        entries = self._groups[group][1]
+        del entries[key]
+        if not entries:
+            del self._groups[group]
+
+    def invalidate(self, key: Hashable, group: Hashable = None) -> bool:
         """Drop one entry; returns False when it was not cached.
 
         The absence check uses a private sentinel, not ``None``: a cached
@@ -154,34 +142,41 @@ class LruCache:
         an invalidation and return True.
         """
         with self._lock:
-            if self._entries.pop(key, _MISSING) is _MISSING:
+            filed = self._groups.get(group)
+            if filed is None or filed[1].get(key, _MISSING) is _MISSING:
                 return False
+            del self._order[(filed[0], key)]
+            self._drop(group, key)
             self._invalidations += 1
             return True
 
-    def invalidate_where(self, predicate: Callable[[Hashable], bool]) -> int:
-        """Drop every entry whose key satisfies ``predicate``; returns count.
+    def invalidate_where(self, group: Hashable) -> int:
+        """Drop every entry filed under ``group``; returns the count.
 
-        Used on revoke, where one (delegator, delegatee, type) triple may
-        back many cached KEM results.
+        Used on grant and revoke, where one delegation may back many
+        cached KEM results: the delegation's map goes in one pop, and
+        no other group's entries are looked at.
         """
         with self._lock:
-            doomed = [key for key in self._entries if predicate(key)]
-            for key in doomed:
-                del self._entries[key]
-            self._invalidations += len(doomed)
-            return len(doomed)
+            filed = self._groups.pop(group, None)
+            if filed is None:
+                return 0
+            for key in filed[1]:
+                del self._order[(filed[0], key)]
+            self._invalidations += len(filed[1])
+            return len(filed[1])
 
     def clear(self) -> None:
         with self._lock:
-            self._invalidations += len(self._entries)
-            self._entries.clear()
+            self._invalidations += len(self._order)
+            self._groups.clear()
+            self._order.clear()
 
     def stats(self) -> CacheStats:
         with self._lock:
             return CacheStats(
                 name=self.name,
-                size=len(self._entries),
+                size=len(self._order),
                 capacity=self.capacity,
                 hits=self._hits,
                 misses=self._misses,

@@ -24,10 +24,21 @@ for the affected delegation *after* mutating the shard, under the shard
 lock — and every cache *write* also happens under the owning shard's
 lock, so a racing transformation can never re-populate an entry after
 the invalidation that was meant to kill it.
+
+The result cache holds canonical bytes, one map per delegation:
+``{delegation: {ciphertext bytes: re-encrypted bytes}}``.  Bytes are a
+sound key because the decoders accept only canonical encodings (equal
+bytes are equal ciphertexts), and an entry exists only for bytes that
+decoded once.  A request off the wire arrives as an
+:class:`~repro.core.api.EncodedCiphertext` — header plus bytes — and is
+decompressed only on a miss, before admission and any crypto; a hit
+answers with the cached bytes as an :class:`~repro.core.api.Encoded` the
+codec writes back without serializing.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import deque
@@ -36,7 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from repro.core.api import PreBackend, resolve_backend
+from repro.core.api import Encoded, PreBackend, resolve_backend
 from repro.core.ciphertexts import ProxyKey, ReEncryptedCiphertext, TypedCiphertext
 from repro.core.proxy import (
     DEFAULT_MAX_LOG_ENTRIES,
@@ -46,6 +57,7 @@ from repro.core.proxy import (
 )
 from repro.core.scheme import TypeAndIdentityPre
 from repro.pairing.miller import PointOrderError
+from repro.serialization.encoding import EncodingError
 from repro.phr.store import EntryNotFoundError, StoredRecord
 from repro.service.batch import BatchItemError, ReEncryptBatcher
 from repro.service.cache import CacheStats, LruCache
@@ -76,6 +88,17 @@ __all__ = [
     "ResizeReport",
     "ReEncryptionGateway",
 ]
+
+
+# Bound of the table through which the audit and event logs share tenant
+# names; emptied when it fills, so a stream of distinct names cannot grow it.
+_TENANT_NAMES_LIMIT = 1024
+
+
+@functools.lru_cache(maxsize=256)
+def _served_detail(shard: str, cache_hit: bool = False) -> str:
+    """A served re-encryption's audit detail: one string per shard, not per request."""
+    return ("cache-hit shard=%s" if cache_hit else "shard=%s") % shard
 
 
 # --------------------------------------------------------------- error taxonomy
@@ -215,7 +238,7 @@ class ReEncryptRequest:
 
 @dataclass(frozen=True)
 class ReEncryptResponse:
-    ciphertext: ReEncryptedCiphertext
+    ciphertext: ReEncryptedCiphertext  # or an Encoded view of one
     shard: str
     cache_hit: bool
 
@@ -247,7 +270,7 @@ class ResizeReport:
     elapsed_ms: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditEvent:
     """One admitted-or-refused request, as the bounded audit log records it."""
 
@@ -321,6 +344,7 @@ class ReEncryptionGateway:
     _limiter: TokenBucket | None = field(init=False)
     _audit: deque = field(init=False)
     _audit_lock: threading.Lock = field(init=False, repr=False)
+    _tenant_names: dict[str, str] = field(init=False, repr=False)
     _audit_sequence: int = field(init=False, default=0)
     metrics: GatewayMetrics = field(init=False)
 
@@ -341,6 +365,7 @@ class ReEncryptionGateway:
         self._result_cache = LruCache(self.result_cache_size, name="result_cache")
         self._audit = deque(maxlen=self.max_audit_entries)
         self._audit_lock = threading.Lock()
+        self._tenant_names = {}
         self.metrics = GatewayMetrics(clock=self.clock)
         if self.telemetry:
             if self.tracer is None:
@@ -520,6 +545,13 @@ class ReEncryptionGateway:
         shard: str | None = None,
     ) -> None:
         with self._audit_lock:
+            # Each tenant's name once in the bounded logs, not once per request.
+            shared = self._tenant_names.get(tenant)
+            if shared is None:
+                if len(self._tenant_names) >= _TENANT_NAMES_LIMIT:
+                    self._tenant_names.clear()
+                shared = self._tenant_names[tenant] = tenant
+            tenant = shared
             self._audit.append(
                 AuditEvent(
                     sequence=self._audit_sequence,
@@ -610,17 +642,22 @@ class ReEncryptionGateway:
         return key
 
     def _invalidate_delegation(self, index: tuple[str, str, str, str, str]) -> None:
-        delegator_domain, delegator, delegatee_domain, delegatee, type_label = index
         self._key_cache.invalidate(index)
-        self._result_cache.invalidate_where(
-            lambda key: (
-                key[0].domain == delegator_domain
-                and key[0].identity == delegator
-                and key[0].type_label == type_label
-                and key[1] == delegatee_domain
-                and key[2] == delegatee
-            )
-        )
+        self._result_cache.invalidate_where(index)
+
+    def _decoded(self, ciphertext, op: str, tenant: str, trace: TraceContext | None):
+        """The request's ciphertext decoded; bytes that do not decode are refused."""
+        if not isinstance(ciphertext, Encoded):
+            return ciphertext
+        try:
+            return ciphertext.element
+        except (EncodingError, ValueError) as error:
+            raise self._rejection(
+                op, tenant, InvalidRequestError, "field 'ciphertext': %s" % error, trace
+            ) from error
+
+    def _encoded_result(self, blob: bytes, result=None) -> Encoded:
+        return Encoded(blob, self.backend.deserialize_reencrypted, result)
 
     # ------------------------------------------------------------ operations
 
@@ -701,12 +738,20 @@ class ReEncryptionGateway:
         self, request: ReEncryptRequest, trace: TraceContext | None = None
     ) -> ReEncryptResponse:
         """Transform one ciphertext, consulting both caches."""
+        ciphertext = request.ciphertext
+        index = ProxyKeyTable.request_index(
+            ciphertext, request.delegatee_domain, request.delegatee
+        )
+        blob = self.backend.ciphertext_bytes(ciphertext) if self._cache_results else None
+        if blob is None or not self._result_cache.contains(blob, group=index):
+            # A miss decodes before admission: bytes that do not decode are
+            # refused and never charged to the tenant's rate budget, as when
+            # the codec decoded every request.  A hit never decompresses.
+            ciphertext = self._decoded(ciphertext, "reencrypt", request.tenant, trace)
         self._admit(request.tenant, "reencrypt", trace=trace)
         start = self.clock()
-        ciphertext = request.ciphertext
-        result_key = (ciphertext, request.delegatee_domain, request.delegatee)
         with self._span(trace, "cache-lookup") as span:
-            cached = self._result_cache.get(result_key) if self._cache_results else None
+            cached = self._result_cache.get(blob, group=index) if blob is not None else None
             if span is not None:
                 span.set("hit", cached is not None)
         if cached is not None:
@@ -724,15 +769,16 @@ class ReEncryptionGateway:
                 request.tenant,
                 "reencrypt",
                 "ok",
-                "cache-hit shard=%s" % shard_name,
+                _served_detail(shard_name, cache_hit=True),
                 trace=trace,
                 latency_ms=latency_ms,
                 shard=shard_name,
             )
-            return ReEncryptResponse(ciphertext=cached, shard=shard_name, cache_hit=True)
-        index = ProxyKeyTable.request_index(
-            ciphertext, request.delegatee_domain, request.delegatee
-        )
+            return ReEncryptResponse(
+                ciphertext=self._encoded_result(cached), shard=shard_name, cache_hit=True
+            )
+        # Still encoded only if evicted since the check above.
+        ciphertext = self._decoded(ciphertext, "reencrypt", request.tenant, trace)
         with self._span(trace, "route") as span:
             route = self._route(
                 ciphertext.domain, ciphertext.identity, ciphertext.type_label
@@ -762,15 +808,18 @@ class ReEncryptionGateway:
                     raise self._rejection(
                         "reencrypt", request.tenant, InvalidRequestError, str(error), trace
                     ) from error
-                if self._cache_results:
-                    self._result_cache.put(result_key, result)
+                if blob is not None:
+                    result = self._encoded_result(
+                        self.backend.serialize_reencrypted(result), result
+                    )
+                    self._result_cache.put(blob, result.blob, group=index)
         latency_ms = (self.clock() - start) * 1000
         self.metrics.observe("reencrypt", latency_ms, shard_name, tenant=request.tenant)
         self._record_audit(
             request.tenant,
             "reencrypt",
             "ok",
-            "shard=%s" % shard_name,
+            _served_detail(shard_name),
             trace=trace,
             latency_ms=latency_ms,
             shard=shard_name,
@@ -798,6 +847,23 @@ class ReEncryptionGateway:
         """
         if not requests:
             raise InvalidRequestError("empty batch")
+        blobs = (
+            [self.backend.ciphertext_bytes(request.ciphertext) for request in requests]
+            if self._cache_results
+            else None
+        )
+        # Decode every ciphertext the cache cannot answer now, before
+        # admission (as for a single request) and before any group runs:
+        # a bad item fails the whole batch with no side effect.
+        items = []
+        for position, request in enumerate(requests):
+            ciphertext = request.ciphertext
+            index = ProxyKeyTable.request_index(
+                ciphertext, request.delegatee_domain, request.delegatee
+            )
+            if blobs is None or not self._result_cache.contains(blobs[position], group=index):
+                ciphertext = self._decoded(ciphertext, "reencrypt-batch", request.tenant, trace)
+            items.append((ciphertext, request.delegatee_domain, request.delegatee))
         if self.policy is not None:
             limit = self.policy.max_batch(requests[0].tenant)
             if limit is not None and len(requests) > limit:
@@ -821,10 +887,6 @@ class ReEncryptionGateway:
             for request in requests:
                 self._admit(request.tenant, "reencrypt-batch")
         start = self.clock()
-        items = [
-            (request.ciphertext, request.delegatee_domain, request.delegatee)
-            for request in requests
-        ]
         groups = ReEncryptBatcher.group(items)
 
         def check_delegation(group_key: tuple[str, str, str, str, str]) -> ProxyKey:
@@ -855,7 +917,7 @@ class ReEncryptionGateway:
                     )
                 return key
 
-        results: list[ReEncryptedCiphertext | None] = [None] * len(items)
+        results: list = [None] * len(items)
         hit_flags = [False] * len(items)
         shard_names = [""] * len(items)
 
@@ -874,33 +936,29 @@ class ReEncryptionGateway:
                         raise BatchItemError(group.positions[0], error) from error
                     miss_positions: list[int] = []
                     miss_ciphertexts = []
-                    miss_keys = []
-                    pending: dict = {}
+                    pending: dict[bytes, int] = {}
                     duplicates: list[tuple[int, int]] = []
                     for position, ciphertext in zip(group.positions, group.ciphertexts):
                         shard_names[position] = shard_name
-                        result_key = (ciphertext, key.delegatee_domain, key.delegatee)
-                        cached = (
-                            self._result_cache.get(result_key)
-                            if self._cache_results
-                            else None
-                        )
-                        if cached is not None:
-                            hit_flags[position] = True
-                            results[position] = cached
-                            continue
-                        if self._cache_results and result_key in pending:
-                            # Duplicate within this batch: served by the first
-                            # occurrence's computation, reported as a hit
-                            # (matching the per-item loop's put-then-get order).
-                            hit_flags[position] = True
-                            duplicates.append((position, pending[result_key]))
-                            continue
-                        if self._cache_results:
-                            pending[result_key] = len(miss_positions)
+                        if blobs is not None:
+                            blob = blobs[position]
+                            cached = self._result_cache.get(blob, group=group.group_key)
+                            if cached is not None:
+                                hit_flags[position] = True
+                                results[position] = self._encoded_result(cached)
+                                continue
+                            if blob in pending:
+                                # Duplicate within this batch: served by the first
+                                # occurrence's computation, reported as a hit
+                                # (matching the per-item loop's put-then-get order).
+                                hit_flags[position] = True
+                                duplicates.append((position, pending[blob]))
+                                continue
+                            pending[blob] = len(miss_positions)
+                        # Still encoded only if evicted since the batch checked
+                        # the cache: the backend decodes it on first read.
                         miss_positions.append(position)
                         miss_ciphertexts.append(ciphertext)
-                        miss_keys.append(result_key)
                     if not miss_positions:
                         return
                     # One batched transformation for the whole group: the
@@ -921,14 +979,17 @@ class ReEncryptionGateway:
                                 )
                             except Exception as error:  # noqa: BLE001 - rewrapped
                                 raise BatchItemError(position, error) from error
-                    for position, result_key, result in zip(
-                        miss_positions, miss_keys, transformed
-                    ):
+                    for position, result in zip(miss_positions, transformed):
+                        if blobs is not None:
+                            result = self._encoded_result(
+                                self.backend.serialize_reencrypted(result), result
+                            )
+                            self._result_cache.put(
+                                blobs[position], result.blob, group=group.group_key
+                            )
                         results[position] = result
-                        if self._cache_results:
-                            self._result_cache.put(result_key, result)
                     for position, miss_index in duplicates:
-                        results[position] = transformed[miss_index]
+                        results[position] = results[miss_positions[miss_index]]
 
             return run
 
@@ -960,7 +1021,7 @@ class ReEncryptionGateway:
                 request.tenant,
                 "reencrypt-batch",
                 "ok",
-                "shard=%s" % shard_name,
+                _served_detail(shard_name),
                 trace=trace,
                 latency_ms=per_item_ms,
                 shard=shard_name,

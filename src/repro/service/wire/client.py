@@ -201,6 +201,7 @@ class RemoteGateway:
         self.tracer: Tracer | None = Tracer() if fraction > 0.0 else None
         self.last_trace: TraceContext | None = None
         self.last_trace_echo: str | None = None
+        self._points: dict = {}  # G1 encoding -> point, see _call
         self.connections_opened = 0
         self.connections_closed = 0
         self.peak_connections = 0
@@ -509,9 +510,13 @@ class RemoteGateway:
         replayable: bool = True,
         trace: TraceContext | None = None,
     ):
-        decoded = self._round_trip(
-            method, op, message, replayable=replayable, trace=trace
-        )
+        # Points this client encodes or decompresses are filed under their
+        # encodings, so reading a response decompresses neither the
+        # request's own points nor one an earlier response carried.
+        with self.group.known_points(self._points):
+            decoded = self._round_trip(
+                method, op, message, replayable=replayable, trace=trace
+            )
         if not isinstance(decoded, expect):
             raise WireTransportError(
                 "%s returned %s, expected %s"

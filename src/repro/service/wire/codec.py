@@ -18,6 +18,15 @@ format before the backend API existed.  Decoding is round-trip exact —
 the dataclass that comes out of :func:`from_wire` compares equal to the
 one that went into :func:`to_wire`, group elements included.
 
+Re-encryption ciphertexts in both directions decode to
+:class:`~repro.core.api.Encoded` views: every structural check runs, but
+the canonical bytes are kept and points are decompressed only when a
+component is read.  A server routes and consults its result cache on
+the request's header and bytes alone, and encodes an encoded response
+by writing its bytes back; a client reading a response decompresses no
+point it already holds (see
+:meth:`~repro.pairing.group.PairingGroup.known_points`).
+
 Anything malformed — broken JSON, a non-object, a wrong ``wire``
 version, an unknown ``type``, a missing or mistyped field, a corrupt
 element envelope, or *any scheme-id mismatch* (a message or element
@@ -394,7 +403,7 @@ def _enc_reencrypt_request(backend: PreBackend, msg: ReEncryptRequest) -> dict:
     return {
         "tenant": msg.tenant,
         "ciphertext": _element_to_json(
-            backend, backend.serialize_ciphertext(msg.ciphertext), "typed-ciphertext"
+            backend, backend.ciphertext_bytes(msg.ciphertext), "typed-ciphertext"
         ),
         "delegatee_domain": msg.delegatee_domain,
         "delegatee": msg.delegatee,
@@ -402,10 +411,12 @@ def _enc_reencrypt_request(backend: PreBackend, msg: ReEncryptRequest) -> dict:
 
 
 def _dec_reencrypt_request(backend: PreBackend, body: dict) -> ReEncryptRequest:
+    # Checked to the last structural detail, kept as bytes: the gateway
+    # decompresses the ciphertext only when its result cache misses.
     return ReEncryptRequest(
         tenant=_get(body, "tenant", str),
         ciphertext=_decode_element(
-            backend.deserialize_ciphertext,
+            backend.encoded_ciphertext,
             _element_from_json(backend, body, "ciphertext"),
             "ciphertext",
         ),
@@ -417,7 +428,7 @@ def _dec_reencrypt_request(backend: PreBackend, body: dict) -> ReEncryptRequest:
 def _enc_reencrypt_response(backend: PreBackend, msg: ReEncryptResponse) -> dict:
     return {
         "ciphertext": _element_to_json(
-            backend, backend.serialize_reencrypted(msg.ciphertext), "reencrypted-ciphertext"
+            backend, backend.reencrypted_bytes(msg.ciphertext), "reencrypted-ciphertext"
         ),
         "shard": msg.shard,
         "cache_hit": msg.cache_hit,
@@ -427,7 +438,7 @@ def _enc_reencrypt_response(backend: PreBackend, msg: ReEncryptResponse) -> dict
 def _dec_reencrypt_response(backend: PreBackend, body: dict) -> ReEncryptResponse:
     return ReEncryptResponse(
         ciphertext=_decode_element(
-            backend.deserialize_reencrypted,
+            backend.encoded_reencrypted,
             _element_from_json(backend, body, "ciphertext"),
             "ciphertext",
         ),

@@ -5,8 +5,12 @@ deserializers and decryptors; none of that may crash with an unexpected
 exception type, loop, or — worst — silently succeed.
 """
 
+import base64
+import functools
+import json
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hybrid.symmetric import AuthenticationError, open_sealed, seal
@@ -142,3 +146,134 @@ class TestSchemeInputFuzz:
         proxy_key = scheme.pextract(alice, "bob", type_b, kgc2.params, rng)
         mixed = scheme.preenc(ciphertext, proxy_key, unchecked=True)
         assert scheme.decrypt_reencrypted(mixed, bob) != message
+
+
+# ------------------------------------------- re-encrypt requests off the wire
+
+
+@functools.lru_cache(maxsize=None)
+def _wire_universe():
+    """Seeded parties and keys, plus one request to cache (built once)."""
+    from repro.service.driver import DELEGATEE_DOMAIN, build_setting
+    from repro.service.gateway import ReEncryptRequest
+
+    setting = build_setting(
+        group_name="TOY", shard_count=2, n_patients=2, n_delegatees=2, n_types=2,
+        ciphertexts_per_pair=1, seed="fuzz-wire",
+    )
+    (patient, _type_label), entries = sorted(setting.pool.items())[0]
+    request = ReEncryptRequest(patient, entries[0][0], DELEGATEE_DOMAIN, setting.delegatees[0])
+    keys = tuple(setting.gateway.list_keys())
+    setting.gateway.close()
+    return setting.backend, keys, request
+
+
+def _primed_gateway():
+    """A fresh gateway holding every key, with the universe's request cached."""
+    from repro.service.gateway import GrantRequest, ReEncryptionGateway
+    from repro.service.wire import to_wire
+
+    backend, keys, request = _wire_universe()
+    gateway = ReEncryptionGateway(backend, shard_count=2, telemetry=False)
+    for key in keys:
+        gateway.grant(GrantRequest(tenant="t", proxy_key=key))
+    text = to_wire(backend, request)
+    assert [_serve(gateway, text).cache_hit for _ in range(2)] == [False, True]
+    return gateway, json.loads(text)
+
+
+def _serve(gateway, text):
+    """``from_wire`` then ``gateway.reencrypt``: a response or the refusal."""
+    from repro.service.gateway import (
+        DelegationNotFoundError,
+        InvalidRequestError,
+        ReEncryptRequest,
+    )
+    from repro.service.wire import from_wire
+
+    try:
+        return gateway.reencrypt(from_wire(gateway.backend, text, expect=ReEncryptRequest))
+    except (InvalidRequestError, DelegationNotFoundError) as refusal:
+        return refusal
+
+
+def _with_payload(message: dict, blob: bytes) -> str:
+    message["body"]["ciphertext"]["payload"] = base64.b64encode(blob).decode("ascii")
+    return json.dumps(message)
+
+
+def _transformation(blob: bytes):
+    """The re-encryption of the ciphertext ``blob`` for the universe's delegatee."""
+    backend, keys, request = _wire_universe()
+    ciphertext = backend.deserialize_ciphertext(blob)
+    (key,) = [
+        key for key in keys
+        if key.matches(ciphertext) and key.delegatee == request.delegatee
+    ]
+    return backend.reencrypt(ciphertext, key)
+
+
+def _check_served(gateway, blob: bytes, outcome) -> None:
+    """A served answer is a miss, and the transformation of exactly ``blob``."""
+    from repro.service.gateway import ReEncryptResponse
+
+    if not isinstance(outcome, ReEncryptResponse):
+        return
+    assert not outcome.cache_hit
+    assert outcome.ciphertext == _transformation(blob)
+
+
+class TestReEncryptRequestFuzz:
+    """``from_wire`` plus ``gateway.reencrypt`` on hostile ciphertext bytes:
+    the answer is the cached result for byte-identical input, a fresh
+    transformation of exactly the bytes sent, ``invalid-request`` or
+    ``no-delegation`` — never another exception, never a stale hit."""
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_arbitrary_payload_bytes(self, data):
+        gateway, message = _primed_gateway()
+        cached = base64.b64decode(message["body"]["ciphertext"]["payload"])
+        # Random bytes are almost never the cached ones, so send those too.
+        if data.draw(st.booleans(), label="send the cached bytes"):
+            blob = cached
+        else:
+            blob = data.draw(st.binary(max_size=200), label="blob")
+        outcome = _serve(gateway, _with_payload(message, blob))
+        if blob == cached:
+            assert outcome.cache_hit and outcome.ciphertext == _transformation(blob)
+        else:
+            _check_served(gateway, blob, outcome)
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_single_byte_mutation_of_a_cached_request(self, data):
+        gateway, message = _primed_gateway()
+        cached = base64.b64decode(message["body"]["ciphertext"]["payload"])
+        position = data.draw(st.integers(0, len(cached) - 1), label="position")
+        value = data.draw(st.integers(0, 255).filter(lambda v: v != cached[position]))
+        blob = cached[:position] + bytes([value]) + cached[position + 1:]
+        outcome = _serve(gateway, _with_payload(message, blob))
+        _check_served(gateway, blob, outcome)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_random_elements_behind_a_valid_header(self, data):
+        """Random c1/c2 bytes: structural refusals come from the codec, and
+        a c1 whose square root fails is refused on the miss."""
+        backend, _keys, request = _wire_universe()
+        group = backend.group
+        gateway, message = _primed_gateway()
+        ciphertext = request.ciphertext
+        c1 = data.draw(st.binary(min_size=group.g1_element_size(),
+                                 max_size=group.g1_element_size()), label="c1")
+        c1 = bytes([data.draw(st.sampled_from([0, 1, 2]), label="tag")]) + c1[1:]
+        c2 = data.draw(st.binary(min_size=group.gt_element_size(),
+                                 max_size=group.gt_element_size()), label="c2")
+        canonical = backend.serialize_ciphertext(ciphertext)
+        blob = canonical.replace(group.serialize_g1(ciphertext.c1), c1).replace(
+            group.serialize_gt(ciphertext.c2), c2
+        )
+        outcome = _serve(gateway, _with_payload(message, blob))
+        _check_served(gateway, blob, outcome)
+

@@ -1,5 +1,8 @@
 """Tests for the gateway's LRU caches and their accounting."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.bench.counters import count_operations
@@ -104,11 +107,14 @@ class TestInvalidation:
     def test_invalidate_where(self):
         cache = LruCache(8)
         for i in range(6):
-            cache.put(("alice" if i % 2 else "bob", i), i)
-        dropped = cache.invalidate_where(lambda key: key[0] == "alice")
+            cache.put(i, i, group="alice" if i % 2 else "bob")
+        dropped = cache.invalidate_where("alice")
         assert dropped == 3
         assert len(cache) == 3
-        assert all(key[0] == "bob" for key in [("bob", 0), ("bob", 2), ("bob", 4)] if key in cache)
+        assert [i for i in range(6) if cache.contains(i, group="bob")] == [0, 2, 4]
+        assert not any(cache.contains(i, group="alice") for i in range(6))
+        assert cache.invalidate_where("alice") == 0
+        assert cache.stats().invalidations == 3
 
     def test_clear(self):
         cache = LruCache(4)
@@ -119,89 +125,83 @@ class TestInvalidation:
         assert cache.stats().invalidations == 2
 
 
-class TestGetOrCompute:
-    def test_computes_once(self):
+class TestGroups:
+    def test_same_key_in_two_groups_is_two_entries(self):
         cache = LruCache(4)
-        calls = []
+        cache.put("k", 1, group="g1")
+        cache.put("k", 2, group="g2")
+        assert cache.get("k", group="g1") == 1 and cache.get("k", group="g2") == 2
+        assert cache.get("k") is None  # the ungrouped entry was never put
+        assert len(cache) == 2
 
-        def compute():
-            calls.append(1)
-            return "value"
+    def test_one_recency_order_across_groups(self):
+        cache = LruCache(3)
+        cache.put("a", 1, group="g1")
+        cache.put("b", 2, group="g2")
+        cache.put("c", 3, group="g1")
+        cache.get("a", group="g1")  # "b" (in g2) is now the LRU entry
+        cache.put("d", 4, group="g3")
+        assert not cache.contains("b", group="g2")
+        assert all(cache.contains(k, group=g) for k, g in (("a", "g1"), ("c", "g1"), ("d", "g3")))
+        cache.put("e", 5, group="g3")  # evicts "c": g1 keeps only "a"
+        assert cache.contains("a", group="g1") and not cache.contains("c", group="g1")
 
-        assert cache.get_or_compute("k", compute) == "value"
-        assert cache.get_or_compute("k", compute) == "value"
-        assert len(calls) == 1
+    def test_contains_touches_neither_stats_nor_recency(self):
+        cache = LruCache(2)
+        cache.put("a", 1, group="g")
+        cache.put("b", 2, group="g")
+        assert cache.contains("a", group="g") and not cache.contains("a")
+        cache.put("c", 3, group="g")  # "a" is still the LRU entry
+        assert not cache.contains("a", group="g")
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (0, 0)
 
-    def test_failed_compute_caches_nothing(self):
+    def test_invalidate_where_leaves_other_groups_in_order(self):
+        cache = LruCache(3)
+        cache.put("a", 1, group="keep")
+        cache.put("a", 2, group="drop")
+        cache.put("b", 3, group="keep")
+        assert cache.invalidate_where("drop") == 1
+        cache.put("c", 4, group="keep")
+        cache.put("d", 5, group="keep")  # full again: "a" is the oldest left
+        assert not cache.contains("a", group="keep")
+        assert [cache.get(k, group="keep") for k in "bcd"] == [3, 4, 5]
+
+    def test_invalidate_one_grouped_entry(self):
         cache = LruCache(4)
-        with pytest.raises(RuntimeError):
-            cache.get_or_compute("k", lambda: (_ for _ in ()).throw(RuntimeError("boom")))
-        assert "k" not in cache
+        cache.put("a", 1, group="g")
+        assert not cache.invalidate("a")
+        assert cache.invalidate("a", group="g")
+        assert len(cache) == 0 and cache.invalidate_where("g") == 0
 
-    def test_cached_none_is_not_recomputed(self):
-        cache = LruCache(4)
-        calls = []
+    def test_concurrent_grouped_traffic_keeps_the_books(self):
+        """More threads than cores put, get and drop groups on one small
+        cache; every entry stays filed in exactly one place."""
+        cache = LruCache(16)
+        gets = [0] * 8
 
-        def compute():
-            calls.append(1)
-            return None
+        def worker(index):
+            for step in range(400):
+                group = (index + step) % 5
+                cache.put(step % 7, (group, step % 7), group=group)
+                value = cache.get(step % 7, group=group)
+                gets[index] += 1
+                assert value is None or value == (group, step % 7)
+                if step % 50 == 0:
+                    cache.invalidate_where(group)
 
-        assert cache.get_or_compute("k", compute) is None
-        assert cache.get_or_compute("k", compute) is None
-        assert len(calls) == 1
-
-    def test_concurrent_misses_are_single_flight(self):
-        """Two threads missing on one key must run ``compute`` once.
-
-        Regression test for the documented compute-twice race: the first
-        caller is held *inside* its compute while a second caller arrives;
-        without per-key single-flight locking the second compute runs too
-        (and this test fails on the old code).
-        """
-        import threading
-
-        cache = LruCache(4)
-        first_entered = threading.Event()
-        release_first = threading.Event()
-        second_computes = []
-        results = []
-
-        def first_compute():
-            first_entered.set()
-            assert release_first.wait(timeout=5.0), "test deadlock"
-            return "first"
-
-        def second_compute():
-            second_computes.append(1)
-            return "second"
-
-        def first_caller():
-            results.append(cache.get_or_compute("k", first_compute))
-
-        def second_caller():
-            results.append(cache.get_or_compute("k", second_compute))
-
-        thread_1 = threading.Thread(target=first_caller)
-        thread_1.start()
-        assert first_entered.wait(timeout=5.0)
-        # First caller is mid-compute; the second must block, not compute.
-        thread_2 = threading.Thread(target=second_caller)
-        thread_2.start()
-        # Give the second caller time to (wrongly) race into its compute
-        # on the old code; on the new code it parks on the flight lock.
-        thread_2.join(timeout=0.3)
-        release_first.set()
-        thread_1.join(timeout=5.0)
-        thread_2.join(timeout=5.0)
-
-        assert second_computes == [], "second caller computed despite the in-flight first"
-        assert results == ["first", "first"]
-        assert cache.get("k") == "first"
-
-    def test_single_flight_releases_key_after_failed_compute(self):
-        """A failed flight leaves no lock behind; the next caller computes."""
-        cache = LruCache(4)
-        with pytest.raises(RuntimeError):
-            cache.get_or_compute("k", lambda: (_ for _ in ()).throw(RuntimeError("boom")))
-        assert cache.get_or_compute("k", lambda: "ok") == "ok"
-        assert cache._flights == {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = cache.stats()
+        assert stats.hits + stats.misses == sum(gets)
+        filed = sum(len(entries) for _group, entries in cache._groups.values())
+        assert filed == len(cache) == stats.size <= 16

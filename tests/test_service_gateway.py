@@ -309,6 +309,32 @@ class TestAuditAndMetrics:
         # Oldest dropped, newest kept, sequence numbers keep counting.
         assert [event.sequence for event in audit] == [4, 5, 6, 7, 8]
 
+    def test_audit_keeps_one_copy_of_a_tenant_name_in_a_bounded_table(
+        self, pre_setting, monkeypatch
+    ):
+        from repro.service import gateway as gateway_module
+
+        scheme, _, _, _, _ = pre_setting
+        gateway = ReEncryptionGateway(scheme, shard_count=1, store=EncryptedPhrStore())
+
+        def refuse(tenant):
+            with pytest.raises(EntryMissingError):
+                gateway.fetch(FetchRequest(tenant=tenant, patient="p", entry_id="e"))
+
+        # Equal names decoded from two requests are two string objects.
+        first, second = ("tenant-%d" % 1, "tenant-%d" % 1)
+        assert first is not second
+        refuse(first)
+        refuse(second)
+        assert gateway.audit[-1].tenant is gateway.audit[-2].tenant
+        # A stream of distinct names empties the table instead of growing it.
+        monkeypatch.setattr(gateway_module, "_TENANT_NAMES_LIMIT", 4)
+        names = ["tenant-%d" % (i % 6) for i in range(30)]
+        for name in names:
+            refuse(name)
+        assert [event.tenant for event in gateway.audit][-30:] == names
+        assert len(gateway._tenant_names) <= 4
+
     def test_snapshot_accounts_requests(self, setting):
         _, gateway, _, ciphertext, _ = setting
         gateway.reencrypt(_reencrypt_request(ciphertext))

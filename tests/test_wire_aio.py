@@ -12,6 +12,8 @@ TLS variants, and the one-socket multiplexing bound.
 
 from __future__ import annotations
 
+import base64
+import collections
 import dataclasses
 import http.client
 import itertools
@@ -27,6 +29,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.math.drbg import HmacDrbg
+from repro.pairing import group as group_module
 from repro.serialization.containers import serialize_reencrypted
 from repro.service.auth import (
     AuthRequiredError,
@@ -165,7 +169,9 @@ def _op_sequence(setting):
         ("POST", PREFIX + "/grant", wire(r0)),  # wrong message type for endpoint
         ("POST", "/v1/nonsense", b"{}"),
         ("POST", PREFIX + "/revoke", wire(revoke_of(key0, "cc" * 16))),
-        ("POST", PREFIX + "/reencrypt", wire(r0)),  # revoked: error-path parity
+        # key0 is not r0's delegation: revoking it must leave r0's cached
+        # answer in place, so this is a cache hit on another delegation.
+        ("POST", PREFIX + "/reencrypt", wire(r0)),
         ("POST", PREFIX + "/grant", wire(GrantRequest(tenant="t", proxy_key=key0))),
     ]
 
@@ -335,6 +341,171 @@ class TestCrossStackConformance:
                 client.reencrypt(request)
             with pytest.raises(StoreUnavailableError):
                 client.fetch(FetchRequest(tenant="t", patient="p"))
+
+
+class TestRevocationThroughTheCache:
+    """A revoke or re-grant reaches results already in the result cache."""
+
+    @staticmethod
+    def _revoke(client, request):
+        ciphertext = request.ciphertext
+        return client.revoke(
+            RevokeRequest(
+                tenant=request.tenant,
+                delegator_domain=ciphertext.domain,
+                delegator=ciphertext.identity,
+                delegatee_domain=request.delegatee_domain,
+                delegatee=request.delegatee,
+                type_label=ciphertext.type_label,
+            )
+        )
+
+    def test_revoked_delegation_is_refused_alone_and_in_a_batch(self, three_stacks):
+        settings_, clients = three_stacks
+        for setting, client in zip(settings_, clients):
+            request, other = _reencrypt_requests(setting)
+            assert not client.reencrypt(request).cache_hit
+            assert client.reencrypt(request).cache_hit
+            client.reencrypt(other)
+            assert self._revoke(client, request).removed
+            with pytest.raises(DelegationNotFoundError):
+                client.reencrypt(request)
+            with pytest.raises(DelegationNotFoundError):
+                client.reencrypt_batch([request])
+            with pytest.raises(DelegationNotFoundError):
+                client.reencrypt_batch([other, request])
+            assert client.reencrypt(other).cache_hit  # another delegation's entry stays
+
+    def test_regranting_another_key_never_replays_the_old_result(self, three_stacks):
+        settings_, clients = three_stacks
+        for setting, client in zip(settings_, clients):
+            request = _reencrypt_requests(setting, 1)[0]
+            ciphertext = request.ciphertext
+            (_pair, entries), *_rest = sorted(setting.pool.items())
+            assert entries[0][0] == ciphertext
+            message = entries[0][1]
+            old = client.reencrypt(request).ciphertext
+            assert client.reencrypt(request).cache_hit
+            for step, revoke_first in enumerate((True, False)):
+                if revoke_first:
+                    self._revoke(client, request)
+                key = setting.backend.rekey(
+                    ciphertext.domain,
+                    ciphertext.identity,
+                    request.delegatee_domain,
+                    request.delegatee,
+                    ciphertext.type_label,
+                    HmacDrbg("regrant-%d" % step),
+                )
+                client.grant(GrantRequest(tenant=request.tenant, proxy_key=key))
+                expected = setting.backend.reencrypt(ciphertext, key)
+                for responses in ([client.reencrypt(request)], client.reencrypt_batch([request])):
+                    (response,) = responses
+                    assert response.ciphertext == expected and response.ciphertext != old
+                    assert setting.backend.decrypt_reencrypted(
+                        response.ciphertext, request.delegatee_domain, request.delegatee
+                    ) == message
+                old = expected
+
+
+def _undecodable_bodies(setting, good, bad):
+    """``bad`` alone and ``[good, bad]`` as a batch, on the wire with
+    ``bad``'s c1 replaced by an x off the curve; plus the 400 body the
+    codec answered for such bytes when it decoded every request."""
+    backend, group = setting.gateway.backend, setting.group
+    message = json.loads(to_wire(backend, bad))
+    envelope = message["body"]["ciphertext"]
+    canonical = group.serialize_g1(bad.ciphertext.c1)
+    off_curve = next(x for x in range(1, 1000) if group.params.curve.lift_x(x) is None)
+    tampered = b"\x00" + off_curve.to_bytes(len(canonical) - 1, "big")
+    envelope["payload"] = base64.b64encode(
+        base64.b64decode(envelope["payload"]).replace(canonical, tampered)
+    ).decode()
+    items = [json.loads(to_wire(backend, good))["body"], message["body"]]
+    batch = {**message, "type": "reencrypt-batch-request", "body": {"requests": items}}
+    expected = {
+        "body": {
+            "code": "invalid-request",
+            "message": "field 'ciphertext': x-coordinate is not on the curve",
+        },
+        "scheme": backend.scheme_id,
+        "type": "error",
+        "wire": "repro-gateway/v1",
+    }
+    return json.dumps(message), json.dumps(batch), expected
+
+
+class TestCiphertextDecodedOnAMiss:
+    def test_undecodable_c1_is_invalid_request_on_every_stack(self, three_stacks):
+        """Decompressing c1 waits for a cache miss; failing there answers
+        exactly what failing in the codec answered: 400 invalid-request."""
+        settings_, clients = three_stacks
+        for setting, client in zip(settings_, clients):
+            good, bad = _reencrypt_requests(setting)
+            single, batch, expected = _undecodable_bodies(setting, good, bad)
+            for body in (single, batch):
+                status, raw = client._raw_request("POST", PREFIX + "/reencrypt", body.encode())
+                assert (status, json.loads(raw)) == (400, expected)
+            # The failed batch ran nothing: its good item is still a miss.
+            assert setting.gateway.cache_stats()["result_cache"].size == 0
+            assert not client.reencrypt(good).cache_hit
+
+    def test_undecodable_c1_is_refused_before_the_rate_limit(self, three_stacks):
+        """A miss decodes before admission, as the codec did: a tenant over
+        its budget still gets 400 invalid-request for bytes that do not
+        decode, and such bytes spend none of the budget."""
+        settings_, clients = three_stacks
+        for setting, client in zip(settings_, clients):
+            good, bad = _reencrypt_requests(setting)
+            assert good.tenant == bad.tenant
+            single, batch, expected = _undecodable_bodies(setting, good, bad)
+            setting.gateway.set_rate_limit(1e-6, burst=2.0)
+            for body in (single, batch):
+                status, raw = client._raw_request("POST", PREFIX + "/reencrypt", body.encode())
+                assert (status, json.loads(raw)) == (400, expected)
+            # The refusals spent nothing: the whole budget of two is left.
+            assert not client.reencrypt(good).cache_hit
+            assert client.reencrypt(good).cache_hit
+            for body in (single, batch):  # over budget, good item cached
+                status, raw = client._raw_request("POST", PREFIX + "/reencrypt", body.encode())
+                assert (status, json.loads(raw)) == (400, expected)
+            with pytest.raises(RateLimitedError):
+                client.reencrypt(good)
+
+    def test_decompressions_on_each_side_of_the_mux(self, mux_loopback, monkeypatch):
+        """The server decompresses a request only on a miss; the client
+        never decompresses its request's own c1 or a blind it decoded."""
+        setting, _server, client = mux_loopback
+        counts: collections.Counter = collections.Counter()
+        caller = threading.get_ident()
+        record = group_module.record_operation
+
+        def counting(kind, amount=1):
+            record(kind, amount)
+            if kind == "g1_decompress":
+                counts["client" if threading.get_ident() == caller else "server"] += amount
+
+        monkeypatch.setattr(group_module, "record_operation", counting)
+        request = _reencrypt_requests(setting, 1)[0]
+        miss = client.reencrypt(request)
+        assert not miss.cache_hit and counts == {"server": 1}
+        miss.ciphertext.element  # c1 is the request's own; the blind is new
+        assert counts == {"server": 1, "client": 1}
+        counts.clear()
+        hit = client.reencrypt(request)
+        assert hit.cache_hit and hit.ciphertext.element == miss.ciphertext.element
+        assert counts == {}
+        ciphertext = request.ciphertext
+        message = setting.backend.sample_message(HmacDrbg("fresh-message"))
+        fresh = setting.backend.encrypt(
+            ciphertext.domain, ciphertext.identity, message, ciphertext.type_label,
+            HmacDrbg("fresh"),
+        )
+        other = client.reencrypt(dataclasses.replace(request, ciphertext=fresh))
+        assert setting.backend.decrypt_reencrypted(
+            other.ciphertext, request.delegatee_domain, request.delegatee
+        ) == message
+        assert not other.cache_hit and counts == {"server": 1}
 
 
 # ------------------------------------------------------- HTTP/1.1 transports
@@ -659,6 +830,49 @@ class TestMultiplexing:
         assert stats.streams_total >= 97  # negotiation + warm-up + 32 * 3
         assert stats.streams_in_flight == 0
         assert client.peak_streams <= server.max_streams
+
+    def test_threads_sharing_known_points_read_their_own_results(self, mux_loopback):
+        """The client's known points are shared by every calling thread;
+        each thread still reads back exactly its own transformation."""
+        setting, _server, client = mux_loopback
+        requests = [
+            ReEncryptRequest(
+                tenant=patient,
+                ciphertext=ciphertext,
+                delegatee_domain=DELEGATEE_DOMAIN,
+                delegatee=delegatee,
+            )
+            for (patient, _type_label), entries in sorted(setting.pool.items())
+            for ciphertext, _message in entries
+            for delegatee in setting.delegatees
+        ]
+        keys = {
+            (key.delegator, key.delegatee, key.type_label): key
+            for key in setting.gateway.list_keys()
+        }
+        mismatches = []
+
+        def worker(offset):
+            for request in requests[offset:] + requests[:offset]:
+                ciphertext = request.ciphertext
+                key = keys[(ciphertext.identity, request.delegatee, ciphertext.type_label)]
+                if client.reencrypt(request).ciphertext != setting.backend.reencrypt(
+                    ciphertext, key
+                ):
+                    mismatches.append(request)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
 
     @settings(max_examples=5, deadline=None)
     @given(n_threads=st.integers(min_value=2, max_value=12))
