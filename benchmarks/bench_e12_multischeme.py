@@ -2,17 +2,17 @@
 
 PR 4 promoted the bench-only adapter lifecycle into the backend API the
 whole service stack runs on; this experiment is the payoff measured: the
-E9-style gateway workload (sharded fleet, key + result caches, grouped
+E9-style gateway workload (sharded fleet, result cache, grouped
 batching, decrypt-and-compare verification) swept across the registered
 scheme backends.  Three readings per scheme:
 
 1. **Gateway throughput** — the same seeded request stream, so the
    differences are the schemes' transformation costs, not workload
    shape.
-2. **Cache efficacy** — hit rates of the proxy-key and KEM-result
-   caches.  Every current backend declares ``deterministic_reencrypt``,
-   so the result cache is live for all of them; the sweep shows how much
-   of each scheme's pairing cost the cache actually absorbs.
+2. **Cache efficacy** — hit rate of the KEM-result cache.  Every
+   current backend declares ``deterministic_reencrypt``, so the result
+   cache is live for all of them; the sweep shows how much of each
+   scheme's pairing cost the cache actually absorbs.
 3. **Batching gain** — batched vs unbatched wall clock, per scheme.
 
 TOY parameters: like E9/E10/E11 this measures workload structure, not
@@ -71,7 +71,6 @@ def test_e12_multischeme_gateway_sweep():
         assert verified_u > 0 and verified_b > 0, (
             "end-to-end verification failed for %s" % scheme_id
         )
-        key_cache = snapshot.caches["key_cache"]
         result_cache = snapshot.caches["result_cache"]
         rows.append(
             [
@@ -80,7 +79,6 @@ def test_e12_multischeme_gateway_sweep():
                 "%.0f" % (REQUESTS / unbatched_s),
                 "%.0f" % (REQUESTS / batched_s),
                 "%.2fx" % (unbatched_s / batched_s),
-                "%.0f%%" % (100 * key_cache.hit_rate),
                 "%.0f%%" % (100 * result_cache.hit_rate),
                 str(verified_u + verified_b),
             ]
@@ -95,7 +93,6 @@ def test_e12_multischeme_gateway_sweep():
             "req/s",
             "req/s batched",
             "batch gain",
-            "key-cache hits",
             "result-cache hits",
             "verified",
         ],

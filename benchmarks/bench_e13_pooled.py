@@ -67,7 +67,7 @@ from repro.service.wire import GatewayHttpServer, RemoteGateway
 
 THREADS = 8
 SHARDS = 16  # spreads the 8 per-thread route keys so shard locks rarely collide
-REMOTE_RTT_S = 0.005  # modelled service latency of one remote shard call (as E10)
+REMOTE_RTT_S = 0.005  # modelled service latency of one remote shard call
 
 
 @dataclass

@@ -62,7 +62,7 @@ print("batched re-encryption: 3 plaintexts recovered by bob: OK")
 replay = gateway.reencrypt(requests[0])
 print("replayed request served from cache:", replay.cache_hit)
 
-# 5. Revocation invalidates the caches too; the request now fails, typed.
+# 5. Revocation drops the cached results too; the request now fails, typed.
 gateway.revoke(
     RevokeRequest(
         tenant="alice",

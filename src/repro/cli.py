@@ -380,7 +380,6 @@ def _cmd_serve(args) -> int:
                 # Literals mirror the parser defaults in _build_parser.
                 ("--shards", args.shards != 4),
                 ("--rate", args.rate is not None),
-                ("--workers", args.workers != 0),
                 ("--state-dir", args.state_dir is not None),
                 ("--host", args.host != "127.0.0.1"),
                 ("--event-log", args.event_log is not None),
@@ -433,7 +432,6 @@ def _cmd_serve(args) -> int:
         seed=args.seed or "gateway-demo",
         batch_size=args.batch,
         rate_per_s=args.rate,
-        workers=args.workers,
         state_dir=args.state_dir,
     )
     print_table(
@@ -525,7 +523,6 @@ def _serve_http(args, scheme_ids: list[str]) -> int:
                     create_backend(scheme_id, groups[scheme_id]),
                     shard_count=args.shards,
                     rate_per_s=args.rate,
-                    workers=args.workers,
                     state_dir=state_dir,
                     event_log=event_log,
                     policy=policy,
@@ -781,8 +778,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--requests", type=int, default=200)
     p.add_argument("--batch", type=int, default=0, help="batch size (0/1 = unbatched)")
     p.add_argument("--rate", type=float, default=None, help="per-tenant requests/second cap")
-    p.add_argument("--workers", type=int, default=0,
-                   help="shard-pool threads (0 = sequential batch execution)")
     p.add_argument("--state-dir", default=None,
                    help="directory for durable per-shard key logs (survives restarts)")
     p.add_argument("--http", type=int, default=None, metavar="PORT",

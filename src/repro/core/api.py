@@ -2,7 +2,7 @@
 
 The paper positions its construction inside a family of proxy
 re-encryption schemes (AFGH, BBS, Green--Ateniese, Matsuo-style, ...).
-Everything above :mod:`repro.core` — the gateway, the shard pool, the
+Everything above :mod:`repro.core` — the gateway, its shard locks, the
 durable key table, the wire protocol, the CLI — used to be hard-wired to
 :class:`~repro.core.scheme.TypeAndIdentityPre`.  This module promotes the
 uniform five-step lifecycle the benchmarks already used,

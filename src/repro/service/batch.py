@@ -3,29 +3,27 @@
 A clinical workload re-encrypts many ciphertexts for the same (delegator,
 delegatee, type) triple in bursts — a doctor opening a patient's history
 pulls every entry of a category at once.  Each transformation needs the
-same proxy key, so the batcher resolves the key **once per group** and
-applies the pairing-side transformation per item, instead of paying a
-routing hop and table/cache lookup per ciphertext.
+same proxy key, so a batch resolves the key **once per group** and
+transforms the group's items together, instead of paying a routing hop
+and table lookup per ciphertext.
 
-The batcher is deliberately pure orchestration: it never touches shards
-or caches itself.  The gateway hands it two callables — one that resolves
-a group's key and one that transforms a single ciphertext with a resolved
-key — which keeps the grouping logic trivially testable and reusable over
-any execution backend.
+The batcher only partitions: it never touches shards or caches, and it
+runs no transformation.  The gateway groups a batch here, checks every
+group's delegation through :meth:`ReEncryptBatcher.resolve_all`, then
+transforms the groups itself, one after another in submission order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
-from repro.core.ciphertexts import ProxyKey, ReEncryptedCiphertext, TypedCiphertext
+from repro.core.ciphertexts import ProxyKey, TypedCiphertext
 
 __all__ = ["BatchGroup", "ReEncryptBatcher", "BatchItemError"]
 
 # (delegator_domain, delegator, delegatee_domain, delegatee, type_label)
 GroupKey = tuple[str, str, str, str, str]
-T = TypeVar("T")
 
 
 class BatchItemError(Exception):
@@ -47,7 +45,7 @@ class BatchGroup:
 
 
 class ReEncryptBatcher:
-    """Groups (ciphertext, delegatee) pairs by delegation and executes them."""
+    """Groups (ciphertext, delegatee) pairs by delegation."""
 
     @staticmethod
     def group(
@@ -86,9 +84,8 @@ class ReEncryptBatcher:
 
         A missing delegation (the realistic failure) aborts the batch
         with :class:`BatchItemError` carrying the group's first position,
-        before side effects accumulate — the gateway relies on this to
-        run the transformation phase concurrently without partial work
-        becoming visible on that failure mode.
+        before side effects accumulate: the gateway checks a whole batch
+        this way before it transforms any group.
         """
         keys: dict[GroupKey, ProxyKey] = {}
         for group in groups:
@@ -97,30 +94,3 @@ class ReEncryptBatcher:
             except Exception as error:  # noqa: BLE001 - rewrapped with position
                 raise BatchItemError(group.positions[0], error) from error
         return keys
-
-    @staticmethod
-    def execute(
-        items: Sequence[tuple[TypedCiphertext, str, str]],
-        resolve_key: Callable[[GroupKey], ProxyKey],
-        transform: Callable[[TypedCiphertext, ProxyKey, int], ReEncryptedCiphertext],
-    ) -> list[ReEncryptedCiphertext]:
-        """Run a batch: one ``resolve_key`` per group, one ``transform`` per item.
-
-        Results come back in submission order; ``transform`` also receives
-        the item's submission position, so callers can attribute per-item
-        state (shard, cache hit) without re-deriving it.  *Every* group's
-        key is resolved (via :meth:`resolve_all`) before *any*
-        transformation runs.  A mid-batch ``transform`` failure still
-        aborts with the offending position.
-        """
-        groups = ReEncryptBatcher.group(items)
-        keys = ReEncryptBatcher.resolve_all(groups, resolve_key)
-        results: list[ReEncryptedCiphertext | None] = [None] * len(items)
-        for group in groups:
-            key = keys[group.group_key]
-            for position, ciphertext in zip(group.positions, group.ciphertexts):
-                try:
-                    results[position] = transform(ciphertext, key, position)
-                except Exception as error:  # noqa: BLE001 - rewrapped with position
-                    raise BatchItemError(position, error) from error
-        return results  # type: ignore[return-value]  # every slot filled above

@@ -1,16 +1,12 @@
-"""LRU caching for the gateway's two hot lookups.
+"""The gateway's LRU result cache.
 
-Two caches front the shards:
-
-* the **proxy-key cache** short-circuits the shard's key-table lookup for
-  the (delegator, delegatee, type) triples that dominate a workload;
-* the **KEM-result cache** stores the output of ``Preenc`` as canonical
-  bytes, one map per delegation: ``{delegation: {ciphertext bytes:
-  re-encrypted bytes}}``.  ``Preenc`` is deterministic — the transformed
-  ciphertext is a pure function of the input ciphertext and the installed
-  key — so replaying a cached result is sound as long as the delegation's
-  map is dropped when its key changes, which the gateway does on every
-  grant and revoke.
+The **KEM-result cache** stores the output of ``Preenc`` as canonical
+bytes, one map per delegation: ``{delegation: {ciphertext bytes:
+re-encrypted bytes}}``.  ``Preenc`` is deterministic — the transformed
+ciphertext is a pure function of the input ciphertext and the installed
+key — so replaying a cached result is sound as long as the delegation's
+map is dropped when its key changes, which the gateway does on every
+grant and revoke.
 
 Every entry lives in a group (``None`` unless the caller names one), and
 one recency order spans all groups: eviction takes the least recently
@@ -33,9 +29,6 @@ from typing import Any, Hashable
 from repro.bench.counters import record_operation
 
 __all__ = ["LruCache", "CacheStats"]
-
-# Distinguishes "not cached" from "cached None" in invalidate's counter.
-_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -60,7 +53,7 @@ class LruCache:
     """A bounded, grouped mapping with least-recently-used eviction.
 
     Thread-safe: a single internal lock covers entries *and* counters, so
-    concurrent shard workers never corrupt the recency order or lose a
+    concurrent gateway calls never corrupt the recency order or lose a
     hit/miss increment (the consistency the stress tests assert on).
     """
 
@@ -123,32 +116,12 @@ class LruCache:
             filed[1][key] = value
             if len(self._order) > self.capacity:
                 oldest_group, oldest_key = self._order.popitem(last=False)[0]
-                self._drop(oldest_group, oldest_key)
+                entries = self._groups[oldest_group][1]
+                del entries[oldest_key]
+                if not entries:
+                    del self._groups[oldest_group]
                 self._evictions += 1
                 record_operation(self._eviction_op)
-
-    def _drop(self, group: Hashable, key: Hashable) -> None:
-        """Remove ``key`` from its group's map (the lock is held)."""
-        entries = self._groups[group][1]
-        del entries[key]
-        if not entries:
-            del self._groups[group]
-
-    def invalidate(self, key: Hashable, group: Hashable = None) -> bool:
-        """Drop one entry; returns False when it was not cached.
-
-        The absence check uses a private sentinel, not ``None``: a cached
-        value of ``None`` is a real entry, and dropping it must count as
-        an invalidation and return True.
-        """
-        with self._lock:
-            filed = self._groups.get(group)
-            if filed is None or filed[1].get(key, _MISSING) is _MISSING:
-                return False
-            del self._order[(filed[0], key)]
-            self._drop(group, key)
-            self._invalidations += 1
-            return True
 
     def invalidate_where(self, group: Hashable) -> int:
         """Drop every entry filed under ``group``; returns the count.
@@ -165,12 +138,6 @@ class LruCache:
                 del self._order[(filed[0], key)]
             self._invalidations += len(filed[1])
             return len(filed[1])
-
-    def clear(self) -> None:
-        with self._lock:
-            self._invalidations += len(self._order)
-            self._groups.clear()
-            self._order.clear()
 
     def stats(self) -> CacheStats:
         with self._lock:

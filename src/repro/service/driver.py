@@ -78,7 +78,6 @@ class DemoReport:
     batch_size: int
     verified: int
     shard_keys: dict[str, int]
-    workers: int = 0
     state_dir: str | None = None
     scheme_id: str = TIPRE_SCHEME_ID
     # The last request's trace id on a remote drive (fetchable via
@@ -90,7 +89,6 @@ class DemoReport:
             ["scheme", self.scheme_id],
             # A remote drive cannot see the fleet size; 0 means unknown.
             ["shards", str(self.shard_count) if self.shard_count else "-"],
-            ["workers", str(self.workers) if self.workers else "sequential"],
             ["state dir", self.state_dir or "in-memory"],
             ["batch size", str(self.batch_size) if self.batch_size > 1 else "unbatched"],
             ["plaintexts verified", str(self.verified)],
@@ -113,7 +111,6 @@ def build_setting(
     ciphertexts_per_pair: int = 2,
     seed: str = "gateway-demo",
     rate_per_s: float | None = None,
-    workers: int = 0,
     state_dir: str | None = None,
     group: PairingGroup | None = None,
 ) -> DemoSetting:
@@ -136,9 +133,7 @@ def build_setting(
     )
     # The limiter is attached after the grant phase (below): the demo rate
     # limits the request stream, not its own setup.
-    gateway = ReEncryptionGateway(
-        backend, shard_count=shard_count, workers=workers, state_dir=state_dir
-    )
+    gateway = ReEncryptionGateway(backend, shard_count=shard_count, state_dir=state_dir)
 
     patients = ["patient-%02d" % i for i in range(n_patients)]
     delegatees = ["reader-%02d" % i for i in range(n_delegatees)]
@@ -295,7 +290,6 @@ def run_demo(
     seed: str = "gateway-demo",
     batch_size: int = 0,
     rate_per_s: float | None = None,
-    workers: int = 0,
     state_dir: str | None = None,
 ) -> DemoReport:
     """Build a setting, drive a request stream, return the rendered report.
@@ -310,7 +304,6 @@ def run_demo(
         shard_count=shard_count,
         seed=seed,
         rate_per_s=rate_per_s,
-        workers=workers,
         state_dir=state_dir,
     )
     try:
@@ -324,7 +317,6 @@ def run_demo(
             batch_size=batch_size,
             verified=verified,
             shard_keys=setting.gateway.shard_key_counts(),
-            workers=workers,
             state_dir=state_dir,
             scheme_id=scheme_id,
         )

@@ -1,8 +1,8 @@
 """The gateway: a typed request/response front door over a shard fleet.
 
 One :class:`ReEncryptionGateway` owns N :class:`~repro.core.proxy.ProxyService`
-shards, a consistent-hash :class:`~repro.service.router.ShardRouter`, two
-LRU caches and a metrics accumulator.  Callers speak the four request
+shards, a consistent-hash :class:`~repro.service.router.ShardRouter`, an
+LRU result cache and a metrics accumulator.  Callers speak the four request
 types (:class:`GrantRequest`, :class:`RevokeRequest`,
 :class:`ReEncryptRequest`, :class:`FetchRequest`); every admission passes
 a per-tenant token-bucket rate limiter and lands in a bounded audit log.
@@ -19,8 +19,8 @@ serves the paper's scheme or any other registered backend (``afgh/v1``,
 Cache soundness: result replay is only sound for backends whose
 capabilities declare ``deterministic_reencrypt`` — the KEM-result cache
 is bypassed entirely otherwise — and only while the installed key is the
-one that produced them.  Grants and revokes therefore invalidate both caches
-for the affected delegation *after* mutating the shard, under the shard
+one that produced them.  Grants and revokes therefore drop the affected
+delegation's cached results *after* mutating the shard, under the shard
 lock — and every cache *write* also happens under the owning shard's
 lock, so a racing transformation can never re-populate an entry after
 the invalidation that was meant to kill it.
@@ -156,7 +156,7 @@ class TokenBucket:
     sleeping; omitting it selects ``time.monotonic`` for production use.
     A denied request still banks the refill accrued since the last call,
     so fractional refills accumulate instead of being thrown away.
-    Thread-safe: admission may race across shard-pool workers.
+    Thread-safe: admission may race across concurrent gateway calls.
     """
 
     def __init__(
@@ -288,13 +288,13 @@ class AuditEvent:
 class ReEncryptionGateway:
     """N proxy shards behind routing, caching, batching and rate limiting.
 
+    The gateway starts no threads.  Callers may invoke it from many
+    threads at once (the wire servers do); every call that touches a
+    shard holds that shard's lock from :class:`~repro.service.pool.ShardPool`,
+    so each shard's table and log stay single-writer.
+
     Elasticity and durability (both optional, both off by default):
 
-    * ``workers > 0`` attaches a :class:`~repro.service.pool.ShardPool`
-      thread pool, and batches execute their per-delegation groups
-      concurrently across shards — per-shard locks keep every shard's
-      table and log single-writer, so results stay bit-identical to
-      sequential execution.
     * ``state_dir`` backs every shard's key table with a
       :class:`~repro.service.persistence.DurableProxyKeyTable` append
       log under that directory, named ``<shard>.log``.  Opening a state
@@ -312,12 +312,10 @@ class ReEncryptionGateway:
     store: object | None = None  # EncryptedPhrStore | FilePhrStore (duck-typed)
     rate_per_s: float | None = None  # None disables rate limiting
     burst: float | None = None  # defaults to 2 * rate_per_s
-    key_cache_size: int = 256
     result_cache_size: int = 1024
     max_audit_entries: int = 10_000
     max_shard_log_entries: int = DEFAULT_MAX_LOG_ENTRIES
     clock: Callable[[], float] = time.monotonic
-    workers: int = 0  # 0 = sequential batch execution
     state_dir: str | Path | None = None  # None = in-memory key tables
     fsync: bool = False  # fsync every durable append (slow, strongest)
     # Custom shard construction, e.g. a benchmark modelling remote-shard
@@ -339,7 +337,6 @@ class ReEncryptionGateway:
     _shards: dict[str, ProxyService] = field(init=False)
     _router: ShardRouter = field(init=False)
     _pool: ShardPool = field(init=False)
-    _key_cache: LruCache = field(init=False)
     _result_cache: LruCache = field(init=False)
     _limiter: TokenBucket | None = field(init=False)
     _audit: deque = field(init=False)
@@ -351,17 +348,14 @@ class ReEncryptionGateway:
     def __post_init__(self) -> None:
         if self.shard_count < 1:
             raise ValueError("shard_count must be positive")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
         self.backend = resolve_backend(self.scheme)
         # Replaying a cached transformation is only sound when the
         # scheme's re-encryption is a pure function of (ciphertext, key).
         self._cache_results = self.backend.capabilities.deterministic_reencrypt
         names = ["shard-%02d" % i for i in range(self.shard_count)]
         self._router = ShardRouter(names)
-        self._pool = ShardPool(names, workers=self.workers)
+        self._pool = ShardPool(names)
         self._shards = {name: self._make_shard(name) for name in names}
-        self._key_cache = LruCache(self.key_cache_size, name="key_cache")
         self._result_cache = LruCache(self.result_cache_size, name="result_cache")
         self._audit = deque(maxlen=self.max_audit_entries)
         self._audit_lock = threading.Lock()
@@ -626,24 +620,18 @@ class ReEncryptionGateway:
                     "tenant %r exceeded %g req/s" % (tenant, self.rate_per_s)
                 )
 
+    @staticmethod
     def _resolve_key(
-        self, index: tuple[str, str, str, str, str], shard: ProxyService
+        index: tuple[str, str, str, str, str], shard: ProxyService
     ) -> ProxyKey:
-        """Key-cache-backed table lookup; misses fall through to the shard."""
-        key = self._key_cache.get(index)
+        """The shard's key for a delegation; raises NoProxyKeyError if none."""
+        key = shard.table.get(index)
         if key is None:
-            key = shard.table.get(index)
-            if key is None:
-                raise NoProxyKeyError(
-                    "no proxy key for delegator=%r delegatee=%r type=%r"
-                    % (index[1], index[3], index[4])
-                )
-            self._key_cache.put(index, key)
+            raise NoProxyKeyError(
+                "no proxy key for delegator=%r delegatee=%r type=%r"
+                % (index[1], index[3], index[4])
+            )
         return key
-
-    def _invalidate_delegation(self, index: tuple[str, str, str, str, str]) -> None:
-        self._key_cache.invalidate(index)
-        self._result_cache.invalidate_where(index)
 
     def _decoded(self, ciphertext, op: str, tenant: str, trace: TraceContext | None):
         """The request's ciphertext decoded; bytes that do not decode are refused."""
@@ -679,7 +667,7 @@ class ReEncryptionGateway:
                 shard.install_key(key)
                 # Invalidate under the lock, after the install: cache writes
                 # also hold the lock, so nothing stale can sneak back in.
-                self._invalidate_delegation(ProxyKeyTable.index_of(key))
+                self._result_cache.invalidate_where(ProxyKeyTable.index_of(key))
             if span is not None:
                 span.set("shard", shard_name)
         latency_ms = (self.clock() - start) * 1000
@@ -698,7 +686,7 @@ class ReEncryptionGateway:
     def revoke(
         self, request: RevokeRequest, trace: TraceContext | None = None
     ) -> RevokeResponse:
-        """Remove a delegation everywhere: shard table and both caches."""
+        """Remove a delegation everywhere: shard table and result cache."""
         self._admit(request.tenant, "revoke", trace=trace)
         start = self.clock()
         index: tuple[str, str, str, str, str] = (
@@ -716,7 +704,7 @@ class ReEncryptionGateway:
                 tenant=request.tenant,
             ) as (shard_name, shard):
                 removed = shard.revoke_key(*index)
-                self._invalidate_delegation(index)
+                self._result_cache.invalidate_where(index)
             if span is not None:
                 span.set("shard", shard_name)
                 span.set("removed", removed)
@@ -737,7 +725,7 @@ class ReEncryptionGateway:
     def reencrypt(
         self, request: ReEncryptRequest, trace: TraceContext | None = None
     ) -> ReEncryptResponse:
-        """Transform one ciphertext, consulting both caches."""
+        """Transform one ciphertext, consulting the result cache first."""
         ciphertext = request.ciphertext
         index = ProxyKeyTable.request_index(
             ciphertext, request.delegatee_domain, request.delegatee
@@ -834,16 +822,14 @@ class ReEncryptionGateway:
         """Transform a batch; key lookups are amortized per delegation group.
 
         Produces bit-identical ciphertexts to issuing the requests one by
-        one (``Preenc`` is deterministic), in submission order — with or
-        without workers.  Execution is two-phase: every group's
-        delegation is checked first (so a missing delegation aborts
-        before any side effects), then each group's transformations run
-        as one shard-pool task that resolves its key *under the shard
-        lock* — a grant or revoke racing the batch is therefore either
-        fully before or fully after each group, never interleaved with
-        it.  Groups never share a delegation, and same-shard groups
-        serialize on the shard lock, so concurrency cannot reorder what
-        any single shard observes.
+        one (``Preenc`` is deterministic), in submission order.  Execution
+        is two-phase: every group's delegation is checked first (so a
+        missing delegation aborts before any side effects), then the
+        groups run one after another in submission order, each resolving
+        its key *under its shard lock* — a grant or revoke racing the
+        batch is therefore either fully before or fully after each group,
+        never interleaved with it.  A failing group ends the batch: the
+        groups after it are not transformed.
         """
         if not requests:
             raise InvalidRequestError("empty batch")
@@ -896,8 +882,6 @@ class ReEncryptionGateway:
             (revoked from the old owner, router not yet swapped), so a
             miss is only authoritative after re-reading under the owning
             shard's lock — which queues behind any in-flight resize.
-            Deliberately does not touch the key cache: cache writes only
-            happen under a shard lock, in the group task below.
             """
             shard = self._shards.get(
                 self._route(group_key[0], group_key[1], group_key[4])
@@ -909,95 +893,85 @@ class ReEncryptionGateway:
             with self._owned_shard(
                 group_key[0], group_key[1], group_key[4]
             ) as (_name, owned):
-                key = owned.table.get(group_key)
-                if key is None:
-                    raise NoProxyKeyError(
-                        "no proxy key for delegator=%r delegatee=%r type=%r"
-                        % (group_key[1], group_key[3], group_key[4])
-                    )
-                return key
+                return self._resolve_key(group_key, owned)
 
         results: list = [None] * len(items)
         hit_flags = [False] * len(items)
         shard_names = [""] * len(items)
 
-        def group_task(group) -> Callable[[], None]:
-            def run() -> None:
-                with self._owned_shard(
-                    group.group_key[0],
-                    group.group_key[1],
-                    group.group_key[4],
-                    tenant=requests[group.positions[0]].tenant,
-                ) as (shard_name, shard):
-                    try:
-                        key = self._resolve_key(group.group_key, shard)
-                    except NoProxyKeyError as error:
-                        # Revoked between the guard and this task.
-                        raise BatchItemError(group.positions[0], error) from error
-                    miss_positions: list[int] = []
-                    miss_ciphertexts = []
-                    pending: dict[bytes, int] = {}
-                    duplicates: list[tuple[int, int]] = []
-                    for position, ciphertext in zip(group.positions, group.ciphertexts):
-                        shard_names[position] = shard_name
-                        if blobs is not None:
-                            blob = blobs[position]
-                            cached = self._result_cache.get(blob, group=group.group_key)
-                            if cached is not None:
-                                hit_flags[position] = True
-                                results[position] = self._encoded_result(cached)
-                                continue
-                            if blob in pending:
-                                # Duplicate within this batch: served by the first
-                                # occurrence's computation, reported as a hit
-                                # (matching the per-item loop's put-then-get order).
-                                hit_flags[position] = True
-                                duplicates.append((position, pending[blob]))
-                                continue
-                            pending[blob] = len(miss_positions)
-                        # Still encoded only if evicted since the batch checked
-                        # the cache: the backend decodes it on first read.
-                        miss_positions.append(position)
-                        miss_ciphertexts.append(ciphertext)
-                    if not miss_positions:
-                        return
-                    # One batched transformation for the whole group: the
-                    # backend amortises the pairing precomputation across
-                    # every ciphertext sharing this proxy key.
-                    try:
-                        transformed = shard.reencrypt_many_with_key(miss_ciphertexts, key)
-                    except Exception:  # noqa: BLE001 - replayed for attribution
-                        # The batch failed as a unit; replay item-by-item so
-                        # the error is pinned to a position (the ops are
-                        # deterministic, so survivors produce the same
-                        # results the batch would have).
-                        transformed = []
-                        for position, ciphertext in zip(miss_positions, miss_ciphertexts):
-                            try:
-                                transformed.append(
-                                    shard.reencrypt_with_key(ciphertext, key)
-                                )
-                            except Exception as error:  # noqa: BLE001 - rewrapped
-                                raise BatchItemError(position, error) from error
-                    for position, result in zip(miss_positions, transformed):
-                        if blobs is not None:
-                            result = self._encoded_result(
-                                self.backend.serialize_reencrypted(result), result
-                            )
-                            self._result_cache.put(
-                                blobs[position], result.blob, group=group.group_key
-                            )
-                        results[position] = result
-                    for position, miss_index in duplicates:
-                        results[position] = results[miss_positions[miss_index]]
-
-            return run
+        def transform_group(group) -> None:
+            with self._owned_shard(
+                group.group_key[0],
+                group.group_key[1],
+                group.group_key[4],
+                tenant=requests[group.positions[0]].tenant,
+            ) as (shard_name, shard):
+                try:
+                    key = self._resolve_key(group.group_key, shard)
+                except NoProxyKeyError as error:
+                    # Revoked between the guard and this group.
+                    raise BatchItemError(group.positions[0], error) from error
+                miss_positions: list[int] = []
+                miss_ciphertexts = []
+                pending: dict[bytes, int] = {}
+                duplicates: list[tuple[int, int]] = []
+                for position, ciphertext in zip(group.positions, group.ciphertexts):
+                    shard_names[position] = shard_name
+                    if blobs is not None:
+                        blob = blobs[position]
+                        cached = self._result_cache.get(blob, group=group.group_key)
+                        if cached is not None:
+                            hit_flags[position] = True
+                            results[position] = self._encoded_result(cached)
+                            continue
+                        if blob in pending:
+                            # Duplicate within this batch: served by the first
+                            # occurrence's computation, reported as a hit
+                            # (matching the per-item loop's put-then-get order).
+                            hit_flags[position] = True
+                            duplicates.append((position, pending[blob]))
+                            continue
+                        pending[blob] = len(miss_positions)
+                    # Still encoded only if evicted since the batch checked
+                    # the cache: the backend decodes it on first read.
+                    miss_positions.append(position)
+                    miss_ciphertexts.append(ciphertext)
+                if not miss_positions:
+                    return
+                # One batched transformation for the whole group: the
+                # backend amortises the pairing precomputation across
+                # every ciphertext sharing this proxy key.
+                try:
+                    transformed = shard.reencrypt_many_with_key(miss_ciphertexts, key)
+                except Exception:  # noqa: BLE001 - replayed for attribution
+                    # The batch failed as a unit; replay item-by-item so
+                    # the error is pinned to a position (the ops are
+                    # deterministic, so survivors produce the same
+                    # results the batch would have).
+                    transformed = []
+                    for position, ciphertext in zip(miss_positions, miss_ciphertexts):
+                        try:
+                            transformed.append(shard.reencrypt_with_key(ciphertext, key))
+                        except Exception as error:  # noqa: BLE001 - rewrapped
+                            raise BatchItemError(position, error) from error
+                for position, result in zip(miss_positions, transformed):
+                    if blobs is not None:
+                        result = self._encoded_result(
+                            self.backend.serialize_reencrypted(result), result
+                        )
+                        self._result_cache.put(
+                            blobs[position], result.blob, group=group.group_key
+                        )
+                    results[position] = result
+                for position, miss_index in duplicates:
+                    results[position] = results[miss_positions[miss_index]]
 
         try:
             with self._span(trace, "delegation-check", groups=len(groups)):
                 ReEncryptBatcher.resolve_all(groups, check_delegation)
             with self._span(trace, "shard-crypto", groups=len(groups)):
-                self._pool.run_many([(None, group_task(group)) for group in groups])
+                for group in groups:
+                    transform_group(group)
         except BatchItemError as error:
             error_class = GatewayError
             if isinstance(error.cause, NoProxyKeyError):
@@ -1134,11 +1108,10 @@ class ReEncryptionGateway:
         )
 
     def close(self) -> None:
-        """Stop the worker pool and close every durable shard table.
+        """Close every durable shard table.
 
         Safe to call more than once; the gateway must not be used after.
         """
-        self._pool.shutdown()
         with self._pool.lock_all():
             for shard in self._shards.values():
                 if isinstance(shard.table, DurableProxyKeyTable):
@@ -1171,15 +1144,7 @@ class ReEncryptionGateway:
         return {name: shard.key_count() for name, shard in self._shards.items()}
 
     def snapshot(self) -> MetricsSnapshot:
-        return self.metrics.snapshot(
-            caches={
-                "key_cache": self._key_cache.stats(),
-                "result_cache": self._result_cache.stats(),
-            }
-        )
+        return self.metrics.snapshot(caches=self.cache_stats())
 
     def cache_stats(self) -> dict[str, CacheStats]:
-        return {
-            "key_cache": self._key_cache.stats(),
-            "result_cache": self._result_cache.stats(),
-        }
+        return {"result_cache": self._result_cache.stats()}

@@ -208,8 +208,8 @@ def merge_snapshots(parts: dict[str, MetricsSnapshot]) -> MetricsSnapshot:
 class GatewayMetrics:
     """Mutable accumulator the gateway writes into on every request.
 
-    Counter updates take an internal lock: the gateway may observe from
-    many shard-pool workers at once, and the stress tests assert that
+    Counter updates take an internal lock: the wire servers run gateway
+    calls on many threads at once, and the stress tests assert that
     ``requests_total == served + rejected + rate_limited`` exactly.
     """
 

@@ -1,57 +1,34 @@
-"""Concurrent shard execution: per-shard locks plus an optional thread pool.
+"""Per-shard mutual exclusion for the gateway's shards.
 
 The gateway's consistency unit is the shard — every key for a delegation
 lives on exactly one shard, so operations on *different* shards commute
 while operations on the *same* shard must serialize (the key table and
 the transformation log are plain Python structures).  :class:`ShardPool`
-encodes precisely that: one reentrant lock per shard, an optional
-``ThreadPoolExecutor`` to overlap independent shards, and a
-whole-fleet lock ordering for structural changes (resize).
+encodes precisely that: one reentrant lock per shard, and a whole-fleet
+lock ordering for structural changes (resize).
 
-With ``workers=0`` the pool degrades to inline sequential execution —
-same code path, no threads — which keeps single-threaded deployments
-free of executor overhead and makes the batched/sequential equivalence
-tests meaningful.
+The pool runs nothing itself.  Gateway calls arrive concurrently from
+the asyncio server's executor and from the threaded server's handler
+threads; each call takes the lock of the shard it touches.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence
 
 __all__ = ["ShardPool"]
 
-T = TypeVar("T")
-
 
 class ShardPool:
-    """Runs shard-addressed tasks under per-shard mutual exclusion."""
+    """One reentrant lock per shard, plus a whole-fleet lock."""
 
-    def __init__(self, shard_names: Sequence[str], workers: int = 0):
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
-        self.workers = workers
+    def __init__(self, shard_names: Sequence[str]):
         self._fleet_lock = threading.RLock()  # serializes lock_all holders
         self._locks: dict[str, threading.RLock] = {
             name: threading.RLock() for name in shard_names
         }
-        self._executor = (
-            ThreadPoolExecutor(max_workers=workers, thread_name_prefix="shard")
-            if workers > 0
-            else None
-        )
-
-    @property
-    def shard_names(self) -> list[str]:
-        return sorted(self._locks)
-
-    @contextmanager
-    def lock(self, shard_name: str) -> Iterator[None]:
-        """Hold the named shard's lock for the duration of the block."""
-        with self._locks[shard_name]:
-            yield
 
     def lock_object(self, shard_name: str) -> threading.RLock | None:
         """The raw lock for a shard, or None if the shard is gone (resized away)."""
@@ -78,56 +55,6 @@ class ShardPool:
                 for lock in reversed(held):
                     lock.release()
 
-    def __contains__(self, shard_name: str) -> bool:
-        return shard_name in self._locks
-
-    def run(self, shard_name: str | None, task: Callable[[], T]) -> T:
-        """Execute one task inline under its shard's lock.
-
-        ``shard_name=None`` runs the task without pool-level locking, for
-        tasks that acquire (and re-validate) their own shard lock — the
-        pattern the gateway uses so a task never holds two shard locks.
-        """
-        if shard_name is None:
-            return task()
-        with self._locks[shard_name]:
-            return task()
-
-    def run_many(self, tasks: Sequence[tuple[str | None, Callable[[], T]]]) -> list[T]:
-        """Execute ``(shard_name, task)`` pairs, each under its shard lock.
-
-        With workers, tasks run on the executor and results return in
-        submission order; without, they run inline in submission order —
-        identical semantics either way because same-shard tasks serialize
-        on the shard lock.  In both modes *every* task runs to completion
-        before an error propagates, and the first failure (in submission
-        order) is re-raised — so the side effects of a failed call, not
-        just its result, are the same with and without workers.
-        """
-        if self._executor is None:
-            outcomes = []
-            for name, task in tasks:
-                try:
-                    outcomes.append((self.run(name, task), None))
-                except Exception as error:  # noqa: BLE001 - re-raised below
-                    outcomes.append((None, error))
-            return self._unwrap(outcomes)
-        futures = [self._executor.submit(self.run, name, task) for name, task in tasks]
-        outcomes = []
-        for future in futures:
-            try:
-                outcomes.append((future.result(), None))
-            except Exception as error:  # noqa: BLE001 - re-raised below
-                outcomes.append((None, error))
-        return self._unwrap(outcomes)
-
-    @staticmethod
-    def _unwrap(outcomes: list[tuple[T, Exception | None]]) -> list[T]:
-        for _, error in outcomes:
-            if error is not None:
-                raise error
-        return [result for result, _ in outcomes]
-
     def set_shards(self, shard_names: Sequence[str]) -> None:
         """Re-key the lock set after a resize (existing locks are kept).
 
@@ -137,7 +64,3 @@ class ShardPool:
         self._locks = {
             name: self._locks.get(name, threading.RLock()) for name in shard_names
         }
-
-    def shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)

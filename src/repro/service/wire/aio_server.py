@@ -304,6 +304,8 @@ class AsyncGatewayServer(HostingServer):
                     document.get("id"), int
                 ):
                     raise FrameProtocolError("expected a request frame with an id")
+                if not isinstance(document.get("headers") or {}, dict):
+                    raise FrameProtocolError("request frame headers must be an object")
                 await gate.acquire()
                 task = asyncio.create_task(
                     self._run_stream(document, writer, write_lock, gate, peer)
@@ -330,7 +332,13 @@ class AsyncGatewayServer(HostingServer):
             method = str(document.get("method") or "POST").upper()
             target = str(document.get("path") or "/")
             body_text = document.get("body")
-            body = body_text.encode("utf-8") if isinstance(body_text, str) else b""
+            # A JSON string may hold lone surrogates: they pass through as
+            # bytes the engine refuses like any other undecodable body.
+            body = (
+                body_text.encode("utf-8", "surrogatepass")
+                if isinstance(body_text, str)
+                else b""
+            )
             raw_headers = document.get("headers") or {}
             headers = {
                 str(name).lower(): str(value) for name, value in raw_headers.items()

@@ -131,6 +131,13 @@ class TestServe:
         assert "result_cache hit rate" in out
         assert "shard imbalance" in out
 
+    def test_serve_has_no_workers_flag(self, capsys):
+        """The gateway runs no thread pool, so there is nothing to size."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--group", "TOY", "--workers", "4"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_serve_with_rate_limit_survives_rejections(self, capsys):
         """Regression: rate-limited requests are counted, not a crash."""
         assert main(["serve", "--group", "TOY", "--shards", "2",

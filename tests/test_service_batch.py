@@ -50,6 +50,8 @@ class TestGrouping:
 
 
 class TestExecution:
+    """``resolve_all``: the key check the gateway runs before any group."""
+
     def test_one_key_resolution_per_group(self):
         items = [
             _item("alice", "bob", "labs", 1),
@@ -63,30 +65,19 @@ class TestExecution:
             resolutions.append(group_key)
             return "key-for-%s" % group_key[3]
 
-        results = ReEncryptBatcher.execute(
-            items, resolve, lambda ct, key, pos: (ct.payload, key)
-        )
+        keys = ReEncryptBatcher.resolve_all(ReEncryptBatcher.group(items), resolve)
         assert len(resolutions) == 2  # not 4: lookups amortized per delegation
-        assert results == [
-            (1, "key-for-bob"),
-            (2, "key-for-bob"),
-            (3, "key-for-bob"),
-            (4, "key-for-carol"),
-        ]
+        assert keys == {
+            ("KGC1", "alice", "KGC2", "bob", "labs"): "key-for-bob",
+            ("KGC1", "alice", "KGC2", "carol", "labs"): "key-for-carol",
+        }
 
-    def test_results_restored_to_submission_order(self):
-        # Interleave two delegations; outputs must still follow inputs 1:1.
+    def test_resolve_failure_names_first_position(self):
         items = [
             _item("alice", "bob", "labs", 0),
             _item("alice", "carol", "labs", 1),
-            _item("alice", "bob", "labs", 2),
-            _item("alice", "carol", "labs", 3),
+            _item("alice", "carol", "labs", 2),
         ]
-        results = ReEncryptBatcher.execute(items, lambda gk: gk[3], lambda ct, key, pos: ct.payload)
-        assert results == [0, 1, 2, 3]
-
-    def test_resolve_failure_names_first_position(self):
-        items = [_item("alice", "bob", "labs", 0), _item("alice", "carol", "labs", 1)]
 
         def resolve(group_key):
             if group_key[3] == "carol":
@@ -94,42 +85,24 @@ class TestExecution:
             return "k"
 
         with pytest.raises(BatchItemError) as excinfo:
-            ReEncryptBatcher.execute(items, resolve, lambda ct, key, pos: ct.payload)
+            ReEncryptBatcher.resolve_all(ReEncryptBatcher.group(items), resolve)
         assert excinfo.value.position == 1
         assert isinstance(excinfo.value.cause, KeyError)
 
-    def test_transform_failure_names_its_position(self):
-        items = [_item("alice", "bob", "labs", 0), _item("alice", "bob", "labs", 1)]
-
-        def transform(ct, key, pos):
-            if ct.payload == 1:
-                raise ValueError("bad ciphertext")
-            return ct.payload
-
-        with pytest.raises(BatchItemError) as excinfo:
-            ReEncryptBatcher.execute(items, lambda gk: "k", transform)
-        assert excinfo.value.position == 1
-
-    def test_transform_receives_submission_positions(self):
-        items = [_item("alice", "bob", "labs", 10), _item("alice", "bob", "labs", 20)]
-        seen = []
-        ReEncryptBatcher.execute(
-            items, lambda gk: "k", lambda ct, key, pos: seen.append((pos, ct.payload))
-        )
-        assert seen == [(0, 10), (1, 20)]
-
-    def test_all_keys_resolve_before_any_transform(self):
-        """A missing delegation aborts the batch before side effects run."""
-        items = [_item("alice", "bob", "labs", 0), _item("alice", "carol", "labs", 1)]
-        transformed = []
+    def test_resolution_stops_at_the_first_failing_group(self):
+        items = [
+            _item("alice", "bob", "labs", 0),
+            _item("alice", "carol", "labs", 1),
+            _item("alice", "dave", "labs", 2),
+        ]
+        resolutions = []
 
         def resolve(group_key):
+            resolutions.append(group_key[3])
             if group_key[3] == "carol":
                 raise KeyError("no key")
             return "k"
 
         with pytest.raises(BatchItemError):
-            ReEncryptBatcher.execute(
-                items, resolve, lambda ct, key, pos: transformed.append(pos)
-            )
-        assert transformed == []  # bob's group never transformed
+            ReEncryptBatcher.resolve_all(ReEncryptBatcher.group(items), resolve)
+        assert resolutions == ["bob", "carol"]  # dave's group is never looked up

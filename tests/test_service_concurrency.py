@@ -1,14 +1,16 @@
-"""Multi-threaded stress tests for the gateway and shard pool.
+"""Multi-threaded stress tests for the gateway and its shard locks.
 
-The contracts under test: per-shard mutual exclusion (no two tasks
+The contracts under test: per-shard mutual exclusion (no two threads
 inside the same shard at once), no lost updates under grant/re-encrypt/
-revoke races, deadlock-freedom (every join completes), exact metrics
-accounting (``requests_total == served + rejected + rate_limited``), and
-bit-identical batched output with and without workers.
+revoke races, deadlock-freedom (every join completes), and exact metrics
+accounting (``requests_total == served + rejected + rate_limited``).
+The concurrency comes from the tests' own threads: the gateway starts
+none.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -84,7 +86,7 @@ class TestGatewayRaces:
     def test_grant_reencrypt_revoke_races_lose_nothing(self, universe):
         """Threads churn disjoint delegations; counters stay exact."""
         scheme, delegations, _ = universe
-        gateway = ReEncryptionGateway(scheme, shard_count=4, workers=3)
+        gateway = ReEncryptionGateway(scheme, shard_count=4)
         served = [0] * N_THREADS
         rejected = [0] * N_THREADS
         failures = []
@@ -139,9 +141,14 @@ class TestGatewayRaces:
         gateway.close()
 
     def test_concurrent_batch_is_bit_identical_to_sequential(self, universe):
+        """Threads sending the same batch to one gateway at once each get
+        the bits one thread's batch gets from another gateway, and every
+        distinct item is transformed once: a group checks the result
+        cache under its shard lock, so a group that waited for the lock
+        finds the results of the group that held it."""
         scheme, delegations, bob = universe
-        sequential = ReEncryptionGateway(scheme, shard_count=4, workers=0)
-        concurrent = ReEncryptionGateway(scheme, shard_count=4, workers=3)
+        sequential = ReEncryptionGateway(scheme, shard_count=4)
+        concurrent = ReEncryptionGateway(scheme, shard_count=4)
         requests = []
         messages = []
         for entries in delegations.values():
@@ -150,20 +157,42 @@ class TestGatewayRaces:
                     gateway.grant(GrantRequest(tenant=key.delegator, proxy_key=key))
                 requests.append(_request(ciphertext))
                 messages.append(message)
-        # Duplicate a request so the cache-hit flags are exercised too.
+        distinct = len(requests)
+        # Duplicate a request so the in-batch hit path races too.
         requests.append(requests[0])
         messages.append(messages[0])
+        expected = sequential.reencrypt_batch(requests)
+        outputs: list = [None] * N_THREADS
+        failures = []
 
-        sequential_out = sequential.reencrypt_batch(requests)
-        concurrent_out = concurrent.reencrypt_batch(requests)
-        assert [r.ciphertext for r in concurrent_out] == [
-            r.ciphertext for r in sequential_out
-        ]
-        assert [r.cache_hit for r in concurrent_out] == [
-            r.cache_hit for r in sequential_out
-        ]
-        assert [r.shard for r in concurrent_out] == [r.shard for r in sequential_out]
-        for response, message in zip(concurrent_out, messages):
+        def worker(thread_index: int) -> None:
+            try:
+                outputs[thread_index] = concurrent.reencrypt_batch(requests)
+            except Exception as error:  # noqa: BLE001 - surfaced via failures
+                failures.append(error)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(N_THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=JOIN_TIMEOUT_S)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        for output in outputs:
+            assert [r.ciphertext for r in output] == [r.ciphertext for r in expected]
+            assert [r.shard for r in output] == [r.shard for r in expected]
+        misses = sum(not r.cache_hit for output in outputs for r in output)
+        transformed = sum(
+            concurrent.shard_named(name).transformations_total
+            for name in concurrent.shard_names
+        )
+        assert misses == transformed == distinct
+        for response, message in zip(outputs[-1], messages):
             assert scheme.decrypt_reencrypted(response.ciphertext, bob) == message
         sequential.close()
         concurrent.close()
@@ -220,7 +249,7 @@ class TestGatewayRaces:
     def test_concurrent_resize_during_traffic_loses_nothing(self, universe):
         """A resize racing live re-encrypts never drops a delegation."""
         scheme, delegations, _ = universe
-        gateway = ReEncryptionGateway(scheme, shard_count=2, workers=2)
+        gateway = ReEncryptionGateway(scheme, shard_count=2)
         for entries in delegations.values():
             for key, _, _ in entries:
                 gateway.grant(GrantRequest(tenant=key.delegator, proxy_key=key))
@@ -257,14 +286,22 @@ class TestGatewayRaces:
 
 
 class TestShardPool:
+    @staticmethod
+    def _hold(pool: ShardPool, shard: str, body) -> threading.Thread:
+        def run() -> None:
+            with pool.lock_object(shard):
+                body()
+
+        return threading.Thread(target=run)
+
     def test_same_shard_tasks_never_overlap(self):
-        pool = ShardPool(["a", "b"], workers=4)
+        pool = ShardPool(["a", "b"])
         active = {"a": 0, "b": 0}
         peak = {"a": 0, "b": 0}
         guard = threading.Lock()
 
-        def task(shard: str):
-            def run() -> None:
+        def inside(shard: str):
+            def body() -> None:
                 with guard:
                     active[shard] += 1
                     peak[shard] = max(peak[shard], active[shard])
@@ -272,57 +309,46 @@ class TestShardPool:
                 with guard:
                     active[shard] -= 1
 
-            return run
+            return body
 
-        pool.run_many([("a", task("a")) for _ in range(6)] + [("b", task("b")) for _ in range(6)])
-        assert peak["a"] == 1
-        assert peak["b"] == 1
-        pool.shutdown()
+        threads = [self._hold(pool, shard, inside(shard)) for shard in "ab" * 6]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=JOIN_TIMEOUT_S)
+        assert not any(thread.is_alive() for thread in threads)
+        assert peak == {"a": 1, "b": 1}
 
     def test_different_shards_do_overlap(self):
-        pool = ShardPool(["a", "b"], workers=2)
+        pool = ShardPool(["a", "b"])
         started = threading.Barrier(2, timeout=10.0)
+        passed = []
+        # Both threads must be inside their shard at once to pass the barrier.
+        threads = [
+            self._hold(pool, shard, lambda: passed.append(started.wait()))
+            for shard in "ab"
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=JOIN_TIMEOUT_S)
+        assert sorted(passed) == [0, 1]
 
-        def task():
-            def run() -> None:
-                started.wait()  # both tasks inside their shard at once
-
-            return run
-
-        pool.run_many([("a", task()), ("b", task())])
-        pool.shutdown()
-
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_run_many_runs_all_tasks_and_reraises_first_error(self, workers):
-        """Both modes run every task before raising — same side effects."""
-        pool = ShardPool(["a", "b"], workers=workers)
-        ran = []
-
-        def ok(tag):
-            def run():
-                ran.append(tag)
-
-            return run
-
-        def boom(kind):
-            def run():
-                ran.append("boom")
-                raise kind("boom")
-
-            return run
-
-        with pytest.raises(ValueError):
-            pool.run_many(
-                [("a", ok(1)), ("b", boom(ValueError)), ("a", boom(KeyError)), ("b", ok(2))]
-            )
-        assert sorted(str(tag) for tag in ran) == ["1", "2", "boom", "boom"]
-        pool.shutdown()
-
-    def test_sequential_pool_needs_no_threads(self):
-        pool = ShardPool(["a"], workers=0)
-        assert pool.run("a", lambda: 7) == 7
-        assert pool.run_many([("a", lambda: 1), (None, lambda: 2)]) == [1, 2]
-        pool.shutdown()
+    def test_sequential_pool_needs_no_threads(self, universe):
+        """Neither the pool nor a gateway serving a batch starts a thread."""
+        scheme, delegations, _ = universe
+        before = set(threading.enumerate())
+        pool = ShardPool(["a"])
+        with pool.lock_object("a"), pool.lock_all():
+            pass
+        gateway = ReEncryptionGateway(scheme, shard_count=4)
+        for key, _, _ in delegations[0]:
+            gateway.grant(GrantRequest(tenant=key.delegator, proxy_key=key))
+        gateway.reencrypt_batch(
+            [_request(ciphertext) for _, ciphertext, _ in delegations[0]]
+        )
+        assert set(threading.enumerate()) <= before
+        gateway.close()
 
 
 class TestDriverConcurrency:
@@ -331,17 +357,14 @@ class TestDriverConcurrency:
             shard_count=3,
             n_requests=24,
             batch_size=6,
-            workers=2,
             state_dir=str(tmp_path / "state"),
         )
         assert report.verified > 0
-        assert report.workers == 2
         # A second run against the same state dir reloads every grant.
         again = run_demo(
             shard_count=3,
             n_requests=12,
             batch_size=4,
-            workers=2,
             state_dir=str(tmp_path / "state"),
         )
         assert again.verified > 0

@@ -18,6 +18,7 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import collections
 import http.client
 import os
 import threading
@@ -25,6 +26,7 @@ import time
 
 import pytest
 
+from repro.bench.counters import count_operations
 from repro.core.api import create_backend
 from repro.core.proxy import ProxyKeyTable
 from repro.pairing.group import PairingGroup
@@ -216,6 +218,69 @@ class TestFleetGatewayStatic:
             assert snapshot.shard_requests["shard-00"] + snapshot.shard_requests[
                 "shard-01"
             ] == granted
+        finally:
+            setting.gateway.close()
+
+    def test_router_adds_no_decompressions(self, static_fleet, monkeypatch):
+        """A forwarded re-encryption costs one G1 decompression per missed
+        item, on the shard that owns it, and none on a hit: the router
+        forwards the request's bytes and writes the shard's answer back
+        as it is.  Nothing reads a response component inside a count."""
+        gateway, inner = static_fleet
+        setting = _small_setting("fleet-decompress")
+        per_shard: collections.Counter = collections.Counter()
+        for name, shard_gateway in inner.items():
+            for op in ("reencrypt", "reencrypt_batch"):
+
+                def counted(*args, _call=getattr(shard_gateway, op), _name=name, **kwargs):
+                    with count_operations() as counter:
+                        try:
+                            return _call(*args, **kwargs)
+                        finally:
+                            per_shard[_name] += counter.get("g1_decompress")
+
+                monkeypatch.setattr(shard_gateway, op, counted)
+
+        def decompressions(call):
+            per_shard.clear()
+            with count_operations() as counter:
+                response = call()
+            # Unary plus drops the shards that counted zero.
+            return response, counter.get("g1_decompress"), +per_shard
+
+        pairs = [
+            _reencrypt_request(setting, pool_key, delegatee)
+            for pool_key in sorted(setting.pool)
+            for delegatee in setting.delegatees
+        ]
+        requests = [request for request, _message in pairs]
+        try:
+            _grant_all(setting, gateway)
+            with GatewayHttpServer(gateway) as server:
+                client = RemoteGateway(server.url, setting.group)
+                try:
+                    single, batch = requests[0], requests[1:]
+                    for expect_hit in (False, True):
+                        response, total, by_shard = decompressions(
+                            lambda: client.reencrypt(single)
+                        )
+                        assert response.cache_hit is expect_hit
+                        assert total == (0 if expect_hit else 1)
+                        assert by_shard == ({} if expect_hit else {response.shard: 1})
+                    for expect_hit in (False, True):
+                        responses, total, by_shard = decompressions(
+                            lambda: client.reencrypt_batch(batch)
+                        )
+                        assert [r.cache_hit for r in responses] == [expect_hit] * len(batch)
+                        owners = collections.Counter(r.shard for r in responses)
+                        assert len(owners) == 2  # the batch spans both shards
+                        assert total == (0 if expect_hit else len(batch))
+                        assert by_shard == ({} if expect_hit else owners)
+                    # Outside any count: the answers still decrypt.
+                    for (request, message), served in zip(pairs, [response] + responses):
+                        _verify(setting, request, served, message)
+                finally:
+                    client.close()
         finally:
             setting.gateway.close()
 

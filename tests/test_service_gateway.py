@@ -1,7 +1,10 @@
-"""Tests for the sharded re-encryption gateway (routing, caches, limits)."""
+"""Tests for the sharded re-encryption gateway (routing, cache, limits)."""
+
+import dataclasses
 
 import pytest
 
+from repro.core.proxy import ProxyKeyTable
 from repro.phr.store import EncryptedPhrStore
 from repro.service.gateway import (
     DelegationNotFoundError,
@@ -145,16 +148,80 @@ class TestBatching:
         for transformed, message in zip(batched_out, messages):
             assert scheme.decrypt_reencrypted(transformed, bob) == message
 
-    def test_batch_amortizes_key_lookups(self, setting, pre_setting, group, rng):
+    def test_batch_amortizes_key_lookups(self, setting, pre_setting, group, rng, monkeypatch):
         scheme, gateway, _, _, _ = setting
         _, kgc1, _, alice, _ = pre_setting
+        lookups = []
+        table_get = ProxyKeyTable.get
+
+        def counting_get(table, index):
+            lookups.append(index)
+            return table_get(table, index)
+
+        monkeypatch.setattr(ProxyKeyTable, "get", counting_get)
+
+        def lookups_for(n_items: int) -> int:
+            requests = [
+                _reencrypt_request(
+                    scheme.encrypt(kgc1.params, alice, group.random_gt(rng), "labs", rng)
+                )
+                for _ in range(n_items)
+            ]
+            lookups.clear()
+            gateway.reencrypt_batch(requests)
+            return len(lookups)
+
+        per_group = lookups_for(1)
+        assert per_group >= 1
+        # Five same-delegation items cost the table what one item does.
+        assert lookups_for(5) == per_group
+
+    def test_failing_group_ends_the_batch(self, pre_setting, group, rng):
+        """Groups run in submission order, and the first failure stops them.
+
+        The second of three groups, each on its own shard, holds a proxy
+        key on the curve but outside G1: the batch fails invalid-request,
+        and the third group is neither transformed nor cached.
+        """
+        scheme, kgc1, kgc2, alice, _bob = pre_setting
+        gateway = ReEncryptionGateway(scheme, shard_count=4)
+        by_shard = {}
+        for i in range(32):
+            type_label = "type-%d" % i
+            key = scheme.pextract(alice, "bob", type_label, kgc2.params, rng)
+            shard = gateway.grant(GrantRequest(tenant="alice", proxy_key=key)).shard
+            by_shard.setdefault(shard, (type_label, key))
+            if len(by_shard) == 3:
+                break
+        (first, _), (second, second_key), (third, _) = by_shard.values()
+        third_shard = list(by_shard)[2]
+        params = group.params
+        outside = next(
+            point
+            for point in (params.curve.lift_x(x) for x in range(1, 1000))
+            if point is not None and not params.is_in_subgroup(point)
+        )
+        gateway.grant(
+            GrantRequest(
+                tenant="alice", proxy_key=dataclasses.replace(second_key, rk_point=outside)
+            )
+        )
         requests = [
-            _reencrypt_request(scheme.encrypt(kgc1.params, alice, group.random_gt(rng), "labs", rng))
-            for _ in range(5)
+            _reencrypt_request(
+                scheme.encrypt(kgc1.params, alice, group.random_gt(rng), type_label, rng)
+            )
+            for type_label in (first, second, third)
         ]
-        gateway.reencrypt_batch(requests)
-        stats = gateway.cache_stats()["key_cache"]
-        assert stats.misses == 1  # one table lookup for five same-delegation items
+        transformed = gateway.shard_named(third_shard).transformations_total
+        with pytest.raises(InvalidRequestError, match="outside G1"):
+            gateway.reencrypt_batch(requests)
+        assert gateway.audit[-1].outcome == InvalidRequestError.code
+        assert gateway.shard_named(third_shard).transformations_total == transformed
+        # Only the first group's result was cached; the third misses alone.
+        assert gateway.cache_stats()["result_cache"].size == 1
+        assert gateway.reencrypt(requests[0]).cache_hit
+        assert not gateway.reencrypt(requests[2]).cache_hit
+        gateway.close()
 
     def test_batch_with_missing_delegation_fails_typed(self, setting):
         _, gateway, _, ciphertext, _ = setting
@@ -346,6 +413,7 @@ class TestAuditAndMetrics:
         assert snapshot.rejected == 1
         assert snapshot.requests_total == 4
         assert snapshot.caches["result_cache"].hits == 1
+        assert set(snapshot.caches) == set(gateway.cache_stats()) == {"result_cache"}
         assert sum(snapshot.shard_requests.values()) == 3
 
 

@@ -59,12 +59,12 @@ class TestSnapshot:
         metrics = GatewayMetrics(clock=clock)
         metrics.observe("reencrypt", 2.0, "shard-00")
         clock.now = 1.0
-        cache = LruCache(4, name="key_cache")
+        cache = LruCache(4, name="result_cache")
         cache.put("k", 1)
         cache.get("k")
-        rows = metrics.snapshot(caches={"key_cache": cache.stats()}).rows()
+        rows = metrics.snapshot(caches={"result_cache": cache.stats()}).rows()
         labels = [row[0] for row in rows]
         assert "throughput req/s" in labels
         assert "reencrypt p50/p90 ms" in labels
-        assert "key_cache hit rate" in labels
+        assert "result_cache hit rate" in labels
         assert all(len(row) == 2 for row in rows)

@@ -201,11 +201,11 @@ class TestCodecRoundTrips:
         metrics.observe_rejection()
         metrics.observe_rejection(rate_limited=True)
         metrics.observe_resize(3)
-        cache = LruCache(4, name="key_cache")
+        cache = LruCache(4, name="result_cache")
         cache.put("a", 1)
         cache.get("a")
         cache.get("b")
-        snapshot = metrics.snapshot(caches={"key_cache": cache.stats()})
+        snapshot = metrics.snapshot(caches={"result_cache": cache.stats()})
         decoded = from_wire(group, to_wire(group, snapshot))
         # elapsed_s moves between snapshot and compare; check fields we froze.
         assert decoded.requests_total == snapshot.requests_total == 4
@@ -214,8 +214,8 @@ class TestCodecRoundTrips:
         assert decoded.resizes == 1 and decoded.keys_migrated == 3
         assert decoded.shard_requests == {"shard-00": 1, "shard-01": 1}
         assert decoded.latency == snapshot.latency
-        assert decoded.caches["key_cache"] == CacheStats(
-            name="key_cache",
+        assert decoded.caches["result_cache"] == CacheStats(
+            name="result_cache",
             size=1,
             capacity=4,
             hits=1,

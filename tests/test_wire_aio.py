@@ -44,6 +44,7 @@ from repro.service.gateway import (
     DelegationNotFoundError,
     FetchRequest,
     GrantRequest,
+    InvalidRequestError,
     RateLimitedError,
     ReEncryptRequest,
     RevokeRequest,
@@ -341,6 +342,34 @@ class TestCrossStackConformance:
                 client.reencrypt(request)
             with pytest.raises(StoreUnavailableError):
                 client.fetch(FetchRequest(tenant="t", patient="p"))
+
+
+class TestBatchStopsAtAFailingGroup:
+    def test_groups_after_a_failing_group_are_not_transformed(self, three_stacks):
+        """The second of three groups holds a proxy key outside G1: every
+        stack answers invalid-request, keeps the first group's result and
+        never computes the third's."""
+        settings_, clients = three_stacks
+        for setting, client in zip(settings_, clients):
+            first, second, third = _reencrypt_requests(setting, 3)
+            key = next(
+                key
+                for key in setting.gateway.list_keys()
+                if (key.delegator, key.delegatee, key.type_label)
+                == (second.ciphertext.identity, second.delegatee, second.ciphertext.type_label)
+            )
+            params = setting.group.params
+            outside = next(
+                point
+                for point in (params.curve.lift_x(x) for x in range(1, 1000))
+                if point is not None and not params.is_in_subgroup(point)
+            )
+            bad_key = dataclasses.replace(key, rk_point=outside)
+            client.grant(GrantRequest(tenant=second.tenant, proxy_key=bad_key))
+            with pytest.raises(InvalidRequestError, match="outside G1"):
+                client.reencrypt_batch([first, second, third])
+            assert client.reencrypt(first).cache_hit
+            assert not client.reencrypt(third).cache_hit
 
 
 class TestRevocationThroughTheCache:
@@ -793,6 +822,104 @@ class TestDeeplyNestedJson:
         finally:
             client.close()
             listener.close()
+
+
+# ------------------------------------------------------- mux request frames
+
+# Any JSON value, lone surrogates in strings included (a JSON "\ud800"
+# escape decodes to one).
+_JSON_TEXT = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from("\ud800\udfff"), max_size=12
+)
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | _JSON_TEXT,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(_JSON_TEXT, children, max_size=3),
+    max_leaves=8,
+)
+_REQUEST_FRAMES = st.fixed_dictionaries(
+    {"type": st.just("request")},
+    optional={
+        "id": st.integers() | _JSON_VALUES,
+        "method": st.sampled_from(["GET", "POST"]) | _JSON_VALUES,
+        "path": st.sampled_from(
+            ["/v1/health", "/v1/metrics", PREFIX + "/reencrypt", PREFIX + "/grant"]
+        )
+        | _JSON_VALUES,
+        "body": _JSON_TEXT | _JSON_VALUES.map(json.dumps) | _JSON_VALUES,
+        "headers": st.dictionaries(
+            st.sampled_from([TRACE_HEADER, "Content-Type"]) | _JSON_TEXT, _JSON_VALUES
+        )
+        | _JSON_VALUES,
+    },
+)
+FRAME_TIMEOUT_S = 5.0
+
+
+def _answer_or_close(server, document: dict) -> dict | None:
+    """Send one request frame on a fresh mux connection; return the
+    server's answer, or None if the server closed the connection."""
+    exchange = _MuxExchanger(server.host, server.port)
+    exchange.sock.settimeout(FRAME_TIMEOUT_S)
+    try:
+        exchange.sock.sendall(encode_frame(document))
+        header = exchange.reader.read(FRAME_HEADER_LEN)
+        if not header:
+            return None
+        return decode_frame_payload(exchange.reader.read(frame_length(header)))
+    finally:
+        exchange.close()
+
+
+class TestMuxRequestFrames:
+    """Every request frame gets its response frame or a closed connection,
+    never silence on an open one."""
+
+    @pytest.mark.parametrize("headers", [["x"], "abc", 7])
+    def test_non_object_headers_close_the_connection_as_a_frame_error(self, headers):
+        setting = _build()
+        events = EventLog()
+        with AsyncGatewayServer(setting.gateway, setting.group, event_log=events) as server:
+            document = mux_request(2, "GET", "/v1/health")
+            assert _answer_or_close(server, document)["status"] == 200
+            assert _answer_or_close(server, dict(document, headers=headers)) is None
+            assert _answer_or_close(server, document)["status"] == 200
+        setting.gateway.close()
+        errors = [e for e in events.tail() if e["kind"] == "connection-error"]
+        assert errors and errors[-1].get("error_type") == "FrameProtocolError"
+
+    def test_lone_surrogate_body_is_invalid_request(self):
+        """A JSON body string no UTF-8 can carry is refused like any
+        undecodable body, not left unanswered."""
+        setting = _build()
+        with AsyncGatewayServer(setting.gateway, setting.group) as server:
+            answer = _answer_or_close(
+                server, mux_request(3, "POST", PREFIX + "/reencrypt", "\ud800")
+            )
+        setting.gateway.close()
+        assert answer["id"] == 3 and answer["status"] == 400
+        assert json.loads(answer["body"])["body"]["code"] == "invalid-request"
+
+    def test_arbitrary_request_frames_are_answered_or_closed(self):
+        setting = _build()
+        with AsyncGatewayServer(setting.gateway, setting.group) as server:
+
+            @settings(max_examples=80, deadline=None)
+            @given(document=_REQUEST_FRAMES)
+            def check(document):
+                answer = _answer_or_close(server, document)
+                if answer is not None:
+                    assert answer["type"] == "response"
+                    assert answer["id"] == document["id"]
+
+            check()
+            health = _answer_or_close(server, mux_request(1, "GET", "/v1/health"))
+            assert health["status"] == 200
+        setting.gateway.close()
 
 
 # ------------------------------------------------------------- multiplexing
