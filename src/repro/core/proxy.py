@@ -14,6 +14,7 @@ proxies while every shard speaks the same table interface.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Protocol, runtime_checkable
@@ -61,7 +62,7 @@ class KeyTableBackend(Protocol):
 
 @dataclass(frozen=True, slots=True)
 class ReEncryptionLogEntry:
-    """One entry of the proxy's transformation log."""
+    """One entry of the proxy's transformation log, as :attr:`ProxyService.log` reads it."""
 
     delegator: str
     delegatee: str
@@ -183,15 +184,19 @@ class ProxyService:
     name: str = "proxy"
     max_log_entries: int = DEFAULT_MAX_LOG_ENTRIES
     table: ProxyKeyTable = field(default_factory=ProxyKeyTable)
-    _log: deque[ReEncryptionLogEntry] = field(default_factory=deque)
-    _sequence: int = 0
+    # (delegator, delegatee, type label) per transformation; the sequence
+    # is implied by ring position and ``log`` builds the entries.
+    _log: deque[tuple[str, str, str]] = field(init=False, repr=False, compare=False)
+    _log_lock: threading.Lock = field(init=False, repr=False, compare=False)
+    _sequence: int = field(init=False, default=0)
     backend: PreBackend = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_log_entries < 1:
             raise ValueError("max_log_entries must be positive")
         self.backend = resolve_backend(self.scheme)
-        self._log = deque(self._log, maxlen=self.max_log_entries)
+        self._log = deque(maxlen=self.max_log_entries)
+        self._log_lock = threading.Lock()
 
     def install_key(self, key: ProxyKey) -> None:
         """Install (or replace) a re-encryption key."""
@@ -276,28 +281,28 @@ class ProxyService:
         transforming).
         """
         results = self.backend.reencrypt_batch(ciphertexts, key)
-        for _ in ciphertexts:
-            self._log_transformation(key)
+        self._log_transformation(key, len(ciphertexts))
         return results
 
-    def _log_transformation(self, key: ProxyKey) -> None:
+    def _log_transformation(self, key: ProxyKey, count: int = 1) -> None:
         # The backend's guard matched the key to the ciphertext, so the
         # key's strings name the same delegation — and the bounded log
         # then shares one copy per delegation instead of one per request.
-        self._log.append(
-            ReEncryptionLogEntry(
-                delegator=key.delegator,
-                delegatee=key.delegatee,
-                type_label=key.type_label,
-                sequence=self._sequence,
-            )
-        )
-        self._sequence += 1
+        record = (key.delegator, key.delegatee, key.type_label)
+        with self._log_lock:
+            self._log.extend((record,) * count)
+            self._sequence += count
 
     @property
     def log(self) -> list[ReEncryptionLogEntry]:
         """The transformation log (copy; bounded to ``max_log_entries``)."""
-        return list(self._log)
+        with self._log_lock:
+            records = list(self._log)
+            first = self._sequence - len(records)
+        return [
+            ReEncryptionLogEntry(*record, sequence=first + i)
+            for i, record in enumerate(records)
+        ]
 
     @property
     def transformations_total(self) -> int:

@@ -272,7 +272,7 @@ class ResizeReport:
 
 @dataclass(frozen=True, slots=True)
 class AuditEvent:
-    """One admitted-or-refused request, as the bounded audit log records it."""
+    """One admitted-or-refused request, as :attr:`ReEncryptionGateway.audit` reads it."""
 
     sequence: int
     tenant: str
@@ -339,6 +339,8 @@ class ReEncryptionGateway:
     _pool: ShardPool = field(init=False)
     _result_cache: LruCache = field(init=False)
     _limiter: TokenBucket | None = field(init=False)
+    # (tenant, action, outcome, detail) per request; the sequence is
+    # implied by ring position and ``audit`` builds the AuditEvents.
     _audit: deque = field(init=False)
     _audit_lock: threading.Lock = field(init=False, repr=False)
     _tenant_names: dict[str, str] = field(init=False, repr=False)
@@ -546,15 +548,7 @@ class ReEncryptionGateway:
                     self._tenant_names.clear()
                 shared = self._tenant_names[tenant] = tenant
             tenant = shared
-            self._audit.append(
-                AuditEvent(
-                    sequence=self._audit_sequence,
-                    tenant=tenant,
-                    action=action,
-                    outcome=outcome,
-                    detail=detail,
-                )
-            )
+            self._audit.append((tenant, action, outcome, detail))
             self._audit_sequence += 1
         if self.event_log is not None:
             self.event_log.emit(
@@ -1122,7 +1116,10 @@ class ReEncryptionGateway:
     @property
     def audit(self) -> list[AuditEvent]:
         """The bounded audit log (copy, oldest first)."""
-        return list(self._audit)
+        with self._audit_lock:
+            records = list(self._audit)
+            first = self._audit_sequence - len(records)
+        return [AuditEvent(first + i, *record) for i, record in enumerate(records)]
 
     def key_count(self) -> int:
         """Total installed keys across all shards."""

@@ -21,12 +21,12 @@ request can cross process boundaries:
   operation, per tenant outcome) in Prometheus text exposition format
   for ``GET /v1/metrics?format=prometheus``.
 
-* **Structured events** — :class:`EventLog` is a bounded ring of JSON
-  objects with an injectable sink (:func:`jsonl_sink` appends one JSON
-  line per event to any stream).  The gateway's audit writer and the
-  wire server's previously-discarded ``log_message``/error paths both
-  feed it, so nothing a production operator needs vanishes into a
-  silenced stderr.
+* **Structured events** — :class:`EventLog` is a bounded ring of
+  structured events, read back as JSON objects, with an injectable sink
+  (:func:`jsonl_sink` appends one JSON line per event to any stream).
+  The gateway's audit writer and the wire server's previously-discarded
+  ``log_message``/error paths both feed it, so nothing a production
+  operator needs vanishes into a silenced stderr.
 
 Everything here is dependency-free within the service layer (no imports
 from :mod:`repro.service.metrics` or the wire package), thread-safe, and
@@ -35,12 +35,14 @@ clock-injectable so tests assert on exact numbers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import secrets
 import threading
 import time
 from collections import OrderedDict, deque
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -66,7 +68,7 @@ __all__ = [
 TRACE_HEADER = "X-Repro-Trace"
 
 _TRACE_ID_CHARS = 32  # 16 random bytes
-_SPAN_ID_CHARS = 16  # 8 random bytes
+_SPAN_ID_CHARS = 16  # 8 bytes
 _HEX = set("0123456789abcdef")
 
 # Trace and span ids only need uniqueness, not unpredictability (they
@@ -76,14 +78,12 @@ _HEX = set("0123456789abcdef")
 # getrandbits on a shared Random is a single C call, atomic under the
 # GIL.
 _id_rng = random.Random(secrets.randbits(64))
-
-
-def _new_trace_id() -> str:
-    return "%032x" % _id_rng.getrandbits(128)
-
-
-def _new_span_id() -> str:
-    return "%016x" % _id_rng.getrandbits(64)
+# Span ids count up from a random per-process base: distinct within a
+# process by construction, and across processes (a fleet's router and
+# shards share traces) as likely distinct as fresh random ids.  A 63-bit
+# base keeps every id within 16 hex digits; next() on a count is one C
+# call, atomic under the GIL.
+_span_ids = itertools.count(_id_rng.getrandbits(63))
 
 
 # ------------------------------------------------------------------- tracing
@@ -95,8 +95,8 @@ class TraceContext(NamedTuple):
     The context is propagation state, not a recorded span — spans are
     what a :class:`Tracer` stores.  ``span_id`` names the *enclosing*
     span, so spans opened under this context record it as their parent.
-    A NamedTuple rather than a dataclass: one is built per span on the
-    request hot path, and tuple construction is what keeps that cheap.
+    A NamedTuple rather than a dataclass: one is built per traced request
+    and per span that hands it on, and tuple construction keeps that cheap.
     """
 
     trace_id: str
@@ -104,12 +104,12 @@ class TraceContext(NamedTuple):
 
     @staticmethod
     def generate() -> "TraceContext":
-        """A fresh root context (random ids; no parent span recorded)."""
-        return TraceContext(trace_id=_new_trace_id(), span_id=_new_span_id())
+        """A fresh root context (random trace id; no parent span recorded)."""
+        return TraceContext("%032x" % _id_rng.getrandbits(128), "%016x" % next(_span_ids))
 
     def child(self) -> "TraceContext":
         """Same trace, fresh span id — the context a sub-span runs under."""
-        return TraceContext(trace_id=self.trace_id, span_id=_new_span_id())
+        return TraceContext(self.trace_id, "%016x" % next(_span_ids))
 
     def to_header(self) -> str:
         return "%s-%s" % (self.trace_id, self.span_id)
@@ -156,23 +156,76 @@ class Span(NamedTuple):
 
 
 class SpanHandle:
-    """The mutable in-flight view :meth:`Tracer.span` yields.
+    """One span in flight: what :meth:`Tracer.span` returns and its block yields.
 
     ``context`` is the child trace context the span runs under — pass it
     to nested stages so their spans parent correctly.  :meth:`set` adds
-    attributes; assigning :attr:`status` overrides the default ("ok", or
-    the ``code`` of an exception that escapes the block).
+    attributes (setting a key again replaces its value); assigning
+    :attr:`status` overrides the default ("ok", or the ``code`` of an
+    exception that escapes the block).  Single-use: a plain slotted
+    context manager rather than ``@contextmanager``, because the
+    generator machinery is measurable per-request overhead.
     """
 
-    __slots__ = ("context", "status", "_attributes")
+    __slots__ = ("status", "_tracer", "_parent", "_name", "_attributes", "_id", "_start")
 
-    def __init__(self, context: TraceContext):
-        self.context = context
+    def __init__(
+        self,
+        tracer: "Tracer",
+        parent: TraceContext,
+        name: str,
+        attributes: dict[str, Any] | None = None,
+    ):
         self.status: str | None = None
-        self._attributes: dict[str, str] = {}
+        self._tracer = tracer
+        self._parent = parent
+        self._name = name
+        # Flat key, value, key, value ...: the span's record extends by
+        # it as is, and the later of two pairs with one key wins on read.
+        flat: tuple[str, ...] = ()
+        if attributes:
+            for key, value in attributes.items():
+                flat += (str(key), str(value))
+        self._attributes = flat
+
+    @property
+    def context(self) -> TraceContext:
+        # Built on demand: most spans have no child to hand it to.
+        return TraceContext(self._parent.trace_id, "%016x" % self._id)
 
     def set(self, key: str, value: Any) -> None:
-        self._attributes[str(key)] = str(value)
+        self._attributes += (str(key), str(value))
+
+    def __enter__(self) -> "SpanHandle":
+        self._id = next(_span_ids)
+        self._start = self._tracer._clock()
+        return self
+
+    def __exit__(self, exc_type, exc, _tb) -> bool:
+        if exc is not None and self.status is None:
+            self.status = getattr(exc, "code", exc_type.__name__)
+        self._tracer._finish(self)
+        return False  # never swallow the block's exception
+
+
+# What Tracer.span returns for an untraced request: yields None, shared.
+_NO_SPAN = nullcontext()
+
+
+def _span_of(trace_id: str, record: tuple) -> Span:
+    """The :class:`Span` of one record :meth:`Tracer._finish` stored."""
+    span_id, parent_id, name, start, end, status = record[:6]
+    attributes = dict(zip(record[6::2], record[7::2]))
+    return Span(
+        trace_id,
+        "%016x" % span_id,
+        parent_id,
+        name,
+        start * 1000.0,
+        (end - start) * 1000.0,
+        status,
+        tuple(sorted(attributes.items())),
+    )
 
 
 class Tracer:
@@ -180,7 +233,10 @@ class Tracer:
 
     Spans are grouped by trace id; one trace holds at most
     ``max_spans_per_trace`` spans (later spans of a runaway trace are
-    dropped, never the process's memory).  Thread-safe.
+    dropped, never the process's memory).  Each span is kept as one flat
+    tuple — span id counter value, parent id, name, start and end clock
+    readings, status, then its attribute pairs — and :meth:`trace` builds
+    the :class:`Span` objects.  Thread-safe.
     """
 
     def __init__(
@@ -195,62 +251,57 @@ class Tracer:
         self.max_spans_per_trace = max_spans_per_trace
         self._clock = clock
         self._lock = threading.Lock()
-        self._traces: OrderedDict[str, list[Span]] = OrderedDict()
+        self._traces: OrderedDict[str, list[tuple]] = OrderedDict()
         self.spans_recorded = 0
         self.spans_dropped = 0
         self.traces_evicted = 0
-
-    def record(self, span: Span) -> None:
-        with self._lock:
-            spans = self._traces.get(span.trace_id)
-            if spans is None:
-                while len(self._traces) >= self.max_traces:
-                    self._traces.popitem(last=False)
-                    self.traces_evicted += 1
-                spans = self._traces[span.trace_id] = []
-            if len(spans) >= self.max_spans_per_trace:
-                self.spans_dropped += 1
-                return
-            spans.append(span)
-            self.spans_recorded += 1
 
     def span(
         self,
         context: TraceContext | None,
         name: str,
         attributes: dict[str, Any] | None = None,
-    ) -> "_SpanScope":
+    ) -> SpanHandle | nullcontext:
         """Record one named span around a block; no-op when ``context`` is None.
 
         An exception escaping the block marks the span's status with the
         exception's stable ``code`` (or its class name) and re-raises —
         failed stages show up in the trace exactly where they failed.
-        A plain slotted context manager rather than ``@contextmanager``:
-        the generator machinery is measurable per-request overhead.
         """
-        return _SpanScope(self, context, name, attributes)
+        if context is None:
+            return _NO_SPAN
+        return SpanHandle(self, context, name, attributes)
 
-    def _finish(
-        self, context: TraceContext, name: str, handle: SpanHandle, start: float
-    ) -> None:
-        """Seal one span into the ring (called by :class:`_SpanScope`)."""
-        self.record(
-            Span(
-                trace_id=context.trace_id,
-                span_id=handle.context.span_id,
-                parent_id=context.span_id,
-                name=name,
-                start_ms=start * 1000.0,
-                duration_ms=(self._clock() - start) * 1000.0,
-                status=handle.status or "ok",
-                attributes=tuple(sorted(handle._attributes.items())),
-            )
+    def _finish(self, handle: SpanHandle) -> None:
+        """Seal one span into the ring (called when its block exits)."""
+        parent = handle._parent
+        record = (
+            handle._id,
+            parent.span_id,
+            handle._name,
+            handle._start,
+            self._clock(),
+            handle.status or "ok",
+            *handle._attributes,
         )
+        with self._lock:
+            spans = self._traces.get(parent.trace_id)
+            if spans is None:
+                while len(self._traces) >= self.max_traces:
+                    self._traces.popitem(last=False)
+                    self.traces_evicted += 1
+                spans = self._traces[parent.trace_id] = []
+            if len(spans) >= self.max_spans_per_trace:
+                self.spans_dropped += 1
+                return
+            spans.append(record)
+            self.spans_recorded += 1
 
     def trace(self, trace_id: str) -> list[Span]:
-        """Every recorded span of one trace (copy, recording order)."""
+        """Every recorded span of one trace (recording order)."""
         with self._lock:
-            return list(self._traces.get(trace_id, ()))
+            records = list(self._traces.get(trace_id, ()))
+        return [_span_of(trace_id, record) for record in records]
 
     def trace_ids(self) -> list[str]:
         with self._lock:
@@ -259,41 +310,6 @@ class Tracer:
     def __len__(self) -> int:
         with self._lock:
             return len(self._traces)
-
-
-class _SpanScope:
-    """The context manager :meth:`Tracer.span` returns; single-use."""
-
-    __slots__ = ("_tracer", "_context", "_name", "_attributes", "_handle", "_start")
-
-    def __init__(self, tracer, context, name, attributes):
-        self._tracer = tracer
-        self._context = context
-        self._name = name
-        self._attributes = attributes
-        self._handle = None
-
-    def __enter__(self) -> SpanHandle | None:
-        context = self._context
-        if context is None:
-            return None
-        # context.child() inlined: this runs several times per request.
-        handle = self._handle = SpanHandle(
-            TraceContext(context.trace_id, _new_span_id())
-        )
-        if self._attributes:
-            for key, value in self._attributes.items():
-                handle.set(key, value)
-        self._start = self._tracer._clock()
-        return handle
-
-    def __exit__(self, exc_type, exc, _tb) -> bool:
-        handle = self._handle
-        if handle is not None:
-            if exc is not None and handle.status is None:
-                handle.status = getattr(exc, "code", exc_type.__name__)
-            self._tracer._finish(self._context, self._name, handle, self._start)
-        return False  # never swallow the block's exception
 
 
 def span_to_json(span: Span) -> dict:
@@ -479,12 +495,16 @@ def merge_histogram_snapshots(
 class EventLog:
     """A bounded ring of structured events with an injectable sink.
 
-    :meth:`emit` builds one JSON-compatible dict per event (``ts`` plus
-    whatever the caller passes), keeps the newest ``max_events`` in
-    memory, and forwards each to ``sink`` when one is installed — a
-    callable taking the event dict, e.g. :func:`jsonl_sink`.  A sink
-    failure is counted, never raised: telemetry must not take down
-    serving.  Thread-safe.
+    :meth:`emit` records one event: ``ts``, ``kind`` and whatever fields
+    the caller passes, less those that are ``None``.  The newest
+    ``max_events`` stay in memory as flat tuples ``(ts, kind, field
+    names, *values)``, the field-name tuple shared by every event of one
+    call shape and ``seq`` implied by ring position; :meth:`tail` builds
+    their JSON-compatible dicts, and drops the ``None`` fields there.
+    When a ``sink`` is installed — a callable taking the event dict, e.g.
+    :func:`jsonl_sink` — each event's dict is built at emit time and
+    handed to it.  A sink failure is counted, never raised: telemetry
+    must not take down serving.  Thread-safe.
     """
 
     def __init__(
@@ -501,40 +521,51 @@ class EventLog:
         self._lock = threading.Lock()
         # A maxlen deque IS the bounded ring: append evicts the oldest
         # event in C, with no key bookkeeping on the emit hot path.
-        self._events: deque[dict] = deque(maxlen=max_events)
-        self._sequence = 0
-        self.emitted = 0
+        self._events: deque[tuple] = deque(maxlen=max_events)
+        # One field-name tuple per call shape; the shapes are the emit
+        # call sites' keyword sets, so this stays as small as the code.
+        self._shapes: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self.emitted = 0  # also the next event's seq
         self.sink_errors = 0
 
-    def emit(self, kind: str, **fields: Any) -> dict:
-        """Record one event; returns the event dict that was stored."""
-        event = {"ts": self._clock(), "kind": kind}
-        for key, value in fields.items():
-            if value is not None:
-                event[key] = value
+    def emit(self, kind: str, **fields: Any) -> None:
+        """Record one event."""
+        names = tuple(fields)
+        record = (self._clock(), kind, self._shapes.setdefault(names, names), *fields.values())
         with self._lock:
-            event["seq"] = self._sequence
-            self._events.append(event)
-            self._sequence += 1
+            sequence = self.emitted
+            self._events.append(record)
             self.emitted += 1
             sink = self.sink
         if sink is not None:
             try:
-                sink(event)
+                sink(_event_of(record, sequence))
             except Exception:  # noqa: BLE001 - telemetry never kills serving
                 with self._lock:
                     self.sink_errors += 1
-        return event
 
     def tail(self, n: int | None = None) -> list[dict]:
         """The newest ``n`` events (all retained when ``n`` is None), oldest first."""
         with self._lock:
-            events = list(self._events)
-        return events if n is None else events[-n:]
+            count = len(self._events)
+            keep = count if n is None else max(0, min(n, count))
+            records = list(itertools.islice(self._events, count - keep, None))
+            first = self.emitted - keep
+        return [_event_of(record, first + i) for i, record in enumerate(records)]
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._events)
+
+
+def _event_of(record: tuple, sequence: int) -> dict:
+    """The dict of one record :meth:`EventLog.emit` stored."""
+    event = {"ts": record[0], "kind": record[1]}
+    for key, value in zip(record[2], record[3:]):
+        if value is not None:
+            event[key] = value
+    event["seq"] = sequence
+    return event
 
 
 def jsonl_sink(stream) -> Callable[[dict], None]:

@@ -363,6 +363,8 @@ _POST_OPS = {
         idempotent=True,
     ),
 }
+# One root-span name per op, shared by every span the tracer keeps.
+_HTTP_SPAN_NAMES = {op: "http:" + op for op in _POST_OPS}
 
 
 class WireRequestExecutor:
@@ -802,7 +804,7 @@ class WireRequestExecutor:
         entry = _POST_OPS[op]
         tracer = getattr(gateway, "tracer", None)
         traced = tracer is not None and trace is not None
-        root = tracer.span(trace, "http:%s" % op) if traced else nullcontext(None)
+        root = tracer.span(trace, _HTTP_SPAN_NAMES[op]) if traced else nullcontext(None)
         with root as http_span:
             sub = http_span.context if http_span is not None else None
             with (

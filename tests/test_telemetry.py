@@ -16,10 +16,13 @@ fixed-bucket histograms, bounded event log), then integration:
 
 from __future__ import annotations
 
+import gc
 import http.client
 import io
 import json
 import socket
+import sys
+import threading
 
 import pytest
 
@@ -323,16 +326,19 @@ class TestTruncationRegression:
 class TestEventLog:
     def test_emit_stamps_ts_kind_seq(self):
         log = EventLog(clock=lambda: 1234.5)
-        event = log.emit("audit", tenant="alice", outcome="ok")
+        log.emit("audit", tenant="alice", outcome="ok")
+        log.emit("audit")
+        event, second = log.tail()
         assert event["ts"] == 1234.5
         assert event["kind"] == "audit"
         assert event["seq"] == 0
         assert event["tenant"] == "alice"
-        assert log.emit("audit")["seq"] == 1
+        assert second["seq"] == 1
 
     def test_none_fields_are_dropped(self):
         log = EventLog()
-        event = log.emit("audit", shard=None, outcome="ok")
+        log.emit("audit", shard=None, outcome="ok")
+        (event,) = log.tail()
         assert "shard" not in event
         assert event["outcome"] == "ok"
 
@@ -350,6 +356,7 @@ class TestEventLog:
         for i in range(4):
             log.emit("tick", i=i)
         assert [event["i"] for event in log.tail(2)] == [2, 3]
+        assert log.tail(0) == []
 
     def test_sink_receives_every_event(self):
         seen = []
@@ -387,6 +394,56 @@ class TestEventLog:
         sink = jsonl_sink(stream)
         sink({"kind": "odd", "value": object()})
         assert json.loads(stream.getvalue())["kind"] == "odd"
+
+
+class TestConcurrentRecords:
+    def test_writers_and_a_reader_agree_on_seq_and_span_ids(self):
+        """``seq`` is implied by ring position, so a write racing a read
+        must never shift which record a reader numbers as which."""
+        writers, per_writer = 8, 1000
+        log = EventLog(max_events=writers * per_writer)
+        tracer = Tracer(max_spans_per_trace=per_writer)
+        snapshots = []
+        done = threading.Event()
+
+        def write(index: int) -> None:
+            root = TraceContext.generate()
+            for i in range(per_writer):
+                log.emit("tick", writer=index, i=i, skipped=None)
+                with tracer.span(root, "tick"):
+                    pass
+
+        def read() -> None:
+            while not done.is_set():
+                snapshots.append(log.tail(50))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader = threading.Thread(target=read)
+            reader.start()
+            threads = [threading.Thread(target=write, args=(n,)) for n in range(writers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            done.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive() and not any(thread.is_alive() for thread in threads)
+        events = log.tail()
+        assert [event["seq"] for event in events] == list(range(writers * per_writer))
+        assert all("skipped" not in event for event in events)
+        for index in range(writers):
+            mine = [event["i"] for event in events if event["writer"] == index]
+            assert mine == list(range(per_writer))
+        assert snapshots
+        for snapshot in filter(None, snapshots):
+            first = snapshot[0]["seq"]
+            assert snapshot == events[first : first + len(snapshot)]
+        span_ids = [span.span_id for trace_id in tracer.trace_ids() for span in tracer.trace(trace_id)]
+        assert len(span_ids) == len(set(span_ids)) == writers * per_writer
 
 
 # ----------------------------------------------------- gateway integration
@@ -497,6 +554,83 @@ class TestGatewayTracing:
                 )
         finally:
             gateway.close()
+
+
+def _deep_size(root) -> int:
+    """Bytes of ``root`` and everything it references, each object once."""
+    seen: set[int] = set()
+    stack = [root]
+    total = 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
+class TestRecordMemory:
+    # Bytes per record on CPython 3.11 with records kept as dicts, Spans
+    # and dataclasses / as flat tuples: events 631 / 268, spans 418 / 302,
+    # audit entries 110 / 82, shard-log entries 85 / 71 (small sequence
+    # ints are shared between the two shards).  Each bound sits between.
+    BOUNDS = {"events": 450, "spans": 360, "audit": 95, "shard_logs": 78}
+
+    def test_bounded_logs_hold_at_most_their_bytes_per_record(self):
+        setting = build_setting(
+            group_name="TOY",
+            shard_count=2,
+            n_patients=2,
+            n_delegatees=2,
+            n_types=2,
+            ciphertexts_per_pair=24,
+            seed="record-memory",
+        )
+        gateway = ReEncryptionGateway(setting.backend, shard_count=2)
+        try:
+            for name in setting.gateway.shard_names:
+                for key in setting.gateway.shard_named(name).table:
+                    gateway.grant(GrantRequest(tenant="admin", proxy_key=key))
+            shards = [gateway.shard_named(name) for name in gateway.shard_names]
+
+            def held():
+                return {
+                    "events": (gateway.event_log._events, gateway.event_log.emitted),
+                    "spans": (gateway.tracer._traces, gateway.tracer.spans_recorded),
+                    "audit": (gateway._audit, len(gateway.audit)),
+                    "shard_logs": (
+                        [shard._log for shard in shards],
+                        sum(shard.transformations_total for shard in shards),
+                    ),
+                }
+
+            before = {name: (_deep_size(ring), count) for name, (ring, count) in held().items()}
+            requests = [
+                ReEncryptRequest(
+                    tenant=patient, ciphertext=ciphertext,
+                    delegatee_domain=DELEGATEE_DOMAIN, delegatee=delegatee,
+                )
+                for (patient, _type_label), entries in sorted(setting.pool.items())
+                for ciphertext, _message in entries
+                for delegatee in setting.delegatees
+            ]
+            assert len(requests) < gateway.tracer.max_traces  # no trace evicted
+            for request in requests:
+                gateway.reencrypt(request, trace=TraceContext.generate())
+            per_record = {}
+            for name, (ring, count) in held().items():
+                size_before, count_before = before[name]
+                assert count > count_before
+                per_record[name] = (_deep_size(ring) - size_before) / (count - count_before)
+        finally:
+            gateway.close()
+            setting.gateway.close()
+        over = {
+            name: round(size) for name, size in per_record.items() if size > self.BOUNDS[name]
+        }
+        assert not over, "bytes per record over %s: %s" % (self.BOUNDS, over)
 
 
 # -------------------------------------------------------- wire integration
