@@ -6,6 +6,16 @@ versioned wire message::
     {"wire": "repro-gateway/v1", "scheme": "<scheme id>",
      "type": "<kind>", "body": {...}}
 
+One rule builds every body from its dataclass: the fields go by name,
+and each field's annotation picks its kind (``str``, ``int``, ``bool``,
+``float``, base64 ``bytes``, an element envelope, a tuple or
+``dict[str, ...]`` of a kind, a nested dataclass, or ``(label,
+outcome)`` count rows).  The field lists are compiled once at import.
+A field with a default is left out while it is None and decodes to its
+default when absent or null.  The few per-type quirks (a renamed field,
+a derived view written on encode only, a check across fields) are
+tables, not code.
+
 The codec speaks for exactly one :class:`~repro.core.api.PreBackend`
 (a bare :class:`~repro.pairing.group.PairingGroup` still selects the
 paper's ``tipre/v1`` backend, the historical spelling).  Element
@@ -13,10 +23,12 @@ payloads (ciphertexts, proxy keys) travel as scheme-tagged envelopes —
 ``{"format": "<scheme id>", "group": ..., "kind": ..., "payload":
 base64}`` — whose bytes come from the backend's serialization hooks;
 for ``tipre/v1`` these are the canonical container envelopes of
-:mod:`repro.serialization.containers`, byte-identical to the wire
-format before the backend API existed.  Decoding is round-trip exact —
-the dataclass that comes out of :func:`from_wire` compares equal to the
-one that went into :func:`to_wire`, group elements included.
+:mod:`repro.serialization.containers`, so a key file written by
+``repro-pre pextract`` is a valid ``proxy_key``.  Decoding checks the
+envelope's scheme, group and ``kind`` against the field, and is
+round-trip exact — the dataclass that comes out of :func:`from_wire`
+compares equal to the one that went into :func:`to_wire`, group
+elements included.
 
 Re-encryption ciphertexts in both directions decode to
 :class:`~repro.core.api.Encoded` views: every structural check runs, but
@@ -32,7 +44,9 @@ version, an unknown ``type``, a missing or mistyped field, a corrupt
 element envelope, or *any scheme-id mismatch* (a message or element
 produced under a different backend) — raises
 :class:`~repro.service.gateway.InvalidRequestError`, so the server maps
-every decode failure to the stable ``invalid-request`` error code.
+every decode failure to the stable ``invalid-request`` error code.  The
+error names the offending field by its path in the body, such as
+``requests[1].proxy_key``.
 
 :class:`~repro.service.gateway.GatewayError` instances are themselves a
 message type (``error``), carrying ``{code, message}``; decoding one
@@ -44,16 +58,18 @@ failures under the exact exception types in-process callers catch.
 from __future__ import annotations
 
 import base64
+import dataclasses
+import functools
 import json
 import struct
+import types
+import typing
 from dataclasses import dataclass
-from typing import Any, Callable
 
 from repro.core.api import PreBackend, resolve_backend
+from repro.core.ciphertexts import ProxyKey, ReEncryptedCiphertext, TypedCiphertext
 from repro.pairing.group import PairingGroup
-from repro.phr.store import StoredRecord
 from repro.serialization.encoding import EncodingError
-from repro.service.cache import CacheStats
 from repro.service.gateway import (
     DelegationNotFoundError,
     EntryMissingError,
@@ -81,7 +97,7 @@ from repro.service.auth.errors import (
     UnknownTenantError,
 )
 from repro.service.gateway import QuotaExceededError
-from repro.service.metrics import LatencySummary, MetricsSnapshot
+from repro.service.metrics import MetricsSnapshot
 from repro.service.telemetry import HistogramSnapshot
 
 __all__ = [
@@ -194,7 +210,7 @@ class KeyExportRequest:
 
 @dataclass(frozen=True)
 class KeyExportResponse:
-    keys: tuple  # scheme-native proxy keys
+    keys: tuple[ProxyKey, ...]  # or the scheme's own proxy key envelopes
 
 
 # --------------------------------------------------------- scheme documents
@@ -234,603 +250,310 @@ def neutral_error_to_wire(error: GatewayError) -> str:
     )
 
 
-# ------------------------------------------------------------- field access
+# ------------------------------------------------------------ field kinds
+#
+# A kind is an ``(encode, decode)`` pair for one field's value, read off
+# the field's annotation once at import.  ``encode(backend, value)``
+# returns what ``json.dumps`` writes; it is None where the value is
+# written as it is (``json.dumps`` writes a tuple as a list).
+# ``decode(backend, value)`` checks one JSON value and returns the
+# field's value, or raises _Refused.
 
 
-def _body_of(message: dict) -> dict:
-    body = message.get("body")
-    if not isinstance(body, dict):
-        raise InvalidRequestError("wire message body must be a JSON object")
-    return body
+class _Refused(Exception):
+    """A decode check failed.
+
+    Each container the refusal passes through on its way out adds its
+    key, so the path to the value is built only when a check fails.
+    ``args`` hold a format (its first placeholder takes the path) and values.
+    """
+
+    def __init__(self, template: str, *values) -> None:
+        super().__init__(template, *values)
+        self.keys: list = []  # innermost first
+
+    def __str__(self) -> str:
+        path = ""
+        for key in reversed(self.keys):
+            if isinstance(key, int):
+                path += "[%d]" % key
+            else:
+                path += "." + key if path else key
+        return self.args[0] % ((path,) + self.args[1:])
 
 
-def _get(
-    body: dict, name: str, kind: type | tuple[type, ...], optional: bool = False
-) -> Any:
-    value = body.get(name)
-    if value is None:
-        if optional:
-            return None
-        raise InvalidRequestError("missing wire field %r" % name)
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    # bool is an int subclass; a numeric field must still reject true/false.
-    if not isinstance(value, kinds) or (bool not in kinds and isinstance(value, bool)):
-        raise InvalidRequestError(
-            "wire field %r must be %s"
-            % (name, " or ".join(k.__name__ for k in kinds))
-        )
-    return value
+def _scalar(kind: type):
+    # json.loads builds exact built-in types, so an exact type test also
+    # keeps true/false (bool is an int subclass) out of numeric fields.
+    def decode(backend, value):
+        if type(value) is kind:
+            return value
+        raise _Refused("wire field %r must be %s", kind.__name__)
+
+    return None, decode
 
 
-def _element_to_json(backend: PreBackend, blob: bytes, kind: str) -> dict:
-    """Scheme-tagged element envelope; for ``tipre/v1`` this is exactly
-    the canonical ``to_json_envelope`` output the wire always used."""
-    return {
-        "format": backend.scheme_id,
-        "group": backend.group.params.name,
-        "kind": kind,
-        "payload": base64.b64encode(blob).decode("ascii"),
-    }
-
-
-def _element_from_json(backend: PreBackend, body: dict, name: str) -> bytes:
-    envelope = _get(body, name, dict)
-    found = envelope.get("format")
-    if found != backend.scheme_id:
-        raise InvalidRequestError(
-            "field %r carries scheme %r, this gateway speaks %r"
-            % (name, found, backend.scheme_id)
-        )
-    if envelope.get("group") != backend.group.params.name:
-        raise InvalidRequestError(
-            "field %r is for group %r, not %r"
-            % (name, envelope.get("group"), backend.group.params.name)
-        )
-    payload = envelope.get("payload")
-    if not isinstance(payload, str):
-        raise InvalidRequestError("field %r has no payload" % name)
-    try:
-        return base64.b64decode(payload, validate=True)
-    except ValueError as error:
-        raise InvalidRequestError("field %r: invalid payload" % name) from error
-
-
-def _decode_element(decode: Callable, blob: bytes, name: str):
-    try:
-        return decode(blob)
-    except (EncodingError, ValueError) as error:
-        raise InvalidRequestError("field %r: %s" % (name, error)) from error
-
-
-# ------------------------------------------------------- per-type encoders
-
-
-def _enc_grant_request(backend: PreBackend, msg: GrantRequest) -> dict:
-    return {
-        "tenant": msg.tenant,
-        "proxy_key": _element_to_json(
-            backend, backend.serialize_proxy_key(msg.proxy_key), "proxy-key"
-        ),
-    }
-
-
-def _dec_grant_request(backend: PreBackend, body: dict) -> GrantRequest:
-    return GrantRequest(
-        tenant=_get(body, "tenant", str),
-        proxy_key=_decode_element(
-            backend.deserialize_proxy_key,
-            _element_from_json(backend, body, "proxy_key"),
-            "proxy_key",
-        ),
-    )
-
-
-def _enc_grant_response(backend: PreBackend, msg: GrantResponse) -> dict:
-    return {"shard": msg.shard}
-
-
-def _dec_grant_response(backend: PreBackend, body: dict) -> GrantResponse:
-    return GrantResponse(shard=_get(body, "shard", str))
-
-
-def _enc_grant_batch_request(backend: PreBackend, msg: GrantBatchRequest) -> dict:
-    return {"requests": [_enc_grant_request(backend, r) for r in msg.requests]}
-
-
-def _dec_grant_batch_request(backend: PreBackend, body: dict) -> GrantBatchRequest:
-    items = _get(body, "requests", list)
-    decoded = []
-    for item in items:
-        if not isinstance(item, dict):
-            raise InvalidRequestError("batch items must be JSON objects")
-        decoded.append(_dec_grant_request(backend, item))
-    return GrantBatchRequest(requests=tuple(decoded))
-
-
-def _enc_grant_batch_response(backend: PreBackend, msg: GrantBatchResponse) -> dict:
-    return {"responses": [_enc_grant_response(backend, r) for r in msg.responses]}
-
-
-def _dec_grant_batch_response(backend: PreBackend, body: dict) -> GrantBatchResponse:
-    items = _get(body, "responses", list)
-    decoded = []
-    for item in items:
-        if not isinstance(item, dict):
-            raise InvalidRequestError("batch items must be JSON objects")
-        decoded.append(_dec_grant_response(backend, item))
-    return GrantBatchResponse(responses=tuple(decoded))
-
-
-def _enc_revoke_request(backend: PreBackend, msg: RevokeRequest) -> dict:
-    body = {
-        "tenant": msg.tenant,
-        "delegator_domain": msg.delegator_domain,
-        "delegator": msg.delegator,
-        "delegatee_domain": msg.delegatee_domain,
-        "delegatee": msg.delegatee,
-        "type_label": msg.type_label,
-    }
-    # Omitted when unset: a request without an idempotency id stays
-    # byte-identical to what pre-dedup clients always sent.
-    if msg.request_id is not None:
-        body["request_id"] = msg.request_id
-    return body
-
-
-def _dec_revoke_request(backend: PreBackend, body: dict) -> RevokeRequest:
-    return RevokeRequest(
-        tenant=_get(body, "tenant", str),
-        delegator_domain=_get(body, "delegator_domain", str),
-        delegator=_get(body, "delegator", str),
-        delegatee_domain=_get(body, "delegatee_domain", str),
-        delegatee=_get(body, "delegatee", str),
-        type_label=_get(body, "type_label", str),
-        request_id=_get(body, "request_id", str, optional=True),
-    )
-
-
-def _enc_revoke_response(backend: PreBackend, msg: RevokeResponse) -> dict:
-    return {"shard": msg.shard, "removed": msg.removed}
-
-
-def _dec_revoke_response(backend: PreBackend, body: dict) -> RevokeResponse:
-    return RevokeResponse(
-        shard=_get(body, "shard", str), removed=_get(body, "removed", bool)
-    )
-
-
-def _enc_reencrypt_request(backend: PreBackend, msg: ReEncryptRequest) -> dict:
-    return {
-        "tenant": msg.tenant,
-        "ciphertext": _element_to_json(
-            backend, backend.ciphertext_bytes(msg.ciphertext), "typed-ciphertext"
-        ),
-        "delegatee_domain": msg.delegatee_domain,
-        "delegatee": msg.delegatee,
-    }
-
-
-def _dec_reencrypt_request(backend: PreBackend, body: dict) -> ReEncryptRequest:
-    # Checked to the last structural detail, kept as bytes: the gateway
-    # decompresses the ciphertext only when its result cache misses.
-    return ReEncryptRequest(
-        tenant=_get(body, "tenant", str),
-        ciphertext=_decode_element(
-            backend.encoded_ciphertext,
-            _element_from_json(backend, body, "ciphertext"),
-            "ciphertext",
-        ),
-        delegatee_domain=_get(body, "delegatee_domain", str),
-        delegatee=_get(body, "delegatee", str),
-    )
-
-
-def _enc_reencrypt_response(backend: PreBackend, msg: ReEncryptResponse) -> dict:
-    return {
-        "ciphertext": _element_to_json(
-            backend, backend.reencrypted_bytes(msg.ciphertext), "reencrypted-ciphertext"
-        ),
-        "shard": msg.shard,
-        "cache_hit": msg.cache_hit,
-    }
-
-
-def _dec_reencrypt_response(backend: PreBackend, body: dict) -> ReEncryptResponse:
-    return ReEncryptResponse(
-        ciphertext=_decode_element(
-            backend.encoded_reencrypted,
-            _element_from_json(backend, body, "ciphertext"),
-            "ciphertext",
-        ),
-        shard=_get(body, "shard", str),
-        cache_hit=_get(body, "cache_hit", bool),
-    )
-
-
-def _enc_reencrypt_batch_request(backend: PreBackend, msg: ReEncryptBatchRequest) -> dict:
-    return {"requests": [_enc_reencrypt_request(backend, r) for r in msg.requests]}
-
-
-def _dec_reencrypt_batch_request(backend: PreBackend, body: dict) -> ReEncryptBatchRequest:
-    items = _get(body, "requests", list)
-    decoded = []
-    for item in items:
-        if not isinstance(item, dict):
-            raise InvalidRequestError("batch items must be JSON objects")
-        decoded.append(_dec_reencrypt_request(backend, item))
-    return ReEncryptBatchRequest(requests=tuple(decoded))
-
-
-def _enc_reencrypt_batch_response(backend: PreBackend, msg: ReEncryptBatchResponse) -> dict:
-    return {"responses": [_enc_reencrypt_response(backend, r) for r in msg.responses]}
-
-
-def _dec_reencrypt_batch_response(backend: PreBackend, body: dict) -> ReEncryptBatchResponse:
-    items = _get(body, "responses", list)
-    decoded = []
-    for item in items:
-        if not isinstance(item, dict):
-            raise InvalidRequestError("batch items must be JSON objects")
-        decoded.append(_dec_reencrypt_response(backend, item))
-    return ReEncryptBatchResponse(responses=tuple(decoded))
-
-
-def _enc_fetch_request(backend: PreBackend, msg: FetchRequest) -> dict:
-    return {
-        "tenant": msg.tenant,
-        "patient": msg.patient,
-        "entry_id": msg.entry_id,
-        "category": msg.category,
-    }
-
-
-def _dec_fetch_request(backend: PreBackend, body: dict) -> FetchRequest:
-    return FetchRequest(
-        tenant=_get(body, "tenant", str),
-        patient=_get(body, "patient", str),
-        entry_id=_get(body, "entry_id", str, optional=True),
-        category=_get(body, "category", str, optional=True),
-    )
-
-
-def _enc_fetch_response(backend: PreBackend, msg: FetchResponse) -> dict:
-    return {
-        "records": [
-            {
-                "patient": record.patient,
-                "category": record.category,
-                "entry_id": record.entry_id,
-                "blob": base64.b64encode(record.blob).decode("ascii"),
-            }
-            for record in msg.records
-        ]
-    }
-
-
-def _dec_fetch_response(backend: PreBackend, body: dict) -> FetchResponse:
-    items = _get(body, "records", list)
-    records = []
-    for item in items:
-        if not isinstance(item, dict):
-            raise InvalidRequestError("records must be JSON objects")
+def _decode_float(backend, value) -> float:
+    if type(value) in (int, float):
         try:
-            blob = base64.b64decode(_get(item, "blob", str), validate=True)
-        except ValueError as error:
-            raise InvalidRequestError("invalid record blob") from error
-        records.append(
-            StoredRecord(
-                patient=_get(item, "patient", str),
-                category=_get(item, "category", str),
-                entry_id=_get(item, "entry_id", str),
-                blob=blob,
+            return float(value)
+        except OverflowError:
+            raise _Refused("wire field %r is out of range") from None
+    raise _Refused("wire field %r must be %s", "int or float")
+
+
+def _encode_bytes(backend, value: bytes) -> str:
+    return base64.b64encode(value).decode("ascii")
+
+
+def _decode_bytes(backend, value) -> bytes:
+    if type(value) is not str:
+        raise _Refused("wire field %r must be %s", "str")
+    try:
+        return base64.b64decode(value, validate=True)
+    except ValueError:
+        raise _Refused("wire field %r is not base64") from None
+
+
+_SCALARS = {
+    str: _scalar(str),
+    int: _scalar(int),
+    bool: _scalar(bool),
+    float: (None, _decode_float),
+    bytes: (_encode_bytes, _decode_bytes),
+}
+
+# Element envelopes: annotation -> (envelope kind, the backend method
+# giving canonical bytes, the backend method checking and decoding them).
+# Re-encryption ciphertexts decode to Encoded views (see the module doc).
+_ELEMENTS = {
+    ProxyKey: ("proxy-key", "serialize_proxy_key", "deserialize_proxy_key"),
+    TypedCiphertext: ("typed-ciphertext", "ciphertext_bytes", "encoded_ciphertext"),
+    ReEncryptedCiphertext: ("reencrypted-ciphertext", "reencrypted_bytes", "encoded_reencrypted"),
+}
+
+
+def _element(kind: str, to_bytes: str, from_bytes: str):
+    def encode(backend: PreBackend, value) -> dict:
+        return {
+            "format": backend.scheme_id,
+            "group": backend.group.params.name,
+            "kind": kind,
+            "payload": base64.b64encode(getattr(backend, to_bytes)(value)).decode("ascii"),
+        }
+
+    def decode(backend: PreBackend, envelope):
+        if type(envelope) is not dict:
+            raise _Refused("wire field %r must be %s", "dict")
+        found = envelope.get("format")
+        if found != backend.scheme_id:
+            raise _Refused(
+                "field %r carries scheme %r, this gateway speaks %r", found, backend.scheme_id
             )
-        )
-    return FetchResponse(records=tuple(records))
+        group = envelope.get("group")
+        if group != backend.group.params.name:
+            raise _Refused("field %r is for group %r, not %r", group, backend.group.params.name)
+        if envelope.get("kind") != kind:
+            raise _Refused("field %r has kind %r, expected %r", envelope.get("kind"), kind)
+        payload = envelope.get("payload")
+        if type(payload) is not str:
+            raise _Refused("field %r has no payload")
+        try:
+            blob = base64.b64decode(payload, validate=True)
+        except ValueError:
+            raise _Refused("field %r: invalid payload") from None
+        try:
+            return getattr(backend, from_bytes)(blob)
+        except (EncodingError, ValueError) as error:
+            raise _Refused("field %r: %s", error) from error
+
+    return encode, decode
 
 
-def _enc_resize_request(backend: PreBackend, msg: ResizeRequest) -> dict:
-    body = {"tenant": msg.tenant, "shard_count": msg.shard_count}
-    if msg.request_id is not None:
-        body["request_id"] = msg.request_id
-    return body
+def _tuple_of(item):
+    encode_item, decode_item = item
+
+    def decode(backend, values):
+        if type(values) is not list:
+            raise _Refused("wire field %r must be %s", "list")
+        decoded = []
+        try:
+            for index, value in enumerate(values):
+                decoded.append(decode_item(backend, value))
+        except _Refused as refused:
+            refused.keys.append(index)
+            raise
+        return tuple(decoded)
+
+    if encode_item is None:
+        return None, decode
+    return (lambda backend, values: [encode_item(backend, v) for v in values]), decode
 
 
-def _dec_resize_request(backend: PreBackend, body: dict) -> ResizeRequest:
-    return ResizeRequest(
-        tenant=_get(body, "tenant", str),
-        shard_count=_get(body, "shard_count", int),
-        request_id=_get(body, "request_id", str, optional=True),
-    )
+def _dict_of(item):
+    encode_item, decode_item = item
+
+    def decode(backend, mapping):
+        if type(mapping) is not dict:
+            raise _Refused("wire field %r must be %s", "dict")
+        decoded = {}
+        try:
+            for key, value in mapping.items():
+                decoded[key] = decode_item(backend, value)
+        except _Refused as refused:
+            refused.keys.append(key)
+            raise
+        return decoded
+
+    if encode_item is None:
+        return None, decode
+    return (
+        lambda backend, mapping: {k: encode_item(backend, v) for k, v in mapping.items()}
+    ), decode
 
 
-def _enc_key_export_request(backend: PreBackend, msg: KeyExportRequest) -> dict:
-    return {"tenant": msg.tenant}
-
-
-def _dec_key_export_request(backend: PreBackend, body: dict) -> KeyExportRequest:
-    return KeyExportRequest(tenant=_get(body, "tenant", str))
-
-
-def _enc_key_export_response(backend: PreBackend, msg: KeyExportResponse) -> dict:
-    return {
-        "keys": [
-            _element_to_json(backend, backend.serialize_proxy_key(key), "proxy-key")
-            for key in msg.keys
-        ]
-    }
-
-
-def _dec_key_export_response(backend: PreBackend, body: dict) -> KeyExportResponse:
-    items = _get(body, "keys", list)
-    keys = []
-    for position, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise InvalidRequestError("exported keys must be JSON objects")
-        name = "keys[%d]" % position
-        blob = _element_from_json(backend, {name: item}, name)
-        keys.append(_decode_element(backend.deserialize_proxy_key, blob, name))
-    return KeyExportResponse(keys=tuple(keys))
-
-
-def _enc_resize_report(backend: PreBackend, msg: ResizeReport) -> dict:
-    return {
-        "old_shard_count": msg.old_shard_count,
-        "new_shard_count": msg.new_shard_count,
-        "keys_moved": msg.keys_moved,
-        "shards_added": list(msg.shards_added),
-        "shards_removed": list(msg.shards_removed),
-        "elapsed_ms": msg.elapsed_ms,
-    }
-
-
-def _str_list(body: dict, name: str) -> tuple[str, ...]:
-    items = _get(body, name, list)
-    if not all(isinstance(item, str) for item in items):
-        raise InvalidRequestError("wire field %r must be a list of strings" % name)
-    return tuple(items)
-
-
-def _dec_resize_report(backend: PreBackend, body: dict) -> ResizeReport:
-    return ResizeReport(
-        old_shard_count=_get(body, "old_shard_count", int),
-        new_shard_count=_get(body, "new_shard_count", int),
-        keys_moved=_get(body, "keys_moved", int),
-        shards_added=_str_list(body, "shards_added"),
-        shards_removed=_str_list(body, "shards_removed"),
-        elapsed_ms=float(_get(body, "elapsed_ms", (int, float))),
-    )
-
-
-def _enc_latency(summary: LatencySummary) -> dict:
-    return {
-        "count": summary.count,
-        "p50_ms": summary.p50_ms,
-        "p90_ms": summary.p90_ms,
-        "p99_ms": summary.p99_ms,
-        "max_ms": summary.max_ms,
-    }
-
-
-def _enc_cache_stats(stats: CacheStats) -> dict:
-    return {
-        "name": stats.name,
-        "size": stats.size,
-        "capacity": stats.capacity,
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "evictions": stats.evictions,
-        "invalidations": stats.invalidations,
-    }
-
-
-def _dec_cache_stats(body: dict) -> CacheStats:
-    return CacheStats(
-        name=_get(body, "name", str),
-        size=_get(body, "size", int),
-        capacity=_get(body, "capacity", int),
-        hits=_get(body, "hits", int),
-        misses=_get(body, "misses", int),
-        evictions=_get(body, "evictions", int),
-        invalidations=_get(body, "invalidations", int),
-    )
-
-
-def _enc_histogram(histogram: HistogramSnapshot) -> dict:
-    return {
-        "bounds": list(histogram.bounds),
-        "counts": list(histogram.counts),
-        "count": histogram.count,
-        "sum": histogram.sum,
-        "max": histogram.max_value,
-    }
-
-
-def _dec_histogram(body: dict) -> HistogramSnapshot:
-    bounds = _get(body, "bounds", list)
-    counts = _get(body, "counts", list)
-    if not all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in bounds):
-        raise InvalidRequestError("histogram bounds must be numbers")
-    if not all(isinstance(c, int) and not isinstance(c, bool) for c in counts):
-        raise InvalidRequestError("histogram counts must be integers")
-    if len(counts) != len(bounds) + 1:
-        raise InvalidRequestError("histogram needs len(bounds) + 1 buckets")
-    return HistogramSnapshot(
-        bounds=tuple(float(b) for b in bounds),
-        counts=tuple(counts),
-        count=_get(body, "count", int),
-        sum=float(_get(body, "sum", (int, float))),
-        max_value=float(_get(body, "max", (int, float))),
-    )
-
-
-def _enc_outcomes(outcomes: dict) -> list:
+def _encode_rows(backend, outcomes: dict) -> list:
     # (label, outcome) tuple keys are not JSON object keys; flatten to rows.
-    return [
-        [label, outcome, count]
-        for (label, outcome), count in sorted(outcomes.items())
-    ]
+    return [[label, outcome, count] for (label, outcome), count in sorted(outcomes.items())]
 
 
-def _dec_outcomes(rows: list, what: str) -> dict:
+def _decode_rows(backend, rows) -> dict:
+    if type(rows) is not list:
+        raise _Refused("wire field %r must be %s", "list")
     outcomes = {}
     for row in rows:
-        if (
-            not isinstance(row, list)
-            or len(row) != 3
-            or not isinstance(row[0], str)
-            or not isinstance(row[1], str)
-            or not isinstance(row[2], int)
-            or isinstance(row[2], bool)
+        if not (
+            type(row) is list and len(row) == 3 and type(row[0]) is type(row[1]) is str
+            and type(row[2]) is int
         ):
-            raise InvalidRequestError("%s rows must be [label, outcome, count]" % what)
+            raise _Refused("%s rows must be [label, outcome, count]")
         outcomes[(row[0], row[1])] = row[2]
     return outcomes
 
 
-def _enc_metrics_snapshot(backend: PreBackend, msg: MetricsSnapshot) -> dict:
-    return {
-        "requests_total": msg.requests_total,
-        "served": msg.served,
-        "rejected": msg.rejected,
-        "rate_limited": msg.rate_limited,
-        "elapsed_s": msg.elapsed_s,
-        "shard_requests": dict(msg.shard_requests),
-        "latency": {kind: _enc_latency(summary) for kind, summary in msg.latency.items()},
-        "caches": {name: _enc_cache_stats(stats) for name, stats in msg.caches.items()},
-        "resizes": msg.resizes,
-        "keys_migrated": msg.keys_migrated,
-        "histograms": {
-            kind: _enc_histogram(histogram)
-            for kind, histogram in msg.histograms.items()
-        },
-        "outcomes": _enc_outcomes(msg.outcomes),
-        "tenant_outcomes": _enc_outcomes(msg.tenant_outcomes),
-        "tenant_queue_ms": {
-            tenant: _enc_histogram(histogram)
-            for tenant, histogram in msg.tenant_queue_ms.items()
-        },
-        "auth_failures": dict(msg.auth_failures),
-    }
+def _kind(hint):
+    """The ``(encode, decode)`` pair for one annotation."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        # ``X | None``: whether a field may be left out is its default's call.
+        (hint,) = [arg for arg in args if arg is not type(None)]
+        return _kind(hint)
+    if hint in _SCALARS:
+        return _SCALARS[hint]
+    if hint in _ELEMENTS:
+        return _element(*_ELEMENTS[hint])
+    if origin is tuple:
+        return _tuple_of(_kind(args[0]))
+    if origin is dict:
+        if typing.get_origin(args[0]) is tuple:
+            return _encode_rows, _decode_rows
+        return _dict_of(_kind(args[1]))
+    return _dataclass_kind(hint)
 
 
-def _dec_metrics_snapshot(backend: PreBackend, body: dict) -> MetricsSnapshot:
-    shard_requests = _get(body, "shard_requests", dict)
-    if not all(
-        isinstance(k, str) and isinstance(v, int) and not isinstance(v, bool)
-        for k, v in shard_requests.items()
-    ):
-        raise InvalidRequestError("shard_requests must map shard -> int")
-    caches = {}
-    for name, stats in _get(body, "caches", dict).items():
-        if not isinstance(stats, dict):
-            raise InvalidRequestError("cache stats must be JSON objects")
-        caches[name] = _dec_cache_stats(stats)
-    # Telemetry fields are optional on decode: a pre-telemetry peer's
-    # snapshot (no histograms/outcomes) still decodes, with empty maps.
-    histograms = {}
-    for kind, histogram in (_get(body, "histograms", dict, optional=True) or {}).items():
-        if not isinstance(histogram, dict):
-            raise InvalidRequestError("histograms must be JSON objects")
-        histograms[kind] = _dec_histogram(histogram)
-    outcomes = _dec_outcomes(
-        _get(body, "outcomes", list, optional=True) or [], "outcomes"
-    )
-    tenant_outcomes = _dec_outcomes(
-        _get(body, "tenant_outcomes", list, optional=True) or [], "tenant_outcomes"
-    )
-    tenant_queue_ms = {}
-    for tenant, histogram in (
-        _get(body, "tenant_queue_ms", dict, optional=True) or {}
-    ).items():
-        if not isinstance(histogram, dict):
-            raise InvalidRequestError("tenant_queue_ms must map tenant -> histogram")
-        tenant_queue_ms[tenant] = _dec_histogram(histogram)
-    auth_failures = _get(body, "auth_failures", dict, optional=True) or {}
-    if not all(
-        isinstance(k, str) and isinstance(v, int) and not isinstance(v, bool)
-        for k, v in auth_failures.items()
-    ):
-        raise InvalidRequestError("auth_failures must map code -> int")
-    return MetricsSnapshot(
-        requests_total=_get(body, "requests_total", int),
-        served=_get(body, "served", int),
-        rejected=_get(body, "rejected", int),
-        rate_limited=_get(body, "rate_limited", int),
-        elapsed_s=float(_get(body, "elapsed_s", (int, float))),
-        shard_requests=dict(shard_requests),
-        caches=caches,
-        resizes=_get(body, "resizes", int),
-        keys_migrated=_get(body, "keys_migrated", int),
-        histograms=histograms,
-        outcomes=outcomes,
-        tenant_outcomes=tenant_outcomes,
-        tenant_queue_ms=tenant_queue_ms,
-        auth_failures=dict(auth_failures),
-    )
+# ------------------------------------------------------------ field lists
+#
+# Every message is a dataclass, and its fields go on the wire by name.
+# One rule covers optional fields: a field with a default is left out
+# while it is None, and decodes to its default when absent or null.  A
+# field without a default must be present and non-null.  Three per-type
+# quirks are data, not code:
+
+# Fields whose wire name differs from the attribute.
+_RENAMED = {(HistogramSnapshot, "max_value"): "max"}
+# Derived views written for readers and never read back.
+_ENCODE_ONLY = {MetricsSnapshot: ("latency",)}
 
 
-def _enc_error(backend: PreBackend, error: GatewayError) -> dict:
-    return {"code": error.code, "message": str(error)}
+def _check_histogram(histogram: HistogramSnapshot) -> None:
+    if len(histogram.counts) != len(histogram.bounds) + 1:
+        raise _Refused("%s: histogram needs len(bounds) + 1 buckets")
 
 
-def _dec_error(backend: PreBackend, body: dict) -> GatewayError:
-    code = _get(body, "code", str)
-    message = _get(body, "message", str)
-    return ERROR_TYPES.get(code, GatewayError)(message)
+# Checks across fields, run on the decoded value.
+_CHECKS = {HistogramSnapshot: _check_histogram}
+
+
+@functools.cache
+def _dataclass_kind(cls: type):
+    """The ``(encode, decode)`` pair of a dataclass, compiled from its fields."""
+    hints = typing.get_type_hints(cls)
+    encoded, decoded = [], []
+    for field in dataclasses.fields(cls):
+        encode_value, decode_value = _kind(hints[field.name])
+        wire = _RENAMED.get((cls, field.name), field.name)
+        optional = not (field.default is field.default_factory is dataclasses.MISSING)
+        encoded.append((field.name, wire, encode_value, optional))
+        decoded.append((field.name, wire, decode_value, optional))
+    for name in _ENCODE_ONLY.get(cls, ()):
+        hint = typing.get_type_hints(getattr(cls, name).fget)["return"]
+        encoded.append((name, name, _kind(hint)[0], False))
+    encoded, decoded, check = tuple(encoded), tuple(decoded), _CHECKS.get(cls)
+
+    def encode(backend: PreBackend, message) -> dict:
+        body = {}
+        for attribute, wire, encode_value, optional in encoded:
+            value = getattr(message, attribute)
+            if value is None and optional:
+                continue
+            body[wire] = value if encode_value is None else encode_value(backend, value)
+        return body
+
+    def decode(backend: PreBackend, body):
+        if type(body) is not dict:
+            raise _Refused("wire field %r must be %s", "dict")
+        values = {}
+        try:
+            for attribute, wire, decode_value, optional in decoded:
+                value = body.get(wire)
+                if value is None:
+                    if not optional:
+                        raise _Refused("missing wire field %r")
+                    continue
+                values[attribute] = decode_value(backend, value)
+        except _Refused as refused:
+            refused.keys.append(wire)
+            raise
+        message = cls(**values)
+        if check is not None:
+            check(message)
+        return message
+
+    return encode, decode
+
+
+@dataclass(frozen=True)
+class _ErrorBody:
+    """The body of an ``error`` message (a GatewayError is no dataclass)."""
+
+    code: str
+    message: str
 
 
 # --------------------------------------------------------------- dispatch
 
-_CODECS: dict[type, tuple[str, Callable, Callable]] = {
-    GrantRequest: ("grant-request", _enc_grant_request, _dec_grant_request),
-    GrantResponse: ("grant-response", _enc_grant_response, _dec_grant_response),
-    GrantBatchRequest: (
-        "grant-batch-request",
-        _enc_grant_batch_request,
-        _dec_grant_batch_request,
-    ),
-    GrantBatchResponse: (
-        "grant-batch-response",
-        _enc_grant_batch_response,
-        _dec_grant_batch_response,
-    ),
-    RevokeRequest: ("revoke-request", _enc_revoke_request, _dec_revoke_request),
-    RevokeResponse: ("revoke-response", _enc_revoke_response, _dec_revoke_response),
-    ReEncryptRequest: ("reencrypt-request", _enc_reencrypt_request, _dec_reencrypt_request),
-    ReEncryptResponse: (
-        "reencrypt-response",
-        _enc_reencrypt_response,
-        _dec_reencrypt_response,
-    ),
-    ReEncryptBatchRequest: (
-        "reencrypt-batch-request",
-        _enc_reencrypt_batch_request,
-        _dec_reencrypt_batch_request,
-    ),
-    ReEncryptBatchResponse: (
-        "reencrypt-batch-response",
-        _enc_reencrypt_batch_response,
-        _dec_reencrypt_batch_response,
-    ),
-    FetchRequest: ("fetch-request", _enc_fetch_request, _dec_fetch_request),
-    FetchResponse: ("fetch-response", _enc_fetch_response, _dec_fetch_response),
-    ResizeRequest: ("resize-request", _enc_resize_request, _dec_resize_request),
-    ResizeReport: ("resize-report", _enc_resize_report, _dec_resize_report),
-    KeyExportRequest: (
-        "key-export-request",
-        _enc_key_export_request,
-        _dec_key_export_request,
-    ),
-    KeyExportResponse: (
-        "key-export-response",
-        _enc_key_export_response,
-        _dec_key_export_response,
-    ),
-    MetricsSnapshot: ("metrics-snapshot", _enc_metrics_snapshot, _dec_metrics_snapshot),
+_WIRE_NAMES: dict[type, str] = {
+    GrantRequest: "grant-request",
+    GrantResponse: "grant-response",
+    GrantBatchRequest: "grant-batch-request",
+    GrantBatchResponse: "grant-batch-response",
+    RevokeRequest: "revoke-request",
+    RevokeResponse: "revoke-response",
+    ReEncryptRequest: "reencrypt-request",
+    ReEncryptResponse: "reencrypt-response",
+    ReEncryptBatchRequest: "reencrypt-batch-request",
+    ReEncryptBatchResponse: "reencrypt-batch-response",
+    FetchRequest: "fetch-request",
+    FetchResponse: "fetch-response",
+    ResizeRequest: "resize-request",
+    ResizeReport: "resize-report",
+    KeyExportRequest: "key-export-request",
+    KeyExportResponse: "key-export-response",
+    MetricsSnapshot: "metrics-snapshot",
+    _ErrorBody: "error",
 }
-
-_DECODERS: dict[str, Callable] = {kind: dec for kind, _enc, dec in _CODECS.values()}
-_DECODERS["error"] = _dec_error
+_BY_TYPE = {cls: (name, _dataclass_kind(cls)[0]) for cls, name in _WIRE_NAMES.items()}
+_BY_NAME = {name: _dataclass_kind(cls)[1] for cls, name in _WIRE_NAMES.items()}
 
 
 def to_wire(context: PreBackend | PairingGroup, message: object) -> str:
@@ -842,13 +565,12 @@ def to_wire(context: PreBackend | PairingGroup, message: object) -> str:
     """
     backend = resolve_backend(context)
     if isinstance(message, GatewayError):
-        kind, body = "error", _enc_error(backend, message)
-    else:
-        try:
-            kind, encode, _dec = _CODECS[type(message)]
-        except KeyError:
-            raise TypeError("no wire codec for %r" % type(message).__name__) from None
-        body = encode(backend, message)
+        message = _ErrorBody(message.code, str(message))
+    try:
+        kind, encode = _BY_TYPE[type(message)]
+    except KeyError:
+        raise TypeError("no wire codec for %r" % type(message).__name__) from None
+    body = encode(backend, message)
     return json.dumps(
         {"wire": WIRE_FORMAT, "scheme": backend.scheme_id, "type": kind, "body": body},
         sort_keys=True,
@@ -878,7 +600,9 @@ def from_wire(
     backend = resolve_backend(context)
     try:
         message = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as error:
+    except (ValueError, RecursionError) as error:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and an
+        # integer longer than sys.get_int_max_str_digits().
         raise InvalidRequestError("malformed JSON: %s" % error) from error
     if not isinstance(message, dict):
         raise InvalidRequestError("wire message must be a JSON object")
@@ -897,10 +621,18 @@ def from_wire(
             "message is for scheme %r, this gateway speaks %r"
             % (scheme, backend.scheme_id)
         )
-    decoder = _DECODERS.get(kind)
-    if decoder is None:
-        raise InvalidRequestError("unknown wire message type %r" % kind)
-    decoded = decoder(backend, _body_of(message))
+    decode = _BY_NAME.get(kind) if isinstance(kind, str) else None
+    if decode is None:
+        raise InvalidRequestError("unknown wire message type %r" % (kind,))
+    body = message.get("body")
+    if not isinstance(body, dict):
+        raise InvalidRequestError("wire message body must be a JSON object")
+    try:
+        decoded = decode(backend, body)
+    except _Refused as refused:
+        raise InvalidRequestError(str(refused)) from refused
+    if kind == "error":
+        decoded = ERROR_TYPES.get(decoded.code, GatewayError)(decoded.message)
     if expect is not None and not isinstance(decoded, expect):
         expected = expect if isinstance(expect, tuple) else (expect,)
         raise InvalidRequestError(
@@ -964,7 +696,7 @@ def decode_frame_payload(payload: bytes) -> dict:
     """Parse one frame payload into its JSON document."""
     try:
         document = json.loads(payload)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as error:
+    except (ValueError, RecursionError) as error:  # as in from_wire
         raise FrameProtocolError("malformed frame payload: %s" % error) from error
     if not isinstance(document, dict):
         raise FrameProtocolError("frame payload must be a JSON object")

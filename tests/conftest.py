@@ -7,6 +7,8 @@ conservative profile because each example may perform pairings.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -57,3 +59,12 @@ def pre_setting(group, rng, two_kgcs):
     alice = kgc1.extract("alice")
     bob = kgc2.extract("bob")
     return scheme, kgc1, kgc2, alice, bob
+
+
+@pytest.fixture()
+def long_integer() -> str:
+    """A JSON integer one digit longer than the interpreter converts to int."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    return "1" * (limit + 1)

@@ -5,6 +5,10 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.pairing.group import PairingGroup
+from repro.serialization.containers import deserialize_proxy_key, from_json_envelope
+from repro.service.gateway import GrantRequest
+from repro.service.wire import WIRE_FORMAT, from_wire
 
 
 @pytest.fixture()
@@ -92,6 +96,22 @@ class TestLifecycle:
         assert main(["preenc", "--rk", str(workspace / "food.rk"),
                      "--in", str(workspace / "m.ct"),
                      "--out", str(workspace / "m.re")]) == 1
+
+    def test_pextract_key_file_is_a_wire_grant_as_it_is(self, workspace):
+        """The README's one-``curl`` grant: a key file is a proxy_key envelope."""
+        assert main(["--seed", "rk", "pextract", "--key", str(workspace / "alice.key"),
+                     "--delegatee", "bob",
+                     "--delegatee-params", str(workspace / "kgc2" / "params.json"),
+                     "--type", "labs", "--out", str(workspace / "labs.rk")]) == 0
+        key_file = (workspace / "labs.rk").read_text()
+        group = PairingGroup("TOY")
+        text = '{"wire": "%s", "type": "grant-request", "body": ' % WIRE_FORMAT
+        text += '{"tenant": "alice", "proxy_key": %s}}' % key_file
+        request = from_wire(group, text, expect=GrantRequest)
+        assert request.proxy_key == deserialize_proxy_key(
+            group, from_json_envelope(group, key_file)
+        )
+        assert (request.proxy_key.delegator, request.proxy_key.type_label) == ("alice", "labs")
 
     def test_wrong_key_decrypt_fails_cleanly(self, workspace):
         (workspace / "m.txt").write_bytes(b"secret")

@@ -8,6 +8,8 @@ exception type, loop, or — worst — silently succeed.
 import base64
 import functools
 import json
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -277,3 +279,101 @@ class TestReEncryptRequestFuzz:
         outcome = _serve(gateway, _with_payload(message, blob))
         _check_served(gateway, blob, outcome)
 
+
+# ------------------------------------------- every wire message type, edited
+
+GOLDEN_MESSAGES = Path(__file__).resolve().parent / "data" / "wire_messages.json"
+# Stands for a JSON integer one digit longer than the interpreter converts.
+_LONG_INTEGER = "long integer"
+_LONG_DIGITS = "1" * (getattr(sys, "get_int_max_str_digits", lambda: 4300)() + 1)
+_REPLACEMENTS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers() | st.floats() | st.sampled_from([float("nan"), 10**400, _LONG_INTEGER]),
+    st.text(max_size=8),
+    st.lists(st.integers() | st.text(max_size=4) | st.none(), max_size=3),
+    st.dictionaries(st.text(max_size=6), st.integers() | st.text(max_size=4), max_size=3),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_wire_messages() -> dict:
+    """``{message type: ((scheme id, wire text), ...)}`` from the golden file."""
+    by_type: dict = {}
+    for entry in json.loads(GOLDEN_MESSAGES.read_text(encoding="utf-8")):
+        kind = json.loads(entry["wire"])["type"]
+        by_type.setdefault(kind, []).append((entry["scheme"], entry["wire"]))
+    return {kind: tuple(entries) for kind, entries in by_type.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _message_types() -> tuple:
+    from repro.service import gateway, metrics
+    from repro.service.wire import codec
+
+    return (
+        gateway.GatewayError, gateway.GrantRequest, gateway.GrantResponse,
+        codec.GrantBatchRequest, codec.GrantBatchResponse, gateway.RevokeRequest,
+        gateway.RevokeResponse, gateway.ReEncryptRequest, gateway.ReEncryptResponse,
+        codec.ReEncryptBatchRequest, codec.ReEncryptBatchResponse, gateway.FetchRequest,
+        gateway.FetchResponse, codec.ResizeRequest, gateway.ResizeReport,
+        codec.KeyExportRequest, codec.KeyExportResponse, metrics.MetricsSnapshot,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _backend(scheme_id: str):
+    from repro.core.api import create_backend
+    from repro.pairing.group import PairingGroup
+
+    return create_backend(scheme_id, PairingGroup.shared("TOY"))
+
+
+def _json_paths(value, prefix=()):
+    """The path of every member and item below ``value``."""
+    if isinstance(value, dict):
+        members = value.items()
+    elif isinstance(value, list):
+        members = enumerate(value)
+    else:
+        return
+    for key, member in members:
+        yield prefix + (key,)
+        yield from _json_paths(member, prefix + (key,))
+
+
+def _edit(document: dict, data) -> None:
+    """Delete the member or item at a random path, or replace its value."""
+    path = data.draw(st.sampled_from(list(_json_paths(document))), label="path")
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans(), label="delete"):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_REPLACEMENTS, label="value")
+
+
+class TestEveryWireMessageFuzz:
+    """``from_wire`` on every golden message with one to three edits at
+    random paths, ``type`` and ``body`` included: a message of a known type
+    comes out, or ``invalid-request``, and nothing else."""
+
+    @pytest.mark.parametrize("kind", sorted(_golden_wire_messages()))
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_edited_message_decodes_or_is_invalid_request(self, kind, data):
+        from repro.service.gateway import InvalidRequestError
+        from repro.service.wire import from_wire
+
+        scheme_id, text = data.draw(st.sampled_from(_golden_wire_messages()[kind]))
+        document = json.loads(text)
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            if document:
+                _edit(document, data)
+        text = json.dumps(document).replace(json.dumps(_LONG_INTEGER), _LONG_DIGITS)
+        try:
+            decoded = from_wire(_backend(scheme_id), text)
+        except InvalidRequestError:
+            return
+        assert isinstance(decoded, _message_types())

@@ -370,6 +370,52 @@ class TestCodecRejection:
         with pytest.raises(InvalidRequestError):
             from_wire(group, text, expect=GrantResponse)
 
+    @pytest.mark.parametrize("kind", [[], {}])
+    def test_unhashable_message_type_is_invalid_request(self, group, kind):
+        text = json.dumps({"wire": WIRE_FORMAT, "type": kind, "body": {}})
+        with pytest.raises(InvalidRequestError, match="unknown wire message type"):
+            from_wire(group, text)
+
+    def test_integer_past_the_digit_limit_is_invalid_request(self, group, long_integer):
+        message = {"wire": WIRE_FORMAT, "type": "resize-request",
+                   "body": {"tenant": "t", "shard_count": 0}}
+        text = json.dumps(message).replace("0}", long_integer + "}")
+        with pytest.raises(InvalidRequestError, match="malformed JSON"):
+            from_wire(group, text)
+
+    def test_float_field_out_of_range_is_invalid_request(self, group):
+        message = json.loads(to_wire(group, ResizeReport(4, 6, 9, (), (), 1.25)))
+        text = json.dumps(message).replace("1.25", "1" + "0" * 400)
+        with pytest.raises(InvalidRequestError, match="elapsed_ms"):
+            from_wire(group, text)
+
+    @pytest.mark.parametrize("kind", [7, "typed-ciphertext", None])
+    def test_element_envelope_kind_must_match_the_field(self, group, pre_objects, kind):
+        _scheme, proxy_key, *_rest = pre_objects
+        message = json.loads(to_wire(group, GrantRequest(tenant="t", proxy_key=proxy_key)))
+        envelope = message["body"]["proxy_key"]
+        if kind is None:
+            del envelope["kind"]
+        else:
+            envelope["kind"] = kind
+        with pytest.raises(InvalidRequestError, match="kind"):
+            from_wire(group, json.dumps(message))
+
+    def test_errors_name_the_field_by_its_path(self, group, pre_objects):
+        _scheme, proxy_key, *_rest = pre_objects
+        request = GrantRequest(tenant="t", proxy_key=proxy_key)
+        message = json.loads(to_wire(group, GrantBatchRequest(requests=(request, request))))
+        del message["body"]["requests"][1]["proxy_key"]
+        with pytest.raises(InvalidRequestError, match=r"'requests\[1\]\.proxy_key'"):
+            from_wire(group, json.dumps(message))
+
+    def test_metrics_snapshot_counters_with_defaults_may_be_absent(self, group):
+        message = json.loads(to_wire(group, GatewayMetrics().snapshot()))
+        del message["body"]["resizes"]
+        message["body"]["keys_migrated"] = None
+        decoded = from_wire(group, json.dumps(message))
+        assert decoded.resizes == 0 and decoded.keys_migrated == 0
+
 
 # ---------------------------------------------------------------- loopback
 

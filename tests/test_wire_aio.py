@@ -64,6 +64,7 @@ from repro.service.wire import (
 )
 from repro.service.wire.codec import (
     FRAME_HEADER_LEN,
+    FrameProtocolError,
     KeyExportRequest,
     ResizeRequest,
     decode_frame_payload,
@@ -822,6 +823,44 @@ class TestDeeplyNestedJson:
         finally:
             client.close()
             listener.close()
+
+
+class TestHostileJsonValues:
+    """A message ``type`` that is not a string, and an integer longer than
+    the interpreter converts, are refused like any malformed input: never
+    a 500 or a traceback."""
+
+    UNHASHABLE_TYPE = b'{"wire": "repro-gateway/v1", "type": [], "body": {}}'
+
+    def test_hostile_bodies_are_invalid_request_on_every_stack(self, three_stacks,
+                                                              long_integer):
+        _settings, clients = three_stacks
+        long_body = b'{"wire": "repro-gateway/v1", "type": "grant-request", "body": %s}' % (
+            long_integer.encode("ascii")
+        )
+        for client in clients:
+            for body in (self.UNHASHABLE_TYPE, long_body):
+                status, raw = client._raw_request("POST", "/v1/grant", body)
+                assert status == 400, (client, body[:60])
+                assert json.loads(raw)["body"]["code"] == "invalid-request", client
+
+    def test_long_integer_frame_payload_is_a_frame_error(self, long_integer):
+        with pytest.raises(FrameProtocolError, match="malformed frame payload"):
+            decode_frame_payload(b'{"type": "request", "id": %s}' % long_integer.encode("ascii"))
+
+    def test_long_integer_frame_closes_the_connection_as_a_frame_error(self, long_integer):
+        setting = _build()
+        events = EventLog()
+        with AsyncGatewayServer(setting.gateway, setting.group, event_log=events) as server:
+            exchange = _MuxExchanger(server.host, server.port)
+            try:
+                exchange.sock.sendall(_raw_frame(b'{"id": %s}' % long_integer.encode("ascii")))
+                assert exchange.reader.read() == b""  # closed without an answer
+            finally:
+                exchange.close()
+        setting.gateway.close()
+        errors = [e for e in events.tail() if e["kind"] == "connection-error"]
+        assert errors and errors[-1].get("error_type") == "FrameProtocolError"
 
 
 # ------------------------------------------------------- mux request frames
