@@ -4,14 +4,18 @@ Every bench prints its results as an aligned table (the "same rows the
 paper would report"); EXPERIMENTS.md embeds the captured output.
 :func:`record_bench_snapshot` additionally checks a ``BENCH_<name>.json``
 document into the repo root so numeric results are diffable across PRs
-(``tools/record_bench.py`` re-records them on demand).
+(``tools/record_bench.py`` re-records them on demand), stamped with the
+host it was measured on.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 from pathlib import Path
+
+from repro.math.backend import backend_name
 
 __all__ = ["render_table", "print_table", "record_bench_snapshot"]
 
@@ -45,8 +49,10 @@ def record_bench_snapshot(name: str, document: dict, root: str | None = None) ->
     The snapshot is written when the file does not exist yet (first
     recording) or when :data:`RECORD_ENV` is set (deliberate re-record);
     otherwise an existing snapshot is left untouched so ordinary bench
-    runs never churn checked-in numbers.  The document is serialized
-    deterministically (sorted keys, trailing newline) to keep diffs clean.
+    runs never churn checked-in numbers.  The document gains a ``host``
+    entry saying where it was measured (core count, Python version, int
+    backend) and is serialized deterministically (sorted keys, trailing
+    newline) to keep diffs clean.
     """
     if root is None:
         # src/repro/bench/report.py -> repo root is four levels up.
@@ -54,5 +60,11 @@ def record_bench_snapshot(name: str, document: dict, root: str | None = None) ->
     path = Path(root) / ("BENCH_%s.json" % name.upper())
     if path.exists() and not os.environ.get(RECORD_ENV):
         return None
+    host = {
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "int_backend": backend_name(),
+    }
+    document = dict(document, host=host)
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return path

@@ -28,7 +28,6 @@ __all__ = [
     "jac_add",
     "jac_add_mixed",
     "jac_neg",
-    "jac_is_infinity",
     "to_jacobian",
     "jac_normalize",
     "batch_normalize",
@@ -37,10 +36,6 @@ __all__ = [
 
 # Canonical identity triple (any Z == 0 triple is treated as infinity).
 JAC_INFINITY = (1, 1, 0)
-
-
-def jac_is_infinity(point) -> bool:
-    return point[2] == 0
 
 
 def to_jacobian(x: int, y: int):

@@ -19,9 +19,13 @@ Miller function.  Two classic optimisations apply on this curve:
   inverse, so negative digits are free.
 
 The default path runs on :class:`~repro.pairing.miller.MillerPrecomp`:
-the doubling/addition chain for the first argument is computed in
-Jacobian coordinates and folded into per-step line coefficients with two
-batch inversions, after which evaluating at any ``Q`` is inversion-free.
+the chain for the first argument follows the non-adjacent form of ``q``
+in Jacobian coordinates, and every line's coefficients come out of one
+batch inversion, after which evaluating at any ``Q`` is inversion-free.
+Its lines are not the binary chain's, and neither are the vertical
+lines it drops, so its raw Miller value differs from the affine loop's
+by a factor in F_p*.  The final exponentiation maps that factor to 1,
+so the pairings are bit-identical.
 Callers with a repeatedly-used first argument (the
 :class:`~repro.pairing.group.PairingGroup` cache) pass ``precomp=`` and
 skip even that; :func:`tate_pairing_batch` additionally shares the
@@ -134,7 +138,11 @@ def _final_exponentiation(params: SupersingularCurve, f: Fp2Element) -> Fp2Eleme
 
 
 def miller_loop(params: SupersingularCurve, point: Point, xq: int, yq: int) -> Fp2Element:
-    """Compute the Miller function value ``f_{q,P}(phi(Q))`` (no final exp)."""
+    """``f_{q,P}(phi(Q))`` up to a factor in F_p* (no final exp).
+
+    The value differs from :func:`miller_loop_affine`'s by that factor,
+    which the final exponentiation maps to 1.
+    """
     return MillerPrecomp(params, point).evaluate(xq, yq)
 
 

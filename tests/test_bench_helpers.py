@@ -1,9 +1,14 @@
-"""Tests for the bench instrumentation helpers (timing, tables)."""
+"""Tests for the bench instrumentation helpers (timing, tables, snapshots)."""
+
+import json
+import os
+import platform
 
 import pytest
 
-from repro.bench.report import print_table, render_table
+from repro.bench.report import RECORD_ENV, print_table, record_bench_snapshot, render_table
 from repro.bench.timing import measure
+from repro.math import backend as int_backend
 
 
 class TestRenderTable:
@@ -62,3 +67,22 @@ class TestMeasure:
         calls = []
         measure("count", lambda: calls.append(1), repeats=4)
         assert len(calls) == 4
+
+
+class TestSnapshots:
+    def test_every_snapshot_is_stamped_with_its_host(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(RECORD_ENV, raising=False)
+        document = {"experiment": "stamp", "median_ms": {"x": 1.5}}
+        path = record_bench_snapshot("stamp", document, root=tmp_path)
+        written = json.loads(path.read_text())
+        assert written == dict(
+            document,
+            host={
+                "cores": os.cpu_count(),
+                "python": platform.python_version(),
+                "int_backend": int_backend.backend_name(),
+            },
+        )
+        assert "host" not in document
+        # An existing snapshot is left alone unless re-recording is asked for.
+        assert record_bench_snapshot("stamp", {"experiment": "other"}, root=tmp_path) is None

@@ -4,7 +4,11 @@ import dataclasses
 
 import pytest
 
+from repro.bench.counters import count_operations
 from repro.core.proxy import ProxyKeyTable
+from repro.core.scheme import TypeAndIdentityPre
+from repro.ibe.kgc import KgcRegistry
+from repro.pairing.group import PairingGroup
 from repro.phr.store import EncryptedPhrStore
 from repro.service.gateway import (
     DelegationNotFoundError,
@@ -234,6 +238,40 @@ class TestBatching:
         _, gateway, _, _, _ = setting
         with pytest.raises(InvalidRequestError):
             gateway.reencrypt_batch([])
+
+
+class TestMillerPrecomputations:
+    def test_each_proxy_key_is_precomputed_once(self, rng):
+        """Three delegations, four records each: the first pass builds one
+        Miller precomputation per proxy key, and a second pass over fresh
+        records under the same keys builds none."""
+        group = PairingGroup("TOY")  # a precomputation cache of its own
+        registry = KgcRegistry(group, rng)
+        kgc1, kgc2 = registry.create("KGC1"), registry.create("KGC2")
+        scheme = TypeAndIdentityPre(group)
+        alice = kgc1.extract("alice")
+        gateway = ReEncryptionGateway(scheme, shard_count=4)
+        labels = ("labs", "meds", "notes")
+        for type_label in labels:
+            key = scheme.pextract(alice, "bob", type_label, kgc2.params, rng)
+            gateway.grant(GrantRequest(tenant="alice", proxy_key=key))
+
+        def one_pass() -> tuple[int, int]:
+            requests = [
+                _reencrypt_request(
+                    scheme.encrypt(kgc1.params, alice, group.random_gt(rng), type_label, rng)
+                )
+                for type_label in labels
+                for _record in range(4)
+            ]
+            with count_operations() as counter:
+                for request in requests:
+                    assert not gateway.reencrypt(request).cache_hit
+            return counter.get("miller_precompute"), counter.get("pairing")
+
+        assert one_pass() == (3, 12)
+        assert one_pass() == (0, 12)
+        gateway.close()
 
 
 class TestRateLimiting:

@@ -498,7 +498,8 @@ class TestLoopback:
 
         Grants are not subgroup-checked, so the first transformation
         under the key finds it: invalid-request, never a 500 or a served
-        (and cached) result that does not decrypt.
+        (and cached) result that does not decrypt.  The 2-torsion point
+        (0, 0) fails on the Miller chain's first doubling.
         """
         setting, _server, client = loopback
         params = setting.group.params
@@ -510,13 +511,10 @@ class TestLoopback:
             for key in setting.gateway.list_keys()
             if (key.delegator, key.type_label, key.delegatee) == (patient, type_label, delegatee)
         )
-        outside = next(
+        lifted = next(
             point
             for point in (params.curve.lift_x(x) for x in range(1, 1000))
             if point is not None and not params.is_in_subgroup(point)
-        )
-        client.grant(
-            GrantRequest(tenant=patient, proxy_key=dataclasses.replace(key, rk_point=outside))
         )
         request = ReEncryptRequest(
             tenant=patient,
@@ -524,12 +522,16 @@ class TestLoopback:
             delegatee_domain=DELEGATEE_DOMAIN,
             delegatee=delegatee,
         )
-        for _attempt in range(2):  # the refusal is not cached away either
-            with pytest.raises(InvalidRequestError, match="outside G1"):
-                if op == "reencrypt":
-                    client.reencrypt(request)
-                else:
-                    client.reencrypt_batch([request, request])
+        for outside in (lifted, params.curve.point(0, 0)):
+            client.grant(
+                GrantRequest(tenant=patient, proxy_key=dataclasses.replace(key, rk_point=outside))
+            )
+            for _attempt in range(2):  # the refusal is not cached away either
+                with pytest.raises(InvalidRequestError, match="outside G1"):
+                    if op == "reencrypt":
+                        client.reencrypt(request)
+                    else:
+                        client.reencrypt_batch([request, request])
 
     def test_driver_runs_unchanged_against_the_wire(self, loopback):
         """drive_requests cannot tell a RemoteGateway from the local one."""
