@@ -3,10 +3,10 @@
 Each backend wires one baseline scheme into the scheme-agnostic gateway
 API: parties are (domain, identity) pairs, ciphertexts and proxy keys
 travel inside the generic wrapped envelopes (the native containers of
-these schemes carry no routing metadata), and every backend supplies the
-payload codecs the wrapped serialization needs — so the durable key
-table, the wire protocol and the benchmarks move their envelopes exactly
-like the paper's own.
+these schemes carry no routing metadata), and every backend names the
+three payload types the container rule writes inside them — so the
+durable key table, the wire protocol and the benchmarks move their
+envelopes exactly like the paper's own.
 
 Re-encryption never touches party state: a serving process deserializes
 a wrapped key and transforms with group operations only, which is what
@@ -44,11 +44,8 @@ from repro.core.api import (
 )
 from repro.core.scheme import DelegationError
 from repro.core.tipre_backend import KgcPartyMixin
-from repro.serialization.containers import (
-    deserialize_ibe_ciphertext,
-    serialize_ibe_ciphertext,
-)
-from repro.serialization.encoding import Reader, Writer
+from repro.ec.curve import Point
+from repro.ibe.keys import IbeCiphertext
 
 __all__ = [
     "GreenAtenieseBackend",
@@ -57,11 +54,6 @@ __all__ = [
     "MatsuoBackend",
     "DodisIvanBackend",
 ]
-
-# One payload kind byte per envelope slot, shared by every wrapped
-# backend — the scheme id is enforced by the envelope layer above.
-_PAYLOAD_KINDS = {"ciphertext": 40, "proxy-key": 41, "reencrypted": 42}
-
 
 class _WrappingBackend(PreBackend):
     """Shared plumbing: envelope construction and the metadata guard."""
@@ -117,12 +109,6 @@ class _WrappingBackend(PreBackend):
                 )
             )
 
-    def _payload_writer(self, kind: str) -> Writer:
-        return Writer(_PAYLOAD_KINDS[kind])
-
-    def _payload_reader(self, kind: str, blob: bytes) -> Reader:
-        return Reader(blob, _PAYLOAD_KINDS[kind])
-
 
 # --------------------------------------------------------- Green--Ateniese
 
@@ -141,6 +127,7 @@ class GreenAtenieseBackend(KgcPartyMixin, _WrappingBackend):
         type_granular=False,
         deterministic_reencrypt=True,
     )
+    payload_types: ClassVar[tuple] = (IbeCiphertext, GaProxyKey, GaReEncryptedCiphertext)
 
     def __init__(self, group):
         super().__init__(group)
@@ -176,48 +163,6 @@ class GreenAtenieseBackend(KgcPartyMixin, _WrappingBackend):
             ciphertext.payload, self._key(domain, identity)
         )
 
-    # -------------------------------------------------------- payload codecs
-
-    def _encode_payload(self, kind: str, payload) -> bytes:
-        writer = self._payload_writer(kind)
-        if kind == "ciphertext":
-            writer.write_bytes(serialize_ibe_ciphertext(self.group, payload))
-        elif kind == "proxy-key":
-            writer.write_str(payload.delegator_domain).write_str(payload.delegator)
-            writer.write_str(payload.delegatee_domain).write_str(payload.delegatee)
-            writer.write_bytes(self.group.serialize_g1(payload.rk_point))
-            writer.write_bytes(serialize_ibe_ciphertext(self.group, payload.encrypted_blind))
-        else:  # reencrypted
-            writer.write_str(payload.delegatee_domain).write_str(payload.delegatee)
-            writer.write_bytes(self.group.serialize_g1(payload.c1))
-            writer.write_bytes(self.group.serialize_gt(payload.c2))
-            writer.write_bytes(serialize_ibe_ciphertext(self.group, payload.encrypted_blind))
-        return writer.getvalue()
-
-    def _decode_payload(self, kind: str, blob: bytes):
-        reader = self._payload_reader(kind, blob)
-        if kind == "ciphertext":
-            payload = deserialize_ibe_ciphertext(self.group, reader.read_bytes())
-        elif kind == "proxy-key":
-            payload = GaProxyKey(
-                delegator_domain=reader.read_str(),
-                delegator=reader.read_str(),
-                delegatee_domain=reader.read_str(),
-                delegatee=reader.read_str(),
-                rk_point=self.group.deserialize_g1(reader.read_bytes()),
-                encrypted_blind=deserialize_ibe_ciphertext(self.group, reader.read_bytes()),
-            )
-        else:
-            payload = GaReEncryptedCiphertext(
-                delegatee_domain=reader.read_str(),
-                delegatee=reader.read_str(),
-                c1=self.group.deserialize_g1(reader.read_bytes()),
-                c2=self.group.deserialize_gt(reader.read_bytes()),
-                encrypted_blind=deserialize_ibe_ciphertext(self.group, reader.read_bytes()),
-            )
-        reader.finish()
-        return payload
-
 
 # -------------------------------------------------------------------- AFGH
 
@@ -236,6 +181,7 @@ class AfghBackend(_WrappingBackend):
         type_granular=False,
         deterministic_reencrypt=True,
     )
+    payload_types: ClassVar[tuple] = (AfghSecondLevelCiphertext, Point, AfghFirstLevelCiphertext)
 
     def __init__(self, group):
         super().__init__(group)
@@ -283,39 +229,6 @@ class AfghBackend(_WrappingBackend):
             ciphertext.payload, self._pairs[(domain, identity)].secret
         )
 
-    def _encode_payload(self, kind: str, payload) -> bytes:
-        writer = self._payload_writer(kind)
-        if kind == "ciphertext":
-            writer.write_str(payload.owner)
-            writer.write_bytes(self.group.serialize_g1(payload.c1))
-            writer.write_bytes(self.group.serialize_gt(payload.c2))
-        elif kind == "proxy-key":
-            writer.write_bytes(self.group.serialize_g1(payload))
-        else:  # reencrypted: first-level, both components in GT
-            writer.write_str(payload.owner)
-            writer.write_bytes(self.group.serialize_gt(payload.c1))
-            writer.write_bytes(self.group.serialize_gt(payload.c2))
-        return writer.getvalue()
-
-    def _decode_payload(self, kind: str, blob: bytes):
-        reader = self._payload_reader(kind, blob)
-        if kind == "ciphertext":
-            payload = AfghSecondLevelCiphertext(
-                owner=reader.read_str(),
-                c1=self.group.deserialize_g1(reader.read_bytes()),
-                c2=self.group.deserialize_gt(reader.read_bytes()),
-            )
-        elif kind == "proxy-key":
-            payload = self.group.deserialize_g1(reader.read_bytes())
-        else:
-            payload = AfghFirstLevelCiphertext(
-                owner=reader.read_str(),
-                c1=self.group.deserialize_gt(reader.read_bytes()),
-                c2=self.group.deserialize_gt(reader.read_bytes()),
-            )
-        reader.finish()
-        return payload
-
 
 # --------------------------------------------------------------------- BBS
 
@@ -334,6 +247,7 @@ class BbsBackend(_WrappingBackend):
         type_granular=False,
         deterministic_reencrypt=True,
     )
+    payload_types: ClassVar[tuple] = (BbsCiphertext, int, BbsCiphertext)
 
     def __init__(self, group):
         super().__init__(group)
@@ -379,29 +293,6 @@ class BbsBackend(_WrappingBackend):
     def decrypt_reencrypted(self, ciphertext, domain: str, identity: str):
         return self.scheme.decrypt(ciphertext.payload, self._pairs[(domain, identity)].secret)
 
-    def _encode_payload(self, kind: str, payload) -> bytes:
-        writer = self._payload_writer(kind)
-        if kind == "proxy-key":
-            writer.write_int(payload)
-        else:  # ciphertext and reencrypted share the BbsCiphertext shape
-            writer.write_str(payload.owner)
-            writer.write_bytes(self.group.serialize_g1(payload.c1))
-            writer.write_bytes(self.group.serialize_g1(payload.c2))
-        return writer.getvalue()
-
-    def _decode_payload(self, kind: str, blob: bytes):
-        reader = self._payload_reader(kind, blob)
-        if kind == "proxy-key":
-            payload = reader.read_int()
-        else:
-            payload = BbsCiphertext(
-                owner=reader.read_str(),
-                c1=self.group.deserialize_g1(reader.read_bytes()),
-                c2=self.group.deserialize_g1(reader.read_bytes()),
-            )
-        reader.finish()
-        return payload
-
 
 # ------------------------------------------------------------ Matsuo (BB1)
 
@@ -421,6 +312,7 @@ class MatsuoBackend(_WrappingBackend):
         type_granular=False,
         deterministic_reencrypt=True,
     )
+    payload_types: ClassVar[tuple] = (Bb1Ciphertext, MatsuoProxyKey, MatsuoReEncrypted)
 
     def __init__(self, group):
         super().__init__(group)
@@ -490,59 +382,6 @@ class MatsuoBackend(_WrappingBackend):
     def ciphertext_components(self, ciphertext) -> int:
         return 3
 
-    def _bb1_to_writer(self, writer: Writer, ciphertext: Bb1Ciphertext) -> None:
-        writer.write_str(ciphertext.domain).write_str(ciphertext.identity)
-        writer.write_bytes(self.group.serialize_gt(ciphertext.a))
-        writer.write_bytes(self.group.serialize_g1(ciphertext.b))
-        writer.write_bytes(self.group.serialize_g1(ciphertext.c))
-
-    def _bb1_from_reader(self, reader: Reader) -> Bb1Ciphertext:
-        return Bb1Ciphertext(
-            domain=reader.read_str(),
-            identity=reader.read_str(),
-            a=self.group.deserialize_gt(reader.read_bytes()),
-            b=self.group.deserialize_g1(reader.read_bytes()),
-            c=self.group.deserialize_g1(reader.read_bytes()),
-        )
-
-    def _encode_payload(self, kind: str, payload) -> bytes:
-        writer = self._payload_writer(kind)
-        if kind == "ciphertext":
-            self._bb1_to_writer(writer, payload)
-        elif kind == "proxy-key":
-            writer.write_str(payload.delegator).write_str(payload.delegatee)
-            writer.write_bytes(self.group.serialize_g1(payload.rk0))
-            writer.write_bytes(self.group.serialize_g1(payload.rk1))
-            self._bb1_to_writer(writer, payload.encrypted_blind)
-        else:  # reencrypted
-            writer.write_str(payload.delegatee)
-            writer.write_bytes(self.group.serialize_gt(payload.a))
-            writer.write_bytes(self.group.serialize_g1(payload.b))
-            self._bb1_to_writer(writer, payload.encrypted_blind)
-        return writer.getvalue()
-
-    def _decode_payload(self, kind: str, blob: bytes):
-        reader = self._payload_reader(kind, blob)
-        if kind == "ciphertext":
-            payload = self._bb1_from_reader(reader)
-        elif kind == "proxy-key":
-            payload = MatsuoProxyKey(
-                delegator=reader.read_str(),
-                delegatee=reader.read_str(),
-                rk0=self.group.deserialize_g1(reader.read_bytes()),
-                rk1=self.group.deserialize_g1(reader.read_bytes()),
-                encrypted_blind=self._bb1_from_reader(reader),
-            )
-        else:
-            payload = MatsuoReEncrypted(
-                delegatee=reader.read_str(),
-                a=self.group.deserialize_gt(reader.read_bytes()),
-                b=self.group.deserialize_g1(reader.read_bytes()),
-                encrypted_blind=self._bb1_from_reader(reader),
-            )
-        reader.finish()
-        return payload
-
 
 # -------------------------------------------------------------- Dodis-Ivan
 
@@ -566,6 +405,7 @@ class DodisIvanBackend(_WrappingBackend):
         type_granular=False,
         deterministic_reencrypt=True,
     )
+    payload_types: ClassVar[tuple] = (ElGamalCiphertext, int, PartiallyDecrypted)
 
     def __init__(self, group):
         super().__init__(group)
@@ -623,32 +463,3 @@ class DodisIvanBackend(_WrappingBackend):
                 % (ciphertext.delegator, ciphertext.delegatee)
             ) from None
         return self.scheme.delegatee_decrypt(ciphertext.payload, share)
-
-    def _encode_payload(self, kind: str, payload) -> bytes:
-        writer = self._payload_writer(kind)
-        if kind == "ciphertext":
-            writer.write_bytes(self.group.serialize_g1(payload.c1))
-            writer.write_bytes(self.group.serialize_g1(payload.c2))
-        elif kind == "proxy-key":
-            writer.write_int(payload)
-        else:  # reencrypted: partially decrypted pair
-            writer.write_bytes(self.group.serialize_g1(payload.c1))
-            writer.write_bytes(self.group.serialize_g1(payload.c2))
-        return writer.getvalue()
-
-    def _decode_payload(self, kind: str, blob: bytes):
-        reader = self._payload_reader(kind, blob)
-        if kind == "ciphertext":
-            payload = ElGamalCiphertext(
-                c1=self.group.deserialize_g1(reader.read_bytes()),
-                c2=self.group.deserialize_g1(reader.read_bytes()),
-            )
-        elif kind == "proxy-key":
-            payload = reader.read_int()
-        else:
-            payload = PartiallyDecrypted(
-                c1=self.group.deserialize_g1(reader.read_bytes()),
-                c2=self.group.deserialize_g1(reader.read_bytes()),
-            )
-        reader.finish()
-        return payload

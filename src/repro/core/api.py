@@ -12,9 +12,10 @@ uniform five-step lifecycle the benchmarks already used,
 into a first-class backend protocol the *service stack* is built
 against, so one production gateway serves any registered scheme:
 
-* :class:`PreBackend` — the abstract lifecycle plus serialization hooks
-  for the three envelope kinds a gateway moves around (ciphertext,
-  proxy key, re-encrypted ciphertext);
+* :class:`PreBackend` — the abstract lifecycle plus the serialization
+  of the three envelope kinds a gateway moves around (ciphertext, proxy
+  key, re-encrypted ciphertext), each a
+  :class:`~repro.serialization.encoding.Container`;
 * :class:`SchemeCapabilities` — the property flag set of the Ateniese
   et al. taxonomy (experiment E4) extended with the *operational* flag
   ``deterministic_reencrypt`` that gates result-cache admission;
@@ -39,11 +40,12 @@ and the durable append log refuses to open under a different scheme.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Iterator
 
-from repro.serialization.encoding import EncodingError, Reader, Writer
+from repro.serialization.encoding import Container, EncodingError
 
 __all__ = [
     "TIPRE_SCHEME_ID",
@@ -79,11 +81,14 @@ PROPERTY_NAMES = (
 # ... plus the operational flags the service layer keys decisions on.
 CAPABILITY_NAMES = PROPERTY_NAMES + ("deterministic_reencrypt",)
 
-# Canonical-encoding kind bytes for the generic wrapped envelopes; the
-# native tipre containers keep their own kinds in repro.serialization.
+# Canonical-encoding kind bytes for the generic wrapped envelopes, and
+# for the scheme payload inside each (shared by every wrapped scheme: the
+# envelope's scheme id tells them apart); the native tipre containers
+# keep their own kinds in repro.serialization.
 KIND_WRAPPED_CIPHERTEXT = 32
 KIND_WRAPPED_PROXY_KEY = 33
 KIND_WRAPPED_REENCRYPTED = 34
+_PAYLOAD_KINDS = (40, 41, 42)
 
 
 @dataclass(frozen=True)
@@ -256,11 +261,10 @@ class PreBackend(ABC):
     and the serialization hooks, which must work with nothing but the
     pairing group.
 
-    Subclasses implement the lifecycle plus the ``_encode_payload`` /
-    ``_decode_payload`` pair; the generic wrapped-envelope serialization
-    (scheme id + routing metadata + payload bytes) is provided here.
-    The native tipre backend overrides the ``serialize_*`` methods
-    wholesale to keep its canonical container bytes.
+    Subclasses implement the lifecycle and name their ``payload_types``;
+    the wrapped envelopes (scheme id + routing metadata + the payload's
+    own container) are serialized here by the container rule.  The
+    native tipre backend names its canonical containers instead.
     """
 
     scheme_id: ClassVar[str] = "abstract"
@@ -270,9 +274,44 @@ class PreBackend(ABC):
     # be registered under the same authority; drivers collapse the two
     # demo domains into one when set.
     single_authority: ClassVar[bool] = False
+    # The scheme's own ciphertext, proxy-key and re-encrypted types, each
+    # the payload of its wrapped envelope.
+    payload_types: ClassVar[tuple] = ()
 
     def __init__(self, group):
         self.group = group
+
+    @functools.cached_property
+    def _containers(self) -> tuple[Container, ...]:
+        """The ciphertext, proxy-key and re-encrypted envelope containers,
+        each refusing another scheme's envelope before it reads the payload."""
+        # Declares the paper's containers, which a payload's fields may hold.
+        import repro.serialization.containers  # noqa: F401
+
+        scheme_id = self.scheme_id
+        if len(self.payload_types) != 3:
+            raise NotImplementedError("%s declares no payload types" % scheme_id)
+
+        def check_scheme(group, found: str) -> None:
+            if found != scheme_id:
+                raise EncodingError("envelope is for scheme %r, not %r" % (found, scheme_id))
+
+        envelopes = (
+            (KIND_WRAPPED_CIPHERTEXT, WrappedCiphertext),
+            (KIND_WRAPPED_PROXY_KEY, WrappedProxyKey),
+            (KIND_WRAPPED_REENCRYPTED, WrappedReEncrypted),
+        )
+        return tuple(
+            Container(
+                kind,
+                envelope,
+                checks={"scheme_id": check_scheme},
+                fields={"payload": Container.holding(payload_kind, payload_type)},
+            )
+            for (kind, envelope), payload_kind, payload_type in zip(
+                envelopes, _PAYLOAD_KINDS, self.payload_types
+            )
+        )
 
     # ------------------------------------------------------------ lifecycle
 
@@ -339,80 +378,23 @@ class PreBackend(ABC):
 
     # -------------------------------------------------------- serialization
 
-    def _encode_payload(self, kind: str, payload: Any) -> bytes:
-        """Scheme-native payload -> canonical bytes; ``kind`` is one of
-        ``"ciphertext"``, ``"proxy-key"``, ``"reencrypted"``."""
-        raise NotImplementedError("%s does not encode %s payloads" % (self.scheme_id, kind))
+    def serialize_ciphertext(self, ciphertext) -> bytes:
+        return self._containers[0].encode(self.group, ciphertext)
 
-    def _decode_payload(self, kind: str, blob: bytes) -> Any:
-        raise NotImplementedError("%s does not decode %s payloads" % (self.scheme_id, kind))
+    def deserialize_ciphertext(self, blob: bytes):
+        return self._containers[0].decode(self.group, blob)
 
-    def _check_scheme(self, found: str) -> None:
-        if found != self.scheme_id:
-            raise EncodingError(
-                "envelope is for scheme %r, not %r" % (found, self.scheme_id)
-            )
+    def serialize_proxy_key(self, key) -> bytes:
+        return self._containers[1].encode(self.group, key)
 
-    def serialize_ciphertext(self, ciphertext: WrappedCiphertext) -> bytes:
-        writer = Writer(KIND_WRAPPED_CIPHERTEXT)
-        writer.write_str(ciphertext.scheme_id)
-        writer.write_str(ciphertext.domain).write_str(ciphertext.identity)
-        writer.write_str(ciphertext.type_label)
-        writer.write_bytes(self._encode_payload("ciphertext", ciphertext.payload))
-        return writer.getvalue()
+    def deserialize_proxy_key(self, blob: bytes):
+        return self._containers[1].decode(self.group, blob)
 
-    def deserialize_ciphertext(self, blob: bytes) -> WrappedCiphertext:
-        reader = Reader(blob, KIND_WRAPPED_CIPHERTEXT)
-        scheme_id = reader.read_str()
-        self._check_scheme(scheme_id)
-        domain = reader.read_str()
-        identity = reader.read_str()
-        type_label = reader.read_str()
-        payload = self._decode_payload("ciphertext", reader.read_bytes())
-        reader.finish()
-        return WrappedCiphertext(
-            scheme_id=scheme_id,
-            domain=domain,
-            identity=identity,
-            type_label=type_label,
-            payload=payload,
-        )
+    def serialize_reencrypted(self, ciphertext) -> bytes:
+        return self._containers[2].encode(self.group, ciphertext)
 
-    def serialize_proxy_key(self, key: WrappedProxyKey) -> bytes:
-        writer = Writer(KIND_WRAPPED_PROXY_KEY)
-        writer.write_str(key.scheme_id)
-        writer.write_str(key.delegator_domain).write_str(key.delegator)
-        writer.write_str(key.delegatee_domain).write_str(key.delegatee)
-        writer.write_str(key.type_label)
-        writer.write_bytes(self._encode_payload("proxy-key", key.payload))
-        return writer.getvalue()
-
-    def deserialize_proxy_key(self, blob: bytes) -> WrappedProxyKey:
-        reader = Reader(blob, KIND_WRAPPED_PROXY_KEY)
-        scheme_id = reader.read_str()
-        self._check_scheme(scheme_id)
-        parts = [reader.read_str() for _ in range(5)]
-        payload = self._decode_payload("proxy-key", reader.read_bytes())
-        reader.finish()
-        return WrappedProxyKey(scheme_id, *parts, payload=payload)
-
-    def serialize_reencrypted(self, ciphertext: WrappedReEncrypted) -> bytes:
-        writer = Writer(KIND_WRAPPED_REENCRYPTED)
-        writer.write_str(ciphertext.scheme_id)
-        writer.write_str(ciphertext.delegator_domain).write_str(ciphertext.delegator)
-        writer.write_str(ciphertext.delegatee_domain).write_str(ciphertext.delegatee)
-        writer.write_str(ciphertext.type_label)
-        writer.write_bytes(self._encode_payload("reencrypted", ciphertext.payload))
-        return writer.getvalue()
-
-    def deserialize_reencrypted(self, blob: bytes) -> WrappedReEncrypted:
-        reader = Reader(blob, KIND_WRAPPED_REENCRYPTED)
-        scheme_id = reader.read_str()
-        self._check_scheme(scheme_id)
-        parts = [reader.read_str() for _ in range(5)]
-        payload = self._decode_payload("reencrypted", reader.read_bytes())
-        reader.finish()
-        return WrappedReEncrypted(scheme_id, *parts, payload=payload)
+    def deserialize_reencrypted(self, blob: bytes):
+        return self._containers[2].decode(self.group, blob)
 
     # ------------------------------------------------ canonical-bytes views
 

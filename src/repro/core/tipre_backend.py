@@ -3,9 +3,9 @@
 ``tipre/v1`` is the native backend: its envelope types *are* the
 library's canonical containers (:class:`TypedCiphertext`,
 :class:`ProxyKey`, :class:`ReEncryptedCiphertext`), which already carry
-the routing metadata the gateway needs, and its serialization hooks are
-the canonical container codecs — so wire messages and durable logs
-written before the backend API existed stay byte-compatible.
+the routing metadata the gateway needs, and it serializes them as those
+containers — so wire messages and durable logs written before the
+backend API existed stay byte-compatible.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ from repro.core.ciphertexts import ProxyKey, ReEncryptedCiphertext, TypedCiphert
 from repro.core.scheme import TypeAndIdentityPre
 from repro.ibe.keys import IbePrivateKey
 from repro.ibe.kgc import KeyGenerationCenter, KgcRegistry
-from repro.serialization.containers import (
-    deserialize_proxy_key,
-    deserialize_reencrypted,
-    deserialize_typed_ciphertext,
-    serialize_proxy_key,
-    serialize_reencrypted,
-    serialize_typed_ciphertext,
-)
+from repro.serialization.containers import PROXY_KEY, REENCRYPTED, TYPED_CIPHERTEXT
 
 __all__ = ["KgcPartyMixin", "TipreBackend"]
 
@@ -90,6 +83,8 @@ class TipreBackend(KgcPartyMixin, PreBackend):
         type_granular=True,
         deterministic_reencrypt=True,
     )
+    # The envelopes are the paper's containers, routing header included.
+    _containers = (TYPED_CIPHERTEXT, PROXY_KEY, REENCRYPTED)
 
     def __init__(self, group, scheme: TypeAndIdentityPre | None = None):
         super().__init__(group)
@@ -139,23 +134,3 @@ class TipreBackend(KgcPartyMixin, PreBackend):
 
     def decrypt_reencrypted(self, ciphertext: ReEncryptedCiphertext, domain: str, identity: str):
         return self.scheme.decrypt_reencrypted(ciphertext, self._key(domain, identity))
-
-    # -------------------------------------------------------- serialization
-
-    def serialize_ciphertext(self, ciphertext: TypedCiphertext) -> bytes:
-        return serialize_typed_ciphertext(self.group, ciphertext)
-
-    def deserialize_ciphertext(self, blob: bytes) -> TypedCiphertext:
-        return deserialize_typed_ciphertext(self.group, blob)
-
-    def serialize_proxy_key(self, key: ProxyKey) -> bytes:
-        return serialize_proxy_key(self.group, key)
-
-    def deserialize_proxy_key(self, blob: bytes) -> ProxyKey:
-        return deserialize_proxy_key(self.group, blob)
-
-    def serialize_reencrypted(self, ciphertext: ReEncryptedCiphertext) -> bytes:
-        return serialize_reencrypted(self.group, ciphertext)
-
-    def deserialize_reencrypted(self, blob: bytes) -> ReEncryptedCiphertext:
-        return deserialize_reencrypted(self.group, blob)

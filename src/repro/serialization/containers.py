@@ -1,10 +1,20 @@
-"""Canonical serialization of every key and ciphertext container.
+"""The paper's eight canonical containers, and their JSON envelope.
 
-Each container gets a kind byte, a ``serialize_*`` function producing
-canonical bytes and a ``deserialize_*`` function that needs the
+Each container is declared once from its dataclass, under the rule of
+:mod:`repro.serialization.encoding`: its fields in declaration order,
+each written as its annotation says, and a field holding another of
+these containers (a proxy key's encrypted blind, a hybrid ciphertext's
+KEM) as that container's full encoding.  What a dataclass does not say
+is a table here: the kind bytes, the typed ciphertext's wire order (its
+type label, c3, before c1 and c2) and the params' check that they are
+for the decoding group.  The other schemes' wrapped envelopes, with
+their scheme-id check, are declared in :mod:`repro.core.api`.
+
+Each container has a ``serialize_*`` function producing its canonical
+bytes and a ``deserialize_*`` function that needs the
 :class:`~repro.pairing.group.PairingGroup` (group elements cannot be
-decoded without their group).  A JSON envelope (base64 payload + readable
-metadata) is provided for interoperability and debugging.
+decoded without their group).  A JSON envelope (base64 payload +
+readable metadata) is provided for interoperability and debugging.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from repro.core.ciphertexts import ProxyKey, ReEncryptedCiphertext, TypedCiphert
 from repro.hybrid.kem import HybridCiphertext, HybridReEncrypted
 from repro.ibe.keys import IbeCiphertext, IbeParams, IbePrivateKey
 from repro.pairing.group import PairingGroup
-from repro.serialization.encoding import EncodingError, Reader, Writer
+from repro.serialization.encoding import Container, EncodingError
 
 __all__ = [
     "KIND_TYPED_CIPHERTEXT",
@@ -57,181 +67,88 @@ KIND_HYBRID = 7
 KIND_HYBRID_REENCRYPTED = 8
 
 
-# ------------------------------------------------------------- IBE objects
-
-
-def serialize_ibe_ciphertext(group: PairingGroup, ct: IbeCiphertext) -> bytes:
-    writer = Writer(KIND_IBE_CIPHERTEXT)
-    writer.write_str(ct.domain).write_str(ct.identity)
-    writer.write_bytes(group.serialize_g1(ct.c1))
-    writer.write_bytes(group.serialize_gt(ct.c2))
-    return writer.getvalue()
-
-
-def deserialize_ibe_ciphertext(group: PairingGroup, data: bytes) -> IbeCiphertext:
-    reader = Reader(data, KIND_IBE_CIPHERTEXT)
-    domain = reader.read_str()
-    identity = reader.read_str()
-    c1 = group.deserialize_g1(reader.read_bytes())
-    c2 = group.deserialize_gt(reader.read_bytes())
-    reader.finish()
-    return IbeCiphertext(domain=domain, identity=identity, c1=c1, c2=c2)
-
-
-def serialize_private_key(group: PairingGroup, key: IbePrivateKey) -> bytes:
-    writer = Writer(KIND_PRIVATE_KEY)
-    writer.write_str(key.domain).write_str(key.identity)
-    writer.write_bytes(group.serialize_g1(key.point))
-    return writer.getvalue()
-
-
-def deserialize_private_key(group: PairingGroup, data: bytes) -> IbePrivateKey:
-    reader = Reader(data, KIND_PRIVATE_KEY)
-    domain = reader.read_str()
-    identity = reader.read_str()
-    point = group.deserialize_g1(reader.read_bytes())
-    reader.finish()
-    return IbePrivateKey(domain=domain, identity=identity, point=point)
-
-
-def serialize_params(group: PairingGroup, params: IbeParams) -> bytes:
-    writer = Writer(KIND_PARAMS)
-    writer.write_str(params.group_name).write_str(params.domain)
-    writer.write_bytes(group.serialize_g1(params.public_key))
-    return writer.getvalue()
-
-
-def deserialize_params(group: PairingGroup, data: bytes) -> IbeParams:
-    reader = Reader(data, KIND_PARAMS)
-    group_name = reader.read_str()
+def _check_group(group: PairingGroup, group_name: str) -> None:
     if group_name != group.params.name:
         raise EncodingError(
             "params are for group %r, not %r" % (group_name, group.params.name)
         )
-    domain = reader.read_str()
-    public_key = group.deserialize_g1(reader.read_bytes())
-    reader.finish()
-    return IbeParams(group_name=group_name, domain=domain, public_key=public_key)
 
 
-# ------------------------------------------------------------- PRE objects
+# Each is declared before the containers that hold it.
+IBE_CIPHERTEXT = Container(KIND_IBE_CIPHERTEXT, IbeCiphertext)
+PRIVATE_KEY = Container(KIND_PRIVATE_KEY, IbePrivateKey)
+PARAMS = Container(KIND_PARAMS, IbeParams, checks={"group_name": _check_group})
+TYPED_CIPHERTEXT = Container(
+    KIND_TYPED_CIPHERTEXT, TypedCiphertext, order=("domain", "identity", "type_label", "c1", "c2")
+)
+PROXY_KEY = Container(KIND_PROXY_KEY, ProxyKey)
+REENCRYPTED = Container(KIND_REENCRYPTED, ReEncryptedCiphertext)
+HYBRID = Container(KIND_HYBRID, HybridCiphertext)
+HYBRID_REENCRYPTED = Container(KIND_HYBRID_REENCRYPTED, HybridReEncrypted)
+
+
+def serialize_ibe_ciphertext(group: PairingGroup, ct: IbeCiphertext) -> bytes:
+    return IBE_CIPHERTEXT.encode(group, ct)
+
+
+def deserialize_ibe_ciphertext(group: PairingGroup, data: bytes) -> IbeCiphertext:
+    return IBE_CIPHERTEXT.decode(group, data)
+
+
+def serialize_private_key(group: PairingGroup, key: IbePrivateKey) -> bytes:
+    return PRIVATE_KEY.encode(group, key)
+
+
+def deserialize_private_key(group: PairingGroup, data: bytes) -> IbePrivateKey:
+    return PRIVATE_KEY.decode(group, data)
+
+
+def serialize_params(group: PairingGroup, params: IbeParams) -> bytes:
+    return PARAMS.encode(group, params)
+
+
+def deserialize_params(group: PairingGroup, data: bytes) -> IbeParams:
+    return PARAMS.decode(group, data)
 
 
 def serialize_typed_ciphertext(group: PairingGroup, ct: TypedCiphertext) -> bytes:
-    writer = Writer(KIND_TYPED_CIPHERTEXT)
-    writer.write_str(ct.domain).write_str(ct.identity).write_str(ct.type_label)
-    writer.write_bytes(group.serialize_g1(ct.c1))
-    writer.write_bytes(group.serialize_gt(ct.c2))
-    return writer.getvalue()
+    return TYPED_CIPHERTEXT.encode(group, ct)
 
 
 def deserialize_typed_ciphertext(group: PairingGroup, data: bytes) -> TypedCiphertext:
-    reader = Reader(data, KIND_TYPED_CIPHERTEXT)
-    domain = reader.read_str()
-    identity = reader.read_str()
-    type_label = reader.read_str()
-    c1 = group.deserialize_g1(reader.read_bytes())
-    c2 = group.deserialize_gt(reader.read_bytes())
-    reader.finish()
-    return TypedCiphertext(domain=domain, identity=identity, c1=c1, c2=c2, type_label=type_label)
+    return TYPED_CIPHERTEXT.decode(group, data)
 
 
 def serialize_proxy_key(group: PairingGroup, key: ProxyKey) -> bytes:
-    writer = Writer(KIND_PROXY_KEY)
-    writer.write_str(key.delegator_domain).write_str(key.delegator)
-    writer.write_str(key.delegatee_domain).write_str(key.delegatee)
-    writer.write_str(key.type_label)
-    writer.write_bytes(group.serialize_g1(key.rk_point))
-    writer.write_bytes(serialize_ibe_ciphertext(group, key.encrypted_blind))
-    return writer.getvalue()
+    return PROXY_KEY.encode(group, key)
 
 
 def deserialize_proxy_key(group: PairingGroup, data: bytes) -> ProxyKey:
-    reader = Reader(data, KIND_PROXY_KEY)
-    delegator_domain = reader.read_str()
-    delegator = reader.read_str()
-    delegatee_domain = reader.read_str()
-    delegatee = reader.read_str()
-    type_label = reader.read_str()
-    rk_point = group.deserialize_g1(reader.read_bytes())
-    encrypted_blind = deserialize_ibe_ciphertext(group, reader.read_bytes())
-    reader.finish()
-    return ProxyKey(
-        delegator_domain=delegator_domain,
-        delegator=delegator,
-        delegatee_domain=delegatee_domain,
-        delegatee=delegatee,
-        type_label=type_label,
-        rk_point=rk_point,
-        encrypted_blind=encrypted_blind,
-    )
+    return PROXY_KEY.decode(group, data)
 
 
 def serialize_reencrypted(group: PairingGroup, ct: ReEncryptedCiphertext) -> bytes:
-    writer = Writer(KIND_REENCRYPTED)
-    writer.write_str(ct.delegator_domain).write_str(ct.delegator)
-    writer.write_str(ct.delegatee_domain).write_str(ct.delegatee)
-    writer.write_str(ct.type_label)
-    writer.write_bytes(group.serialize_g1(ct.c1))
-    writer.write_bytes(group.serialize_gt(ct.c2))
-    writer.write_bytes(serialize_ibe_ciphertext(group, ct.encrypted_blind))
-    return writer.getvalue()
+    return REENCRYPTED.encode(group, ct)
 
 
 def deserialize_reencrypted(group: PairingGroup, data: bytes) -> ReEncryptedCiphertext:
-    reader = Reader(data, KIND_REENCRYPTED)
-    delegator_domain = reader.read_str()
-    delegator = reader.read_str()
-    delegatee_domain = reader.read_str()
-    delegatee = reader.read_str()
-    type_label = reader.read_str()
-    c1 = group.deserialize_g1(reader.read_bytes())
-    c2 = group.deserialize_gt(reader.read_bytes())
-    encrypted_blind = deserialize_ibe_ciphertext(group, reader.read_bytes())
-    reader.finish()
-    return ReEncryptedCiphertext(
-        delegator_domain=delegator_domain,
-        delegator=delegator,
-        delegatee_domain=delegatee_domain,
-        delegatee=delegatee,
-        type_label=type_label,
-        c1=c1,
-        c2=c2,
-        encrypted_blind=encrypted_blind,
-    )
-
-
-# ---------------------------------------------------------- hybrid objects
+    return REENCRYPTED.decode(group, data)
 
 
 def serialize_hybrid(group: PairingGroup, ct: HybridCiphertext) -> bytes:
-    writer = Writer(KIND_HYBRID)
-    writer.write_bytes(serialize_typed_ciphertext(group, ct.kem))
-    writer.write_bytes(ct.dem)
-    return writer.getvalue()
+    return HYBRID.encode(group, ct)
 
 
 def deserialize_hybrid(group: PairingGroup, data: bytes) -> HybridCiphertext:
-    reader = Reader(data, KIND_HYBRID)
-    kem = deserialize_typed_ciphertext(group, reader.read_bytes())
-    dem = reader.read_bytes()
-    reader.finish()
-    return HybridCiphertext(kem=kem, dem=dem)
+    return HYBRID.decode(group, data)
 
 
 def serialize_hybrid_reencrypted(group: PairingGroup, ct: HybridReEncrypted) -> bytes:
-    writer = Writer(KIND_HYBRID_REENCRYPTED)
-    writer.write_bytes(serialize_reencrypted(group, ct.kem))
-    writer.write_bytes(ct.dem)
-    return writer.getvalue()
+    return HYBRID_REENCRYPTED.encode(group, ct)
 
 
 def deserialize_hybrid_reencrypted(group: PairingGroup, data: bytes) -> HybridReEncrypted:
-    reader = Reader(data, KIND_HYBRID_REENCRYPTED)
-    kem = deserialize_reencrypted(group, reader.read_bytes())
-    dem = reader.read_bytes()
-    reader.finish()
-    return HybridReEncrypted(kem=kem, dem=dem)
+    return HYBRID_REENCRYPTED.decode(group, data)
 
 
 # ----------------------------------------------------------- JSON envelope

@@ -65,6 +65,36 @@ from repro.service.wire.engine import (
 __all__ = ["AsyncGatewayServer", "WireRequestExecutor", "WireResponse"]
 
 _SERVER_ID = "repro-gateway-aio/1.0"
+# The stdlib's cap on one request or header line, in bytes.
+_MAX_LINE = 65536
+
+
+def _request_line_refusal(line: bytes | None, words: list[str], request_line: str):
+    """The status and message ``http.server`` refuses a request line with,
+    or None (``line`` is None when it was too long to read)."""
+    if line is None:
+        return 414, HTTPStatus.REQUEST_URI_TOO_LONG.phrase
+    if len(words) >= 3:
+        version = words[-1]
+        numbers = version[5:].split(".") if version.startswith("HTTP/") else []
+        if len(numbers) != 2 or not all(n.isdecimal() and len(n) <= 10 for n in numbers):
+            return 400, "Bad request version (%r)" % version
+        if int(numbers[0]) >= 2:
+            return 505, "Invalid HTTP version (%s)" % version[5:]
+    if not 2 <= len(words) <= 3:
+        return 400, "Bad request syntax (%r)" % request_line
+    if len(words) == 2 and words[0] != "GET":
+        return 400, "Bad HTTP/0.9 request type (%r)" % words[0]
+    return None
+
+
+async def _read_line(reader: asyncio.StreamReader, prefix: bytes = b"") -> bytes | None:
+    """One line, or None when it is longer than ``http.server`` takes."""
+    try:
+        line = prefix + await reader.readline()
+    except ValueError:  # past the stream's own limit
+        return None
+    return line if len(line) <= _MAX_LINE else None
 
 
 class AsyncGatewayServer(HostingServer):
@@ -382,14 +412,15 @@ class AsyncGatewayServer(HostingServer):
     ) -> None:
         peer = self._peer(writer)
         while True:
-            line = prefix + await reader.readline()
+            line = await _read_line(reader, prefix)
             prefix = b""
-            if not line or line in (b"\r\n", b"\n"):
-                return
-            request_line = line.decode("latin-1").strip()
+            request_line = "" if line is None else line.decode("latin-1").rstrip("\r\n")
             parts = request_line.split()
-            if len(parts) < 2:
-                refusal = self.engine.refuse(400, "malformed request line", request_line, peer)
+            if line is not None and not parts:
+                return  # closed, or a blank line: no request to answer
+            refused = _request_line_refusal(line, parts, request_line)
+            if refused is not None:
+                refusal = self.engine.refuse(*refused, request_line, peer)
                 await self._write_http(writer, refusal)
                 return
             method, target = parts[0].upper(), parts[1]
@@ -398,9 +429,10 @@ class AsyncGatewayServer(HostingServer):
             legacy = len(parts) < 3 or parts[2] < "HTTP/1.1"
             headers: dict[str, str] = {}
             for count in itertools.count(1):
-                hline = await reader.readline()
-                if count > MAX_HEADERS:
-                    refusal = self.engine.refuse(431, "Too many headers", request_line, peer)
+                hline = await _read_line(reader)
+                if hline is None or count > MAX_HEADERS:
+                    message = "Line too long" if hline is None else "Too many headers"
+                    refusal = self.engine.refuse(431, message, request_line, peer)
                     await self._write_http(writer, refusal)
                     return
                 if hline in (b"\r\n", b"\n", b""):

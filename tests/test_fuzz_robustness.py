@@ -17,45 +17,71 @@ from hypothesis import strategies as st
 
 from repro.hybrid.symmetric import AuthenticationError, open_sealed, seal
 from repro.math.drbg import HmacDrbg
-from repro.serialization.containers import (
-    deserialize_hybrid,
-    deserialize_proxy_key,
-    deserialize_typed_ciphertext,
-    from_json_envelope,
-    serialize_typed_ciphertext,
-)
-from repro.serialization.encoding import MAGIC, EncodingError
+from repro.serialization.containers import from_json_envelope
+from repro.serialization.encoding import EncodingError
+from test_containers import ENTRIES as GOLDEN_CONTAINERS
+from test_containers import entry_id, golden_containers
+
+
+def _codec(entry: dict):
+    """A golden container's ``(bytes, encode, decode)``."""
+    _value, encode, decode = golden_containers(entry["scheme"])[entry["name"]]
+    return bytes.fromhex(entry["hex"]), encode, decode
+
+
+def _refused_or_canonical(encode, decode, data: bytes) -> None:
+    """``data`` is refused with a ValueError, or it decodes to a value
+    whose encoding is ``data`` itself."""
+    try:
+        value = decode(data)
+    except ValueError:  # EncodingError included
+        return
+    assert encode(value) == data, "a second encoding of one value decoded"
+
+
+_EVERY_CONTAINER = pytest.mark.parametrize("entry", GOLDEN_CONTAINERS, ids=entry_id)
 
 
 class TestDeserializerFuzz:
-    @given(st.binary(max_size=300))
-    def test_random_bytes_never_crash_typed_ciphertext(self, group, data):
-        try:
-            deserialize_typed_ciphertext(group, data)
-        except (EncodingError, ValueError):
-            pass  # the only acceptable outcomes
+    """Every golden container of every scheme, fed hostile bytes: each
+    input is refused with a ValueError (EncodingError included), or it
+    decodes to a value that re-encodes to exactly those bytes — the
+    canonical property the result cache keys on."""
 
-    @given(st.binary(max_size=300))
-    def test_random_bytes_never_crash_proxy_key(self, group, data):
-        try:
-            deserialize_proxy_key(group, data)
-        except (EncodingError, ValueError):
-            pass
+    @_EVERY_CONTAINER
+    @given(data=st.data())
+    def test_random_bytes(self, entry, data):
+        blob, encode, decode = _codec(entry)
+        header = data.draw(st.sampled_from([b"", blob[:6]]), label="header")
+        _refused_or_canonical(encode, decode, header + data.draw(st.binary(max_size=300)))
 
-    @given(st.binary(max_size=300))
-    def test_random_bytes_never_crash_hybrid(self, group, data):
-        try:
-            deserialize_hybrid(group, data)
-        except (EncodingError, ValueError):
-            pass
+    @_EVERY_CONTAINER
+    def test_every_truncation_is_refused(self, entry):
+        blob, _encode, decode = _codec(entry)
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                decode(blob[:cut])
 
-    @given(st.binary(min_size=6, max_size=200))
-    def test_valid_header_garbage_body(self, group, body):
-        data = MAGIC + bytes([1, 1]) + body
-        try:
-            deserialize_typed_ciphertext(group, data)
-        except (EncodingError, ValueError):
-            pass
+    @_EVERY_CONTAINER
+    def test_every_byte_mutated(self, entry):
+        """Each byte set to 0 and to 255, and with its low bit, its high bit
+        and all its bits flipped: a zero byte ahead of an integer is a
+        second encoding."""
+        blob, encode, decode = _codec(entry)
+        for position, byte in enumerate(blob):
+            for value in {0x00, 0xFF, byte ^ 0x01, byte ^ 0x80, byte ^ 0xFF} - {byte}:
+                mutated = blob[:position] + bytes([value]) + blob[position + 1 :]
+                _refused_or_canonical(encode, decode, mutated)
+
+    @_EVERY_CONTAINER
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_any_byte_set_to_any_value(self, entry, data):
+        blob, encode, decode = _codec(entry)
+        position = data.draw(st.integers(0, len(blob) - 1), label="position")
+        value = data.draw(st.integers(0, 255).filter(lambda v: v != blob[position]))
+        mutated = blob[:position] + bytes([value]) + blob[position + 1 :]
+        _refused_or_canonical(encode, decode, mutated)
 
     @given(st.text(max_size=200))
     def test_random_text_never_crashes_envelope(self, group, text):
@@ -63,29 +89,6 @@ class TestDeserializerFuzz:
             from_json_envelope(group, text)
         except EncodingError:
             pass
-
-    def test_truncation_sweep(self, pre_setting, group, rng):
-        """Every strict prefix of a valid encoding is rejected."""
-        scheme, kgc1, _, alice, _ = pre_setting
-        ciphertext = scheme.encrypt(kgc1.params, alice, group.random_gt(rng), "t", rng)
-        blob = serialize_typed_ciphertext(group, ciphertext)
-        for cut in range(len(blob)):
-            with pytest.raises((EncodingError, ValueError)):
-                deserialize_typed_ciphertext(group, blob[:cut])
-
-    def test_single_byte_corruption_sweep(self, pre_setting, group, rng):
-        """Flipping any byte either fails to parse or changes the object."""
-        scheme, kgc1, _, alice, _ = pre_setting
-        original = scheme.encrypt(kgc1.params, alice, group.random_gt(rng), "t", rng)
-        blob = bytearray(serialize_typed_ciphertext(group, original))
-        for position in range(0, len(blob), 7):  # stride keeps the test fast
-            mutated = bytearray(blob)
-            mutated[position] ^= 0xFF
-            try:
-                parsed = deserialize_typed_ciphertext(group, bytes(mutated))
-            except (EncodingError, ValueError):
-                continue
-            assert parsed != original, "corruption at byte %d went unnoticed" % position
 
 
 class TestDemFuzz:

@@ -94,6 +94,18 @@ class TestEncodingPrimitives:
         with pytest.raises(ValueError):
             Writer(300)
 
+    @pytest.mark.parametrize("field", [b"", b"\x00\x05", b"\x00\x00"], ids=repr)
+    def test_only_minimal_integers_are_read(self, field):
+        """write_int writes one zero byte for 0 and no leading zero, so
+        no other spelling of an integer may decode."""
+        with pytest.raises(EncodingError, match="minimally"):
+            Reader(Writer(1).write_bytes(field).getvalue(), 1).read_int()
+
+    def test_zero_is_one_zero_byte(self):
+        blob = Writer(1).write_int(0).getvalue()
+        assert blob.endswith(b"\x00\x00\x00\x01\x00")
+        assert Reader(blob, 1).read_int() == 0
+
     @given(st.binary(max_size=100), st.text(max_size=50), st.integers(min_value=0, max_value=2**128))
     def test_round_trip_property(self, data, text, number):
         blob = Writer(9).write_bytes(data).write_str(text).write_int(number).getvalue()

@@ -72,6 +72,7 @@ from repro.service.wire.codec import (
     frame_length,
     mux_hello,
     mux_request,
+    neutral_error_to_wire,
 )
 
 SEED = "aio-conformance"
@@ -630,6 +631,42 @@ class TestHttpTransports:
         raw, closed = _raw_http_exchange(http_server, b"BOGUS\r\n\r\n")
         self._assert_taxonomy_rejection(raw, 400)
         assert closed
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, message",
+        [
+            (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414, "Request-URI Too Long"),
+            (
+                b"GET /v1/health HTTP/1.1\r\nX-Pad: " + b"a" * 65536 + b"\r\n\r\n",
+                431,
+                "Line too long",
+            ),
+            (b"GET /v1/health HTTP/3.0\r\n\r\n", 505, "Invalid HTTP version (3.0)"),
+            (b"GET /v1/health FOO/1.1\r\n\r\n", 400, "Bad request version ('FOO/1.1')"),
+            (b"GET /v1/health HTTP/1.1 x\r\n\r\n", 400, "Bad request version ('x')"),
+            (
+                b"GET / x HTTP/1.1\r\n\r\n",
+                400,
+                "Bad request syntax ('GET / x HTTP/1.1')",
+            ),
+            (b"POST /v1/health\r\n\r\n", 400, "Bad HTTP/0.9 request type ('POST')"),
+        ],
+        ids=[
+            "request-line-too-long", "header-line-too-long", "http-3.0", "not-http",
+            "four-words", "four-words-versioned", "http-0.9-post",
+        ],
+    )
+    def test_refusals_match_the_stdlib(self, http_server, request_bytes, status, message):
+        """Both stacks refuse what ``http.server`` refuses, with its status
+        and message in the taxonomy body, and close the connection."""
+        raw, closed = _raw_http_exchange(http_server, request_bytes)
+        self._assert_taxonomy_rejection(raw, status)
+        assert _parse_response(raw)[2] == neutral_error_to_wire(
+            InvalidRequestError(message)
+        ).encode("utf-8")
+        assert closed
+        events = http_server.event_log.tail()
+        assert not [e for e in events if e["kind"] == "connection-error"]
 
 
 # ----------------------------------------------------------- typed mux client
