@@ -3,7 +3,8 @@
 Two deployment questions:
 
 1. **Resize cost** — how long does a live rebalance take, how many keys
-   move, and how close is the moved fraction to the consistent-hashing
+   change owning shard (none is copied: every shard shares one key
+   table), and how close is that fraction to the consistent-hashing
    ideal?
 
 2. **Durability** — kill the gateway (no clean shutdown beyond the
@@ -41,20 +42,13 @@ def _setting():
     )
 
 
-def _installed_keys(gateway):
-    keys = []
-    for name in gateway.shard_names:
-        keys.extend(gateway.shard_named(name).table)
-    return keys
-
-
 def test_e10_resize_cost_and_minimal_migration():
     setting = _setting()
     gateway = setting.gateway
     total_keys = gateway.key_count()
     route_keys = {
         (k.delegator_domain, k.delegator, k.type_label)
-        for k in _installed_keys(gateway)
+        for k in gateway.list_keys()
     }
     rows = []
     for new_count in (8, 3):
@@ -94,7 +88,7 @@ def test_e10_kill_and_reload_restores_every_delegation():
         )
         gateway = setting.gateway
         installed = {
-            ProxyKeyTable.index_of(key) for key in _installed_keys(gateway)
+            ProxyKeyTable.index_of(key) for key in gateway.list_keys()
         }
         # "Kill": drop the gateway without close(); appends are already
         # flushed, which is exactly the durability being measured.
@@ -106,7 +100,7 @@ def test_e10_kill_and_reload_restores_every_delegation():
         )
         reload_ms = (time.perf_counter() - start) * 1000
 
-        recovered = {ProxyKeyTable.index_of(key) for key in _installed_keys(reloaded)}
+        recovered = {ProxyKeyTable.index_of(key) for key in reloaded.list_keys()}
         assert recovered == installed, "reload lost or invented delegations"
 
         verified = 0

@@ -51,13 +51,6 @@ def _setting():
     )
 
 
-def _installed_keys(gateway):
-    keys = []
-    for name in gateway.shard_names:
-        keys.extend(gateway.shard_named(name).table)
-    return keys
-
-
 def _request_stream(setting, repeat: int = 2):
     """Every delegation ``repeat`` times: misses first, then cache hits."""
     requests = []
@@ -85,7 +78,7 @@ def _fresh_gateway(scheme, keys):
 
 def test_e11_wire_roundtrip_overhead_and_byte_fidelity():
     setting = _setting()
-    keys = _installed_keys(setting.gateway)
+    keys = setting.gateway.list_keys()
     requests = _request_stream(setting)
     group = setting.group
 
@@ -145,7 +138,7 @@ def test_e11_wire_roundtrip_overhead_and_byte_fidelity():
 
 def test_e11_batched_beats_sequential_over_the_wire():
     setting = _setting()
-    keys = _installed_keys(setting.gateway)
+    keys = setting.gateway.list_keys()
     # The persistent keep-alive client cut sequential overhead to a few
     # hundred microseconds per POST, so the batch's amortization margin
     # needs a longer stream — and a best-of-3 timing, so one scheduler
@@ -209,7 +202,7 @@ def test_e11_kill_restart_serves_every_delegation_from_state_dir():
     state_dir = tempfile.mkdtemp(prefix="e11-state-")
     try:
         setting = _setting()
-        keys = _installed_keys(setting.gateway)
+        keys = setting.gateway.list_keys()
         group = setting.group
 
         # Process 1: a durable fleet; every grant arrives over the wire.
@@ -220,7 +213,7 @@ def test_e11_kill_restart_serves_every_delegation_from_state_dir():
         client_1 = RemoteGateway(server_1.url, group)
         for key in keys:
             client_1.grant(GrantRequest(tenant="bench", proxy_key=key))
-        installed = {ProxyKeyTable.index_of(key) for key in _installed_keys(gateway_1)}
+        installed = {ProxyKeyTable.index_of(key) for key in gateway_1.list_keys()}
         # "Kill": stop the HTTP server and drop the gateway without close();
         # the durable appends are already flushed — that is the guarantee.
         server_1.close()
@@ -232,7 +225,7 @@ def test_e11_kill_restart_serves_every_delegation_from_state_dir():
             setting.backend, shard_count=SHARDS, state_dir=state_dir
         )
         restart_ms = (time.perf_counter() - start) * 1000
-        recovered = {ProxyKeyTable.index_of(key) for key in _installed_keys(gateway_2)}
+        recovered = {ProxyKeyTable.index_of(key) for key in gateway_2.list_keys()}
         assert recovered == installed, "restart lost or invented delegations"
 
         verified = 0

@@ -95,13 +95,6 @@ def _setting():
     )
 
 
-def _installed_keys(gateway):
-    keys = []
-    for name in gateway.shard_names:
-        keys.extend(gateway.shard_named(name).table)
-    return keys
-
-
 def _thread_partitions(setting):
     """One distinct request list per thread, each on its own route key.
 
@@ -131,14 +124,7 @@ def _thread_partitions(setting):
 
 def _latency_gateway(scheme, keys):
     def factory(name, table):
-        from repro.core.proxy import ProxyKeyTable
-
-        return RemoteShardStub(
-            scheme,
-            name=name,
-            table=table if table is not None else ProxyKeyTable(),
-            latency_s=REMOTE_RTT_S,
-        )
+        return RemoteShardStub(scheme, name=name, table=table, latency_s=REMOTE_RTT_S)
 
     gateway = ReEncryptionGateway(scheme, shard_count=SHARDS, shard_factory=factory)
     for key in keys:
@@ -190,7 +176,7 @@ def _drive_pool(url, group, partitions, expected, pool_size):
 
 def test_e13_pooled_client_beats_single_connection_under_concurrency():
     setting = _setting()
-    keys = _installed_keys(setting.gateway)
+    keys = setting.gateway.list_keys()
     group = setting.group
     partitions = _thread_partitions(setting)
     # The sequential in-process reference: what every schedule must return.
@@ -281,9 +267,8 @@ def _spawn_server(scheme_ids):
 def _drive_scheme_concurrently(setting, url, pool_size, n_requests):
     """Grant a fleet over the wire, then drive it from one pooled client."""
     client = RemoteGateway(url, setting.backend, pool_size=pool_size)
-    for name in setting.gateway.shard_names:
-        for key in list(setting.gateway.shard_named(name).table):
-            client.grant(GrantRequest(tenant="bench", proxy_key=key))
+    for key in setting.gateway.list_keys():
+        client.grant(GrantRequest(tenant="bench", proxy_key=key))
     start = time.perf_counter()
     verified = drive_requests(
         setting,
@@ -607,7 +592,7 @@ def test_e13_tls_hmac_overhead_within_budget(tmp_path):
     store = TenantCredentialStore.initialize(tmp_path / "tenants.json")
     store.add("bench", secret="c" * 64)
 
-    keys = _installed_keys(setting.gateway)
+    keys = setting.gateway.list_keys()
     runs: dict[tuple[str, int], list[float]] = {}
 
     def fresh_gateway():

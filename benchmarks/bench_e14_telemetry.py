@@ -73,9 +73,8 @@ def _fleet(setting, telemetry: bool) -> ReEncryptionGateway:
     gateway = ReEncryptionGateway(
         setting.backend, shard_count=SHARDS, telemetry=telemetry
     )
-    for name in setting.gateway.shard_names:
-        for key in setting.gateway.shard_named(name).table:
-            gateway.grant(GrantRequest(tenant="bench", proxy_key=key))
+    for key in setting.gateway.list_keys():
+        gateway.grant(GrantRequest(tenant="bench", proxy_key=key))
     return gateway
 
 
@@ -231,9 +230,8 @@ def test_e14_trace_round_trips_through_a_real_server_process():
     proc, url = _spawn_server()
     try:
         client = RemoteGateway(url, setting.backend)
-        for name in setting.gateway.shard_names:
-            for key in list(setting.gateway.shard_named(name).table):
-                client.grant(GrantRequest(tenant="bench", proxy_key=key))
+        for key in setting.gateway.list_keys():
+            client.grant(GrantRequest(tenant="bench", proxy_key=key))
         verified = drive_requests(
             setting, 8, seed="e14-wire-stream", verify_every=1, gateway=client
         )

@@ -46,9 +46,8 @@ def _request_stream(setting, n_requests, seed):
 def _direct_baseline(setting, seed):
     """One monolithic ProxyService holding every key — the seed's design."""
     proxy = ProxyService(setting.backend)
-    for shard_name in setting.gateway.shard_names:
-        for key in setting.gateway.shard_named(shard_name).table:
-            proxy.install_key(key)
+    for key in setting.gateway.list_keys():
+        proxy.install_key(key)
     start = time.perf_counter()
     for ciphertext, delegatee, _ in _request_stream(setting, N_REQUESTS, seed):
         proxy.reencrypt(ciphertext, DELEGATEE_DOMAIN, delegatee)

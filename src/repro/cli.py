@@ -445,26 +445,28 @@ def _cmd_serve(args) -> int:
 def _state_dirs_for(state_dir, scheme_ids: list[str]) -> list:
     """Resolve each hosted scheme's durable directory under ``--state-dir``.
 
-    A single-scheme server keeps the historical layout (logs directly in
-    the state dir); several schemes get isolated per-scheme
+    A single-scheme server keeps the historical layout (key logs directly
+    in the state dir); several schemes get isolated per-scheme
     subdirectories.  Two restart transitions are handled explicitly so a
     layout change can never silently hide previously granted keys:
 
-    * single -> multi: if the root still holds single-scheme logs, refuse
-      to start (the new per-scheme subdirectory would open empty while
-      the old log sits unread);
-    * multi -> single: if the root is empty but the scheme's own
-      subdirectory holds logs, keep serving from the subdirectory.
+    * single -> multi: if the root still holds single-scheme key logs,
+      refuse to start (the new per-scheme subdirectory would open empty
+      while the old log sits unread);
+    * multi -> single: if the root holds no key log but the scheme's own
+      subdirectory does, keep serving from the subdirectory.
+
+    Other files (an event log, say) do not count.
     """
-    from repro.service.persistence import scheme_state_subdir
+    from repro.service.persistence import key_logs, scheme_state_subdir
 
     if state_dir is None:
         return [None] * len(scheme_ids)
     root = Path(state_dir)
-    root_logs = sorted(root.glob("*.log")) if root.is_dir() else []
+    root_logs = key_logs(root)
     if len(scheme_ids) == 1:
         subdir = scheme_state_subdir(root, scheme_ids[0])
-        if not root_logs and subdir.is_dir() and any(subdir.glob("*.log")):
+        if not root_logs and key_logs(subdir):
             return [subdir]
         return [root]
     if root_logs:
@@ -779,7 +781,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=0, help="batch size (0/1 = unbatched)")
     p.add_argument("--rate", type=float, default=None, help="per-tenant requests/second cap")
     p.add_argument("--state-dir", default=None,
-                   help="directory for durable per-shard key logs (survives restarts)")
+                   help="directory for durable key logs (survives restarts)")
     p.add_argument("--http", type=int, default=None, metavar="PORT",
                    help="serve the gateway over HTTP/JSON on PORT (0 = ephemeral) "
                         "instead of driving the synthetic workload")

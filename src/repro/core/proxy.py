@@ -8,8 +8,8 @@ mechanically: a transformation happens only when a key exists for exactly
 the (delegator, delegatee, type) triple of the request.
 
 The key table lives in its own class, :class:`ProxyKeyTable`, so that a
-sharded deployment (:mod:`repro.service`) can partition state across many
-proxies while every shard speaks the same table interface.
+sharded deployment (:mod:`repro.service`) can share one table among many
+proxy shards and back it with a durable log.
 """
 
 from __future__ import annotations
@@ -73,9 +73,8 @@ class ReEncryptionLogEntry:
 class ProxyKeyTable:
     """The pure key state of one proxy: (delegator, delegatee, type) -> key.
 
-    This is the unit a sharded gateway partitions — it carries no scheme
-    object and no log, only the table and its lookups, so shards stay
-    cheap to create and easy to reason about.
+    A sharded gateway keeps one and shares it among its shards — it
+    carries no scheme object and no log, only the table and its lookups.
 
     An optional :class:`KeyTableBackend` observes every effective mutation,
     which is how :class:`repro.service.persistence.DurableProxyKeyTable`

@@ -18,9 +18,8 @@ request-serving system:
   fixed-bucket latency histograms with Prometheus text exposition, and
   the bounded structured event log;
 * :mod:`repro.service.persistence` — the durable append-log key table
-  that lets shards survive restarts and fleet resizes;
-* :mod:`repro.service.pool` — per-shard locks plus an optional thread
-  pool for concurrent shard execution;
+  that lets a gateway's delegations survive restarts;
+* :mod:`repro.service.pool` — the per-shard locks;
 * :mod:`repro.service.driver` — a self-contained synthetic workload used
   by ``repro-pre serve`` and the E9/E10/E11 benchmarks;
 * :mod:`repro.service.wire` — the HTTP/JSON wire protocol

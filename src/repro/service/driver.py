@@ -190,19 +190,18 @@ def _grant_all_remote(local_gateway: ReEncryptionGateway, remote) -> None:
     The server may rate-limit grants (a bare remote process has no
     setup-phase grace) — wait out the bucket instead of aborting.
     """
-    for name in local_gateway.shard_names:
-        for key in list(local_gateway.shard_named(name).table):
-            request = GrantRequest(tenant="driver", proxy_key=key)
-            for _attempt in range(200):
-                try:
-                    remote.grant(request)
-                    break
-                except RateLimitedError:
-                    time.sleep(0.05)
-            else:
-                raise RateLimitedError(
-                    "remote gateway rate limit never admitted the grant phase"
-                )
+    for key in local_gateway.list_keys():
+        request = GrantRequest(tenant="driver", proxy_key=key)
+        for _attempt in range(200):
+            try:
+                remote.grant(request)
+                break
+            except RateLimitedError:
+                time.sleep(0.05)
+        else:
+            raise RateLimitedError(
+                "remote gateway rate limit never admitted the grant phase"
+            )
 
 
 def drive_requests(
@@ -294,8 +293,8 @@ def run_demo(
 ) -> DemoReport:
     """Build a setting, drive a request stream, return the rendered report.
 
-    With ``state_dir`` the granted delegations land in durable per-shard
-    logs, so a second ``serve`` run against the same directory starts
+    With ``state_dir`` the granted delegations land in the durable key
+    log, so a second ``serve`` run against the same directory starts
     with every key already installed.
     """
     setting = build_setting(

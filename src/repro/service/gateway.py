@@ -1,8 +1,9 @@
 """The gateway: a typed request/response front door over a shard fleet.
 
-One :class:`ReEncryptionGateway` owns N :class:`~repro.core.proxy.ProxyService`
-shards, a consistent-hash :class:`~repro.service.router.ShardRouter`, an
-LRU result cache and a metrics accumulator.  Callers speak the four request
+One :class:`ReEncryptionGateway` owns one proxy-key table, N
+:class:`~repro.core.proxy.ProxyService` shards that share it, a
+consistent-hash :class:`~repro.service.router.ShardRouter`, an LRU result
+cache and a metrics accumulator.  Callers speak the four request
 types (:class:`GrantRequest`, :class:`RevokeRequest`,
 :class:`ReEncryptRequest`, :class:`FetchRequest`); every admission passes
 a per-tenant token-bucket rate limiter and lands in a bounded audit log.
@@ -20,10 +21,10 @@ Cache soundness: result replay is only sound for backends whose
 capabilities declare ``deterministic_reencrypt`` — the KEM-result cache
 is bypassed entirely otherwise — and only while the installed key is the
 one that produced them.  Grants and revokes therefore drop the affected
-delegation's cached results *after* mutating the shard, under the shard
-lock — and every cache *write* also happens under the owning shard's
-lock, so a racing transformation can never re-populate an entry after
-the invalidation that was meant to kill it.
+delegation's cached results *after* mutating the table, under the owning
+shard's lock — and every cache *write* also happens under that lock, so
+a racing transformation can never re-populate an entry after the
+invalidation that was meant to kill it.
 
 The result cache holds canonical bytes, one map per delegation:
 ``{delegation: {ciphertext bytes: re-encrypted bytes}}``.  Bytes are a
@@ -51,6 +52,7 @@ from repro.core.api import Encoded, PreBackend, resolve_backend
 from repro.core.ciphertexts import ProxyKey, ReEncryptedCiphertext, TypedCiphertext
 from repro.core.proxy import (
     DEFAULT_MAX_LOG_ENTRIES,
+    KeyIndex,
     NoProxyKeyError,
     ProxyKeyTable,
     ProxyService,
@@ -62,7 +64,7 @@ from repro.phr.store import EntryNotFoundError, StoredRecord
 from repro.service.batch import BatchItemError, ReEncryptBatcher
 from repro.service.cache import CacheStats, LruCache
 from repro.service.metrics import GatewayMetrics, MetricsSnapshot
-from repro.service.persistence import DurableProxyKeyTable
+from repro.service.persistence import DurableProxyKeyTable, open_key_log
 from repro.service.pool import ShardPool
 from repro.service.router import ShardRouter
 from repro.service.telemetry import EventLog, TraceContext, Tracer
@@ -93,6 +95,10 @@ __all__ = [
 # Bound of the table through which the audit and event logs share tenant
 # names; emptied when it fills, so a stream of distinct names cannot grow it.
 _TENANT_NAMES_LIMIT = 1024
+
+
+def _route_of(key: ProxyKey) -> tuple[str, str, str]:
+    return key.delegator_domain, key.delegator, key.type_label
 
 
 @functools.lru_cache(maxsize=256)
@@ -260,7 +266,7 @@ class FetchResponse:
 
 @dataclass(frozen=True)
 class ResizeReport:
-    """What one fleet resize did: the migration, measured."""
+    """What one fleet resize did, measured: ``keys_moved`` keys changed owner."""
 
     old_shard_count: int
     new_shard_count: int
@@ -286,23 +292,26 @@ class AuditEvent:
 
 @dataclass
 class ReEncryptionGateway:
-    """N proxy shards behind routing, caching, batching and rate limiting.
+    """N proxy shards over one key table, behind routing, caching,
+    batching and rate limiting.
 
     The gateway starts no threads.  Callers may invoke it from many
-    threads at once (the wire servers do); every call that touches a
-    shard holds that shard's lock from :class:`~repro.service.pool.ShardPool`,
-    so each shard's table and log stay single-writer.
+    threads at once (the wire servers do).  Every shard reads and writes
+    the gateway's one :class:`~repro.core.proxy.ProxyKeyTable`; a shard
+    is a lock from :class:`~repro.service.pool.ShardPool`, a name and a
+    transformation log.  A call that writes a delegation's key, or
+    transforms under it, holds the lock of the shard the router assigns
+    the delegation, so a grant and a racing re-encryption of one
+    delegation serialize.
 
-    Elasticity and durability (both optional, both off by default):
+    Durability and elasticity (both optional, both off by default):
 
-    * ``state_dir`` backs every shard's key table with a
+    * ``state_dir`` backs the table with a
       :class:`~repro.service.persistence.DurableProxyKeyTable` append
-      log under that directory, named ``<shard>.log``.  Opening a state
-      dir adopts logs left by a *different* fleet size (or a crash
-      mid-resize) and re-homes every key onto the shard the current
-      router owns it with, so no delegation is ever lost to a restart.
-    * :meth:`resize` rebalances a live fleet, migrating exactly the keys
-      whose consistent-hash owner changed.
+      log, ``<state_dir>/keys.log``.  Opening a state dir folds the
+      per-shard logs of the older layout (``shard-NN.log``) into it.
+    * :meth:`resize` swaps the router and the lock set; no key moves and
+      nothing is written.
     """
 
     # The paper's raw scheme (historical spelling) or any registered
@@ -316,11 +325,12 @@ class ReEncryptionGateway:
     max_audit_entries: int = 10_000
     max_shard_log_entries: int = DEFAULT_MAX_LOG_ENTRIES
     clock: Callable[[], float] = time.monotonic
-    state_dir: str | Path | None = None  # None = in-memory key tables
+    state_dir: str | Path | None = None  # None = in-memory key table
     fsync: bool = False  # fsync every durable append (slow, strongest)
     # Custom shard construction, e.g. a benchmark modelling remote-shard
-    # latency; receives (name, durable_table_or_None).
-    shard_factory: Callable[[str, object | None], ProxyService] | None = None
+    # latency; receives (name, the gateway's key table), and the shard it
+    # returns must keep its keys in that table.
+    shard_factory: Callable[[str, ProxyKeyTable], ProxyService] | None = None
     # Telemetry (PR 6): ``telemetry=False`` disables span recording and
     # event emission entirely (the bench_e14 baseline); otherwise a
     # bounded Tracer ring and EventLog are created unless injected.
@@ -334,6 +344,7 @@ class ReEncryptionGateway:
     # limiter for that tenant; False falls through to it.
     policy: object | None = None
     backend: PreBackend = field(init=False, repr=False)
+    _table: ProxyKeyTable = field(init=False, repr=False)
     _shards: dict[str, ProxyService] = field(init=False)
     _router: ShardRouter = field(init=False)
     _pool: ShardPool = field(init=False)
@@ -357,6 +368,11 @@ class ReEncryptionGateway:
         names = ["shard-%02d" % i for i in range(self.shard_count)]
         self._router = ShardRouter(names)
         self._pool = ShardPool(names)
+        self._table = (
+            ProxyKeyTable()
+            if self.state_dir is None
+            else open_key_log(self.state_dir, self.backend, fsync=self.fsync)
+        )
         self._shards = {name: self._make_shard(name) for name in names}
         self._result_cache = LruCache(self.result_cache_size, name="result_cache")
         self._audit = deque(maxlen=self.max_audit_entries)
@@ -373,74 +389,16 @@ class ReEncryptionGateway:
             self.event_log = None
         self._limiter = None
         self.set_rate_limit(self.rate_per_s, self.burst)
-        if self.state_dir is not None:
-            self._adopt_orphan_logs()
-            self._rehome_misrouted_keys()
 
     def _make_shard(self, name: str) -> ProxyService:
-        table: DurableProxyKeyTable | None = None
-        if self.state_dir is not None:
-            state_dir = Path(self.state_dir)
-            state_dir.mkdir(parents=True, exist_ok=True)
-            table = DurableProxyKeyTable(
-                state_dir / ("%s.log" % name), self.backend, fsync=self.fsync
-            )
         if self.shard_factory is not None:
-            return self.shard_factory(name, table)
+            return self.shard_factory(name, self._table)
         return ProxyService(
             self.backend,
             name=name,
             max_log_entries=self.max_shard_log_entries,
-            table=table if table is not None else ProxyKeyTable(),
+            table=self._table,
         )
-
-    def _adopt_orphan_logs(self) -> None:
-        """Absorb key logs written under a different fleet size.
-
-        A state dir may hold logs for shards that no longer exist — the
-        process was restarted with a different ``shard_count``, or died
-        between a resize's install and delete.  Their keys are installed
-        onto the shards the *current* router owns them with, then the
-        orphan file is removed; re-installing a key that already migrated
-        is idempotent, so this is crash-safe to repeat.
-        """
-        for path in sorted(Path(self.state_dir).glob("*.log")):
-            if path.stem in self._shards:
-                continue
-            orphan = DurableProxyKeyTable(path, self.backend)
-            for key in list(orphan):
-                owner = self._router.shard_for(
-                    key.delegator_domain, key.delegator, key.type_label
-                )
-                self._shards[owner].install_key(key)
-            orphan.delete()
-
-    def _migrate_keys(self, router: ShardRouter) -> int:
-        """Move every key to the shard ``router`` owns it with; returns count.
-
-        Install-before-revoke on every move: with durable tables a crash
-        mid-sweep leaves a key in both logs, which the next open repairs
-        (re-homing is idempotent) — never in neither.  Callers must hold
-        the whole fleet (construction, or ``lock_all``).
-        """
-        moved = 0
-        for name, shard in list(self._shards.items()):
-            doomed = []
-            for key in list(shard.table):
-                owner = router.shard_for(
-                    key.delegator_domain, key.delegator, key.type_label
-                )
-                if owner != name:
-                    self._shards[owner].install_key(key)
-                    doomed.append(ProxyKeyTable.index_of(key))
-            for index in doomed:
-                shard.table.revoke(index)
-            moved += len(doomed)
-        return moved
-
-    def _rehome_misrouted_keys(self) -> int:
-        """Move any loaded key not owned by its shard to the right one."""
-        return self._migrate_keys(self._router)
 
     # ------------------------------------------------------------- internals
 
@@ -614,12 +572,9 @@ class ReEncryptionGateway:
                     "tenant %r exceeded %g req/s" % (tenant, self.rate_per_s)
                 )
 
-    @staticmethod
-    def _resolve_key(
-        index: tuple[str, str, str, str, str], shard: ProxyService
-    ) -> ProxyKey:
-        """The shard's key for a delegation; raises NoProxyKeyError if none."""
-        key = shard.table.get(index)
+    def _resolve_key(self, index: KeyIndex) -> ProxyKey:
+        """The installed key for a delegation (lock-free); raises NoProxyKeyError if none."""
+        key = self._table.get(index)
         if key is None:
             raise NoProxyKeyError(
                 "no proxy key for delegator=%r delegatee=%r type=%r"
@@ -777,7 +732,7 @@ class ReEncryptionGateway:
                 if span is not None:
                     span.set("shard", shard_name)
                 try:
-                    key = self._resolve_key(index, shard)
+                    key = self._resolve_key(index)
                 except NoProxyKeyError as error:
                     raise self._rejection(
                         "reencrypt", request.tenant, DelegationNotFoundError, str(error), trace
@@ -869,26 +824,6 @@ class ReEncryptionGateway:
         start = self.clock()
         groups = ReEncryptBatcher.group(items)
 
-        def check_delegation(group_key: tuple[str, str, str, str, str]) -> ProxyKey:
-            """Existence guard: lock-free on the hit path, locked on a miss.
-
-            A lock-free read can miss a key that a resize is migrating
-            (revoked from the old owner, router not yet swapped), so a
-            miss is only authoritative after re-reading under the owning
-            shard's lock — which queues behind any in-flight resize.
-            """
-            shard = self._shards.get(
-                self._route(group_key[0], group_key[1], group_key[4])
-            )
-            if shard is not None:
-                key = shard.table.get(group_key)
-                if key is not None:
-                    return key
-            with self._owned_shard(
-                group_key[0], group_key[1], group_key[4]
-            ) as (_name, owned):
-                return self._resolve_key(group_key, owned)
-
         results: list = [None] * len(items)
         hit_flags = [False] * len(items)
         shard_names = [""] * len(items)
@@ -901,7 +836,7 @@ class ReEncryptionGateway:
                 tenant=requests[group.positions[0]].tenant,
             ) as (shard_name, shard):
                 try:
-                    key = self._resolve_key(group.group_key, shard)
+                    key = self._resolve_key(group.group_key)
                 except NoProxyKeyError as error:
                     # Revoked between the guard and this group.
                     raise BatchItemError(group.positions[0], error) from error
@@ -962,7 +897,7 @@ class ReEncryptionGateway:
 
         try:
             with self._span(trace, "delegation-check", groups=len(groups)):
-                ReEncryptBatcher.resolve_all(groups, check_delegation)
+                ReEncryptBatcher.resolve_all(groups, self._resolve_key)
             with self._span(trace, "shard-crypto", groups=len(groups)):
                 for group in groups:
                     transform_group(group)
@@ -1049,34 +984,34 @@ class ReEncryptionGateway:
         tenant: str = "admin",
         trace: TraceContext | None = None,
     ) -> ResizeReport:
-        """Rebalance the fleet to ``shard_count`` shards, migrating keys.
+        """Re-partition the fleet into ``shard_count`` shards; no key moves.
 
-        Consistent hashing keeps the migration minimal: only keys whose
-        route triple changes owner move.  The whole fleet is locked for
-        the duration (concurrent requests queue on the shard locks), and
-        every key is installed on its new shard *before* being revoked
-        from the old one — with durable tables, a crash mid-migration
-        leaves the key in both logs and :meth:`_adopt_orphan_logs` /
-        :meth:`_rehome_misrouted_keys` repair the split on next open.
-        Zero delegations are lost in either order of events.
+        Every shard shares the one key table, so a resize swaps the router
+        and the lock set while holding every shard lock (concurrent
+        requests queue on them) and writes nothing.  ``keys_moved``
+        counts the keys whose owning shard differs between the two
+        routers: consistent hashing keeps that to about a ``1/(n+1)``
+        share when growing by one shard.
         """
         if shard_count < 1:
             raise InvalidRequestError("shard_count must be positive")
         self._admit(tenant, "resize", trace=trace)
         start = self.clock()
-        with self._span(trace, "migrate", shard_count=shard_count), self._pool.lock_all():
-            old_names = self._router.shards
+        with self._span(trace, "resize", shard_count=shard_count), self._pool.lock_all():
+            old_router = self._router
+            old_names = old_router.shards
             new_names = ["shard-%02d" % i for i in range(shard_count)]
+            new_router = ShardRouter(new_names)
             added = tuple(name for name in new_names if name not in self._shards)
             removed = tuple(name for name in old_names if name not in new_names)
-            new_router = ShardRouter(new_names)
+            moved = sum(
+                old_router.shard_for(*route) != new_router.shard_for(*route)
+                for route in map(_route_of, self._table)
+            )
             for name in added:
                 self._shards[name] = self._make_shard(name)
-            moved = self._migrate_keys(new_router)
             for name in removed:
-                retired = self._shards.pop(name)
-                if isinstance(retired.table, DurableProxyKeyTable):
-                    retired.table.delete()
+                del self._shards[name]
             self._router = new_router
             self._pool.set_shards(new_names)
             self.shard_count = shard_count
@@ -1102,14 +1037,13 @@ class ReEncryptionGateway:
         )
 
     def close(self) -> None:
-        """Close every durable shard table.
+        """Close the durable key table, if any.
 
         Safe to call more than once; the gateway must not be used after.
         """
         with self._pool.lock_all():
-            for shard in self._shards.values():
-                if isinstance(shard.table, DurableProxyKeyTable):
-                    shard.table.close()
+            if isinstance(self._table, DurableProxyKeyTable):
+                self._table.close()
 
     # ---------------------------------------------------------- observability
 
@@ -1122,23 +1056,25 @@ class ReEncryptionGateway:
         return [AuditEvent(first + i, *record) for i, record in enumerate(records)]
 
     def key_count(self) -> int:
-        """Total installed keys across all shards."""
-        return sum(shard.key_count() for shard in self._shards.values())
+        """Installed keys (one table, whatever the shard count)."""
+        return len(self._table)
 
     def list_keys(self) -> list[ProxyKey]:
-        """Every installed proxy key, shard order (the wire export surface).
+        """Every installed proxy key, in shard order, then grant order.
 
-        A point-in-time enumeration, lock-free like the driver's table
-        walks: a concurrent grant or revoke may or may not be reflected.
-        The fleet tier streams these during resize migration.
+        This is the wire export body.  Lock-free: a concurrent grant or
+        revoke may or may not be reflected.  The fleet tier streams these
+        during resize migration.
         """
-        keys: list[ProxyKey] = []
-        for name in sorted(self._shards):
-            keys.extend(list(self._shards[name].table))
-        return keys
+        router = self._router
+        by_shard: dict[str, list[ProxyKey]] = {name: [] for name in sorted(router.shards)}
+        for key in list(self._table):
+            by_shard[router.shard_for(*_route_of(key))].append(key)
+        return [key for keys in by_shard.values() for key in keys]
 
     def shard_key_counts(self) -> dict[str, int]:
-        return {name: shard.key_count() for name, shard in self._shards.items()}
+        """How many installed keys each shard owns."""
+        return self._router.assignment_counts(map(_route_of, list(self._table)))
 
     def snapshot(self) -> MetricsSnapshot:
         return self.metrics.snapshot(caches=self.cache_stats())

@@ -3,8 +3,8 @@
 The paper's proxy is a *long-lived* semi-trusted server: delegators hand
 it re-encryption keys once and expect them to keep working.  A gateway
 that forgets every delegation on restart is therefore not a reproduction
-of the deployment — this module gives each shard a file-backed table that
-survives process death and fleet resizes.
+of the deployment — this module gives the gateway a file-backed key table
+that survives process death.
 
 Design: a classic write-ahead append log with periodic compaction.
 
@@ -31,6 +31,12 @@ Design: a classic write-ahead append log with periodic compaction.
 :class:`~repro.core.proxy.KeyTableBackend` protocol, so every caller of
 the plain table (shards, the gateway, tests) works unchanged on top of
 the durable one.
+
+A gateway's state dir holds one key log, ``keys.log``
+(:func:`open_key_log`).  Gateways used to keep one log per in-process
+shard, ``shard-NN.log``; opening a state dir folds those into
+``keys.log``.  :func:`key_logs` names the files that are key logs, so
+nothing else in the directory (an event log, say) is ever opened as one.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import re
 import threading
 import zlib
 from pathlib import Path
@@ -51,11 +58,16 @@ __all__ = [
     "AppendLogKeyStore",
     "DurableProxyKeyTable",
     "LogFormatError",
+    "key_logs",
+    "open_key_log",
     "scheme_state_subdir",
 ]
 
 LOG_FORMAT = "repro-proxy-key-log"
 LOG_VERSION = 1
+KEY_LOG = "keys.log"
+# The older layout's per-shard logs, named after the shards.
+_SHARD_LOG = re.compile(r"shard-\d{2,}\.log")
 
 
 def scheme_state_subdir(state_dir: str | Path, scheme_id: str) -> Path:
@@ -258,7 +270,7 @@ class AppendLogKeyStore:
             self._file = None
 
     def delete(self) -> None:
-        """Close and remove the log file (a retired shard's state)."""
+        """Close and remove the log file (a folded per-shard log)."""
         self.close()
         self.path.unlink(missing_ok=True)
 
@@ -334,6 +346,35 @@ class DurableProxyKeyTable(ProxyKeyTable):
             self._store.close()
 
     def delete(self) -> None:
-        """Close and remove the backing file (used when a shard retires)."""
+        """Close and remove the backing file (a folded per-shard log)."""
         with self._lock:
             self._store.delete()
+
+
+def key_logs(state_dir: str | Path) -> list[Path]:
+    """The key logs in ``state_dir``: ``keys.log`` and older ``shard-NN.log`` files."""
+    return sorted(
+        path
+        for path in Path(state_dir).glob("*.log")
+        if path.name == KEY_LOG or _SHARD_LOG.fullmatch(path.name)
+    )
+
+
+def open_key_log(
+    state_dir: str | Path, group: PairingGroup | PreBackend, fsync: bool = False
+) -> DurableProxyKeyTable:
+    """Open ``<state_dir>/keys.log``, folding in the older per-shard logs.
+
+    Each ``shard-NN.log`` is replayed, its live keys are installed into
+    ``keys.log``, and then it is deleted.  Installing a key twice is
+    idempotent, so the next open repairs a crash mid-fold.  No other
+    file in the directory is opened.
+    """
+    table = DurableProxyKeyTable(Path(state_dir) / KEY_LOG, group, fsync=fsync)
+    for path in key_logs(state_dir):
+        if path.name != KEY_LOG:
+            legacy = DurableProxyKeyTable(path, group)
+            for key in list(legacy):
+                table.install(key)
+            legacy.delete()
+    return table

@@ -1,11 +1,12 @@
 """Per-shard mutual exclusion for the gateway's shards.
 
-The gateway's consistency unit is the shard — every key for a delegation
-lives on exactly one shard, so operations on *different* shards commute
-while operations on the *same* shard must serialize (the key table and
-the transformation log are plain Python structures).  :class:`ShardPool`
-encodes precisely that: one reentrant lock per shard, and a whole-fleet
-lock ordering for structural changes (resize).
+The gateway's consistency unit is the shard — the router assigns every
+delegation to exactly one shard, and every write of its key (to the
+gateway's one key table) or transformation under it holds that shard's
+lock.  Operations on *different* shards commute while operations on the
+*same* shard must serialize.  :class:`ShardPool` encodes precisely that:
+one reentrant lock per shard, and a whole-fleet lock ordering for
+structural changes (resize).
 
 The pool runs nothing itself.  Gateway calls arrive concurrently from
 the asyncio server's executor and from the threaded server's handler

@@ -224,6 +224,12 @@ class MuxRemoteGateway(RemoteGateway):
             orphans = list(self._waiters.values())
             self._waiters.clear()
         try:
+            # Closing alone neither wakes the reader blocked in recv nor
+            # sends the peer a FIN; shutting down first does both.
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             sock.close()
         except OSError:
             pass

@@ -424,9 +424,10 @@ class AsyncGatewayServer(HostingServer):
                 await self._write_http(writer, refusal)
                 return
             method, target = parts[0].upper(), parts[1]
+            http09 = len(parts) == 2
             # HTTP/1.1 keeps the connection unless told to close; older
             # versions close unless told to keep it (the stdlib's rule).
-            legacy = len(parts) < 3 or parts[2] < "HTTP/1.1"
+            legacy = http09 or parts[2] < "HTTP/1.1"
             headers: dict[str, str] = {}
             for count in itertools.count(1):
                 hline = await _read_line(reader)
@@ -446,7 +447,7 @@ class AsyncGatewayServer(HostingServer):
                 # The body was never drained; this connection is
                 # desynchronized, so the refusal closes it.
                 refusal = self.engine.refuse(400, str(error), request_line, peer)
-                await self._write_http(writer, refusal)
+                await self._write_http(writer, refusal, bare=http09)
                 return
             body = await reader.readexactly(length) if length else b""
             self.stats.stream_started()
@@ -459,13 +460,21 @@ class AsyncGatewayServer(HostingServer):
             connection = headers.get("connection", "").lower()
             keep_alive = connection == "keep-alive" if legacy else connection != "close"
             closing = result.close or not keep_alive
-            await self._write_http(writer, result, close=closing)
+            await self._write_http(writer, result, close=closing, bare=http09)
             if closing:
                 return
 
     async def _write_http(
-        self, writer: asyncio.StreamWriter, result: WireResponse, close: bool = False
+        self,
+        writer: asyncio.StreamWriter,
+        result: WireResponse,
+        close: bool = False,
+        bare: bool = False,
     ) -> None:
+        if bare:  # HTTP/0.9: the body alone, as ``http.server`` answers it
+            writer.write(result.body)
+            await writer.drain()
+            return
         head = [
             "HTTP/1.1 %d %s" % (result.status, HTTPStatus(result.status).phrase),
             "Server: %s" % _SERVER_ID,

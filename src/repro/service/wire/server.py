@@ -203,8 +203,9 @@ class GatewayHttpServer(HostingServer):
     def start(self) -> "GatewayHttpServer":
         """Run the accept loop in a daemon thread; returns self."""
         if self._thread is None:
+            # A short poll: close() waits for the loop's next one.
             self._thread = threading.Thread(
-                target=self._httpd.serve_forever, name="gateway-http", daemon=True
+                target=self._httpd.serve_forever, args=(0.05,), name="gateway-http", daemon=True
             )
             self._thread.start()
         return self

@@ -1,6 +1,12 @@
 """Tests for the file-based CLI: the full lifecycle over on-disk envelopes."""
 
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +29,35 @@ def workspace(tmp_path):
     assert main(["extract", "--kgc", str(tmp_path / "kgc2"),
                  "--identity", "bob", "--out", str(tmp_path / "bob.key")]) == 0
     return tmp_path
+
+
+def _spawn_serve(*flags):
+    """A ``serve --http 0`` process on TOY and its banner line."""
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--http", "0", "--group", "TOY",
+         *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+    ready, _, _ = select.select([process.stdout], [], [], 60)
+    banner = process.stdout.readline() if ready else ""
+    if "gateway listening on" not in banner:
+        _stop(process)
+        pytest.fail("serve did not start: %r" % banner)
+    return process, banner
+
+
+def _stop(process):
+    process.send_signal(signal.SIGTERM)
+    try:
+        process.wait(timeout=15)
+    except subprocess.TimeoutExpired:
+        process.kill()
+        process.wait()
+    process.stdout.close()
 
 
 class TestSetupExtract:
@@ -239,6 +274,31 @@ class TestServe:
         assert main(["serve", "--http", "0", "--scheme", "tipre/v1",
                      "--scheme", "afgh/v1", "--state-dir", str(tmp_path)]) == 1
         assert "move" in capsys.readouterr().err
+
+    def test_serve_keeps_an_event_log_inside_its_state_dir(self, tmp_path, capsys):
+        """An --event-log in the --state-dir is not a key log: a restart
+        starts, loads every key and keeps the first run's events."""
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        events = state_dir / "events.log"
+        flags = ("--shards", "2", "--state-dir", str(state_dir), "--event-log", str(events))
+        process, banner = _spawn_serve(*flags)
+        try:
+            assert "0 keys loaded" in banner
+            url = banner.split()[3]
+            assert main(["serve", "--group", "TOY", "--requests", "8", "--connect", url]) == 0
+        finally:
+            _stop(process)
+        first_run = events.read_text()
+        audits = [json.loads(line) for line in first_run.splitlines()]
+        assert any(event.get("action") == "grant" for event in audits)
+        process, banner = _spawn_serve(*flags)
+        try:
+            assert "36 keys loaded" in banner
+        finally:
+            _stop(process)
+        assert events.read_text().startswith(first_run)
+        assert sorted(path.name for path in state_dir.iterdir()) == ["events.log", "keys.log"]
 
     def test_serve_connect_with_pool_size_drives_concurrently_capable_client(
         self, capsys

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.core.proxy import ProxyService
+from repro.core.proxy import ProxyKeyTable, ProxyService
 from repro.core.scheme import TypeAndIdentityPre
 from repro.ibe.kgc import KgcRegistry
 from repro.math.drbg import HmacDrbg
@@ -197,6 +197,50 @@ class TestGatewayRaces:
         sequential.close()
         concurrent.close()
 
+    def test_every_shard_appends_to_one_durable_log_without_loss(self, universe, tmp_path):
+        """Eight writer threads on four shards share one ``keys.log``: with
+        auto-compaction running among them, a reopen replays exactly the
+        final key set and finds no torn record."""
+        scheme, delegations, _ = universe
+        keys = [key for entries in delegations.values() for key, _, _ in entries]
+        gateway = ReEncryptionGateway(scheme, shard_count=4, state_dir=tmp_path)
+        writers = 8
+        failures = []
+
+        def writer(thread_index: int) -> None:
+            try:
+                mine = keys[thread_index::writers]
+                for _ in range(ROUNDS * 8):
+                    for key in mine:
+                        gateway.grant(GrantRequest(tenant=key.delegator, proxy_key=key))
+                        assert gateway.revoke(_revoke(key)).removed
+                for key in mine:
+                    gateway.grant(GrantRequest(tenant=key.delegator, proxy_key=key))
+            except Exception as error:  # noqa: BLE001 - surfaced via failures
+                failures.append(error)
+
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=JOIN_TIMEOUT_S)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert gateway.key_count() == len(keys)
+        gateway.close()
+        reopened = ReEncryptionGateway(scheme, shard_count=3, state_dir=tmp_path)
+        table = reopened.shard_named("shard-00").table
+        assert table.recovered_bytes == 0
+        assert {ProxyKeyTable.index_of(key) for key in reopened.list_keys()} == {
+            ProxyKeyTable.index_of(key) for key in keys
+        }
+        reopened.close()
+
     def test_revoke_racing_reencrypt_cannot_repopulate_caches(self, universe):
         """Regression: a result computed before a revoke must not outlive it.
 
@@ -220,7 +264,7 @@ class TestGatewayRaces:
         gateway = ReEncryptionGateway(
             scheme,
             shard_count=1,
-            shard_factory=lambda name, table: BlockingShard(scheme, name=name),
+            shard_factory=lambda name, table: BlockingShard(scheme, name=name, table=table),
         )
         key, ciphertext, _message = delegations[0][0]
         gateway.grant(GrantRequest(tenant=key.delegator, proxy_key=key))

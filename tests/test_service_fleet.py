@@ -62,11 +62,7 @@ def _small_setting(seed: str):
 
 
 def _keys_of(setting) -> list:
-    return [
-        key
-        for name in setting.gateway.shard_names
-        for key in setting.gateway.shard_named(name).table
-    ]
+    return setting.gateway.list_keys()
 
 
 def _grant_all(setting, gateway) -> int:

@@ -146,9 +146,8 @@ class TestWireEveryScheme:
                 assert info["scheme"] == scheme_id
                 assert info["group"] == group.params.name
                 # grant every proxy key over the wire ...
-                for name in setting.gateway.shard_names:
-                    for key in list(setting.gateway.shard_named(name).table):
-                        client.grant(GrantRequest(tenant="t", proxy_key=key))
+                for key in setting.gateway.list_keys():
+                    client.grant(GrantRequest(tenant="t", proxy_key=key))
                 # ... then re-encrypt remotely and decrypt locally.
                 verified = drive_requests(
                     setting,

@@ -1,29 +1,39 @@
-"""Live fleet resizing: zero lost delegations, minimal key movement.
+"""Live fleet resizing: zero lost delegations, nothing written.
 
 The contract under test: after ``resize(m)`` every delegation installed
 before it still re-encrypts (and decrypts to the original plaintext),
-the number of migrated keys equals the routers' ownership diff exactly,
-and with a state dir the migrated layout survives a restart — even a
-restart under a *different* shard count.
+the reported key moves equal the routers' ownership diff exactly, and
+with a state dir the one key log survives a restart under any shard
+count, byte for byte.  A state dir in the older per-shard layout
+(``tests/data/legacy_state/``, recorded by
+``tools/record_legacy_state.py``) folds into that one log.
 """
 
 from __future__ import annotations
+
+import json
+import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.proxy import ProxyKeyTable
+from repro.core.proxy import ProxyKeyTable, ProxyService
 from repro.core.scheme import TypeAndIdentityPre
 from repro.ibe.kgc import KgcRegistry
 from repro.math.drbg import HmacDrbg
+from repro.service.driver import build_setting
 from repro.service.gateway import (
+    DelegationNotFoundError,
     GrantRequest,
     InvalidRequestError,
     ReEncryptionGateway,
     ReEncryptRequest,
 )
 from repro.service.router import ShardRouter
+
+LEGACY_STATE = Path(__file__).parent / "data" / "legacy_state"
 
 PATIENTS = ("pat-a", "pat-b", "pat-c")
 DELEGATEES = ("bob", "dave")
@@ -78,12 +88,11 @@ def _expected_moves(proxy_keys, old_count, new_count):
 
 
 def _installed_indices(gateway):
-    indices = []
-    for name in gateway.shard_names:
-        indices.extend(
-            ProxyKeyTable.index_of(key) for key in gateway.shard_named(name).table
-        )
-    return indices
+    return [ProxyKeyTable.index_of(key) for key in gateway.list_keys()]
+
+
+def _dir_bytes(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
 class TestResizeCorrectness:
@@ -172,10 +181,12 @@ class TestResizeDurability:
         scheme, proxy_keys, ciphertexts, delegatee_keys = universe
         state_dir = tmp_path / "state"
         gateway = _granted_gateway(scheme, proxy_keys, 4, state_dir=state_dir)
+        written = _dir_bytes(state_dir)
         gateway.resize(2)
         gateway.close()
-        # Retired shards' logs are gone; the survivors hold everything.
-        assert sorted(p.stem for p in state_dir.glob("*.log")) == ["shard-00", "shard-01"]
+        # One key log, and the resize wrote nothing to it.
+        assert list(written) == ["keys.log"]
+        assert _dir_bytes(state_dir) == written
 
         reloaded = ReEncryptionGateway(scheme, shard_count=2, state_dir=state_dir)
         assert reloaded.key_count() == len(proxy_keys)
@@ -195,17 +206,157 @@ class TestResizeDurability:
         reloaded.close()
 
     def test_restart_under_a_different_fleet_size_rehomes_keys(self, universe, tmp_path):
-        """Opening a 4-shard state dir with 2 shards adopts and re-homes."""
+        """Opening a 4-shard state dir with 2 shards serves every key."""
         scheme, proxy_keys, _, _ = universe
         state_dir = tmp_path / "state"
         gateway = _granted_gateway(scheme, proxy_keys, 4, state_dir=state_dir)
         gateway.close()
+        written = _dir_bytes(state_dir)
 
         reloaded = ReEncryptionGateway(scheme, shard_count=2, state_dir=state_dir)
         assert reloaded.key_count() == len(proxy_keys)
         indices = _installed_indices(reloaded)
         assert set(indices) == {ProxyKeyTable.index_of(key) for key in proxy_keys}
         assert len(indices) == len(proxy_keys)
-        # Orphan logs were absorbed and removed.
-        assert sorted(p.stem for p in state_dir.glob("*.log")) == ["shard-00", "shard-01"]
+        # The reopen under another shard count wrote nothing.
+        assert _dir_bytes(state_dir) == written
         reloaded.close()
+
+
+class TestOneKeyTable:
+    def test_every_shard_shares_the_gateway_table(self, universe):
+        scheme, proxy_keys, _, _ = universe
+        tables = []
+
+        def factory(name, table):
+            tables.append(table)
+            return ProxyService(scheme, name=name, table=table)
+
+        gateway = ReEncryptionGateway(scheme, shard_count=3, shard_factory=factory)
+        for key in proxy_keys:
+            gateway.grant(GrantRequest(tenant=key.delegator, proxy_key=key))
+        gateway.resize(5)
+        shared = gateway.shard_named("shard-00").table
+        assert len(tables) == 5 and all(table is shared for table in tables)
+        assert all(gateway.shard_named(name).table is shared for name in gateway.shard_names)
+        assert len(shared) == gateway.key_count() == len(proxy_keys)
+        assert sum(gateway.shard_key_counts().values()) == len(proxy_keys)
+
+    @pytest.mark.parametrize("reopen_count", [1, 3, 6])
+    def test_resizes_and_reopens_leave_the_state_dir_byte_identical(
+        self, universe, tmp_path, reopen_count
+    ):
+        scheme, proxy_keys, _, _ = universe
+        state_dir = tmp_path / "state"
+        gateway = _granted_gateway(scheme, proxy_keys, 4, state_dir=state_dir)
+        written = _dir_bytes(state_dir)
+        for shard_count in (1, 6, 2, 5):
+            gateway.resize(shard_count)
+            assert _dir_bytes(state_dir) == written
+        gateway.close()
+        reloaded = ReEncryptionGateway(scheme, shard_count=reopen_count, state_dir=state_dir)
+        assert reloaded.key_count() == len(proxy_keys)
+        reloaded.close()
+        assert _dir_bytes(state_dir) == written
+
+    def test_a_foreign_log_in_the_state_dir_is_never_opened(self, universe, tmp_path):
+        from repro.cli import _state_dirs_for
+
+        scheme, proxy_keys, _, _ = universe
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        events = state_dir / "events.log"
+        events.write_text('{"kind": "audit"}\n')
+        assert _state_dirs_for(state_dir, ["tipre/v1"]) == [state_dir]
+        assert _state_dirs_for(state_dir, ["tipre/v1", "afgh/v1"]) == [
+            state_dir / "tipre-v1",
+            state_dir / "afgh-v1",
+        ]
+        gateway = _granted_gateway(scheme, proxy_keys, 2, state_dir=state_dir)
+        gateway.close()
+        reloaded = ReEncryptionGateway(scheme, shard_count=3, state_dir=state_dir)
+        assert reloaded.key_count() == len(proxy_keys)
+        reloaded.close()
+        assert sorted(_dir_bytes(state_dir)) == ["events.log", "keys.log"]
+        assert events.read_text() == '{"kind": "audit"}\n'
+
+
+@pytest.fixture(scope="module")
+def legacy():
+    """The recorded per-shard state dir and the universe that wrote it."""
+    expected = json.loads((LEGACY_STATE / "expected.json").read_text())
+    setting = build_setting(
+        group_name=expected["group"], shard_count=1, seed=expected["seed"]
+    )
+    setting.gateway.close()
+    return expected, setting
+
+
+def _copy_legacy_logs(state_dir):
+    state_dir.mkdir(exist_ok=True)
+    names = sorted(path.name for path in LEGACY_STATE.glob("shard-*.log"))
+    assert names == ["shard-%02d.log" % i for i in range(4)]
+    for name in names:
+        shutil.copyfile(LEGACY_STATE / name, state_dir / name)
+
+
+def _assert_serves_exactly(gateway, expected, setting):
+    """The key set is the recorded one, and every delegation decrypts."""
+    keys = {tuple(index) for index in expected["keys"]}
+    assert set(_installed_indices(gateway)) == keys
+    assert gateway.key_count() == len(keys)
+    for domain, patient, delegatee_domain, delegatee, type_label in sorted(keys):
+        ciphertext, message = setting.pool[(patient, type_label)][0]
+        response = gateway.reencrypt(
+            ReEncryptRequest(
+                tenant=patient,
+                ciphertext=ciphertext,
+                delegatee_domain=delegatee_domain,
+                delegatee=delegatee,
+            )
+        )
+        recovered = setting.backend.decrypt_reencrypted(
+            response.ciphertext, delegatee_domain, delegatee
+        )
+        assert recovered == message
+    _, patient, delegatee_domain, delegatee, type_label = expected["revoked"]
+    with pytest.raises(DelegationNotFoundError):
+        gateway.reencrypt(
+            ReEncryptRequest(
+                tenant=patient,
+                ciphertext=setting.pool[(patient, type_label)][0][0],
+                delegatee_domain=delegatee_domain,
+                delegatee=delegatee,
+            )
+        )
+
+
+class TestLegacyLayout:
+    @pytest.mark.parametrize("shard_count", [1, 3, 4, 6])
+    def test_per_shard_logs_fold_into_one_key_log(self, legacy, tmp_path, shard_count):
+        expected, setting = legacy
+        state_dir = tmp_path / "state"
+        _copy_legacy_logs(state_dir)
+        gateway = ReEncryptionGateway(
+            setting.backend, shard_count=shard_count, state_dir=state_dir
+        )
+        try:
+            assert sorted(path.name for path in state_dir.iterdir()) == ["keys.log"]
+            _assert_serves_exactly(gateway, expected, setting)
+        finally:
+            gateway.close()
+
+    def test_a_crash_between_install_and_delete_folds_again(self, legacy, tmp_path):
+        expected, setting = legacy
+        state_dir = tmp_path / "state"
+        _copy_legacy_logs(state_dir)
+        ReEncryptionGateway(setting.backend, shard_count=2, state_dir=state_dir).close()
+        # The legacy logs beside the folded keys.log: the state a crash
+        # after the fold's installs and before its deletes leaves.
+        _copy_legacy_logs(state_dir)
+        gateway = ReEncryptionGateway(setting.backend, shard_count=3, state_dir=state_dir)
+        try:
+            assert sorted(path.name for path in state_dir.iterdir()) == ["keys.log"]
+            _assert_serves_exactly(gateway, expected, setting)
+        finally:
+            gateway.close()

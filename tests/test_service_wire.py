@@ -593,11 +593,7 @@ class TestLoopback:
     def test_grant_batch_over_wire_installs_every_key(self, loopback):
         setting, _server, client = loopback
         gateway = setting.gateway
-        keys = [
-            key
-            for name in gateway.shard_names
-            for key in gateway.shard_named(name).table
-        ][:3]
+        keys = gateway.list_keys()[:3]
         assert keys, "seeded gateway has no proxy keys"
         for key in keys:
             removed = client.revoke(

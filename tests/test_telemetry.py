@@ -590,9 +590,8 @@ class TestRecordMemory:
         )
         gateway = ReEncryptionGateway(setting.backend, shard_count=2)
         try:
-            for name in setting.gateway.shard_names:
-                for key in setting.gateway.shard_named(name).table:
-                    gateway.grant(GrantRequest(tenant="admin", proxy_key=key))
+            for key in setting.gateway.list_keys():
+                gateway.grant(GrantRequest(tenant="admin", proxy_key=key))
             shards = [gateway.shard_named(name) for name in gateway.shard_names]
 
             def held():

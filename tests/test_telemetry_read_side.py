@@ -109,8 +109,7 @@ def read_side_bodies() -> list[list]:
     )
     key = next(
         key
-        for name in setting.gateway.shard_names
-        for key in setting.gateway.shard_named(name).table
+        for key in setting.gateway.list_keys()
         if key.delegator == patient
         and key.type_label == type_label
         and key.delegatee == setting.delegatees[0]

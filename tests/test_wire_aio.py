@@ -98,11 +98,7 @@ def _build():
 
 
 def _first_keys(gateway, count=2):
-    return [
-        key
-        for name in gateway.shard_names
-        for key in gateway.shard_named(name).table
-    ][:count]
+    return gateway.list_keys()[:count]
 
 
 def _reencrypt_requests(setting, count=2):
@@ -602,12 +598,22 @@ class TestHttpTransports:
         assert closed, "an HTTP/1.0 connection without keep-alive must close"
 
     def test_http10_keep_alive_stays_open(self, http_server):
-        raw, closed = _raw_http_exchange(
-            http_server,
-            b"GET /v1/health HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
-        )
-        assert _parse_response(raw)[0] == 200
-        assert not closed
+        """A second request on the same socket is answered."""
+        request = b"GET /v1/health HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+        address = (http_server.host, http_server.port)
+        with socket.create_connection(address, timeout=3.0) as sock:
+            for _ in range(2):
+                sock.sendall(request)
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                assert response.status == 200
+                assert json.loads(response.read()) == {"status": "ok"}
+
+    def test_http09_get_is_answered_with_the_body_alone(self, http_server):
+        """As ``http.server`` answers HTTP/0.9: no status line, no headers."""
+        raw, closed = _raw_http_exchange(http_server, b"GET /v1/health\r\n\r\n")
+        assert json.loads(raw) == {"status": "ok"}
+        assert closed
 
     def test_too_many_headers_is_431_with_a_taxonomy_body(self, http_server):
         padding = b"".join(b"X-Pad-%d: x\r\n" % index for index in range(500))
@@ -758,6 +764,27 @@ class TestMuxTypedClient:
         assert report.new_shard_count == 5
         assert setting.gateway.key_count() == total
         assert len(client.list_keys()) == total
+
+    def test_close_ends_the_connection_at_once(self, mux_loopback):
+        """close() wakes the reader thread and the server sees the FIN."""
+        _setting, server, client = mux_loopback
+        before = set(threading.enumerate())
+        client.snapshot()
+        assert server.stats.snapshot().connections_open == 1
+        time.sleep(0.1)  # the reader thread is blocked in recv again
+        start = time.monotonic()
+        client.close()
+        assert time.monotonic() - start < 0.5
+        readers = [
+            thread
+            for thread in threading.enumerate()
+            if thread.name.startswith("mux-reader-") and thread not in before
+        ]
+        assert readers == []
+        deadline = time.monotonic() + 5.0
+        while server.stats.snapshot().connections_open:
+            assert time.monotonic() < deadline, "the server still holds the connection"
+            time.sleep(0.01)
 
     def test_unreachable_mux_server_is_wire_transport_error(self, group):
         client = MuxRemoteGateway("mux://127.0.0.1:9", group, timeout=0.5)
