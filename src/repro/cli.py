@@ -539,10 +539,6 @@ def _serve_http(args, scheme_ids: list[str]) -> int:
             auth=verifier,
             trace_sample=args.trace_sample,
         )
-        if args.async_wire:
-            # The asyncio server binds inside start(); the banner below
-            # must print the real (possibly ephemeral) port.
-            server.start()
     except BaseException:
         for gateway in gateways:
             gateway.close()
@@ -550,23 +546,23 @@ def _serve_http(args, scheme_ids: list[str]) -> int:
             event_stream.close()
         raise
     shard_label = "shard %s, " % args.shard if args.shard else ""
-    print(
-        "gateway listening on %s (%sschemes %s, group %s, %d shards, %d keys loaded)"
-        % (
-            server.url,
-            shard_label,
-            "+".join(scheme_ids),
-            args.group if len(scheme_ids) == 1 else "%s (per-scheme derived)" % args.group,
-            args.shards,
-            sum(gateway.key_count() for gateway in gateways),
-        ),
-        flush=True,
-    )
-    _install_sigterm_interrupt()
+
+    def announce() -> None:
+        print(
+            "gateway listening on %s (%sschemes %s, group %s, %d shards, %d keys loaded)"
+            % (
+                server.url,
+                shard_label,
+                "+".join(scheme_ids),
+                args.group if len(scheme_ids) == 1 else "%s (per-scheme derived)" % args.group,
+                args.shards,
+                sum(gateway.key_count() for gateway in gateways),
+            ),
+            flush=True,
+        )
+
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        _serve_until_stopped(server, args.async_wire, announce)
     finally:
         server.close()
         for gateway in gateways:
@@ -612,21 +608,32 @@ def _security_from_args(args):
     return tls, verifier, policy
 
 
-def _install_sigterm_interrupt() -> None:
-    """Make SIGTERM run the same clean-shutdown path as Ctrl-C.
+def _serve_until_stopped(server, async_wire: bool, announce) -> None:
+    """Print the banner once ``server`` is bound, then serve until SIGTERM
+    or Ctrl-C; the caller's ``finally`` releases what the server used.
 
-    The long-running serve loops release their resources (worker
-    subprocesses, durable logs, event streams) in ``finally`` blocks
-    reached via ``KeyboardInterrupt``; without this, ``kill``/systemd
-    stop the routing process but orphan the fleet's shard workers.
+    The asyncio server runs its loop on this thread and stops between
+    requests on either signal.  The threaded server is bound already;
+    its requests run on handler threads, so SIGTERM is raised here as
+    ``KeyboardInterrupt`` like Ctrl-C.  Either way this returns, so
+    worker subprocesses, durable logs and event streams are closed, and
+    ``kill``/systemd never orphan a fleet's shard workers.
     """
 
-    def handler(signum, frame):
+    def interrupt(signum, frame):
         raise KeyboardInterrupt
 
     try:
-        signal.signal(signal.SIGTERM, handler)
-    except ValueError:  # not in the main thread (embedded use)
+        if async_wire:
+            server.serve_forever(announce)
+            return
+        announce()
+        try:
+            signal.signal(signal.SIGTERM, interrupt)
+        except ValueError:  # not in the main thread (embedded use)
+            pass
+        server.serve_forever()
+    except KeyboardInterrupt:
         pass
 
 
@@ -684,8 +691,6 @@ def _serve_fleet(args) -> int:
             auth=verifier,
             trace_sample=args.trace_sample,
         )
-        if args.async_wire:
-            server.start()
     except BaseException:
         if gateway is not None:
             gateway.close()
@@ -694,16 +699,16 @@ def _serve_fleet(args) -> int:
         if event_stream is not None:
             event_stream.close()
         raise
-    print(
-        "fleet gateway listening on %s (scheme %s, group %s, %d shard processes)"
-        % (server.url, args.scheme, args.group, args.fleet),
-        flush=True,
-    )
-    _install_sigterm_interrupt()
+
+    def announce() -> None:
+        print(
+            "fleet gateway listening on %s (scheme %s, group %s, %d shard processes)"
+            % (server.url, args.scheme, args.group, args.fleet),
+            flush=True,
+        )
+
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        _serve_until_stopped(server, args.async_wire, announce)
     finally:
         server.close()
         gateway.close()

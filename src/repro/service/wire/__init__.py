@@ -20,8 +20,8 @@ network; this package makes that literal.  Six layers:
   unchanged against either;
 * :mod:`repro.service.wire.aio_server` — :class:`AsyncGatewayServer`,
   the asyncio escape from thread-per-connection: one event loop, both
-  mux framing and HTTP/1.1 on one port, engine calls on a bounded
-  worker pool;
+  mux framing and HTTP/1.1 on one port, single requests answered on the
+  loop and only batches and forwarded calls on a bounded worker pool;
 * :mod:`repro.service.wire.aio_client` — :class:`MuxRemoteGateway`
   (many in-flight requests over ONE socket) and the URL-dispatching
   :func:`connect_gateway` factory.

@@ -1,12 +1,15 @@
 """The asyncio gateway server: one event loop, thousands of connections.
 
 :class:`AsyncGatewayServer` is the escape from thread-per-connection.
-A single event loop accepts every socket; gateway calls are dispatched
-to a bounded :class:`~concurrent.futures.ThreadPoolExecutor` (the shard
-locks still serialize exactly as they do under the threaded server, and
-CPU-bound pairing work never blocks the accept loop for long).  The
-listening port speaks *two* protocols, sniffed from the first octet of
-each connection:
+A single event loop accepts every socket and answers every request
+whose work is one in-process gateway operation itself, so a server that
+receives no batch runs one thread.  Only grant and re-encrypt batches,
+and calls to a gateway that forwards to other processes, go to a
+bounded :class:`~concurrent.futures.ThreadPoolExecutor`, where they
+overlap with the loop's work (the shard locks serialize both exactly as
+under the threaded server; see :meth:`WireRequestExecutor.runs_inline`).
+The listening port speaks *two* protocols, sniffed from the first octet
+of each connection:
 
 * **mux framing** (first octet ``0x00``): length-prefixed JSON frames
   (see ``codec.encode_frame``); after a ``hello`` handshake every
@@ -33,11 +36,12 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import signal
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.core.api import PreBackend
 from repro.pairing.group import PairingGroup
@@ -59,6 +63,7 @@ from repro.service.wire.engine import (
     HostingServer,
     WireRequestExecutor,
     WireResponse,
+    add_header,
     body_length,
 )
 
@@ -88,6 +93,26 @@ def _request_line_refusal(line: bytes | None, words: list[str], request_line: st
     return None
 
 
+def _mux_request(document: dict) -> tuple:
+    """``(id, method, target, body, headers)`` of one request frame."""
+    if document.get("type") != "request" or not isinstance(document.get("id"), int):
+        raise FrameProtocolError("expected a request frame with an id")
+    raw_headers = document.get("headers") or {}
+    if not isinstance(raw_headers, dict):
+        raise FrameProtocolError("request frame headers must be an object")
+    body_text = document.get("body")
+    # A JSON string may hold lone surrogates: they pass through as bytes
+    # the engine refuses like any other undecodable body.
+    body = body_text.encode("utf-8", "surrogatepass") if isinstance(body_text, str) else b""
+    return (
+        document["id"],
+        str(document.get("method") or "POST").upper(),
+        str(document.get("path") or "/"),
+        body,
+        {str(name).lower(): str(value) for name, value in raw_headers.items()},
+    )
+
+
 async def _read_line(reader: asyncio.StreamReader, prefix: bytes = b"") -> bytes | None:
     """One line, or None when it is longer than ``http.server`` takes."""
     try:
@@ -103,9 +128,12 @@ class AsyncGatewayServer(HostingServer):
     The constructor surface mirrors :class:`GatewayHttpServer` (gateway/
     group/gateways hosting, ``event_log``, ``tls``, ``auth``,
     ``trace_sample``), plus ``workers`` (the bounded executor that runs
-    gateway calls — shard locks serialize there exactly as under the
-    threaded server) and ``max_streams`` (per-connection in-flight cap,
-    the mux backpressure bound).
+    batches and forwarded calls; its threads start on first use) and
+    ``max_streams`` (per-connection in-flight cap, the mux backpressure
+    bound).
+
+    :meth:`serve_forever` runs the event loop on the calling thread;
+    :meth:`start` runs it on a daemon thread for in-process callers.
 
     :attr:`url` is the mux address (``mux://host:port``, ``muxs://``
     under TLS); :attr:`http_url` is the same port spelled for HTTP
@@ -170,36 +198,42 @@ class AsyncGatewayServer(HostingServer):
         scheme = "https" if self._tls is not None else "http"
         return "%s://%s:%d" % (scheme, self.host, self.port)
 
-    async def _main(self) -> None:
+    async def _main(self, ready: Callable[[], None]) -> None:
         self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
-        try:
-            server = await asyncio.start_server(
-                self._on_connection,
-                self._bind_host,
-                self._bind_port,
-                ssl=self._tls,
-                # Match the threaded server's listen depth so a burst of
-                # HTTP clients dialling at once is queued, not reset.
-                backlog=1024,
-            )
-        except BaseException as error:
-            self._startup_error = error
-            self._ready.set()
-            raise
+        if threading.current_thread() is threading.main_thread():
+            # The loop sees these signals between callbacks, so a request
+            # it is answering finishes first; nothing raises inside one.
+            for signum in (signal.SIGTERM, signal.SIGINT):
+                self._loop.add_signal_handler(signum, self._shutdown.set)
+        # asyncio.start_server binds the listener itself, so accepted
+        # sockets are TCP and get TCP_NODELAY.
+        server = await asyncio.start_server(
+            self._on_connection,
+            self._bind_host,
+            self._bind_port,
+            ssl=self._tls,
+            # Match the threaded server's listen depth so a burst of
+            # HTTP clients dialling at once is queued, not reset.
+            backlog=1024,
+        )
         self._sockname = server.sockets[0].getsockname()[:2]
-        self._ready.set()
+        ready()
         try:
             await self._shutdown.wait()
         finally:
+            # Stop listening; asyncio.run then cancels the connection
+            # handlers, which close their sockets.  Server.wait_closed()
+            # is not awaited: from Python 3.12 on it waits until every
+            # client has hung up, so an idle client would hold SIGTERM off.
             server.close()
-            await server.wait_closed()
 
     def _run(self) -> None:
         try:
-            asyncio.run(self._main())
-        except BaseException:  # noqa: BLE001 - surfaced via _startup_error
+            asyncio.run(self._main(self._ready.set))
+        except BaseException as error:  # noqa: BLE001 - raised by start()
             if not self._ready.is_set():
+                self._startup_error = error
                 self._ready.set()
 
     def start(self) -> "AsyncGatewayServer":
@@ -218,15 +252,19 @@ class AsyncGatewayServer(HostingServer):
                 raise error
         return self
 
-    def serve_forever(self) -> None:
-        """Block serving until :meth:`close` (or KeyboardInterrupt)."""
-        self.start()
-        # Join in slices so the main thread stays interruptible.
-        while self._thread is not None and self._thread.is_alive():
-            self._thread.join(timeout=0.5)
+    def serve_forever(self, ready: Callable[[], None] = lambda: None) -> None:
+        """Serve on the calling thread until :meth:`close`, SIGTERM or SIGINT.
+
+        ``ready`` runs once the listener is bound, so it can report the
+        real port.  The signals stop the loop only when it runs on the
+        main thread; it closes the listener and its connections, and
+        this returns.
+        """
+        asyncio.run(self._main(ready))
 
     def close(self) -> None:
-        """Stop the loop, join its thread, shut the worker pool down."""
+        """Stop the loop, join its thread (if :meth:`start` made one),
+        shut the worker pool down."""
         loop, shutdown = self._loop, self._shutdown
         if loop is not None and shutdown is not None and not loop.is_closed():
             try:
@@ -317,9 +355,9 @@ class AsyncGatewayServer(HostingServer):
         await writer.drain()
         peer = self._peer(writer)
         write_lock = asyncio.Lock()
-        # Per-connection backpressure: past max_streams in-flight the
-        # read loop stops pulling frames, so a flooding client queues in
-        # its own socket buffer instead of ours.
+        # Per-connection backpressure: past max_streams pooled streams in
+        # flight the read loop stops pulling frames, so a flooding client
+        # queues in its own socket buffer instead of ours.
         gate = asyncio.Semaphore(self.max_streams)
         tasks: set[asyncio.Task] = set()
         try:
@@ -329,53 +367,49 @@ class AsyncGatewayServer(HostingServer):
                 except asyncio.IncompleteReadError:
                     break  # clean close between frames
                 payload = await reader.readexactly(frame_length(header))
-                document = decode_frame_payload(payload)
-                if document.get("type") != "request" or not isinstance(
-                    document.get("id"), int
-                ):
-                    raise FrameProtocolError("expected a request frame with an id")
-                if not isinstance(document.get("headers") or {}, dict):
-                    raise FrameProtocolError("request frame headers must be an object")
+                request = _mux_request(decode_frame_payload(payload))
+                _id, method, target, body, _headers = request
+                if self.engine.runs_inline(method, target, body):
+                    await self._run_stream(request, writer, write_lock, peer, False)
+                    # Reading frames that are already buffered never
+                    # yields: let the other connections in between two.
+                    await asyncio.sleep(0)
+                    continue
                 await gate.acquire()
                 task = asyncio.create_task(
-                    self._run_stream(document, writer, write_lock, gate, peer)
+                    self._run_stream(request, writer, write_lock, peer, True)
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
+                task.add_done_callback(lambda _task: gate.release())
         finally:
             for task in tasks:
                 task.cancel()
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
 
+    async def _handle(
+        self, pooled: bool, method: str, target: str, body: bytes, headers: dict, peer: str
+    ) -> WireResponse:
+        """The engine's answer, computed here or on the worker pool."""
+        if pooled:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._pool, self.engine.handle, method, target, body, headers, peer
+            )
+        return self.engine.handle(method, target, body, headers, peer)
+
     async def _run_stream(
         self,
-        document: dict,
+        request: tuple,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
-        gate: asyncio.Semaphore,
         peer: str,
+        pooled: bool,
     ) -> None:
         self.stats.stream_started()
         try:
-            request_id = document["id"]
-            method = str(document.get("method") or "POST").upper()
-            target = str(document.get("path") or "/")
-            body_text = document.get("body")
-            # A JSON string may hold lone surrogates: they pass through as
-            # bytes the engine refuses like any other undecodable body.
-            body = (
-                body_text.encode("utf-8", "surrogatepass")
-                if isinstance(body_text, str)
-                else b""
-            )
-            raw_headers = document.get("headers") or {}
-            headers = {
-                str(name).lower(): str(value) for name, value in raw_headers.items()
-            }
-            result = await asyncio.get_running_loop().run_in_executor(
-                self._pool, self.engine.handle, method, target, body, headers, peer
-            )
+            request_id, method, target, body, headers = request
+            result = await self._handle(pooled, method, target, body, headers, peer)
             frame = encode_frame(
                 mux_response(
                     request_id,
@@ -399,7 +433,6 @@ class AsyncGatewayServer(HostingServer):
                 traceback=traceback.format_exc(limit=8),
             )
         finally:
-            gate.release()
             self.stats.stream_finished()
 
     # ----------------------------------------------------------------- http
@@ -424,6 +457,8 @@ class AsyncGatewayServer(HostingServer):
                 await self._write_http(writer, refusal)
                 return
             method, target = parts[0].upper(), parts[1]
+            if target.startswith("//"):  # reduced as http.server does (gh-87389)
+                target = "/" + target.lstrip("/")
             http09 = len(parts) == 2
             # HTTP/1.1 keeps the connection unless told to close; older
             # versions close unless told to keep it (the stdlib's rule).
@@ -440,7 +475,10 @@ class AsyncGatewayServer(HostingServer):
                     break
                 name, sep, value = hline.decode("latin-1").partition(":")
                 if sep:
-                    headers[name.strip().lower()] = value.strip()
+                    # Strip optional whitespace (SP, HTAB) and the line
+                    # end only: http.server keeps a value's other bytes,
+                    # so both stacks see the same Content-Length.
+                    add_header(headers, name.strip().lower(), value.strip(" \t\r\n"))
             try:
                 length = body_length(headers)
             except InvalidRequestError as error:
@@ -450,11 +488,10 @@ class AsyncGatewayServer(HostingServer):
                 await self._write_http(writer, refusal, bare=http09)
                 return
             body = await reader.readexactly(length) if length else b""
+            pooled = not self.engine.runs_inline(method, target, body)
             self.stats.stream_started()
             try:
-                result = await asyncio.get_running_loop().run_in_executor(
-                    self._pool, self.engine.handle, method, target, body, headers, peer
-                )
+                result = await self._handle(pooled, method, target, body, headers, peer)
             finally:
                 self.stats.stream_finished()
             connection = headers.get("connection", "").lower()
@@ -463,6 +500,8 @@ class AsyncGatewayServer(HostingServer):
             await self._write_http(writer, result, close=closing, bare=http09)
             if closing:
                 return
+            if not pooled:
+                await asyncio.sleep(0)  # a pipelined next request would not yield
 
     async def _write_http(
         self,

@@ -64,6 +64,7 @@ from repro.service.gateway import (
     GatewayError,
     GrantRequest,
     InvalidRequestError,
+    ReEncryptionGateway,
     ReEncryptRequest,
     RevokeRequest,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "STATUS_BY_CODE",
     "WireRequestExecutor",
     "WireResponse",
+    "add_header",
     "body_length",
     "build_host_map",
 ]
@@ -284,20 +286,37 @@ class WireResponse:
     close: bool = False
 
 
+def add_header(headers: dict[str, str], name: str, value: str) -> None:
+    """Record one header line under its lowercase ``name``.
+
+    A repeated header keeps its last value, except Content-Length: its
+    values are joined with commas, which :func:`body_length` refuses, so
+    no two readers of one request can frame its body differently.
+    """
+    if name == "content-length" and name in headers:
+        value = headers[name] + ", " + value
+    headers[name] = value
+
+
 def body_length(headers: dict[str, str]) -> int:
     """The request body's length from lowercase ``headers``.
 
     Raises :class:`InvalidRequestError` for a body no transport frames:
     chunked bodies are never drained (their framing bytes would desync
-    the keep-alive stream), and a Content-Length must be a sane integer.
+    the keep-alive stream), and a Content-Length must be ``1*DIGIT``
+    (RFC 9110 section 8.6), given once: a sign, an underscore or a
+    second value would let another reader frame the body otherwise.
     """
     if headers.get("transfer-encoding"):
         raise InvalidRequestError("Transfer-Encoding is not supported")
-    try:
-        length = int(headers.get("content-length") or "0")
-    except ValueError:
-        raise InvalidRequestError("invalid Content-Length") from None
-    if length < 0 or length > MAX_BODY_BYTES:
+    value = headers.get("content-length")
+    if value is None:
+        return 0
+    value = value.strip(" \t")
+    if not (value.isascii() and value.isdigit()):
+        raise InvalidRequestError("invalid Content-Length")
+    length = int(value)
+    if length > MAX_BODY_BYTES:
         raise InvalidRequestError("unacceptable Content-Length %d" % length)
     return length
 
@@ -306,6 +325,15 @@ class _UnknownEndpoint(Exception):
     def __init__(self, path: str):
         super().__init__(path)
         self.path = path
+
+
+def _split(target: str):
+    """``urlsplit(target)``; a target it refuses (an authority such as
+    ``//[`` that is no IPv6 address) is an unknown endpoint."""
+    try:
+        return urlsplit(target)
+    except ValueError:
+        raise _UnknownEndpoint(target) from None
 
 
 # ------------------------------------------------------------- POST ops
@@ -336,6 +364,10 @@ def _reencrypt(gateway, request, kwargs):
         )
     return gateway.reencrypt(request, **kwargs)
 
+
+# The wire type of each op's batch request: a batch holds many gateway
+# operations, so the asyncio server runs it on its worker pool.
+_BATCH_TYPES = {"grant": "grant-batch-request", "reencrypt": "reencrypt-batch-request"}
 
 # Revoke and resize are the mutations whose wire replay must not
 # re-execute: rerunning one against its own result mis-reports it.
@@ -373,8 +405,8 @@ class WireRequestExecutor:
     ``handle`` takes one parsed request (method, target, body, lowercase
     headers, client address string) and returns a :class:`WireResponse`.
     It is synchronous and thread-safe: the threaded server calls it on
-    each connection's handler thread, the asyncio server on its bounded
-    worker pool.
+    each connection's handler thread, the asyncio server on its event
+    loop, or on its worker pool where :meth:`runs_inline` says so.
 
     ``auth`` is a :class:`~repro.service.auth.signing.RequestVerifier` —
     with one installed every POST, and every observability GET, must
@@ -404,6 +436,11 @@ class WireRequestExecutor:
         self.auth = auth
         self.trace_sample = float(trace_sample)
         self.wire_stats = wire_stats
+        # A gateway of any other class forwards its calls to other
+        # processes (a fleet router) and blocks on their sockets.
+        self._forwarding = any(
+            not isinstance(fleet, ReEncryptionGateway) for fleet, _backend in hosts.values()
+        )
         # Deterministic seed: sampling decisions are reproducible across
         # runs, and tests can predict exact sampled counts.  The lock
         # serializes concurrent draws so the deterministic sequence (and
@@ -467,6 +504,43 @@ class WireRequestExecutor:
         return rest, gateway, backend
 
     # ------------------------------------------------------------ entrance
+
+    def runs_inline(self, method: str, target: str, body: bytes) -> bool:
+        """Whether :meth:`handle` may run on the asyncio server's event loop.
+
+        A request whose work is one in-process gateway operation runs
+        inline.  Two kinds go to the worker pool, where they overlap
+        with everything else: grant and re-encrypt batches, and calls to
+        a gateway that is not a :class:`ReEncryptionGateway` (a fleet
+        router's calls block on its workers' sockets).  Of the GET
+        routes only metrics and traces call a gateway.  A request the
+        engine refuses before any gateway call runs inline.  Placement
+        never changes a response byte, and this never raises.
+        """
+        try:
+            path = _split(target).path
+        except _UnknownEndpoint:
+            return True
+        if method != "POST":
+            return not (
+                self._forwarding
+                and (path.startswith(_TRACE_ROUTE) or path.endswith("/metrics"))
+            )
+        try:
+            op, gateway, _backend = self._resolve(path)
+        except (_UnknownEndpoint, InvalidRequestError):
+            return True
+        if not isinstance(gateway, ReEncryptionGateway):
+            return op not in _POST_OPS
+        batch_type = _BATCH_TYPES.get(op)
+        if batch_type is None:
+            return True
+        # Only these two ops parse the body here, and only for its type.
+        try:
+            document = json.loads(body)
+        except (ValueError, RecursionError):
+            return True
+        return not (isinstance(document, dict) and document.get("type") == batch_type)
 
     def handle(
         self,
@@ -582,7 +656,10 @@ class WireRequestExecutor:
     def _handle_get(
         self, target: str, headers: dict, echo: str | None, client: str
     ) -> WireResponse:
-        parts = urlsplit(target)
+        try:
+            parts = _split(target)
+        except _UnknownEndpoint as error:
+            return self._unknown_endpoint(error.path, echo)
         base = parts.path
         query = parse_qs(parts.query)
         out_format = (query.get("format") or [""])[0]
@@ -758,8 +835,8 @@ class WireRequestExecutor:
                 sampled = self._trace_rng.random() < self.trace_sample
             if not sampled:
                 trace = None
-        base = urlsplit(target).path
         try:
+            base = _split(target).path
             op, gateway, backend = self._resolve(base)
             if op not in _POST_OPS:
                 raise _UnknownEndpoint(base)

@@ -35,6 +35,7 @@ from repro.service.wire.engine import (
     HostingServer,
     WireRequestExecutor,
     WireResponse,
+    add_header,
     body_length,
 )
 
@@ -78,7 +79,10 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(result.body)
 
     def _lowercase_headers(self) -> dict[str, str]:
-        return {name.lower(): value for name, value in self.headers.items()}
+        headers: dict[str, str] = {}
+        for name, value in self.headers.items():
+            add_header(headers, name.lower(), value)
+        return headers
 
     def _serve(self) -> None:
         headers = self._lowercase_headers()

@@ -4,6 +4,7 @@ import json
 import os
 import select
 import signal
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from repro.pairing.group import PairingGroup
 from repro.serialization.containers import deserialize_proxy_key, from_json_envelope
 from repro.service.gateway import GrantRequest
 from repro.service.wire import WIRE_FORMAT, from_wire
+from test_service_fleet import _worker_pids_for
 
 
 @pytest.fixture()
@@ -337,6 +339,57 @@ class TestServe:
         out = capsys.readouterr().out
         assert "remote gateway %s: 16 requests" % server.url in out
         assert "green-ateniese/v1" in out and "plaintexts verified" in out
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+class TestServeAsyncLifecycle:
+    """``serve --async`` runs its event loop on the main thread: single
+    requests start no other thread, and SIGTERM ends the loop between
+    requests and returns through the CLI's cleanup."""
+
+    def test_sigterm_exits_cleanly_from_one_thread_and_keeps_the_keys(self, tmp_path, capsys):
+        from repro.service.gateway import ReEncryptionGateway
+
+        state_dir = tmp_path / "state"
+        process, banner = _spawn_serve("--async", "--state-dir", str(state_dir))
+        try:
+            url = banner.split()[3]
+            assert url.startswith("mux://127.0.0.1:") and not url.endswith(":0")
+            # Grants and single re-encryptions, each verified end to end.
+            assert main(["serve", "--group", "TOY", "--requests", "8", "--connect", url]) == 0
+            assert "plaintexts verified" in capsys.readouterr().out
+            assert len(os.listdir("/proc/%d/task" % process.pid)) == 1
+            # A client that stays connected does not hold the exit off.
+            host, port = url[len("mux://"):].rsplit(":", 1)
+            with socket.create_connection((host, int(port))):
+                process.send_signal(signal.SIGTERM)
+                assert process.wait(timeout=5) == 0
+            assert "Traceback" not in process.stdout.read()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+        gateway = ReEncryptionGateway(PairingGroup.shared("TOY"), state_dir=state_dir)
+        try:
+            assert gateway.key_count() == 36
+        finally:
+            gateway.close()
+
+    def test_sigterm_on_an_async_fleet_router_stops_its_workers(self, tmp_path):
+        state_dir = tmp_path / "fleet"
+        process, banner = _spawn_serve("--async", "--fleet", "1", "--state-dir", str(state_dir))
+        try:
+            assert "fleet gateway listening on mux://" in banner
+            assert _worker_pids_for(str(state_dir))
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=15) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+        assert _worker_pids_for(str(state_dir)) == []
 
 
 class TestSchemes:

@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.math.drbg import HmacDrbg
@@ -62,6 +62,7 @@ from repro.service.wire import (
     connect_gateway,
     to_wire,
 )
+from repro.service.wire.aio_server import _mux_request
 from repro.service.wire.codec import (
     FRAME_HEADER_LEN,
     FrameProtocolError,
@@ -638,6 +639,60 @@ class TestHttpTransports:
         self._assert_taxonomy_rejection(raw, 400)
         assert closed
 
+    def test_leading_slashes_are_reduced_as_the_stdlib_does(self, http_server):
+        """``http.server`` reduces a target's leading ``//`` to one slash,
+        so ``//[`` names the unknown endpoint ``/[`` on both stacks (the
+        asyncio stack used to answer it 500)."""
+        raw, _closed = _raw_http_exchange(
+            http_server, b"GET //[ HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )
+        status, _headers, body = _parse_response(raw)
+        assert status == 404
+        assert body == neutral_error_to_wire(
+            InvalidRequestError("unknown endpoint '/['")
+        ).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "length_lines",
+        [
+            b"Content-Length: +2\r\n",
+            b"Content-Length: 0_2\r\n",
+            b"Content-Length: 200\r\nContent-Length: 2\r\n",
+            b"Content-Length: 2\r\nContent-Length: 2\r\n",
+            b"Content-Length: \x0b2\r\n",
+        ],
+        ids=["plus-sign", "underscore", "differing-repeat", "equal-repeat", "vertical-tab"],
+    )
+    def test_content_length_is_digits_given_once(self, http_server, length_lines):
+        """Anything but one ``1*DIGIT`` Content-Length is refused with the
+        400 close before the body is read: a front proxy that framed the
+        body otherwise (taking the first of two headers, say) would fall
+        out of sync with this server."""
+        raw, closed = _raw_http_exchange(
+            http_server,
+            b"POST " + PREFIX.encode() + b"/reencrypt HTTP/1.1\r\n" + length_lines
+            + b"\r\n{}",
+        )
+        self._assert_taxonomy_rejection(raw, 400)
+        assert _parse_response(raw)[2] == neutral_error_to_wire(
+            InvalidRequestError("invalid Content-Length")
+        ).encode("utf-8")
+        assert closed
+
+    @pytest.mark.parametrize(
+        "length_line", [b"Content-Length: 2 \r\n", b"Content-Length:\t2\r\n"],
+        ids=["trailing-space", "leading-tab"],
+    )
+    def test_content_length_may_carry_optional_whitespace(self, http_server, length_line):
+        raw, _closed = _raw_http_exchange(
+            http_server,
+            b"POST " + PREFIX.encode() + b"/reencrypt HTTP/1.1\r\nConnection: close\r\n"
+            + length_line + b"\r\n{}",
+        )
+        status, _headers, body = _parse_response(raw)
+        # The two-byte body was read and refused for what it is.
+        assert status == 400 and b"wire format" in body
+
     @pytest.mark.parametrize(
         "request_bytes, status, message",
         [
@@ -995,6 +1050,19 @@ class TestMuxRequestFrames:
         errors = [e for e in events.tail() if e["kind"] == "connection-error"]
         assert errors and errors[-1].get("error_type") == "FrameProtocolError"
 
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    def test_unsplittable_target_is_an_unknown_endpoint(self, method):
+        """``urlsplit`` refuses ``//[`` (no IPv6 address): a 404 with the
+        taxonomy body, where it used to be a 500."""
+        setting = _build()
+        with AsyncGatewayServer(setting.gateway, setting.group) as server:
+            answer = _answer_or_close(server, mux_request(4, method, "//[", "{}"))
+        setting.gateway.close()
+        assert answer["status"] == 404
+        assert answer["body"] == neutral_error_to_wire(
+            InvalidRequestError("unknown endpoint '//['")
+        )
+
     def test_lone_surrogate_body_is_invalid_request(self):
         """A JSON body string no UTF-8 can carry is refused like any
         undecodable body, not left unanswered."""
@@ -1023,6 +1091,320 @@ class TestMuxRequestFrames:
             health = _answer_or_close(server, mux_request(1, "GET", "/v1/health"))
             assert health["status"] == 200
         setting.gateway.close()
+
+
+# -------------------------------------------------------- raw frame bytes
+
+# Frame payloads: random bytes, text that is mostly not JSON, JSON that
+# is not an object, and request documents of every shape.
+_FRAME_PAYLOADS = (
+    st.binary(max_size=48)
+    | _JSON_TEXT.map(lambda text: text.encode("utf-8", "surrogatepass"))
+    | _JSON_VALUES.filter(lambda value: not isinstance(value, dict)).map(
+        lambda value: json.dumps(value).encode("utf-8")
+    )
+    | _REQUEST_FRAMES.map(lambda document: json.dumps(document).encode("utf-8"))
+)
+_FRAME_CHUNKS = (
+    _FRAME_PAYLOADS.map(_raw_frame)
+    # A frame cut anywhere: inside its length prefix or its payload.
+    | st.tuples(_FRAME_PAYLOADS.map(_raw_frame), st.integers(0, 60)).map(
+        lambda cut: cut[0][: cut[1]]
+    )
+    | st.binary(min_size=1, max_size=32)
+    # A length at or above 2**24, past the cap the first octet enforces.
+    | st.integers(2**24, 2**32 - 1).map(lambda length: struct.pack(">I", length))
+)
+
+
+def _request_frames_ahead_of_a_fault(stream: bytes) -> list[dict]:
+    """The complete, well-formed request frames at the head of ``stream``,
+    up to its first broken or truncated frame."""
+    documents, offset = [], 0
+    while len(stream) - offset >= FRAME_HEADER_LEN:
+        try:
+            length = frame_length(stream[offset:offset + FRAME_HEADER_LEN])
+            payload = stream[offset + FRAME_HEADER_LEN:offset + FRAME_HEADER_LEN + length]
+            if len(payload) < length:
+                break
+            document = decode_frame_payload(payload)
+        except FrameProtocolError:
+            break
+        offset += FRAME_HEADER_LEN + length
+        if document.get("type") != "request" or not isinstance(document.get("id"), int):
+            break
+        if not isinstance(document.get("headers") or {}, dict):
+            break
+        documents.append(document)
+    return documents
+
+
+def _frames_after_hello(server, stream: bytes) -> list[dict]:
+    """Send ``stream`` after a valid hello and half-close; every frame the
+    server sent back before it closed the connection."""
+    exchange = _MuxExchanger(server.host, server.port)
+    exchange.sock.settimeout(FRAME_TIMEOUT_S)
+    try:
+        exchange.sock.sendall(stream)
+        exchange.sock.shutdown(socket.SHUT_WR)
+        received = exchange.reader.read()  # to EOF: the server must close
+    finally:
+        exchange.close()
+    frames, offset = [], 0
+    while offset < len(received):
+        length = frame_length(received[offset:offset + FRAME_HEADER_LEN])
+        frames.append(decode_frame_payload(
+            received[offset + FRAME_HEADER_LEN:offset + FRAME_HEADER_LEN + length]
+        ))
+        offset += FRAME_HEADER_LEN + length
+    return frames
+
+
+class TestMuxFrameBytes:
+    """Arbitrary bytes after a valid hello: random bytes, truncated
+    prefixes and payloads, lengths at or above 2**24, payloads that are
+    not JSON or not an object, request frames of every shape.  Every
+    complete request frame ahead of the first broken one that runs on
+    the loop is answered, the connection then closes within the timeout,
+    no connection error carries a traceback, and a fresh connection is
+    still served.  Engine calls run on the event loop, so a frame that
+    stalled one would stall every connection."""
+
+    def test_arbitrary_frame_bytes_are_answered_or_closed(self):
+        setting = _build()
+        events = []
+        log = EventLog(sink=events.append)
+        with AsyncGatewayServer(setting.gateway, setting.group, event_log=log) as server:
+
+            @settings(max_examples=100, deadline=None)
+            @given(chunks=st.lists(_FRAME_CHUNKS, min_size=1, max_size=4))
+            @example(chunks=[_raw_frame(json.dumps(mux_request(1, "GET", "//[")).encode())])
+            def check(chunks):
+                stream = b"".join(chunks)
+                requests = [
+                    _mux_request(document)
+                    for document in _request_frames_ahead_of_a_fault(stream)
+                ]
+                answers = _frames_after_hello(server, stream)
+                assert all(answer["type"] == "response" for answer in answers)
+                assert all(answer["status"] != 500 for answer in answers)
+                answered = collections.Counter(answer["id"] for answer in answers)
+                sent = collections.Counter(request[0] for request in requests)
+                inline = collections.Counter(
+                    request[0]
+                    for request in requests
+                    if server.engine.runs_inline(*request[1:4])
+                )
+                assert not answered - sent
+                assert not inline - answered
+
+            check()
+            health = _answer_or_close(server, mux_request(1, "GET", "/v1/health"))
+            assert health["status"] == 200
+        setting.gateway.close()
+        assert not [e for e in events if e["kind"] == "connection-error" and "traceback" in e]
+
+
+# ------------------------------------------------------------------ placement
+
+
+def _record_handle_threads(server) -> list:
+    """Wrap the server's ``engine.handle``; the list gets each call's thread."""
+    threads = []
+    handle = server.engine.handle
+
+    def recording(*args):
+        threads.append(threading.current_thread())
+        return handle(*args)
+
+    server.engine.handle = recording
+    return threads
+
+
+class _Forwarding:
+    """A gateway that is not a ReEncryptionGateway, as a fleet router is.
+    Its first re-encryption blocks until ``release`` is set."""
+
+    def __init__(self, gateway):
+        self._gateway = gateway
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self._gateway, name)
+
+    def reencrypt(self, request, **kwargs):
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.release.wait(10.0)
+        return self._gateway.reencrypt(request, **kwargs)
+
+
+class TestPlacement:
+    """Single requests and GETs run on the event loop; batches and calls
+    to a forwarding gateway run on the worker pool, where they overlap
+    with the loop's work."""
+
+    def test_placement_rule(self, mux_loopback):
+        setting, server, _client = mux_loopback
+        single, other = _reencrypt_requests(setting, 2)
+        key = _first_keys(setting.gateway, 1)[0]
+        bodies = {
+            "single": to_wire(setting.backend, single).encode(),
+            "batch": to_wire(setting.backend, ReEncryptBatchRequest(requests=(single, other))).encode(),
+            "grant-batch": to_wire(
+                setting.backend, GrantBatchRequest(requests=(GrantRequest("t", key),))
+            ).encode(),
+        }
+        pooled = {
+            ("GET", "/v1/health", b""): False,
+            ("GET", PREFIX + "/metrics", b""): False,
+            ("GET", "/v1/metrics?format=prometheus", b""): False,
+            ("POST", PREFIX + "/reencrypt", bodies["single"]): False,
+            ("POST", PREFIX + "/reencrypt", bodies["batch"]): True,
+            ("POST", "/v1/reencrypt", bodies["batch"]): True,
+            ("POST", PREFIX + "/grant", bodies["grant-batch"]): True,
+            # Only grant and reencrypt bodies are parsed for their type.
+            ("POST", PREFIX + "/revoke", bodies["batch"]): False,
+            ("POST", PREFIX + "/reencrypt", b"{not json"): False,
+            ("POST", PREFIX + "/reencrypt", b"[" * 100000): False,
+            ("POST", "//[", bodies["batch"]): False,
+        }
+        forwarding = AsyncGatewayServer(_Forwarding(setting.gateway), setting.group)
+        forwarded = {
+            ("GET", "/v1/health", b""): False,
+            ("GET", PREFIX + "/scheme", b""): False,
+            # Metrics and traces read every shard process of a router.
+            ("GET", PREFIX + "/metrics", b""): True,
+            ("GET", "/v1/metrics?format=prometheus", b""): True,
+            ("GET", "/v1/trace/abc", b""): True,
+            ("POST", PREFIX + "/reencrypt", bodies["single"]): True,
+            ("POST", PREFIX + "/revoke", b"{}"): True,
+            ("POST", PREFIX + "/nope", b"{}"): False,
+        }
+        for engine, table in ((server.engine, pooled), (forwarding.engine, forwarded)):
+            for (method, target, body), expected in table.items():
+                assert engine.runs_inline(method, target, body) is not expected, (method, target)
+        forwarding.close()
+
+    def test_singles_and_gets_start_no_pool_thread(self, mux_loopback):
+        setting, server, client = mux_loopback
+        threads = _record_handle_threads(server)
+        http = RemoteGateway(server.http_url, setting.group)
+        try:
+            for wire in (client, http):
+                request = _reencrypt_requests(setting, 1)[0]
+                wire.reencrypt(request)
+                key = _first_keys(setting.gateway, 1)[0]
+                wire.grant(GrantRequest(tenant="admin", proxy_key=key))
+                wire.revoke(RevokeRequest(
+                    tenant="admin", delegator_domain=key.delegator_domain,
+                    delegator=key.delegator, delegatee_domain=key.delegatee_domain,
+                    delegatee=key.delegatee, type_label=key.type_label,
+                ))
+                wire.snapshot()
+                wire.list_keys()
+                wire.resize(3)
+                wire.events_tail(1)
+        finally:
+            http.close()
+        assert threads and {thread.name for thread in threads} == {"gateway-aio"}
+        assert not server._pool._threads
+
+    def test_a_batch_runs_on_a_pool_thread(self, mux_loopback):
+        setting, server, client = mux_loopback
+        client.snapshot()  # the client negotiates on its first call
+        threads = _record_handle_threads(server)
+        client.reencrypt_batch(_reencrypt_requests(setting, 2))
+        client.grant_batch([GrantRequest(tenant="admin", proxy_key=key)
+                            for key in _first_keys(setting.gateway)])
+        assert len(threads) == 2
+        assert all(thread.name.startswith("gateway-aio_") for thread in threads)
+
+    def test_a_single_is_answered_while_a_batch_is_held(self, mux_loopback, monkeypatch):
+        setting, server, client = mux_loopback
+        entered, release = threading.Event(), threading.Event()
+        reencrypt_batch = setting.gateway.reencrypt_batch
+
+        def held(requests, **kwargs):
+            entered.set()
+            assert release.wait(10.0)
+            return reencrypt_batch(requests, **kwargs)
+
+        monkeypatch.setattr(setting.gateway, "reencrypt_batch", held)
+        requests = _reencrypt_requests(setting, 2)
+        results = []
+        batch = threading.Thread(
+            target=lambda: results.append(client.reencrypt_batch(requests))
+        )
+        batch.start()
+        other = MuxRemoteGateway(server.url, setting.group, timeout=5.0)
+        try:
+            assert entered.wait(5.0)
+            single = other.reencrypt(requests[0])
+            assert batch.is_alive() and not results
+        finally:
+            release.set()
+            batch.join(10.0)
+            other.close()
+        assert single.ciphertext == results[0][0].ciphertext
+
+    def test_forwarded_calls_overlap(self):
+        setting = _build()
+        forwarding = _Forwarding(setting.gateway)
+        requests = _reencrypt_requests(setting, 2)
+        with AsyncGatewayServer(forwarding, setting.group) as server:
+            client = MuxRemoteGateway(server.url, setting.group, timeout=5.0)
+            held = threading.Thread(target=client.reencrypt, args=(requests[0],))
+            try:
+                held.start()
+                assert forwarding.entered.wait(5.0)
+                client.reencrypt(requests[1])  # completes while the first is held
+                assert held.is_alive()
+            finally:
+                forwarding.release.set()
+                held.join(10.0)
+                client.close()
+        setting.gateway.close()
+        assert not held.is_alive()
+
+    def test_accepted_sockets_disable_nagle(self, monkeypatch):
+        """asyncio sets TCP_NODELAY only on sockets its own listener
+        accepted over TCP; a listener bound otherwise stalls keep-alive
+        round trips behind delayed ACKs."""
+        setting = _build()
+        server = AsyncGatewayServer(setting.gateway, setting.group)
+        nodelay = []
+        on_connection = server._on_connection
+
+        async def recording(reader, writer):
+            sock = writer.get_extra_info("socket")
+            nodelay.append(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            await on_connection(reader, writer)
+
+        monkeypatch.setattr(server, "_on_connection", recording)
+        with server:
+            assert _answer_or_close(server, mux_request(1, "GET", "/v1/health"))["status"] == 200
+            raw, _closed = _raw_http_exchange(server, b"GET /v1/health HTTP/1.0\r\n\r\n")
+            assert _parse_response(raw)[0] == 200
+        setting.gateway.close()
+        assert len(nodelay) == 2 and all(nodelay)
+
+    def test_serve_forever_returns_after_close(self):
+        """Off the main thread the loop ignores signals and stops on close()."""
+        setting = _build()
+        server = AsyncGatewayServer(setting.gateway, setting.group)
+        bound = threading.Event()
+        serving = threading.Thread(target=server.serve_forever, args=(bound.set,))
+        serving.start()
+        try:
+            assert bound.wait(10.0) and server.port != 0
+            assert _answer_or_close(server, mux_request(1, "GET", "/v1/health"))["status"] == 200
+        finally:
+            server.close()
+            serving.join(10.0)
+        setting.gateway.close()
+        assert not serving.is_alive()
 
 
 # ------------------------------------------------------------- multiplexing
