@@ -1,11 +1,11 @@
 """E11 — the wire: HTTP round-trip overhead, batching, restart recovery.
 
-PR 2 made the shard fleet elastic and durable but still in-process; this
-experiment measures what the paper's actual deployment shape — a proxy
-*server* reached over a network — costs and guarantees:
+An elastic, durable shard fleet in one process is not yet the paper's
+deployment shape — a proxy *server* reached over a network.  This
+experiment measures what that server costs and guarantees:
 
 1. **Round-trip overhead** — the same request stream driven in-process
-   and through a live :class:`GatewayHttpServer` via
+   and through a live :class:`AsyncGatewayServer` via the HTTP
    :class:`RemoteGateway`.  Fidelity is asserted, not assumed: every wire
    response must serialize to the *same bytes* as the in-process one.
 
@@ -33,7 +33,7 @@ from repro.core.proxy import ProxyKeyTable
 from repro.serialization.containers import serialize_reencrypted
 from repro.service.driver import DELEGATEE_DOMAIN, build_setting
 from repro.service.gateway import GrantRequest, ReEncryptionGateway, ReEncryptRequest
-from repro.service.wire import GatewayHttpServer, RemoteGateway
+from repro.service.wire import AsyncGatewayServer, RemoteGateway
 
 SHARDS = 3
 
@@ -91,8 +91,8 @@ def test_e11_wire_roundtrip_overhead_and_byte_fidelity():
 
     # The same stream through a real HTTP server, also cold.
     wire_gateway = _fresh_gateway(setting.backend, keys)
-    with GatewayHttpServer(wire_gateway, group) as server:
-        client = RemoteGateway(server.url, group)
+    with AsyncGatewayServer(wire_gateway, group) as server:
+        client = RemoteGateway(server.http_url, group)
         start = time.perf_counter()
         wire_responses = [client.reencrypt(request) for request in requests]
         wire_s = time.perf_counter() - start
@@ -148,8 +148,8 @@ def test_e11_batched_beats_sequential_over_the_wire():
     n = len(requests)
 
     sequential_gateway = _fresh_gateway(setting.backend, keys)
-    with GatewayHttpServer(sequential_gateway, group) as server:
-        client = RemoteGateway(server.url, group)
+    with AsyncGatewayServer(sequential_gateway, group) as server:
+        client = RemoteGateway(server.http_url, group)
         sequential_s = float("inf")
         for _round in range(3):
             start = time.perf_counter()
@@ -158,8 +158,8 @@ def test_e11_batched_beats_sequential_over_the_wire():
     sequential_gateway.close()
 
     batched_gateway = _fresh_gateway(setting.backend, keys)
-    with GatewayHttpServer(batched_gateway, group) as server:
-        client = RemoteGateway(server.url, group)
+    with AsyncGatewayServer(batched_gateway, group) as server:
+        client = RemoteGateway(server.http_url, group)
         batched_s = float("inf")
         for _round in range(3):
             start = time.perf_counter()
@@ -209,8 +209,8 @@ def test_e11_kill_restart_serves_every_delegation_from_state_dir():
         gateway_1 = ReEncryptionGateway(
             setting.backend, shard_count=SHARDS, state_dir=state_dir
         )
-        server_1 = GatewayHttpServer(gateway_1, group).start()
-        client_1 = RemoteGateway(server_1.url, group)
+        server_1 = AsyncGatewayServer(gateway_1, group).start()
+        client_1 = RemoteGateway(server_1.http_url, group)
         for key in keys:
             client_1.grant(GrantRequest(tenant="bench", proxy_key=key))
         installed = {ProxyKeyTable.index_of(key) for key in gateway_1.list_keys()}
@@ -229,8 +229,8 @@ def test_e11_kill_restart_serves_every_delegation_from_state_dir():
         assert recovered == installed, "restart lost or invented delegations"
 
         verified = 0
-        with GatewayHttpServer(gateway_2, group) as server_2:
-            client_2 = RemoteGateway(server_2.url, group)
+        with AsyncGatewayServer(gateway_2, group) as server_2:
+            client_2 = RemoteGateway(server_2.http_url, group)
             for (patient, _type_label), entries in sorted(setting.pool.items()):
                 ciphertext, message = entries[0]
                 for delegatee in setting.delegatees:

@@ -10,14 +10,16 @@ Measured claims:
 
 1. **Pooled beats single-connection under concurrent load.**  Eight
    client threads drive the same request stream through one shared
-   client, pool of 1 (the PR-4 behaviour: every thread serializes on a
-   single socket) vs pool of 8.  The fleet models remote shards the way
-   E10 does — each transformation charges a service round trip — so the
-   single connection's head-of-line blocking is visible as wall clock:
-   with one socket only one request is ever in flight, so shard
-   latencies sum; with a pool they overlap across server handler
-   threads.  The gain is asserted, and responses must stay bit-identical
-   to the sequential reference (no cross-talk).
+   client, pool of 1 (every thread serializes on a single socket) vs
+   pool of 8.  The fleet models remote shards the way E10 does — each
+   transformation charges a service round trip — and is hosted as a
+   forwarding gateway, as a fleet router is, so the server runs its
+   calls on the worker pool.  The single connection's head-of-line
+   blocking is then visible as wall clock: with one socket only one
+   request is ever in flight, so shard latencies sum; with a pool they
+   overlap across the server's pool threads.  The gain is asserted, and
+   responses must stay bit-identical to the sequential reference (no
+   cross-talk).
 
 2. **One process, several scheme fleets.**  A real ``repro-pre serve
    --http --scheme tipre/v1 --scheme afgh/v1`` subprocess hosts two
@@ -27,16 +29,22 @@ Measured claims:
 
 3. **An abusive tenant cannot starve well-behaved ones.**  One flooder
    with a per-tenant rate limit hammers the gateway while three signed
-   well-behaved clients run their workload.  The flooder gets throttled
-   (``rate-limited`` rejections) and the well-behaved clients keep 100%
-   success with a p99 that holds against their uncontended baseline.
+   well-behaved clients run their workload.  The policy clock is frozen,
+   so the flooder's burst never refills and it is throttled however
+   fast the host runs it; the well-behaved clients keep 100% success
+   with a p99 that holds against their uncontended baseline.
 
 4. **TLS + HMAC costs under 15%.**  The same reencrypt stream (the E9
    workload, unbatched and batch=8) through a plaintext anonymous
-   server vs an HTTPS server demanding signed requests, best-of-N
-   interleaved repetitions.  The budget is gated on the batched leg —
-   per-round-trip security cost amortizes across batch items — and the
-   unbatched per-request cost is recorded alongside it.
+   server vs an HTTPS server demanding signed requests, in alternating
+   plaintext/secured pairs.  The median per-pair overhead is gated on
+   the batched leg — per-round-trip security cost amortizes across
+   batch items — and the unbatched per-request cost is recorded
+   alongside it, each beside the best-of-3 figure of the same runs.
+
+5. **One multiplexed socket overtakes a connection pool.**  The same
+   warm stream from 1 to 512 client threads, through the pooled client
+   over HTTP and through one mux connection.
 
 TOY parameters: like E9-E12 this measures workload structure and
 transport, not key size.
@@ -45,6 +53,7 @@ transport, not key size.
 from __future__ import annotations
 
 import os
+import statistics
 import subprocess
 import sys
 import threading
@@ -63,7 +72,7 @@ from repro.service.driver import (
     resolve_remote_group,
 )
 from repro.service.gateway import GrantRequest, ReEncryptionGateway, ReEncryptRequest
-from repro.service.wire import GatewayHttpServer, RemoteGateway
+from repro.service.wire import AsyncGatewayServer, MuxRemoteGateway, RemoteGateway
 
 THREADS = 8
 SHARDS = 16  # spreads the 8 per-thread route keys so shard locks rarely collide
@@ -120,6 +129,17 @@ def _thread_partitions(setting):
             partitions.append(requests)
     assert len(partitions) == THREADS
     return partitions
+
+
+class Forwarding:
+    """A gateway hosted as a fleet router is: not a ReEncryptionGateway,
+    so the server runs its calls on the worker pool, side by side."""
+
+    def __init__(self, gateway):
+        self._gateway = gateway
+
+    def __getattr__(self, name):
+        return getattr(self._gateway, name)
 
 
 def _latency_gateway(scheme, keys):
@@ -195,9 +215,11 @@ def test_e13_pooled_client_beats_single_connection_under_concurrency():
         # A fresh fleet per configuration: cold caches, so every request
         # pays the modelled shard round trip in both runs.
         gateway = _latency_gateway(setting.backend, keys)
-        with GatewayHttpServer(gateway) as server:
+        # The stub's shards stand for other processes, so the server
+        # hosts the fleet as forwarding: its calls overlap on the pool.
+        with AsyncGatewayServer(Forwarding(gateway)) as server:
             elapsed_s, opened, peak = _drive_pool(
-                server.url, group, partitions, expected, pool_size
+                server.http_url, group, partitions, expected, pool_size
             )
         gateway.close()
         timings[pool_size] = elapsed_s
@@ -234,7 +256,7 @@ def test_e13_pooled_client_beats_single_connection_under_concurrency():
 
 
 def _spawn_server(scheme_ids):
-    """A real ``repro-pre serve --http`` process; returns (proc, url)."""
+    """A real ``repro-pre serve --http`` process; returns (proc, HTTP url)."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = (
@@ -258,10 +280,11 @@ def _spawn_server(scheme_ids):
         command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env
     )
     line = proc.stdout.readline()
-    if "listening on" not in line:
+    if "listening on mux://" not in line:
         proc.terminate()
         raise AssertionError("server did not come up: %r" % line)
-    return proc, line.split()[3]
+    # The banner names the mux transport; the same port answers HTTP.
+    return proc, "http://" + line.split()[3][len("mux://"):]
 
 
 def _drive_scheme_concurrently(setting, url, pool_size, n_requests):
@@ -362,7 +385,7 @@ FLOODER_RATE = 40.0  # per-tenant cap the abuser keeps slamming into
 REQUESTS_PER_CLIENT = 60
 FLOODER_ATTEMPTS = 400
 OVERHEAD_REQUESTS = 200
-OVERHEAD_REPS = 3
+OVERHEAD_PAIRS = 15  # alternating plaintext/secured runs per shape
 OVERHEAD_LIMIT = 1.15  # TLS + HMAC must stay within 15% of plaintext
 
 
@@ -388,7 +411,11 @@ def _secured_setting(tmp_path, seed):
     for tenant in WELL_BEHAVED:
         store.add(tenant, secret=tenant * 16)
     store.add(FLOODER, secret=FLOODER * 8, rate_per_s=FLOODER_RATE, burst=FLOODER_RATE)
-    setting.gateway.policy = PolicyEngine(store)
+    # A frozen policy clock: the flooder's burst never refills, so it is
+    # throttled however many attempts per second the host lets it make.
+    # Only the flooder's credential declares a rate, so no other tenant
+    # reads this clock.
+    setting.gateway.policy = PolicyEngine(store, clock=lambda: 0.0)
     return setting, store, RequestVerifier(store)
 
 
@@ -477,12 +504,12 @@ def test_e13_adversarial_tenant_cannot_starve_well_behaved(tmp_path):
     """Leg 3: signed multi-tenant load with one throttled abuser."""
     setting, store, verifier = _secured_setting(tmp_path, "e13-adversarial")
     partitions = _thread_partitions(setting)
-    with GatewayHttpServer(setting.gateway, setting.group, auth=verifier) as server:
+    with AsyncGatewayServer(setting.gateway, setting.group, auth=verifier) as server:
         baseline_ms, _, _ = _drive_well_behaved(
-            server.url, setting.group, partitions, with_flooder=False
+            server.http_url, setting.group, partitions, with_flooder=False
         )
         contended_ms, flooder_ok, flooder_throttled = _drive_well_behaved(
-            server.url, setting.group, partitions, with_flooder=True
+            server.http_url, setting.group, partitions, with_flooder=True
         )
     snapshot = setting.gateway.metrics.snapshot()
     setting.gateway.close()
@@ -604,21 +631,22 @@ def test_e13_tls_hmac_overhead_within_budget(tmp_path):
             gateway.grant(GrantRequest(tenant="bench", proxy_key=key))
         return gateway
 
-    # Interleaved repetitions on fresh fleets: both configurations see
-    # identical cache state and any machine noise hits both evenly.
-    for _ in range(OVERHEAD_REPS):
+    # Alternating pairs on fresh fleets: both configurations see
+    # identical cache state, and a slow spell of the host lands on both
+    # runs of a pair, so their ratio is read pair by pair.
+    for _ in range(OVERHEAD_PAIRS):
         for batch_size in (0, OVERHEAD_BATCH):
             gateway = fresh_gateway()
-            with GatewayHttpServer(gateway) as server:
+            with AsyncGatewayServer(gateway) as server:
                 runs.setdefault(("plain", batch_size), []).append(
                     _sequential_elapsed(
-                        server.url, setting.group, requests, batch_size
+                        server.http_url, setting.group, requests, batch_size
                     )
                 )
             gateway.close()
 
             gateway = fresh_gateway()
-            server = GatewayHttpServer(
+            server = AsyncGatewayServer(
                 gateway,
                 tls=server_context(str(cert_path), str(key_path)),
                 auth=RequestVerifier(store),
@@ -626,7 +654,7 @@ def test_e13_tls_hmac_overhead_within_budget(tmp_path):
             with server:
                 runs.setdefault(("secure", batch_size), []).append(
                     _sequential_elapsed(
-                        server.url,
+                        server.http_url,
                         setting.group,
                         requests,
                         batch_size,
@@ -641,23 +669,22 @@ def test_e13_tls_hmac_overhead_within_budget(tmp_path):
     rows = []
     overheads = {}
     for batch_size in (0, OVERHEAD_BATCH):
-        plain_s = min(runs[("plain", batch_size)])
-        secure_s = min(runs[("secure", batch_size)])
-        overheads[batch_size] = (plain_s, secure_s, secure_s / plain_s - 1.0)
+        plain, secure = runs[("plain", batch_size)], runs[("secure", batch_size)]
+        median_overhead = statistics.median(s / p for p, s in zip(plain, secure)) - 1.0
+        # The estimator this leg used before: best of the first 3 runs.
+        best_of_3 = min(secure[:3]) / min(plain[:3]) - 1.0
+        overheads[batch_size] = (median_overhead, best_of_3)
         shape = "unbatched" if batch_size == 0 else "batch=%d" % batch_size
         rows.append(
-            [shape, "plaintext anonymous", "%.1f" % (plain_s * 1000),
-             "%.0f" % (len(requests) / plain_s), "-"]
-        )
-        rows.append(
-            [shape, "TLS + HMAC", "%.1f" % (secure_s * 1000),
-             "%.0f" % (len(requests) / secure_s),
-             "%+.1f%%" % ((secure_s / plain_s - 1.0) * 100)]
+            [shape, "%.1f" % (statistics.median(plain) * 1000),
+             "%.1f" % (statistics.median(secure) * 1000),
+             "%+.1f%%" % (median_overhead * 100), "%+.1f%%" % (best_of_3 * 100)]
         )
     print_table(
-        "E13: TLS + HMAC overhead, %d reencrypts (E9 workload), best of %d"
-        % (len(requests), OVERHEAD_REPS),
-        ["shape", "wire", "total ms", "req/s", "overhead"],
+        "E13: TLS + HMAC overhead, %d reencrypts (E9 workload), %d alternating pairs"
+        % (len(requests), OVERHEAD_PAIRS),
+        ["shape", "plaintext median ms", "secured median ms",
+         "median pair overhead", "best-of-3 overhead"],
         rows,
     )
 
@@ -667,28 +694,35 @@ def test_e13_tls_hmac_overhead_within_budget(tmp_path):
     # deployment runs.  The unbatched overhead is a fixed ~fraction of a
     # millisecond per round trip on TOY-sized requests; it is recorded,
     # and sanity-bounded rather than budget-gated.
-    plain_s, secure_s, batched_overhead = overheads[OVERHEAD_BATCH]
-    assert secure_s <= plain_s * OVERHEAD_LIMIT, (
+    batched_overhead, batched_best_of_3 = overheads[OVERHEAD_BATCH]
+    unbatched_overhead, unbatched_best_of_3 = overheads[0]
+    _SNAPSHOT["tls_hmac_overhead"] = {
+        "requests": len(requests),
+        "pairs": OVERHEAD_PAIRS,
+        "batch_size": OVERHEAD_BATCH,
+        "batched_plaintext_median_ms": round(
+            statistics.median(runs[("plain", OVERHEAD_BATCH)]) * 1000, 2
+        ),
+        "batched_secured_median_ms": round(
+            statistics.median(runs[("secure", OVERHEAD_BATCH)]) * 1000, 2
+        ),
+        "batched_overhead_fraction": round(batched_overhead, 4),
+        "batched_best_of_3_overhead_fraction": round(batched_best_of_3, 4),
+        "unbatched_overhead_fraction": round(unbatched_overhead, 4),
+        "unbatched_best_of_3_overhead_fraction": round(unbatched_best_of_3, 4),
+        "budget_fraction": round(OVERHEAD_LIMIT - 1.0, 4),
+    }
+    # Recorded before the gate: a snapshot holds what was measured, and
+    # the budget beside it says whether that passed.
+    _maybe_record()
+    assert batched_overhead <= OVERHEAD_LIMIT - 1.0, (
         "secured wire overhead %.1f%% exceeds the %.0f%% budget"
         % (batched_overhead * 100, (OVERHEAD_LIMIT - 1) * 100)
     )
-    _, _, unbatched_overhead = overheads[0]
     assert unbatched_overhead < 1.0, (
         "unbatched secured wire more than doubled cost: %+.1f%%"
         % (unbatched_overhead * 100)
     )
-
-    _SNAPSHOT["tls_hmac_overhead"] = {
-        "requests": len(requests),
-        "repetitions": OVERHEAD_REPS,
-        "batch_size": OVERHEAD_BATCH,
-        "batched_plaintext_best_ms": round(plain_s * 1000, 2),
-        "batched_secured_best_ms": round(secure_s * 1000, 2),
-        "batched_overhead_fraction": round(batched_overhead, 4),
-        "unbatched_overhead_fraction": round(unbatched_overhead, 4),
-        "budget_fraction": round(OVERHEAD_LIMIT - 1.0, 4),
-    }
-    _maybe_record()
 
 
 # --------------------------------------------- mux-vs-pool curve (PR 10)
@@ -753,24 +787,19 @@ def _drive_curve_clients(client, stream, n_clients):
 
 
 def test_e13_mux_connection_curve():
-    """Leg 5: connections-vs-throughput for the pooled threaded wire, the
-    pooled client against the asyncio server's HTTP/1.1 transport, and
-    the framed mux wire.
+    """Leg 5: connections-vs-throughput for the pooled client over the
+    server's HTTP/1.1 transport and for the framed mux wire.
 
     The same warm-cache reencrypt stream is pushed by 1, 8, 64 and 512
-    concurrent client threads.  The threaded stack pays one socket (and
-    one server handler thread) per concurrent client; asyncio HTTP pays
-    the socket but not the thread; the mux stack multiplexes every
-    thread over a single framed connection.  At low concurrency the
-    three are equivalent; once connection setup and per-connection
-    threads dominate (>= 64 clients) the mux side must be ahead of the
-    threaded pool.  All three transports call the same request engine,
-    so the columns differ only in transport.  Responses stay on warm
-    gateway caches so the leg measures transport structure, not scheme
-    math.
+    concurrent client threads.  The pooled client pays one socket per
+    concurrent client; the mux client multiplexes every thread over a
+    single framed connection.  At low concurrency the two are
+    equivalent; once connection setup and per-connection reads dominate
+    (>= 64 clients) the mux side must be ahead of the pool.  Both
+    transports call the same request engine, so the columns differ only
+    in transport.  Responses stay on warm gateway caches so the leg
+    measures transport structure, not scheme math.
     """
-    from repro.service.wire import AsyncGatewayServer, MuxRemoteGateway
-
     setting = _setting()
     group = setting.group
     stream = _curve_stream(setting)
@@ -786,20 +815,12 @@ def test_e13_mux_connection_curve():
     curve = {}
     rows = []
     for n_clients in CURVE_CLIENTS:
-        with GatewayHttpServer(setting.gateway, group) as server:
-            pooled = RemoteGateway(
-                server.url, group, pool_size=n_clients, trace_requests=False
-            )
-            threaded_s = _drive_curve_clients(pooled, stream, n_clients)
-            dials = pooled.connections_opened
-            pooled.close()
-
         with AsyncGatewayServer(setting.gateway, group) as server:
             pooled = RemoteGateway(
                 server.http_url, group, pool_size=n_clients, trace_requests=False
             )
-            aio_http_s = _drive_curve_clients(pooled, stream, n_clients)
-            aio_http_dials = pooled.connections_opened
+            http_s = _drive_curve_clients(pooled, stream, n_clients)
+            dials = pooled.connections_opened
             pooled.close()
 
         with AsyncGatewayServer(setting.gateway, group, max_streams=1024) as server:
@@ -810,23 +831,19 @@ def test_e13_mux_connection_curve():
             mux.close()
 
         curve[n_clients] = {
-            "threaded_s": threaded_s,
-            "aio_http_s": aio_http_s,
+            "http_s": http_s,
             "mux_s": mux_s,
-            "threaded_dials": dials,
-            "aio_http_dials": aio_http_dials,
+            "http_dials": dials,
             "mux_peak_streams": peak_streams,
         }
         rows.append(
             [
                 str(n_clients),
-                "%.0f" % (CURVE_REQUESTS / threaded_s),
+                "%.0f" % (CURVE_REQUESTS / http_s),
                 str(dials),
-                "%.0f" % (CURVE_REQUESTS / aio_http_s),
-                str(aio_http_dials),
                 "%.0f" % (CURVE_REQUESTS / mux_s),
                 str(peak_streams),
-                "%.2fx" % (threaded_s / mux_s),
+                "%.2fx" % (http_s / mux_s),
             ]
         )
     setting.gateway.close()
@@ -834,12 +851,25 @@ def test_e13_mux_connection_curve():
     print_table(
         "E13: connections vs throughput, %d warm reencrypts per point"
         % CURVE_REQUESTS,
-        [
-            "clients", "pool req/s", "dials", "aio-http req/s", "aio dials",
-            "mux req/s", "peak streams", "mux gain",
-        ],
+        ["clients", "pool req/s", "dials", "mux req/s", "peak streams", "mux gain"],
         rows,
     )
+
+    _SNAPSHOT["mux_connection_curve"] = {
+        "requests_per_point": CURVE_REQUESTS,
+        "mux_ahead_at": MUX_AHEAD_AT,
+        "points": {
+            str(n_clients): {
+                "aio_http_req_s": round(CURVE_REQUESTS / point["http_s"], 1),
+                "mux_req_s": round(CURVE_REQUESTS / point["mux_s"], 1),
+                "aio_http_dials": point["http_dials"],
+                "mux_peak_streams": point["mux_peak_streams"],
+                "mux_gain": round(point["http_s"] / point["mux_s"], 3),
+            }
+            for n_clients, point in curve.items()
+        },
+    }
+    _maybe_record()
 
     # The acceptance anchor: one multiplexed socket overtakes the
     # connection pool once per-connection overhead dominates.
@@ -847,28 +877,10 @@ def test_e13_mux_connection_curve():
         if n_clients < MUX_AHEAD_AT:
             continue
         point = curve[n_clients]
-        assert point["mux_s"] < point["threaded_s"], (
+        assert point["mux_s"] < point["http_s"], (
             "mux (%.1fms) behind the pool (%.1fms) at %d clients"
-            % (point["mux_s"] * 1000, point["threaded_s"] * 1000, n_clients)
+            % (point["mux_s"] * 1000, point["http_s"] * 1000, n_clients)
         )
-
-    _SNAPSHOT["mux_connection_curve"] = {
-        "requests_per_point": CURVE_REQUESTS,
-        "mux_ahead_at": MUX_AHEAD_AT,
-        "points": {
-            str(n_clients): {
-                "threaded_req_s": round(CURVE_REQUESTS / point["threaded_s"], 1),
-                "aio_http_req_s": round(CURVE_REQUESTS / point["aio_http_s"], 1),
-                "mux_req_s": round(CURVE_REQUESTS / point["mux_s"], 1),
-                "threaded_dials": point["threaded_dials"],
-                "aio_http_dials": point["aio_http_dials"],
-                "mux_peak_streams": point["mux_peak_streams"],
-                "mux_gain": round(point["threaded_s"] / point["mux_s"], 3),
-            }
-            for n_clients, point in curve.items()
-        },
-    }
-    _maybe_record()
 
 
 def _maybe_record():

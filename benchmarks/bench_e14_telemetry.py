@@ -15,11 +15,11 @@ throughput.  Two measured claims:
    ``BENCH_E14.json``.
 
 2. **The acceptance path.**  A real ``repro-pre serve --http``
-   subprocess is driven through :class:`RemoteGateway`; the trace id the
-   client generated must come back in the ``X-Repro-Trace`` response
-   echo AND be retrievable via ``GET /v1/trace/{id}`` with >= 4 named
-   stage spans, and ``GET /v1/metrics?format=prometheus`` must serve
-   exposition text.
+   subprocess is driven through a mux client on its banner's URL; the
+   trace id the client generated must come back in the
+   ``X-Repro-Trace`` response echo AND be retrievable via
+   ``GET /v1/trace/{id}`` with >= 4 named stage spans, and
+   ``GET /v1/metrics?format=prometheus`` must serve exposition text.
 
 TOY parameters: like E9-E13 this measures workload structure and
 instrumentation cost, not key size.
@@ -40,7 +40,7 @@ from repro.bench.report import print_table, record_bench_snapshot
 from repro.service.driver import build_setting, drive_requests
 from repro.service.gateway import GrantRequest, ReEncryptionGateway
 from repro.service.telemetry import TraceContext
-from repro.service.wire import RemoteGateway
+from repro.service.wire import connect_gateway
 
 N_REQUESTS = 120  # the E9 request count
 SHARDS = 4
@@ -229,7 +229,7 @@ def test_e14_trace_round_trips_through_a_real_server_process():
     )
     proc, url = _spawn_server()
     try:
-        client = RemoteGateway(url, setting.backend)
+        client = connect_gateway(url, setting.backend)  # the banner's mux:// URL
         for key in setting.gateway.list_keys():
             client.grant(GrantRequest(tenant="bench", proxy_key=key))
         verified = drive_requests(

@@ -1,9 +1,9 @@
 """The gateway as a real server: HTTP/JSON wire protocol walkthrough.
 
 The paper's proxy is a semi-trusted *server* patients and clinicians
-reach over a network.  This example makes that literal: it starts a
-`GatewayHttpServer` on an ephemeral port, then talks to it only through
-`RemoteGateway` — grants, a single re-encryption, a batch, a revocation
+reach over a network.  This example makes that literal: it starts an
+`AsyncGatewayServer` on an ephemeral port, then talks to it only through
+`RemoteGateway` over HTTP — grants, a single re-encryption, a batch, a revocation
 and the error taxonomy all cross a real socket as versioned JSON, and
 the delegatee still recovers the exact plaintexts.
 
@@ -15,8 +15,8 @@ Run:  python examples/wire_gateway.py
 from repro import HmacDrbg, KgcRegistry, PairingGroup, TypeAndIdentityPre
 from repro.serialization.containers import serialize_reencrypted
 from repro.service import (
+    AsyncGatewayServer,
     DelegationNotFoundError,
-    GatewayHttpServer,
     GrantRequest,
     ReEncryptionGateway,
     ReEncryptRequest,
@@ -39,9 +39,9 @@ bob = kgc2.extract("bob")
 
 # 2. Put the gateway behind HTTP and build the typed client.  From here
 #    on, nothing touches `gateway` directly — every call is a request.
-server = GatewayHttpServer(gateway, group).start()
-client = RemoteGateway(server.url, group)
-print("gateway serving on %s" % server.url)
+server = AsyncGatewayServer(gateway, group).start()
+client = RemoteGateway(server.http_url, group)
+print("gateway serving on %s" % server.http_url)
 
 # 3. Grants travel the wire as canonical proxy-key envelopes.
 for type_label in ("labs", "medication"):

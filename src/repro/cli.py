@@ -13,8 +13,9 @@ subcommands mirror the scheme's algorithms:
     preenc     proxy transformation
     redecrypt  delegatee-side decryption
     serve      drive the sharded re-encryption gateway and print metrics;
-               with --http PORT it becomes a long-running HTTP/JSON
-               gateway process, and with --connect URL it drives the
+               with --http PORT it becomes a long-running gateway
+               process (HTTP/JSON and mux frames on one port), and
+               with --connect URL it drives the
                same workload against such a process over the wire.
                --scheme NAME selects any registered PRE backend
                (tipre/v1, afgh/v1, green-ateniese/v1, ...) for all
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import signal
 import sys
 from pathlib import Path
 
@@ -255,11 +255,11 @@ def _render_trace(trace_id: str, spans) -> list[str]:
 def _cmd_trace(args) -> int:
     """Fetch one trace from a remote gateway and print its waterfall."""
     from repro.pairing.group import PairingGroup
-    from repro.service.wire.client import RemoteGateway
+    from repro.service.wire.aio_client import connect_gateway
 
     # The trace endpoint is scheme-neutral, so no negotiation: any group
     # context decodes the error taxonomy, which is all this client needs.
-    remote = RemoteGateway(
+    remote = connect_gateway(
         args.connect,
         PairingGroup.shared(args.group),
         negotiate=False,
@@ -493,8 +493,8 @@ def _serve_http(args, scheme_ids: list[str]) -> int:
     from repro.core.api import create_backend
     from repro.service.gateway import ReEncryptionGateway
     from repro.service.telemetry import EventLog, jsonl_sink
+    from repro.service.wire.aio_server import AsyncGatewayServer
 
-    server_class = _server_class(args.async_wire)
     tls, verifier, policy = _security_from_args(args)
     # One hosted scheme keeps the historical shared group (existing
     # clients negotiate against its name); several schemes each get a
@@ -530,7 +530,7 @@ def _serve_http(args, scheme_ids: list[str]) -> int:
                     policy=policy,
                 )
             )
-        server = server_class(
+        server = AsyncGatewayServer(
             gateways=gateways,
             host=args.host,
             port=args.http,
@@ -562,7 +562,7 @@ def _serve_http(args, scheme_ids: list[str]) -> int:
         )
 
     try:
-        _serve_until_stopped(server, args.async_wire, announce)
+        _serve_until_stopped(server, announce)
     finally:
         server.close()
         for gateway in gateways:
@@ -570,17 +570,6 @@ def _serve_http(args, scheme_ids: list[str]) -> int:
         if event_stream is not None:
             event_stream.close()
     return 0
-
-
-def _server_class(async_wire: bool):
-    """The wire server class ``serve`` runs; the other one is not imported."""
-    if async_wire:
-        from repro.service.wire.aio_server import AsyncGatewayServer
-
-        return AsyncGatewayServer
-    from repro.service.wire.server import GatewayHttpServer
-
-    return GatewayHttpServer
 
 
 def _security_from_args(args):
@@ -608,32 +597,18 @@ def _security_from_args(args):
     return tls, verifier, policy
 
 
-def _serve_until_stopped(server, async_wire: bool, announce) -> None:
-    """Print the banner once ``server`` is bound, then serve until SIGTERM
-    or Ctrl-C; the caller's ``finally`` releases what the server used.
+def _serve_until_stopped(server, announce) -> None:
+    """Run ``server``'s event loop on this thread, printing the banner once
+    it is bound, until SIGTERM or Ctrl-C; the caller's ``finally``
+    releases what the server used.
 
-    The asyncio server runs its loop on this thread and stops between
-    requests on either signal.  The threaded server is bound already;
-    its requests run on handler threads, so SIGTERM is raised here as
-    ``KeyboardInterrupt`` like Ctrl-C.  Either way this returns, so
-    worker subprocesses, durable logs and event streams are closed, and
+    The loop stops between requests on either signal, so this returns
+    and worker subprocesses, durable logs and event streams are closed:
     ``kill``/systemd never orphan a fleet's shard workers.
     """
-
-    def interrupt(signum, frame):
-        raise KeyboardInterrupt
-
     try:
-        if async_wire:
-            server.serve_forever(announce)
-            return
-        announce()
-        try:
-            signal.signal(signal.SIGTERM, interrupt)
-        except ValueError:  # not in the main thread (embedded use)
-            pass
-        server.serve_forever()
-    except KeyboardInterrupt:
+        server.serve_forever(announce)
+    except KeyboardInterrupt:  # Ctrl-C before the loop took the signal
         pass
 
 
@@ -650,8 +625,8 @@ def _serve_fleet(args) -> int:
     """
     from repro.service.fleet import FleetGateway, FleetSupervisor
     from repro.service.telemetry import EventLog, jsonl_sink
+    from repro.service.wire.aio_server import AsyncGatewayServer
 
-    server_class = _server_class(args.async_wire)
     event_stream = None
     if args.event_log is not None:
         event_stream = Path(args.event_log).open("a", encoding="utf-8")
@@ -669,7 +644,6 @@ def _serve_fleet(args) -> int:
             group_name=args.group,
             host=args.host,
             rate_per_s=args.rate,
-            pool_size=max(args.pool_size, 2),
             event_log=event_log,
             # The worker links inherit the routing tier's security
             # posture: same cert for intra-fleet TLS, and per-worker
@@ -677,12 +651,9 @@ def _serve_fleet(args) -> int:
             tls_cert=args.tls_cert,
             tls_key=args.tls_key,
             worker_auth=args.tenant_config is not None,
-            # Async fleets dial their workers over mux links too: one
-            # multiplexed socket per worker instead of a pool.
-            async_workers=args.async_wire,
         )
         gateway = FleetGateway(supervisor, event_log=event_log)
-        server = server_class(
+        server = AsyncGatewayServer(
             gateways=[gateway],
             host=args.host,
             port=args.http,
@@ -708,7 +679,7 @@ def _serve_fleet(args) -> int:
         )
 
     try:
-        _serve_until_stopped(server, args.async_wire, announce)
+        _serve_until_stopped(server, announce)
     finally:
         server.close()
         gateway.close()
@@ -788,20 +759,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-dir", default=None,
                    help="directory for durable key logs (survives restarts)")
     p.add_argument("--http", type=int, default=None, metavar="PORT",
-                   help="serve the gateway over HTTP/JSON on PORT (0 = ephemeral) "
-                        "instead of driving the synthetic workload")
+                   help="serve the gateway on PORT (0 = ephemeral) instead of "
+                        "driving the synthetic workload: HTTP/JSON and mux "
+                        "frames on one port; the banner prints a mux:// URL")
     p.add_argument("--host", default="127.0.0.1",
                    help="bind address for --http (default 127.0.0.1)")
     p.add_argument("--async", dest="async_wire", action="store_true",
-                   help="with --http: serve on the asyncio event-loop stack "
-                        "(mux framing + HTTP/1.1 on one port) instead of the "
-                        "thread-per-connection server; prints a mux:// URL "
-                        "that --connect auto-negotiates")
+                   help="accepted and ignored: every --http server runs the "
+                        "asyncio event-loop stack")
     p.add_argument("--connect", default=None, metavar="URL",
                    help="drive the synthetic workload against a remote "
-                        "gateway, e.g. http://127.0.0.1:8080 (mux://host:port "
-                        "selects the multiplexed framed transport of an "
-                        "--async server)")
+                        "gateway, e.g. mux://127.0.0.1:8080 as a --http "
+                        "server prints it (http://host:port selects the "
+                        "pooled HTTP client instead)")
     p.add_argument("--pool-size", type=int, default=1,
                    help="keep-alive connection pool size for the --connect "
                         "client (default 1: the single persistent connection)")
@@ -878,7 +848,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace_id", help="32-hex trace id (the X-Repro-Trace prefix, "
                                     "or a driver report's sample trace id)")
     p.add_argument("--connect", required=True, metavar="URL",
-                   help="the --http gateway to query, e.g. http://127.0.0.1:8080")
+                   help="the --http gateway to query, e.g. the mux://127.0.0.1:8080 "
+                        "its banner prints, or http://127.0.0.1:8080")
     p.add_argument("--group", default="TOY",
                    help="parameter set used to decode error bodies (default TOY)")
     p.set_defaults(func=_cmd_trace)

@@ -22,10 +22,11 @@ request-serving system:
 * :mod:`repro.service.pool` — the per-shard locks;
 * :mod:`repro.service.driver` — a self-contained synthetic workload used
   by ``repro-pre serve`` and the E9/E10/E11 benchmarks;
-* :mod:`repro.service.wire` — the HTTP/JSON wire protocol
-  (:class:`~repro.service.wire.server.GatewayHttpServer` and
-  :class:`~repro.service.wire.client.RemoteGateway`) that makes the
-  gateway a real remote process;
+* :mod:`repro.service.wire` — the wire protocol
+  (:class:`~repro.service.wire.aio_server.AsyncGatewayServer`, which
+  answers HTTP/JSON and mux frames on one port, and the
+  :class:`~repro.service.wire.client.RemoteGateway` client) that makes
+  the gateway a real remote process;
 * :mod:`repro.service.fleet` — the wire protocol at the shard boundary:
   a :class:`~repro.service.fleet.FleetSupervisor` of independent shard
   *processes* behind a :class:`~repro.service.fleet.FleetGateway`
@@ -91,7 +92,7 @@ __getattr__, __dir__ = lazy_exports(
             "render_prometheus",
         ),
         "wire": (
-            "GatewayHttpServer",
+            "AsyncGatewayServer",
             "RemoteGateway",
             "SchemeMismatchError",
             "WireTransportError",
@@ -101,6 +102,7 @@ __getattr__, __dir__ = lazy_exports(
 
 __all__ = [
     "AppendLogKeyStore",
+    "AsyncGatewayServer",
     "AuditEvent",
     "BatchGroup",
     "BatchItemError",
@@ -116,7 +118,6 @@ __all__ = [
     "FleetGateway",
     "FleetSupervisor",
     "GatewayError",
-    "GatewayHttpServer",
     "GatewayMetrics",
     "GrantRequest",
     "GrantResponse",

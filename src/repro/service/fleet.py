@@ -1,24 +1,23 @@
 """Multi-process shard fleet: the wire protocol at the shard boundary.
 
-Previous PRs sharded the gateway *inside* one process — N
-:class:`~repro.service.proxy.ProxyService` tables behind one
-:class:`~repro.service.gateway.ReEncryptionGateway`.  This module
-promotes the same split to process granularity: each shard is an
-independent ``repro-pre serve --http`` worker process with its own
-durable state directory, and a thin routing tier speaks the existing
-HTTP/JSON wire to them.
+A :class:`~repro.service.gateway.ReEncryptionGateway` shards *inside*
+one process.  This module promotes the same split to process
+granularity: each shard is an independent ``repro-pre serve --http``
+worker process with its own durable state directory, and a thin routing
+tier speaks the wire protocol to them.
 
 Three pieces:
 
 * :class:`FleetSupervisor` — spawns and supervises the shard worker
   processes (one single-shard gateway server each), parses their
   "listening on" banner for the bound ephemeral port, restarts a dead
-  worker from its durable state directory, and hands out pooled
-  :class:`~repro.service.wire.client.RemoteGateway` clients.
+  worker from its durable state directory, and hands out one
+  :class:`~repro.service.wire.aio_client.MuxRemoteGateway` link per
+  worker: one multiplexed socket carries every concurrent call.
 * :class:`StaticFleet` — the same surface over externally managed
   endpoints (tests, or shards on other machines).
 * :class:`FleetGateway` — the routing tier.  It mirrors the in-process
-  gateway's typed API (so :class:`~repro.service.wire.GatewayHttpServer`
+  gateway's typed API (so :class:`~repro.service.wire.AsyncGatewayServer`
   hosts it unchanged and end clients cannot tell the difference),
   routes every operation to the owning shard process via the shared
   :class:`~repro.service.router.ShardRouter` ring, propagates
@@ -80,7 +79,7 @@ from repro.service.wire.client import RemoteGateway, WireTransportError
 
 __all__ = ["FleetSupervisor", "StaticFleet", "FleetGateway"]
 
-_BANNER = re.compile(r"listening on ((?:https?|muxs?)://\S+)")
+_BANNER = re.compile(r"listening on (muxs?://\S+)")
 
 # The routing tier's identity on its shard workers when per-worker HMAC
 # credentials are enabled.  "admin" because the router drives the full
@@ -118,9 +117,10 @@ class FleetSupervisor:
     --shard <name>`` — a full single-shard gateway server on an
     ephemeral port, optionally durable under
     ``<state_root>/<name>/``.  The supervisor parses the worker's
-    startup banner for the bound URL, keeps the last 200 output lines
-    per worker for diagnostics, and exposes one pooled
-    :class:`RemoteGateway` client per live worker.
+    startup banner for the bound ``mux://`` URL, keeps the last 200
+    output lines per worker for diagnostics, and exposes one
+    :class:`~repro.service.wire.aio_client.MuxRemoteGateway` client per
+    live worker.
 
     ``note_failure`` is the routing tier's crash report: when the named
     process is dead it is respawned **in the background** from the same
@@ -136,7 +136,6 @@ class FleetSupervisor:
         group_name: str = "TOY",
         host: str = "127.0.0.1",
         rate_per_s: float | None = None,
-        pool_size: int = 4,
         spawn_timeout: float = 60.0,
         event_log: EventLog | None = None,
         backoff_base: float = 0.5,
@@ -146,7 +145,6 @@ class FleetSupervisor:
         tls_cert: str | Path | None = None,
         tls_key: str | Path | None = None,
         worker_auth: bool = False,
-        async_workers: bool = False,
     ):
         from repro.pairing.group import PairingGroup
 
@@ -157,7 +155,6 @@ class FleetSupervisor:
         )
         self.host = host
         self.rate_per_s = rate_per_s
-        self.pool_size = pool_size
         self.spawn_timeout = spawn_timeout
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
@@ -175,10 +172,6 @@ class FleetSupervisor:
         if self.tls_key is not None and self.tls_cert is None:
             raise ValueError("tls_key given without tls_cert")
         self.worker_auth = worker_auth
-        # Async workers run the asyncio server and print a mux:// banner,
-        # so the supervisor's clients become framed mux links: one
-        # multiplexed socket per worker instead of a connection pool.
-        self.async_workers = async_workers
         self._secrets: dict[str, str] = {}
         self._auth_root: Path | None = None
         if worker_auth:
@@ -228,8 +221,6 @@ class FleetSupervisor:
                 command += ["--tls-key", str(self.tls_key)]
         if self.worker_auth:
             command += ["--tenant-config", str(self._credential_path(name))]
-        if self.async_workers:
-            command += ["--async"]
         return command
 
     def _credential_path(self, name: str) -> Path:
@@ -500,7 +491,7 @@ class FleetSupervisor:
             return list(self._workers[name].output)
 
     def client(self, name: str) -> RemoteGateway:
-        """The pooled wire client for one worker (rebuilt after respawn)."""
+        """The mux link to one worker (rebuilt after respawn)."""
         with self._lock:
             client = self._clients.get(name)
             if client is not None:
@@ -511,7 +502,6 @@ class FleetSupervisor:
             client = connect_gateway(
                 worker.url,
                 self.backend,
-                pool_size=self.pool_size,
                 trace_requests=False,
                 tenant=ROUTER_TENANT if self.worker_auth else None,
                 secret=self._secrets.get(name) if self.worker_auth else None,
@@ -659,7 +649,7 @@ class FleetGateway:
 
     Exposes the in-process gateway's typed operations (grant / revoke /
     reencrypt / reencrypt_batch / fetch / resize plus the observability
-    surface), so :class:`~repro.service.wire.GatewayHttpServer` hosts it
+    surface), so :class:`~repro.service.wire.AsyncGatewayServer` hosts it
     unchanged and :class:`~repro.service.wire.client.RemoteGateway`
     clients cannot tell it from a single process.  Each operation routes
     on the same (delegator domain, delegator, type) triple the

@@ -16,10 +16,13 @@ Design: a classic write-ahead append log with periodic compaction.
 * The first line is a version header naming the format and the pairing
   group; opening a log written for a different group fails loudly
   instead of deserializing garbage points.
-* Replay applies records in order.  A torn or corrupt *tail* — the only
-  damage an append-crash can cause — is detected by parse/CRC failure;
-  the file is truncated back to the last good record and the table opens
-  with every preceding mutation intact.
+* Replay applies records in order.  A torn or corrupt *last line* — the
+  only damage an append-crash can cause — is detected by parse/CRC
+  failure; the file is truncated back to the last good record and the
+  table opens with every preceding mutation intact.  A damaged record
+  with more lines after it is other damage: dropping what follows could
+  bring back a revoked delegation, so opening refuses
+  (:class:`LogFormatError`) and leaves the file as it is.
 * Compaction rewrites the log as one install per live key, via a
   temporary file and :func:`os.replace`, so a crash mid-compaction
   leaves either the old log or the new one — never a half file.  It
@@ -83,7 +86,8 @@ def scheme_state_subdir(state_dir: str | Path, scheme_id: str) -> Path:
 
 
 class LogFormatError(ValueError):
-    """The log file's header is missing, unversioned or for another group."""
+    """The log file's header is missing, unversioned or for another group,
+    or a record before its last line is damaged."""
 
 
 def _crc_of(payload: str) -> int:
@@ -117,10 +121,11 @@ class AppendLogKeyStore:
     def replay(self) -> list[ProxyKey]:
         """Load the log (creating it if absent) and return the live keys.
 
-        Applies installs and revokes in order; a record that fails to
-        parse, fails its CRC or fails deserialization marks the torn
-        tail — everything from that byte on is truncated away and the
-        preceding state is returned.  A file that is empty, or whose
+        Applies installs and revokes in order.  A last line that fails
+        to parse, fails its CRC or fails deserialization is a torn tail:
+        it is truncated away and the preceding state is returned.  Such
+        a record anywhere else raises :class:`LogFormatError` naming its
+        line, and the file is left untouched.  A file that is empty, or whose
         header line itself is torn (no trailing newline — a crash during
         log creation), is re-initialized as a fresh log; a *complete*
         header that names the wrong format or group still fails loudly,
@@ -134,7 +139,6 @@ class AppendLogKeyStore:
             return []
 
         live: dict[KeyIndex, ProxyKey] = {}
-        good_offset = 0
         records = 0
         with open(self.path, "rb") as handle:
             header = handle.readline()
@@ -147,13 +151,19 @@ class AppendLogKeyStore:
                 return []
             self._check_header(header)
             good_offset = handle.tell()
-            for raw in iter(handle.readline, b""):
-                at = handle.tell()
+            for line_number, raw in enumerate(iter(handle.readline, b""), start=2):
                 # A line without its newline is a torn append mid-write.
-                if not raw.endswith(b"\n") or not self._apply(raw, live):
-                    break
-                good_offset = at
-                records += 1
+                if raw.endswith(b"\n") and self._apply(raw, live):
+                    good_offset = handle.tell()
+                    records += 1
+                    continue
+                if handle.read(1):
+                    raise LogFormatError(
+                        "%s: damaged record on line %d, with more records after it; "
+                        "an append crash tears only the last line, so the log is "
+                        "left as it is" % (self.path, line_number)
+                    )
+                break
         size = self.path.stat().st_size
         self.recovered_bytes = size - good_offset
         if self.recovered_bytes:
@@ -164,7 +174,7 @@ class AppendLogKeyStore:
         return list(live.values())
 
     def _apply(self, raw: bytes, live: dict[KeyIndex, ProxyKey]) -> bool:
-        """Apply one record line to ``live``; False marks the torn tail."""
+        """Apply one record line to ``live``; False marks a damaged record."""
         try:
             record = json.loads(raw.decode("utf-8"))
             op = record["op"]
@@ -371,10 +381,14 @@ def open_key_log(
     file in the directory is opened.
     """
     table = DurableProxyKeyTable(Path(state_dir) / KEY_LOG, group, fsync=fsync)
-    for path in key_logs(state_dir):
-        if path.name != KEY_LOG:
-            legacy = DurableProxyKeyTable(path, group)
-            for key in list(legacy):
-                table.install(key)
-            legacy.delete()
+    try:
+        for path in key_logs(state_dir):
+            if path.name != KEY_LOG:
+                legacy = DurableProxyKeyTable(path, group)
+                for key in list(legacy):
+                    table.install(key)
+                legacy.delete()
+    except BaseException:
+        table.close()
+        raise
     return table

@@ -9,9 +9,9 @@ one reentrant lock per shard, and a whole-fleet lock ordering for
 structural changes (resize).
 
 The pool runs nothing itself.  Gateway calls arrive concurrently from
-the asyncio server's event loop and its worker pool (batches), and from
-the threaded server's handler threads; each call takes the lock of the
-shard it touches.
+the wire server's event loop and its worker pool (batches), and from
+in-process callers' threads; each call takes the lock of the shard it
+touches.
 """
 
 from __future__ import annotations

@@ -24,9 +24,9 @@ request can cross process boundaries:
 * **Structured events** — :class:`EventLog` is a bounded ring of
   structured events, read back as JSON objects, with an injectable sink
   (:func:`jsonl_sink` appends one JSON line per event to any stream).
-  The gateway's audit writer and the wire server's previously-discarded
-  ``log_message``/error paths both feed it, so nothing a production
-  operator needs vanishes into a silenced stderr.
+  The gateway's audit writer and the wire server's access lines,
+  handler crashes and connection errors all feed it, so nothing a
+  production operator needs vanishes into a silenced stderr.
 
 Everything here is dependency-free within the service layer (no imports
 from :mod:`repro.service.metrics` or the wire package), thread-safe, and

@@ -1,7 +1,7 @@
 """HTTP/JSON wire protocol for the re-encryption gateway.
 
 The paper's proxy is a *server* patients and clinicians reach over a
-network; this package makes that literal.  Six layers:
+network; this package makes that literal.  Five layers:
 
 * :mod:`repro.service.wire.codec` — versioned JSON messages for every
   gateway request/response dataclass, reusing the canonical container
@@ -12,14 +12,11 @@ network; this package makes that literal.  Six layers:
   one request engine every transport calls: scheme-id-prefixed routes
   (``GET /v1/schemes`` enumeration), auth, idempotency, op dispatch and
   the error taxonomy mapped to HTTP statuses;
-* :mod:`repro.service.wire.server` — :class:`GatewayHttpServer`, one or
-  several scheme fleets behind stdlib ``ThreadingHTTPServer``, a thin
-  HTTP adapter over the engine;
 * :mod:`repro.service.wire.client` — :class:`RemoteGateway`, the same
   typed API as the in-process gateway, so drivers and benchmarks run
   unchanged against either;
 * :mod:`repro.service.wire.aio_server` — :class:`AsyncGatewayServer`,
-  the asyncio escape from thread-per-connection: one event loop, both
+  the server: one or several scheme fleets behind one event loop, both
   mux framing and HTTP/1.1 on one port, single requests answered on the
   loop and only batches and forwarded calls on a bounded worker pool;
 * :mod:`repro.service.wire.aio_client` — :class:`MuxRemoteGateway`
@@ -53,7 +50,6 @@ __getattr__, __dir__ = lazy_exports(
             "to_wire",
         ),
         "engine": ("STATUS_BY_CODE",),
-        "server": ("GatewayHttpServer",),
     },
 )
 
@@ -61,7 +57,6 @@ __all__ = [
     "ERROR_TYPES",
     "AsyncGatewayServer",
     "FrameProtocolError",
-    "GatewayHttpServer",
     "GrantBatchRequest",
     "GrantBatchResponse",
     "MUX_PROTOCOL",

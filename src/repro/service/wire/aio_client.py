@@ -13,12 +13,12 @@ It *is* a :class:`RemoteGateway` — the subclass replaces only the
 transport seam (``_raw_request``) plus connection management, so every
 typed operation, the scheme negotiation, request signing, tracing and
 taxonomy-error decoding are literally the same code.  A mux response
-body is byte-identical to what the threaded stack returns (the server
+body is byte-identical to the same server's HTTP answer (the server
 frames the same codec output), which the conformance suite asserts.
 
 :func:`connect_gateway` is the URL-dispatching factory the CLI, driver
 and fleet use: ``mux://`` / ``muxs://`` builds a mux client, ``http://``
-/ ``https://`` the pooled one — ``serve --async`` prints a ``mux://``
+/ ``https://`` the pooled one — ``serve --http`` prints a ``mux://``
 banner and every consumer auto-negotiates from the URL alone.
 """
 
@@ -338,7 +338,7 @@ class MuxRemoteGateway(RemoteGateway):
 def connect_gateway(url: str, context: PairingGroup | PreBackend, **kwargs):
     """Build the right typed client for a gateway URL.
 
-    ``mux://`` and ``muxs://`` dial the async server's framed transport
+    ``mux://`` and ``muxs://`` dial the gateway server's framed transport
     (:class:`MuxRemoteGateway`); ``http://`` and ``https://`` the pooled
     keep-alive client (:class:`RemoteGateway`).  ``pool_size`` is
     meaningful only for the pooled client and silently dropped for mux,

@@ -1,13 +1,18 @@
-"""The asyncio gateway server: one event loop, thousands of connections.
+"""The gateway server: one event loop, thousands of connections.
 
-:class:`AsyncGatewayServer` is the escape from thread-per-connection.
+:class:`AsyncGatewayServer` puts one or *several*
+:class:`~repro.service.gateway.ReEncryptionGateway` fleets (or anything
+with the same typed API) behind a socket: the paper's semi-trusted
+proxy answers over the network instead of a method call, and one
+process can host a fleet per scheme backend.
+
 A single event loop accepts every socket and answers every request
 whose work is one in-process gateway operation itself, so a server that
 receives no batch runs one thread.  Only grant and re-encrypt batches,
 and calls to a gateway that forwards to other processes, go to a
 bounded :class:`~concurrent.futures.ThreadPoolExecutor`, where they
-overlap with the loop's work (the shard locks serialize both exactly as
-under the threaded server; see :meth:`WireRequestExecutor.runs_inline`).
+overlap with the loop's work and with each other (the shard locks
+serialize them; see :meth:`WireRequestExecutor.runs_inline`).
 The listening port speaks *two* protocols, sniffed from the first octet
 of each connection:
 
@@ -21,14 +26,15 @@ of each connection:
 
 * **HTTP/1.1** (first octet an ASCII method byte — no HTTP verb starts
   with NUL): a minimal keep-alive HTTP server with the stdlib's limits
-  and connection semantics, so the existing pooled
-  :class:`~repro.service.wire.client.RemoteGateway` (and bare ``curl``)
-  can talk to an async server unchanged.
+  and connection semantics, and a strict reader of the request head:
+  a header line two readers could split differently is refused, so a
+  front proxy can never frame a request otherwise than this server.
+  The pooled :class:`~repro.service.wire.client.RemoteGateway` and bare
+  ``curl`` talk to it.
 
-This module holds only those transports.  Both feed the
-:class:`~repro.service.wire.engine.WireRequestExecutor` the threaded
-:class:`~repro.service.wire.server.GatewayHttpServer` uses too, so every
-stack answers byte-identically; ``tests/data/wire_transcript.json`` pins
+This module is the one place that reads HTTP.  Both transports feed
+the :class:`~repro.service.wire.engine.WireRequestExecutor`, so they
+answer byte-identically; ``tests/data/wire_transcript.json`` pins
 those bytes.
 """
 
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import re
 import signal
 import threading
 import traceback
@@ -45,7 +52,6 @@ from typing import Callable, Sequence
 
 from repro.core.api import PreBackend
 from repro.pairing.group import PairingGroup
-from repro.service.gateway import InvalidRequestError
 from repro.service.metrics import WireServerStats
 from repro.service.telemetry import TRACE_HEADER, EventLog
 from repro.service.wire.codec import (
@@ -59,38 +65,126 @@ from repro.service.wire.codec import (
     mux_response,
 )
 from repro.service.wire.engine import (
-    MAX_HEADERS,
-    HostingServer,
+    IdempotencyWindow,
     WireRequestExecutor,
     WireResponse,
-    add_header,
-    body_length,
+    build_host_map,
 )
 
-__all__ = ["AsyncGatewayServer", "WireRequestExecutor", "WireResponse"]
+__all__ = [
+    "AsyncGatewayServer",
+    "MAX_BODY_BYTES",
+    "MAX_HEADERS",
+    "WireRequestExecutor",
+    "WireResponse",
+]
 
 _SERVER_ID = "repro-gateway-aio/1.0"
 # The stdlib's cap on one request or header line, in bytes.
 _MAX_LINE = 65536
+# The stdlib's cap (``http.client._MAXHEADERS``): more head lines than
+# this, counting the blank line that ends the head, is answered 431.
+MAX_HEADERS = 100
+MAX_BODY_BYTES = 64 * 1024 * 1024  # refuse absurd Content-Length up front
+# RFC 9110 section 5.1: a field name is a token.
+_FIELD_NAME = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
+# RFC 9110 section 5.5: no control octet but HTAB in a field value.
+_FIELD_VALUE_CONTROL = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
 
 
-def _request_line_refusal(line: bytes | None, words: list[str], request_line: str):
-    """The status and message ``http.server`` refuses a request line with,
-    or None (``line`` is None when it was too long to read)."""
+class _Refused(Exception):
+    """A request this reader will not frame: the status and message of
+    the refusal, which closes the connection."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+def _check_request_line(line: bytes | None, words: list[str], request_line: str) -> None:
+    """Refuse a request line as ``http.server`` does (``line`` is None
+    when it was too long to read)."""
     if line is None:
-        return 414, HTTPStatus.REQUEST_URI_TOO_LONG.phrase
+        raise _Refused(414, HTTPStatus.REQUEST_URI_TOO_LONG.phrase)
     if len(words) >= 3:
         version = words[-1]
         numbers = version[5:].split(".") if version.startswith("HTTP/") else []
         if len(numbers) != 2 or not all(n.isdecimal() and len(n) <= 10 for n in numbers):
-            return 400, "Bad request version (%r)" % version
+            raise _Refused(400, "Bad request version (%r)" % version)
         if int(numbers[0]) >= 2:
-            return 505, "Invalid HTTP version (%s)" % version[5:]
+            raise _Refused(505, "Invalid HTTP version (%s)" % version[5:])
     if not 2 <= len(words) <= 3:
-        return 400, "Bad request syntax (%r)" % request_line
+        raise _Refused(400, "Bad request syntax (%r)" % request_line)
     if len(words) == 2 and words[0] != "GET":
-        return 400, "Bad HTTP/0.9 request type (%r)" % words[0]
-    return None
+        raise _Refused(400, "Bad HTTP/0.9 request type (%r)" % words[0])
+
+
+def _header_field(line: bytes) -> tuple[str, str]:
+    """``(lowercase name, value)`` of one header line.
+
+    A line that two readers could split differently is refused (RFC 9112
+    sections 2.2, 5.1 and 5.2; RFC 9110 section 5.5): a folded
+    continuation line, a line without a colon, a name that is not a
+    token (so no whitespace before the colon), and a value holding a
+    control octet other than HTAB, a bare CR among them.
+    """
+    text = line.decode("latin-1").removesuffix("\n").removesuffix("\r")
+    if text[:1] in (" ", "\t"):
+        raise _Refused(400, "obsolete line folding in the request head")
+    name, colon, value = text.partition(":")
+    if not colon:
+        raise _Refused(400, "header line without a colon")
+    if not _FIELD_NAME.fullmatch(name):
+        raise _Refused(400, "invalid header name %r" % name)
+    value = value.strip(" \t")
+    if _FIELD_VALUE_CONTROL.search(value):
+        raise _Refused(400, "invalid %s" % name)
+    return name.lower(), value
+
+
+async def _read_headers(reader: asyncio.StreamReader) -> dict[str, str]:
+    """The head's fields by lowercase name, through the blank line.
+
+    A repeated field keeps its last value, except Content-Length: its
+    values are joined with commas, which :func:`_body_length` refuses.
+    """
+    headers: dict[str, str] = {}
+    for count in itertools.count(1):
+        line = await _read_line(reader)
+        if line is None:
+            raise _Refused(431, "Line too long")
+        if count > MAX_HEADERS:
+            raise _Refused(431, "Too many headers")
+        if line in (b"\r\n", b"\n"):
+            return headers
+        if not line.endswith(b"\n"):
+            # The peer closed inside the head: nothing whole to answer.
+            raise asyncio.IncompleteReadError(line, None)
+        name, value = _header_field(line)
+        if name == "content-length" and name in headers:
+            value = headers[name] + ", " + value
+        headers[name] = value
+
+
+def _body_length(headers: dict[str, str]) -> int:
+    """The request body's length, refusing a body no reader frames alike.
+
+    Chunked bodies are never drained (their framing bytes would desync
+    the keep-alive stream), and a Content-Length must be ``1*DIGIT``
+    (RFC 9110 section 8.6), given once: a sign, an underscore or a
+    second value would let another reader frame the body otherwise.
+    """
+    if "transfer-encoding" in headers:
+        raise _Refused(400, "Transfer-Encoding is not supported")
+    value = headers.get("content-length")
+    if value is None:
+        return 0
+    if not (value.isascii() and value.isdigit()):
+        raise _Refused(400, "invalid Content-Length")
+    length = int(value)
+    if length > MAX_BODY_BYTES:
+        raise _Refused(400, "unacceptable Content-Length %d" % length)
+    return length
 
 
 def _mux_request(document: dict) -> tuple:
@@ -122,24 +216,35 @@ async def _read_line(reader: asyncio.StreamReader, prefix: bytes = b"") -> bytes
     return line if len(line) <= _MAX_LINE else None
 
 
-class AsyncGatewayServer(HostingServer):
+class AsyncGatewayServer:
     """Serve gateways over mux frames *and* HTTP/1.1 from one event loop.
 
-    The constructor surface mirrors :class:`GatewayHttpServer` (gateway/
-    group/gateways hosting, ``event_log``, ``tls``, ``auth``,
-    ``trace_sample``), plus ``workers`` (the bounded executor that runs
-    batches and forwarded calls; its threads start on first use) and
-    ``max_streams`` (per-connection in-flight cap, the mux backpressure
-    bound).
+    ``gateway`` hosts a single fleet (with ``group`` as the backend
+    fallback for bare gateway-like objects); ``gateways`` hosts one fleet
+    per element side by side, each routed under its backend's scheme-id
+    prefix.  Scheme ids must be unique — one fleet per scheme per
+    process.  ``event_log`` is the server-level event stream (access
+    lines, handler crashes, connection errors).  ``tls`` is a server-side
+    :class:`ssl.SSLContext` (see
+    :func:`repro.service.auth.tls.server_context`), which wraps each
+    accepted connection.  ``auth`` is a
+    :class:`~repro.service.auth.signing.RequestVerifier`: with one
+    installed every POST must carry a valid ``X-Repro-Auth`` signature.
+    ``trace_sample`` is the head-sampling fraction for incoming trace
+    headers.  ``workers`` bounds the executor that runs batches and
+    forwarded calls (its threads start on first use), and
+    ``max_streams`` is the per-connection in-flight cap, the mux
+    backpressure bound.
 
     :meth:`serve_forever` runs the event loop on the calling thread;
     :meth:`start` runs it on a daemon thread for in-process callers.
+    Closing the server leaves every gateway open: the owner decides when
+    to release the shard fleets.
 
     :attr:`url` is the mux address (``mux://host:port``, ``muxs://``
     under TLS); :attr:`http_url` is the same port spelled for HTTP
     clients — both protocols share the listener, sniffed per connection.
-    ``tls`` is the same server-side ``ssl.SSLContext`` the threaded
-    server takes; asyncio wraps each accepted connection with it.
+    ``port=0`` binds an ephemeral port; both report the bound one.
     """
 
     def __init__(
@@ -160,9 +265,21 @@ class AsyncGatewayServer(HostingServer):
             raise ValueError("workers must be >= 1")
         if max_streams < 1:
             raise ValueError("max_streams must be >= 1")
+        hosts, self.scheme_ids = build_host_map(gateway, group, gateways)
+        # The first hosted fleet, for single-scheme callers.
+        self.gateway = hosts[self.scheme_ids[0]][0]
+        self.event_log = event_log if event_log is not None else EventLog()
         self.stats = WireServerStats()
-        super().__init__(
-            gateway, group, gateways, event_log, auth, trace_sample, wire_stats=self.stats
+        # One dedup window per server (scheme id is part of the key), so
+        # retried revoke/resize replays are answered from the record.
+        self.engine = WireRequestExecutor(
+            hosts,
+            self.scheme_ids,
+            self.event_log,
+            IdempotencyWindow(),
+            auth=auth,
+            trace_sample=trace_sample,
+            wire_stats=self.stats,
         )
         self.max_streams = max_streams
         self._tls = tls
@@ -213,8 +330,8 @@ class AsyncGatewayServer(HostingServer):
             self._bind_host,
             self._bind_port,
             ssl=self._tls,
-            # Match the threaded server's listen depth so a burst of
-            # HTTP clients dialling at once is queued, not reset.
+            # Listen deep enough that a pooled client dialling hundreds
+            # of connections in one burst is queued, not reset.
             backlog=1024,
         )
         self._sockname = server.sockets[0].getsockname()[:2]
@@ -451,42 +568,20 @@ class AsyncGatewayServer(HostingServer):
             parts = request_line.split()
             if line is not None and not parts:
                 return  # closed, or a blank line: no request to answer
-            refused = _request_line_refusal(line, parts, request_line)
-            if refused is not None:
-                refusal = self.engine.refuse(*refused, request_line, peer)
+            try:
+                _check_request_line(line, parts, request_line)
+                headers = await _read_headers(reader)
+                length = _body_length(headers)
+            except _Refused as refused:
+                # The rest of the stream can no longer be framed, so the
+                # refusal closes the connection.
+                refusal = self.engine.refuse(refused.status, str(refused), request_line, peer)
                 await self._write_http(writer, refusal)
                 return
-            method, target = parts[0].upper(), parts[1]
+            method, target = parts[0], parts[1]  # methods are case-sensitive
             if target.startswith("//"):  # reduced as http.server does (gh-87389)
                 target = "/" + target.lstrip("/")
             http09 = len(parts) == 2
-            # HTTP/1.1 keeps the connection unless told to close; older
-            # versions close unless told to keep it (the stdlib's rule).
-            legacy = http09 or parts[2] < "HTTP/1.1"
-            headers: dict[str, str] = {}
-            for count in itertools.count(1):
-                hline = await _read_line(reader)
-                if hline is None or count > MAX_HEADERS:
-                    message = "Line too long" if hline is None else "Too many headers"
-                    refusal = self.engine.refuse(431, message, request_line, peer)
-                    await self._write_http(writer, refusal)
-                    return
-                if hline in (b"\r\n", b"\n", b""):
-                    break
-                name, sep, value = hline.decode("latin-1").partition(":")
-                if sep:
-                    # Strip optional whitespace (SP, HTAB) and the line
-                    # end only: http.server keeps a value's other bytes,
-                    # so both stacks see the same Content-Length.
-                    add_header(headers, name.strip().lower(), value.strip(" \t\r\n"))
-            try:
-                length = body_length(headers)
-            except InvalidRequestError as error:
-                # The body was never drained; this connection is
-                # desynchronized, so the refusal closes it.
-                refusal = self.engine.refuse(400, str(error), request_line, peer)
-                await self._write_http(writer, refusal, bare=http09)
-                return
             body = await reader.readexactly(length) if length else b""
             pooled = not self.engine.runs_inline(method, target, body)
             self.stats.stream_started()
@@ -494,8 +589,13 @@ class AsyncGatewayServer(HostingServer):
                 result = await self._handle(pooled, method, target, body, headers, peer)
             finally:
                 self.stats.stream_finished()
+            # HTTP/1.1 keeps the connection unless told to close; older
+            # versions close unless told to keep it (the stdlib's rule).
             connection = headers.get("connection", "").lower()
-            keep_alive = connection == "keep-alive" if legacy else connection != "close"
+            if http09 or parts[2] < "HTTP/1.1":
+                keep_alive = connection == "keep-alive"
+            else:
+                keep_alive = connection != "close"
             closing = result.close or not keep_alive
             await self._write_http(writer, result, close=closing, bare=http09)
             if closing:

@@ -134,9 +134,10 @@ def _new_request_id() -> str:
 
 
 class RemoteGateway:
-    """A typed HTTP client for one :class:`GatewayHttpServer`.
+    """A typed HTTP client for one gateway server.
 
-    ``url`` is the server base (e.g. ``http://127.0.0.1:8080``);
+    ``url`` is the server base (e.g. ``http://127.0.0.1:8080``, the
+    :attr:`~repro.service.wire.aio_server.AsyncGatewayServer.http_url`);
     ``context`` is the scheme backend the client speaks — a bare
     :class:`~repro.pairing.group.PairingGroup` selects the paper's
     ``tipre/v1`` backend, the historical spelling.  The server must host

@@ -653,7 +653,8 @@ def from_wire(
 # with the same id (in whatever order executions finish — that id
 # correlation is what lets many requests share one socket).  The HTTP
 # body travels inside the frame as a JSON *string*, so the bytes a
-# client extracts are identical to what the threaded stack returns.
+# client extracts are identical to what the same server answers over
+# HTTP.
 #
 # The length prefix keeps its top byte zero (frames are capped well
 # below 2**24), which doubles as the protocol sniff: no HTTP method

@@ -1,8 +1,8 @@
 """The wire request engine: one request in, one response out.
 
-Every transport — the threaded stdlib HTTP server, the asyncio server's
-HTTP/1.1 reader and its mux frames — parses bytes off its socket and
-hands :meth:`WireRequestExecutor.handle` the same five things: method,
+Both transports of the gateway server — its HTTP/1.1 reader and its mux
+frames — parse bytes off a socket and hand
+:meth:`WireRequestExecutor.handle` the same five things: method,
 target, body, lowercase headers and the client address.  Everything
 after that lives here, once: route resolution, the signature and role
 gates, tenant stamping, the idempotency window, op dispatch, the error
@@ -91,16 +91,11 @@ from repro.service.wire.codec import (
 )
 
 __all__ = [
-    "HostingServer",
     "IdempotencyWindow",
-    "MAX_BODY_BYTES",
-    "MAX_HEADERS",
     "PROMETHEUS_CONTENT_TYPE",
     "STATUS_BY_CODE",
     "WireRequestExecutor",
     "WireResponse",
-    "add_header",
-    "body_length",
     "build_host_map",
 ]
 
@@ -128,11 +123,6 @@ STATUS_BY_CODE = {
     "auth-forbidden": 403,
 }
 
-MAX_BODY_BYTES = 64 * 1024 * 1024  # refuse absurd Content-Length up front
-# The stdlib's cap (``http.client._MAXHEADERS``): more head lines than
-# this, counting the blank line that ends the head, is answered 431.
-MAX_HEADERS = 100
-
 _ROUTE_PREFIX = "/v1/"
 _TRACE_ROUTE = "/v1/trace/"
 _GET_OPS = frozenset({"metrics", "scheme"})
@@ -144,10 +134,8 @@ _TRACE_HEADER_LOWER = TRACE_HEADER.lower()
 def build_host_map(gateway=None, group=None, gateways=None):
     """Validate the hosted-fleet arguments into ``(hosts, scheme_ids)``.
 
-    Shared by the threaded and asyncio servers so both accept the exact
-    same ``gateway``/``group``/``gateways`` spellings: ``hosts`` maps
-    each scheme id to its ``(fleet, backend)`` pair, ``scheme_ids``
-    keeps the hosting order.
+    ``hosts`` maps each scheme id to its ``(fleet, backend)`` pair,
+    ``scheme_ids`` keeps the hosting order.
     """
     if gateways is None:
         if gateway is None:
@@ -286,41 +274,6 @@ class WireResponse:
     close: bool = False
 
 
-def add_header(headers: dict[str, str], name: str, value: str) -> None:
-    """Record one header line under its lowercase ``name``.
-
-    A repeated header keeps its last value, except Content-Length: its
-    values are joined with commas, which :func:`body_length` refuses, so
-    no two readers of one request can frame its body differently.
-    """
-    if name == "content-length" and name in headers:
-        value = headers[name] + ", " + value
-    headers[name] = value
-
-
-def body_length(headers: dict[str, str]) -> int:
-    """The request body's length from lowercase ``headers``.
-
-    Raises :class:`InvalidRequestError` for a body no transport frames:
-    chunked bodies are never drained (their framing bytes would desync
-    the keep-alive stream), and a Content-Length must be ``1*DIGIT``
-    (RFC 9110 section 8.6), given once: a sign, an underscore or a
-    second value would let another reader frame the body otherwise.
-    """
-    if headers.get("transfer-encoding"):
-        raise InvalidRequestError("Transfer-Encoding is not supported")
-    value = headers.get("content-length")
-    if value is None:
-        return 0
-    value = value.strip(" \t")
-    if not (value.isascii() and value.isdigit()):
-        raise InvalidRequestError("invalid Content-Length")
-    length = int(value)
-    if length > MAX_BODY_BYTES:
-        raise InvalidRequestError("unacceptable Content-Length %d" % length)
-    return length
-
-
 class _UnknownEndpoint(Exception):
     def __init__(self, path: str):
         super().__init__(path)
@@ -404,8 +357,7 @@ class WireRequestExecutor:
 
     ``handle`` takes one parsed request (method, target, body, lowercase
     headers, client address string) and returns a :class:`WireResponse`.
-    It is synchronous and thread-safe: the threaded server calls it on
-    each connection's handler thread, the asyncio server on its event
+    It is synchronous and thread-safe: the server calls it on its event
     loop, or on its worker pool where :meth:`runs_inline` says so.
 
     ``auth`` is a :class:`~repro.service.auth.signing.RequestVerifier` —
@@ -917,45 +869,3 @@ class WireRequestExecutor:
             if dedup_token is not None:
                 self.dedup.complete(dedup_key, dedup_token, payload)
         return payload
-
-
-class HostingServer:
-    """What every server shares: the hosted fleets and one request engine.
-
-    ``gateway`` hosts a single fleet (the historical spelling, with
-    ``group`` as the backend fallback for bare gateway-like objects);
-    ``gateways`` hosts one fleet per element side by side, each routed
-    under its backend's scheme-id prefix.  Scheme ids must be unique —
-    one fleet per scheme per process.  ``event_log`` is the server-level
-    event stream (access lines, handler crashes, connection errors),
-    injectable so tests and the CLI's ``--event-log`` choose the sink.
-    """
-
-    def __init__(
-        self,
-        gateway,
-        group,
-        gateways,
-        event_log: EventLog | None,
-        auth,
-        trace_sample: float,
-        wire_stats: WireServerStats | None = None,
-    ):
-        self.hosts, self.scheme_ids = build_host_map(gateway, group, gateways)
-        # Single-scheme attribute surface, kept for existing callers.
-        self.gateway, self.backend = self.hosts[self.scheme_ids[0]]
-        self.group = self.backend.group
-        self.event_log = event_log if event_log is not None else EventLog()
-        # One dedup window per server (scheme id is part of the key), so
-        # retried revoke/resize replays are answered from the record.
-        self.dedup = IdempotencyWindow()
-        self.auth = auth
-        self.engine = WireRequestExecutor(
-            self.hosts,
-            self.scheme_ids,
-            self.event_log,
-            self.dedup,
-            auth=auth,
-            trace_sample=trace_sample,
-            wire_stats=wire_stats,
-        )

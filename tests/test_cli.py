@@ -207,16 +207,16 @@ class TestServe:
         from repro.core.scheme import TypeAndIdentityPre
         from repro.pairing.group import PairingGroup
         from repro.service.gateway import ReEncryptionGateway
-        from repro.service.wire import GatewayHttpServer
+        from repro.service.wire import AsyncGatewayServer
 
         group = PairingGroup.shared("TOY")
         gateway = ReEncryptionGateway(TypeAndIdentityPre(group), shard_count=2)
-        with GatewayHttpServer(gateway, group) as server:
+        with AsyncGatewayServer(gateway, group) as server:
             assert main(["serve", "--group", "TOY", "--requests", "16",
-                         "--batch", "4", "--connect", server.url]) == 0
+                         "--batch", "4", "--connect", server.http_url]) == 0
         gateway.close()
         out = capsys.readouterr().out
-        assert "remote gateway %s: 16 requests" % server.url in out
+        assert "remote gateway %s: 16 requests" % server.http_url in out
         assert "served" in out and "plaintexts verified" in out
 
     def test_serve_http_and_connect_are_exclusive(self, capsys):
@@ -308,13 +308,13 @@ class TestServe:
         from repro.core.scheme import TypeAndIdentityPre
         from repro.pairing.group import PairingGroup
         from repro.service.gateway import ReEncryptionGateway
-        from repro.service.wire import GatewayHttpServer
+        from repro.service.wire import AsyncGatewayServer
 
         group = PairingGroup.shared("TOY")
         gateway = ReEncryptionGateway(TypeAndIdentityPre(group), shard_count=2)
-        with GatewayHttpServer(gateway, group) as server:
+        with AsyncGatewayServer(gateway, group) as server:
             assert main(["serve", "--group", "TOY", "--requests", "16",
-                         "--pool-size", "4", "--connect", server.url]) == 0
+                         "--pool-size", "4", "--connect", server.http_url]) == 0
         gateway.close()
         out = capsys.readouterr().out
         assert "plaintexts verified" in out
@@ -325,25 +325,25 @@ class TestServe:
         from repro.core.api import create_backend
         from repro.pairing.group import PairingGroup
         from repro.service.gateway import ReEncryptionGateway
-        from repro.service.wire import GatewayHttpServer
+        from repro.service.wire import AsyncGatewayServer
 
         group = PairingGroup.shared("TOY")
         gateway = ReEncryptionGateway(
             create_backend("green-ateniese/v1", group), shard_count=2
         )
-        with GatewayHttpServer(gateway) as server:
+        with AsyncGatewayServer(gateway) as server:
             assert main(["serve", "--group", "TOY", "--scheme", "green-ateniese/v1",
                          "--requests", "16", "--batch", "4",
-                         "--connect", server.url]) == 0
+                         "--connect", server.http_url]) == 0
         gateway.close()
         out = capsys.readouterr().out
-        assert "remote gateway %s: 16 requests" % server.url in out
+        assert "remote gateway %s: 16 requests" % server.http_url in out
         assert "green-ateniese/v1" in out and "plaintexts verified" in out
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
 class TestServeAsyncLifecycle:
-    """``serve --async`` runs its event loop on the main thread: single
+    """``serve --http`` runs its event loop on the main thread: single
     requests start no other thread, and SIGTERM ends the loop between
     requests and returns through the CLI's cleanup."""
 
@@ -351,7 +351,7 @@ class TestServeAsyncLifecycle:
         from repro.service.gateway import ReEncryptionGateway
 
         state_dir = tmp_path / "state"
-        process, banner = _spawn_serve("--async", "--state-dir", str(state_dir))
+        process, banner = _spawn_serve("--state-dir", str(state_dir))
         try:
             url = banner.split()[3]
             assert url.startswith("mux://127.0.0.1:") and not url.endswith(":0")
@@ -378,7 +378,7 @@ class TestServeAsyncLifecycle:
 
     def test_sigterm_on_an_async_fleet_router_stops_its_workers(self, tmp_path):
         state_dir = tmp_path / "fleet"
-        process, banner = _spawn_serve("--async", "--fleet", "1", "--state-dir", str(state_dir))
+        process, banner = _spawn_serve("--fleet", "1", "--state-dir", str(state_dir))
         try:
             assert "fleet gateway listening on mux://" in banner
             assert _worker_pids_for(str(state_dir))

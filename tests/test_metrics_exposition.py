@@ -20,7 +20,7 @@ from repro.core.api import available_schemes, create_backend
 from repro.service.gateway import ReEncryptionGateway
 from repro.service.metrics import GatewayMetrics
 from repro.service.telemetry import escape_label_value, render_prometheus
-from repro.service.wire import GatewayHttpServer
+from repro.service.wire import AsyncGatewayServer
 from repro.service.wire.engine import PROMETHEUS_CONTENT_TYPE
 
 ALL_SCHEMES = sorted(available_schemes())
@@ -213,7 +213,7 @@ def six_fleet_server(group):
         ReEncryptionGateway(create_backend(scheme_id, group), shard_count=2)
         for scheme_id in ALL_SCHEMES
     ]
-    with GatewayHttpServer(gateways=gateways) as server:
+    with AsyncGatewayServer(gateways=gateways) as server:
         yield server, dict(zip(ALL_SCHEMES, gateways))
     for gateway in gateways:
         gateway.close()
@@ -232,7 +232,7 @@ class TestLiveExposition:
                 fleets[scheme_id].metrics.observe(
                     "reencrypt", 1.0, shard="shard-00", tenant="t-" + scheme_id
                 )
-        status, content_type, body = _scrape(server.url)
+        status, content_type, body = _scrape(server.http_url)
         assert status == 200
         assert content_type == PROMETHEUS_CONTENT_TYPE
         samples, _families = parse_exposition(body.decode("utf-8"))
@@ -249,11 +249,11 @@ class TestLiveExposition:
     def test_counters_are_monotone_across_scrapes(self, six_fleet_server):
         server, fleets = six_fleet_server
         fleets[ALL_SCHEMES[0]].metrics.observe("reencrypt", 1.0)
-        _status, _ct, first = _scrape(server.url)
+        _status, _ct, first = _scrape(server.http_url)
         before, families = parse_exposition(first.decode("utf-8"))
         for scheme_id in ALL_SCHEMES:
             fleets[scheme_id].metrics.observe("reencrypt", 2.0)
-        _status, _ct, second = _scrape(server.url)
+        _status, _ct, second = _scrape(server.http_url)
         after, _families = parse_exposition(second.decode("utf-8"))
         for key, value in before.items():
             name, _labels = key
@@ -271,7 +271,7 @@ class TestLiveExposition:
         target = ALL_SCHEMES[0]
         fleets[target].metrics.observe("reencrypt", 1.0)
         status, content_type, body = _scrape(
-            server.url, "/v1/%s/metrics?format=prometheus" % target
+            server.http_url, "/v1/%s/metrics?format=prometheus" % target
         )
         assert status == 200
         assert content_type == PROMETHEUS_CONTENT_TYPE
@@ -292,5 +292,5 @@ class TestLiveExposition:
         import urllib.error
 
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _scrape(server.url, "/v1/metrics")
+            _scrape(server.http_url, "/v1/metrics")
         assert excinfo.value.code == 400

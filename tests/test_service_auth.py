@@ -5,7 +5,7 @@ Three layers:
 * unit — the HMAC canonicalization and verifier check order, the
   credential store's atomic reload/rotate, the replay window's bounds,
   and the per-tenant policy engine;
-* loopback — a real :class:`GatewayHttpServer` with a credential store
+* loopback — a real :class:`AsyncGatewayServer` with a credential store
   installed, driven through every negative path (unsigned, mis-signed,
   replayed nonce, stale timestamp, unknown tenant, role-forbidden op),
   each asserting the *exact* taxonomy code and the structured
@@ -57,7 +57,7 @@ from repro.service.gateway import (
 )
 from repro.service.telemetry import EventLog
 from repro.service.wire import (
-    GatewayHttpServer,
+    AsyncGatewayServer,
     RemoteGateway,
     ResizeRequest,
     WireTransportError,
@@ -308,7 +308,7 @@ def auth_loopback(tmp_path):
         seed="auth-loopback",
     )
     events = EventLog()
-    server = GatewayHttpServer(
+    server = AsyncGatewayServer(
         setting.gateway,
         setting.group,
         event_log=events,
@@ -351,7 +351,7 @@ class TestWireNegativePaths:
     def test_signed_client_succeeds_and_stamps_tenant(self, auth_loopback):
         setting, server, _events = auth_loopback
         client = RemoteGateway(
-            server.url, setting.group, tenant="clinic-a", secret="a" * 64
+            server.http_url, setting.group, tenant="clinic-a", secret="a" * 64
         )
         response = client.reencrypt(_reencrypt_request(setting))
         assert response.shard
@@ -363,7 +363,7 @@ class TestWireNegativePaths:
 
     def test_unsigned_request_rejected(self, auth_loopback):
         setting, server, events = auth_loopback
-        client = RemoteGateway(server.url, setting.group)
+        client = RemoteGateway(server.http_url, setting.group)
         with pytest.raises(AuthRequiredError):
             client.reencrypt(_reencrypt_request(setting))
         client.close()
@@ -372,7 +372,7 @@ class TestWireNegativePaths:
     def test_bad_signature_rejected(self, auth_loopback):
         setting, server, events = auth_loopback
         client = RemoteGateway(
-            server.url, setting.group, tenant="clinic-a", secret="not-the-secret"
+            server.http_url, setting.group, tenant="clinic-a", secret="not-the-secret"
         )
         with pytest.raises(BadSignatureError):
             client.reencrypt(_reencrypt_request(setting))
@@ -384,7 +384,7 @@ class TestWireNegativePaths:
     def test_unknown_tenant_rejected(self, auth_loopback):
         setting, server, events = auth_loopback
         client = RemoteGateway(
-            server.url, setting.group, tenant="ghost", secret="s"
+            server.http_url, setting.group, tenant="ghost", secret="s"
         )
         with pytest.raises(UnknownTenantError):
             client.reencrypt(_reencrypt_request(setting))
@@ -417,7 +417,7 @@ class TestWireNegativePaths:
     def test_role_forbidden_resize_as_non_admin(self, auth_loopback):
         setting, server, events = auth_loopback
         client = RemoteGateway(
-            server.url, setting.group, tenant="clinic-a", secret="a" * 64
+            server.http_url, setting.group, tenant="clinic-a", secret="a" * 64
         )
         with pytest.raises(ForbiddenError):
             client.resize(3)
@@ -429,7 +429,7 @@ class TestWireNegativePaths:
     def test_admin_role_may_resize(self, auth_loopback):
         setting, server, _events = auth_loopback
         client = RemoteGateway(
-            server.url, setting.group, tenant="ops", secret="b" * 64
+            server.http_url, setting.group, tenant="ops", secret="b" * 64
         )
         report = client.resize(3)
         assert report.new_shard_count == 3
@@ -450,7 +450,7 @@ class TestWireNegativePaths:
     def test_auth_failures_counted_into_rejected(self, auth_loopback):
         setting, server, _events = auth_loopback
         before = setting.gateway.metrics.snapshot()
-        client = RemoteGateway(server.url, setting.group)
+        client = RemoteGateway(server.http_url, setting.group)
         with pytest.raises(AuthRequiredError):
             client.reencrypt(_reencrypt_request(setting))
         client.close()
@@ -476,12 +476,12 @@ class TestPerTenantPolicyOverWire:
             seed="auth-policy",
         )
         setting.gateway.policy = PolicyEngine(store)
-        server = GatewayHttpServer(
+        server = AsyncGatewayServer(
             setting.gateway, setting.group, auth=RequestVerifier(store)
         )
         with server:
             client = RemoteGateway(
-                server.url, setting.group, tenant="throttled", secret="t" * 64
+                server.http_url, setting.group, tenant="throttled", secret="t" * 64
             )
             request = _reencrypt_request(setting)
             with pytest.raises(RateLimitedError):
@@ -506,12 +506,12 @@ class TestPerTenantPolicyOverWire:
             seed="auth-quota",
         )
         setting.gateway.policy = PolicyEngine(store)
-        server = GatewayHttpServer(
+        server = AsyncGatewayServer(
             setting.gateway, setting.group, auth=RequestVerifier(store)
         )
         with server:
             client = RemoteGateway(
-                server.url, setting.group, tenant="metered", secret="m" * 64
+                server.http_url, setting.group, tenant="metered", secret="m" * 64
             )
             request = _reencrypt_request(setting)
             client.reencrypt(request)
@@ -548,7 +548,7 @@ def tls_loopback(dev_cert):
         ciphertexts_per_pair=1,
         seed="tls-loopback",
     )
-    server = GatewayHttpServer(
+    server = AsyncGatewayServer(
         setting.gateway,
         setting.group,
         tls=server_context(str(cert_path), str(key_path)),
@@ -561,8 +561,8 @@ def tls_loopback(dev_cert):
 class TestTls:
     def test_https_round_trip_with_pinned_ca(self, tls_loopback):
         setting, server, cert_path = tls_loopback
-        assert server.url.startswith("https://")
-        client = RemoteGateway(server.url, setting.group, tls_ca=str(cert_path))
+        assert server.http_url.startswith("https://")
+        client = RemoteGateway(server.http_url, setting.group, tls_ca=str(cert_path))
         response = client.reencrypt(_reencrypt_request(setting))
         assert response.shard
         client.close()
@@ -575,7 +575,7 @@ class TestTls:
         finally:
             sys.path.pop(0)
         other_cert, _other_key = gen_dev_cert.generate(tmp_path / "other")
-        client = RemoteGateway(server.url, setting.group, tls_ca=str(other_cert))
+        client = RemoteGateway(server.http_url, setting.group, tls_ca=str(other_cert))
         with pytest.raises(WireTransportError):
             client.reencrypt(_reencrypt_request(setting))
         client.close()
@@ -584,13 +584,13 @@ class TestTls:
         setting, server, cert_path = tls_loopback
         raw = ssl.create_default_context()
         # An unpinned client aborts its handshake on the self-signed cert...
-        bad = RemoteGateway(server.url, setting.group)
+        bad = RemoteGateway(server.http_url, setting.group)
         with pytest.raises(WireTransportError):
             bad.scheme_info()
         bad.close()
         assert raw is not None
         # ...and the server keeps serving pinned clients afterwards.
-        good = RemoteGateway(server.url, setting.group, tls_ca=str(cert_path))
+        good = RemoteGateway(server.http_url, setting.group, tls_ca=str(cert_path))
         assert good.scheme_info()["group"] == "TOY"
         good.close()
 
@@ -607,7 +607,7 @@ class TestTraceSampling:
     def test_zero_fraction_sends_no_trace_header(self, auth_loopback):
         setting, server, _events = auth_loopback
         client = RemoteGateway(
-            server.url,
+            server.http_url,
             setting.group,
             tenant="clinic-a",
             secret="a" * 64,
@@ -621,7 +621,7 @@ class TestTraceSampling:
     def test_fractional_sampling_is_deterministic(self, auth_loopback):
         setting, server, _events = auth_loopback
         client = RemoteGateway(
-            server.url,
+            server.http_url,
             setting.group,
             tenant="clinic-a",
             secret="a" * 64,
@@ -641,13 +641,13 @@ class TestTraceSampling:
     def test_invalid_fraction_rejected(self, auth_loopback):
         setting, server, _events = auth_loopback
         with pytest.raises(ValueError):
-            RemoteGateway(server.url, setting.group, trace_requests=1.5)
+            RemoteGateway(server.http_url, setting.group, trace_requests=1.5)
 
     def test_metrics_count_unsampled_requests(self, auth_loopback):
         setting, server, _events = auth_loopback
         before = setting.gateway.metrics.snapshot().requests_total
         client = RemoteGateway(
-            server.url,
+            server.http_url,
             setting.group,
             tenant="clinic-a",
             secret="a" * 64,
@@ -711,28 +711,30 @@ class TestServeTlsEndToEnd:
             text=True,
         )
         try:
-            url = None
+            banner = ""
             deadline = time.time() + 60
             while time.time() < deadline:
                 line = process.stdout.readline()
                 if not line:
                     break
                 if "listening on" in line:
-                    url = line.split("listening on ")[1].split()[0]
+                    banner = line.split("listening on ")[1].split()[0]
                     break
-            assert url and url.startswith("https://"), "server did not start"
+            assert banner.startswith("muxs://"), "server did not start"
+            # The banner names the mux transport; the same port answers HTTPS.
+            url = "https://" + banner[len("muxs://"):]
 
             # Anonymous plaintext twin for the bit-identical comparison.
             # build_setting already granted the local gateway; the remote
             # server starts empty, so replay its keys over the wire.
-            anon_server = GatewayHttpServer(setting.gateway, setting.group)
+            anon_server = AsyncGatewayServer(setting.gateway, setting.group)
             request = _reencrypt_request(setting)
             grant_requests = [
                 GrantRequest(tenant="e2e", proxy_key=key)
                 for key in setting.gateway.list_keys()
             ]
             with anon_server:
-                anon = RemoteGateway(anon_server.url, setting.group)
+                anon = RemoteGateway(anon_server.http_url, setting.group)
                 plain_response = anon.reencrypt(request)
                 anon.close()
 

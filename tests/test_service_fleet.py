@@ -46,7 +46,12 @@ from repro.service.gateway import (
     RevokeRequest,
     StoreUnavailableError,
 )
-from repro.service.wire import GatewayHttpServer, RemoteGateway, WireTransportError
+from repro.service.wire import (
+    AsyncGatewayServer,
+    RemoteGateway,
+    WireTransportError,
+    connect_gateway,
+)
 
 
 def _small_setting(seed: str):
@@ -106,10 +111,10 @@ def static_fleet():
         for name in ("shard-00", "shard-01")
     }
     servers = {
-        name: GatewayHttpServer(gateway).start() for name, gateway in inner.items()
+        name: AsyncGatewayServer(gateway).start() for name, gateway in inner.items()
     }
     fleet = StaticFleet(
-        backend, {name: server.url for name, server in servers.items()}
+        backend, {name: server.http_url for name, server in servers.items()}
     )
     gateway = FleetGateway(fleet)
     try:
@@ -252,8 +257,8 @@ class TestFleetGatewayStatic:
         requests = [request for request, _message in pairs]
         try:
             _grant_all(setting, gateway)
-            with GatewayHttpServer(gateway) as server:
-                client = RemoteGateway(server.url, setting.group)
+            with AsyncGatewayServer(gateway) as server:
+                client = RemoteGateway(server.http_url, setting.group)
                 try:
                     single, batch = requests[0], requests[1:]
                     for expect_hit in (False, True):
@@ -338,9 +343,9 @@ class TestIdempotentReplay:
             http.client.HTTPConnection, "getresponse", dropping_getresponse
         )
         try:
-            with GatewayHttpServer(setting.gateway) as server:
+            with AsyncGatewayServer(setting.gateway) as server:
                 client = RemoteGateway(
-                    server.url, setting.group, trace_requests=False
+                    server.http_url, setting.group, trace_requests=False
                 )
                 response = client.revoke(
                     RevokeRequest(
@@ -355,7 +360,7 @@ class TestIdempotentReplay:
                 client.close()
                 assert drops, "the drop hook never fired"
                 assert response.removed is True
-                assert server.dedup.hits == 1
+                assert server.engine.dedup.hits == 1
                 assert setting.gateway.key_count() == before - 1
         finally:
             setting.gateway.close()
@@ -425,8 +430,8 @@ class TestFleetProcesses:
         gateway = process_fleet["gateway"]
         setting = process_fleet["setting"]
         supervisor = process_fleet["supervisor"]
-        with GatewayHttpServer(gateway) as server:
-            client = RemoteGateway(server.url, supervisor.backend)
+        with AsyncGatewayServer(gateway) as server:
+            client = RemoteGateway(server.http_url, supervisor.backend)
             request, message = _reencrypt_request(
                 setting, sorted(setting.pool)[0], setting.delegatees[0]
             )
@@ -540,7 +545,8 @@ class TestFleetCli:
             assert "fleet gateway listening on" in line, line
             assert "2 shard processes" in line
             url = line.split()[4]
-            client = RemoteGateway(url, setting.group)
+            assert url.startswith("mux://")
+            client = connect_gateway(url, setting.group)
             for key in _keys_of(setting):
                 client.grant(GrantRequest(tenant="cli", proxy_key=key))
             request, message = _reencrypt_request(

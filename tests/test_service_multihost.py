@@ -30,7 +30,7 @@ from repro.service.gateway import (
     ReEncryptRequest,
 )
 from repro.service.persistence import scheme_state_subdir
-from repro.service.wire import GatewayHttpServer, RemoteGateway, SchemeMismatchError, to_wire
+from repro.service.wire import AsyncGatewayServer, RemoteGateway, SchemeMismatchError, to_wire
 
 HOSTED = ("tipre/v1", "afgh/v1")
 
@@ -78,7 +78,7 @@ def two_fleet_server(group):
         ReEncryptionGateway(create_backend(scheme_id, group), shard_count=2)
         for scheme_id in HOSTED
     ]
-    with GatewayHttpServer(gateways=gateways) as server:
+    with AsyncGatewayServer(gateways=gateways) as server:
         yield server, dict(zip(HOSTED, gateways))
     for gateway in gateways:
         gateway.close()
@@ -87,7 +87,7 @@ def two_fleet_server(group):
 class TestSchemesEndpoint:
     def test_enumerates_every_hosted_fleet(self, two_fleet_server):
         server, _gateways = two_fleet_server
-        status, body = _raw(server.url, "/v1/schemes")
+        status, body = _raw(server.http_url, "/v1/schemes")
         assert status == 200
         documents = json.loads(body)["schemes"]
         assert [doc["scheme"] for doc in documents] == list(HOSTED)
@@ -97,14 +97,14 @@ class TestSchemesEndpoint:
 
     def test_client_schemes_info_sees_the_hosted_list(self, two_fleet_server, group):
         server, _gateways = two_fleet_server
-        client = RemoteGateway(server.url, create_backend("afgh/v1", group))
+        client = RemoteGateway(server.http_url, create_backend("afgh/v1", group))
         assert [doc["scheme"] for doc in client.schemes_info()] == list(HOSTED)
 
     def test_single_scheme_server_also_serves_schemes(self, group):
         gateway = ReEncryptionGateway(create_backend("bbs/v1", group), shard_count=1)
         try:
-            with GatewayHttpServer(gateway) as server:
-                status, body = _raw(server.url, "/v1/schemes")
+            with AsyncGatewayServer(gateway) as server:
+                status, body = _raw(server.http_url, "/v1/schemes")
                 assert status == 200
                 assert [d["scheme"] for d in json.loads(body)["schemes"]] == ["bbs/v1"]
         finally:
@@ -120,7 +120,7 @@ class TestPrefixedRouting:
         for scheme_id in HOSTED:
             setting = _small_setting(scheme_id)
             try:
-                client = RemoteGateway(server.url, setting.backend)
+                client = RemoteGateway(server.http_url, setting.backend)
                 granted[scheme_id] = _grant_all(setting, client)
                 verified = drive_requests(
                     setting,
@@ -142,16 +142,16 @@ class TestPrefixedRouting:
     def test_prefixed_scheme_and_metrics_documents(self, two_fleet_server):
         server, _gateways = two_fleet_server
         for scheme_id in HOSTED:
-            status, body = _raw(server.url, "/v1/%s/scheme" % scheme_id)
+            status, body = _raw(server.http_url, "/v1/%s/scheme" % scheme_id)
             assert status == 200
             assert json.loads(body)["scheme"] == scheme_id
-            status, body = _raw(server.url, "/v1/%s/metrics" % scheme_id)
+            status, body = _raw(server.http_url, "/v1/%s/metrics" % scheme_id)
             assert status == 200
             assert json.loads(body)["type"] == "metrics-snapshot"
 
     def test_unknown_scheme_prefix_is_404(self, two_fleet_server):
         server, _gateways = two_fleet_server
-        status, body = _raw(server.url, "/v1/bogus/v9/reencrypt", b"{}")
+        status, body = _raw(server.http_url, "/v1/bogus/v9/reencrypt", b"{}")
         assert status == 404
         assert json.loads(body)["body"]["code"] == "invalid-request"
 
@@ -166,7 +166,7 @@ class TestPrefixedRouting:
         afgh.create_party("D", "b", rng)
         key = afgh.rekey("D", "a", "D", "b", "t", rng)
         payload = to_wire(afgh, GrantRequest(tenant="t", proxy_key=key)).encode()
-        status, body = _raw(server.url, "/v1/tipre/v1/grant", payload)
+        status, body = _raw(server.http_url, "/v1/tipre/v1/grant", payload)
         assert status == 400
         assert json.loads(body)["body"]["code"] == "invalid-request"
 
@@ -178,8 +178,8 @@ class TestLegacyCompatibility:
         no scheme prefix anywhere."""
         setting = _small_setting("tipre/v1")
         try:
-            with GatewayHttpServer(setting.gateway) as server:
-                status, body = _raw(server.url, "/v1/scheme")
+            with AsyncGatewayServer(setting.gateway) as server:
+                status, body = _raw(server.http_url, "/v1/scheme")
                 assert status == 200
                 assert json.loads(body)["scheme"] == "tipre/v1"
                 (patient, _type), entries = sorted(setting.pool.items())[0]
@@ -191,10 +191,10 @@ class TestLegacyCompatibility:
                     delegatee=setting.delegatees[0],
                 )
                 payload = to_wire(setting.backend, request).encode()
-                status, body = _raw(server.url, "/v1/reencrypt", payload)
+                status, body = _raw(server.http_url, "/v1/reencrypt", payload)
                 assert status == 200
                 assert json.loads(body)["type"] == "reencrypt-response"
-                status, body = _raw(server.url, "/v1/metrics")
+                status, body = _raw(server.http_url, "/v1/metrics")
                 assert status == 200
         finally:
             setting.gateway.close()
@@ -202,8 +202,8 @@ class TestLegacyCompatibility:
     def test_prefixed_routes_also_work_on_a_single_scheme_server(self):
         setting = _small_setting("tipre/v1")
         try:
-            with GatewayHttpServer(setting.gateway) as server:
-                status, body = _raw(server.url, "/v1/tipre/v1/scheme")
+            with AsyncGatewayServer(setting.gateway) as server:
+                status, body = _raw(server.http_url, "/v1/tipre/v1/scheme")
                 assert status == 200
                 assert json.loads(body)["scheme"] == "tipre/v1"
         finally:
@@ -212,7 +212,7 @@ class TestLegacyCompatibility:
     def test_unprefixed_op_on_multischeme_server_is_ambiguous(self, two_fleet_server):
         server, _gateways = two_fleet_server
         for path, data in (("/v1/reencrypt", b"{}"), ("/v1/metrics", None), ("/v1/scheme", None)):
-            status, body = _raw(server.url, path, data)
+            status, body = _raw(server.http_url, path, data)
             assert status == 400, path
             envelope = json.loads(body)
             assert envelope["body"]["code"] == "invalid-request"
@@ -223,7 +223,7 @@ class TestLegacyCompatibility:
 class TestNegotiation:
     def test_client_pins_the_prefixed_route_family(self, two_fleet_server, group):
         server, gateways = two_fleet_server
-        client = RemoteGateway(server.url, create_backend("afgh/v1", group))
+        client = RemoteGateway(server.http_url, create_backend("afgh/v1", group))
         info = client.scheme_info()
         assert info["scheme"] == "afgh/v1"
         assert client._prefix == "/v1/afgh/v1"
@@ -232,7 +232,7 @@ class TestNegotiation:
 
     def test_unhosted_scheme_is_a_mismatch_naming_the_hosted(self, two_fleet_server, group):
         server, _gateways = two_fleet_server
-        client = RemoteGateway(server.url, create_backend("bbs/v1", group))
+        client = RemoteGateway(server.http_url, create_backend("bbs/v1", group))
         with pytest.raises(SchemeMismatchError) as excinfo:
             client.snapshot()
         for scheme_id in HOSTED:
@@ -245,7 +245,7 @@ class TestServerConstruction:
         second = ReEncryptionGateway(create_backend("tipre/v1", group), shard_count=1)
         try:
             with pytest.raises(ValueError, match="already hosted"):
-                GatewayHttpServer(gateways=[first, second])
+                AsyncGatewayServer(gateways=[first, second])
         finally:
             first.close()
             second.close()
@@ -254,11 +254,11 @@ class TestServerConstruction:
         gateway = ReEncryptionGateway(create_backend("tipre/v1", group), shard_count=1)
         try:
             with pytest.raises(ValueError, match="not both"):
-                GatewayHttpServer(gateway, gateways=[gateway])
+                AsyncGatewayServer(gateway, gateways=[gateway])
             with pytest.raises(ValueError):
-                GatewayHttpServer(gateways=[])
+                AsyncGatewayServer(gateways=[])
             with pytest.raises(ValueError):
-                GatewayHttpServer()
+                AsyncGatewayServer()
         finally:
             gateway.close()
 
@@ -299,8 +299,8 @@ class TestPerSchemeGroups:
             for scheme_id in HOSTED
         ]
         try:
-            with GatewayHttpServer(gateways=gateways) as server:
-                status, body = _raw(server.url, "/v1/schemes")
+            with AsyncGatewayServer(gateways=gateways) as server:
+                status, body = _raw(server.http_url, "/v1/schemes")
                 assert status == 200
                 by_scheme = {
                     doc["scheme"]: doc["group"]
@@ -311,16 +311,16 @@ class TestPerSchemeGroups:
                 }
                 # Clients discover the right group and negotiate cleanly.
                 for scheme_id in HOSTED:
-                    resolved = resolve_remote_group(server.url, scheme_id, "TOY")
+                    resolved = resolve_remote_group(server.http_url, scheme_id, "TOY")
                     assert resolved is PairingGroup.for_scheme("TOY", scheme_id)
                     client = RemoteGateway(
-                        server.url, create_backend(scheme_id, resolved)
+                        server.http_url, create_backend(scheme_id, resolved)
                     )
                     assert client.scheme_info()["scheme"] == scheme_id
                     client.close()
                 # A client on the shared base group is refused up front.
                 mismatched = RemoteGateway(
-                    server.url,
+                    server.http_url,
                     create_backend("tipre/v1", PairingGroup.shared("TOY")),
                 )
                 with pytest.raises(SchemeMismatchError, match="on TOY"):
@@ -349,9 +349,9 @@ class TestPerSchemeDurableState:
         ]
         granted = {}
         try:
-            with GatewayHttpServer(gateways=gateways) as server:
+            with AsyncGatewayServer(gateways=gateways) as server:
                 for scheme_id in HOSTED:
-                    client = RemoteGateway(server.url, settings[scheme_id].backend)
+                    client = RemoteGateway(server.http_url, settings[scheme_id].backend)
                     granted[scheme_id] = _grant_all(settings[scheme_id], client)
         finally:
             for gateway in gateways:

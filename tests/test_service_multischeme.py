@@ -4,7 +4,7 @@ Three layers of proof that the service stack is scheme-agnostic:
 
 * in-process: the seeded E9-style workload (grants, caching, batching,
   decrypt-and-compare verification) driven through each backend;
-* over the wire: a live :class:`GatewayHttpServer` + negotiated
+* over the wire: a live :class:`AsyncGatewayServer` + negotiated
   :class:`RemoteGateway` doing grant -> re-encrypt -> decrypt per scheme;
 * the guard rails: scheme negotiation refuses a mismatched server, the
   codec rejects foreign-scheme messages as ``invalid-request``, and the
@@ -25,7 +25,7 @@ from repro.service.gateway import (
     ReEncryptRequest,
 )
 from repro.service.wire import (
-    GatewayHttpServer,
+    AsyncGatewayServer,
     RemoteGateway,
     SchemeMismatchError,
     from_wire,
@@ -140,8 +140,8 @@ class TestWireEveryScheme:
         # The server side: a fresh backend with no party state at all.
         server_gateway = ReEncryptionGateway(create_backend(scheme_id, group), shard_count=2)
         try:
-            with GatewayHttpServer(server_gateway) as server:
-                client = RemoteGateway(server.url, setting.backend)
+            with AsyncGatewayServer(server_gateway) as server:
+                client = RemoteGateway(server.http_url, setting.backend)
                 info = client.scheme_info()
                 assert info["scheme"] == scheme_id
                 assert info["group"] == group.params.name
@@ -165,8 +165,8 @@ class TestWireEveryScheme:
     def test_client_refuses_mismatched_server_scheme(self, group):
         server_gateway = ReEncryptionGateway(create_backend("tipre/v1", group), shard_count=1)
         try:
-            with GatewayHttpServer(server_gateway) as server:
-                client = RemoteGateway(server.url, create_backend("afgh/v1", group))
+            with AsyncGatewayServer(server_gateway) as server:
+                client = RemoteGateway(server.http_url, create_backend("afgh/v1", group))
                 with pytest.raises(SchemeMismatchError, match="tipre/v1"):
                     client.snapshot()
         finally:
@@ -181,8 +181,8 @@ class TestWireEveryScheme:
         key = afgh.rekey("D", "a", "D", "b", "t", rng)
         server_gateway = ReEncryptionGateway(create_backend("tipre/v1", group), shard_count=1)
         try:
-            with GatewayHttpServer(server_gateway) as server:
-                client = RemoteGateway(server.url, afgh, negotiate=False)
+            with AsyncGatewayServer(server_gateway) as server:
+                client = RemoteGateway(server.http_url, afgh, negotiate=False)
                 with pytest.raises(InvalidRequestError):
                     client.grant(GrantRequest(tenant="t", proxy_key=key))
         finally:

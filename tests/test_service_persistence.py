@@ -1,9 +1,10 @@
 """Property-style tests for the durable proxy-key table.
 
 The contract under test: any sequence of installs and revokes, replayed
-from the append log, reconstructs exactly the in-memory table — and a
-torn or corrupt tail (the damage a crash mid-append can cause) loses at
-most the torn record, never the history before it.
+from the append log, reconstructs exactly the in-memory table — a torn
+or corrupt last line (the damage a crash mid-append can cause) loses at
+most that record, never the history before it — and damage anywhere
+before the last line refuses to open, leaving the file as it was.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.core.proxy import ProxyKeyTable
 from repro.core.scheme import TypeAndIdentityPre
 from repro.ibe.kgc import KgcRegistry
 from repro.math.drbg import HmacDrbg
-from repro.service.persistence import DurableProxyKeyTable, LogFormatError
+from repro.service.persistence import DurableProxyKeyTable, LogFormatError, open_key_log
 
 N_KEYS = 8
 _case_ids = itertools.count()
@@ -163,6 +164,92 @@ class TestTailRecovery:
         assert len(table) == 2
         assert table.recovered_bytes > 0
         table.close()
+
+
+def _record_offsets(data: bytes) -> list[int]:
+    """The byte offset where each line of ``data`` starts, header first."""
+    offsets, offset = [], 0
+    for line in data.splitlines(keepends=True):
+        offsets.append(offset)
+        offset += len(line)
+    return offsets
+
+
+class TestDamageBeforeTheLastLine:
+    """An append crash tears only the last line.  A damaged record with
+    valid records after it is other damage: replaying past it as a torn
+    tail used to truncate the file there, dropping every later grant and
+    revoke, so a revoked delegation came back live."""
+
+    def _history(self, path, group, key_pool):
+        """Grant 4 keys, revoke the first: a header and five records."""
+        table = DurableProxyKeyTable(path, group)
+        for key in key_pool[:4]:
+            table.install(key)
+        table.revoke(ProxyKeyTable.index_of(key_pool[0]))
+        table.close()
+        states = [{}]
+        for key in key_pool[:4]:
+            states.append({**states[-1], ProxyKeyTable.index_of(key): key})
+        last = dict(states[-1])
+        del last[ProxyKeyTable.index_of(key_pool[0])]
+        states.append(last)
+        return path.read_bytes(), states  # states[i]: after the first i records
+
+    def test_flipped_byte_in_the_third_record_refuses_to_open(
+        self, key_pool, group, tmp_path
+    ):
+        path = tmp_path / "keys.log"
+        data, _states = self._history(path, group, key_pool)
+        offsets = _record_offsets(data)
+        assert len(offsets) == 6
+        damaged = bytearray(data)
+        damaged[(offsets[3] + offsets[4]) // 2] ^= 0x01  # inside the third record
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(LogFormatError, match="line 4"):
+            DurableProxyKeyTable(path, group)
+        assert path.read_bytes() == bytes(damaged)
+
+    def test_every_cut_recovers_the_prefix_before_it(self, key_pool, group, tmp_path):
+        """Cut at each record boundary, and at each byte of the last record."""
+        path = tmp_path / "keys.log"
+        data, states = self._history(path, group, key_pool)
+        offsets = _record_offsets(data)[1:] + [len(data)]
+        cuts = [(end, count) for count, end in enumerate(offsets)]
+        cuts += [(cut, len(offsets) - 2) for cut in range(offsets[-2] + 1, offsets[-1])]
+        for cut, count in cuts:
+            path.write_bytes(data[:cut])
+            table = DurableProxyKeyTable(path, group)
+            try:
+                assert _state_of(table) == states[count], cut
+                assert table.recovered_bytes == cut - offsets[count], cut
+            finally:
+                table.close()
+
+    def test_a_flipped_bit_before_the_last_record_refuses(self, key_pool, group, tmp_path):
+        path = tmp_path / "keys.log"
+        data, _states = self._history(path, group, key_pool)
+        offsets = _record_offsets(data)
+        for line in range(1, len(offsets) - 1):  # every record but the last
+            for position in range(offsets[line], offsets[line + 1] - 1):
+                damaged = bytearray(data)
+                damaged[position] ^= 1 << (position % 8)
+                path.write_bytes(bytes(damaged))
+                with pytest.raises(LogFormatError, match="line %d" % (line + 1)):
+                    DurableProxyKeyTable(path, group)
+                assert path.read_bytes() == bytes(damaged)
+
+    def test_a_damaged_per_shard_log_is_not_folded(self, key_pool, group, tmp_path):
+        """The older ``shard-NN.log`` files fold in through the same replay."""
+        legacy = tmp_path / "shard-00.log"
+        data, _states = self._history(legacy, group, key_pool)
+        offsets = _record_offsets(data)
+        damaged = bytearray(data)
+        damaged[offsets[2] + 2] ^= 0x01
+        legacy.write_bytes(bytes(damaged))
+        with pytest.raises(LogFormatError, match="shard-00.log"):
+            open_key_log(tmp_path, group)
+        assert legacy.read_bytes() == bytes(damaged)
 
 
 class TestHeader:

@@ -3,7 +3,7 @@
 The codec tests assert *round-trip exactness* — the dataclass decoded
 from the wire compares equal (group elements included) to the one that
 was encoded — for every request/response type the gateway speaks.  The
-loopback tests stand a real :class:`GatewayHttpServer` on an ephemeral
+loopback tests stand a real :class:`AsyncGatewayServer` on an ephemeral
 port and check that a :class:`RemoteGateway` observes bit-identical
 results and the same error taxonomy as in-process calls.
 """
@@ -55,7 +55,6 @@ from repro.service.telemetry import TRACE_HEADER, TraceContext
 from repro.service.wire import (
     ERROR_TYPES,
     AsyncGatewayServer,
-    GatewayHttpServer,
     GrantBatchRequest,
     GrantBatchResponse,
     ReEncryptBatchRequest,
@@ -432,8 +431,8 @@ def loopback():
         ciphertexts_per_pair=1,
         seed="wire-loopback",
     )
-    with GatewayHttpServer(setting.gateway, setting.group) as server:
-        client = RemoteGateway(server.url, setting.group)
+    with AsyncGatewayServer(setting.gateway, setting.group) as server:
+        client = RemoteGateway(server.http_url, setting.group)
         yield setting, server, client
     setting.gateway.close()
 
@@ -627,9 +626,9 @@ class TestLoopback:
         assert newest[0]["seq"] + 1 == newest[1]["seq"]
         assert newest[-1]["seq"] >= events[-1]["seq"]
         # Malformed tail values are a 400, not a server error.
-        status, _body = _raw_get(server.url, "/v1/events?tail=zero")
+        status, _body = _raw_get(server.http_url, "/v1/events?tail=zero")
         assert status == 400
-        status, _body = _raw_get(server.url, "/v1/events?tail=0")
+        status, _body = _raw_get(server.http_url, "/v1/events?tail=0")
         assert status == 400
 
     def test_resize_over_wire_moves_keys_and_keeps_serving(self, loopback):
@@ -669,7 +668,7 @@ class TestHttpSurface:
             (json.dumps({"wire": "nope/v0", "type": "x", "body": {}}).encode(), 400, "invalid-request"),
         ]
         for payload, status, code in cases:
-            got_status, body = _raw_post(server.url, "/v1/reencrypt", payload)
+            got_status, body = _raw_post(server.http_url, "/v1/reencrypt", payload)
             assert got_status == status
             envelope = json.loads(body)
             assert envelope["type"] == "error"
@@ -678,44 +677,40 @@ class TestHttpSurface:
     def test_wrong_message_type_for_endpoint_rejected(self, loopback):
         setting, server, _client = loopback
         text = to_wire(setting.group, GrantResponse(shard="s"))
-        status, body = _raw_post(server.url, "/v1/grant", text.encode())
+        status, body = _raw_post(server.http_url, "/v1/grant", text.encode())
         assert status == 400
         assert json.loads(body)["body"]["code"] == "invalid-request"
 
     def test_unknown_endpoint_is_404_error_body(self, loopback):
         _setting, server, _client = loopback
-        status, body = _raw_post(server.url, "/v1/nonsense", b"{}")
+        status, body = _raw_post(server.http_url, "/v1/nonsense", b"{}")
         assert status == 404
         assert json.loads(body)["body"]["code"] == "invalid-request"
 
     def test_health_endpoint(self, loopback):
         _setting, server, _client = loopback
-        with urllib.request.urlopen(server.url + "/v1/health", timeout=10.0) as response:
+        with urllib.request.urlopen(server.http_url + "/v1/health", timeout=10.0) as response:
             assert response.status == 200
             assert json.loads(response.read()) == {"status": "ok"}
 
     @staticmethod
     def _assert_refused_and_closed(loopback, header: str, value: str, body: bytes = b""):
-        """POST with one framing header on both HTTP stacks: each answers
-        400 invalid-request with Connection: close."""
-        setting, threaded, _client = loopback
-        with AsyncGatewayServer(setting.gateway, setting.group) as aio_http:
-            for server in (threaded, aio_http):
-                connection = http.client.HTTPConnection(
-                    server.host, server.port, timeout=10.0
-                )
-                try:
-                    connection.putrequest("POST", "/v1/reencrypt")
-                    connection.putheader(header, value)
-                    connection.endheaders()
-                    connection.send(body)
-                    response = connection.getresponse()
-                    document = json.loads(response.read())
-                    assert response.status == 400, server
-                    assert response.getheader("Connection") == "close", server
-                    assert document["body"]["code"] == "invalid-request", server
-                finally:
-                    connection.close()
+        """POST with one framing header: the server answers 400
+        invalid-request with Connection: close."""
+        _setting, server, _client = loopback
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10.0)
+        try:
+            connection.putrequest("POST", "/v1/reencrypt")
+            connection.putheader(header, value)
+            connection.endheaders()
+            connection.send(body)
+            response = connection.getresponse()
+            document = json.loads(response.read())
+            assert response.status == 400
+            assert response.getheader("Connection") == "close"
+            assert document["body"]["code"] == "invalid-request"
+        finally:
+            connection.close()
 
     def test_pre_read_rejection_closes_the_connection(self, loopback):
         """A body the server refuses to read must not desync keep-alive:
@@ -730,7 +725,7 @@ class TestHttpSurface:
     def test_posted_error_message_is_rejected_not_executed(self, loopback):
         setting, server, _client = loopback
         text = to_wire(setting.group, RateLimitedError("not a request"))
-        status, body = _raw_post(server.url, "/v1/grant", text.encode())
+        status, body = _raw_post(server.http_url, "/v1/grant", text.encode())
         assert status == 400
         assert json.loads(body)["body"]["code"] == "invalid-request"
 
@@ -749,7 +744,7 @@ class TestRemoteGatewayTransport:
         setting, server, _client = loopback
         # negotiate=False keeps the legacy unprefixed route family, so the
         # "health" op lands on the scheme-neutral /v1/health endpoint.
-        client = RemoteGateway(server.url, setting.group, negotiate=False)
+        client = RemoteGateway(server.http_url, setting.group, negotiate=False)
         with pytest.raises(WireTransportError):
             client._round_trip("GET", "health", None)
 
@@ -761,8 +756,8 @@ class TestRemoteGatewayTransport:
         store.put("p", "labs", "e-1", b"blob-1")
         store.put("p", "notes", "e-2", b"blob-2")
         gateway = ReEncryptionGateway(scheme, shard_count=2, store=store)
-        with GatewayHttpServer(gateway, group) as server:
-            client = RemoteGateway(server.url, group)
+        with AsyncGatewayServer(gateway, group) as server:
+            client = RemoteGateway(server.http_url, group)
             response = client.fetch(FetchRequest(tenant="t", patient="p"))
             assert sorted(r.blob for r in response.records) == [b"blob-1", b"blob-2"]
             one = client.fetch(FetchRequest(tenant="t", patient="p", entry_id="e-2"))
@@ -837,7 +832,7 @@ def observability_auth(tmp_path):
         ciphertexts_per_pair=1,
         seed="wire-observability-auth",
     )
-    server = GatewayHttpServer(
+    server = AsyncGatewayServer(
         setting.gateway, setting.group, auth=RequestVerifier(store)
     )
     with server:
@@ -902,7 +897,7 @@ class TestObservabilityAuthGate:
     def test_signed_client_reads_observability(self, observability_auth):
         setting, server = observability_auth
         client = RemoteGateway(
-            server.url, setting.group, tenant="clinic-a", secret="a" * 64
+            server.http_url, setting.group, tenant="clinic-a", secret="a" * 64
         )
         assert client.snapshot().requests_total >= 0
         assert isinstance(client.events_tail(), list)
@@ -938,6 +933,17 @@ class _ReentrancyProbeRng(random.Random):
         finally:
             with self._probe_lock:
                 self._inside -= 1
+
+
+class _Forwarding:
+    """A gateway hosted as a fleet router is: not a ReEncryptionGateway,
+    so the server runs its calls on the worker pool, concurrently."""
+
+    def __init__(self, gateway):
+        self._gateway = gateway
+
+    def __getattr__(self, name):
+        return getattr(self._gateway, name)
 
 
 class TestTraceSamplingDeterminism:
@@ -984,8 +990,10 @@ class TestTraceSamplingDeterminism:
             ciphertexts_per_pair=1,
             seed="wire-sampling",
         )
-        with GatewayHttpServer(
-            setting.gateway, setting.group, trace_sample=0.5
+        # Hosted as forwarding, every draw runs on a pool thread; a plain
+        # gateway's single requests would all draw on the event loop.
+        with AsyncGatewayServer(
+            _Forwarding(setting.gateway), setting.group, trace_sample=0.5
         ) as server:
             probe = _ReentrancyProbeRng(0x5EED)
             server.engine._trace_rng = probe
@@ -1026,7 +1034,7 @@ class TestTraceSamplingDeterminism:
                 thread.join()
             assert not errors
             assert probe.overlaps == 0, (
-                "%d handler threads entered the sampling RNG concurrently"
+                "%d pool threads entered the sampling RNG concurrently"
                 % probe.overlaps
             )
             reference = random.Random(0x5EED)

@@ -3,8 +3,8 @@
 A freshly spawned ``serve`` process pays for every module it imports
 before its banner, and without a bytecode cache it compiles each one
 again.  The package ``__init__`` files therefore resolve their
-re-exports on first access, ``serve`` imports only the server class it
-runs, and the scheme registry imports only the backend it creates.
+re-exports on first access, ``serve`` imports no client or fleet
+module, and the scheme registry imports only the backend it creates.
 These tests pin that import closure and check that every exported name
 still resolves.
 """
@@ -27,25 +27,24 @@ import repro
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-# Modules a single-process asyncio gateway never runs.
+# Modules a single-process gateway never runs.
 UNUSED_BY_SERVE = (
     "repro.service.fleet",
     "repro.service.driver",
     "repro.service.wire.client",
     "repro.service.wire.aio_client",
-    "repro.service.wire.server",
 )
 
 _IMPORTTIME_LINE = re.compile(r"import time:\s+\d+\s+\|\s+\d+\s+\|\s*(\S+)")
 
 
-def _serve_imports(log_path: Path) -> set[str]:
-    """The ``repro`` modules ``serve --http 0 --async`` imports before its banner."""
+def _serve_imports(log_path: Path, *flags: str) -> set[str]:
+    """The ``repro`` modules ``serve --http 0 [flags]`` imports before its banner."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     command = [
         sys.executable, "-X", "importtime", "-m", "repro.cli", "serve",
-        "--http", "0", "--async", "--group", "TOY", "--shards", "1",
+        "--http", "0", "--group", "TOY", "--shards", "1", *flags,
     ]
     with log_path.open("w") as log:
         process = subprocess.Popen(
@@ -62,7 +61,7 @@ def _serve_imports(log_path: Path) -> set[str]:
                 process.kill()
                 process.wait()
             process.stdout.close()
-    assert "gateway listening on" in banner, log_path.read_text()[-2000:]
+    assert "gateway listening on mux://" in banner, log_path.read_text()[-2000:]
     imported = set()
     for line in log_path.read_text().splitlines():
         match = _IMPORTTIME_LINE.match(line)
@@ -74,6 +73,8 @@ def _serve_imports(log_path: Path) -> set[str]:
 def test_serve_imports_only_what_it_runs(tmp_path):
     imported = _serve_imports(tmp_path / "importtime.log")
     assert "repro.service.wire.aio_server" in imported  # the log is read right
+    # --async is accepted and changes nothing.
+    assert _serve_imports(tmp_path / "importtime-async.log", "--async") == imported
     unused = sorted(
         module
         for module in imported

@@ -6,10 +6,10 @@ fixed-bucket histograms, bounded event log), then integration:
 * the gateway records named per-stage spans when a request carries a
   :class:`TraceContext`, and failed stages carry the taxonomy code;
 * a request through :class:`RemoteGateway` against a live
-  :class:`GatewayHttpServer` yields a retrievable server-side trace whose
+  :class:`AsyncGatewayServer` yields a retrievable server-side trace whose
   id matches the ``X-Repro-Trace`` header the client generated;
-* the wire server's previously-silenced ``log_message`` lines and
-  handler crashes now land in the structured event log;
+* the wire server's access lines and handler crashes land in the
+  structured event log;
 * the 50k sample-list truncation bias is gone — a regression test that
   fails on the old first-50k-wins implementation.
 """
@@ -49,7 +49,7 @@ from repro.service.telemetry import (
     span_from_json,
     span_to_json,
 )
-from repro.service.wire import AsyncGatewayServer, GatewayHttpServer, RemoteGateway
+from repro.service.wire import AsyncGatewayServer, RemoteGateway
 
 
 # ------------------------------------------------------------ trace contexts
@@ -646,8 +646,8 @@ def telemetry_loopback():
         ciphertexts_per_pair=1,
         seed="telemetry-loopback",
     )
-    with GatewayHttpServer(setting.gateway, setting.group) as server:
-        client = RemoteGateway(server.url, setting.group)
+    with AsyncGatewayServer(setting.gateway, setting.group) as server:
+        client = RemoteGateway(server.http_url, setting.group)
         yield setting, server, client
         client.close()
     setting.gateway.close()
@@ -717,7 +717,7 @@ class TestWireTelemetry:
 
     def test_trace_requests_off_sends_no_header(self, telemetry_loopback):
         setting, server, _client = telemetry_loopback
-        quiet = RemoteGateway(server.url, setting.group, trace_requests=False)
+        quiet = RemoteGateway(server.http_url, setting.group, trace_requests=False)
         try:
             quiet.reencrypt(_one_request(setting))
             assert quiet.tracer is None
@@ -727,9 +727,9 @@ class TestWireTelemetry:
             quiet.close()
 
     def test_http_log_lines_become_events(self, telemetry_loopback):
-        """Every answer leaves exactly one access line on both HTTP stacks:
-        handled requests, refusals the transport makes before the engine
-        runs a request, and the stdlib's own rejections."""
+        """Every answer leaves exactly one access line: handled requests,
+        refusals the HTTP reader makes before the engine runs a request,
+        and requests the engine refuses."""
         setting, server, client = telemetry_loopback
         client.reencrypt(_one_request(setting))
         kinds = {event["kind"] for event in server.event_log.tail()}
@@ -743,22 +743,20 @@ class TestWireTelemetry:
             (b"BOGUS\r\n\r\n", 400),
             (b"GET /v1/health HTTP/1.1\r\n" + padding + b"\r\n", 431),
         ]
-        with AsyncGatewayServer(setting.gateway, setting.group) as aio_http:
-            for stack in (server, aio_http):
-                for payload, status in exchanges:
-                    before = len(stack.event_log.tail())
-                    with socket.create_connection((stack.host, stack.port), timeout=10.0) as sock:
-                        sock.sendall(payload)
-                        raw = b""
-                        while chunk := sock.recv(65536):
-                            raw += chunk
-                    assert raw.split(b" ", 2)[1] == b"%d" % status, payload
-                    lines = [
-                        event for event in stack.event_log.tail()[before:]
-                        if event["kind"] == "http-log"
-                    ]
-                    assert len(lines) == 1, (stack, payload, lines)
-                    assert '" %d ' % status in lines[0]["message"], payload
+        for payload, status in exchanges:
+            before = len(server.event_log.tail())
+            with socket.create_connection((server.host, server.port), timeout=10.0) as sock:
+                sock.sendall(payload)
+                raw = b""
+                while chunk := sock.recv(65536):
+                    raw += chunk
+            assert raw.split(b" ", 2)[1] == b"%d" % status, payload
+            lines = [
+                event for event in server.event_log.tail()[before:]
+                if event["kind"] == "http-log"
+            ]
+            assert len(lines) == 1, (payload, lines)
+            assert '" %d ' % status in lines[0]["message"], payload
 
     def test_metrics_text_serves_prometheus(self, telemetry_loopback):
         setting, _server, client = telemetry_loopback
@@ -786,8 +784,8 @@ class TestServerErrorEvents:
         rng = HmacDrbg("exploding-gateway")
         message = group.random_gt(rng)
         ciphertext = scheme.encrypt(kgc1.params, alice, message, "labs", rng)
-        with GatewayHttpServer(_ExplodingGateway(), group) as server:
-            client = RemoteGateway(server.url, group, negotiate=False)
+        with AsyncGatewayServer(_ExplodingGateway(), group) as server:
+            client = RemoteGateway(server.http_url, group, negotiate=False)
             # The crash surfaces to the caller as the neutral base-class
             # wire error (HTTP 500), never the raw RuntimeError text alone.
             with pytest.raises(GatewayError, match="internal error"):
@@ -808,11 +806,10 @@ class TestServerErrorEvents:
         assert "shard fleet on fire" in event["error"]
         assert "traceback" in event
 
-    @pytest.mark.parametrize("server_class", [GatewayHttpServer, AsyncGatewayServer])
-    def test_get_crash_answers_500_with_a_server_error_event(self, group, server_class):
+    def test_get_crash_answers_500_with_a_server_error_event(self, group):
         """A GET whose gateway call raises is answered, not dropped."""
         events = EventLog()
-        with server_class(_ExplodingGateway(), group, event_log=events) as server:
+        with AsyncGatewayServer(_ExplodingGateway(), group, event_log=events) as server:
             conn = http.client.HTTPConnection(server.host, server.port, timeout=10.0)
             try:
                 conn.request("GET", "/v1/metrics")

@@ -1,6 +1,6 @@
-"""Conformance tests for the wire stacks: threaded HTTP, asyncio HTTP, mux.
+"""Conformance tests for the wire stacks: the server's HTTP and mux.
 
-All three transports sit over one request engine, so conformance is
+Both transports sit over one request engine, so conformance is
 pinned by data instead of by a second implementation: the golden
 transcript ``tests/data/wire_transcript.json`` holds the exact
 ``(method, path, status, content type, trace echo, body)`` of a scripted
@@ -52,8 +52,8 @@ from repro.service.gateway import (
 )
 from repro.service.telemetry import TRACE_HEADER, EventLog
 from repro.service.wire import (
+    ERROR_TYPES,
     AsyncGatewayServer,
-    GatewayHttpServer,
     GrantBatchRequest,
     MuxRemoteGateway,
     ReEncryptBatchRequest,
@@ -62,7 +62,7 @@ from repro.service.wire import (
     connect_gateway,
     to_wire,
 )
-from repro.service.wire.aio_server import _mux_request
+from repro.service.wire.aio_server import MAX_BODY_BYTES, _mux_request
 from repro.service.wire.codec import (
     FRAME_HEADER_LEN,
     FrameProtocolError,
@@ -80,7 +80,7 @@ SEED = "aio-conformance"
 PREFIX = "/v1/tipre/v1"
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TRANSCRIPT_PATH = REPO_ROOT / "tests" / "data" / "wire_transcript.json"
-STACKS = ("threaded", "aio-http", "mux")
+STACKS = ("aio-http", "mux")
 # Every transcript request carries this trace header, so the replay runs
 # the traced request path and pins the server's echo of it.
 TRANSCRIPT_TRACE = "0123456789abcdef" * 2 + "-" + "fedcba9876543210"
@@ -244,8 +244,7 @@ def record_transcript(stack: str) -> list[dict]:
     """Replay :func:`transcript_stream` on a fresh twin served by ``stack``
     (one of :data:`STACKS`); every exchange becomes one transcript entry."""
     setting = _build()
-    server_class = GatewayHttpServer if stack == "threaded" else AsyncGatewayServer
-    server = server_class(setting.gateway, setting.group).start()
+    server = AsyncGatewayServer(setting.gateway, setting.group).start()
     exchanger = _MuxExchanger if stack == "mux" else _HttpExchanger
     exchange = exchanger(server.host, server.port)
     try:
@@ -270,23 +269,21 @@ def record_transcript(stack: str) -> list[dict]:
 
 
 @pytest.fixture()
-def three_stacks():
-    """Threaded, asyncio-HTTP and asyncio-mux stacks over identical twins."""
-    settings_ = [_build() for _ in range(3)]
-    threaded = GatewayHttpServer(settings_[0].gateway, settings_[0].group).start()
-    aio_http = AsyncGatewayServer(settings_[1].gateway, settings_[1].group).start()
-    aio_mux = AsyncGatewayServer(settings_[2].gateway, settings_[2].group).start()
+def two_stacks():
+    """HTTP and mux stacks over identical twins."""
+    settings_ = [_build() for _ in range(2)]
+    aio_http = AsyncGatewayServer(settings_[0].gateway, settings_[0].group).start()
+    aio_mux = AsyncGatewayServer(settings_[1].gateway, settings_[1].group).start()
     clients = [
-        RemoteGateway(threaded.url, settings_[0].group),
-        RemoteGateway(aio_http.http_url, settings_[1].group),
-        MuxRemoteGateway(aio_mux.url, settings_[2].group),
+        RemoteGateway(aio_http.http_url, settings_[0].group),
+        MuxRemoteGateway(aio_mux.url, settings_[1].group),
     ]
     try:
         yield settings_, clients
     finally:
         for client in clients:
             client.close()
-        for server in (threaded, aio_http, aio_mux):
+        for server in (aio_http, aio_mux):
             server.close()
         for setting in settings_:
             setting.gateway.close()
@@ -305,9 +302,9 @@ class TestCrossStackConformance:
         assert {entry["content_type"] for entry in golden} == {"application/json"}
         assert {entry["trace"] for entry in golden} == {TRANSCRIPT_TRACE}
 
-    def test_resize_parity_across_stacks(self, three_stacks):
+    def test_resize_parity_across_stacks(self, two_stacks):
         """Resize moves identical keys everywhere; only timing may differ."""
-        settings_, clients = three_stacks
+        settings_, clients = two_stacks
         reports = []
         for setting, client in zip(settings_, clients):
             body = to_wire(
@@ -319,10 +316,9 @@ class TestCrossStackConformance:
             report = client._decode_round_trip(status, raw.decode("utf-8"), "/resize")
             reports.append(dataclasses.replace(report, elapsed_ms=0.0))
         assert reports[1] == reports[0]
-        assert reports[2] == reports[0]
 
-    def test_mux_taxonomy_matches_reference(self, three_stacks):
-        settings_, clients = three_stacks
+    def test_mux_taxonomy_matches_reference(self, two_stacks):
+        settings_, clients = two_stacks
         for setting, client in zip(settings_, clients):
             request = _reencrypt_requests(setting, 1)[0]
             ciphertext = request.ciphertext
@@ -344,11 +340,11 @@ class TestCrossStackConformance:
 
 
 class TestBatchStopsAtAFailingGroup:
-    def test_groups_after_a_failing_group_are_not_transformed(self, three_stacks):
+    def test_groups_after_a_failing_group_are_not_transformed(self, two_stacks):
         """The second of three groups holds a proxy key outside G1: every
         stack answers invalid-request, keeps the first group's result and
         never computes the third's."""
-        settings_, clients = three_stacks
+        settings_, clients = two_stacks
         for setting, client in zip(settings_, clients):
             first, second, third = _reencrypt_requests(setting, 3)
             key = next(
@@ -388,8 +384,8 @@ class TestRevocationThroughTheCache:
             )
         )
 
-    def test_revoked_delegation_is_refused_alone_and_in_a_batch(self, three_stacks):
-        settings_, clients = three_stacks
+    def test_revoked_delegation_is_refused_alone_and_in_a_batch(self, two_stacks):
+        settings_, clients = two_stacks
         for setting, client in zip(settings_, clients):
             request, other = _reencrypt_requests(setting)
             assert not client.reencrypt(request).cache_hit
@@ -404,8 +400,8 @@ class TestRevocationThroughTheCache:
                 client.reencrypt_batch([other, request])
             assert client.reencrypt(other).cache_hit  # another delegation's entry stays
 
-    def test_regranting_another_key_never_replays_the_old_result(self, three_stacks):
-        settings_, clients = three_stacks
+    def test_regranting_another_key_never_replays_the_old_result(self, two_stacks):
+        settings_, clients = two_stacks
         for setting, client in zip(settings_, clients):
             request = _reencrypt_requests(setting, 1)[0]
             ciphertext = request.ciphertext
@@ -464,10 +460,10 @@ def _undecodable_bodies(setting, good, bad):
 
 
 class TestCiphertextDecodedOnAMiss:
-    def test_undecodable_c1_is_invalid_request_on_every_stack(self, three_stacks):
+    def test_undecodable_c1_is_invalid_request_on_every_stack(self, two_stacks):
         """Decompressing c1 waits for a cache miss; failing there answers
         exactly what failing in the codec answered: 400 invalid-request."""
-        settings_, clients = three_stacks
+        settings_, clients = two_stacks
         for setting, client in zip(settings_, clients):
             good, bad = _reencrypt_requests(setting)
             single, batch, expected = _undecodable_bodies(setting, good, bad)
@@ -478,11 +474,11 @@ class TestCiphertextDecodedOnAMiss:
             assert setting.gateway.cache_stats()["result_cache"].size == 0
             assert not client.reencrypt(good).cache_hit
 
-    def test_undecodable_c1_is_refused_before_the_rate_limit(self, three_stacks):
+    def test_undecodable_c1_is_refused_before_the_rate_limit(self, two_stacks):
         """A miss decodes before admission, as the codec did: a tenant over
         its budget still gets 400 invalid-request for bytes that do not
         decode, and such bytes spend none of the budget."""
-        settings_, clients = three_stacks
+        settings_, clients = two_stacks
         for setting, client in zip(settings_, clients):
             good, bad = _reencrypt_requests(setting)
             assert good.tenant == bad.tenant
@@ -567,20 +563,16 @@ def _parse_response(raw: bytes) -> tuple[int, dict, bytes]:
     return int(lines[0].split()[1]), headers, body
 
 
-@pytest.fixture(params=["threaded", "aio-http"])
+@pytest.fixture(params=["aio-http"])
 def http_server(request):
     setting = _build()
-    if request.param == "threaded":
-        server = GatewayHttpServer(setting.gateway, setting.group)
-    else:
-        server = AsyncGatewayServer(setting.gateway, setting.group)
-    with server:
+    with AsyncGatewayServer(setting.gateway, setting.group) as server:
         yield server
     setting.gateway.close()
 
 
 class TestHttpTransports:
-    """Both HTTP stacks follow the stdlib's HTTP semantics and limits, and
+    """The HTTP reader follows the stdlib's HTTP semantics and limits, and
     every rejection carries the taxonomy body."""
 
     def _assert_taxonomy_rejection(self, raw: bytes, status: int) -> None:
@@ -626,7 +618,7 @@ class TestHttpTransports:
 
     def test_header_count_up_to_the_stdlib_cap_is_accepted(self, http_server):
         # http.client counts the blank line that ends the head toward its
-        # 100-line cap, so 99 header lines is the most either stack takes.
+        # 100-line cap, so 99 header lines is the most the reader takes.
         padding = b"".join(b"X-Pad-%d: x\r\n" % index for index in range(98))
         raw, _closed = _raw_http_exchange(
             http_server,
@@ -641,8 +633,8 @@ class TestHttpTransports:
 
     def test_leading_slashes_are_reduced_as_the_stdlib_does(self, http_server):
         """``http.server`` reduces a target's leading ``//`` to one slash,
-        so ``//[`` names the unknown endpoint ``/[`` on both stacks (the
-        asyncio stack used to answer it 500)."""
+        so ``//[`` names the unknown endpoint ``/[`` here too (this
+        reader used to answer it 500)."""
         raw, _closed = _raw_http_exchange(
             http_server, b"GET //[ HTTP/1.1\r\nConnection: close\r\n\r\n"
         )
@@ -718,8 +710,8 @@ class TestHttpTransports:
         ],
     )
     def test_refusals_match_the_stdlib(self, http_server, request_bytes, status, message):
-        """Both stacks refuse what ``http.server`` refuses, with its status
-        and message in the taxonomy body, and close the connection."""
+        """The reader refuses what ``http.server`` refuses, with its status
+        and message in the taxonomy body, and closes the connection."""
         raw, closed = _raw_http_exchange(http_server, request_bytes)
         self._assert_taxonomy_rejection(raw, status)
         assert _parse_response(raw)[2] == neutral_error_to_wire(
@@ -727,6 +719,260 @@ class TestHttpTransports:
         ).encode("utf-8")
         assert closed
         events = http_server.event_log.tail()
+        assert not [e for e in events if e["kind"] == "connection-error"]
+
+
+    @pytest.mark.parametrize(
+        "head_lines, message",
+        [
+            (b"Content-Length : 2\r\n", "invalid header name 'Content-Length '"),
+            (b"X-A: b\r\n Content-Length: 2\r\n", "obsolete line folding in the request head"),
+            (b"X-A: b\r\n\tContent-Length: 2\r\n", "obsolete line folding in the request head"),
+            (b"X(A): b\r\nContent-Length: 2\r\n", "invalid header name 'X(A)'"),
+            (b"Content-Length 2\r\n", "header line without a colon"),
+            (b"X-A: b\rContent-Length: 2\r\n", "invalid X-A"),
+            (b"X-A: b\x00\r\nContent-Length: 2\r\n", "invalid X-A"),
+            (b"X-A: \x1b[0m\r\nContent-Length: 2\r\n", "invalid X-A"),
+        ],
+        ids=[
+            "space-before-colon", "obs-fold-space", "obs-fold-tab", "name-not-a-token",
+            "no-colon", "bare-cr", "nul", "escape",
+        ],
+    )
+    def test_ambiguous_header_lines_are_refused(self, http_server, head_lines, message):
+        """A header line that another reader could split differently
+        (RFC 9112 sections 2.2, 5.1 and 5.2; RFC 9110 section 5.5) is
+        refused with the 400 close: the ``{}`` body and the pipelined GET
+        behind it are never read, whatever a front proxy made of them."""
+        raw, closed = _raw_http_exchange(
+            http_server,
+            b"POST " + PREFIX.encode() + b"/reencrypt HTTP/1.1\r\n" + head_lines
+            + b"\r\n{}GET /v1/health HTTP/1.1\r\n\r\n",
+        )
+        self._assert_taxonomy_rejection(raw, 400)
+        assert _parse_response(raw)[2] == neutral_error_to_wire(
+            InvalidRequestError(message)
+        ).encode("utf-8")
+        assert closed
+
+
+    def test_a_head_cut_before_its_blank_line_is_not_answered(self, http_server):
+        """A peer that closes inside the head sent no whole request."""
+        for cut in (b"GET /v1/health HTTP/1.1", b"GET /v1/health HTTP/1.1\r\nX-A: b"):
+            assert _http_stream(http_server, cut) == b""
+
+    def test_methods_are_case_sensitive(self, http_server):
+        """RFC 9110 section 9.1: ``get`` is not ``GET``, so it is an
+        unsupported method, as a front proxy would take it."""
+        raw, closed = _raw_http_exchange(http_server, b"get /v1/health HTTP/1.1\r\n\r\n")
+        self._assert_taxonomy_rejection(raw, 501)
+        assert closed
+
+
+# ----------------------------------------------------------- HTTP reader fuzz
+
+# The request the fuzzer pipelines after the generated ones; no generated
+# request names this target, so its answer is told apart from theirs.
+_PIPELINED = b"GET /v1/schemes HTTP/1.1\r\n\r\n"
+_TCHARS = b"!#$%&'*+-.^_`|~0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_DELIMITERS = b'"(),/;<=>?@[\\]{}'  # RFC 9110 section 5.6.2, less the colon
+_CONTROLS = bytes(range(0x00, 0x09)) + bytes(range(0x0B, 0x0D)) + bytes(range(0x0E, 0x20)) + b"\x7f"
+_TOKEN = st.binary(min_size=1, max_size=12).map(
+    lambda raw: bytes(_TCHARS[byte % len(_TCHARS)] for byte in raw)
+).filter(lambda name: name.lower() not in (b"content-length", b"transfer-encoding", b"connection"))
+# A field value: visible ASCII, obs-text, inner SP and HTAB.
+_VALUE = st.binary(max_size=24).map(
+    lambda raw: bytes(0x21 + byte % 0x5E if byte < 0xC0 else byte for byte in raw)
+) | st.sampled_from([b"a b", b"a\tb", b"\x80\xff"])
+_OWS = st.sampled_from([b"", b" ", b"\t", b"  "])
+
+
+@dataclasses.dataclass
+class _Request:
+    """Generated request bytes and what the reader must make of them:
+    ``refused`` is the status of its refusal (None: framed and
+    answered), ``keeps`` whether the connection then stays open."""
+
+    data: bytes
+    refused: int | None
+    keeps: bool
+
+
+@st.composite
+def _clean_field(draw) -> bytes:
+    return draw(_TOKEN) + b":" + draw(_OWS) + draw(_VALUE) + draw(_OWS)
+
+
+@st.composite
+def _hostile_field(draw) -> tuple[bytes, int]:
+    """A header line the reader must refuse, and the refusal's status."""
+    name, value = draw(_TOKEN), draw(_VALUE)
+    kind = draw(st.sampled_from(
+        ["space-before-colon", "obs-fold", "bare-cr", "control", "no-colon",
+         "not-a-token", "too-long"]
+    ))
+    if kind == "space-before-colon":
+        return name + draw(st.sampled_from([b" ", b"\t", b" \t"])) + b": " + value, 400
+    if kind == "obs-fold":
+        return draw(st.sampled_from([b" ", b"\t"])) + draw(_clean_field()), 400
+    if kind == "bare-cr":
+        return name + b": " + value + b"\r" + draw(_clean_field()), 400
+    if kind == "control":
+        control = draw(st.sampled_from(list(_CONTROLS))).to_bytes(1, "big")
+        return name + b": " + value + control + draw(_VALUE), 400
+    if kind == "no-colon":
+        return name + draw(st.sampled_from([b"", b" ", b" x"])), 400
+    if kind == "not-a-token":
+        delimiter = draw(st.sampled_from(list(_DELIMITERS))).to_bytes(1, "big")
+        cut = draw(st.integers(0, len(name)))
+        return name[:cut] + delimiter + name[cut:] + b": " + value, 400
+    return name + b": " + b"a" * 65536, 431
+
+
+@st.composite
+def _request(draw) -> _Request:
+    """One request: a known request line, clean and hostile header lines,
+    and a body framed by Content-Length, or framed wrongly."""
+    method, version = draw(st.sampled_from(
+        [(b"GET", b"HTTP/1.1"), (b"POST", b"HTTP/1.1"), (b"PUT", b"HTTP/1.1"),
+         (b"get", b"HTTP/1.1"), (b"GET", b"HTTP/1.0")]
+    ))
+    target = draw(st.sampled_from(
+        [b"/v1/health", PREFIX.encode() + b"/reencrypt", b"//[", b"/v1/nonsense"]
+    ))
+    refused: int | None = None
+    line = method + b" " + target + b" " + version
+    broken_line = draw(st.sampled_from(
+        [None, None, None, (b"BOGUS", 400), (b"GET / x HTTP/1.1", 400),
+         (b"GET /v1/health HTTP/3.0", 505), (b"GET /v1/health HTTP/1.1.1", 400),
+         (b"POST /v1/health", 400), (b"GET /" + b"a" * 65536 + b" HTTP/1.1", 414)]
+    ))
+    if broken_line is not None:
+        line, refused = broken_line
+    fields = draw(st.lists(_clean_field(), max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        hostile, status = draw(_hostile_field())
+        fields.insert(draw(st.integers(0, len(fields))), hostile)
+        refused = refused or status
+    body = draw(st.binary(max_size=16))
+    length = draw(st.sampled_from(
+        ["exact", "exact", "exact", "absent", "sign", "twice", "too-large", "chunked"]
+    ))
+    if length == "absent":
+        body = b""
+    elif length == "exact":
+        fields.append(b"Content-Length:" + draw(_OWS) + b"%d" % len(body))
+    elif length == "sign":
+        fields.append(b"Content-Length: +%d" % len(body))
+        refused = refused or 400
+    elif length == "twice":
+        fields += [b"Content-Length: %d" % len(body)] * 2
+        refused = refused or 400
+    elif length == "too-large":
+        fields.append(b"Content-Length: %d" % (MAX_BODY_BYTES + draw(st.integers(1, 2**40))))
+        refused = refused or 400
+    else:
+        fields.append(b"Transfer-Encoding: chunked")
+        refused = refused or 400
+    closing = draw(st.sampled_from([None, None, b"close", b"keep-alive"]))
+    if closing is not None:
+        fields.append(b"Connection: " + closing)
+    head = b"\r\n".join([line, *fields]) + b"\r\n\r\n"
+    keeps = (
+        refused is None
+        and method in (b"GET", b"POST")  # others are answered 501 and closed
+        and (closing == b"keep-alive" if version == b"HTTP/1.0" else closing != b"close")
+    )
+    return _Request(head + body, refused, keeps)
+
+
+def _responses(raw: bytes) -> list[tuple[int, dict, bytes]]:
+    """Every HTTP/1.1 response in ``raw``, each framed by its Content-Length."""
+    responses, offset = [], 0
+    while offset < len(raw):
+        end = raw.index(b"\r\n\r\n", offset) + 4
+        status, headers, _ = _parse_response(raw[offset:end])
+        length = int(headers["content-length"])
+        responses.append((status, headers, raw[end : end + length]))
+        offset = end + length
+    return responses
+
+
+def _http_stream(server, stream: bytes) -> bytes:
+    """Send ``stream`` and half-close; everything the server sent back
+    before it closed the connection."""
+    sock = socket.create_connection((server.host, server.port), timeout=FRAME_TIMEOUT_S)
+    chunks = []
+    try:
+        sock.sendall(stream)
+        sock.shutdown(socket.SHUT_WR)
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    except (BrokenPipeError, ConnectionResetError):
+        pass  # the server closed with unread bytes on the socket
+    finally:
+        sock.close()
+    return b"".join(chunks)
+
+
+class TestHttpRequestBytes:
+    """Generated HTTP/1.1 request streams: known good and bad request
+    lines, clean header lines beside whitespace before a colon, folded
+    lines, bare CRs, control octets, names that are no token and
+    over-long lines, Content-Length against the body cap, and requests
+    pipelined behind each other.  Every answer is a closed-taxonomy
+    error or a success, never a 500; every refusal closes the
+    connection; a pipelined request is answered exactly when every
+    request before it was framed as it was generated and kept the
+    connection; the server never hangs or logs a connection error, and
+    a fresh connection is still served."""
+
+    def test_request_streams_are_framed_exactly_or_refused(self):
+        setting = _build()
+        events = []
+        log = EventLog(sink=events.append)
+        with AsyncGatewayServer(setting.gateway, setting.group, event_log=log) as server:
+
+            @settings(max_examples=100, deadline=None)
+            # At most one over-long line, so the stream fits the socket
+            # buffers whole before the server refuses it.
+            @given(
+                requests=st.lists(_request(), min_size=1, max_size=3).filter(
+                    lambda requests: sum(len(r.data) for r in requests) < 100_000
+                )
+            )
+            def check(requests):
+                stream = b"".join(request.data for request in requests) + _PIPELINED
+                answers = _responses(_http_stream(server, stream))
+                expected = []
+                for request in requests:
+                    expected.append(request)
+                    if not request.keeps:
+                        break
+                else:
+                    expected.append(None)  # the pipelined request
+                assert len(answers) == len(expected)
+                for request, (status, headers, body) in zip(expected, answers):
+                    if request is None:
+                        assert status == 200 and b'"schemes"' in body
+                        continue
+                    assert status != 500
+                    if status != 200:
+                        document = json.loads(body)
+                        assert document["type"] == "error"
+                        assert document["body"]["code"] in ERROR_TYPES
+                    if request.refused is not None:
+                        assert status == request.refused
+                        assert headers["connection"] == "close"
+
+            check()
+            health = http.client.HTTPConnection(server.host, server.port, timeout=5.0)
+            try:
+                health.request("GET", "/v1/health")
+                assert health.getresponse().status == 200
+            finally:
+                health.close()
+        setting.gateway.close()
         assert not [e for e in events if e["kind"] == "connection-error"]
 
 
@@ -880,8 +1126,8 @@ class TestDeeplyNestedJson:
     """Each JSON parser facing the network turns nesting too deep to parse
     into its own rejection, never a 500, a traceback or a dead thread."""
 
-    def test_nested_body_is_invalid_request_on_every_stack(self, three_stacks):
-        _settings, clients = three_stacks
+    def test_nested_body_is_invalid_request_on_every_stack(self, two_stacks):
+        _settings, clients = two_stacks
         for client in clients:
             status, body = client._raw_request("POST", PREFIX + "/reencrypt", NESTED)
             assert status == 400, client
@@ -951,9 +1197,9 @@ class TestHostileJsonValues:
 
     UNHASHABLE_TYPE = b'{"wire": "repro-gateway/v1", "type": [], "body": {}}'
 
-    def test_hostile_bodies_are_invalid_request_on_every_stack(self, three_stacks,
+    def test_hostile_bodies_are_invalid_request_on_every_stack(self, two_stacks,
                                                               long_integer):
-        _settings, clients = three_stacks
+        _settings, clients = two_stacks
         long_body = b'{"wire": "repro-gateway/v1", "type": "grant-request", "body": %s}' % (
             long_integer.encode("ascii")
         )
@@ -1567,17 +1813,17 @@ class TestMuxAuth:
             client.reencrypt(_reencrypt_requests(setting, 1)[0])
         client.close()
 
-    def test_auth_parity_with_threaded_stack(self, mux_auth_loopback, tmp_path):
+    def test_auth_parity_with_http_stack(self, mux_auth_loopback, tmp_path):
         """The same signed request stream decodes identically on both stacks."""
         setting_mux, server, _events = mux_auth_loopback
         store = TenantCredentialStore.initialize(tmp_path / "ref-tenants.json")
         store.add("clinic-a", secret="a" * 64)
         setting_ref = _build()
-        with GatewayHttpServer(
+        with AsyncGatewayServer(
             setting_ref.gateway, setting_ref.group, auth=RequestVerifier(store)
         ) as reference:
             ref_client = RemoteGateway(
-                reference.url, setting_ref.group, tenant="clinic-a", secret="a" * 64
+                reference.http_url, setting_ref.group, tenant="clinic-a", secret="a" * 64
             )
             mux_client = MuxRemoteGateway(
                 server.url, setting_mux.group, tenant="clinic-a", secret="a" * 64
@@ -1658,12 +1904,10 @@ class TestMuxTls:
 
 
 class TestAsyncFleet:
-    def test_async_workers_speak_mux(self):
+    def test_fleet_workers_speak_mux(self):
         from repro.service.fleet import FleetSupervisor
 
-        supervisor = FleetSupervisor(
-            "tipre/v1", shard_count=1, group_name="TOY", async_workers=True
-        )
+        supervisor = FleetSupervisor("tipre/v1", shard_count=1, group_name="TOY")
         try:
             name = supervisor.names[0]
             assert supervisor.url_of(name).startswith("mux://")

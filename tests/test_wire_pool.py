@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.serialization.containers import serialize_reencrypted
 from repro.service.driver import DELEGATEE_DOMAIN, build_setting
 from repro.service.gateway import ReEncryptRequest
-from repro.service.wire import GatewayHttpServer, RemoteGateway
+from repro.service.wire import AsyncGatewayServer, RemoteGateway
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +67,7 @@ def pool_server():
     # Distinct expectations make cross-talk *observable*: a swapped
     # response can never masquerade as the right one.
     assert len(set(expected)) == len(expected)
-    with GatewayHttpServer(setting.gateway) as server:
+    with AsyncGatewayServer(setting.gateway) as server:
         yield server, setting.group, requests, expected
     setting.gateway.close()
 
@@ -121,7 +121,7 @@ class TestPooledConcurrency:
         responses are byte-identical to the sequential reference and the
         pool bound holds."""
         server, group, requests, expected = pool_server
-        client = RemoteGateway(server.url, group, pool_size=pool_size)
+        client = RemoteGateway(server.http_url, group, pool_size=pool_size)
         try:
             errors, mismatches = _hammer(client, requests, expected, assignment)
             assert not errors, errors
@@ -136,7 +136,7 @@ class TestPooledConcurrency:
         """The deterministic anchor: 8 threads, pool of 3, every thread
         replaying the full request set — bounded, correct, reused."""
         server, group, requests, expected = pool_server
-        client = RemoteGateway(server.url, group, pool_size=3)
+        client = RemoteGateway(server.http_url, group, pool_size=3)
         try:
             assignment = [list(range(len(requests))) for _ in range(8)]
             errors, mismatches = _hammer(client, requests, expected, assignment)
@@ -152,7 +152,7 @@ class TestPooledConcurrency:
 
     def test_sequential_caller_still_rides_one_dial(self, pool_server):
         server, group, requests, expected = pool_server
-        client = RemoteGateway(server.url, group, pool_size=4)
+        client = RemoteGateway(server.http_url, group, pool_size=4)
         try:
             for index, request in enumerate(requests):
                 response = client.reencrypt(request)
@@ -164,7 +164,7 @@ class TestPooledConcurrency:
 
     def test_batch_and_single_paths_share_the_pool(self, pool_server):
         server, group, requests, expected = pool_server
-        client = RemoteGateway(server.url, group, pool_size=2)
+        client = RemoteGateway(server.http_url, group, pool_size=2)
         try:
             responses = client.reencrypt_batch(requests)
             for response, blob in zip(responses, expected):
@@ -179,7 +179,7 @@ class TestPooledConcurrency:
 
     def test_close_drains_idle_connections(self, pool_server):
         server, group, requests, _expected = pool_server
-        client = RemoteGateway(server.url, group, pool_size=2)
+        client = RemoteGateway(server.http_url, group, pool_size=2)
         client.reencrypt(requests[0])
         opened = client.connections_opened
         client.close()

@@ -1,8 +1,8 @@
-"""Read latency beside a stream of batches, against a real ``serve --async``.
+"""Read latency beside a stream of batches, against a real ``serve --http``.
 
     PYTHONPATH=src python tools/mixed_load.py [--batch 64] [--rate 100] [--seconds 10]
 
-Spawns an SS256 ``repro-pre serve --http 0 --async`` process and pins it
+Spawns an SS256 ``repro-pre serve --http 0`` process and pins it
 and this client to one core (the last this process may use), as
 ``benchmarks/suite`` does.  It grants the delegations, primes a hot set
 of re-encryptions in the server's result cache, then reads that hot set
@@ -103,7 +103,7 @@ def spawn_server() -> tuple[subprocess.Popen, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", "--http", "0", "--async",
+        [sys.executable, "-m", "repro.cli", "serve", "--http", "0",
          "--group", GROUP, "--shards", "4"],
         cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True,
     )

@@ -1,8 +1,8 @@
 """Record the golden wire transcript, ``tests/data/wire_transcript.json``.
 
-The transcript is recorded from the threaded HTTP server.  The
-cross-stack conformance test in ``tests/test_wire_aio.py`` only reads
-that file.  Re-record it only for a deliberate wire change, and check
+The transcript is recorded from the gateway server's HTTP transport.
+The cross-stack conformance test in ``tests/test_wire_aio.py`` only
+reads that file.  Re-record it only for a deliberate wire change, and check
 that two fresh recordings are byte-identical before committing one.
 
 Usage:
@@ -25,7 +25,7 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=TRANSCRIPT_PATH)
     args = parser.parse_args(argv)
-    entries = record_transcript("threaded")
+    entries = record_transcript("aio-http")
     args.out.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     print("recorded %d exchanges to %s" % (len(entries), args.out))
     return 0
