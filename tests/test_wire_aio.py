@@ -16,6 +16,8 @@ import base64
 import collections
 import dataclasses
 import http.client
+import http.server
+import io
 import itertools
 import json
 import socket
@@ -563,6 +565,50 @@ def _parse_response(raw: bytes) -> tuple[int, dict, bytes]:
     return int(lines[0].split()[1]), headers, body
 
 
+# Request bytes ``http.server`` refuses, with the status and message it
+# sends: the reader refuses them alike (TestHttpTransports), and
+# TestStdlibReference checks each row against the stdlib itself.
+_STDLIB_REFUSALS = [
+    pytest.param(
+        b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414, "Request-URI Too Long",
+        id="request-line-too-long",
+    ),
+    pytest.param(
+        b"GET /v1/health HTTP/1.1\r\nX-Pad: " + b"a" * 65536 + b"\r\n\r\n",
+        431,
+        "Line too long",
+        id="header-line-too-long",
+    ),
+    pytest.param(
+        b"GET /v1/health HTTP/1.1\r\n"
+        + b"".join(b"X-Pad-%d: x\r\n" % index for index in range(500)) + b"\r\n",
+        431,
+        "Too many headers",
+        id="too-many-headers",
+    ),
+    pytest.param(
+        b"GET /v1/health HTTP/3.0\r\n\r\n", 505, "Invalid HTTP version (3.0)", id="http-3.0"
+    ),
+    pytest.param(
+        b"GET /v1/health FOO/1.1\r\n\r\n", 400, "Bad request version ('FOO/1.1')",
+        id="not-http",
+    ),
+    pytest.param(
+        b"GET /v1/health HTTP/1.1 x\r\n\r\n", 400, "Bad request version ('x')",
+        id="four-words",
+    ),
+    pytest.param(
+        b"GET / x HTTP/1.1\r\n\r\n", 400, "Bad request syntax ('GET / x HTTP/1.1')",
+        id="four-words-versioned",
+    ),
+    pytest.param(b"BOGUS\r\n\r\n", 400, "Bad request syntax ('BOGUS')", id="one-word"),
+    pytest.param(
+        b"POST /v1/health\r\n\r\n", 400, "Bad HTTP/0.9 request type ('POST')",
+        id="http-0.9-post",
+    ),
+]
+
+
 @pytest.fixture(params=["aio-http"])
 def http_server(request):
     setting = _build()
@@ -685,30 +731,7 @@ class TestHttpTransports:
         # The two-byte body was read and refused for what it is.
         assert status == 400 and b"wire format" in body
 
-    @pytest.mark.parametrize(
-        "request_bytes, status, message",
-        [
-            (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414, "Request-URI Too Long"),
-            (
-                b"GET /v1/health HTTP/1.1\r\nX-Pad: " + b"a" * 65536 + b"\r\n\r\n",
-                431,
-                "Line too long",
-            ),
-            (b"GET /v1/health HTTP/3.0\r\n\r\n", 505, "Invalid HTTP version (3.0)"),
-            (b"GET /v1/health FOO/1.1\r\n\r\n", 400, "Bad request version ('FOO/1.1')"),
-            (b"GET /v1/health HTTP/1.1 x\r\n\r\n", 400, "Bad request version ('x')"),
-            (
-                b"GET / x HTTP/1.1\r\n\r\n",
-                400,
-                "Bad request syntax ('GET / x HTTP/1.1')",
-            ),
-            (b"POST /v1/health\r\n\r\n", 400, "Bad HTTP/0.9 request type ('POST')"),
-        ],
-        ids=[
-            "request-line-too-long", "header-line-too-long", "http-3.0", "not-http",
-            "four-words", "four-words-versioned", "http-0.9-post",
-        ],
-    )
+    @pytest.mark.parametrize("request_bytes, status, message", _STDLIB_REFUSALS)
     def test_refusals_match_the_stdlib(self, http_server, request_bytes, status, message):
         """The reader refuses what ``http.server`` refuses, with its status
         and message in the taxonomy body, and closes the connection."""
@@ -767,6 +790,76 @@ class TestHttpTransports:
         raw, closed = _raw_http_exchange(http_server, b"get /v1/health HTTP/1.1\r\n\r\n")
         self._assert_taxonomy_rejection(raw, 501)
         assert closed
+
+
+class _StdlibReader(http.server.BaseHTTPRequestHandler):
+    """``http.server``'s request reader over in-memory bytes, with no
+    socket or server: it records the refusal the stdlib would send, or
+    the request it would hand to ``do_GET``."""
+
+    protocol_version = "HTTP/1.1"  # as a keep-alive server reads
+
+    def __init__(self, raw: bytes):  # noqa: D107 - no socket to set up
+        self.rfile = io.BytesIO(raw)
+        self.wfile = io.BytesIO()  # stays empty: do_GET writes nothing
+        self.refusal: tuple[int, str] | None = None
+        self.answered = False
+        self.handle_one_request()
+
+    def send_error(self, code, message=None, explain=None):
+        self.refusal = (int(code), message or self.responses[code][0])
+
+    def do_GET(self):
+        self.answered = True
+
+
+class TestStdlibReference:
+    """What TestHttpTransports pins as ``http.server``'s behaviour is
+    ``http.server``'s: the same request bytes, read by the stdlib's own
+    reader, meet the same refusal or the same parse."""
+
+    @pytest.mark.parametrize("request_bytes, status, message", _STDLIB_REFUSALS)
+    def test_the_stdlib_refuses_alike(self, request_bytes, status, message):
+        reader = _StdlibReader(request_bytes)
+        assert reader.refusal == (status, message)
+        assert not reader.answered
+
+    def test_the_stdlib_reads_a_two_word_get_as_http09(self):
+        reader = _StdlibReader(b"GET /v1/health\r\n\r\n")
+        assert reader.answered and reader.refusal is None
+        assert reader.request_version == "HTTP/0.9"
+        assert reader.close_connection
+
+    @pytest.mark.parametrize(
+        "head_lines, closes",
+        [(b"", True), (b"Connection: keep-alive\r\n", False)],
+        ids=["plain", "keep-alive"],
+    )
+    def test_the_stdlib_keeps_http10_open_only_when_asked(self, head_lines, closes):
+        reader = _StdlibReader(b"GET /v1/health HTTP/1.0\r\n" + head_lines + b"\r\n")
+        assert reader.answered
+        assert reader.close_connection is closes
+
+    def test_the_stdlib_reduces_leading_slashes(self):
+        reader = _StdlibReader(b"GET //[ HTTP/1.1\r\nConnection: close\r\n\r\n")
+        assert reader.answered and reader.path == "/["
+
+    def test_the_stdlib_takes_99_header_lines(self):
+        padding = b"".join(b"X-Pad-%d: x\r\n" % index for index in range(98))
+        reader = _StdlibReader(
+            b"GET /v1/health HTTP/1.1\r\nConnection: close\r\n" + padding + b"\r\n"
+        )
+        assert reader.answered and reader.refusal is None
+        reader = _StdlibReader(
+            b"GET /v1/health HTTP/1.1\r\nConnection: close\r\n" + padding
+            + b"X-Pad-98: x\r\n\r\n"
+        )
+        assert reader.refusal == (431, "Too many headers")
+
+    def test_the_stdlib_reads_methods_case_sensitively(self):
+        reader = _StdlibReader(b"get /v1/health HTTP/1.1\r\n\r\n")
+        assert reader.refusal is not None and reader.refusal[0] == 501
+        assert not reader.answered
 
 
 # ----------------------------------------------------------- HTTP reader fuzz
