@@ -48,7 +48,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextvars import copy_context
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -73,7 +73,7 @@ from repro.service.gateway import (
 from repro.service.auth.credentials import TenantCredentialStore
 from repro.service.metrics import GatewayMetrics, MetricsSnapshot, merge_snapshots
 from repro.service.router import ShardRouter
-from repro.service.telemetry import EventLog, Span, TraceContext, Tracer
+from repro.service.telemetry import EventLog, Span, TraceContext, Tracer, untraced_span
 from repro.service.wire.aio_client import connect_gateway
 from repro.service.wire.client import RemoteGateway, WireTransportError
 
@@ -688,6 +688,7 @@ class FleetGateway:
         self.tracer: Tracer | None = (
             _AggregatingTracer(self._live_clients) if telemetry else None
         )
+        self._span = untraced_span if self.tracer is None else self.tracer.span
         names = fleet.names
         if not names:
             raise ValueError("fleet has no shards")
@@ -710,11 +711,6 @@ class FleetGateway:
                 continue
         return clients
 
-    def _span(self, trace: TraceContext | None, name: str, **attributes):
-        if self.tracer is None or trace is None:
-            return nullcontext(None)
-        return self.tracer.span(trace, name, attributes or None)
-
     def _owner(self, delegator_domain: str, delegator: str, type_label: str) -> str:
         return self._router.shard_for(delegator_domain, delegator, type_label)
 
@@ -726,7 +722,7 @@ class FleetGateway:
         503 for hosted deployments) and wake the supervisor's background
         revival — the taxonomy never hangs or leaks a stack trace.
         """
-        with self._span(trace, "shard-call", op=op, shard=name) as span:
+        with self._span(trace, "shard-call", {"op": op, "shard": name}) as span:
             try:
                 client = self.fleet.client(name)
                 return call(client, span.context if span is not None else None)
@@ -903,9 +899,9 @@ class FleetGateway:
         if len(by_shard) == 1:
             ((name, positions),) = by_shard.items()
             return shard_batch(name, positions)
-        with self._span(trace, "batch-fanout", shards=len(by_shard)):
+        with self._span(trace, "batch-fanout", {"shards": len(by_shard)}):
             futures = {
-                name: self._executor.submit(shard_batch, name, positions)
+                name: self._executor.submit(copy_context().run, shard_batch, name, positions)
                 for name, positions in by_shard.items()
             }
             results: list[ReEncryptResponse | None] = [None] * len(requests)
@@ -941,7 +937,7 @@ class FleetGateway:
             raise StoreUnavailableError("fleet gateway has no PHR store attached")
         start = self.clock()
         try:
-            with self._span(trace, "store-read", patient=request.patient):
+            with self._span(trace, "store-read", {"patient": request.patient}):
                 if request.entry_id is not None:
                     records = (self.store.get(request.patient, request.entry_id),)
                 else:
@@ -1003,7 +999,7 @@ class FleetGateway:
             removed = tuple(name for name in old_names if name not in new_names)
             new_router = ShardRouter(new_names)
             with self._span(
-                trace, "fleet-resize", old=len(old_names), new=shard_count
+                trace, "fleet-resize", {"old": len(old_names), "new": shard_count}
             ):
                 self.fleet.ensure_started(added)
                 migration = _Migration(old_router=self._router, new_router=new_router)

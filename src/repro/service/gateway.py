@@ -43,7 +43,7 @@ import functools
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -67,7 +67,7 @@ from repro.service.metrics import GatewayMetrics, MetricsSnapshot
 from repro.service.persistence import DurableProxyKeyTable, open_key_log
 from repro.service.pool import ShardPool
 from repro.service.router import ShardRouter
-from repro.service.telemetry import EventLog, TraceContext, Tracer
+from repro.service.telemetry import EventLog, TraceContext, Tracer, untraced_span
 
 __all__ = [
     "GatewayError",
@@ -105,6 +105,22 @@ def _route_of(key: ProxyKey) -> tuple[str, str, str]:
 def _served_detail(shard: str, cache_hit: bool = False) -> str:
     """A served re-encryption's audit detail: one string per shard, not per request."""
     return ("cache-hit shard=%s" if cache_hit else "shard=%s") % shard
+
+
+def _recorded(operation):
+    """``operation(request, trace)``, filing the stages of a traced call as
+    one request record: its own, unless the running record (the wire
+    engine's) already covers the trace."""
+
+    @functools.wraps(operation)
+    def call(self, request, trace=None):
+        record = None if trace is None or self.tracer is None else self.tracer.record(trace)
+        if record is None:
+            return operation(self, request, trace)
+        with record:
+            return operation(self, request, trace)
+
+    return call
 
 
 # --------------------------------------------------------------- error taxonomy
@@ -387,6 +403,9 @@ class ReEncryptionGateway:
         else:
             self.tracer = None
             self.event_log = None
+        # A stage's context manager: the tracer's span (a no-op for a call
+        # given no trace), or a no-op when tracing is off.
+        self._span = untraced_span if self.tracer is None else self.tracer.span
         self._limiter = None
         self.set_rate_limit(self.rate_per_s, self.burst)
 
@@ -477,17 +496,6 @@ class ReEncryptionGateway:
                     yield name, self._shards[name]
                     return
 
-    def _span(self, trace: TraceContext | None, name: str, **attributes):
-        """A tracer span context manager, or a no-op when tracing is off.
-
-        Usable on any request path: in-process callers that never pass a
-        trace context (and gateways built with ``telemetry=False``) pay
-        one ``None`` check, nothing more.
-        """
-        if self.tracer is None or trace is None:
-            return nullcontext(None)
-        return self.tracer.span(trace, name, attributes or None)
-
     def _record_audit(
         self,
         tenant: str,
@@ -541,7 +549,7 @@ class ReEncryptionGateway:
         cost: float = 1.0,
         trace: TraceContext | None = None,
     ) -> None:
-        with self._span(trace, "admission", tenant=tenant, op=action) as span:
+        with self._span(trace, "admission", {"tenant": tenant, "op": action}) as span:
             if self.policy is not None:
                 try:
                     if self.policy.admit(tenant, action, cost):
@@ -598,6 +606,7 @@ class ReEncryptionGateway:
 
     # ------------------------------------------------------------ operations
 
+    @_recorded
     def grant(
         self, request: GrantRequest, trace: TraceContext | None = None
     ) -> GrantResponse:
@@ -632,6 +641,7 @@ class ReEncryptionGateway:
         )
         return GrantResponse(shard=shard_name)
 
+    @_recorded
     def revoke(
         self, request: RevokeRequest, trace: TraceContext | None = None
     ) -> RevokeResponse:
@@ -671,6 +681,7 @@ class ReEncryptionGateway:
         )
         return RevokeResponse(shard=shard_name, removed=removed)
 
+    @_recorded
     def reencrypt(
         self, request: ReEncryptRequest, trace: TraceContext | None = None
     ) -> ReEncryptResponse:
@@ -763,6 +774,7 @@ class ReEncryptionGateway:
         )
         return ReEncryptResponse(ciphertext=result, shard=shard_name, cache_hit=False)
 
+    @_recorded
     def reencrypt_batch(
         self,
         requests: Sequence[ReEncryptRequest],
@@ -818,7 +830,7 @@ class ReEncryptionGateway:
                     "batch of %d exceeds tenant %r max batch size %d"
                     % (len(requests), requests[0].tenant, limit)
                 )
-        with self._span(trace, "admission", items=len(requests)):
+        with self._span(trace, "admission", {"items": len(requests)}):
             for request in requests:
                 self._admit(request.tenant, "reencrypt-batch")
         start = self.clock()
@@ -896,9 +908,9 @@ class ReEncryptionGateway:
                     results[position] = results[miss_positions[miss_index]]
 
         try:
-            with self._span(trace, "delegation-check", groups=len(groups)):
+            with self._span(trace, "delegation-check", {"groups": len(groups)}):
                 ReEncryptBatcher.resolve_all(groups, self._resolve_key)
-            with self._span(trace, "shard-crypto", groups=len(groups)):
+            with self._span(trace, "shard-crypto", {"groups": len(groups)}):
                 for group in groups:
                     transform_group(group)
         except BatchItemError as error:
@@ -934,6 +946,7 @@ class ReEncryptionGateway:
             for result, shard_name, hit in zip(results, shard_names, hit_flags)
         ]
 
+    @_recorded
     def fetch(
         self, request: FetchRequest, trace: TraceContext | None = None
     ) -> FetchResponse:
@@ -949,7 +962,7 @@ class ReEncryptionGateway:
             raise StoreUnavailableError("gateway has no PHR store attached")
         start = self.clock()
         try:
-            with self._span(trace, "store-read", patient=request.patient):
+            with self._span(trace, "store-read", {"patient": request.patient}):
                 if request.entry_id is not None:
                     records = (self.store.get(request.patient, request.entry_id),)
                 else:
@@ -997,7 +1010,7 @@ class ReEncryptionGateway:
             raise InvalidRequestError("shard_count must be positive")
         self._admit(tenant, "resize", trace=trace)
         start = self.clock()
-        with self._span(trace, "resize", shard_count=shard_count), self._pool.lock_all():
+        with self._span(trace, "resize", {"shard_count": shard_count}), self._pool.lock_all():
             old_router = self._router
             old_names = old_router.shards
             new_names = ["shard-%02d" % i for i in range(shard_count)]

@@ -4,29 +4,22 @@ Three primitives every serving deployment of the gateway needs once a
 request can cross process boundaries:
 
 * **Trace contexts** — :class:`TraceContext` is a (trace id, span id)
-  pair generated at the edge (:class:`~repro.service.wire.client.RemoteGateway`),
-  carried as the ``X-Repro-Trace`` header through the wire, and threaded
-  into :class:`~repro.service.gateway.ReEncryptionGateway` so every
-  request stage (admission, route, cache lookup, shard crypto op,
-  serialization) records a :class:`Span` into a bounded per-gateway
-  :class:`Tracer` ring.  ``GET /v1/trace/{id}`` retrieves a trace and
-  ``repro-pre trace`` renders it as a waterfall.
+  pair generated at the edge (:class:`~repro.service.wire.client.RemoteGateway`)
+  and carried as the ``X-Repro-Trace`` header.  Each traced request fills
+  one :class:`RequestRecord` with its stages (decode, admission, route,
+  cache lookup, shard crypto op, encode) and files it into a bounded
+  per-gateway :class:`Tracer` ring once; ``GET /v1/trace/{id}`` reads the
+  :class:`Span` objects back and ``repro-pre trace`` draws the waterfall.
 
 * **Histogram metrics** — :class:`Histogram` is a fixed-bucket latency
-  accumulator with exact count/sum/max.  Unlike the sample lists it
-  replaces, it never drops an observation, so long-run percentiles track
-  live traffic instead of freezing on startup samples, and the bounded
-  memory holds no matter how long the gateway runs.
-  :func:`render_prometheus` exposes everything (per scheme, per
-  operation, per tenant outcome) in Prometheus text exposition format
-  for ``GET /v1/metrics?format=prometheus``.
+  accumulator with exact count/sum/max that never drops an observation.
+  :func:`render_prometheus` exposes everything (per scheme, operation and
+  tenant outcome) for ``GET /v1/metrics?format=prometheus``.
 
 * **Structured events** — :class:`EventLog` is a bounded ring of
-  structured events, read back as JSON objects, with an injectable sink
-  (:func:`jsonl_sink` appends one JSON line per event to any stream).
-  The gateway's audit writer and the wire server's access lines,
-  handler crashes and connection errors all feed it, so nothing a
-  production operator needs vanishes into a silenced stderr.
+  structured events with an injectable sink (:func:`jsonl_sink` appends
+  one JSON line per event).  The gateway's audit writer and the wire
+  server's access lines, handler crashes and connection errors feed it.
 
 Everything here is dependency-free within the service layer (no imports
 from :mod:`repro.service.metrics` or the wire package), thread-safe, and
@@ -38,11 +31,14 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 import secrets
+import struct
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from contextlib import nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -50,8 +46,9 @@ __all__ = [
     "TRACE_HEADER",
     "TraceContext",
     "Span",
-    "SpanHandle",
+    "RequestRecord",
     "Tracer",
+    "untraced_span",
     "Histogram",
     "HistogramSnapshot",
     "merge_histogram_snapshots",
@@ -67,23 +64,20 @@ __all__ = [
 # chars); the response echoes it so a client can always correlate.
 TRACE_HEADER = "X-Repro-Trace"
 
-_TRACE_ID_CHARS = 32  # 16 random bytes
-_SPAN_ID_CHARS = 16  # 8 bytes
-_HEX = set("0123456789abcdef")
+# A trace id of 16 random bytes and a span id of 8, in lowercase hex.
+_HEADER = re.compile("([0-9a-f]{32})-([0-9a-f]{16})")
 
 # Trace and span ids only need uniqueness, not unpredictability (they
 # are correlation handles, not capabilities): a PRNG seeded once from
-# the CSPRNG keeps id generation syscall-free — secrets.token_hex reads
-# urandom per call, which is measurable at per-request rates.
-# getrandbits on a shared Random is a single C call, atomic under the
-# GIL.
+# the CSPRNG keeps id generation syscall-free.  getrandbits on a shared
+# Random is a single C call, atomic under the GIL.
 _id_rng = random.Random(secrets.randbits(64))
-# Span ids count up from a random per-process base: distinct within a
-# process by construction, and across processes (a fleet's router and
-# shards share traces) as likely distinct as fresh random ids.  A 63-bit
-# base keeps every id within 16 hex digits; next() on a count is one C
-# call, atomic under the GIL.
-_span_ids = itertools.count(_id_rng.getrandbits(63))
+# Span ids come in blocks of 2**32: a request record numbers its stages
+# within one, a root context takes one for its own id.  The blocks count
+# up from a random 31-bit base (16 hex digits in all): distinct within a
+# process by construction, across processes (a fleet's router and shards
+# share traces) as likely distinct as random ids.
+_id_blocks = itertools.count(_id_rng.getrandbits(31) << 32, 1 << 32)
 
 
 # ------------------------------------------------------------------- tracing
@@ -105,41 +99,31 @@ class TraceContext(NamedTuple):
     @staticmethod
     def generate() -> "TraceContext":
         """A fresh root context (random trace id; no parent span recorded)."""
-        return TraceContext("%032x" % _id_rng.getrandbits(128), "%016x" % next(_span_ids))
+        return TraceContext("%032x" % _id_rng.getrandbits(128), "%016x" % next(_id_blocks))
 
     def child(self) -> "TraceContext":
         """Same trace, fresh span id — the context a sub-span runs under."""
-        return TraceContext(self.trace_id, "%016x" % next(_span_ids))
+        return TraceContext(self.trace_id, "%016x" % next(_id_blocks))
 
     def to_header(self) -> str:
         return "%s-%s" % (self.trace_id, self.span_id)
 
     @staticmethod
     def from_header(value: str | None) -> "TraceContext | None":
-        """Parse a header value; anything malformed is ``None``, never an error.
-
-        A gateway must keep serving clients with broken tracing middleware,
-        so header parsing is deliberately infallible.
-        """
+        """Parse a header value; anything malformed is ``None``, never an
+        error: a gateway must keep serving clients with broken tracing."""
         if not value or not isinstance(value, str):
             return None
-        parts = value.strip().split("-")
-        if len(parts) != 2:
-            return None
-        trace_id, span_id = parts
-        if len(trace_id) != _TRACE_ID_CHARS or len(span_id) != _SPAN_ID_CHARS:
-            return None
-        if not (set(trace_id) <= _HEX and set(span_id) <= _HEX):
-            return None
-        return TraceContext(trace_id=trace_id, span_id=span_id)
+        match = _HEADER.fullmatch(value.strip())
+        return TraceContext(*match.groups()) if match else None
 
 
 class Span(NamedTuple):
     """One recorded stage of one request.
 
     ``attributes`` is a sorted tuple of (key, value) string pairs so the
-    record stays hashable and wire round trips compare equal.  A
-    NamedTuple for the same hot-path reason as :class:`TraceContext`.
+    record stays hashable and wire round trips compare equal.  Built only
+    when a trace is read (see :meth:`Tracer.trace`).
     """
 
     trace_id: str
@@ -155,94 +139,138 @@ class Span(NamedTuple):
         return dict(self.attributes)
 
 
-class SpanHandle:
-    """One span in flight: what :meth:`Tracer.span` returns and its block yields.
+# The record of the request running in this context, if it is traced.
+_RECORD: ContextVar["RequestRecord | None"] = ContextVar("repro_request_record", default=None)
 
-    ``context`` is the child trace context the span runs under — pass it
-    to nested stages so their spans parent correctly.  :meth:`set` adds
-    attributes (setting a key again replaces its value); assigning
+
+class _Stage:
+    """One stage in flight: what :meth:`Tracer.span` returns and its block yields.
+
+    ``context`` is the trace context to open nested stages under.
+    :meth:`set` adds an attribute (the later value of a key wins);
     :attr:`status` overrides the default ("ok", or the ``code`` of an
-    exception that escapes the block).  Single-use: a plain slotted
-    context manager rather than ``@contextmanager``, because the
-    generator machinery is measurable per-request overhead.
+    exception escaping the block).  Its clock starts when it is made.
     """
 
-    __slots__ = ("status", "_tracer", "_parent", "_name", "_attributes", "_id", "_start")
+    __slots__ = ("status", "_record", "_name", "_number", "_parent", "_keys", "_values", "_start")
 
-    def __init__(
-        self,
-        tracer: "Tracer",
-        parent: TraceContext,
-        name: str,
-        attributes: dict[str, Any] | None = None,
-    ):
+    def __init__(self, record: "RequestRecord", parent: int, name: str, attributes) -> None:
         self.status: str | None = None
-        self._tracer = tracer
-        self._parent = parent
+        self._record = record
         self._name = name
-        # Flat key, value, key, value ...: the span's record extends by
-        # it as is, and the later of two pairs with one key wins on read.
-        flat: tuple[str, ...] = ()
-        if attributes:
-            for key, value in attributes.items():
-                flat += (str(key), str(value))
-        self._attributes = flat
+        self._number = next(record.numbers)
+        self._parent = parent
+        self._keys = tuple(attributes) if attributes else ()
+        self._values = tuple(attributes.values()) if attributes else ()
+        self._start = record.clock()
 
     @property
     def context(self) -> TraceContext:
-        # Built on demand: most spans have no child to hand it to.
-        return TraceContext(self._parent.trace_id, "%016x" % self._id)
+        record = self._record or self
+        context = TraceContext(record.trace_id, "%016x" % (record.base + self._number))
+        record.named[context] = self._number
+        return context
 
     def set(self, key: str, value: Any) -> None:
-        self._attributes += (str(key), str(value))
+        self._keys += (key,)
+        self._values += (value,)
 
-    def __enter__(self) -> "SpanHandle":
-        self._id = next(_span_ids)
-        self._start = self._tracer._clock()
+    def __enter__(self) -> "_Stage":
         return self
 
     def __exit__(self, exc_type, exc, _tb) -> bool:
         if exc is not None and self.status is None:
             self.status = getattr(exc, "code", exc_type.__name__)
-        self._tracer._finish(self)
+        record = self._record or self
+        record.stages.append((
+            self._name, self._number, self._parent, self.status or "ok", self._keys,
+            self._start, record.clock(), self._values,
+        ))
         return False  # never swallow the block's exception
+
+
+class RequestRecord(_Stage):
+    """One traced request's stages, filed into its tracer's ring once.
+
+    Entered, it is the running request's record (a context variable) for
+    the wire engine's dispatch, where it is also its first stage, or for
+    an in-process gateway call given a trace.  A stage numbers itself in
+    the record's block of span ids and, when it ends, appends one tuple
+    (one list append: fan-out threads' stages stay whole).  Filed, it is
+    one tuple: parent span id, the stages' layout (shared per call
+    shape), block and clock readings packed, then raw attribute values.
+    """
+
+    __slots__ = (
+        "tracer", "clock", "trace_id", "parent_id", "base", "numbers", "stages", "named", "_token",
+    )
+
+    def __init__(self, tracer: "Tracer", context: TraceContext, name=None, attributes=None):
+        self.tracer = tracer
+        self.clock = tracer._clock
+        self.trace_id = context.trace_id
+        self.parent_id = context.span_id
+        self.base = next(_id_blocks)
+        self.numbers = itertools.count()
+        self.stages: list[tuple] = []
+        # Context a stage may open under -> the parent number it gives.
+        self.named: dict[TraceContext, int] = {context: -1}
+        self._name = name
+        if name is not None:  # its own stage, number 0, files into itself
+            _Stage.__init__(self, self, -1, name, attributes)
+            self._record = None
+
+    def __enter__(self) -> "RequestRecord":
+        self._token = _RECORD.set(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if self._name is not None:
+            _Stage.__exit__(self, exc_type, exc, tb)
+        _RECORD.reset(self._token)
+        self.tracer._file(self)
+        return False
 
 
 # What Tracer.span returns for an untraced request: yields None, shared.
 _NO_SPAN = nullcontext()
 
 
-def _span_of(trace_id: str, record: tuple) -> Span:
-    """The :class:`Span` of one record :meth:`Tracer._finish` stored."""
-    span_id, parent_id, name, start, end, status = record[:6]
-    attributes = dict(zip(record[6::2], record[7::2]))
-    return Span(
-        trace_id,
-        "%016x" % span_id,
-        parent_id,
-        name,
-        start * 1000.0,
-        (end - start) * 1000.0,
-        status,
-        tuple(sorted(attributes.items())),
-    )
+def untraced_span(_context, _name, _attributes=None) -> nullcontext:
+    """:meth:`Tracer.span` for a component that runs with no tracer."""
+    return _NO_SPAN
+
+
+def _spans_of(trace_id: str, record: tuple) -> list[Span]:
+    """The :class:`Span`\\ s of one record :meth:`Tracer._file` stored."""
+    parent_id, (names, numbers, parents, statuses, keys), packed = record[:3]
+    (base,) = struct.unpack_from("q", packed)
+    times = memoryview(packed)[8:].cast("d")
+    spans, at, count = [], 3, len(names)
+    for i in range(count):
+        values = record[at : at + len(keys[i])]
+        at += len(keys[i])
+        start, end = times[i], times[count + i]
+        parent = parent_id if parents[i] < 0 else "%016x" % (base + parents[i])
+        attributes = dict(zip(map(str, keys[i]), map(str, values)))
+        spans.append(Span(
+            trace_id, "%016x" % (base + numbers[i]), parent, names[i], start * 1000.0,
+            (end - start) * 1000.0, statuses[i], tuple(sorted(attributes.items())),
+        ))
+    return spans
 
 
 class Tracer:
     """A bounded ring of traces: at most ``max_traces``, oldest evicted.
 
-    Spans are grouped by trace id; one trace holds at most
-    ``max_spans_per_trace`` spans (later spans of a runaway trace are
-    dropped, never the process's memory).  Each span is kept as one flat
-    tuple — span id counter value, parent id, name, start and end clock
-    readings, status, then its attribute pairs — and :meth:`trace` builds
-    the :class:`Span` objects.  Thread-safe.
+    A trace keeps the records filed under its id, with at most
+    ``max_spans_per_trace`` stages in all: a record is cut where its
+    trace fills, and the stages cut off count as dropped.  :meth:`trace`
+    builds the :class:`Span` objects.  Thread-safe.
     """
 
     def __init__(
-        self,
-        max_traces: int = 256,
-        max_spans_per_trace: int = 256,
+        self, max_traces: int = 256, max_spans_per_trace: int = 256,
         clock: Callable[[], float] = time.monotonic,
     ):
         if max_traces < 1 or max_spans_per_trace < 1:
@@ -251,57 +279,67 @@ class Tracer:
         self.max_spans_per_trace = max_spans_per_trace
         self._clock = clock
         self._lock = threading.Lock()
-        self._traces: OrderedDict[str, list[tuple]] = OrderedDict()
+        # trace id -> (stages held, record, record, ...), oldest trace first
+        self._traces: dict[str, tuple] = {}
+        self._shapes: dict[tuple, tuple] = {}
         self.spans_recorded = 0
         self.spans_dropped = 0
         self.traces_evicted = 0
 
     def span(
-        self,
-        context: TraceContext | None,
-        name: str,
-        attributes: dict[str, Any] | None = None,
-    ) -> SpanHandle | nullcontext:
-        """Record one named span around a block; no-op when ``context`` is None.
+        self, context: TraceContext | None, name: str, attributes: dict[str, Any] | None = None
+    ) -> _Stage | nullcontext:
+        """Record one named stage around a block; no-op when ``context`` is None.
 
-        An exception escaping the block marks the span's status with the
-        exception's stable ``code`` (or its class name) and re-raises —
-        failed stages show up in the trace exactly where they failed.
+        The stage joins the running request's record when ``context`` is
+        that record's parent's or one of its stages', else it opens a
+        record of its own.  An exception escaping the block marks the
+        stage's status with its stable ``code`` (or class name) and re-raises.
         """
         if context is None:
             return _NO_SPAN
-        return SpanHandle(self, context, name, attributes)
+        record = _RECORD.get()
+        if record is not None and record.tracer is self:
+            parent = record.named.get(context)
+            if parent is not None:
+                return _Stage(record, parent, name, attributes)
+        return RequestRecord(self, context, name, attributes)
 
-    def _finish(self, handle: SpanHandle) -> None:
-        """Seal one span into the ring (called when its block exits)."""
-        parent = handle._parent
-        record = (
-            handle._id,
-            parent.span_id,
-            handle._name,
-            handle._start,
-            self._clock(),
-            handle.status or "ok",
-            *handle._attributes,
-        )
+    def record(self, context: TraceContext) -> RequestRecord | None:
+        """A record to enter for a request under ``context``; None when the
+        running record covers it."""
+        record = _RECORD.get()
+        if record is not None and record.tracer is self and context in record.named:
+            return None
+        return RequestRecord(self, context)
+
+    def _file(self, record: RequestRecord) -> None:
+        """Put one ended record into the ring, cut to its trace's room."""
         with self._lock:
-            spans = self._traces.get(parent.trace_id)
-            if spans is None:
-                while len(self._traces) >= self.max_traces:
-                    self._traces.popitem(last=False)
-                    self.traces_evicted += 1
-                spans = self._traces[parent.trace_id] = []
-            if len(spans) >= self.max_spans_per_trace:
-                self.spans_dropped += 1
+            held = self._traces.get(record.trace_id, (0,))
+            stages = record.stages[: max(0, self.max_spans_per_trace - held[0])]
+            self.spans_dropped += len(record.stages) - len(stages)
+            if not stages:
                 return
-            spans.append(record)
-            self.spans_recorded += 1
+            names, numbers, parents, statuses, keys, starts, ends, values = zip(*stages)
+            # One layout tuple per call shape: the shapes are the code's own
+            # stage sequences, so this stays as small as the code.
+            layout = (names, numbers, parents, statuses, keys)
+            layout = self._shapes.setdefault(layout, layout)
+            packed = struct.pack("q%dd" % (2 * len(names)), record.base, *starts, *ends)
+            compact = (record.parent_id, layout, packed, *itertools.chain.from_iterable(values))
+            self.spans_recorded += len(names)
+            if len(held) == 1:  # a new trace
+                while len(self._traces) >= self.max_traces:
+                    del self._traces[next(iter(self._traces))]
+                    self.traces_evicted += 1
+            self._traces[record.trace_id] = (held[0] + len(names), *held[1:], compact)
 
     def trace(self, trace_id: str) -> list[Span]:
-        """Every recorded span of one trace (recording order)."""
+        """Every recorded span of one trace, in filing order."""
         with self._lock:
-            records = list(self._traces.get(trace_id, ()))
-        return [_span_of(trace_id, record) for record in records]
+            records = self._traces.get(trace_id, (0,))[1:]
+        return [span for record in records for span in _spans_of(trace_id, record)]
 
     def trace_ids(self) -> list[str]:
         with self._lock:
@@ -446,17 +484,11 @@ class Histogram:
     def snapshot(self) -> HistogramSnapshot:
         with self._lock:
             return HistogramSnapshot(
-                bounds=self.bounds,
-                counts=tuple(self._counts),
-                count=self._count,
-                sum=self._sum,
-                max_value=self._max,
+                self.bounds, tuple(self._counts), self._count, self._sum, self._max
             )
 
 
-def merge_histogram_snapshots(
-    snapshots: "list[HistogramSnapshot]",
-) -> HistogramSnapshot:
+def merge_histogram_snapshots(snapshots: "list[HistogramSnapshot]") -> HistogramSnapshot:
     """Sum histograms observed independently (one per shard process).
 
     All inputs must share the same bucket bounds — counts add
@@ -467,25 +499,15 @@ def merge_histogram_snapshots(
     """
     if not snapshots:
         raise ValueError("nothing to merge")
-    first = snapshots[0]
-    counts = [0] * (len(first.bounds) + 1)
-    total = 0
-    total_sum = 0.0
-    max_value = 0.0
-    for snapshot in snapshots:
-        if snapshot.bounds != first.bounds:
-            raise ValueError("histogram bounds differ; cannot merge")
-        for i, bucket_count in enumerate(snapshot.counts):
-            counts[i] += bucket_count
-        total += snapshot.count
-        total_sum += snapshot.sum
-        max_value = max(max_value, snapshot.max_value)
+    bounds = snapshots[0].bounds
+    if any(snapshot.bounds != bounds for snapshot in snapshots):
+        raise ValueError("histogram bounds differ; cannot merge")
     return HistogramSnapshot(
-        bounds=first.bounds,
-        counts=tuple(counts),
-        count=total,
-        sum=total_sum,
-        max_value=max_value,
+        bounds=bounds,
+        counts=tuple(map(sum, zip(*(snapshot.counts for snapshot in snapshots)))),
+        count=sum(snapshot.count for snapshot in snapshots),
+        sum=sum((snapshot.sum for snapshot in snapshots), 0.0),
+        max_value=max(0.0, *(snapshot.max_value for snapshot in snapshots)),
     )
 
 
@@ -591,12 +613,7 @@ def jsonl_sink(stream) -> Callable[[dict], None]:
 
 def escape_label_value(value: str) -> str:
     """Escape a Prometheus label value (backslash, quote, newline)."""
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
+    return str(value).replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
 def _fmt_value(value: float) -> str:
@@ -627,9 +644,16 @@ class _Family:
         self.samples: list[str] = []
 
     def add(self, labels: list[tuple[str, str]], value, suffix: str = "") -> None:
-        self.samples.append(
-            "%s%s%s %s" % (self.name, suffix, _labels(labels), _fmt_value(value))
-        )
+        self.samples.append("%s%s%s %s" % (self.name, suffix, _labels(labels), _fmt_value(value)))
+
+    def add_histogram(self, labels: list[tuple[str, str]], hist) -> None:
+        cumulative = 0
+        for i, bucket_count in enumerate(hist.counts):
+            cumulative += bucket_count
+            bound = hist.bounds[i] if i < len(hist.bounds) else float("inf")
+            self.add(labels + [("le", _fmt_value(bound))], cumulative, "_bucket")
+        self.add(labels, hist.sum, "_sum")
+        self.add(labels, hist.count, "_count")
 
     def render(self) -> list[str]:
         if not self.samples:
@@ -640,7 +664,57 @@ class _Family:
         ] + self.samples
 
 
-def render_prometheus(snapshots: dict[str, Any], wire: Any | None = None) -> str:
+# The per-scheme families, in exposition order: (name, kind, help).
+_SCHEME_FAMILIES = (
+    ("repro_gateway_requests_total", "counter",
+     "Requests admitted or refused since process start."),
+    ("repro_gateway_served_total", "counter", "Requests served successfully."),
+    ("repro_gateway_rejected_total", "counter",
+     "Requests rejected by policy (not rate limiting)."),
+    ("repro_gateway_rate_limited_total", "counter",
+     "Requests refused by the per-tenant token bucket."),
+    ("repro_gateway_resizes_total", "counter", "Fleet resize operations."),
+    ("repro_gateway_keys_migrated_total", "counter", "Proxy keys moved by resize migrations."),
+    ("repro_gateway_uptime_seconds", "gauge", "Seconds since the metrics accumulator started."),
+    ("repro_gateway_shard_requests_total", "counter", "Served requests per shard."),
+    ("repro_gateway_outcomes_total", "counter",
+     "Request outcomes per operation and stable outcome code."),
+    ("repro_gateway_tenant_outcomes_total", "counter",
+     "Request outcomes per tenant (bounded cardinality)."),
+    ("repro_gateway_cache_hits_total", "counter", "Cache hits."),
+    ("repro_gateway_cache_misses_total", "counter", "Cache misses."),
+    ("repro_gateway_cache_evictions_total", "counter", "Cache evictions."),
+    ("repro_gateway_cache_invalidations_total", "counter", "Cache invalidations."),
+    ("repro_gateway_cache_size", "gauge", "Current cache entries."),
+    ("repro_gateway_cache_capacity", "gauge", "Cache capacity."),
+    ("repro_gateway_auth_failures_total", "counter",
+     "Authentication/authorization rejections by taxonomy code."),
+    ("repro_substrate_ops_total", "counter",
+     "Pairing-layer operations counted by served requests."),
+    ("repro_gateway_latency_ms", "histogram", "Request latency in milliseconds per operation."),
+    ("repro_gateway_tenant_queue_ms", "histogram",
+     "Shard-lock queue time in milliseconds per tenant (fairness)."),
+)
+# The transport's families: (name, kind, help, WireStatsSnapshot field).
+_WIRE_FAMILIES = (
+    ("repro_wire_connections_open", "gauge",
+     "Wire connections currently accepted and not yet closed.", "connections_open"),
+    ("repro_wire_connections_total", "counter",
+     "Wire connections accepted since process start.", "connections_total"),
+    ("repro_wire_streams_in_flight", "gauge",
+     "Requests currently executing across all wire connections.", "streams_in_flight"),
+    ("repro_wire_streams_total", "counter",
+     "Requests started on the wire since process start.", "streams_total"),
+    ("repro_wire_streams_peak", "gauge",
+     "Highest concurrent in-flight request count observed.", "streams_peak"),
+)
+
+
+def render_prometheus(
+    snapshots: dict[str, Any],
+    wire: Any | None = None,
+    substrate_ops: dict[str, dict[str, int]] | None = None,
+) -> str:
     """Render gateway metrics snapshots as Prometheus text exposition.
 
     ``snapshots`` maps a scheme id to that fleet's
@@ -648,55 +722,16 @@ def render_prometheus(snapshots: dict[str, Any], wire: Any | None = None) -> str
     module never imports the metrics module).  Each family is emitted
     once with every fleet's samples under a ``scheme`` label, which is
     what lets one scrape of a multi-scheme server stay a valid document.
-
-    ``wire`` is an optional
-    :class:`~repro.service.metrics.WireStatsSnapshot` (again duck-typed)
-    carrying the serving transport's connection/stream gauges — scheme-
-    neutral, since connections are shared by every hosted fleet.
+    ``wire`` is an optional, again duck-typed
+    :class:`~repro.service.metrics.WireStatsSnapshot`: the transport's
+    scheme-neutral connection and stream gauges.  ``substrate_ops`` maps
+    a scheme id to its served requests' pairing-layer operation counts.
     """
-    families = [
-        _Family("repro_gateway_requests_total", "counter",
-                "Requests admitted or refused since process start."),
-        _Family("repro_gateway_served_total", "counter",
-                "Requests served successfully."),
-        _Family("repro_gateway_rejected_total", "counter",
-                "Requests rejected by policy (not rate limiting)."),
-        _Family("repro_gateway_rate_limited_total", "counter",
-                "Requests refused by the per-tenant token bucket."),
-        _Family("repro_gateway_resizes_total", "counter",
-                "Fleet resize operations."),
-        _Family("repro_gateway_keys_migrated_total", "counter",
-                "Proxy keys moved by resize migrations."),
-        _Family("repro_gateway_uptime_seconds", "gauge",
-                "Seconds since the metrics accumulator started."),
-        _Family("repro_gateway_shard_requests_total", "counter",
-                "Served requests per shard."),
-        _Family("repro_gateway_outcomes_total", "counter",
-                "Request outcomes per operation and stable outcome code."),
-        _Family("repro_gateway_tenant_outcomes_total", "counter",
-                "Request outcomes per tenant (bounded cardinality)."),
-        _Family("repro_gateway_cache_hits_total", "counter", "Cache hits."),
-        _Family("repro_gateway_cache_misses_total", "counter", "Cache misses."),
-        _Family("repro_gateway_cache_evictions_total", "counter", "Cache evictions."),
-        _Family("repro_gateway_cache_invalidations_total", "counter",
-                "Cache invalidations."),
-        _Family("repro_gateway_cache_size", "gauge", "Current cache entries."),
-        _Family("repro_gateway_cache_capacity", "gauge", "Cache capacity."),
-        _Family("repro_gateway_auth_failures_total", "counter",
-                "Authentication/authorization rejections by taxonomy code."),
-    ]
+    families = [_Family(*spec) for spec in _SCHEME_FAMILIES]
     (requests, served, rejected, rate_limited, resizes, migrated, uptime,
      shard_requests, outcomes, tenant_outcomes, cache_hits, cache_misses,
      cache_evictions, cache_invalidations, cache_size, cache_capacity,
-     auth_failures) = families
-    latency = _Family(
-        "repro_gateway_latency_ms", "histogram",
-        "Request latency in milliseconds per operation.",
-    )
-    tenant_queue = _Family(
-        "repro_gateway_tenant_queue_ms", "histogram",
-        "Shard-lock queue time in milliseconds per tenant (fairness).",
-    )
+     auth_failures, substrate, latency, tenant_queue) = families
 
     for scheme_id in sorted(snapshots):
         snapshot = snapshots[scheme_id]
@@ -709,14 +744,10 @@ def render_prometheus(snapshots: dict[str, Any], wire: Any | None = None) -> str
         migrated.add(base, snapshot.keys_migrated)
         uptime.add(base, snapshot.elapsed_s)
         for shard in sorted(snapshot.shard_requests):
-            shard_requests.add(
-                base + [("shard", shard)], snapshot.shard_requests[shard]
-            )
+            shard_requests.add(base + [("shard", shard)], snapshot.shard_requests[shard])
         for (op, outcome) in sorted(getattr(snapshot, "outcomes", {}) or {}):
-            outcomes.add(
-                base + [("op", op), ("outcome", outcome)],
-                snapshot.outcomes[(op, outcome)],
-            )
+            labels = base + [("op", op), ("outcome", outcome)]
+            outcomes.add(labels, snapshot.outcomes[(op, outcome)])
         for (tenant, outcome) in sorted(getattr(snapshot, "tenant_outcomes", {}) or {}):
             tenant_outcomes.add(
                 base + [("tenant", tenant), ("outcome", outcome)],
@@ -731,60 +762,25 @@ def render_prometheus(snapshots: dict[str, Any], wire: Any | None = None) -> str
             cache_invalidations.add(labels, stats.invalidations)
             cache_size.add(labels, stats.size)
             cache_capacity.add(labels, stats.capacity)
-        for op in sorted(getattr(snapshot, "histograms", {}) or {}):
-            hist = snapshot.histograms[op]
-            op_labels = base + [("op", op)]
-            cumulative = 0
-            for i, bucket_count in enumerate(hist.counts):
-                cumulative += bucket_count
-                bound = hist.bounds[i] if i < len(hist.bounds) else float("inf")
-                latency.add(
-                    op_labels + [("le", _fmt_value(bound))], cumulative, "_bucket"
-                )
-            latency.add(op_labels, hist.sum, "_sum")
-            latency.add(op_labels, hist.count, "_count")
+        histograms = getattr(snapshot, "histograms", {}) or {}
+        for op in sorted(histograms):
+            latency.add_histogram(base + [("op", op)], histograms[op])
         for code in sorted(getattr(snapshot, "auth_failures", {}) or {}):
-            auth_failures.add(
-                base + [("code", code)], snapshot.auth_failures[code]
-            )
-        for tenant in sorted(getattr(snapshot, "tenant_queue_ms", {}) or {}):
-            hist = snapshot.tenant_queue_ms[tenant]
-            tenant_labels = base + [("tenant", tenant)]
-            cumulative = 0
-            for i, bucket_count in enumerate(hist.counts):
-                cumulative += bucket_count
-                bound = hist.bounds[i] if i < len(hist.bounds) else float("inf")
-                tenant_queue.add(
-                    tenant_labels + [("le", _fmt_value(bound))], cumulative, "_bucket"
-                )
-            tenant_queue.add(tenant_labels, hist.sum, "_sum")
-            tenant_queue.add(tenant_labels, hist.count, "_count")
+            auth_failures.add(base + [("code", code)], snapshot.auth_failures[code])
+        ops = (substrate_ops or {}).get(scheme_id, {})
+        for op in sorted(ops):
+            substrate.add(base + [("op", op)], ops[op])
+        queue_ms = getattr(snapshot, "tenant_queue_ms", {}) or {}
+        for tenant in sorted(queue_ms):
+            tenant_queue.add_histogram(base + [("tenant", tenant)], queue_ms[tenant])
 
-    wire_families: list[_Family] = []
     if wire is not None:
-        pairs = [
-            ("repro_wire_connections_open", "gauge",
-             "Wire connections currently accepted and not yet closed.",
-             wire.connections_open),
-            ("repro_wire_connections_total", "counter",
-             "Wire connections accepted since process start.",
-             wire.connections_total),
-            ("repro_wire_streams_in_flight", "gauge",
-             "Requests currently executing across all wire connections.",
-             wire.streams_in_flight),
-            ("repro_wire_streams_total", "counter",
-             "Requests started on the wire since process start.",
-             wire.streams_total),
-            ("repro_wire_streams_peak", "gauge",
-             "Highest concurrent in-flight request count observed.",
-             wire.streams_peak),
-        ]
-        for name, kind, help_text, value in pairs:
+        for name, kind, help_text, field_name in _WIRE_FAMILIES:
             family = _Family(name, kind, help_text)
-            family.add([], value)
-            wire_families.append(family)
+            family.add([], getattr(wire, field_name))
+            families.append(family)
 
     lines: list[str] = []
-    for family in families + [latency, tenant_queue] + wire_families:
+    for family in families:
         lines.extend(family.render())
     return "\n".join(lines) + "\n"

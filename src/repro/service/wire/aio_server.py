@@ -47,6 +47,7 @@ import signal
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from http import HTTPStatus
 from typing import Callable, Sequence
 
@@ -510,8 +511,11 @@ class AsyncGatewayServer:
     ) -> WireResponse:
         """The engine's answer, computed here or on the worker pool."""
         if pooled:
+            # The copied context carries this request's counters and
+            # trace record (if any) onto the pool thread.
             return await asyncio.get_running_loop().run_in_executor(
-                self._pool, self.engine.handle, method, target, body, headers, peer
+                self._pool, copy_context().run, self.engine.handle,
+                method, target, body, headers, peer,
             )
         return self.engine.handle(method, target, body, headers, peer)
 

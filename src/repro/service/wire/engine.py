@@ -55,6 +55,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 from urllib.parse import parse_qs, urlsplit
 
+from repro.bench.counters import SUBSTRATE_OPS, OperationCounter
 from repro.core.api import PreBackend, resolve_backend
 from repro.service.auth.errors import ForbiddenError
 from repro.service.auth.signing import AUTH_HEADER
@@ -399,6 +400,12 @@ class WireRequestExecutor:
         # the generator state itself) survives the worker threads.
         self._trace_rng = random.Random(0x5EED)
         self._trace_rng_lock = threading.Lock()
+        # Operations the requests of each hosted scheme counted (each
+        # request counts its own: see repro.bench.counters).
+        self._substrate_ops: dict[str, dict[str, int]] = {
+            scheme_id: {} for scheme_id in self.scheme_ids
+        }
+        self._substrate_lock = threading.Lock()
 
     # ------------------------------------------------------------- helpers
 
@@ -599,9 +606,18 @@ class WireRequestExecutor:
             scheme_id: fleet.snapshot() for scheme_id, (fleet, _backend) in hosts.items()
         }
         wire = self.wire_stats.snapshot() if self.wire_stats is not None else None
+        with self._substrate_lock:
+            substrate = {
+                scheme_id: {
+                    op: count
+                    for op, count in self._substrate_ops[scheme_id].items()
+                    if op in SUBSTRATE_OPS
+                }
+                for scheme_id in hosts
+            }
         return WireResponse(
             200,
-            render_prometheus(snapshots, wire=wire).encode("utf-8"),
+            render_prometheus(snapshots, wire=wire, substrate_ops=substrate).encode("utf-8"),
             PROMETHEUS_CONTENT_TYPE,
         )
 
@@ -800,8 +816,10 @@ class WireRequestExecutor:
             auth_tenant = self._authenticate(op, base, raw, headers)
         except GatewayError as error:
             return self._auth_failure(op, gateway, backend, headers, client, error, echo)
+        counts = OperationCounter()
         try:
-            payload = self._dispatch(op, gateway, backend, raw, trace, auth_tenant)
+            with counts:
+                payload = self._dispatch(op, gateway, backend, raw, trace, auth_tenant)
         except GatewayError as error:
             return self._error(error, backend, trace=echo)
         except Exception as error:  # noqa: BLE001 - wire boundary
@@ -817,6 +835,12 @@ class WireRequestExecutor:
             return self._error(
                 GatewayError("internal error: %s" % error), backend, trace=echo
             )
+        finally:
+            if counts.counts:
+                with self._substrate_lock:
+                    totals = self._substrate_ops[backend.scheme_id]
+                    for kind, count in counts.counts.items():
+                        totals[kind] = totals.get(kind, 0) + count
         return self._json(200, payload, echo)
 
     def _dispatch(

@@ -17,10 +17,11 @@ import urllib.request
 import pytest
 
 from repro.core.api import available_schemes, create_backend
-from repro.service.gateway import ReEncryptionGateway
+from repro.service.driver import DELEGATEE_DOMAIN, build_setting
+from repro.service.gateway import ReEncryptionGateway, ReEncryptRequest
 from repro.service.metrics import GatewayMetrics
 from repro.service.telemetry import escape_label_value, render_prometheus
-from repro.service.wire import AsyncGatewayServer
+from repro.service.wire import AsyncGatewayServer, RemoteGateway
 from repro.service.wire.engine import PROMETHEUS_CONTENT_TYPE
 
 ALL_SCHEMES = sorted(available_schemes())
@@ -294,3 +295,52 @@ class TestLiveExposition:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _scrape(server.http_url, "/v1/metrics")
         assert excinfo.value.code == 400
+
+
+class TestSubstrateOps:
+    def test_a_cold_read_counts_one_pairing_and_one_decompression(self):
+        """The served requests' own operation counts, summed per scheme:
+        a cold read pays one pairing and one G1 square root, a cache hit
+        neither."""
+        setting = build_setting(
+            group_name="TOY",
+            shard_count=2,
+            n_patients=1,
+            n_delegatees=1,
+            n_types=1,
+            ciphertexts_per_pair=1,
+            seed="substrate-ops",
+        )
+        (patient, _type_label), entries = sorted(setting.pool.items())[0]
+        request = ReEncryptRequest(
+            tenant=patient,
+            ciphertext=entries[0][0],
+            delegatee_domain=DELEGATEE_DOMAIN,
+            delegatee=setting.delegatees[0],
+        )
+        with AsyncGatewayServer(setting.gateway, setting.group) as server:
+            client = RemoteGateway(server.http_url, setting.group)
+
+            def ops() -> dict[str, float]:
+                _status, _ct, body = _scrape(server.http_url)
+                samples, families = parse_exposition(body.decode("utf-8"))
+                assert families.get("repro_substrate_ops_total", "counter") == "counter"
+                return {
+                    dict(labels)["op"]: value
+                    for (name, labels), value in samples.items()
+                    if name == "repro_substrate_ops_total"
+                    and ("scheme", "tipre/v1") in labels
+                }
+
+            try:
+                before = ops()
+                assert not client.reencrypt(request).cache_hit
+                cold = ops()
+                assert client.reencrypt(request).cache_hit
+                hot = ops()
+            finally:
+                client.close()
+        setting.gateway.close()
+        for op in ("pairing", "g1_decompress"):
+            assert cold.get(op, 0) - before.get(op, 0) == 1, op
+            assert hot.get(op, 0) == cold.get(op, 0), op

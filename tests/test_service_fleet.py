@@ -229,25 +229,28 @@ class TestFleetGatewayStatic:
         as it is.  Nothing reads a response component inside a count."""
         gateway, inner = static_fleet
         setting = _small_setting("fleet-decompress")
-        per_shard: collections.Counter = collections.Counter()
-        for name, shard_gateway in inner.items():
+        # A counter counts the operations of its own context only, so each
+        # side counts its own: every shard, the router and the client.
+        per_side: collections.Counter = collections.Counter()
+        for name, side in [*inner.items(), ("router", gateway)]:
             for op in ("reencrypt", "reencrypt_batch"):
 
-                def counted(*args, _call=getattr(shard_gateway, op), _name=name, **kwargs):
+                def counted(*args, _call=getattr(side, op), _name=name, **kwargs):
                     with count_operations() as counter:
                         try:
                             return _call(*args, **kwargs)
                         finally:
-                            per_shard[_name] += counter.get("g1_decompress")
+                            per_side[_name] += counter.get("g1_decompress")
 
-                monkeypatch.setattr(shard_gateway, op, counted)
+                monkeypatch.setattr(side, op, counted)
 
         def decompressions(call):
-            per_shard.clear()
+            per_side.clear()
             with count_operations() as counter:
                 response = call()
-            # Unary plus drops the shards that counted zero.
-            return response, counter.get("g1_decompress"), +per_shard
+            per_side["client"] += counter.get("g1_decompress")
+            # Unary plus drops the sides that counted zero.
+            return response, sum(per_side.values()), +per_side
 
         pairs = [
             _reencrypt_request(setting, pool_key, delegatee)

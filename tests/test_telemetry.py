@@ -23,6 +23,8 @@ import json
 import socket
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 
 import pytest
 
@@ -195,6 +197,58 @@ class TestTracer:
             Tracer(max_traces=0)
         with pytest.raises(ValueError):
             Tracer(max_spans_per_trace=0)
+
+
+class TestRequestRecord:
+    def test_a_request_is_filed_once_with_every_stage(self):
+        clock = _FakeClock()
+        tracer = Tracer(clock=clock)
+        root = TraceContext.generate()
+        with tracer.span(root, "request") as request:
+            assert tracer.trace(root.trace_id) == []  # nothing filed yet
+            for name in ("decode", "work", "encode"):
+                with tracer.span(request.context, name):
+                    clock.now += 0.001
+        (count, record) = tracer._traces[root.trace_id]
+        assert count == tracer.spans_recorded == 4
+        spans = tracer.trace(root.trace_id)
+        assert [span.name for span in spans] == ["decode", "work", "encode", "request"]
+        assert {span.parent_id for span in spans[:3]} == {spans[3].span_id}
+        assert spans[3].parent_id == root.span_id
+        assert spans[3].duration_ms == pytest.approx(3.0)
+
+    def test_a_gateway_call_given_a_trace_opens_one_record(self):
+        tracer = Tracer()
+        root = TraceContext.generate()
+        record = tracer.record(root)
+        with record:
+            assert tracer.record(root) is None  # covered by the running record
+            with tracer.span(root, "admission"):
+                pass
+            with tracer.span(root, "route"):
+                pass
+        assert len(tracer._traces[root.trace_id]) == 2  # held count, one record
+        assert [span.parent_id for span in tracer.trace(root.trace_id)] == [root.span_id] * 2
+
+    def test_stages_on_pool_threads_join_the_record_they_were_handed(self):
+        tracer = Tracer()
+        root = TraceContext.generate()
+
+        def call(sub, n):
+            with tracer.span(sub, "shard-call", {"n": n}) as stage:
+                assert stage.context != sub
+
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            with tracer.span(root, "fan-out") as fan:
+                sub = fan.context
+                futures = [pool.submit(copy_context().run, call, sub, n) for n in range(6)]
+                for future in futures:
+                    future.result()
+        assert len(tracer._traces[root.trace_id]) == 2
+        *calls, fan_span = tracer.trace(root.trace_id)
+        assert sorted(span.attribute_dict()["n"] for span in calls) == list("012345")
+        assert {span.parent_id for span in calls} == {fan_span.span_id}
+        assert len({span.span_id for span in calls + [fan_span]}) == 7
 
 
 class TestSpanJson:
@@ -575,8 +629,10 @@ class TestRecordMemory:
     # Bytes per record on CPython 3.11 with records kept as dicts, Spans
     # and dataclasses / as flat tuples: events 631 / 268, spans 418 / 302,
     # audit entries 110 / 82, shard-log entries 85 / 71 (small sequence
-    # ints are shared between the two shards).  Each bound sits between.
-    BOUNDS = {"events": 450, "spans": 360, "audit": 95, "shard_logs": 78}
+    # ints are shared between the two shards).  Spans then measured 269 B
+    # per recorded stage with one tuple per stage, and 93 B with one
+    # record per request.  Each bound sits between.
+    BOUNDS = {"events": 450, "spans": 160, "audit": 95, "shard_logs": 78}
 
     def test_bounded_logs_hold_at_most_their_bytes_per_record(self):
         setting = build_setting(
