@@ -27,7 +27,9 @@ SUBSTRATE_OPS = frozenset(
 )
 
 # The counters open in this context, innermost last.
-_OPEN: ContextVar[tuple["OperationCounter", ...]] = ContextVar("repro_operation_counters", default=())
+_OPEN: ContextVar[tuple["OperationCounter", ...]] = ContextVar(
+    "repro_operation_counters", default=()
+)
 
 
 class OperationCounter:

@@ -69,11 +69,12 @@ from repro.service.gateway import (
     RevokeRequest,
     RevokeResponse,
     StoreUnavailableError,
+    untraced_span,
 )
 from repro.service.auth.credentials import TenantCredentialStore
 from repro.service.metrics import GatewayMetrics, MetricsSnapshot, merge_snapshots
 from repro.service.router import ShardRouter
-from repro.service.telemetry import EventLog, Span, TraceContext, Tracer, untraced_span
+from repro.service.telemetry import EventLog, Span, TraceContext, Tracer
 from repro.service.wire.aio_client import connect_gateway
 from repro.service.wire.client import RemoteGateway, WireTransportError
 

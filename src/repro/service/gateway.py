@@ -43,7 +43,7 @@ import functools
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -67,7 +67,7 @@ from repro.service.metrics import GatewayMetrics, MetricsSnapshot
 from repro.service.persistence import DurableProxyKeyTable, open_key_log
 from repro.service.pool import ShardPool
 from repro.service.router import ShardRouter
-from repro.service.telemetry import EventLog, TraceContext, Tracer, untraced_span
+from repro.service.telemetry import EventLog, TraceContext, Tracer
 
 __all__ = [
     "GatewayError",
@@ -105,6 +105,14 @@ def _route_of(key: ProxyKey) -> tuple[str, str, str]:
 def _served_detail(shard: str, cache_hit: bool = False) -> str:
     """A served re-encryption's audit detail: one string per shard, not per request."""
     return ("cache-hit shard=%s" if cache_hit else "shard=%s") % shard
+
+
+# A stage's context manager on a gateway that runs with no tracer.
+_UNTRACED = nullcontext()
+
+
+def untraced_span(_trace, _name, _attributes=None) -> nullcontext:
+    return _UNTRACED
 
 
 def _recorded(operation):
@@ -549,7 +557,9 @@ class ReEncryptionGateway:
         cost: float = 1.0,
         trace: TraceContext | None = None,
     ) -> None:
-        with self._span(trace, "admission", {"tenant": tenant, "op": action}) as span:
+        # A traced request's record keeps the tenant name the audit shares.
+        shared = self._tenant_names.get(tenant, tenant)
+        with self._span(trace, "admission", {"tenant": shared, "op": action}) as span:
             if self.policy is not None:
                 try:
                     if self.policy.admit(tenant, action, cost):

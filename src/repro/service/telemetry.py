@@ -48,7 +48,6 @@ __all__ = [
     "Span",
     "RequestRecord",
     "Tracer",
-    "untraced_span",
     "Histogram",
     "HistogramSnapshot",
     "merge_histogram_snapshots",
@@ -78,6 +77,8 @@ _id_rng = random.Random(secrets.randbits(64))
 # process by construction, across processes (a fleet's router and shards
 # share traces) as likely distinct as random ids.
 _id_blocks = itertools.count(_id_rng.getrandbits(31) << 32, 1 << 32)
+# Ended records a tracer queues before it files them into its ring.
+_BATCH = 16
 
 
 # ------------------------------------------------------------------- tracing
@@ -195,10 +196,10 @@ class RequestRecord(_Stage):
     Entered, it is the running request's record (a context variable) for
     the wire engine's dispatch, where it is also its first stage, or for
     an in-process gateway call given a trace.  A stage numbers itself in
-    the record's block of span ids and, when it ends, appends one tuple
-    (one list append: fan-out threads' stages stay whole).  Filed, it is
-    one tuple: parent span id, the stages' layout (shared per call
-    shape), block and clock readings packed, then raw attribute values.
+    the record's block of span ids and, ending, appends one tuple (one
+    list append: fan-out threads' stages stay whole).  Filed, it is one
+    tuple: parent span id, the stages' layout (shared per call shape),
+    block and clock readings packed, then raw attribute values.
     """
 
     __slots__ = (
@@ -236,17 +237,12 @@ class RequestRecord(_Stage):
 _NO_SPAN = nullcontext()
 
 
-def untraced_span(_context, _name, _attributes=None) -> nullcontext:
-    """:meth:`Tracer.span` for a component that runs with no tracer."""
-    return _NO_SPAN
-
-
 def _spans_of(trace_id: str, record: tuple) -> list[Span]:
     """The :class:`Span`\\ s of one record :meth:`Tracer._file` stored."""
     parent_id, (names, numbers, parents, statuses, keys), packed = record[:3]
-    (base,) = struct.unpack_from("q", packed)
-    times = memoryview(packed)[8:].cast("d")
-    spans, at, count = [], 3, len(names)
+    count = len(names)
+    base, *times = struct.unpack("q%dd" % (2 * count), packed)
+    spans, at = [], 3
     for i in range(count):
         values = record[at : at + len(keys[i])]
         at += len(keys[i])
@@ -264,9 +260,10 @@ class Tracer:
     """A bounded ring of traces: at most ``max_traces``, oldest evicted.
 
     A trace keeps the records filed under its id, with at most
-    ``max_spans_per_trace`` stages in all: a record is cut where its
-    trace fills, and the stages cut off count as dropped.  :meth:`trace`
-    builds the :class:`Span` objects.  Thread-safe.
+    ``max_spans_per_trace`` stages in all: a record is cut where its trace
+    fills, and the stages cut off count as dropped.  Ended records queue
+    and are filed in batches of ``_BATCH`` and before any read, so filing
+    runs as warm code, not once per request.  Thread-safe.
     """
 
     def __init__(
@@ -279,22 +276,25 @@ class Tracer:
         self.max_spans_per_trace = max_spans_per_trace
         self._clock = clock
         self._lock = threading.Lock()
+        self._ended: deque[RequestRecord] = deque()
         # trace id -> (stages held, record, record, ...), oldest trace first
         self._traces: dict[str, tuple] = {}
         self._shapes: dict[tuple, tuple] = {}
-        self.spans_recorded = 0
-        self.spans_dropped = 0
-        self.traces_evicted = 0
+        self._counts = [0, 0, 0]  # stages recorded, stages dropped, traces evicted
+
+    spans_recorded = property(lambda self: self._counted(0))
+    spans_dropped = property(lambda self: self._counted(1))
+    traces_evicted = property(lambda self: self._counted(2))
 
     def span(
         self, context: TraceContext | None, name: str, attributes: dict[str, Any] | None = None
     ) -> _Stage | nullcontext:
         """Record one named stage around a block; no-op when ``context`` is None.
 
-        The stage joins the running request's record when ``context`` is
-        that record's parent's or one of its stages', else it opens a
-        record of its own.  An exception escaping the block marks the
-        stage's status with its stable ``code`` (or class name) and re-raises.
+        The stage joins the running request's record when ``context`` names
+        its parent or one of its stages, else it opens a record of its own.
+        An escaping exception sets its status to the stable ``code`` (or
+        class name) and is re-raised.
         """
         if context is None:
             return _NO_SPAN
@@ -314,13 +314,20 @@ class Tracer:
         return RequestRecord(self, context)
 
     def _file(self, record: RequestRecord) -> None:
-        """Put one ended record into the ring, cut to its trace's room."""
-        with self._lock:
+        self._ended.append(record)
+        if len(self._ended) >= _BATCH:
+            with self._lock:
+                self._drain()
+
+    def _drain(self) -> None:
+        """File the queued records (lock held), each cut to its trace's room."""
+        while self._ended:
+            record = self._ended.popleft()
             held = self._traces.get(record.trace_id, (0,))
             stages = record.stages[: max(0, self.max_spans_per_trace - held[0])]
-            self.spans_dropped += len(record.stages) - len(stages)
+            self._counts[1] += len(record.stages) - len(stages)
             if not stages:
-                return
+                continue
             names, numbers, parents, statuses, keys, starts, ends, values = zip(*stages)
             # One layout tuple per call shape: the shapes are the code's own
             # stage sequences, so this stays as small as the code.
@@ -328,25 +335,33 @@ class Tracer:
             layout = self._shapes.setdefault(layout, layout)
             packed = struct.pack("q%dd" % (2 * len(names)), record.base, *starts, *ends)
             compact = (record.parent_id, layout, packed, *itertools.chain.from_iterable(values))
-            self.spans_recorded += len(names)
+            self._counts[0] += len(names)
             if len(held) == 1:  # a new trace
                 while len(self._traces) >= self.max_traces:
                     del self._traces[next(iter(self._traces))]
-                    self.traces_evicted += 1
+                    self._counts[2] += 1
             self._traces[record.trace_id] = (held[0] + len(names), *held[1:], compact)
+
+    def _counted(self, index: int) -> int:
+        with self._lock:
+            self._drain()
+            return self._counts[index]
 
     def trace(self, trace_id: str) -> list[Span]:
         """Every recorded span of one trace, in filing order."""
         with self._lock:
+            self._drain()
             records = self._traces.get(trace_id, (0,))[1:]
         return [span for record in records for span in _spans_of(trace_id, record)]
 
     def trace_ids(self) -> list[str]:
         with self._lock:
+            self._drain()
             return list(self._traces)
 
     def __len__(self) -> int:
         with self._lock:
+            self._drain()
             return len(self._traces)
 
 
@@ -382,9 +397,7 @@ def span_from_json(document: dict) -> Span:
             start_ms=float(document["start_ms"]),
             duration_ms=float(document["duration_ms"]),
             status=str(document.get("status", "ok")),
-            attributes=tuple(
-                sorted((str(k), str(v)) for k, v in attributes.items())
-            ),
+            attributes=tuple(sorted((str(k), str(v)) for k, v in attributes.items())),
         )
     except (KeyError, TypeError) as error:
         raise ValueError("malformed span document: %s" % error) from error
@@ -418,11 +431,9 @@ class HistogramSnapshot:
     def percentile(self, q: float) -> float:
         """Estimate the q-quantile (0 < q <= 1) by bucket interpolation.
 
-        The rank is nearest-rank over the exact count; within the chosen
-        bucket the estimate interpolates linearly between its bounds.
-        The top (+Inf) bucket and the overall estimate are clamped to the
-        exact observed max, so the estimate never invents a latency
-        larger than anything that happened.
+        The rank is nearest-rank over the exact count; within its bucket
+        the estimate interpolates linearly between the bounds, clamped to
+        the exact observed max (never a latency larger than any seen).
         """
         if self.count == 0:
             return 0.0
@@ -530,9 +541,7 @@ class EventLog:
     """
 
     def __init__(
-        self,
-        sink: Callable[[dict], None] | None = None,
-        max_events: int = 4096,
+        self, sink: Callable[[dict], None] | None = None, max_events: int = 4096,
         clock: Callable[[], float] = time.time,
     ):
         if max_events < 1:
@@ -695,18 +704,13 @@ _SCHEME_FAMILIES = (
     ("repro_gateway_tenant_queue_ms", "histogram",
      "Shard-lock queue time in milliseconds per tenant (fairness)."),
 )
-# The transport's families: (name, kind, help, WireStatsSnapshot field).
+# The transport's families, "repro_wire_" + a WireStatsSnapshot field: (field, kind, help).
 _WIRE_FAMILIES = (
-    ("repro_wire_connections_open", "gauge",
-     "Wire connections currently accepted and not yet closed.", "connections_open"),
-    ("repro_wire_connections_total", "counter",
-     "Wire connections accepted since process start.", "connections_total"),
-    ("repro_wire_streams_in_flight", "gauge",
-     "Requests currently executing across all wire connections.", "streams_in_flight"),
-    ("repro_wire_streams_total", "counter",
-     "Requests started on the wire since process start.", "streams_total"),
-    ("repro_wire_streams_peak", "gauge",
-     "Highest concurrent in-flight request count observed.", "streams_peak"),
+    ("connections_open", "gauge", "Wire connections currently accepted and not yet closed."),
+    ("connections_total", "counter", "Wire connections accepted since process start."),
+    ("streams_in_flight", "gauge", "Requests currently executing across all wire connections."),
+    ("streams_total", "counter", "Requests started on the wire since process start."),
+    ("streams_peak", "gauge", "Highest concurrent in-flight request count observed."),
 )
 
 
@@ -775,8 +779,8 @@ def render_prometheus(
             tenant_queue.add_histogram(base + [("tenant", tenant)], queue_ms[tenant])
 
     if wire is not None:
-        for name, kind, help_text, field_name in _WIRE_FAMILIES:
-            family = _Family(name, kind, help_text)
+        for field_name, kind, help_text in _WIRE_FAMILIES:
+            family = _Family("repro_wire_" + field_name, kind, help_text)
             family.add([], getattr(wire, field_name))
             families.append(family)
 

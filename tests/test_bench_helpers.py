@@ -1,8 +1,10 @@
 """Tests for the bench instrumentation helpers (timing, tables, snapshots)."""
 
+import importlib.util
 import json
 import os
 import platform
+from pathlib import Path
 
 import pytest
 
@@ -86,3 +88,21 @@ class TestSnapshots:
         assert "host" not in document
         # An existing snapshot is left alone unless re-recording is asked for.
         assert record_bench_snapshot("stamp", {"experiment": "other"}, root=tmp_path) is None
+
+    def test_re_recording_appends_to_the_history(self, tmp_path, monkeypatch):
+        tool = Path(__file__).resolve().parents[1] / "tools" / "record_bench.py"
+        spec = importlib.util.spec_from_file_location("record_bench", tool)
+        record_bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(record_bench)
+        monkeypatch.setattr(record_bench, "HISTORY", tmp_path / "BENCH_HISTORY.jsonl")
+        monkeypatch.setenv(RECORD_ENV, "1")
+        readings = []
+        for overhead in (0.12, 0.04):
+            path = record_bench_snapshot("E99", {"overhead": overhead}, root=tmp_path)
+            record_bench.append_history([path])
+            readings.append(json.loads(path.read_text()))
+        lines = [json.loads(line) for line in record_bench.HISTORY.read_text().splitlines()]
+        assert [line["document"] for line in lines] == readings
+        assert [line["document"]["overhead"] for line in lines] == [0.12, 0.04]
+        assert {line["name"] for line in lines} == {"E99"}
+        assert all("commit" in line and "host" in line["document"] for line in lines)

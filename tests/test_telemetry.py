@@ -209,8 +209,9 @@ class TestRequestRecord:
             for name in ("decode", "work", "encode"):
                 with tracer.span(request.context, name):
                     clock.now += 0.001
-        (count, record) = tracer._traces[root.trace_id]
-        assert count == tracer.spans_recorded == 4
+        assert tracer.spans_recorded == 4
+        (count, _record) = tracer._traces[root.trace_id]
+        assert count == 4
         spans = tracer.trace(root.trace_id)
         assert [span.name for span in spans] == ["decode", "work", "encode", "request"]
         assert {span.parent_id for span in spans[:3]} == {spans[3].span_id}
@@ -227,8 +228,8 @@ class TestRequestRecord:
                 pass
             with tracer.span(root, "route"):
                 pass
-        assert len(tracer._traces[root.trace_id]) == 2  # held count, one record
         assert [span.parent_id for span in tracer.trace(root.trace_id)] == [root.span_id] * 2
+        assert len(tracer._traces[root.trace_id]) == 2  # held count, one record
 
     def test_stages_on_pool_threads_join_the_record_they_were_handed(self):
         tracer = Tracer()
@@ -244,8 +245,8 @@ class TestRequestRecord:
                 futures = [pool.submit(copy_context().run, call, sub, n) for n in range(6)]
                 for future in futures:
                     future.result()
-        assert len(tracer._traces[root.trace_id]) == 2
         *calls, fan_span = tracer.trace(root.trace_id)
+        assert len(tracer._traces[root.trace_id]) == 2
         assert sorted(span.attribute_dict()["n"] for span in calls) == list("012345")
         assert {span.parent_id for span in calls} == {fan_span.span_id}
         assert len({span.span_id for span in calls + [fan_span]}) == 7

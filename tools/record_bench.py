@@ -7,11 +7,18 @@ runs must never churn checked-in numbers.  This helper is the deliberate
 path: it exports the flag, runs the selected benchmark files under
 pytest, and reports which snapshots changed.
 
+Every snapshot it writes is also appended to ``BENCH_HISTORY.jsonl`` as
+one JSON line, ``{"name", "commit", "document"}``: the snapshot's name
+(``E14``), the commit the checkout was on when it was measured, and the
+document with its host stamp.  A re-recording replaces the snapshot but
+not its history.
+
 Usage:
     python tools/record_bench.py                 # every benchmarks/bench_*.py
     python tools/record_bench.py e14 e9          # just those experiments
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -22,6 +29,7 @@ sys.path.insert(0, "src")
 from repro.bench.report import RECORD_ENV
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+HISTORY = REPO_ROOT / "BENCH_HISTORY.jsonl"
 
 
 def select_benches(names: list[str]) -> list[Path]:
@@ -48,6 +56,21 @@ def snapshot_states() -> dict[Path, float]:
     }
 
 
+def append_history(paths: list[Path]) -> None:
+    """Append one line per written snapshot to ``BENCH_HISTORY.jsonl``."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=REPO_ROOT, capture_output=True, text=True
+    ).stdout.strip() or None
+    with HISTORY.open("a", encoding="utf-8") as history:
+        for path in paths:
+            line = {
+                "name": path.stem[len("BENCH_"):],
+                "commit": commit,
+                "document": json.loads(path.read_text(encoding="utf-8")),
+            }
+            history.write(json.dumps(line, sort_keys=True) + "\n")
+
+
 def main(argv: list[str]) -> int:
     benches = select_benches(argv)
     before = snapshot_states()
@@ -68,7 +91,8 @@ def main(argv: list[str]) -> int:
         if path not in before or mtime != before[path]
     ]
     if written:
-        print("recorded:")
+        append_history(written)
+        print("recorded (and appended to %s):" % HISTORY.name)
         for path in written:
             print("  %s" % path.relative_to(REPO_ROOT))
     else:
