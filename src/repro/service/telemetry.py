@@ -238,10 +238,10 @@ _NO_SPAN = nullcontext()
 
 
 def _spans_of(trace_id: str, record: tuple) -> list[Span]:
-    """The :class:`Span`\\ s of one record :meth:`Tracer._file` stored."""
+    """The :class:`Span`\\ s of one record in a :class:`Tracer` ring."""
     parent_id, (names, numbers, parents, statuses, keys), packed = record[:3]
     count = len(names)
-    base, *times = struct.unpack("q%dd" % (2 * count), packed)
+    base, *times = struct.unpack("Q%dd" % (2 * count), packed)
     spans, at = [], 3
     for i in range(count):
         values = record[at : at + len(keys[i])]
@@ -333,7 +333,7 @@ class Tracer:
             # stage sequences, so this stays as small as the code.
             layout = (names, numbers, parents, statuses, keys)
             layout = self._shapes.setdefault(layout, layout)
-            packed = struct.pack("q%dd" % (2 * len(names)), record.base, *starts, *ends)
+            packed = struct.pack("Q%dd" % (2 * len(names)), record.base, *starts, *ends)
             compact = (record.parent_id, layout, packed, *itertools.chain.from_iterable(values))
             self._counts[0] += len(names)
             if len(held) == 1:  # a new trace

@@ -19,6 +19,7 @@ from __future__ import annotations
 import gc
 import http.client
 import io
+import itertools
 import json
 import socket
 import sys
@@ -230,6 +231,22 @@ class TestRequestRecord:
                 pass
         assert [span.parent_id for span in tracer.trace(root.trace_id)] == [root.span_id] * 2
         assert len(tracer._traces[root.trace_id]) == 2  # held count, one record
+
+    def test_the_highest_id_blocks_still_file_and_read_back(self, monkeypatch):
+        from repro.service import telemetry
+
+        top = ((1 << 31) - 1) << 32  # the highest per-process base
+        monkeypatch.setattr(telemetry, "_id_blocks", itertools.count(top, 1 << 32))
+        tracer = Tracer()
+        roots = [TraceContext.generate() for _ in range(3)]
+        for root in roots:
+            with tracer.span(root, "request") as request:
+                with tracer.span(request.context, "stage"):
+                    pass
+        for root in roots:
+            stage, request = tracer.trace(root.trace_id)
+            assert int(request.span_id, 16) >= top and len(request.span_id) == 16
+            assert stage.parent_id == request.span_id
 
     def test_stages_on_pool_threads_join_the_record_they_were_handed(self):
         tracer = Tracer()
