@@ -173,7 +173,7 @@ class _Stage:
         return context
 
     def set(self, key: str, value: Any) -> None:
-        self._keys += (key,)
+        self._keys += (str(key),)
         self._values += (value,)
 
     def __enter__(self) -> "_Stage":
