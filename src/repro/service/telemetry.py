@@ -77,8 +77,9 @@ _id_rng = random.Random(secrets.randbits(64))
 # process by construction, across processes (a fleet's router and shards
 # share traces) as likely distinct as random ids.
 _id_blocks = itertools.count(_id_rng.getrandbits(31) << 32, 1 << 32)
-# Ended records a tracer queues before it files them into its ring.
-_BATCH = 16
+# Ended records a tracer queues before filing them, and call shapes it
+# interns before starting over (concurrent stages end in any order).
+_BATCH, _SHAPES_LIMIT = 16, 4096
 
 
 # ------------------------------------------------------------------- tracing
@@ -293,8 +294,7 @@ class Tracer:
 
         The stage joins the running request's record when ``context`` names
         its parent or one of its stages, else it opens a record of its own.
-        An escaping exception sets its status to the stable ``code`` (or
-        class name) and is re-raised.
+        An escaping exception sets its status (``code`` or class name).
         """
         if context is None:
             return _NO_SPAN
@@ -306,8 +306,7 @@ class Tracer:
         return RequestRecord(self, context, name, attributes)
 
     def record(self, context: TraceContext) -> RequestRecord | None:
-        """A record to enter for a request under ``context``; None when the
-        running record covers it."""
+        """The record a call under ``context`` enters; None if one covers it."""
         record = _RECORD.get()
         if record is not None and record.tracer is self and context in record.named:
             return None
@@ -329,10 +328,10 @@ class Tracer:
             if not stages:
                 continue
             names, numbers, parents, statuses, keys, starts, ends, values = zip(*stages)
-            # One layout tuple per call shape: the shapes are the code's own
-            # stage sequences, so this stays as small as the code.
             layout = (names, numbers, parents, statuses, keys)
-            layout = self._shapes.setdefault(layout, layout)
+            if len(self._shapes) >= _SHAPES_LIMIT:
+                self._shapes.clear()
+            layout = self._shapes.setdefault(layout, layout)  # one per call shape
             packed = struct.pack("Q%dd" % (2 * len(names)), record.base, *starts, *ends)
             compact = (record.parent_id, layout, packed, *itertools.chain.from_iterable(values))
             self._counts[0] += len(names)

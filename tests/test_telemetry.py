@@ -248,6 +248,20 @@ class TestRequestRecord:
             assert int(request.span_id, 16) >= top and len(request.span_id) == 16
             assert stage.parent_id == request.span_id
 
+    def test_interned_call_shapes_are_bounded(self, monkeypatch):
+        from repro.service import telemetry
+
+        monkeypatch.setattr(telemetry, "_SHAPES_LIMIT", 2)
+        tracer = Tracer()
+        roots = [TraceContext.generate() for _ in range(5)]
+        for n, root in enumerate(roots):  # five call shapes: 1..5 stages
+            with tracer.span(root, "request") as request:
+                for _ in range(n):
+                    with tracer.span(request.context, "stage"):
+                        pass
+        assert [len(tracer.trace(root.trace_id)) for root in roots] == [1, 2, 3, 4, 5]
+        assert len(tracer._shapes) <= 2
+
     def test_stages_on_pool_threads_join_the_record_they_were_handed(self):
         tracer = Tracer()
         root = TraceContext.generate()
