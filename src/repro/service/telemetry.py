@@ -4,22 +4,30 @@ Three primitives every serving deployment of the gateway needs once a
 request can cross process boundaries:
 
 * **Trace contexts** — :class:`TraceContext` is a (trace id, span id)
-  pair generated at the edge (:class:`~repro.service.wire.client.RemoteGateway`)
-  and carried as the ``X-Repro-Trace`` header.  Each traced request fills
-  one :class:`RequestRecord` with its stages (decode, admission, route,
-  cache lookup, shard crypto op, encode) and files it into a bounded
-  per-gateway :class:`Tracer` ring once; ``GET /v1/trace/{id}`` reads the
-  :class:`Span` objects back and ``repro-pre trace`` draws the waterfall.
+  pair generated at the edge (:class:`~repro.service.wire.client.RemoteGateway`),
+  carried as the ``X-Repro-Trace`` header through the wire, and threaded
+  into :class:`~repro.service.gateway.ReEncryptionGateway` so every
+  request stage (admission, route, cache lookup, shard crypto op,
+  serialization) adds to the request's one :class:`RequestRecord`, which
+  is filed into a bounded per-gateway :class:`Tracer` ring when the
+  request ends.  ``GET /v1/trace/{id}`` reads the :class:`Span` objects
+  back and ``repro-pre trace`` renders them as a waterfall.
 
 * **Histogram metrics** — :class:`Histogram` is a fixed-bucket latency
-  accumulator with exact count/sum/max that never drops an observation.
-  :func:`render_prometheus` exposes everything (per scheme, operation and
-  tenant outcome) for ``GET /v1/metrics?format=prometheus``.
+  accumulator with exact count/sum/max.  Unlike the sample lists it
+  replaces, it never drops an observation, so long-run percentiles track
+  live traffic instead of freezing on startup samples, and the bounded
+  memory holds no matter how long the gateway runs.
+  :func:`render_prometheus` exposes everything (per scheme, per
+  operation, per tenant outcome) in Prometheus text exposition format
+  for ``GET /v1/metrics?format=prometheus``.
 
 * **Structured events** — :class:`EventLog` is a bounded ring of
-  structured events with an injectable sink (:func:`jsonl_sink` appends
-  one JSON line per event).  The gateway's audit writer and the wire
-  server's access lines, handler crashes and connection errors feed it.
+  structured events, read back as JSON objects, with an injectable sink
+  (:func:`jsonl_sink` appends one JSON line per event to any stream).
+  The gateway's audit writer and the wire server's access lines,
+  handler crashes and connection errors all feed it, so nothing a
+  production operator needs vanishes into a silenced stderr.
 
 Everything here is dependency-free within the service layer (no imports
 from :mod:`repro.service.metrics` or the wire package), thread-safe, and
@@ -28,10 +36,10 @@ clock-injectable so tests assert on exact numbers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
-import re
 import secrets
 import struct
 import threading
@@ -63,23 +71,34 @@ __all__ = [
 # chars); the response echoes it so a client can always correlate.
 TRACE_HEADER = "X-Repro-Trace"
 
-# A trace id of 16 random bytes and a span id of 8, in lowercase hex.
-_HEADER = re.compile("([0-9a-f]{32})-([0-9a-f]{16})")
+_TRACE_ID_CHARS = 32  # 16 random bytes
+_SPAN_ID_CHARS = 16  # 8 bytes
+_HEX = set("0123456789abcdef")
 
 # Trace and span ids only need uniqueness, not unpredictability (they
 # are correlation handles, not capabilities): a PRNG seeded once from
-# the CSPRNG keeps id generation syscall-free.  getrandbits on a shared
-# Random is a single C call, atomic under the GIL.
+# the CSPRNG keeps id generation syscall-free — secrets.token_hex reads
+# urandom per call, which is measurable at per-request rates.
+# getrandbits on a shared Random is a single C call, atomic under the
+# GIL.
 _id_rng = random.Random(secrets.randbits(64))
 # Span ids come in blocks of 2**32: a request record numbers its stages
-# within one, a root context takes one for its own id.  The blocks count
-# up from a random 31-bit base (16 hex digits in all): distinct within a
-# process by construction, across processes (a fleet's router and shards
-# share traces) as likely distinct as random ids.
-_id_blocks = itertools.count(_id_rng.getrandbits(31) << 32, 1 << 32)
+# within one, a root context takes one for its own id.  Block numbers
+# count up by one from a random 32-bit start and wrap at 2**32, so every
+# id stays within 16 hex digits however long the process runs: distinct
+# within a process until 2**32 blocks have been taken, and across
+# processes (a fleet's router and shards share traces) as likely
+# distinct as fresh random ids.  next() on a count is one C call, atomic
+# under the GIL.
+_id_blocks = itertools.count(_id_rng.getrandbits(32))
 # Ended records a tracer queues before filing them, and call shapes it
 # interns before starting over (concurrent stages end in any order).
 _BATCH, _SHAPES_LIMIT = 16, 4096
+
+
+def _id_block() -> int:
+    """The first span id of a fresh block of 2**32."""
+    return (next(_id_blocks) & 0xFFFFFFFF) << 32
 
 
 # ------------------------------------------------------------------- tracing
@@ -101,23 +120,33 @@ class TraceContext(NamedTuple):
     @staticmethod
     def generate() -> "TraceContext":
         """A fresh root context (random trace id; no parent span recorded)."""
-        return TraceContext("%032x" % _id_rng.getrandbits(128), "%016x" % next(_id_blocks))
+        return TraceContext("%032x" % _id_rng.getrandbits(128), "%016x" % _id_block())
 
     def child(self) -> "TraceContext":
         """Same trace, fresh span id — the context a sub-span runs under."""
-        return TraceContext(self.trace_id, "%016x" % next(_id_blocks))
+        return TraceContext(self.trace_id, "%016x" % _id_block())
 
     def to_header(self) -> str:
         return "%s-%s" % (self.trace_id, self.span_id)
 
     @staticmethod
     def from_header(value: str | None) -> "TraceContext | None":
-        """Parse a header value; anything malformed is ``None``, never an
-        error: a gateway must keep serving clients with broken tracing."""
+        """Parse a header value; anything malformed is ``None``, never an error.
+
+        A gateway must keep serving clients with broken tracing middleware,
+        so header parsing is deliberately infallible.
+        """
         if not value or not isinstance(value, str):
             return None
-        match = _HEADER.fullmatch(value.strip())
-        return TraceContext(*match.groups()) if match else None
+        parts = value.strip().split("-")
+        if len(parts) != 2:
+            return None
+        trace_id, span_id = parts
+        if len(trace_id) != _TRACE_ID_CHARS or len(span_id) != _SPAN_ID_CHARS:
+            return None
+        if not (set(trace_id) <= _HEX and set(span_id) <= _HEX):
+            return None
+        return TraceContext(trace_id=trace_id, span_id=span_id)
 
 
 class Span(NamedTuple):
@@ -148,10 +177,14 @@ _RECORD: ContextVar["RequestRecord | None"] = ContextVar("repro_request_record",
 class _Stage:
     """One stage in flight: what :meth:`Tracer.span` returns and its block yields.
 
-    ``context`` is the trace context to open nested stages under.
-    :meth:`set` adds an attribute (the later value of a key wins);
+    ``context`` is the child trace context the stage runs under — pass it
+    to nested stages so their spans parent correctly.  :meth:`set` adds
+    attributes (setting a key again replaces its value); assigning
     :attr:`status` overrides the default ("ok", or the ``code`` of an
-    exception escaping the block).  Its clock starts when it is made.
+    exception that escapes the block).  Its clock starts when it is made.
+    Single-use: a plain slotted context manager rather than
+    ``@contextmanager``, because the generator machinery is measurable
+    per-request overhead.
     """
 
     __slots__ = ("status", "_record", "_name", "_number", "_parent", "_keys", "_values", "_start")
@@ -168,6 +201,7 @@ class _Stage:
 
     @property
     def context(self) -> TraceContext:
+        # Built on demand: most stages have no child to hand it to.
         record = self._record or self
         context = TraceContext(record.trace_id, "%016x" % (record.base + self._number))
         record.named[context] = self._number
@@ -212,7 +246,7 @@ class RequestRecord(_Stage):
         self.clock = tracer._clock
         self.trace_id = context.trace_id
         self.parent_id = context.span_id
-        self.base = next(_id_blocks)
+        self.base = _id_block()
         self.numbers = itertools.count()
         self.stages: list[tuple] = []
         # Context a stage may open under -> the parent number it gives.
@@ -238,11 +272,17 @@ class RequestRecord(_Stage):
 _NO_SPAN = nullcontext()
 
 
+@functools.lru_cache(maxsize=256)
+def _packing(stages: int) -> struct.Struct:
+    """A filed record's id block, then its stages' start and end readings."""
+    return struct.Struct("Q%dd" % (2 * stages))
+
+
 def _spans_of(trace_id: str, record: tuple) -> list[Span]:
     """The :class:`Span`\\ s of one record in a :class:`Tracer` ring."""
     parent_id, (names, numbers, parents, statuses, keys), packed = record[:3]
     count = len(names)
-    base, *times = struct.unpack("Q%dd" % (2 * count), packed)
+    base, *times = _packing(count).unpack(packed)
     spans, at = [], 3
     for i in range(count):
         values = record[at : at + len(keys[i])]
@@ -264,11 +304,14 @@ class Tracer:
     ``max_spans_per_trace`` stages in all: a record is cut where its trace
     fills, and the stages cut off count as dropped.  Ended records queue
     and are filed in batches of ``_BATCH`` and before any read, so filing
-    runs as warm code, not once per request.  Thread-safe.
+    runs as warm code, not once per request.  :meth:`trace` builds the
+    :class:`Span` objects.  Thread-safe.
     """
 
     def __init__(
-        self, max_traces: int = 256, max_spans_per_trace: int = 256,
+        self,
+        max_traces: int = 256,
+        max_spans_per_trace: int = 256,
         clock: Callable[[], float] = time.monotonic,
     ):
         if max_traces < 1 or max_spans_per_trace < 1:
@@ -288,13 +331,18 @@ class Tracer:
     traces_evicted = property(lambda self: self._counted(2))
 
     def span(
-        self, context: TraceContext | None, name: str, attributes: dict[str, Any] | None = None
+        self,
+        context: TraceContext | None,
+        name: str,
+        attributes: dict[str, Any] | None = None,
     ) -> _Stage | nullcontext:
         """Record one named stage around a block; no-op when ``context`` is None.
 
         The stage joins the running request's record when ``context`` names
         its parent or one of its stages, else it opens a record of its own.
-        An escaping exception sets its status (``code`` or class name).
+        An exception escaping the block marks the stage's status with the
+        exception's stable ``code`` (or its class name) and re-raises —
+        failed stages show up in the trace exactly where they failed.
         """
         if context is None:
             return _NO_SPAN
@@ -332,8 +380,9 @@ class Tracer:
             if len(self._shapes) >= _SHAPES_LIMIT:
                 self._shapes.clear()
             layout = self._shapes.setdefault(layout, layout)  # one per call shape
-            packed = struct.pack("Q%dd" % (2 * len(names)), record.base, *starts, *ends)
-            compact = (record.parent_id, layout, packed, *itertools.chain.from_iterable(values))
+            packed = _packing(len(names)).pack(record.base, *starts, *ends)
+            # sum() joins a few short tuples faster than chain does.
+            compact = (record.parent_id, layout, packed) + sum(values, ())
             self._counts[0] += len(names)
             if len(held) == 1:  # a new trace
                 while len(self._traces) >= self.max_traces:
@@ -396,7 +445,9 @@ def span_from_json(document: dict) -> Span:
             start_ms=float(document["start_ms"]),
             duration_ms=float(document["duration_ms"]),
             status=str(document.get("status", "ok")),
-            attributes=tuple(sorted((str(k), str(v)) for k, v in attributes.items())),
+            attributes=tuple(
+                sorted((str(k), str(v)) for k, v in attributes.items())
+            ),
         )
     except (KeyError, TypeError) as error:
         raise ValueError("malformed span document: %s" % error) from error
@@ -430,9 +481,11 @@ class HistogramSnapshot:
     def percentile(self, q: float) -> float:
         """Estimate the q-quantile (0 < q <= 1) by bucket interpolation.
 
-        The rank is nearest-rank over the exact count; within its bucket
-        the estimate interpolates linearly between the bounds, clamped to
-        the exact observed max (never a latency larger than any seen).
+        The rank is nearest-rank over the exact count; within the chosen
+        bucket the estimate interpolates linearly between its bounds.
+        The top (+Inf) bucket and the overall estimate are clamped to the
+        exact observed max, so the estimate never invents a latency
+        larger than anything that happened.
         """
         if self.count == 0:
             return 0.0
@@ -494,11 +547,17 @@ class Histogram:
     def snapshot(self) -> HistogramSnapshot:
         with self._lock:
             return HistogramSnapshot(
-                self.bounds, tuple(self._counts), self._count, self._sum, self._max
+                bounds=self.bounds,
+                counts=tuple(self._counts),
+                count=self._count,
+                sum=self._sum,
+                max_value=self._max,
             )
 
 
-def merge_histogram_snapshots(snapshots: "list[HistogramSnapshot]") -> HistogramSnapshot:
+def merge_histogram_snapshots(
+    snapshots: "list[HistogramSnapshot]",
+) -> HistogramSnapshot:
     """Sum histograms observed independently (one per shard process).
 
     All inputs must share the same bucket bounds — counts add
@@ -509,15 +568,25 @@ def merge_histogram_snapshots(snapshots: "list[HistogramSnapshot]") -> Histogram
     """
     if not snapshots:
         raise ValueError("nothing to merge")
-    bounds = snapshots[0].bounds
-    if any(snapshot.bounds != bounds for snapshot in snapshots):
-        raise ValueError("histogram bounds differ; cannot merge")
+    first = snapshots[0]
+    counts = [0] * (len(first.bounds) + 1)
+    total = 0
+    total_sum = 0.0
+    max_value = 0.0
+    for snapshot in snapshots:
+        if snapshot.bounds != first.bounds:
+            raise ValueError("histogram bounds differ; cannot merge")
+        for i, bucket_count in enumerate(snapshot.counts):
+            counts[i] += bucket_count
+        total += snapshot.count
+        total_sum += snapshot.sum
+        max_value = max(max_value, snapshot.max_value)
     return HistogramSnapshot(
-        bounds=bounds,
-        counts=tuple(map(sum, zip(*(snapshot.counts for snapshot in snapshots)))),
-        count=sum(snapshot.count for snapshot in snapshots),
-        sum=sum((snapshot.sum for snapshot in snapshots), 0.0),
-        max_value=max(0.0, *(snapshot.max_value for snapshot in snapshots)),
+        bounds=first.bounds,
+        counts=tuple(counts),
+        count=total,
+        sum=total_sum,
+        max_value=max_value,
     )
 
 
@@ -540,7 +609,9 @@ class EventLog:
     """
 
     def __init__(
-        self, sink: Callable[[dict], None] | None = None, max_events: int = 4096,
+        self,
+        sink: Callable[[dict], None] | None = None,
+        max_events: int = 4096,
         clock: Callable[[], float] = time.time,
     ):
         if max_events < 1:
@@ -621,7 +692,12 @@ def jsonl_sink(stream) -> Callable[[dict], None]:
 
 def escape_label_value(value: str) -> str:
     """Escape a Prometheus label value (backslash, quote, newline)."""
-    return str(value).replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return (
+        str(value)
+        .replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+    )
 
 
 def _fmt_value(value: float) -> str:
@@ -652,16 +728,9 @@ class _Family:
         self.samples: list[str] = []
 
     def add(self, labels: list[tuple[str, str]], value, suffix: str = "") -> None:
-        self.samples.append("%s%s%s %s" % (self.name, suffix, _labels(labels), _fmt_value(value)))
-
-    def add_histogram(self, labels: list[tuple[str, str]], hist) -> None:
-        cumulative = 0
-        for i, bucket_count in enumerate(hist.counts):
-            cumulative += bucket_count
-            bound = hist.bounds[i] if i < len(hist.bounds) else float("inf")
-            self.add(labels + [("le", _fmt_value(bound))], cumulative, "_bucket")
-        self.add(labels, hist.sum, "_sum")
-        self.add(labels, hist.count, "_count")
+        self.samples.append(
+            "%s%s%s %s" % (self.name, suffix, _labels(labels), _fmt_value(value))
+        )
 
     def render(self) -> list[str]:
         if not self.samples:
@@ -670,47 +739,6 @@ class _Family:
             "# HELP %s %s" % (self.name, self.help_text),
             "# TYPE %s %s" % (self.name, self.kind),
         ] + self.samples
-
-
-# The per-scheme families, in exposition order: (name, kind, help).
-_SCHEME_FAMILIES = (
-    ("repro_gateway_requests_total", "counter",
-     "Requests admitted or refused since process start."),
-    ("repro_gateway_served_total", "counter", "Requests served successfully."),
-    ("repro_gateway_rejected_total", "counter",
-     "Requests rejected by policy (not rate limiting)."),
-    ("repro_gateway_rate_limited_total", "counter",
-     "Requests refused by the per-tenant token bucket."),
-    ("repro_gateway_resizes_total", "counter", "Fleet resize operations."),
-    ("repro_gateway_keys_migrated_total", "counter", "Proxy keys moved by resize migrations."),
-    ("repro_gateway_uptime_seconds", "gauge", "Seconds since the metrics accumulator started."),
-    ("repro_gateway_shard_requests_total", "counter", "Served requests per shard."),
-    ("repro_gateway_outcomes_total", "counter",
-     "Request outcomes per operation and stable outcome code."),
-    ("repro_gateway_tenant_outcomes_total", "counter",
-     "Request outcomes per tenant (bounded cardinality)."),
-    ("repro_gateway_cache_hits_total", "counter", "Cache hits."),
-    ("repro_gateway_cache_misses_total", "counter", "Cache misses."),
-    ("repro_gateway_cache_evictions_total", "counter", "Cache evictions."),
-    ("repro_gateway_cache_invalidations_total", "counter", "Cache invalidations."),
-    ("repro_gateway_cache_size", "gauge", "Current cache entries."),
-    ("repro_gateway_cache_capacity", "gauge", "Cache capacity."),
-    ("repro_gateway_auth_failures_total", "counter",
-     "Authentication/authorization rejections by taxonomy code."),
-    ("repro_substrate_ops_total", "counter",
-     "Pairing-layer operations counted by served requests."),
-    ("repro_gateway_latency_ms", "histogram", "Request latency in milliseconds per operation."),
-    ("repro_gateway_tenant_queue_ms", "histogram",
-     "Shard-lock queue time in milliseconds per tenant (fairness)."),
-)
-# The transport's families, "repro_wire_" + a WireStatsSnapshot field: (field, kind, help).
-_WIRE_FAMILIES = (
-    ("connections_open", "gauge", "Wire connections currently accepted and not yet closed."),
-    ("connections_total", "counter", "Wire connections accepted since process start."),
-    ("streams_in_flight", "gauge", "Requests currently executing across all wire connections."),
-    ("streams_total", "counter", "Requests started on the wire since process start."),
-    ("streams_peak", "gauge", "Highest concurrent in-flight request count observed."),
-)
 
 
 def render_prometheus(
@@ -725,16 +753,60 @@ def render_prometheus(
     module never imports the metrics module).  Each family is emitted
     once with every fleet's samples under a ``scheme`` label, which is
     what lets one scrape of a multi-scheme server stay a valid document.
-    ``wire`` is an optional, again duck-typed
-    :class:`~repro.service.metrics.WireStatsSnapshot`: the transport's
-    scheme-neutral connection and stream gauges.  ``substrate_ops`` maps
-    a scheme id to its served requests' pairing-layer operation counts.
+
+    ``wire`` is an optional
+    :class:`~repro.service.metrics.WireStatsSnapshot` (again duck-typed)
+    carrying the serving transport's connection/stream gauges — scheme-
+    neutral, since connections are shared by every hosted fleet.
+
+    ``substrate_ops`` maps a scheme id to the pairing-layer operation
+    counts of the requests its fleet served.
     """
-    families = [_Family(*spec) for spec in _SCHEME_FAMILIES]
+    families = [
+        _Family("repro_gateway_requests_total", "counter",
+                "Requests admitted or refused since process start."),
+        _Family("repro_gateway_served_total", "counter",
+                "Requests served successfully."),
+        _Family("repro_gateway_rejected_total", "counter",
+                "Requests rejected by policy (not rate limiting)."),
+        _Family("repro_gateway_rate_limited_total", "counter",
+                "Requests refused by the per-tenant token bucket."),
+        _Family("repro_gateway_resizes_total", "counter",
+                "Fleet resize operations."),
+        _Family("repro_gateway_keys_migrated_total", "counter",
+                "Proxy keys moved by resize migrations."),
+        _Family("repro_gateway_uptime_seconds", "gauge",
+                "Seconds since the metrics accumulator started."),
+        _Family("repro_gateway_shard_requests_total", "counter",
+                "Served requests per shard."),
+        _Family("repro_gateway_outcomes_total", "counter",
+                "Request outcomes per operation and stable outcome code."),
+        _Family("repro_gateway_tenant_outcomes_total", "counter",
+                "Request outcomes per tenant (bounded cardinality)."),
+        _Family("repro_gateway_cache_hits_total", "counter", "Cache hits."),
+        _Family("repro_gateway_cache_misses_total", "counter", "Cache misses."),
+        _Family("repro_gateway_cache_evictions_total", "counter", "Cache evictions."),
+        _Family("repro_gateway_cache_invalidations_total", "counter",
+                "Cache invalidations."),
+        _Family("repro_gateway_cache_size", "gauge", "Current cache entries."),
+        _Family("repro_gateway_cache_capacity", "gauge", "Cache capacity."),
+        _Family("repro_gateway_auth_failures_total", "counter",
+                "Authentication/authorization rejections by taxonomy code."),
+        _Family("repro_substrate_ops_total", "counter",
+                "Pairing-layer operations counted by served requests."),
+    ]
     (requests, served, rejected, rate_limited, resizes, migrated, uptime,
      shard_requests, outcomes, tenant_outcomes, cache_hits, cache_misses,
      cache_evictions, cache_invalidations, cache_size, cache_capacity,
-     auth_failures, substrate, latency, tenant_queue) = families
+     auth_failures, substrate) = families
+    latency = _Family(
+        "repro_gateway_latency_ms", "histogram",
+        "Request latency in milliseconds per operation.",
+    )
+    tenant_queue = _Family(
+        "repro_gateway_tenant_queue_ms", "histogram",
+        "Shard-lock queue time in milliseconds per tenant (fairness).",
+    )
 
     for scheme_id in sorted(snapshots):
         snapshot = snapshots[scheme_id]
@@ -747,10 +819,14 @@ def render_prometheus(
         migrated.add(base, snapshot.keys_migrated)
         uptime.add(base, snapshot.elapsed_s)
         for shard in sorted(snapshot.shard_requests):
-            shard_requests.add(base + [("shard", shard)], snapshot.shard_requests[shard])
+            shard_requests.add(
+                base + [("shard", shard)], snapshot.shard_requests[shard]
+            )
         for (op, outcome) in sorted(getattr(snapshot, "outcomes", {}) or {}):
-            labels = base + [("op", op), ("outcome", outcome)]
-            outcomes.add(labels, snapshot.outcomes[(op, outcome)])
+            outcomes.add(
+                base + [("op", op), ("outcome", outcome)],
+                snapshot.outcomes[(op, outcome)],
+            )
         for (tenant, outcome) in sorted(getattr(snapshot, "tenant_outcomes", {}) or {}):
             tenant_outcomes.add(
                 base + [("tenant", tenant), ("outcome", outcome)],
@@ -765,25 +841,63 @@ def render_prometheus(
             cache_invalidations.add(labels, stats.invalidations)
             cache_size.add(labels, stats.size)
             cache_capacity.add(labels, stats.capacity)
-        histograms = getattr(snapshot, "histograms", {}) or {}
-        for op in sorted(histograms):
-            latency.add_histogram(base + [("op", op)], histograms[op])
+        for op in sorted(getattr(snapshot, "histograms", {}) or {}):
+            hist = snapshot.histograms[op]
+            op_labels = base + [("op", op)]
+            cumulative = 0
+            for i, bucket_count in enumerate(hist.counts):
+                cumulative += bucket_count
+                bound = hist.bounds[i] if i < len(hist.bounds) else float("inf")
+                latency.add(
+                    op_labels + [("le", _fmt_value(bound))], cumulative, "_bucket"
+                )
+            latency.add(op_labels, hist.sum, "_sum")
+            latency.add(op_labels, hist.count, "_count")
         for code in sorted(getattr(snapshot, "auth_failures", {}) or {}):
-            auth_failures.add(base + [("code", code)], snapshot.auth_failures[code])
+            auth_failures.add(
+                base + [("code", code)], snapshot.auth_failures[code]
+            )
         ops = (substrate_ops or {}).get(scheme_id, {})
         for op in sorted(ops):
             substrate.add(base + [("op", op)], ops[op])
-        queue_ms = getattr(snapshot, "tenant_queue_ms", {}) or {}
-        for tenant in sorted(queue_ms):
-            tenant_queue.add_histogram(base + [("tenant", tenant)], queue_ms[tenant])
+        for tenant in sorted(getattr(snapshot, "tenant_queue_ms", {}) or {}):
+            hist = snapshot.tenant_queue_ms[tenant]
+            tenant_labels = base + [("tenant", tenant)]
+            cumulative = 0
+            for i, bucket_count in enumerate(hist.counts):
+                cumulative += bucket_count
+                bound = hist.bounds[i] if i < len(hist.bounds) else float("inf")
+                tenant_queue.add(
+                    tenant_labels + [("le", _fmt_value(bound))], cumulative, "_bucket"
+                )
+            tenant_queue.add(tenant_labels, hist.sum, "_sum")
+            tenant_queue.add(tenant_labels, hist.count, "_count")
 
+    wire_families: list[_Family] = []
     if wire is not None:
-        for field_name, kind, help_text in _WIRE_FAMILIES:
-            family = _Family("repro_wire_" + field_name, kind, help_text)
-            family.add([], getattr(wire, field_name))
-            families.append(family)
+        pairs = [
+            ("repro_wire_connections_open", "gauge",
+             "Wire connections currently accepted and not yet closed.",
+             wire.connections_open),
+            ("repro_wire_connections_total", "counter",
+             "Wire connections accepted since process start.",
+             wire.connections_total),
+            ("repro_wire_streams_in_flight", "gauge",
+             "Requests currently executing across all wire connections.",
+             wire.streams_in_flight),
+            ("repro_wire_streams_total", "counter",
+             "Requests started on the wire since process start.",
+             wire.streams_total),
+            ("repro_wire_streams_peak", "gauge",
+             "Highest concurrent in-flight request count observed.",
+             wire.streams_peak),
+        ]
+        for name, kind, help_text, value in pairs:
+            family = _Family(name, kind, help_text)
+            family.add([], value)
+            wire_families.append(family)
 
     lines: list[str] = []
-    for family in families:
+    for family in families + [latency, tenant_queue] + wire_families:
         lines.extend(family.render())
     return "\n".join(lines) + "\n"

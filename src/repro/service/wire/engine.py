@@ -49,7 +49,7 @@ import json
 import random
 import threading
 import traceback
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -351,8 +351,6 @@ _POST_OPS = {
 }
 # One root-span name per op, shared by every span the tracer keeps.
 _HTTP_SPAN_NAMES = {op: "http:" + op for op in _POST_OPS}
-# Requests whose op counts queue before the per-scheme totals take them.
-_REQUEST_OPS_BATCH = 64
 
 
 class WireRequestExecutor:
@@ -404,11 +402,9 @@ class WireRequestExecutor:
         self._trace_rng_lock = threading.Lock()
         # The pairing-layer operations the requests of each hosted scheme
         # counted (each request counts its own: see repro.bench.counters).
-        # Requests queue their counts; the totals take them in batches.
         self._substrate_ops: dict[str, dict[str, int]] = {
             scheme_id: {} for scheme_id in self.scheme_ids
         }
-        self._request_ops: deque[tuple[str, dict[str, int]]] = deque()
         self._substrate_lock = threading.Lock()
 
     # ------------------------------------------------------------- helpers
@@ -610,7 +606,8 @@ class WireRequestExecutor:
             scheme_id: fleet.snapshot() for scheme_id, (fleet, _backend) in hosts.items()
         }
         wire = self.wire_stats.snapshot() if self.wire_stats is not None else None
-        substrate = self._substrate_totals()
+        with self._substrate_lock:
+            substrate = {scheme_id: dict(ops) for scheme_id, ops in self._substrate_ops.items()}
         return WireResponse(
             200,
             render_prometheus(snapshots, wire=wire, substrate_ops=substrate).encode("utf-8"),
@@ -832,22 +829,12 @@ class WireRequestExecutor:
                 GatewayError("internal error: %s" % error), backend, trace=echo
             )
         finally:
-            self._request_ops.append((backend.scheme_id, counts.counts))
-            if len(self._request_ops) >= _REQUEST_OPS_BATCH:
-                self._substrate_totals()
+            totals = self._substrate_ops[backend.scheme_id]
+            with self._substrate_lock:
+                for kind, count in counts.counts.items():
+                    if kind in SUBSTRATE_OPS:
+                        totals[kind] = totals.get(kind, 0) + count
         return self._json(200, payload, echo)
-
-    def _substrate_totals(self) -> dict[str, dict[str, int]]:
-        """Each scheme's pairing-layer operation counts, the queued requests'
-        counts added first."""
-        with self._substrate_lock:
-            while self._request_ops:
-                scheme_id, counts = self._request_ops.popleft()
-                totals = self._substrate_ops[scheme_id]
-                for op, count in counts.items():
-                    if op in SUBSTRATE_OPS:
-                        totals[op] = totals.get(op, 0) + count
-            return {scheme_id: dict(totals) for scheme_id, totals in self._substrate_ops.items()}
 
     def _dispatch(
         self, op: str, gateway, backend: PreBackend, raw: bytes,

@@ -232,21 +232,26 @@ class TestRequestRecord:
         assert [span.parent_id for span in tracer.trace(root.trace_id)] == [root.span_id] * 2
         assert len(tracer._traces[root.trace_id]) == 2  # held count, one record
 
-    def test_the_highest_id_blocks_still_file_and_read_back(self, monkeypatch):
+    def test_id_blocks_wrap_within_16_hex_digits(self, monkeypatch):
         from repro.service import telemetry
 
-        top = ((1 << 31) - 1) << 32  # the highest per-process base
-        monkeypatch.setattr(telemetry, "_id_blocks", itertools.count(top, 1 << 32))
-        tracer = Tracer()
-        roots = [TraceContext.generate() for _ in range(3)]
+        # Three blocks before the last: each root context and each record
+        # takes one, so these 20 requests run 37 blocks past the wrap.
+        monkeypatch.setattr(telemetry, "_id_blocks", itertools.count((1 << 32) - 3))
+        tracer = Tracer(max_traces=64)
+        roots = [TraceContext.generate() for _ in range(20)]
         for root in roots:
             with tracer.span(root, "request") as request:
                 with tracer.span(request.context, "stage"):
                     pass
+        assert len(tracer) == 20 and tracer.spans_recorded == 40
         for root in roots:
             stage, request = tracer.trace(root.trace_id)
-            assert int(request.span_id, 16) >= top and len(request.span_id) == 16
             assert stage.parent_id == request.span_id
+            for span in (stage, request):
+                header = "%s-%s" % (root.trace_id, span.span_id)
+                assert TraceContext.from_header(header) == (root.trace_id, span.span_id)
+        assert len(roots[0].span_id) == 16 and roots[3].span_id == "0" * 16
 
     def test_interned_call_shapes_are_bounded(self, monkeypatch):
         from repro.service import telemetry
