@@ -15,6 +15,9 @@ numbers in E1/E2 are explainable:
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bench.report import print_table, record_bench_snapshot
@@ -28,12 +31,15 @@ from repro.math import backend as int_backend
 from repro.math.drbg import HmacDrbg
 from repro.pairing.group import PairingGroup
 from repro.pairing.miller import MillerPrecomp
-from repro.pairing.tate import (
-    multi_tate_pairing,
-    tate_pairing,
-    tate_pairing_affine,
-    tate_pairing_batch,
-)
+from repro.pairing.tate import multi_tate_pairing, tate_pairing, tate_pairing_batch
+
+# The affine reference pairing the speedup gate times the default path
+# against lives with the tests that pin the two paths to each other.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+try:
+    from affine_pairing import tate_pairing_affine
+finally:
+    sys.path.pop(0)
 
 GROUP_NAME = "SS256"
 

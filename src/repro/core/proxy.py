@@ -19,6 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Protocol, runtime_checkable
 
+from repro._intern import intern
 from repro.core.api import PreBackend, resolve_backend
 from repro.core.ciphertexts import ProxyKey, ReEncryptedCiphertext, TypedCiphertext
 from repro.core.scheme import DelegationError, TypeAndIdentityPre
@@ -183,9 +184,11 @@ class ProxyService:
     name: str = "proxy"
     max_log_entries: int = DEFAULT_MAX_LOG_ENTRIES
     table: ProxyKeyTable = field(default_factory=ProxyKeyTable)
-    # (delegator, delegatee, type label) per transformation; the sequence
-    # is implied by ring position and ``log`` builds the entries.
+    # (delegator, delegatee, type label) per transformation, one shared
+    # tuple per delegation; the sequence is implied by ring position and
+    # ``log`` builds the entries.
     _log: deque[tuple[str, str, str]] = field(init=False, repr=False, compare=False)
+    _log_records: dict[tuple, tuple] = field(init=False, repr=False, compare=False)
     _log_lock: threading.Lock = field(init=False, repr=False, compare=False)
     _sequence: int = field(init=False, default=0)
     backend: PreBackend = field(init=False, repr=False)
@@ -195,6 +198,7 @@ class ProxyService:
             raise ValueError("max_log_entries must be positive")
         self.backend = resolve_backend(self.scheme)
         self._log = deque(maxlen=self.max_log_entries)
+        self._log_records = {}
         self._log_lock = threading.Lock()
 
     def install_key(self, key: ProxyKey) -> None:
@@ -286,10 +290,10 @@ class ProxyService:
     def _log_transformation(self, key: ProxyKey, count: int = 1) -> None:
         # The backend's guard matched the key to the ciphertext, so the
         # key's strings name the same delegation — and the bounded log
-        # then shares one copy per delegation instead of one per request.
-        record = (key.delegator, key.delegatee, key.type_label)
+        # then shares one record per delegation instead of one per request.
         with self._log_lock:
-            self._log.extend((record,) * count)
+            shared = intern(self._log_records, (key.delegator, key.delegatee, key.type_label))
+            self._log.extend((shared,) * count)
             self._sequence += count
 
     @property

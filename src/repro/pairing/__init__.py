@@ -9,10 +9,8 @@ __getattr__, __dir__ = lazy_exports(
         "miller": ("MillerPrecomp", "PointOrderError"),
         "tate": (
             "miller_loop",
-            "miller_loop_affine",
             "multi_tate_pairing",
             "tate_pairing",
-            "tate_pairing_affine",
             "tate_pairing_batch",
         ),
     },
@@ -23,9 +21,7 @@ __all__ = [
     "MillerPrecomp",
     "PointOrderError",
     "tate_pairing",
-    "tate_pairing_affine",
     "tate_pairing_batch",
     "multi_tate_pairing",
     "miller_loop",
-    "miller_loop_affine",
 ]

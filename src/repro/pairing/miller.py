@@ -50,18 +50,11 @@ __all__ = [
     "MillerPrecomp",
     "PointOrderError",
     "fp2_mul_raw",
-    "fp2_square_raw",
-    "fp2_pow_raw",
     "unitary_pow_raw",
     "frobenius_step_raw",
     "final_exponentiation_raw",
     "final_exponentiation_batch",
 ]
-
-
-def fp2_square_raw(a, b, p):
-    """``(a + b*i)^2`` over F_p[i]: ``(a-b)(a+b) + 2ab*i`` (2 mults)."""
-    return (a - b) * (a + b) % p, 2 * a * b % p
 
 
 def fp2_mul_raw(a, b, c, d, p):
@@ -70,18 +63,6 @@ def fp2_mul_raw(a, b, c, d, p):
     bd = b * d
     cross = (a + b) * (c + d) - ac - bd
     return (ac - bd) % p, cross % p
-
-
-def fp2_pow_raw(a, b, exponent, p):
-    """``(a + b*i) ** exponent`` by left-to-right square-and-multiply."""
-    if exponent == 0:
-        return 1 % p, 0
-    ra, rb = a % p, b % p
-    for bit in bin(exponent)[3:]:
-        ra, rb = fp2_square_raw(ra, rb, p)
-        if bit == "1":
-            ra, rb = fp2_mul_raw(ra, rb, a, b, p)
-    return ra, rb
 
 
 # Width of the signed window the final exponentiation's cofactor power
@@ -111,7 +92,7 @@ def unitary_pow_raw(a, b, exponent, p):
     On the norm-1 subgroup (where the final exponentiation's Frobenius
     step lands) the inverse is the conjugate, so a negative digit costs
     nothing more than a positive one, and squaring is ``(2a^2 - 1) +
-    2ab*i``.  Equal to :func:`fp2_pow_raw` on such inputs; after eight
+    2ab*i``.  Equal to plain square-and-multiply on such inputs; after eight
     precomputed odd powers it multiplies once per nonzero digit, about
     one position in six, where square-and-multiply does once per set bit.
     """

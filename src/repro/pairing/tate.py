@@ -30,9 +30,9 @@ Callers with a repeatedly-used first argument (the
 :class:`~repro.pairing.group.PairingGroup` cache) pass ``precomp=`` and
 skip even that; :func:`tate_pairing_batch` additionally shares the
 Frobenius-step inversion across a whole batch of second arguments.  The
-original affine Miller loop is kept as :func:`miller_loop_affine` /
-:func:`tate_pairing_affine` — the conformance reference the property
-suite and the E8 benchmark compare against.
+original affine Miller loop, the conformance reference the property
+suite and the E8 benchmark compare against, lives beside them, outside
+the library.
 """
 
 from __future__ import annotations
@@ -41,96 +41,19 @@ from repro.bench.counters import record_operation
 from repro.ec.curve import Point
 from repro.ec.supersingular import SupersingularCurve
 from repro.math.fields import Fp2Element
-from repro.math.ntheory import modinv
 from repro.pairing.miller import (
     MillerPrecomp,
     final_exponentiation_batch,
     final_exponentiation_raw,
     fp2_mul_raw,
-    fp2_pow_raw,
-    frobenius_step_raw,
 )
 
 __all__ = [
     "tate_pairing",
-    "tate_pairing_affine",
     "tate_pairing_batch",
     "miller_loop",
-    "miller_loop_affine",
     "multi_tate_pairing",
 ]
-
-
-# --------------------------------------------------------------------------
-# Affine reference path (the seed implementation, kept for conformance).
-
-
-def _line_value(params: SupersingularCurve, t: Point, s: Point, xq: int, yq: int) -> Fp2Element | None:
-    """Evaluate the line through ``t`` and ``s`` at the distorted point.
-
-    ``(xq, yq)`` are the base-field coordinates of Q; the evaluation point is
-    ``phi(Q) = (-xq, i*yq)``.  Returns ``None`` when the line is vertical
-    (its value lies in F_p and is killed by the final exponentiation).
-    """
-    p = params.p
-    xt, yt = int(t.x), int(t.y)
-    if t == s:
-        if yt == 0:
-            return None  # vertical tangent at a 2-torsion point
-        slope = (3 * xt * xt + 1) * modinv(2 * yt, p) % p
-    else:
-        xs, ys = int(s.x), int(s.y)
-        if xt == xs:
-            return None  # vertical secant (s == -t)
-        slope = (ys - yt) * modinv((xs - xt) % p, p) % p
-    # l(phi(Q)) = y_phi - yt - slope * (x_phi - xt) with x_phi = -xq in F_p
-    # and y_phi = yq * i, so the value is (-yt - slope*(-xq - xt)) + yq*i.
-    real = (-yt - slope * ((-xq - xt) % p)) % p
-    return Fp2Element(params.ext_field, real, yq)
-
-
-def miller_loop_affine(params: SupersingularCurve, point: Point, xq: int, yq: int) -> Fp2Element:
-    """``f_{q,P}(phi(Q))`` by the affine textbook loop (reference path)."""
-    ext = params.ext_field
-    f = ext.one()
-    t = point
-    bits = bin(params.q)[3:]  # skip the leading 1: standard left-to-right loop
-    for bit in bits:
-        line = _line_value(params, t, t, xq, yq)
-        f = f.square() if line is None else f.square() * line
-        t = t.double()
-        if bit == "1":
-            line = _line_value(params, t, point, xq, yq)
-            if line is not None:
-                f = f * line
-            t = t + point
-    if not t.is_infinity():
-        raise ArithmeticError("Miller loop did not terminate at infinity; P not of order q")
-    return f
-
-
-def tate_pairing_affine(params: SupersingularCurve, p_point: Point, q_point: Point) -> Fp2Element:
-    """``e(P, Q)`` via the affine reference Miller loop (recorded)."""
-    record_operation("pairing")
-    if p_point.is_infinity() or q_point.is_infinity():
-        return params.gt_identity()
-    if p_point.curve != params.curve or q_point.curve != params.curve:
-        raise ValueError("pairing inputs must be base-curve points")
-    f = miller_loop_affine(params, p_point, int(q_point.x), int(q_point.y))
-    return _final_exponentiation(params, f)
-
-
-def _final_exponentiation(params: SupersingularCurve, f: Fp2Element) -> Fp2Element:
-    """``f^((p^2-1)/q)``: Frobenius for the (p-1) part, then the cofactor.
-
-    Plain square-and-multiply (:func:`fp2_pow_raw`), the reference the
-    default path's signed-window :func:`final_exponentiation_raw` is
-    compared against.
-    """
-    p = params.base_field.p
-    ga, gb = frobenius_step_raw(f.a, f.b, p)
-    fa, fb = fp2_pow_raw(ga, gb, (params.p + 1) // params.q, p)
-    return Fp2Element(params.ext_field, fa, fb)
 
 
 # --------------------------------------------------------------------------
@@ -140,7 +63,7 @@ def _final_exponentiation(params: SupersingularCurve, f: Fp2Element) -> Fp2Eleme
 def miller_loop(params: SupersingularCurve, point: Point, xq: int, yq: int) -> Fp2Element:
     """``f_{q,P}(phi(Q))`` up to a factor in F_p* (no final exp).
 
-    The value differs from :func:`miller_loop_affine`'s by that factor,
+    The value differs from the affine textbook loop's by that factor,
     which the final exponentiation maps to 1.
     """
     return MillerPrecomp(params, point).evaluate(xq, yq)

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
+from repro._intern import intern
 from repro.core.api import Encoded, PreBackend, resolve_backend
 from repro.core.ciphertexts import ProxyKey, ReEncryptedCiphertext, TypedCiphertext
 from repro.core.proxy import (
@@ -90,11 +91,6 @@ __all__ = [
     "ResizeReport",
     "ReEncryptionGateway",
 ]
-
-
-# Bound of the table through which the audit and event logs share tenant
-# names; emptied when it fills, so a stream of distinct names cannot grow it.
-_TENANT_NAMES_LIMIT = 1024
 
 
 def _route_of(key: ProxyKey) -> tuple[str, str, str]:
@@ -374,10 +370,12 @@ class ReEncryptionGateway:
     _pool: ShardPool = field(init=False)
     _result_cache: LruCache = field(init=False)
     _limiter: TokenBucket | None = field(init=False)
-    # (tenant, action, outcome, detail) per request; the sequence is
-    # implied by ring position and ``audit`` builds the AuditEvents.
+    # (tenant, action, outcome, detail) per request, one shared tuple per
+    # distinct entry; the sequence is implied by ring position and
+    # ``audit`` builds the AuditEvents.
     _audit: deque = field(init=False)
     _audit_lock: threading.Lock = field(init=False, repr=False)
+    _audit_entries: dict[tuple, tuple] = field(init=False, repr=False)
     _tenant_names: dict[str, str] = field(init=False, repr=False)
     _audit_sequence: int = field(init=False, default=0)
     metrics: GatewayMetrics = field(init=False)
@@ -401,6 +399,7 @@ class ReEncryptionGateway:
         self._result_cache = LruCache(self.result_cache_size, name="result_cache")
         self._audit = deque(maxlen=self.max_audit_entries)
         self._audit_lock = threading.Lock()
+        self._audit_entries = {}
         self._tenant_names = {}
         self.metrics = GatewayMetrics(clock=self.clock)
         if self.telemetry:
@@ -514,28 +513,35 @@ class ReEncryptionGateway:
         latency_ms: float | None = None,
         shard: str | None = None,
     ) -> None:
+        """Append one entry to the audit ring and its ``audit`` event to
+        the event log.
+
+        Both hold one shared (tenant, action, outcome, detail) tuple per
+        distinct entry, not one per request.  While the wire engine
+        answers a request, the event joins the request's record if the
+        engine collects for this gateway's own event log (see
+        :meth:`EventLog.collect`), and reaches the log and its sink when
+        the answer is filed; otherwise it is filed at once.
+        """
         with self._audit_lock:
-            # Each tenant's name once in the bounded logs, not once per request.
-            shared = self._tenant_names.get(tenant)
-            if shared is None:
-                if len(self._tenant_names) >= _TENANT_NAMES_LIMIT:
-                    self._tenant_names.clear()
-                shared = self._tenant_names[tenant] = tenant
-            tenant = shared
-            self._audit.append((tenant, action, outcome, detail))
+            shared = intern(
+                self._audit_entries, (tenant, action, outcome, detail), self._shared_entry
+            )
+            self._audit.append(shared)
             self._audit_sequence += 1
         if self.event_log is not None:
-            self.event_log.emit(
-                "audit",
-                scheme=self.scheme_id,
-                tenant=tenant,
-                action=action,
-                outcome=outcome,
-                shard=shard,
-                latency_ms=latency_ms,
-                trace=trace.trace_id if trace is not None else None,
-                detail=detail or None,
+            self.event_log.audit(
+                self.scheme_id,
+                shared,
+                shard,
+                latency_ms,
+                trace.trace_id if trace is not None else None,
             )
+
+    def _shared_entry(self, entry: tuple[str, str, str, str]) -> tuple[str, str, str, str]:
+        # Each tenant's name once in the bounded logs, not once per entry.
+        tenant, action, outcome, detail = entry
+        return (intern(self._tenant_names, tenant), action, outcome, detail)
 
     def _rejection(
         self,

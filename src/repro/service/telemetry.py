@@ -27,7 +27,8 @@ request can cross process boundaries:
   (:func:`jsonl_sink` appends one JSON line per event to any stream).
   The gateway's audit writer and the wire server's access lines,
   handler crashes and connection errors all feed it, so nothing a
-  production operator needs vanishes into a silenced stderr.
+  production operator needs vanishes into a silenced stderr.  The wire
+  engine files each answered request's events as one compact record.
 
 Everything here is dependency-free within the service layer (no imports
 from :mod:`repro.service.metrics` or the wire package), thread-safe, and
@@ -40,6 +41,7 @@ import functools
 import itertools
 import json
 import random
+import re
 import secrets
 import struct
 import threading
@@ -49,6 +51,8 @@ from contextlib import nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
+
+from repro._intern import intern
 
 __all__ = [
     "TRACE_HEADER",
@@ -91,9 +95,9 @@ _id_rng = random.Random(secrets.randbits(64))
 # distinct as fresh random ids.  next() on a count is one C call, atomic
 # under the GIL.
 _id_blocks = itertools.count(_id_rng.getrandbits(32))
-# Ended records a tracer queues before filing them, and call shapes it
-# interns before starting over (concurrent stages end in any order).
-_BATCH, _SHAPES_LIMIT = 16, 4096
+# Ended records a tracer queues before filing them (concurrent stages end
+# in any order).
+_BATCH = 16
 
 
 def _id_block() -> int:
@@ -376,10 +380,8 @@ class Tracer:
             if not stages:
                 continue
             names, numbers, parents, statuses, keys, starts, ends, values = zip(*stages)
-            layout = (names, numbers, parents, statuses, keys)
-            if len(self._shapes) >= _SHAPES_LIMIT:
-                self._shapes.clear()
-            layout = self._shapes.setdefault(layout, layout)  # one per call shape
+            # One layout per call shape.
+            layout = intern(self._shapes, (names, numbers, parents, statuses, keys))
             packed = _packing(len(names)).pack(record.base, *starts, *ends)
             # sum() joins a few short tuples faster than chain does.
             compact = (record.parent_id, layout, packed) + sum(values, ())
@@ -592,20 +594,102 @@ def merge_histogram_snapshots(
 
 # ------------------------------------------------------------------- events
 
+# The events of the request running in this context, while its answer is
+# made (see EventLog.collect).
+_EVENTS: ContextVar["_Collector | None"] = ContextVar("repro_request_events", default=None)
+# The most events one record holds: a longer request (a large batch) is
+# filed as several records, one after another, so that no layout grows
+# with a batch's length and the interned layouts stay bounded in bytes.
+_RECORD_EVENTS = 16
+# The three parts a record holds: any event, an audit event, an access line.
+_EVENT, _AUDIT, _ACCESS = range(3)
+_ACCESS_PART = (_ACCESS,)
+# An audit part's flags: which of its optional fields it holds.
+_SHARD, _LATENCY, _TRACE = 1, 2, 4
+
+
+def _audit_parts(scheme: str) -> tuple:
+    """A scheme's audit parts, indexed by their flags: shared, so that no
+    layout holds an audit part of its own."""
+    return tuple((_AUDIT, scheme, flags) for flags in range(8))
+
+
+class _Layout:
+    """How one call shape's records read back: their parts (one per event),
+    the struct their numbers are packed with, their event count."""
+
+    __slots__ = ("parts", "packing", "count")
+
+    def __init__(self, parts: tuple) -> None:
+        formats = []
+        for part in parts:
+            if part[0] == _AUDIT:
+                flags = part[2]
+                formats.append("d" + "d" * bool(flags & _LATENCY) + "16s" * bool(flags & _TRACE))
+            elif part[0] == _ACCESS:
+                formats.append("dHI")  # time, status, response size
+        self.parts = parts
+        # A struct keeps 32 B per code: a run of doubles as one ("3d").
+        packing = re.sub(r"d+", lambda run: "%dd" % len(run[0]), "".join(formats))
+        self.packing = struct.Struct("=" + packing)
+        self.count = len(parts)
+
+
+class _Collector:
+    """One request's events, filed together when its block ends."""
+
+    __slots__ = ("log", "events", "_token")
+
+    def __init__(self, log: "EventLog") -> None:
+        self.log = log
+        # One (part, numbers, refs) tuple per event, added by one append:
+        # threads running in copies of the request's context (a fleet's
+        # fan-out) share the collector, and must not interleave one
+        # event's pieces with another's.
+        self.events: list[tuple] = []
+
+    def __enter__(self) -> "_Collector":
+        self._token = _EVENTS.set(self)
+        return self
+
+    def __exit__(self, *_exc_info) -> bool:
+        _EVENTS.reset(self._token)
+        events, log = self.events, self.log
+        if len(events) == 2:  # the usual request: an audit event, an access line
+            (first, first_numbers, first_refs), (second, numbers, refs) = events
+            record = log._record((first, second), first_numbers + numbers, first_refs + refs)
+            log._file((record,), 2)
+        elif events:
+            records = []
+            for start in range(0, len(events), _RECORD_EVENTS):
+                parts, numbers, refs = zip(*events[start : start + _RECORD_EVENTS])
+                # sum() joins a few short tuples faster than chain does.
+                records.append(log._record(parts, sum(numbers, ()), sum(refs, ())))
+            log._file(records, len(events))
+        return False
+
 
 class EventLog:
     """A bounded ring of structured events with an injectable sink.
 
     :meth:`emit` records one event: ``ts``, ``kind`` and whatever fields
-    the caller passes, less those that are ``None``.  The newest
-    ``max_events`` stay in memory as flat tuples ``(ts, kind, field
-    names, *values)``, the field-name tuple shared by every event of one
-    call shape and ``seq`` implied by ring position; :meth:`tail` builds
-    their JSON-compatible dicts, and drops the ``None`` fields there.
-    When a ``sink`` is installed — a callable taking the event dict, e.g.
-    :func:`jsonl_sink` — each event's dict is built at emit time and
-    handed to it.  A sink failure is counted, never raised: telemetry
-    must not take down serving.  Thread-safe.
+    the caller passes, less those that are ``None``; :meth:`audit` and
+    :meth:`access` record the gateway's audit events and the server's
+    access lines.  Inside :meth:`collect`'s block, which the wire engine
+    opens around each request it answers, this log's events are gathered
+    and filed together when the block ends, numbered one after another,
+    as one record (as several of at most 16 events for a longer
+    request); elsewhere an event is filed at once, as a record of its
+    own.  A record keeps its layout (shared per call shape), its numbers
+    (timestamps, latency, trace id, status, response size) packed, and
+    its strings by reference; :meth:`tail` builds the events'
+    JSON-compatible dicts, ``seq`` numbering every event in filing
+    order, and formats an access line's ``message`` there.  The newest
+    ``max_events`` events stay: the oldest record may be evicted in
+    part.  When a ``sink`` is installed — a callable taking the event
+    dict, e.g. :func:`jsonl_sink` — each event's dict is built when its
+    record is filed and handed to it.  A sink failure is counted, never
+    raised: telemetry must not take down serving.  Thread-safe.
     """
 
     def __init__(
@@ -620,53 +704,200 @@ class EventLog:
         self.sink = sink
         self._clock = clock
         self._lock = threading.Lock()
-        # A maxlen deque IS the bounded ring: append evicts the oldest
-        # event in C, with no key bookkeeping on the emit hot path.
-        self._events: deque[tuple] = deque(maxlen=max_events)
-        # One field-name tuple per call shape; the shapes are the emit
-        # call sites' keyword sets, so this stays as small as the code.
-        self._shapes: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self._records: deque[tuple] = deque()
+        self._held = 0  # events the ring holds
+        self._cut = 0  # the oldest record's events already evicted
+        self._layouts: dict[tuple, _Layout] = {}  # one per call shape
+        self._audit_parts: dict[str, tuple] = {}  # per scheme
+        self._strings: dict[str, str] = {}  # clients and request lines
         self.emitted = 0  # also the next event's seq
         self.sink_errors = 0
 
+    def collect(self) -> _Collector:
+        """A block whose events on this log are filed together when it ends."""
+        return _Collector(self)
+
     def emit(self, kind: str, **fields: Any) -> None:
         """Record one event."""
-        names = tuple(fields)
-        record = (self._clock(), kind, self._shapes.setdefault(names, names), *fields.values())
+        self._add((_EVENT, kind, tuple(fields)), (), (self._clock(), *fields.values()))
+
+    def audit(
+        self,
+        scheme: str,
+        entry: tuple[str, str, str, str],
+        shard: str | None = None,
+        latency_ms: float | None = None,
+        trace: str | None = None,
+    ) -> None:
+        """Record one ``audit`` event; ``entry`` is its (tenant, action,
+        outcome, detail), the detail dropped when empty."""
+        ts = self._clock()
+        trace_id = None if trace is None else _trace_bytes(trace)
+        if (
+            type(ts) is float
+            and (latency_ms is None or type(latency_ms) is float)
+            and (trace is None or trace_id is not None)
+        ):
+            flags, numbers = 0, (ts,)
+            if latency_ms is not None:
+                flags, numbers = _LATENCY, (ts, latency_ms)
+            if trace_id is not None:
+                flags |= _TRACE
+                numbers += (trace_id,)
+            table = self._audit_parts
+            parts = table.get(scheme) or intern(table, scheme, _audit_parts)
+            if shard is None:
+                self._add(parts[flags], numbers, (entry,))
+            else:
+                self._add(parts[flags | _SHARD], numbers, (entry, shard))
+            return
+        # A value the packed part would not give back exactly: any event.
+        tenant, action, outcome, detail = entry
+        self._add(
+            (_EVENT, "audit", _AUDIT_NAMES), (),
+            (ts, scheme, tenant, action, outcome, shard, latency_ms, trace, detail or None),
+        )
+
+    def access(self, client: str, request: str, status: int, size: int) -> None:
+        """Record one access line: ``message`` reads ``"<request>" <status>
+        <size>``."""
+        ts = self._clock()
+        if type(ts) is float and 0 <= status < 0x10000 and 0 <= size < 0x100000000:
+            strings = self._strings
+            self._add(
+                _ACCESS_PART,
+                (ts, status, size),
+                (strings.get(client) or intern(strings, client),
+                 strings.get(request) or intern(strings, request)),
+            )
+            return
+        message = '"%s" %d %d' % (request, status, size)
+        self._add((_EVENT, "http-log", _ACCESS_NAMES), (), (ts, client, message))
+
+    def _add(self, part: tuple, numbers, refs) -> None:
+        collector = _EVENTS.get()
+        if collector is not None and collector.log is self:
+            collector.events.append((part, numbers, refs))
+        else:
+            self._file((self._record((part,), numbers, refs),), 1)
+
+    def _record(self, parts: tuple, numbers, refs) -> tuple:
+        """One record: its layout, its numbers packed, its refs."""
+        layout = self._layouts.get(parts) or intern(self._layouts, parts, _Layout)
+        return (layout, layout.packing.pack(*numbers), *refs)
+
+    def _file(self, records, count: int) -> None:
+        """File records holding ``count`` events, numbered one after another."""
         with self._lock:
-            sequence = self.emitted
-            self._events.append(record)
-            self.emitted += 1
+            first = self.emitted
+            self._records.extend(records)
+            self.emitted += count
+            self._held += count
+            if self._held > self.max_events:
+                self._evict()
             sink = self.sink
-        if sink is not None:
-            try:
-                sink(_event_of(record, sequence))
-            except Exception:  # noqa: BLE001 - telemetry never kills serving
-                with self._lock:
-                    self.sink_errors += 1
+        if sink is None:
+            return
+        for record in records:
+            for event in _events_of(record, first):
+                try:
+                    sink(event)
+                except Exception:  # noqa: BLE001 - telemetry never kills serving
+                    with self._lock:
+                        self.sink_errors += 1
+            first += record[0].count
+
+    def _evict(self) -> None:
+        """Drop the oldest events past ``max_events`` (lock held): whole
+        records, and then the oldest record's first events if need be."""
+        over = self._held - self.max_events
+        while over:
+            live = self._records[0][0].count - self._cut
+            if over < live:
+                self._cut += over
+                self._held -= over
+                return
+            self._records.popleft()
+            self._cut = 0
+            self._held -= live
+            over -= live
 
     def tail(self, n: int | None = None) -> list[dict]:
         """The newest ``n`` events (all retained when ``n`` is None), oldest first."""
         with self._lock:
-            count = len(self._events)
-            keep = count if n is None else max(0, min(n, count))
-            records = list(itertools.islice(self._events, count - keep, None))
-            first = self.emitted - keep
-        return [_event_of(record, first + i) for i, record in enumerate(records)]
+            keep = self._held if n is None else max(0, min(n, self._held))
+            records, counted = [], 0
+            for record in reversed(self._records):
+                if counted >= keep:
+                    break
+                records.append(record)
+                counted += record[0].count
+            first = self.emitted - counted
+        events: list[dict] = []
+        for record in reversed(records):
+            events += _events_of(record, first + len(events))
+        return events[len(events) - keep :]
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._events)
+            return self._held
 
 
-def _event_of(record: tuple, sequence: int) -> dict:
-    """The dict of one record :meth:`EventLog.emit` stored."""
-    event = {"ts": record[0], "kind": record[1]}
-    for key, value in zip(record[2], record[3:]):
-        if value is not None:
-            event[key] = value
-    event["seq"] = sequence
-    return event
+# The field names of an audit event and an access line kept as any event.
+_AUDIT_NAMES = ("scheme", "tenant", "action", "outcome", "shard", "latency_ms", "trace", "detail")
+_ACCESS_NAMES = ("client", "message")
+
+
+def _trace_bytes(trace: str) -> bytes | None:
+    """A trace id's 16 bytes, or None unless it is 32 lowercase hex digits
+    (with a letter among them, which all but one id in 3 million have)."""
+    if not (isinstance(trace, str) and len(trace) == 32 and trace.islower()):
+        return None
+    try:
+        packed = bytes.fromhex(trace)
+    except ValueError:
+        return None
+    return packed if len(packed) == 16 else None  # fromhex skips spaces
+
+
+def _events_of(record: tuple, first: int) -> list[dict]:
+    """The events of one record :class:`EventLog` filed, ``first`` its first seq."""
+    layout = record[0]
+    numbers = iter(layout.packing.unpack(record[1]))
+    refs = itertools.islice(record, 2, None)
+    events = []
+    for sequence, part in enumerate(layout.parts, first):
+        if part[0] == _AUDIT:
+            *fields, detail = next(refs)
+            event = {"ts": next(numbers), "kind": "audit", "scheme": part[1]}
+            for key, value in zip(("tenant", "action", "outcome"), fields):
+                if value is not None:
+                    event[key] = value
+            flags = part[2]
+            if flags & _SHARD:
+                event["shard"] = next(refs)
+            if flags & _LATENCY:
+                event["latency_ms"] = next(numbers)
+            if flags & _TRACE:
+                event["trace"] = next(numbers).hex()
+            if detail:
+                event["detail"] = detail
+        elif part[0] == _ACCESS:
+            ts, status, size = next(numbers), next(numbers), next(numbers)
+            event = {"ts": ts, "kind": "http-log"}
+            client = next(refs)
+            if client is not None:
+                event["client"] = client
+            event["message"] = '"%s" %d %d' % (next(refs), status, size)
+        else:
+            event = {"ts": next(refs), "kind": part[1]}
+            for key in part[2]:
+                value = next(refs)
+                if value is not None:
+                    event[key] = value
+        event["seq"] = sequence
+        events.append(event)
+    return events
 
 
 def jsonl_sink(stream) -> Callable[[dict], None]:

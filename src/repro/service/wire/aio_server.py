@@ -12,7 +12,7 @@ receives no batch runs one thread.  Only grant and re-encrypt batches,
 and calls to a gateway that forwards to other processes, go to a
 bounded :class:`~concurrent.futures.ThreadPoolExecutor`, where they
 overlap with the loop's work and with each other (the shard locks
-serialize them; see :meth:`WireRequestExecutor.runs_inline`).
+serialize them; see :meth:`WireRequestExecutor.placement`).
 The listening port speaks *two* protocols, sniffed from the first octet
 of each connection:
 
@@ -59,6 +59,7 @@ from repro.service.wire.codec import (
     FRAME_HEADER_LEN,
     MUX_PROTOCOL,
     FrameProtocolError,
+    ParsedBody,
     decode_frame_payload,
     encode_frame,
     frame_length,
@@ -92,6 +93,10 @@ MAX_BODY_BYTES = 64 * 1024 * 1024  # refuse absurd Content-Length up front
 # raises that threshold, every read maps a fresh buffer, faults its pages
 # in and unmaps it, about two page faults per served request.
 _READ_SIZE = 64 * 1024
+# What a connection the server ends may still read and drop after its
+# last answer, and for how long (see _close_after_answer).
+_LINGER_BYTES = 1024 * 1024
+_LINGER_S = 1.0
 # RFC 9110 section 5.1: a field name is a token.
 _FIELD_NAME = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
 # RFC 9110 section 5.5: no control octet but HTAB in a field value.
@@ -220,6 +225,32 @@ async def _read_line(reader: asyncio.StreamReader, prefix: bytes = b"") -> bytes
     except ValueError:  # past the stream's own limit
         return None
     return line if len(line) <= _MAX_LINE else None
+
+
+async def _close_after_answer(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """End an HTTP connection the server closes, in stages (RFC 9112
+    section 9.6): half-close after the last answer, then read and drop
+    what the client still sends, up to :data:`_LINGER_BYTES` and for at
+    most :data:`_LINGER_S`; the caller then closes.  A socket closed with
+    bytes still unread sends a reset instead of a FIN, and a reset can
+    destroy the answer before the client has read it.  A TLS transport
+    cannot half-close, so it closes at once."""
+    if not writer.can_write_eof():
+        return
+    writer.write_eof()
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + _LINGER_S
+    dropped = 0
+    while dropped < _LINGER_BYTES:
+        try:
+            chunk = await asyncio.wait_for(reader.read(_READ_SIZE), deadline - loop.time())
+        except asyncio.TimeoutError:
+            return
+        if not chunk:
+            return
+        dropped += len(chunk)
 
 
 class AsyncGatewayServer:
@@ -494,15 +525,16 @@ class AsyncGatewayServer:
                 payload = await reader.readexactly(frame_length(header))
                 request = _mux_request(decode_frame_payload(payload))
                 _id, method, target, body, _headers = request
-                if self.engine.runs_inline(method, target, body):
-                    await self._run_stream(request, writer, write_lock, peer, False)
+                inline, parsed = self.engine.placement(method, target, body)
+                if inline:
+                    await self._run_stream(request, parsed, writer, write_lock, peer, False)
                     # Reading frames that are already buffered never
                     # yields: let the other connections in between two.
                     await asyncio.sleep(0)
                     continue
                 await gate.acquire()
                 task = asyncio.create_task(
-                    self._run_stream(request, writer, write_lock, peer, True)
+                    self._run_stream(request, parsed, writer, write_lock, peer, True)
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
@@ -514,7 +546,8 @@ class AsyncGatewayServer:
                 await asyncio.gather(*tasks, return_exceptions=True)
 
     async def _handle(
-        self, pooled: bool, method: str, target: str, body: bytes, headers: dict, peer: str
+        self, pooled: bool, method: str, target: str, body: bytes, headers: dict, peer: str,
+        parsed: ParsedBody | None,
     ) -> WireResponse:
         """The engine's answer, computed here or on the worker pool."""
         if pooled:
@@ -522,13 +555,14 @@ class AsyncGatewayServer:
             # trace record (if any) onto the pool thread.
             return await asyncio.get_running_loop().run_in_executor(
                 self._pool, copy_context().run, self.engine.handle,
-                method, target, body, headers, peer,
+                method, target, body, headers, peer, parsed,
             )
-        return self.engine.handle(method, target, body, headers, peer)
+        return self.engine.handle(method, target, body, headers, peer, parsed)
 
     async def _run_stream(
         self,
         request: tuple,
+        parsed: ParsedBody | None,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
         peer: str,
@@ -537,7 +571,7 @@ class AsyncGatewayServer:
         self.stats.stream_started()
         try:
             request_id, method, target, body, headers = request
-            result = await self._handle(pooled, method, target, body, headers, peer)
+            result = await self._handle(pooled, method, target, body, headers, peer, parsed)
             frame = encode_frame(
                 mux_response(
                     request_id,
@@ -588,16 +622,18 @@ class AsyncGatewayServer:
                 # refusal closes the connection.
                 refusal = self.engine.refuse(refused.status, str(refused), request_line, peer)
                 await self._write_http(writer, refusal)
+                await _close_after_answer(reader, writer)
                 return
             method, target = parts[0], parts[1]  # methods are case-sensitive
             if target.startswith("//"):  # reduced as http.server does (gh-87389)
                 target = "/" + target.lstrip("/")
             http09 = len(parts) == 2
             body = await reader.readexactly(length) if length else b""
-            pooled = not self.engine.runs_inline(method, target, body)
+            inline, parsed = self.engine.placement(method, target, body)
+            pooled = not inline
             self.stats.stream_started()
             try:
-                result = await self._handle(pooled, method, target, body, headers, peer)
+                result = await self._handle(pooled, method, target, body, headers, peer, parsed)
             finally:
                 self.stats.stream_finished()
             # HTTP/1.1 keeps the connection unless told to close; older
@@ -610,6 +646,7 @@ class AsyncGatewayServer:
             closing = result.close or not keep_alive
             await self._write_http(writer, result, close=closing, bare=http09)
             if closing:
+                await _close_after_answer(reader, writer)
                 return
             if not pooled:
                 await asyncio.sleep(0)  # a pipelined next request would not yield

@@ -65,6 +65,7 @@ import struct
 import types
 import typing
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.api import PreBackend, resolve_backend
 from repro.core.ciphertexts import ProxyKey, ReEncryptedCiphertext, TypedCiphertext
@@ -112,6 +113,8 @@ __all__ = [
     "KeyExportResponse",
     "to_wire",
     "from_wire",
+    "ParsedBody",
+    "parse_body",
     "scheme_document",
     "neutral_error_to_wire",
     "MUX_PROTOCOL",
@@ -577,9 +580,29 @@ def to_wire(context: PreBackend | PairingGroup, message: object) -> str:
     )
 
 
+class ParsedBody(NamedTuple):
+    """One wire message's JSON value, parsed once and handed on:
+    :func:`from_wire` takes it in place of the text.  ``value`` is the
+    :class:`InvalidRequestError` that refuses text that is no JSON."""
+
+    value: object
+
+
+def parse_body(text: str | bytes) -> ParsedBody:
+    """The JSON value of one wire message; never raises."""
+    try:
+        return ParsedBody(json.loads(text))
+    except (ValueError, RecursionError) as error:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and an
+        # integer longer than sys.get_int_max_str_digits().
+        refusal = InvalidRequestError("malformed JSON: %s" % error)
+        refusal.__cause__ = error
+        return ParsedBody(refusal)
+
+
 def from_wire(
     context: PreBackend | PairingGroup,
-    text: str | bytes,
+    text: str | bytes | ParsedBody,
     expect: tuple[type, ...] | type | None = None,
 ):
     """Decode one wire message; reject anything malformed as invalid-request.
@@ -598,12 +621,9 @@ def from_wire(
     reconstructed :class:`GatewayError` instance back to raise.
     """
     backend = resolve_backend(context)
-    try:
-        message = json.loads(text)
-    except (ValueError, RecursionError) as error:
-        # ValueError covers JSONDecodeError, UnicodeDecodeError and an
-        # integer longer than sys.get_int_max_str_digits().
-        raise InvalidRequestError("malformed JSON: %s" % error) from error
+    message = (text if isinstance(text, ParsedBody) else parse_body(text)).value
+    if isinstance(message, InvalidRequestError):
+        raise message
     if not isinstance(message, dict):
         raise InvalidRequestError("wire message must be a JSON object")
     if message.get("wire") != WIRE_FORMAT:

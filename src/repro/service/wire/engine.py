@@ -82,11 +82,13 @@ from repro.service.wire.codec import (
     GrantBatchResponse,
     KeyExportRequest,
     KeyExportResponse,
+    ParsedBody,
     ReEncryptBatchRequest,
     ReEncryptBatchResponse,
     ResizeRequest,
     from_wire,
     neutral_error_to_wire,
+    parse_body,
     scheme_document,
     to_wire,
 )
@@ -359,7 +361,7 @@ class WireRequestExecutor:
     ``handle`` takes one parsed request (method, target, body, lowercase
     headers, client address string) and returns a :class:`WireResponse`.
     It is synchronous and thread-safe: the server calls it on its event
-    loop, or on its worker pool where :meth:`runs_inline` says so.
+    loop, or on its worker pool where :meth:`placement` says so.
 
     ``auth`` is a :class:`~repro.service.auth.signing.RequestVerifier` —
     with one installed every POST, and every observability GET, must
@@ -464,8 +466,11 @@ class WireRequestExecutor:
 
     # ------------------------------------------------------------ entrance
 
-    def runs_inline(self, method: str, target: str, body: bytes) -> bool:
-        """Whether :meth:`handle` may run on the asyncio server's event loop.
+    def placement(
+        self, method: str, target: str, body: bytes
+    ) -> tuple[bool, ParsedBody | None]:
+        """Whether :meth:`handle` may run on the asyncio server's event
+        loop, and the body's parse if placing it took one.
 
         A request whose work is one in-process gateway operation runs
         inline.  Two kinds go to the worker pool, where they overlap
@@ -473,33 +478,32 @@ class WireRequestExecutor:
         a gateway that is not a :class:`ReEncryptionGateway` (a fleet
         router's calls block on its workers' sockets).  Of the GET
         routes only metrics and traces call a gateway.  A request the
-        engine refuses before any gateway call runs inline.  Placement
-        never changes a response byte, and this never raises.
+        engine refuses before any gateway call runs inline.  Only grant
+        and re-encrypt bodies are parsed here, for their type; the parse
+        is handed to :meth:`handle`, so no body is parsed twice.
+        Placement never changes a response byte, and this never raises.
         """
         try:
             path = _split(target).path
         except _UnknownEndpoint:
-            return True
+            return True, None
         if method != "POST":
             return not (
                 self._forwarding
                 and (path.startswith(_TRACE_ROUTE) or path.endswith("/metrics"))
-            )
+            ), None
         try:
             op, gateway, _backend = self._resolve(path)
         except (_UnknownEndpoint, InvalidRequestError):
-            return True
+            return True, None
         if not isinstance(gateway, ReEncryptionGateway):
-            return op not in _POST_OPS
+            return op not in _POST_OPS, None
         batch_type = _BATCH_TYPES.get(op)
         if batch_type is None:
-            return True
-        # Only these two ops parse the body here, and only for its type.
-        try:
-            document = json.loads(body)
-        except (ValueError, RecursionError):
-            return True
-        return not (isinstance(document, dict) and document.get("type") == batch_type)
+            return True, None
+        parsed = parse_body(body)
+        document = parsed.value
+        return not (isinstance(document, dict) and document.get("type") == batch_type), parsed
 
     def handle(
         self,
@@ -508,8 +512,30 @@ class WireRequestExecutor:
         body: bytes,
         headers: dict[str, str],
         client: str,
+        parsed: ParsedBody | None = None,
     ) -> WireResponse:
-        """One request in, one :class:`WireResponse` out; never raises."""
+        """One request in, one :class:`WireResponse` out; never raises.
+
+        ``parsed`` is the body's parse from :meth:`placement`, if it took
+        one.  The request's events on the server's event log (the
+        gateway's audit events when the gateway shares that log, a
+        server error, the access line) are filed as one record when the
+        answer is made.
+        """
+        with self.event_log.collect():
+            result = self._answer(method, target, body, parsed, headers, client)
+            self._log_access("%s %s" % (method, target), client, result)
+        return result
+
+    def _answer(
+        self,
+        method: str,
+        target: str,
+        body: bytes,
+        parsed: ParsedBody | None,
+        headers: dict[str, str],
+        client: str,
+    ) -> WireResponse:
         try:
             # The echo is re-serialized from the strict parse, never the
             # raw client value: reflecting a header with embedded CR/LF
@@ -520,7 +546,7 @@ class WireRequestExecutor:
                 result = self._handle_get(target, headers, echo, client)
             elif method == "POST":
                 result = self._handle_post(
-                    target, body, headers, parsed_trace, echo, client
+                    target, body, parsed, headers, parsed_trace, echo, client
                 )
             else:
                 result = self._json(
@@ -548,7 +574,6 @@ class WireRequestExecutor:
                 neutral_error_to_wire(GatewayError("internal error: %s" % error)),
                 close=True,
             )
-        self._log_access("%s %s" % (method, target), client, result)
         return result
 
     def refuse(self, status: int, message: str, request: str, client: str) -> WireResponse:
@@ -565,11 +590,7 @@ class WireRequestExecutor:
     def _log_access(self, request: str, client: str, result: WireResponse) -> None:
         # Every answer (any transport, handled or refused) leaves one
         # access line in the structured event log, not a stderr line.
-        self.event_log.emit(
-            "http-log",
-            client=client,
-            message='"%s" %d %d' % (request, result.status, len(result.body)),
-        )
+        self.event_log.access(client, request, result.status, len(result.body))
 
     # ----------------------------------------------------------------- GET
 
@@ -783,6 +804,7 @@ class WireRequestExecutor:
         self,
         target: str,
         raw: bytes,
+        parsed: ParsedBody | None,
         headers: dict,
         trace: TraceContext | None,
         echo: str | None,
@@ -812,7 +834,9 @@ class WireRequestExecutor:
         counts = OperationCounter()
         try:
             with counts:
-                payload = self._dispatch(op, gateway, backend, raw, trace, auth_tenant)
+                payload = self._dispatch(
+                    op, gateway, backend, raw, parsed, trace, auth_tenant
+                )
         except GatewayError as error:
             return self._error(error, backend, trace=echo)
         except Exception as error:  # noqa: BLE001 - wire boundary
@@ -838,7 +862,7 @@ class WireRequestExecutor:
 
     def _dispatch(
         self, op: str, gateway, backend: PreBackend, raw: bytes,
-        trace: TraceContext | None, auth_tenant: str | None,
+        parsed: ParsedBody | None, trace: TraceContext | None, auth_tenant: str | None,
     ) -> str:
         """Decode, execute and encode one operation under optional spans.
 
@@ -858,7 +882,9 @@ class WireRequestExecutor:
                 if traced
                 else nullcontext()
             ):
-                request = from_wire(backend, raw, expect=entry.expect)
+                request = from_wire(
+                    backend, raw if parsed is None else parsed, expect=entry.expect
+                )
                 if auth_tenant is not None:
                     request = self._stamp_tenant(request, auth_tenant)
             # Revoke/resize retries carry a client-generated request id;

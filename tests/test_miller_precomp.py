@@ -24,7 +24,9 @@ from repro.math.drbg import HmacDrbg
 from repro.pairing import miller as miller_module
 from repro.pairing.group import PairingGroup
 from repro.pairing.miller import MillerPrecomp, PointOrderError, final_exponentiation_raw
-from repro.pairing.tate import multi_tate_pairing, tate_pairing, tate_pairing_affine
+from repro.pairing.tate import multi_tate_pairing, tate_pairing
+
+from affine_pairing import tate_pairing_affine
 
 # One line per doubling and per nonzero digit of q's NAF below its
 # leading 1, less the last, vertical secant.  The binary chain took 59,

@@ -417,7 +417,7 @@ class TestAuditAndMetrics:
     def test_audit_keeps_one_copy_of_a_tenant_name_in_a_bounded_table(
         self, pre_setting, monkeypatch
     ):
-        from repro.service import gateway as gateway_module
+        from repro import _intern
 
         scheme, _, _, _, _ = pre_setting
         gateway = ReEncryptionGateway(scheme, shard_count=1, store=EncryptedPhrStore())
@@ -433,7 +433,7 @@ class TestAuditAndMetrics:
         refuse(second)
         assert gateway.audit[-1].tenant is gateway.audit[-2].tenant
         # A stream of distinct names empties the table instead of growing it.
-        monkeypatch.setattr(gateway_module, "_TENANT_NAMES_LIMIT", 4)
+        monkeypatch.setattr(_intern, "INTERN_LIMIT", 4)
         names = ["tenant-%d" % (i % 6) for i in range(30)]
         for name in names:
             refuse(name)

@@ -32,12 +32,9 @@ from repro.math import backend as int_backend
 from repro.math.drbg import HmacDrbg
 from repro.pairing.group import PairingGroup
 from repro.pairing.miller import MillerPrecomp
-from repro.pairing.tate import (
-    multi_tate_pairing,
-    tate_pairing,
-    tate_pairing_affine,
-    tate_pairing_batch,
-)
+from repro.pairing.tate import multi_tate_pairing, tate_pairing, tate_pairing_batch
+
+from affine_pairing import tate_pairing_affine
 
 VECTOR_FILE = Path(__file__).parent / "data" / "substrate_vectors.json"
 VECTORS = json.loads(VECTOR_FILE.read_text())["vectors"]

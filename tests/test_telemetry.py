@@ -24,6 +24,7 @@ import json
 import socket
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 
@@ -52,7 +53,14 @@ from repro.service.telemetry import (
     span_from_json,
     span_to_json,
 )
-from repro.service.wire import AsyncGatewayServer, RemoteGateway
+from repro.service.wire import (
+    AsyncGatewayServer,
+    MuxRemoteGateway,
+    ReEncryptBatchRequest,
+    RemoteGateway,
+    to_wire,
+)
+from repro.service.wire.engine import IdempotencyWindow, WireRequestExecutor, build_host_map
 
 
 # ------------------------------------------------------------ trace contexts
@@ -254,9 +262,9 @@ class TestRequestRecord:
         assert len(roots[0].span_id) == 16 and roots[3].span_id == "0" * 16
 
     def test_interned_call_shapes_are_bounded(self, monkeypatch):
-        from repro.service import telemetry
+        from repro import _intern
 
-        monkeypatch.setattr(telemetry, "_SHAPES_LIMIT", 2)
+        monkeypatch.setattr(_intern, "INTERN_LIMIT", 2)
         tracer = Tracer()
         roots = [TraceContext.generate() for _ in range(5)]
         for n, root in enumerate(roots):  # five call shapes: 1..5 stages
@@ -480,6 +488,33 @@ class TestEventLog:
         assert parsed[0]["kind"] == "audit"
         assert parsed[1]["error"] == "boom"
 
+    @pytest.mark.parametrize("reading", [7, 1.5])
+    def test_audit_events_and_access_lines_read_back_exactly(self, reading):
+        """Packed or not (an int clock, an int latency, a trace id other
+        than 32 lowercase hex digits, a status past 16 bits), every value
+        reads back as it was given, and None fields are left out."""
+        log = EventLog(clock=lambda: reading)
+        entry = ("alice", "reencrypt", "ok", "")
+        log.audit("tipre/v1", entry, "shard-01", 0.25, "ab" * 16)
+        log.audit("tipre/v1", entry, None, 3, "AB" * 16)
+        log.audit("tipre/v1", (None, "fetch", "no-store", ""), trace="0" * 32)
+        log.access("10.0.0.1", "GET /v1/health", 200, 16)
+        log.access(None, "GET /x", 70000, 1)
+        audit = {"ts": reading, "kind": "audit", "scheme": "tipre/v1", "outcome": "ok"}
+        events = log.tail()
+        assert events == [
+            dict(audit, tenant="alice", action="reencrypt", shard="shard-01",
+                 latency_ms=0.25, trace="ab" * 16, seq=0),
+            dict(audit, tenant="alice", action="reencrypt", latency_ms=3,
+                 trace="AB" * 16, seq=1),
+            dict(audit, action="fetch", outcome="no-store", trace="0" * 32, seq=2),
+            {"ts": reading, "kind": "http-log", "client": "10.0.0.1",
+             "message": '"GET /v1/health" 200 16', "seq": 3},
+            {"ts": reading, "kind": "http-log", "message": '"GET /x" 70000 1', "seq": 4},
+        ]
+        assert {type(event["ts"]) for event in events} == {type(reading)}
+        assert type(events[1]["latency_ms"]) is int
+
     def test_jsonl_sink_stringifies_unserializable_values(self):
         stream = io.StringIO()
         sink = jsonl_sink(stream)
@@ -535,6 +570,119 @@ class TestConcurrentRecords:
             assert snapshot == events[first : first + len(snapshot)]
         span_ids = [span.span_id for trace_id in tracer.trace_ids() for span in tracer.trace(trace_id)]
         assert len(span_ids) == len(set(span_ids)) == writers * per_writer
+
+    def test_records_evicted_in_part_under_concurrent_writers(self):
+        """Writers file records of one to four events into a ring whose
+        bound falls inside records, a reader tails it throughout: every
+        read is the newest events, numbered without a gap, and no write
+        is lost from the count."""
+        writers, per_writer, bound = 6, 2000, 25
+        log = EventLog(max_events=bound)
+        reads = []
+        done = threading.Event()
+
+        def write(index: int) -> None:
+            for i in range(per_writer):
+                with log.collect():
+                    for part in range(i % 4 + 1):
+                        log.emit("tick", writer=index, i=i, part=part)
+
+        def read() -> None:
+            while not done.is_set():
+                try:
+                    reads.append(log.tail())
+                except Exception as error:  # noqa: BLE001 - reported below
+                    reads.append(error)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader = threading.Thread(target=read)
+            reader.start()
+            threads = [threading.Thread(target=write, args=(n,)) for n in range(writers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            done.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive() and not any(thread.is_alive() for thread in threads)
+        assert log.emitted == writers * per_writer * 10 // 4
+        events = log.tail()
+        assert len(log) == len(events) == bound
+        assert [event["seq"] for event in events] == list(range(log.emitted - bound, log.emitted))
+        assert reads and not [read for read in reads if isinstance(read, Exception)]
+        for snapshot in filter(None, reads):
+            assert len(snapshot) <= bound
+            sequence = [event["seq"] for event in snapshot]
+            assert sequence == list(range(sequence[0], sequence[0] + len(snapshot)))
+        # A record's events stay in order and together, less those evicted.
+        for before, after in zip(events, events[1:]):
+            if (before["writer"], before["i"]) == (after["writer"], after["i"]):
+                assert after["part"] == before["part"] + 1
+
+    def test_threads_in_copies_of_a_request_context_share_its_collector(self):
+        """A fleet fans a batch out to pool threads, each in a copy of the
+        request's context: their events, of different shapes, join the
+        request's collector and read back whole, even when the threads
+        take turns between any two lines of the log's code."""
+        from repro.service import telemetry
+
+        writers, per_writer = 4, 200
+        log = EventLog()
+        entry = ("tenant", "reencrypt", "ok", "")
+        trace = TRACED.split("-")[0]
+
+        def yielding(frame, event, _arg):
+            if frame.f_code.co_filename != telemetry.__file__:
+                return None
+            if event == "line":
+                time.sleep(0)  # let another writer run here
+            return yielding
+
+        def write(index: int) -> None:
+            shard = "shard-%d" % index
+            previous = sys.gettrace()
+            sys.settrace(yielding)
+            try:
+                for i in range(per_writer):
+                    if index % 2:
+                        log.emit(
+                            "shard-unreachable", shard=shard, op="reencrypt", error="down %d" % i
+                        )
+                    else:
+                        log.audit("tipre/v1", entry, shard, float(i), trace)
+            finally:
+                sys.settrace(previous)
+
+        with log.collect():
+            with ThreadPoolExecutor(max_workers=writers) as pool:
+                futures = [pool.submit(copy_context().run, write, n) for n in range(writers)]
+                for future in futures:
+                    future.result(timeout=60)
+            assert len(log) == 0  # filed when the block ends
+        events = log.tail()
+        assert [event["seq"] for event in events] == list(range(writers * per_writer))
+        assert all(type(event["ts"]) is float for event in events)
+        for index in range(writers):
+            mine = [event for event in events if event["shard"] == "shard-%d" % index]
+            if index % 2:
+                assert [event["error"] for event in mine] == [
+                    "down %d" % i for i in range(per_writer)
+                ]
+                assert {(event["kind"], event["op"]) for event in mine} == {
+                    ("shard-unreachable", "reencrypt")
+                }
+            else:
+                assert [event["latency_ms"] for event in mine] == [
+                    float(i) for i in range(per_writer)
+                ]
+                assert {(event["kind"], event["tenant"], event["trace"]) for event in mine} == {
+                    ("audit", "tenant", trace)
+                }
 
 
 # ----------------------------------------------------- gateway integration
@@ -668,8 +816,10 @@ class TestRecordMemory:
     # audit entries 110 / 82, shard-log entries 85 / 71 (small sequence
     # ints are shared between the two shards).  Spans then measured 269 B
     # per recorded stage with one tuple per stage, and 93 B with one
-    # record per request.  Each bound sits between.
-    BOUNDS = {"events": 450, "spans": 160, "audit": 95, "shard_logs": 78}
+    # record per request.  With numbers packed and entries shared, events
+    # measured 151 B, audit entries 11 B and shard-log entries 10 B (a
+    # ring slot each, and the tables' share).  Each bound sits between.
+    BOUNDS = {"events": 200, "spans": 160, "audit": 16, "shard_logs": 16}
 
     def test_bounded_logs_hold_at_most_their_bytes_per_record(self):
         setting = build_setting(
@@ -689,7 +839,7 @@ class TestRecordMemory:
 
             def held():
                 return {
-                    "events": (gateway.event_log._events, gateway.event_log.emitted),
+                    "events": (gateway.event_log._records, gateway.event_log.emitted),
                     "spans": (gateway.tracer._traces, gateway.tracer.spans_recorded),
                     "audit": (gateway._audit, len(gateway.audit)),
                     "shard_logs": (
@@ -857,6 +1007,213 @@ class TestWireTelemetry:
         text = client.metrics_text()
         assert "# TYPE repro_gateway_served_total counter" in text
         assert "repro_gateway_latency_ms_bucket" in text
+
+
+CLIENT = "127.0.0.1:40000"
+TRACED = "44" * 16 + "-" + "d4" * 8
+
+
+def _records_setting(ciphertexts_per_pair: int = 3):
+    return build_setting(
+        group_name="TOY",
+        shard_count=2,
+        n_patients=2,
+        n_delegatees=2,
+        n_types=2,
+        ciphertexts_per_pair=ciphertexts_per_pair,
+        seed="wire-event-records",
+    )
+
+
+def _sharing_engine(setting, log: EventLog):
+    """A gateway and a request engine sharing one event log, as ``serve`` runs them."""
+    gateway = ReEncryptionGateway(setting.backend, shard_count=2, event_log=log)
+    engine = WireRequestExecutor(*build_host_map(gateway), log, IdempotencyWindow())
+    return gateway, engine
+
+
+def _requests_round_robin(setting) -> list[ReEncryptRequest]:
+    """Every (ciphertext, doctor) pair, cycling through the delegations."""
+    per_delegation = [
+        [
+            ReEncryptRequest(
+                tenant=patient, ciphertext=ciphertext,
+                delegatee_domain=DELEGATEE_DOMAIN, delegatee=delegatee,
+            )
+            for ciphertext, _message in entries
+        ]
+        for (patient, _type_label), entries in sorted(setting.pool.items())
+        for delegatee in setting.delegatees
+    ]
+    return [request for row in zip(*per_delegation) for request in row]
+
+
+class TestWireEventRecords:
+    """The wire engine files each answered request's events (the
+    gateway's audit events when it shares the engine's log, a server
+    error, the access line) as one record when it answers."""
+
+    def test_tail_equals_the_sink_through_the_engine(self):
+        setting = _records_setting()
+        stream = io.StringIO()
+        log = EventLog(sink=jsonl_sink(stream))
+        gateway, engine = _sharing_engine(setting, log)
+        backend = setting.backend
+        requests = _requests_round_robin(setting)
+
+        def delegation(request):
+            return request.tenant, request.ciphertext.type_label, request.delegatee
+
+        first = requests[0]
+        same = [request for request in requests[1:] if delegation(request) == delegation(first)]
+        refused = next(request for request in requests if delegation(request) != delegation(first))
+        key = next(
+            key for key in setting.gateway.list_keys()
+            if (key.delegator, key.type_label, key.delegatee) == delegation(first)
+        )
+
+        def post(path, message, headers=None):
+            body = to_wire(backend, message).encode()
+            return engine.handle("POST", path, body, headers or {}, CLIENT).status
+
+        try:
+            assert post("/v1/grant", GrantRequest(tenant="admin", proxy_key=key)) == 200
+            assert post("/v1/reencrypt", first, {"x-repro-trace": TRACED}) == 200  # a miss
+            assert post("/v1/reencrypt", first) == 200  # a hit
+            batch = ReEncryptBatchRequest(requests=(first, *same[:2]))
+            assert post("/v1/reencrypt", batch) == 200
+            assert post("/v1/reencrypt", refused) == 404  # a gateway refusal
+            assert engine.handle("GET", "/v1/health", b"", {}, CLIENT).status == 200
+            answer = engine.refuse(400, "Bad request syntax ('BOGUS')", "BOGUS", CLIENT)
+            assert answer.status == 400
+        finally:
+            gateway.close()
+            setting.gateway.close()
+        events = log.tail()
+        lines = sorted(
+            stream.getvalue().splitlines(), key=lambda line: json.loads(line)["seq"]
+        )
+        assert [json.dumps(event, sort_keys=True) for event in events] == lines
+        assert [event["seq"] for event in events] == list(range(len(events)))
+        assert [event["kind"] for event in events] == [
+            "audit", "http-log",  # grant
+            "audit", "http-log",  # miss
+            "audit", "http-log",  # hit
+            "audit", "audit", "audit", "http-log",  # batch of 3
+            "audit", "http-log",  # refusal
+            "http-log",  # GET
+            "http-log",  # transport refusal
+        ]
+        assert len(log._records) == 7  # one per answer
+        miss, hit, refusal = events[2], events[4], events[10]
+        assert miss["trace"] == TRACED.split("-")[0]
+        assert miss["detail"] == "shard=%s" % miss["shard"]
+        assert "trace" not in hit and hit["detail"].startswith("cache-hit")
+        assert refusal["outcome"] == "no-delegation"
+        assert "shard" not in refusal and "latency_ms" not in refusal
+        assert events[-2]["message"] == '"GET /v1/health" 200 16'
+        assert events[-1]["message"] == '"BOGUS" 400 %d' % len(answer.body)
+
+    def test_a_bound_inside_a_record_keeps_exactly_the_newest_events(self):
+        setting = _records_setting()
+        seen = []
+        log = EventLog(sink=seen.append, max_events=5)
+        gateway, engine = _sharing_engine(setting, log)
+        for key in setting.gateway.list_keys():
+            gateway.grant(GrantRequest(tenant="admin", proxy_key=key))
+        granted = len(seen)  # in process: one record per audit event
+        requests = _requests_round_robin(setting)
+        batch = ReEncryptBatchRequest(requests=tuple(requests[:3]))
+        first_kinds = []
+        try:
+            for message in (requests[0], batch, requests[1], batch, requests[2]):
+                body = to_wire(setting.backend, message).encode()
+                assert engine.handle("POST", "/v1/reencrypt", body, {}, CLIENT).status == 200
+                kept = seen[-5:]
+                assert log.tail() == kept  # the newest five, in seq order
+                assert log.tail(2) == kept[-2:]
+                assert len(log) == len(kept)
+                first_kinds.append(kept[0]["kind"])
+        finally:
+            gateway.close()
+            setting.gateway.close()
+        assert log.emitted == len(seen) == granted + 2 + 4 + 2 + 4 + 2
+        assert [event["seq"] for event in log.tail()] == list(range(len(seen) - 5, len(seen)))
+        # After the first batch the oldest kept event is an access line
+        # whose audit event was evicted: the bound fell inside a record.
+        assert first_kinds[1] == "http-log"
+
+    def test_a_served_request_retains_at_most_220_bytes(self):
+        """Across the event ring, the gateway's audit ring and its shard
+        logs, over mux with a trace per request, as ``serve`` shares one
+        event log between its gateway and its server."""
+        setting = _records_setting(ciphertexts_per_pair=20)
+        log = EventLog()
+        gateway = ReEncryptionGateway(setting.backend, shard_count=2, event_log=log)
+        for key in setting.gateway.list_keys():
+            gateway.grant(GrantRequest(tenant="admin", proxy_key=key))
+        shards = [gateway.shard_named(name) for name in gateway.shard_names]
+
+        def held() -> int:
+            return _deep_size((log._records, gateway._audit, [shard._log for shard in shards]))
+
+        requests = _requests_round_robin(setting)
+        warm, measured = requests[:40], requests[40:]
+        per_request = {}
+        try:
+            with AsyncGatewayServer(gateway, setting.group, event_log=log) as server:
+                client = MuxRemoteGateway(server.url, setting.group)
+                try:
+                    for label in ("miss", "hit"):
+                        for request in warm:
+                            assert client.reencrypt(request).cache_hit == (label == "hit")
+                        before = held()
+                        for request in measured:
+                            assert client.reencrypt(request).cache_hit == (label == "hit")
+                        per_request[label] = (held() - before) / len(measured)
+                finally:
+                    client.close()
+        finally:
+            gateway.close()
+            setting.gateway.close()
+        assert len(log) < log.max_events  # nothing evicted while measuring
+        assert all(size <= 220 for size in per_request.values()), per_request
+
+    def test_batches_of_many_sizes_keep_the_event_log_bounded(self):
+        """A record holds at most 16 events, so batches of 1 to 120 items
+        share a few layouts: the event log's bytes, its layout and string
+        tables included, do not grow with the number of batch sizes."""
+        setting = _records_setting()
+        seen = []
+        log = EventLog(sink=seen.append, max_events=64)
+        gateway, engine = _sharing_engine(setting, log)
+        for key in setting.gateway.list_keys():
+            gateway.grant(GrantRequest(tenant="admin", proxy_key=key))
+        first = _requests_round_robin(setting)[0]
+
+        def serve(size: int) -> None:
+            batch = ReEncryptBatchRequest(requests=(first,) * size)
+            body = to_wire(setting.backend, batch).encode()
+            assert engine.handle("POST", "/v1/reencrypt", body, {}, CLIENT).status == 200
+
+        def held() -> int:
+            return _deep_size((log._records, log._layouts, log._strings, log._audit_parts))
+
+        try:
+            for size in range(1, 33):
+                serve(size)
+            sizes_32, layouts_32 = held(), len(log._layouts)
+            for size in range(33, 121):
+                serve(size)
+        finally:
+            gateway.close()
+            setting.gateway.close()
+        assert len(log._layouts) == layouts_32
+        assert held() <= sizes_32 + 1024, (sizes_32, held())
+        assert max(record[0].count for record in log._records) == 16
+        assert log.tail() == seen[-64:]
+        assert [event["seq"] for event in log.tail()] == list(range(len(seen) - 64, len(seen)))
+        assert [event["kind"] for event in seen[-121:]] == ["audit"] * 120 + ["http-log"]
 
 
 class _ExplodingGateway:

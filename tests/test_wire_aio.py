@@ -1068,6 +1068,30 @@ class TestHttpRequestBytes:
         setting.gateway.close()
         assert not [e for e in events if e["kind"] == "connection-error"]
 
+    def test_a_refusal_with_bytes_still_unread_closes_without_a_reset(self, http_server):
+        """RFC 9112 section 9.6: a request refused at its request line,
+        with a 90 KB header behind it that the server never reads as a
+        request, is answered 400 and then closed cleanly (EOF), never
+        with a reset that could destroy the answer.  The client
+        half-closes once it has sent everything, as the fuzzer does."""
+        stream = (
+            b"POST /v1/health\r\nX-Pad: " + b"a" * 90_000 + b"\r\n\r\n" + _PIPELINED
+        )
+        for _ in range(40):
+            sock = socket.create_connection(
+                (http_server.host, http_server.port), timeout=FRAME_TIMEOUT_S
+            )
+            try:
+                sock.sendall(stream)
+                sock.shutdown(socket.SHUT_WR)
+                chunks = []
+                while chunk := sock.recv(65536):
+                    chunks.append(chunk)
+            finally:
+                sock.close()
+            ((status, headers, _body),) = _responses(b"".join(chunks))
+            assert status == 400 and headers["connection"] == "close"
+
 
 # ----------------------------------------------------------- typed mux client
 
@@ -1532,7 +1556,7 @@ class TestMuxFrameBytes:
                 inline = collections.Counter(
                     request[0]
                     for request in requests
-                    if server.engine.runs_inline(*request[1:4])
+                    if server.engine.placement(*request[1:4])[0]
                 )
                 assert not answered - sent
                 assert not inline - answered
@@ -1623,8 +1647,52 @@ class TestPlacement:
         }
         for engine, table in ((server.engine, pooled), (forwarding.engine, forwarded)):
             for (method, target, body), expected in table.items():
-                assert engine.runs_inline(method, target, body) is not expected, (method, target)
+                assert engine.placement(method, target, body)[0] is not expected, (method, target)
         forwarding.close()
+
+    def test_each_post_body_is_parsed_once(self, mux_loopback, monkeypatch):
+        """Placement parses grant and re-encrypt bodies for their type and
+        hands the parse to the engine: over HTTP and over mux, every body
+        (single, batch, other ops, malformed) goes through one
+        ``json.loads``, and the answers are unchanged."""
+        setting, server, _client = mux_loopback
+        single, other = _reencrypt_requests(setting, 2)
+        key = _first_keys(setting.gateway, 1)[0]
+        posts = [
+            (PREFIX + "/reencrypt", to_wire(setting.backend, single), 200),
+            (PREFIX + "/reencrypt", to_wire(
+                setting.backend, ReEncryptBatchRequest(requests=(single, other))
+            ), 200),
+            (PREFIX + "/grant", to_wire(setting.backend, GrantRequest("admin", key)), 200),
+            (PREFIX + "/grant", to_wire(
+                setting.backend, GrantBatchRequest(requests=(GrantRequest("admin", key),))
+            ), 200),
+            (PREFIX + "/revoke", to_wire(setting.backend, RevokeRequest(
+                tenant="admin", delegator_domain=key.delegator_domain,
+                delegator=key.delegator, delegatee_domain=key.delegatee_domain,
+                delegatee=key.delegatee, type_label=key.type_label,
+            )), 200),
+            (PREFIX + "/reencrypt", '{"not json', 400),
+        ]
+        parsed = []
+        loads = json.loads
+
+        def counting(text, *args, **kwargs):
+            parsed.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        for path, body, status in posts:
+            raw = body.encode()
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=10.0)
+            try:
+                conn.request("POST", path, body=raw)
+                assert conn.getresponse().status == status, path
+            finally:
+                conn.close()
+            answer = _answer_or_close(server, mux_request(1, "POST", path, body))
+            assert answer["status"] == status, path
+            assert sum(text == raw for text in parsed) == 2, path  # one per transport
 
     def test_singles_and_gets_start_no_pool_thread(self, mux_loopback):
         setting, server, client = mux_loopback
