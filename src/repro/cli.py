@@ -45,295 +45,37 @@ Example round trip::
 
 The master-key file is written in the clear — this CLI is a research
 demonstrator, not a key-management product.
+
+This module holds the parser, :func:`main` and ``serve``.  The other
+commands live in :mod:`repro.cli_commands`, imported only when one of
+them runs, so a gateway process never loads them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
-
-from repro.core.scheme import TypeAndIdentityPre
-from repro.hybrid.kem import HybridPre
-from repro.ibe.boneh_franklin import BonehFranklinIbe
-from repro.ibe.keys import IbeMasterKey
-from repro.math.drbg import HmacDrbg, system_random
-from repro.pairing.group import PairingGroup
-from repro.serialization.containers import (
-    deserialize_hybrid,
-    deserialize_hybrid_reencrypted,
-    deserialize_params,
-    deserialize_private_key,
-    deserialize_proxy_key,
-    from_json_envelope,
-    serialize_hybrid,
-    serialize_hybrid_reencrypted,
-    serialize_params,
-    serialize_private_key,
-    serialize_proxy_key,
-    to_json_envelope,
-)
 
 __all__ = ["main"]
 
 
-def _rng(args):
-    return HmacDrbg(args.seed) if args.seed else system_random()
+def _command(name: str):
+    """The handler of command ``name`` in :mod:`repro.cli_commands`.
 
-
-def _write_envelope(group: PairingGroup, blob: bytes, path: Path) -> None:
-    path.write_text(to_json_envelope(group, blob))
-
-
-def _read_envelope(group: PairingGroup, path: Path) -> bytes:
-    return from_json_envelope(group, path.read_text())
-
-
-def _group_of(path: Path) -> PairingGroup:
-    """Infer the pairing group from any envelope file."""
-    envelope = json.loads(path.read_text())
-    return PairingGroup.shared(envelope["group"])
-
-
-def _cmd_setup(args) -> int:
-    group = PairingGroup.shared(args.group)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    params, master = BonehFranklinIbe(group, args.domain).setup(_rng(args))
-    _write_envelope(group, serialize_params(group, params), out / "params.json")
-    (out / "master.json").write_text(
-        json.dumps({"domain": master.domain, "group": group.params.name, "alpha": master.alpha})
-    )
-    print("created domain %r on %s in %s" % (args.domain, args.group, out))
-    return 0
-
-
-def _cmd_extract(args) -> int:
-    kgc_dir = Path(args.kgc)
-    master_data = json.loads((kgc_dir / "master.json").read_text())
-    group = PairingGroup.shared(master_data["group"])
-    master = IbeMasterKey(domain=master_data["domain"], alpha=master_data["alpha"])
-    key = BonehFranklinIbe(group, master.domain).extract(master, args.identity)
-    _write_envelope(group, serialize_private_key(group, key), Path(args.out))
-    print("extracted key for %r in domain %r" % (args.identity, master.domain))
-    return 0
-
-
-def _cmd_encrypt(args) -> int:
-    group = _group_of(Path(args.params))
-    params = deserialize_params(group, _read_envelope(group, Path(args.params)))
-    key = deserialize_private_key(group, _read_envelope(group, Path(args.key)))
-    payload = Path(args.infile).read_bytes()
-    ciphertext = HybridPre(group).encrypt(params, key, payload, args.type, _rng(args))
-    _write_envelope(group, serialize_hybrid(group, ciphertext), Path(args.out))
-    print("encrypted %d bytes under type %r" % (len(payload), args.type))
-    return 0
-
-
-def _cmd_decrypt(args) -> int:
-    group = _group_of(Path(args.infile))
-    key = deserialize_private_key(group, _read_envelope(group, Path(args.key)))
-    ciphertext = deserialize_hybrid(group, _read_envelope(group, Path(args.infile)))
-    payload = HybridPre(group).decrypt(ciphertext, key)
-    Path(args.out).write_bytes(payload)
-    print("decrypted %d bytes (type %r)" % (len(payload), ciphertext.type_label))
-    return 0
-
-
-def _cmd_pextract(args) -> int:
-    group = _group_of(Path(args.key))
-    key = deserialize_private_key(group, _read_envelope(group, Path(args.key)))
-    delegatee_params = deserialize_params(
-        group, _read_envelope(group, Path(args.delegatee_params))
-    )
-    proxy_key = TypeAndIdentityPre(group).pextract(
-        key, args.delegatee, args.type, delegatee_params, _rng(args)
-    )
-    _write_envelope(group, serialize_proxy_key(group, proxy_key), Path(args.out))
-    print(
-        "proxy key: %s -> %s for type %r" % (key.identity, args.delegatee, args.type)
-    )
-    return 0
-
-
-def _cmd_preenc(args) -> int:
-    group = _group_of(Path(args.infile))
-    proxy_key = deserialize_proxy_key(group, _read_envelope(group, Path(args.rk)))
-    ciphertext = deserialize_hybrid(group, _read_envelope(group, Path(args.infile)))
-    transformed = HybridPre(group).reencrypt(ciphertext, proxy_key)
-    _write_envelope(group, serialize_hybrid_reencrypted(group, transformed), Path(args.out))
-    print("re-encrypted for %r (type %r)" % (proxy_key.delegatee, proxy_key.type_label))
-    return 0
-
-
-def _cmd_redecrypt(args) -> int:
-    group = _group_of(Path(args.infile))
-    key = deserialize_private_key(group, _read_envelope(group, Path(args.key)))
-    ciphertext = deserialize_hybrid_reencrypted(group, _read_envelope(group, Path(args.infile)))
-    payload = HybridPre(group).decrypt_reencrypted(ciphertext, key)
-    Path(args.out).write_bytes(payload)
-    print("decrypted %d bytes as delegatee %r" % (len(payload), key.identity))
-    return 0
-
-
-def _cmd_schemes(args) -> int:
-    """List every registered scheme backend with its capability flags."""
-    from repro.bench.report import print_table
-    from repro.core.api import CAPABILITY_NAMES, REGISTRY
-
-    rows = []
-    for scheme_id in REGISTRY.ids():
-        backend_class = REGISTRY.backend_class(scheme_id)
-        flags = backend_class.capabilities.as_dict()
-        rows.append(
-            [scheme_id, backend_class.display_name]
-            + ["yes" if flags[name] else "-" for name in CAPABILITY_NAMES]
-        )
-    short = {
-        "unidirectional": "unidir",
-        "non_interactive": "non-int",
-        "collusion_safe": "coll-safe",
-        "identity_based": "id-based",
-        "type_granular": "typed",
-        "deterministic_reencrypt": "det-reenc",
-    }
-    print_table(
-        "registered PRE scheme backends",
-        ["scheme", "name"] + [short[name] for name in CAPABILITY_NAMES],
-        rows,
-    )
-    return 0
-
-
-def _render_trace(trace_id: str, spans) -> list[str]:
-    """Render one trace as an indented waterfall, oldest span first.
-
-    Client- and server-side spans of the same trace nest by parent id;
-    a span whose parent is not in the retrieved set (the client's root,
-    on a server-side-only retrieval) sits at depth zero.  The timeline
-    bar is scaled to the whole trace window.
+    That module is imported only when the command runs, so a ``serve``
+    process never loads the lifecycle commands or what they import.
     """
-    if not spans:
-        return ["trace %s: no spans" % trace_id]
-    by_id = {span.span_id: span for span in spans}
 
-    def depth(span, hops: int = 0) -> int:
-        parent = by_id.get(span.parent_id)
-        # hops guards a malformed cyclic parent chain from looping forever.
-        if parent is None or hops > len(spans):
-            return 0
-        return 1 + depth(parent, hops + 1)
+    def run(args) -> int:
+        from repro import cli_commands
 
-    ordered = sorted(spans, key=lambda span: (span.start_ms, span.span_id))
-    t0 = min(span.start_ms for span in ordered)
-    window = max(span.start_ms + span.duration_ms for span in ordered) - t0
-    bar_width = 28
-    lines = ["trace %s (%d spans, %.2f ms)" % (trace_id, len(ordered), window)]
-    for span in ordered:
-        offset = span.start_ms - t0
-        left = int(offset / window * bar_width) if window > 0 else 0
-        length = max(1, int(span.duration_ms / window * bar_width)) if window > 0 else 1
-        bar = " " * left + "#" * min(length, bar_width - left)
-        attributes = " ".join("%s=%s" % pair for pair in span.attributes)
-        lines.append(
-            "  [%-*s] %8.2fms %8.2fms  %s%s%s%s"
-            % (
-                bar_width,
-                bar,
-                offset,
-                span.duration_ms,
-                "  " * depth(span),
-                span.name,
-                "" if span.status == "ok" else " !%s" % span.status,
-                " (%s)" % attributes if attributes else "",
-            )
-        )
-    return lines
+        return getattr(cli_commands, name)(args)
 
-
-def _cmd_trace(args) -> int:
-    """Fetch one trace from a remote gateway and print its waterfall."""
-    from repro.pairing.group import PairingGroup
-    from repro.service.wire.aio_client import connect_gateway
-
-    # The trace endpoint is scheme-neutral, so no negotiation: any group
-    # context decodes the error taxonomy, which is all this client needs.
-    remote = connect_gateway(
-        args.connect,
-        PairingGroup.shared(args.group),
-        negotiate=False,
-        trace_requests=False,
-    )
-    try:
-        spans = remote.fetch_trace(args.trace_id)
-    finally:
-        remote.close()
-    for line in _render_trace(args.trace_id, spans):
-        print(line)
-    return 0
-
-
-def _cmd_tenants(args) -> int:
-    """Manage a gateway tenant credential file (see repro.service.auth)."""
-    from repro.bench.report import print_table
-    from repro.service.auth import TenantCredentialStore
-
-    path = Path(args.config)
-    if args.tenants_command == "init":
-        TenantCredentialStore.initialize(path)
-        print("created empty tenant config %s" % path)
-        return 0
-    store = TenantCredentialStore(path)
-    if args.tenants_command == "add":
-        credential = store.add(
-            args.name,
-            secret=args.secret,
-            roles=tuple(args.role) if args.role else ("client",),
-            rate_per_s=args.rate,
-            burst=args.burst,
-            max_batch=args.max_batch,
-            quota=args.quota,
-        )
-        print(
-            "added tenant %r (roles: %s)"
-            % (credential.tenant, ", ".join(credential.roles))
-        )
-        if args.secret is None:
-            # Printed exactly once: the file holds it, but the operator
-            # needs it now to configure the client side.
-            print("secret: %s" % credential.secret)
-        return 0
-    if args.tenants_command == "rotate":
-        credential = store.rotate(args.name, secret=args.secret)
-        print("rotated secret for tenant %r" % args.name)
-        if args.secret is None:
-            print("secret: %s" % credential.secret)
-        return 0
-    if args.tenants_command == "revoke":
-        store.revoke(args.name)
-        print("revoked tenant %r" % args.name)
-        return 0
-    rows = [
-        [
-            credential.tenant,
-            ", ".join(credential.roles),
-            "-" if credential.rate_per_s is None else "%g/s" % credential.rate_per_s,
-            "-" if credential.max_batch is None else str(credential.max_batch),
-            "-" if credential.quota is None else str(credential.quota),
-        ]
-        for credential in store.tenants()
-    ]
-    print_table(
-        "tenants in %s" % path,
-        ["tenant", "roles", "rate", "max-batch", "quota"],
-        rows,
-    )
-    return 0
+    return run
 
 
 def _cmd_serve(args) -> int:
-    from repro.bench.report import print_table
     from repro.core.api import TIPRE_SCHEME_ID, available_schemes
 
     if args.http is not None and args.connect is not None:
@@ -401,6 +143,7 @@ def _cmd_serve(args) -> int:
                 file=sys.stderr,
             )
             return 2
+        from repro.bench.report import print_table
         from repro.service.driver import run_remote_demo
 
         report = run_remote_demo(
@@ -422,6 +165,7 @@ def _cmd_serve(args) -> int:
             report.rows(),
         )
         return 0
+    from repro.bench.report import print_table
     from repro.service.driver import run_demo
 
     report = run_demo(
@@ -491,6 +235,7 @@ def _serve_http(args, scheme_ids: list[str]) -> int:
     per-scheme durable subdirectory — behind scheme-id-prefixed routes.
     """
     from repro.core.api import create_backend
+    from repro.pairing.group import PairingGroup
     from repro.service.gateway import ReEncryptionGateway
     from repro.service.telemetry import EventLog, jsonl_sink
     from repro.service.wire.aio_server import AsyncGatewayServer
@@ -700,13 +445,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default="SS256", help="parameter set (TOY/SS256/SS512/SS1024)")
     p.add_argument("--domain", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_setup)
+    p.set_defaults(func=_command("setup"))
 
     p = sub.add_parser("extract", help="issue a user private key")
     p.add_argument("--kgc", required=True, help="KGC directory from `setup`")
     p.add_argument("--identity", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_extract)
+    p.set_defaults(func=_command("extract"))
 
     p = sub.add_parser("encrypt", help="hybrid-encrypt a file under a type")
     p.add_argument("--params", required=True)
@@ -714,13 +459,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_encrypt)
+    p.set_defaults(func=_command("encrypt"))
 
     p = sub.add_parser("decrypt", help="delegator-side decryption")
     p.add_argument("--key", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_decrypt)
+    p.set_defaults(func=_command("decrypt"))
 
     p = sub.add_parser("pextract", help="create a proxy re-encryption key")
     p.add_argument("--key", required=True)
@@ -728,22 +473,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delegatee-params", required=True)
     p.add_argument("--type", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_pextract)
+    p.set_defaults(func=_command("pextract"))
 
     p = sub.add_parser("preenc", help="proxy transformation")
     p.add_argument("--rk", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_preenc)
+    p.set_defaults(func=_command("preenc"))
 
     p = sub.add_parser("redecrypt", help="delegatee-side decryption")
     p.add_argument("--key", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_redecrypt)
+    p.set_defaults(func=_command("redecrypt"))
 
     p = sub.add_parser("schemes", help="list registered PRE scheme backends")
-    p.set_defaults(func=_cmd_schemes)
+    p.set_defaults(func=_command("schemes"))
 
     p = sub.add_parser("serve", help="drive the sharded gateway on a synthetic workload")
     p.add_argument("--group", default="TOY", help="parameter set (TOY/SS256/SS512/SS1024)")
@@ -814,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tsub = p.add_subparsers(dest="tenants_command", required=True)
     tp = tsub.add_parser("init", help="create an empty tenant config file")
     tp.add_argument("--config", required=True, metavar="PATH")
-    tp.set_defaults(func=_cmd_tenants)
+    tp.set_defaults(func=_command("tenants"))
     tp = tsub.add_parser("add", help="register a tenant (prints the secret)")
     tp.add_argument("name")
     tp.add_argument("--config", required=True, metavar="PATH")
@@ -830,19 +575,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="largest accepted re-encryption batch")
     tp.add_argument("--quota", type=int, default=None,
                     help="lifetime request quota")
-    tp.set_defaults(func=_cmd_tenants)
+    tp.set_defaults(func=_command("tenants"))
     tp = tsub.add_parser("rotate", help="replace a tenant's signing secret")
     tp.add_argument("name")
     tp.add_argument("--config", required=True, metavar="PATH")
     tp.add_argument("--secret", default=None)
-    tp.set_defaults(func=_cmd_tenants)
+    tp.set_defaults(func=_command("tenants"))
     tp = tsub.add_parser("revoke", help="remove a tenant")
     tp.add_argument("name")
     tp.add_argument("--config", required=True, metavar="PATH")
-    tp.set_defaults(func=_cmd_tenants)
+    tp.set_defaults(func=_command("tenants"))
     tp = tsub.add_parser("list", help="list tenants, roles and limits")
     tp.add_argument("--config", required=True, metavar="PATH")
-    tp.set_defaults(func=_cmd_tenants)
+    tp.set_defaults(func=_command("tenants"))
 
     p = sub.add_parser("trace", help="fetch and render a gateway trace by id")
     p.add_argument("trace_id", help="32-hex trace id (the X-Repro-Trace prefix, "
@@ -852,7 +597,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "its banner prints, or http://127.0.0.1:8080")
     p.add_argument("--group", default="TOY",
                    help="parameter set used to decode error bodies (default TOY)")
-    p.set_defaults(func=_cmd_trace)
+    p.set_defaults(func=_command("trace"))
     return parser
 
 

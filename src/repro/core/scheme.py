@@ -36,7 +36,6 @@ Key design facts the implementation preserves:
 from __future__ import annotations
 
 from repro.core.ciphertexts import ProxyKey, ReEncryptedCiphertext, TypedCiphertext
-from repro.ibe.boneh_franklin import BonehFranklinIbe
 from repro.ibe.keys import IbeParams, IbePrivateKey
 from repro.math.drbg import RandomSource, system_random
 from repro.math.fields import Fp2Element
@@ -75,6 +74,16 @@ class TypeAndIdentityPre:
         """``H1(X)``: hash the GT blinding element onto G1."""
         return self.group.hash_to_g1(b"tipre-blind|" + self.group.serialize_gt(blind))
 
+    def _ibe(self, domain: str):
+        """Boneh--Franklin in ``domain``, for the parties' algorithms.
+
+        The proxy's :meth:`preenc` never uses it, so it is imported here
+        and a re-encryption server does not load it.
+        """
+        from repro.ibe.boneh_franklin import BonehFranklinIbe
+
+        return BonehFranklinIbe(self.group, domain)
+
     # ------------------------------------------------------------- Encrypt1
 
     def encrypt(
@@ -92,8 +101,7 @@ class TypeAndIdentityPre:
         if delegator_params.domain != delegator_key.domain:
             raise DelegationError("params and key come from different KGC domains")
         rng = rng or system_random()
-        ibe = BonehFranklinIbe(self.group, delegator_key.domain)
-        pk_id = ibe.public_key_of(delegator_key.identity)
+        pk_id = self._ibe(delegator_key.domain).public_key_of(delegator_key.identity)
         r = self.group.random_scalar(rng)
         exponent = r * self.type_exponent(delegator_key, type_label) % self.group.order
         c1 = self.group.g1_mul(self.group.generator, r)
@@ -142,8 +150,9 @@ class TypeAndIdentityPre:
             self.group.g1_mul(delegator_key.point, -exponent % self.group.order),
             self._blind_point(blind),
         )
-        delegatee_ibe = BonehFranklinIbe(self.group, delegatee_params.domain)
-        encrypted_blind = delegatee_ibe.encrypt(delegatee_params, blind, delegatee_identity, rng)
+        encrypted_blind = self._ibe(delegatee_params.domain).encrypt(
+            delegatee_params, blind, delegatee_identity, rng
+        )
         return ProxyKey(
             delegator_domain=delegator_key.domain,
             delegator=delegator_key.identity,
@@ -230,8 +239,7 @@ class TypeAndIdentityPre:
             or ciphertext.delegatee != delegatee_key.identity
         ):
             raise DelegationError("re-encrypted ciphertext was not produced for this key")
-        delegatee_ibe = BonehFranklinIbe(self.group, delegatee_key.domain)
-        blind = delegatee_ibe.decrypt(ciphertext.encrypted_blind, delegatee_key)
+        blind = self._ibe(delegatee_key.domain).decrypt(ciphertext.encrypted_blind, delegatee_key)
         mask = self.group.pair(ciphertext.c1, self._blind_point(blind))
         return self.group.gt_div(ciphertext.c2, mask)
 

@@ -10,7 +10,7 @@ backend API existed stay byte-compatible.
 
 from __future__ import annotations
 
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.core.api import (
     TIPRE_SCHEME_ID,
@@ -21,8 +21,10 @@ from repro.core.api import (
 from repro.core.ciphertexts import ProxyKey, ReEncryptedCiphertext, TypedCiphertext
 from repro.core.scheme import TypeAndIdentityPre
 from repro.ibe.keys import IbePrivateKey
-from repro.ibe.kgc import KeyGenerationCenter, KgcRegistry
 from repro.serialization.containers import PROXY_KEY, REENCRYPTED, TYPED_CIPHERTEXT
+
+if TYPE_CHECKING:
+    from repro.ibe.kgc import KeyGenerationCenter, KgcRegistry
 
 __all__ = ["KgcPartyMixin", "TipreBackend"]
 
@@ -33,7 +35,9 @@ class KgcPartyMixin:
     Maintains one :class:`~repro.ibe.kgc.KgcRegistry` (a KGC per domain)
     and the extracted :class:`IbePrivateKey` per (domain, identity) —
     the party state both the paper's scheme and Green--Ateniese need.
-    Expects ``self.group`` from the owning :class:`PreBackend`.
+    Expects ``self.group`` from the owning :class:`PreBackend`.  The KGC
+    module is imported by the methods that stand up a KGC, so a proxy,
+    which holds no party state, does not load it.
     """
 
     def _init_party_state(self) -> None:
@@ -41,6 +45,8 @@ class KgcPartyMixin:
         self._keys: dict[tuple[str, str], IbePrivateKey] = {}
 
     def setup(self, rng) -> None:
+        from repro.ibe.kgc import KgcRegistry
+
         self._registry = KgcRegistry(self.group, rng)
         self._keys = {}
 
@@ -48,6 +54,8 @@ class KgcPartyMixin:
         if self._registry is None:
             if rng is None:
                 raise ValueError("call setup() before using parties")
+            from repro.ibe.kgc import KgcRegistry
+
             self._registry = KgcRegistry(self.group, rng)
         if domain not in self._registry:
             return self._registry.create(domain)

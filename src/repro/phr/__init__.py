@@ -12,7 +12,8 @@ __getattr__, __dir__ = lazy_exports(
         "generator": ("PhrGenerator", "WorkloadMix"),
         "policy": ("DisclosurePolicy", "Grant"),
         "records": ("DEFAULT_TAXONOMY", "PhrCategory", "PhrEntry", "Sensitivity"),
-        "store": ("EncryptedPhrStore", "EntryNotFoundError", "FilePhrStore", "StoredRecord"),
+        "store": ("EncryptedPhrStore", "FilePhrStore"),
+        "stored": ("EntryNotFoundError", "StoredRecord"),
         "workflow": ("PhrSystem",),
     },
 )

@@ -18,17 +18,16 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.phr.stored import EntryNotFoundError, StoredRecord
+
 __all__ = [
     "StoredRecord",
     "EncryptedPhrStore",
     "FilePhrStore",
     "EntryNotFoundError",
     "StoreSchemeMismatchError",
+    "StoreIndexError",
 ]
-
-
-class EntryNotFoundError(KeyError):
-    """No stored ciphertext matches the requested entry."""
 
 
 class StoreSchemeMismatchError(ValueError):
@@ -42,14 +41,13 @@ class StoreSchemeMismatchError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class StoredRecord:
-    """One opaque ciphertext plus its routing metadata."""
+class StoreIndexError(ValueError):
+    """The store's ``index.json`` is not an index this store can read.
 
-    patient: str
-    category: str
-    entry_id: str
-    blob: bytes
+    The message names the file and what is wrong with it.  Opening
+    refuses before it writes anything, so the index is left byte for
+    byte as it was found.
+    """
 
 
 @dataclass
@@ -125,7 +123,9 @@ class FilePhrStore:
 
     Older indexes migrate in place on open: version 1 (a flat
     ``{"patient|entry_id": "category"}`` map) stats each blob once;
-    version 2 (no ``scheme`` field) adopts the opener's scheme id.  The
+    version 2 (no ``scheme`` field) adopts the opener's scheme id.  An
+    index of any other shape, or one naming a version-1 blob that is
+    gone, raises :class:`StoreIndexError` and is not rewritten.  The
     interface matches :class:`EncryptedPhrStore`, so proxies work with
     either backend.
     """
@@ -142,52 +142,97 @@ class FilePhrStore:
         self.scheme_id = scheme_id
         self._root = Path(root)
         self._blob_dir = self._root / "blobs"
-        self._blob_dir.mkdir(parents=True, exist_ok=True)
         self._index_path = self._root / "index.json"
         # key -> {"category": str, "size": int}
         self._index: dict[str, dict] = {}
         # patient -> {entry_id -> index key}; rebuilt on open, maintained on writes.
         self._by_patient: dict[str, dict[str, str]] = {}
         if self._index_path.exists():
-            self._load_index(json.loads(self._index_path.read_text()))
+            self._load_index()
+        self._blob_dir.mkdir(parents=True, exist_ok=True)
 
-    def _load_index(self, raw: dict) -> None:
-        version = raw.get("version")
-        if version == self.INDEX_VERSION:
-            stored_scheme = raw.get("scheme")
-            if stored_scheme is not None and self.scheme_id is not None:
-                if stored_scheme != self.scheme_id:
-                    raise StoreSchemeMismatchError(
-                        "store %s was sealed by scheme %r; this backend speaks %r"
-                        % (self._root, stored_scheme, self.scheme_id)
-                    )
-            elif stored_scheme is not None:
-                # Opener did not declare a scheme: adopt the stored one.
-                self.scheme_id = stored_scheme
-            elif self.scheme_id is not None:
-                # Unsealed store opened by a declared backend: seal it now.
-                self._index = raw["entries"]
-                self._rebuild_patient_map()
-                self._flush_index()
-                return
-            self._index = raw["entries"]
-        elif version == 2:
-            # Version-2 had entries-with-sizes but no scheme stamp; adopt
-            # the opener's scheme (or stay unsealed) and rewrite in place.
-            self._index = raw["entries"]
-            self._rebuild_patient_map()
-            self._flush_index()
-            return
-        else:
+    def _load_index(self) -> None:
+        """Read ``index.json``, migrating an older version in place.
+
+        Only an object without a ``version`` key is version 1.  An index
+        that is no version this store reads, or whose entries are not
+        what that version holds, raises :class:`StoreIndexError` before
+        anything is written, so the file is left as it is.
+        """
+        try:
+            raw = json.loads(self._index_path.read_bytes())
+        except ValueError as error:  # torn JSON, or not UTF-8
+            raise self._unreadable("it is not JSON (%s)" % error) from error
+        if not isinstance(raw, dict):
+            raise self._unreadable("it holds a JSON %s, not an object" % type(raw).__name__)
+        if "version" not in raw:
             # Version-1 flat format: migrate, statting each blob exactly once.
-            self._index = {
-                key: {"category": category, "size": self._blob_path(*key.split("|", 1)).stat().st_size}
-                for key, category in raw.items()
-            }
-            self._rebuild_patient_map()
-            self._flush_index()
-            return
+            self._index = {key: self._v1_entry(key, category) for key, category in raw.items()}
+            rewrite = True
+        elif raw["version"] in (2, self.INDEX_VERSION):
+            self._index = self._checked_entries(raw.get("entries"))
+            # Version 2 had no scheme stamp: adopt the opener's scheme (or
+            # stay unsealed) and rewrite in place.
+            rewrite = raw["version"] == 2 or self._adopt_scheme(raw.get("scheme"))
+        else:
+            raise self._unreadable(
+                "its version %r is not 2 or %d (a version-1 index has no version key)"
+                % (raw["version"], self.INDEX_VERSION)
+            )
         self._rebuild_patient_map()
+        if rewrite:
+            self._flush_index()
+
+    def _unreadable(self, reason: str) -> StoreIndexError:
+        return StoreIndexError("cannot open store index %s: %s" % (self._index_path, reason))
+
+    def _check_key(self, key: str) -> None:
+        if "|" not in key:
+            raise self._unreadable("entry key %r is not 'patient|entry_id'" % key)
+
+    def _v1_entry(self, key: str, category) -> dict:
+        self._check_key(key)
+        if not isinstance(category, str):
+            raise self._unreadable("version-1 entry %r has no category string" % key)
+        path = self._blob_path(*key.split("|", 1))
+        try:
+            size = path.stat().st_size
+        except FileNotFoundError:
+            raise self._unreadable("entry %r names a missing blob %s" % (key, path)) from None
+        return {"category": category, "size": size}
+
+    def _checked_entries(self, entries) -> dict[str, dict]:
+        if not isinstance(entries, dict):
+            raise self._unreadable('it has no "entries" object')
+        for key, meta in entries.items():
+            self._check_key(key)
+            if not (
+                isinstance(meta, dict)
+                and isinstance(meta.get("category"), str)
+                and type(meta.get("size")) is int
+                and meta["size"] >= 0
+            ):
+                raise self._unreadable(
+                    'entry %r is not {"category": <string>, "size": <count>}' % key
+                )
+        return entries
+
+    def _adopt_scheme(self, stored) -> bool:
+        """Check a version-3 stamp against the opener's scheme; True when
+        an unsealed store opened by a declared backend must be sealed now."""
+        if stored is None:
+            return self.scheme_id is not None
+        if not isinstance(stored, str):
+            raise self._unreadable("its scheme %r is not a scheme id" % (stored,))
+        if self.scheme_id is None:
+            # Opener did not declare a scheme: adopt the stored one.
+            self.scheme_id = stored
+        elif stored != self.scheme_id:
+            raise StoreSchemeMismatchError(
+                "store %s was sealed by scheme %r; this backend speaks %r"
+                % (self._root, stored, self.scheme_id)
+            )
+        return False
 
     def _rebuild_patient_map(self) -> None:
         self._by_patient = {}

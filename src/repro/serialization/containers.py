@@ -20,13 +20,17 @@ readable metadata) is provided for interoperability and debugging.
 from __future__ import annotations
 
 import base64
+import functools
 import json
+from typing import TYPE_CHECKING
 
 from repro.core.ciphertexts import ProxyKey, ReEncryptedCiphertext, TypedCiphertext
-from repro.hybrid.kem import HybridCiphertext, HybridReEncrypted
 from repro.ibe.keys import IbeCiphertext, IbeParams, IbePrivateKey
 from repro.pairing.group import PairingGroup
 from repro.serialization.encoding import Container, EncodingError
+
+if TYPE_CHECKING:
+    from repro.hybrid.kem import HybridCiphertext, HybridReEncrypted
 
 __all__ = [
     "KIND_TYPED_CIPHERTEXT",
@@ -83,8 +87,21 @@ TYPED_CIPHERTEXT = Container(
 )
 PROXY_KEY = Container(KIND_PROXY_KEY, ProxyKey)
 REENCRYPTED = Container(KIND_REENCRYPTED, ReEncryptedCiphertext)
-HYBRID = Container(KIND_HYBRID, HybridCiphertext)
-HYBRID_REENCRYPTED = Container(KIND_HYBRID_REENCRYPTED, HybridReEncrypted)
+
+
+@functools.cache
+def _hybrid_containers() -> tuple[Container, Container]:
+    """The two hybrid containers, declared on first use.
+
+    Only the file commands and the PHR application seal byte payloads,
+    so a proxy process never imports the KEM/DEM module they describe.
+    """
+    from repro.hybrid.kem import HybridCiphertext, HybridReEncrypted
+
+    return (
+        Container(KIND_HYBRID, HybridCiphertext),
+        Container(KIND_HYBRID_REENCRYPTED, HybridReEncrypted),
+    )
 
 
 def serialize_ibe_ciphertext(group: PairingGroup, ct: IbeCiphertext) -> bytes:
@@ -136,19 +153,19 @@ def deserialize_reencrypted(group: PairingGroup, data: bytes) -> ReEncryptedCiph
 
 
 def serialize_hybrid(group: PairingGroup, ct: HybridCiphertext) -> bytes:
-    return HYBRID.encode(group, ct)
+    return _hybrid_containers()[0].encode(group, ct)
 
 
 def deserialize_hybrid(group: PairingGroup, data: bytes) -> HybridCiphertext:
-    return HYBRID.decode(group, data)
+    return _hybrid_containers()[0].decode(group, data)
 
 
 def serialize_hybrid_reencrypted(group: PairingGroup, ct: HybridReEncrypted) -> bytes:
-    return HYBRID_REENCRYPTED.encode(group, ct)
+    return _hybrid_containers()[1].encode(group, ct)
 
 
 def deserialize_hybrid_reencrypted(group: PairingGroup, data: bytes) -> HybridReEncrypted:
-    return HYBRID_REENCRYPTED.decode(group, data)
+    return _hybrid_containers()[1].decode(group, data)
 
 
 # ----------------------------------------------------------- JSON envelope

@@ -29,6 +29,7 @@ __getattr__, __dir__ = lazy_exports(
     {
         "credentials": ("DEFAULT_ROLES", "TenantCredential", "TenantCredentialStore"),
         "errors": (
+            "AUTH_HEADER",
             "AuthenticationError",
             "AuthRequiredError",
             "BadSignatureError",
@@ -39,7 +40,6 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "policy": ("PolicyEngine",),
         "signing": (
-            "AUTH_HEADER",
             "ReplayWindow",
             "RequestSigner",
             "RequestVerifier",

@@ -8,6 +8,10 @@ client that pins behaviour to a code never sees a different one for the
 same failure.  Authentication failures (who are you?) descend from
 :class:`AuthenticationError`; authorization failures (you may not do
 that) are :class:`ForbiddenError` — the split mirrors HTTP 401 vs 403.
+
+The name of the header a signed request carries, :data:`AUTH_HEADER`,
+is here too: the wire engine reads that header whether or not the
+server verifies signatures, and it needs nothing else of the signer.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 from repro.service.gateway import GatewayError
 
 __all__ = [
+    "AUTH_HEADER",
     "AuthenticationError",
     "AuthRequiredError",
     "UnknownTenantError",
@@ -23,6 +28,8 @@ __all__ = [
     "ReplayedNonceError",
     "ForbiddenError",
 ]
+
+AUTH_HEADER = "X-Repro-Auth"
 
 
 class AuthenticationError(GatewayError):

@@ -28,6 +28,7 @@ import time
 from collections import OrderedDict
 
 from repro.service.auth.errors import (
+    AUTH_HEADER,
     AuthRequiredError,
     BadSignatureError,
     ReplayedNonceError,
@@ -46,7 +47,6 @@ __all__ = [
     "RequestVerifier",
 ]
 
-AUTH_HEADER = "X-Repro-Auth"
 AUTH_VERSION = "v1"
 
 # Defaults shared by the verifier and the CLI: +/- two minutes of clock

@@ -928,7 +928,7 @@ class FleetGateway:
         Ciphertext blobs are not sharded (only proxy-key state is), so
         fetch never crosses to a shard process.
         """
-        from repro.phr.store import EntryNotFoundError
+        from repro.phr.stored import EntryNotFoundError
         from repro.service.gateway import EntryMissingError
 
         if self.store is None:

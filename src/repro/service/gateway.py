@@ -61,7 +61,7 @@ from repro.core.proxy import (
 from repro.core.scheme import TypeAndIdentityPre
 from repro.pairing.miller import PointOrderError
 from repro.serialization.encoding import EncodingError
-from repro.phr.store import EntryNotFoundError, StoredRecord
+from repro.phr.stored import EntryNotFoundError, StoredRecord
 from repro.service.batch import BatchItemError, ReEncryptBatcher
 from repro.service.cache import CacheStats, LruCache
 from repro.service.metrics import GatewayMetrics, MetricsSnapshot

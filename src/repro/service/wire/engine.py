@@ -57,8 +57,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.bench.counters import SUBSTRATE_OPS, OperationCounter
 from repro.core.api import PreBackend, resolve_backend
-from repro.service.auth.errors import ForbiddenError
-from repro.service.auth.signing import AUTH_HEADER
+from repro.service.auth.errors import AUTH_HEADER, ForbiddenError
 from repro.service.gateway import (
     EntryMissingError,
     FetchRequest,

@@ -7,6 +7,7 @@ from repro.phr.generator import PhrGenerator
 from repro.phr.store import (
     EntryNotFoundError,
     FilePhrStore,
+    StoreIndexError,
     StoreSchemeMismatchError,
 )
 
@@ -226,3 +227,52 @@ class TestSchemeSealing:
         assert upgraded["version"] == FilePhrStore.INDEX_VERSION
         assert upgraded["scheme"] == "tipre/v1"
         assert upgraded["entries"]["alice|e1"] == {"category": "labs", "size": 4}
+
+
+class TestUnreadableIndex:
+    """An index the store cannot read refuses to open, names the file and
+    the reason, and is left byte for byte."""
+
+    @pytest.mark.parametrize(
+        ("index", "reason"),
+        [
+            pytest.param(
+                b'{"version": 4, "scheme": null, "entries": {}}',
+                "version 4 is not 2 or 3",
+                id="unknown-version",
+            ),
+            pytest.param(
+                b'{"version": 1, "alice|e1": "labs"}',
+                r"version 1 is not 2 or 3 \(a version-1 index has no version key\)",
+                id="version-key-1",
+            ),
+            pytest.param(b'["alice|e1"]', "JSON list, not an object", id="json-list"),
+            pytest.param(
+                b'{"version": 3, "scheme": null, "entries": {"alice|e1": {"cat',
+                "not JSON",
+                id="torn-json",
+            ),
+            pytest.param(
+                b'{"version": 3, "scheme": "tipre/v1"}',
+                'no "entries" object',
+                id="v3-without-entries",
+            ),
+            pytest.param(
+                b'{"alice|e1": "labs"}',
+                "entry 'alice|e1' names a missing blob",
+                id="v1-missing-blob",
+            ),
+        ],
+    )
+    def test_refuses_and_leaves_the_index_as_it_is(self, tmp_path, index, reason):
+        root = tmp_path / "store"
+        root.mkdir()
+        index_path = root / "index.json"
+        index_path.write_bytes(index)
+        with pytest.raises(StoreIndexError, match=reason) as refused:
+            FilePhrStore(root)
+        assert str(index_path) in str(refused.value)
+        assert isinstance(refused.value, ValueError)
+        assert index_path.read_bytes() == index
+        # Not even the blob directory is created.
+        assert [path.name for path in root.iterdir()] == ["index.json"]

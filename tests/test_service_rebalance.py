@@ -31,6 +31,7 @@ from repro.service.gateway import (
     ReEncryptionGateway,
     ReEncryptRequest,
 )
+from repro.service.persistence import KEY_LOG, DurableProxyKeyTable, open_key_log
 from repro.service.router import ShardRouter
 
 LEGACY_STATE = Path(__file__).parent / "data" / "legacy_state"
@@ -360,3 +361,90 @@ class TestLegacyLayout:
             _assert_serves_exactly(gateway, expected, setting)
         finally:
             gateway.close()
+
+
+class _Stopped(Exception):
+    """Stands for a process dying part way through the legacy fold."""
+
+
+def _assert_fold_completes(state_dir, expected, backend):
+    """Reopening finishes the fold: exactly the recorded keys, one clean log."""
+    keys = {tuple(index) for index in expected["keys"]}
+    table = open_key_log(state_dir, backend)
+    try:
+        assert table.recovered_bytes == 0
+        assert {ProxyKeyTable.index_of(key) for key in table} == keys
+        assert len(table) == len(keys) == 35
+    finally:
+        table.close()
+    assert sorted(path.name for path in state_dir.iterdir()) == [KEY_LOG]
+    replayed = DurableProxyKeyTable(state_dir / KEY_LOG, backend)
+    try:
+        assert replayed.recovered_bytes == 0
+        assert {ProxyKeyTable.index_of(key) for key in replayed} == keys
+    finally:
+        replayed.close()
+
+
+class TestInterruptedLegacyFold:
+    """``open_key_log`` stopped part way through folding the recorded
+    ``shard-NN.log`` files leaves a state dir the next open completes."""
+
+    @pytest.mark.parametrize("files_folded", range(5))
+    def test_stopped_after_each_file(self, legacy, tmp_path, monkeypatch, files_folded):
+        expected, setting = legacy
+        state_dir = tmp_path / "state"
+        _copy_legacy_logs(state_dir)
+        opened = []
+        original_init = DurableProxyKeyTable.__init__
+
+        def open_or_stop(table, path, *args, **kwargs):
+            if path.name != KEY_LOG:
+                if len(opened) == files_folded:
+                    raise _Stopped(path.name)
+                opened.append(path.name)
+            original_init(table, path, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(DurableProxyKeyTable, "__init__", open_or_stop)
+            if files_folded < 4:
+                with pytest.raises(_Stopped):
+                    open_key_log(state_dir, setting.backend)
+            else:
+                open_key_log(state_dir, setting.backend).close()
+        assert opened == ["shard-%02d.log" % i for i in range(files_folded)]
+        assert sorted(path.name for path in state_dir.glob("shard-*.log")) == [
+            "shard-%02d.log" % i for i in range(files_folded, 4)
+        ]
+        _assert_fold_completes(state_dir, expected, setting.backend)
+
+    def test_stopped_between_a_files_installs_and_its_deletion(
+        self, legacy, tmp_path, monkeypatch
+    ):
+        expected, setting = legacy
+        state_dir = tmp_path / "state"
+        _copy_legacy_logs(state_dir)
+
+        def stop_before_deleting(table):
+            table.close()
+            raise _Stopped(table.path.name)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(DurableProxyKeyTable, "delete", stop_before_deleting)
+            with pytest.raises(_Stopped, match="shard-00.log"):
+                open_key_log(state_dir, setting.backend)
+        # shard-00.log's keys are in keys.log, and the file is still there.
+        assert sorted(path.name for path in state_dir.iterdir()) == [KEY_LOG] + [
+            "shard-%02d.log" % i for i in range(4)
+        ]
+        folded = DurableProxyKeyTable(state_dir / KEY_LOG, setting.backend)
+        first = DurableProxyKeyTable(state_dir / "shard-00.log", setting.backend)
+        try:
+            assert {ProxyKeyTable.index_of(key) for key in folded} == {
+                ProxyKeyTable.index_of(key) for key in first
+            }
+            assert len(first) > 0
+        finally:
+            folded.close()
+            first.close()
+        _assert_fold_completes(state_dir, expected, setting.backend)
