@@ -842,3 +842,124 @@ class TestCrashLoopBreaker:
             assert not supervisor.is_broken("shard-00")
         finally:
             supervisor.close()
+
+
+# ------------------------------------------------ revocation through the fleet
+
+
+def _fleet_workers(router_pid: int) -> dict[str, int]:
+    """Shard name -> PID of each live ``--shard`` worker ``router_pid`` spawned."""
+    workers = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open("/proc/%s/stat" % entry, "rb") as handle:
+                fields = handle.read().rsplit(b")", 1)[1].split()
+            with open("/proc/%s/cmdline" % entry, "rb") as handle:
+                argv = [part.decode(errors="replace") for part in handle.read().split(b"\0")]
+        except OSError:
+            continue
+        # fields[0] is the state, fields[1] the parent pid.
+        if fields[0] != b"Z" and int(fields[1]) == router_pid and "--shard" in argv:
+            workers[argv[argv.index("--shard") + 1]] = int(entry)
+    return workers
+
+
+def _until_reachable(call, deadline_s: float = 60.0):
+    """``call()``, retried while the router answers ``wire-transport``
+    (a killed worker restarting behind it)."""
+    deadline = time.monotonic() + deadline_s
+    while True:
+        try:
+            return call()
+        except WireTransportError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.1)
+
+
+class TestRevocationThroughTheFleet:
+    """The paper's access-control promise, end to end through ``serve
+    --fleet``: once a revoke is acknowledged no read transforms under
+    the delegation again, whatever was cached before it, and whether a
+    worker was killed with -9 or the fleet resized in between."""
+
+    def test_revoke_ends_reads_across_a_kill_and_a_resize(self, tmp_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.service.gateway import DelegationNotFoundError
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src
+        router = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--http", "0",
+             "--fleet", "2", "--group", "TOY",
+             "--state-dir", str(tmp_path / "state")],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        )
+        setting = _small_setting("fleet-revocation")
+        client = None
+        try:
+            line = router.stdout.readline()
+            assert "fleet gateway listening on" in line, line
+            client = connect_gateway(line.split()[4], setting.group)
+            keys = _keys_of(setting)
+            for key in keys:
+                client.grant(GrantRequest(tenant="fleet-test", proxy_key=key))
+
+            def kill_owner(shard: str) -> None:
+                os.kill(_fleet_workers(router.pid)[shard], 9)
+
+            def resize(_shard: str) -> None:
+                assert client.resize(3).new_shard_count == 3
+
+            for key, disrupt in zip(keys, (None, kill_owner, resize)):
+                request, message = _reencrypt_request(
+                    setting, (key.delegator, key.type_label), key.delegatee
+                )
+                first = _until_reachable(lambda: client.reencrypt(request))
+                _verify(setting, request, first, message)
+                second = _until_reachable(lambda: client.reencrypt(request))
+                assert second.cache_hit is True
+                _verify(setting, request, second, message)
+                if disrupt is not None:
+                    disrupt(first.shard)
+                    # The acknowledged grant survived the disruption.
+                    served = _until_reachable(lambda: client.reencrypt(request))
+                    _verify(setting, request, served, message)
+                index = ProxyKeyTable.index_of(key)
+                revoke = RevokeRequest(
+                    tenant="fleet-test",
+                    delegator_domain=index[0],
+                    delegator=index[1],
+                    delegatee_domain=index[2],
+                    delegatee=index[3],
+                    type_label=index[4],
+                )
+                assert _until_reachable(lambda: client.revoke(revoke)).removed is True
+                with pytest.raises(DelegationNotFoundError):
+                    _until_reachable(lambda: client.reencrypt(request))
+                if disrupt is kill_owner:
+                    # The revocation is as durable as the grant was.
+                    kill_owner(first.shard)
+                    with pytest.raises(DelegationNotFoundError):
+                        _until_reachable(lambda: client.reencrypt(request))
+            # Every delegation the test did not revoke still serves.
+            for key in keys[3:]:
+                request, message = _reencrypt_request(
+                    setting, (key.delegator, key.type_label), key.delegatee
+                )
+                served = _until_reachable(lambda: client.reencrypt(request))
+                _verify(setting, request, served, message)
+        finally:
+            if client is not None:
+                client.close()
+            router.terminate()
+            router.wait(timeout=30)
+            router.stdout.close()
+            setting.gateway.close()
