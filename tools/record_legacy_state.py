@@ -72,11 +72,18 @@ def record(out: Path) -> dict:
         "regranted": list(regranted),
         "keys": [list(index) for index in live],
     }
-    # One key index per line, so a re-recording diffs legibly.
-    lines = ['  "%s": %s' % (name, json.dumps(value)) for name, value in expected.items()]
-    lines[-1] = '  "keys": [\n%s\n  ]' % ",\n".join("    " + json.dumps(index) for index in live)
-    (out / "expected.json").write_text("{\n%s\n}\n" % ",\n".join(lines), encoding="utf-8")
+    write_expected(out, expected)
     return expected
+
+
+def write_expected(out: Path, expected: dict) -> None:
+    """``out/expected.json``, its ``keys`` list last, one key index per line
+    so a re-recording diffs legibly."""
+    lines = ['  "%s": %s' % (name, json.dumps(value)) for name, value in expected.items()]
+    lines[-1] = '  "keys": [\n%s\n  ]' % ",\n".join(
+        "    " + json.dumps(index) for index in expected["keys"]
+    )
+    (out / "expected.json").write_text("{\n%s\n}\n" % ",\n".join(lines), encoding="utf-8")
 
 
 def main(argv: list[str]) -> int:
