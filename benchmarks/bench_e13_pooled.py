@@ -12,9 +12,9 @@ Measured claims:
    client threads drive the same request stream through one shared
    client, pool of 1 (every thread serializes on a single socket) vs
    pool of 8.  The fleet models remote shards the way E10 does — each
-   transformation charges a service round trip — and is hosted as a
-   forwarding gateway, as a fleet router is, so the server runs its
-   calls on the worker pool.  The single connection's head-of-line
+   transformation charges a service round trip — and its shards
+   declare that they forward, as a fleet router's remote shards do, so
+   the server runs its calls on the worker pool.  The single connection's head-of-line
    blocking is then visible as wall clock: with one socket only one
    request is ever in flight, so shard latencies sum; with a pool they
    overlap across the server's pool threads.  The gain is asserted, and
@@ -81,11 +81,16 @@ REMOTE_RTT_S = 0.005  # modelled service latency of one remote shard call
 
 @dataclass
 class RemoteShardStub(ProxyService):
-    """A proxy shard that charges a service round-trip per transformation."""
+    """A proxy shard that charges a service round-trip per transformation.
+
+    It stands for a shard in another process, so it says it forwards,
+    as :class:`~repro.service.fleet.RemoteShard` does.
+    """
 
     latency_s: float = 0.0
+    forwards = True
 
-    def reencrypt_with_key(self, ciphertext, key):
+    def reencrypt_with_key(self, ciphertext, key, trace=None):
         if self.latency_s:
             time.sleep(self.latency_s)
         return super().reencrypt_with_key(ciphertext, key)
@@ -129,17 +134,6 @@ def _thread_partitions(setting):
             partitions.append(requests)
     assert len(partitions) == THREADS
     return partitions
-
-
-class Forwarding:
-    """A gateway hosted as a fleet router is: not a ReEncryptionGateway,
-    so the server runs its calls on the worker pool, side by side."""
-
-    def __init__(self, gateway):
-        self._gateway = gateway
-
-    def __getattr__(self, name):
-        return getattr(self._gateway, name)
 
 
 def _latency_gateway(scheme, keys):
@@ -215,9 +209,10 @@ def test_e13_pooled_client_beats_single_connection_under_concurrency():
         # A fresh fleet per configuration: cold caches, so every request
         # pays the modelled shard round trip in both runs.
         gateway = _latency_gateway(setting.backend, keys)
-        # The stub's shards stand for other processes, so the server
-        # hosts the fleet as forwarding: its calls overlap on the pool.
-        with AsyncGatewayServer(Forwarding(gateway)) as server:
+        # The stub's shards forward, so the server runs the gateway's
+        # calls on its pool, where they overlap.
+        assert gateway.forwards
+        with AsyncGatewayServer(gateway) as server:
             elapsed_s, opened, peak = _drive_pool(
                 server.http_url, group, partitions, expected, pool_size
             )

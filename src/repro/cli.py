@@ -233,6 +233,8 @@ def _serve_http(args, scheme_ids: list[str]) -> int:
     model.  With several ``--scheme`` flags every fleet is isolated —
     its own shards, caches, metrics, and (under ``--state-dir``) its own
     per-scheme durable subdirectory — behind scheme-id-prefixed routes.
+    With ``--shard NAME`` the process is a fleet worker instead: a
+    :class:`~repro.service.fleet.TransformWorker`, which holds no keys.
     """
     from repro.core.api import create_backend
     from repro.pairing.group import PairingGroup
@@ -264,17 +266,24 @@ def _serve_http(args, scheme_ids: list[str]) -> int:
         event_log = EventLog()
     gateways = []
     try:
-        for scheme_id, state_dir in zip(scheme_ids, state_dirs):
+        if args.shard is not None:
+            from repro.service.fleet import TransformWorker
+
             gateways.append(
-                ReEncryptionGateway(
-                    create_backend(scheme_id, groups[scheme_id]),
-                    shard_count=args.shards,
-                    rate_per_s=args.rate,
-                    state_dir=state_dir,
-                    event_log=event_log,
-                    policy=policy,
-                )
+                TransformWorker(create_backend(args.scheme, groups[args.scheme]), args.shard)
             )
+        else:
+            for scheme_id, state_dir in zip(scheme_ids, state_dirs):
+                gateways.append(
+                    ReEncryptionGateway(
+                        create_backend(scheme_id, groups[scheme_id]),
+                        shard_count=args.shards,
+                        rate_per_s=args.rate,
+                        state_dir=state_dir,
+                        event_log=event_log,
+                        policy=policy,
+                    )
+                )
         server = AsyncGatewayServer(
             gateways=gateways,
             host=args.host,
@@ -290,14 +299,19 @@ def _serve_http(args, scheme_ids: list[str]) -> int:
         if event_stream is not None:
             event_stream.close()
         raise
-    shard_label = "shard %s, " % args.shard if args.shard else ""
 
     def announce() -> None:
+        if args.shard is not None:
+            print(
+                "fleet worker %s listening on %s (scheme %s, group %s)"
+                % (args.shard, server.url, args.scheme, args.group),
+                flush=True,
+            )
+            return
         print(
-            "gateway listening on %s (%sschemes %s, group %s, %d shards, %d keys loaded)"
+            "gateway listening on %s (schemes %s, group %s, %d shards, %d keys loaded)"
             % (
                 server.url,
-                shard_label,
                 "+".join(scheme_ids),
                 args.group if len(scheme_ids) == 1 else "%s (per-scheme derived)" % args.group,
                 args.shards,
@@ -358,17 +372,18 @@ def _serve_until_stopped(server, announce) -> None:
 
 
 def _serve_fleet(args) -> int:
-    """Run the multi-process fleet: worker shards plus the routing tier.
+    """Run the multi-process fleet: a router over worker processes.
 
-    Spawns ``--fleet N`` single-shard worker processes (each a full
-    ``serve --http 0 --shards 1`` gateway server, durable under
-    ``--state-dir/<shard>/``), then serves a
-    :class:`~repro.service.fleet.FleetGateway` routing tier over them on
-    ``--http PORT``.  Clients connect to the routing tier exactly as
-    they would to a single-process server; resizes migrate keys between
-    worker processes without stopping traffic.
+    Spawns ``--fleet N`` worker processes (``serve --http 0 --shard
+    NAME``, each holding no keys), then serves the router on ``--http
+    PORT``: a :class:`~repro.service.gateway.ReEncryptionGateway` whose
+    shards send their transformations to the workers.  The router owns
+    the one durable key table (``--state-dir/keys.log``), the result
+    cache, admission, ``--rate`` and the ``--tenant-config`` policy.
+    Clients connect to it exactly as to a single-process server; a
+    resize starts or stops workers, and no key moves.
     """
-    from repro.service.fleet import FleetGateway, FleetSupervisor
+    from repro.service.fleet import FleetSupervisor, fleet_gateway, fold_worker_logs
     from repro.service.telemetry import EventLog, jsonl_sink
     from repro.service.wire.aio_server import AsyncGatewayServer
 
@@ -381,23 +396,31 @@ def _serve_fleet(args) -> int:
     supervisor = None
     gateway = None
     try:
-        tls, verifier, _policy = _security_from_args(args)
+        tls, verifier, policy = _security_from_args(args)
         supervisor = FleetSupervisor(
             args.scheme,
             shard_count=args.fleet,
-            state_root=args.state_dir,
             group_name=args.group,
             host=args.host,
-            rate_per_s=args.rate,
             event_log=event_log,
-            # The worker links inherit the routing tier's security
-            # posture: same cert for intra-fleet TLS, and per-worker
-            # HMAC credentials whenever end clients must sign too.
+            # The worker links inherit the router's security posture:
+            # same cert for intra-fleet TLS, and per-worker HMAC
+            # credentials whenever end clients must sign too.
             tls_cert=args.tls_cert,
             tls_key=args.tls_key,
             worker_auth=args.tenant_config is not None,
         )
-        gateway = FleetGateway(supervisor, event_log=event_log)
+        state_dir = None
+        if args.state_dir is not None:
+            fold_worker_logs(args.state_dir, supervisor.backend)
+            (state_dir,) = _state_dirs_for(args.state_dir, [args.scheme])
+        gateway = fleet_gateway(
+            supervisor,
+            rate_per_s=args.rate,
+            state_dir=state_dir,
+            event_log=event_log,
+            policy=policy,
+        )
         server = AsyncGatewayServer(
             gateways=[gateway],
             host=args.host,
@@ -410,7 +433,7 @@ def _serve_fleet(args) -> int:
     except BaseException:
         if gateway is not None:
             gateway.close()
-        elif supervisor is not None:
+        if supervisor is not None:
             supervisor.close()
         if event_stream is not None:
             event_stream.close()
@@ -418,8 +441,9 @@ def _serve_fleet(args) -> int:
 
     def announce() -> None:
         print(
-            "fleet gateway listening on %s (scheme %s, group %s, %d shard processes)"
-            % (server.url, args.scheme, args.group, args.fleet),
+            "fleet gateway listening on %s (scheme %s, group %s, %d shard processes, "
+            "%d keys loaded)"
+            % (server.url, args.scheme, args.group, args.fleet, gateway.key_count()),
             flush=True,
         )
 
@@ -428,6 +452,7 @@ def _serve_fleet(args) -> int:
     finally:
         server.close()
         gateway.close()
+        supervisor.close()
         if event_stream is not None:
             event_stream.close()
     return 0
@@ -524,13 +549,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="with --http: append every structured event (audit, "
                         "http access, server errors) as one JSON line to PATH")
     p.add_argument("--fleet", type=int, default=None, metavar="N",
-                   help="with --http: spawn N single-shard worker processes "
-                        "and serve a routing gateway over them (multi-process "
-                        "fleet mode); --state-dir gives each worker a durable "
-                        "subdirectory")
+                   help="with --http: spawn N worker processes and serve a "
+                        "router gateway over them (multi-process fleet mode): "
+                        "the router keeps the keys (--state-dir), the cache, "
+                        "admission, --rate and the tenant policy, and the "
+                        "workers run the transformations, holding no keys")
     p.add_argument("--shard", default=None, metavar="NAME",
-                   help="worker mode: label this process as fleet shard NAME "
-                        "(set by the fleet supervisor; informational)")
+                   help="with --http: run as fleet worker NAME, answering only "
+                        "a fleet router's transformations (set by the fleet "
+                        "supervisor)")
     p.add_argument("--tls-cert", default=None, metavar="PEM",
                    help="with --http: terminate TLS with this certificate "
                         "(generate a dev cert with tools/gen_dev_cert.py)")

@@ -192,6 +192,10 @@ class ProxyService:
     _log_lock: threading.Lock = field(init=False, repr=False, compare=False)
     _sequence: int = field(init=False, default=0)
     backend: PreBackend = field(init=False, repr=False)
+    # True for a shard that sends its transformations to another process
+    # (a fleet's RemoteShard): a gateway of such shards forwards request
+    # bytes undecoded, and a wire server runs its calls on a worker pool.
+    forwards = False
 
     def __post_init__(self) -> None:
         if self.max_log_entries < 1:
@@ -260,20 +264,21 @@ class ProxyService:
         return self.reencrypt_with_key(ciphertext, key)
 
     def reencrypt_with_key(
-        self, ciphertext: TypedCiphertext, key: ProxyKey
+        self, ciphertext: TypedCiphertext, key: ProxyKey, trace=None
     ) -> ReEncryptedCiphertext:
         """Transform with an already-resolved key (a cached table lookup).
 
         The key must still match the ciphertext — the backend's
         transformation guard runs regardless, so a stale cache entry
-        cannot cross the policy boundary.
+        cannot cross the policy boundary.  ``trace`` is the trace context
+        a forwarding shard sends on; this one ignores it.
         """
         result = self.backend.reencrypt(ciphertext, key)
         self._log_transformation(key)
         return result
 
     def reencrypt_many_with_key(
-        self, ciphertexts: list[TypedCiphertext], key: ProxyKey
+        self, ciphertexts: list[TypedCiphertext], key: ProxyKey, trace=None
     ) -> list[ReEncryptedCiphertext]:
         """Transform a batch sharing one resolved key (one log entry each).
 
@@ -286,6 +291,9 @@ class ProxyService:
         results = self.backend.reencrypt_batch(ciphertexts, key)
         self._log_transformation(key, len(ciphertexts))
         return results
+
+    def retire(self) -> None:
+        """A resize removed this shard; one in this process holds nothing to release."""
 
     def _log_transformation(self, key: ProxyKey, count: int = 1) -> None:
         # The backend's guard matched the key to the ciphertext, so the

@@ -13,7 +13,7 @@ request-serving system:
 * :mod:`repro.service.gateway` — the typed request/response front door
   with per-tenant rate limiting, bounded audit and an error taxonomy;
 * :mod:`repro.service.metrics` — latency / throughput / shard-balance
-  snapshots, including resize/migration counters;
+  snapshots, including resize counters;
 * :mod:`repro.service.telemetry` — distributed trace contexts and spans,
   fixed-bucket latency histograms with Prometheus text exposition, and
   the bounded structured event log;
@@ -27,11 +27,13 @@ request-serving system:
   answers HTTP/JSON and mux frames on one port, and the
   :class:`~repro.service.wire.client.RemoteGateway` client) that makes
   the gateway a real remote process;
-* :mod:`repro.service.fleet` — the wire protocol at the shard boundary:
-  a :class:`~repro.service.fleet.FleetSupervisor` of independent shard
-  *processes* behind a :class:`~repro.service.fleet.FleetGateway`
-  routing tier, with health-checked failover and traffic-continuing
-  resize migration.
+* :mod:`repro.service.fleet` — the multi-process fleet: a router that
+  is a plain :class:`~repro.service.gateway.ReEncryptionGateway`
+  (:func:`~repro.service.fleet.fleet_gateway`) whose
+  :class:`~repro.service.fleet.RemoteShard` shards send transformations
+  to :class:`~repro.service.fleet.TransformWorker` processes, which a
+  :class:`~repro.service.fleet.FleetSupervisor` spawns and restarts;
+  workers hold no keys, so a restart or a resize moves none.
 """
 
 from repro._lazy import lazy_exports
@@ -50,7 +52,13 @@ __getattr__, __dir__ = lazy_exports(
             "run_demo",
             "run_remote_demo",
         ),
-        "fleet": ("FleetGateway", "FleetSupervisor", "StaticFleet"),
+        "fleet": (
+            "FleetSupervisor",
+            "RemoteShard",
+            "StaticFleet",
+            "TransformWorker",
+            "fleet_gateway",
+        ),
         "gateway": (
             "AuditEvent",
             "DelegationNotFoundError",
@@ -115,7 +123,6 @@ __all__ = [
     "EventLog",
     "FetchRequest",
     "FetchResponse",
-    "FleetGateway",
     "FleetSupervisor",
     "GatewayError",
     "GatewayMetrics",
@@ -134,6 +141,7 @@ __all__ = [
     "ReEncryptResponse",
     "ReEncryptionGateway",
     "RemoteGateway",
+    "RemoteShard",
     "ResizeReport",
     "RevokeRequest",
     "RevokeResponse",
@@ -146,10 +154,12 @@ __all__ = [
     "TokenBucket",
     "TraceContext",
     "Tracer",
+    "TransformWorker",
     "TRACE_HEADER",
     "WireTransportError",
     "build_setting",
     "drive_requests",
+    "fleet_gateway",
     "jsonl_sink",
     "render_prometheus",
     "resolve_remote_group",

@@ -1,38 +1,37 @@
-"""Multi-process shard fleet: the wire protocol at the shard boundary.
+"""Multi-process fleet: one router gateway, worker processes for the crypto.
 
-A :class:`~repro.service.gateway.ReEncryptionGateway` shards *inside*
-one process.  This module promotes the same split to process
-granularity: each shard is an independent ``repro-pre serve --http``
-worker process with its own durable state directory, and a thin routing
-tier speaks the wire protocol to them.
+A transformation is a pure function of (proxy key, ciphertext), so a
+fleet splits a gateway along that line.  The router is a plain
+:class:`~repro.service.gateway.ReEncryptionGateway`: it owns the one
+durable key table (``<state-dir>/keys.log``), the result cache,
+admission, rate limits, the tenant policy and tracing.  Its shards are
+:class:`RemoteShard` objects, one per worker process, each sending a
+resolved key (its container bytes) and the request's ciphertext bytes
+to its worker as one ``transform`` message.  A worker holds no key
+table and no state dir.
 
-Three pieces:
+Pieces:
 
-* :class:`FleetSupervisor` — spawns and supervises the shard worker
-  processes (one single-shard gateway server each), parses their
-  "listening on" banner for the bound ephemeral port, restarts a dead
-  worker from its durable state directory, and hands out one
+* :class:`FleetSupervisor` — spawns and supervises the worker processes
+  (``repro-pre serve --http 0 --shard NAME``), parses their "listening
+  on" banner for the bound ephemeral port, restarts a dead worker (it
+  starts empty and loses nothing) and hands out one
   :class:`~repro.service.wire.aio_client.MuxRemoteGateway` link per
   worker: one multiplexed socket carries every concurrent call.
 * :class:`StaticFleet` — the same surface over externally managed
-  endpoints (tests, or shards on other machines).
-* :class:`FleetGateway` — the routing tier.  It mirrors the in-process
-  gateway's typed API (so :class:`~repro.service.wire.AsyncGatewayServer`
-  hosts it unchanged and end clients cannot tell the difference),
-  routes every operation to the owning shard process via the shared
-  :class:`~repro.service.router.ShardRouter` ring, propagates
-  ``X-Repro-Trace`` so one waterfall shows router *and* shard spans,
-  aggregates ``/v1/metrics`` across the shard processes, and resizes
-  the fleet **without stopping traffic**: keys stream copy-then-cleanup
-  between processes while requests keep flowing, with writes
-  dual-applied to both ring generations for the duration.
+  endpoints (tests, or workers on other machines).
+* :class:`TransformWorker` — what a worker process hosts.
+* :class:`RemoteShard` and :func:`fleet_gateway` — the router's shards
+  and the router itself.  Its trace lookup merges in each worker's
+  spans, so one waterfall crosses the process boundary.
+* :func:`fold_worker_logs` — folds the per-worker key logs an older
+  fleet kept into the router's.
 
-Failure semantics: a shard process the router cannot reach surfaces as
+Failure semantics: a worker the router cannot reach surfaces as
 :class:`~repro.service.wire.client.WireTransportError` (code
-``wire-transport``, HTTP 503 at the routing tier) — never a hang — and
-the supervisor restarts the worker from its state directory in the
-background; durable grants survive the crash because every shard append
-is flushed before the grant is acknowledged.
+``wire-transport``, HTTP 503 at the router) — never a hang — and the
+supervisor restarts the worker in the background.  A resize starts or
+retires worker processes and swaps the router's ring; no key moves.
 """
 
 from __future__ import annotations
@@ -47,47 +46,37 @@ import tempfile
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from contextvars import copy_context
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.api import PreBackend, create_backend, resolve_backend
-from repro.core.proxy import ProxyKey, ProxyKeyTable
-from repro.service.gateway import (
-    DelegationNotFoundError,
-    FetchRequest,
-    FetchResponse,
-    GatewayError,
-    GrantRequest,
-    GrantResponse,
-    InvalidRequestError,
-    ReEncryptRequest,
-    ReEncryptResponse,
-    ResizeReport,
-    RevokeRequest,
-    RevokeResponse,
-    StoreUnavailableError,
-    untraced_span,
-)
+from repro.core.proxy import ProxyService
+from repro.pairing.miller import PointOrderError
 from repro.service.auth.credentials import TenantCredentialStore
-from repro.service.metrics import GatewayMetrics, MetricsSnapshot, merge_snapshots
-from repro.service.router import ShardRouter
+from repro.service.cache import LruCache
+from repro.service.gateway import GatewayError, InvalidRequestError, ReEncryptionGateway
+from repro.service.metrics import GatewayMetrics, MetricsSnapshot
+from repro.service.persistence import KEY_LOG, DurableProxyKeyTable, open_key_log
 from repro.service.telemetry import EventLog, Span, TraceContext, Tracer
 from repro.service.wire.aio_client import connect_gateway
 from repro.service.wire.client import RemoteGateway, WireTransportError
+from repro.service.wire.codec import TransformRequest, TransformResponse
 
-__all__ = ["FleetSupervisor", "StaticFleet", "FleetGateway"]
+__all__ = [
+    "FleetSupervisor",
+    "RemoteShard",
+    "StaticFleet",
+    "TransformWorker",
+    "fleet_gateway",
+    "fold_worker_logs",
+]
 
 _BANNER = re.compile(r"listening on (muxs?://\S+)")
 
-# The routing tier's identity on its shard workers when per-worker HMAC
-# credentials are enabled.  "admin" because the router drives the full
-# surface (export during resize migration, not just the client ops).
+# The router's identity on its workers when per-worker HMAC credentials
+# are enabled.  "admin" because only that role may call ``transform``.
 ROUTER_TENANT = "fleet-router"
-
-KeyIndex = tuple[str, str, str, str, str]
 
 
 def _repro_env() -> dict[str, str]:
@@ -101,42 +90,39 @@ def _repro_env() -> dict[str, str]:
 
 @dataclass
 class _Worker:
-    """One supervised shard process and what we know about it."""
+    """One supervised worker process and what we know about it."""
 
     name: str
     url: str
     process: subprocess.Popen
-    state_dir: Path | None
     output: deque = field(default_factory=lambda: deque(maxlen=200))
     restarts: int = 0
 
 
 class FleetSupervisor:
-    """Spawn, watch and restart the shard worker processes.
+    """Spawn, watch and restart the fleet's worker processes.
 
-    Each worker is ``python -m repro.cli serve --http 0 --shards 1
-    --shard <name>`` — a full single-shard gateway server on an
-    ephemeral port, optionally durable under
-    ``<state_root>/<name>/``.  The supervisor parses the worker's
-    startup banner for the bound ``mux://`` URL, keeps the last 200
-    output lines per worker for diagnostics, and exposes one
+    Each worker is ``python -m repro.cli serve --http 0 --shard <name>``,
+    a :class:`TransformWorker` server on an ephemeral port.  The
+    supervisor parses the worker's startup banner for the bound
+    ``mux://`` URL, keeps the last 200 output lines per worker for
+    diagnostics, and exposes one
     :class:`~repro.service.wire.aio_client.MuxRemoteGateway` client per
     live worker.
 
-    ``note_failure`` is the routing tier's crash report: when the named
-    process is dead it is respawned **in the background** from the same
-    state directory, so one unreachable shard degrades exactly the route
-    keys it owns instead of stalling the caller.
+    ``note_failure`` is the router's crash report: when the named
+    process is dead it is respawned **in the background**, so one
+    unreachable worker fails exactly the transformations routed to it
+    instead of stalling the caller.  A worker keeps nothing at rest, so
+    a respawned one starts empty and loses nothing.
     """
 
     def __init__(
         self,
         scheme_id: str,
         shard_count: int = 0,
-        state_root: str | Path | None = None,
         group_name: str = "TOY",
         host: str = "127.0.0.1",
-        rate_per_s: float | None = None,
         spawn_timeout: float = 60.0,
         event_log: EventLog | None = None,
         backoff_base: float = 0.5,
@@ -155,13 +141,11 @@ class FleetSupervisor:
             scheme_id, PairingGroup.shared(group_name)
         )
         self.host = host
-        self.rate_per_s = rate_per_s
         self.spawn_timeout = spawn_timeout
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
         self.crash_loop_threshold = crash_loop_threshold
         self.crash_loop_window = crash_loop_window
-        self.state_root = Path(state_root) if state_root is not None else None
         # Worker links: when tls_cert/tls_key are given the shard servers
         # terminate TLS and the supervisor's clients pin the cert file as
         # their CA (the dev self-signed cert is its own CA).  worker_auth
@@ -207,15 +191,9 @@ class FleetSupervisor:
             self.group_name,
             "--scheme",
             self.scheme_id,
-            "--shards",
-            "1",
             "--shard",
             name,
         ]
-        if self.state_root is not None:
-            command += ["--state-dir", str(self.state_root / name)]
-        if self.rate_per_s is not None:
-            command += ["--rate", str(self.rate_per_s)]
         if self.tls_cert is not None:
             command += ["--tls-cert", str(self.tls_cert)]
             if self.tls_key is not None:
@@ -243,9 +221,6 @@ class FleetSupervisor:
         store.add(ROUTER_TENANT, secret=secret, roles=("admin",))
 
     def _spawn(self, name: str) -> _Worker:
-        state_dir = self.state_root / name if self.state_root is not None else None
-        if state_dir is not None:
-            state_dir.mkdir(parents=True, exist_ok=True)
         if self.worker_auth:
             self._write_worker_credentials(name)
         process = subprocess.Popen(
@@ -255,7 +230,7 @@ class FleetSupervisor:
             env=_repro_env(),
             text=True,
         )
-        worker = _Worker(name=name, url="", process=process, state_dir=state_dir)
+        worker = _Worker(name=name, url="", process=process)
         ready = threading.Event()
 
         def drain() -> None:
@@ -276,7 +251,7 @@ class FleetSupervisor:
             process.kill()
             process.wait()
             raise WireTransportError(
-                "shard %s did not report a listen address within %.0fs; output: %s"
+                "worker %s did not report a listen address within %.0fs; output: %s"
                 % (name, self.spawn_timeout, " | ".join(list(worker.output)[-5:]))
             )
         return worker
@@ -304,7 +279,7 @@ class FleetSupervisor:
             )
 
     def retire(self, names: Sequence[str]) -> None:
-        """Stop workers and delete their durable state (they own no keys now)."""
+        """Stop workers (they hold nothing to save)."""
         for name in names:
             with self._lock:
                 worker = self._workers.pop(name, None)
@@ -319,15 +294,13 @@ class FleetSupervisor:
             except subprocess.TimeoutExpired:
                 worker.process.kill()
                 worker.process.wait()
-            if worker.state_dir is not None:
-                shutil.rmtree(worker.state_dir, ignore_errors=True)
             if self._auth_root is not None:
                 shutil.rmtree(self._auth_root / name, ignore_errors=True)
                 self._secrets.pop(name, None)
             self.events.emit("shard-retired", shard=name)
 
     def restart(self, name: str) -> None:
-        """Respawn one (dead or alive) worker from its state dir; blocking."""
+        """Respawn one (dead or alive) worker, empty; blocking."""
         with self._lock:
             worker = self._workers.get(name)
         if worker is None:
@@ -513,12 +486,12 @@ class FleetSupervisor:
 
 
 class StaticFleet:
-    """The supervisor surface over endpoints someone else manages.
+    """The supervisor surface over worker endpoints someone else manages.
 
-    ``endpoints`` maps shard name to base URL.  Useful for tests (fake
-    or hand-started servers) and for shards on other machines.  Without
-    a ``spawner`` the fleet cannot grow, so a resize that adds shards
-    raises; ``note_failure`` never restarts anything.
+    ``endpoints`` maps worker name (``shard-00``, ``shard-01``, ...) to
+    base URL.  Useful for tests (in-process worker servers) and for
+    workers on other machines.  The fleet cannot grow, so a resize that
+    adds shards raises; ``note_failure`` never restarts anything.
     """
 
     def __init__(
@@ -601,618 +574,172 @@ class StaticFleet:
             client.close()
 
 
-class _AggregatingTracer(Tracer):
-    """A tracer whose lookups merge the shard processes' spans.
+class TransformWorker:
+    """What a fleet worker process hosts: transformations, nothing at rest.
 
-    The routing tier records its own spans locally; when someone asks
-    for a trace the router *has* (so random probes stay cheap), every
-    shard's ``/v1/trace/<id>`` is consulted and the remote spans are
-    appended — one waterfall across both tiers.
+    It answers one operation, ``transform`` (a
+    :class:`~repro.service.wire.codec.TransformRequest`): no key table,
+    no state dir, no admission; the router did all of that.  Decoded
+    proxy keys stay in a bounded LRU keyed by their container bytes, so
+    a key's point is decompressed once while the key is in use.  A
+    traced call records a ``shard-crypto`` span under the trace the
+    router sent, which the router's trace lookup merges in.
     """
 
-    def __init__(self, clients: Callable[[], list[RemoteGateway]]):
+    def __init__(self, backend: PreBackend, name: str = "worker", key_cache_size: int = 1024):
+        self.backend = backend
+        self.name = name
+        self.tracer = Tracer()
+        self.metrics = GatewayMetrics()
+        self._keys = LruCache(key_cache_size, name="key_cache")
+
+    def transform(
+        self, request: TransformRequest, trace: TraceContext | None = None
+    ) -> TransformResponse:
+        start = time.monotonic()
+        key = self._keys.get(request.proxy_key)
+        if key is None:
+            try:
+                key = self.backend.deserialize_proxy_key(request.proxy_key)
+            except ValueError as error:  # EncodingError included
+                raise InvalidRequestError("field 'proxy_key': %s" % error) from error
+            self._keys.put(request.proxy_key, key)
+        attributes = {"shard": self.name, "items": len(request.ciphertexts)}
+        with self.tracer.span(trace, "shard-crypto", attributes):
+            try:
+                results = self.backend.reencrypt_batch(list(request.ciphertexts), key)
+            except (ValueError, PointOrderError) as error:
+                # Bytes that do not decode, a key outside G1 or one that
+                # does not match the ciphertexts.
+                raise InvalidRequestError(str(error)) from error
+        self.metrics.observe("transform", (time.monotonic() - start) * 1000, self.name)
+        return TransformResponse(ciphertexts=tuple(results))
+
+    def snapshot(self) -> MetricsSnapshot:
+        return self.metrics.snapshot(caches={"key_cache": self._keys.stats()})
+
+    def close(self) -> None:
+        """Nothing to release: a worker keeps nothing at rest."""
+
+
+@dataclass
+class RemoteShard(ProxyService):
+    """A router shard whose transformations run on the fleet worker of
+    the same name.
+
+    The key table stays with the router.  A call sends the resolved
+    key's container bytes and the ciphertexts' bytes in one
+    ``transform`` round trip and returns the worker's answers as encoded
+    views the router never decodes.  A worker it cannot reach is
+    reported to the fleet, which restarts it, and raised as
+    ``wire-transport``.  Building the shard starts its worker; retiring
+    it stops the worker.
+    """
+
+    fleet: object = None
+    forwards = True
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.fleet.ensure_started([self.name])
+
+    def reencrypt_with_key(self, ciphertext, key, trace=None):
+        return self.reencrypt_many_with_key([ciphertext], key, trace)[0]
+
+    def reencrypt_many_with_key(self, ciphertexts, key, trace=None):
+        request = TransformRequest(
+            tenant=ROUTER_TENANT,
+            proxy_key=self.backend.serialize_proxy_key(key),
+            ciphertexts=tuple(ciphertexts),
+        )
+        try:
+            response = self.fleet.client(self.name).transform(request, trace=trace)
+        except WireTransportError as error:
+            self.fleet.note_failure(self.name)
+            raise WireTransportError(
+                "shard %s unreachable: %s" % (self.name, error)
+            ) from error
+        if len(response.ciphertexts) != len(ciphertexts):
+            raise WireTransportError(
+                "shard %s answered %d of %d transformations"
+                % (self.name, len(response.ciphertexts), len(ciphertexts))
+            )
+        self._log_transformation(key, len(ciphertexts))
+        return list(response.ciphertexts)
+
+    def retire(self) -> None:
+        self.fleet.retire([self.name])
+
+
+class _AggregatingTracer(Tracer):
+    """The router's tracer: a trace it holds also gets every worker's
+    spans of that trace (one waterfall across both tiers).  Only traces
+    the router has are looked up remotely, so random probes stay cheap."""
+
+    def __init__(self, fleet):
         super().__init__()
-        self._clients = clients
+        self._fleet = fleet
 
     def trace(self, trace_id: str) -> list[Span]:
         spans = super().trace(trace_id)
         if not spans:
             return spans
-        for client in self._clients():
+        for name in self._fleet.names:
             try:
-                spans.extend(client.fetch_trace(trace_id))
+                spans.extend(self._fleet.client(name).fetch_trace(trace_id))
             except GatewayError:
                 continue
         return spans
 
 
-@dataclass
-class _Migration:
-    """Live resize state: both ring generations plus write bookkeeping.
+def fleet_gateway(fleet, **options) -> ReEncryptionGateway:
+    """The router over ``fleet``: one :class:`RemoteShard` per worker.
 
-    ``overrides`` holds the key indexes written (granted or revoked)
-    while the migration ran — the copy and cleanup sweeps skip them,
-    because the dual-applied write already put the latest truth on both
-    owners.  ``copied`` holds what the copy sweep moved, so cleanup can
-    distinguish "already at its new home" from "appeared after the copy
-    sweep passed" (the latter is re-homed before the old copy is
-    revoked).
+    The fleet's workers must be named ``shard-00``, ``shard-01``, ... as
+    the gateway names its shards.  ``options`` are the gateway's own
+    (``state_dir``, ``rate_per_s``, ``policy``, ``event_log``, ...).
     """
+    backend = fleet.backend
+    return ReEncryptionGateway(
+        backend,
+        shard_count=len(fleet.names),
+        shard_factory=lambda name, table: RemoteShard(
+            backend, name=name, table=table, fleet=fleet
+        ),
+        tracer=_AggregatingTracer(fleet),
+        **options,
+    )
 
-    old_router: ShardRouter
-    new_router: ShardRouter
-    overrides: set = field(default_factory=set)
-    copied: set = field(default_factory=set)
+
+_WORKER_DIR = re.compile(r"shard-\d{2,}")
 
 
-class FleetGateway:
-    """The routing tier over a fleet of shard *processes*.
+def fold_worker_logs(state_dir: str | Path, backend: PreBackend) -> None:
+    """Fold an older fleet's per-worker logs into the router's ``keys.log``.
 
-    Exposes the in-process gateway's typed operations (grant / revoke /
-    reencrypt / reencrypt_batch / fetch / resize plus the observability
-    surface), so :class:`~repro.service.wire.AsyncGatewayServer` hosts it
-    unchanged and :class:`~repro.service.wire.client.RemoteGateway`
-    clients cannot tell it from a single process.  Each operation routes
-    on the same (delegator domain, delegator, type) triple the
-    in-process router uses, then crosses the wire to the owning shard
-    process with the caller's trace context in ``X-Repro-Trace``.
-
-    Resize migrates keys **without stopping traffic**: reads keep
-    routing on the current ring the whole time, writes are dual-applied
-    to both ring generations, and keys stream old-owner → new-owner in
-    two sweeps (copy, then swap, then cleanup-and-revoke).  A request
-    that races the swap is correct in either order because the key
-    exists at both homes between its copy and its cleanup.
+    Fleets used to give every worker its own log,
+    ``<state_dir>/shard-NN/keys.log``.  Each such log's live keys are
+    installed into ``<state_dir>/keys.log``, then the log is deleted
+    (and its directory, once empty).  Installing a key twice is
+    idempotent, so the next open finishes a fold a crash stopped.
     """
-
-    def __init__(
-        self,
-        fleet,
-        store=None,
-        event_log: EventLog | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        telemetry: bool = True,
-        migration_chunk_size: int = 64,
-    ):
-        if migration_chunk_size < 1:
-            raise ValueError("migration_chunk_size must be positive")
-        self.fleet = fleet
-        self.backend: PreBackend = fleet.backend
-        self.store = store
-        self.clock = clock
-        self.migration_chunk_size = migration_chunk_size
-        # Wire-call accounting of the most recent resize migration:
-        # {"export_calls", "grant_calls", "grant_keys", "revoke_calls"}.
-        self.last_migration_stats: dict[str, int] | None = None
-        self.metrics = GatewayMetrics(clock=clock)
-        self.events = event_log if event_log is not None else EventLog()
-        self.tracer: Tracer | None = (
-            _AggregatingTracer(self._live_clients) if telemetry else None
-        )
-        self._span = untraced_span if self.tracer is None else self.tracer.span
-        names = fleet.names
-        if not names:
-            raise ValueError("fleet has no shards")
-        self._router = ShardRouter(names)
-        self._resize_lock = threading.Lock()
-        self._migration_mutex = threading.Lock()
-        self._migration: _Migration | None = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=8, thread_name_prefix="fleet-gw"
-        )
-
-    # ------------------------------------------------------------- internals
-
-    def _live_clients(self) -> list[RemoteGateway]:
-        clients = []
-        for name in self._router.shards:
+    logs = [
+        path
+        for path in sorted(Path(state_dir).glob("shard-*/" + KEY_LOG))
+        if _WORKER_DIR.fullmatch(path.parent.name)
+    ]
+    if not logs:
+        return
+    table = open_key_log(state_dir, backend)
+    try:
+        for path in logs:
+            worker_log = DurableProxyKeyTable(path, backend)
+            for key in list(worker_log):
+                table.install(key)
+            worker_log.delete()
             try:
-                clients.append(self.fleet.client(name))
-            except GatewayError:
-                continue
-        return clients
-
-    def _owner(self, delegator_domain: str, delegator: str, type_label: str) -> str:
-        return self._router.shard_for(delegator_domain, delegator, type_label)
-
-    def _shard_call(self, op: str, name: str, call, trace: TraceContext | None):
-        """One wire round trip to a shard, traced and failure-accounted.
-
-        ``call(client, trace)`` does the actual client call.  Transport
-        failures become a routing-tier ``wire-transport`` error (HTTP
-        503 for hosted deployments) and wake the supervisor's background
-        revival — the taxonomy never hangs or leaks a stack trace.
-        """
-        with self._span(trace, "shard-call", {"op": op, "shard": name}) as span:
-            try:
-                client = self.fleet.client(name)
-                return call(client, span.context if span is not None else None)
-            except WireTransportError as error:
-                self.metrics.observe_rejection(
-                    op=op, code=WireTransportError.code
-                )
-                self.events.emit(
-                    "shard-unreachable", shard=name, op=op, error=str(error)
-                )
-                self.fleet.note_failure(name)
-                raise WireTransportError(
-                    "shard %s unreachable during %s: %s" % (name, op, error)
-                ) from error
-
-    def _write_targets(self, domain: str, delegator: str, type_label: str) -> list[str]:
-        """Owners a write must reach: both ring generations mid-resize.
-
-        Caller holds ``_migration_mutex``.
-        """
-        migration = self._migration
-        if migration is None:
-            return [self._owner(domain, delegator, type_label)]
-        owners = [
-            migration.old_router.shard_for(domain, delegator, type_label),
-            migration.new_router.shard_for(domain, delegator, type_label),
-        ]
-        return list(dict.fromkeys(owners))
-
-    # ------------------------------------------------------------ operations
-
-    def _write(self, op: str, index: KeyIndex, do_call, trace) -> list:
-        """Run a write (grant/revoke) under the resize discipline.
-
-        Fast path: no resize in flight — one owner, no serialization.
-        Mid-resize the whole write (targets, override record, wire
-        calls) runs under the migration mutex, so it cannot interleave
-        with the copy/cleanup sweeps' check-then-copy of the same key.
-        A resize *starting* during a fast-path call is caught by the
-        post-call recheck, which re-applies the write under the
-        migration discipline (both ops are idempotent per shard), so a
-        copied key can never resurrect a racing revoke.  Returns the
-        ``(shard, response)`` pairs of the applied calls.
-        """
-        domain, delegator, _dd, _de, type_label = index
-        applied: list = []
-        with self._migration_mutex:
-            migrating = self._migration is not None
-            if not migrating:
-                name = self._owner(domain, delegator, type_label)
-        if not migrating:
-            applied.append((name, self._shard_call(op, name, do_call, trace)))
-            with self._migration_mutex:
-                if self._migration is None:
-                    return applied
-            # A resize began while the call was in flight; fall through
-            # and re-apply to both ring generations (idempotent per
-            # shard), keeping the fast-path outcome in ``applied``.
-        with self._migration_mutex:
-            targets = self._write_targets(domain, delegator, type_label)
-            if self._migration is not None:
-                self._migration.overrides.add(index)
-            applied.extend(
-                (name, self._shard_call(op, name, do_call, trace))
-                for name in targets
-            )
-        return applied
-
-    def grant(
-        self, request: GrantRequest, trace: TraceContext | None = None
-    ) -> GrantResponse:
-        key = request.proxy_key
-        applied = self._write(
-            "grant",
-            ProxyKeyTable.index_of(key),
-            lambda client, t: client.grant(request, trace=t),
-            trace,
-        )
-        # Workers name their single internal shard "shard-00"; report the
-        # fleet-level worker name instead, which is what callers route on.
-        return GrantResponse(shard=applied[-1][0])
-
-    def revoke(
-        self, request: RevokeRequest, trace: TraceContext | None = None
-    ) -> RevokeResponse:
-        index: KeyIndex = (
-            request.delegator_domain,
-            request.delegator,
-            request.delegatee_domain,
-            request.delegatee,
-            request.type_label,
-        )
-        applied = self._write(
-            "revoke",
-            index,
-            lambda client, t: client.revoke(request, trace=t),
-            trace,
-        )
-        removed = any(response.removed for _, response in applied)
-        shard = next(
-            (name for name, response in applied if response.removed),
-            applied[-1][0],
-        )
-        return RevokeResponse(shard=shard, removed=removed)
-
-    def reencrypt(
-        self, request: ReEncryptRequest, trace: TraceContext | None = None
-    ) -> ReEncryptResponse:
-        ciphertext = request.ciphertext
-        route = (ciphertext.domain, ciphertext.identity, ciphertext.type_label)
-        name = self._owner(*route)
-        try:
-            response = self._shard_call(
-                "reencrypt",
-                name,
-                lambda client, t: client.reencrypt(request, trace=t),
-                trace,
-            )
-        except DelegationNotFoundError:
-            # A resize swap can land between our owner lookup and the wire
-            # call; if the cleanup sweep already revoked the stale copy the
-            # old owner answers no-delegation.  Re-resolve on the current
-            # ring and retry once — a genuinely missing delegation resolves
-            # to the same owner and re-raises.
-            current = self._owner(*route)
-            if current == name:
-                raise
-            name = current
-            response = self._shard_call(
-                "reencrypt",
-                name,
-                lambda client, t: client.reencrypt(request, trace=t),
-                trace,
-            )
-        return replace(response, shard=name)
-
-    def reencrypt_batch(
-        self,
-        requests: Sequence[ReEncryptRequest],
-        trace: TraceContext | None = None,
-    ) -> list[ReEncryptResponse]:
-        """Fan the batch out to owning shard processes; order preserved.
-
-        Each shard receives one wire batch with its items; shards work
-        concurrently and the responses are reassembled by submission
-        position.  The single-owner case stays one round trip.
-        """
-        if not requests:
-            raise InvalidRequestError("empty batch")
-        by_shard: dict[str, list[int]] = {}
-        for position, request in enumerate(requests):
-            ciphertext = request.ciphertext
-            name = self._owner(
-                ciphertext.domain, ciphertext.identity, ciphertext.type_label
-            )
-            by_shard.setdefault(name, []).append(position)
-
-        def shard_batch(name: str, positions: list[int]) -> list[ReEncryptResponse]:
-            subset = [requests[position] for position in positions]
-            try:
-                responses = self._shard_call(
-                    "reencrypt-batch",
-                    name,
-                    lambda client, t: client.reencrypt_batch(subset, trace=t),
-                    trace,
-                )
-            except DelegationNotFoundError:
-                # Stale routing during a resize swap (see reencrypt): fall
-                # back to per-item routing on the current ring, which
-                # re-raises for any delegation that truly does not exist.
-                return [self.reencrypt(request, trace) for request in subset]
-            return [replace(response, shard=name) for response in responses]
-
-        if len(by_shard) == 1:
-            ((name, positions),) = by_shard.items()
-            return shard_batch(name, positions)
-        with self._span(trace, "batch-fanout", {"shards": len(by_shard)}):
-            futures = {
-                name: self._executor.submit(copy_context().run, shard_batch, name, positions)
-                for name, positions in by_shard.items()
-            }
-            results: list[ReEncryptResponse | None] = [None] * len(requests)
-            first_error: BaseException | None = None
-            for name, positions in by_shard.items():
-                try:
-                    responses = futures[name].result()
-                except BaseException as error:  # noqa: BLE001 - re-raised below
-                    if first_error is None:
-                        first_error = error
-                    continue
-                for position, response in zip(positions, responses):
-                    results[position] = response
-            if first_error is not None:
-                raise first_error
-        return results  # type: ignore[return-value]
-
-    def fetch(
-        self, request: FetchRequest, trace: TraceContext | None = None
-    ) -> FetchResponse:
-        """Serve reads from the routing tier's own PHR store.
-
-        Ciphertext blobs are not sharded (only proxy-key state is), so
-        fetch never crosses to a shard process.
-        """
-        from repro.phr.stored import EntryNotFoundError
-        from repro.service.gateway import EntryMissingError
-
-        if self.store is None:
-            self.metrics.observe_rejection(
-                op="fetch", tenant=request.tenant, code=StoreUnavailableError.code
-            )
-            raise StoreUnavailableError("fleet gateway has no PHR store attached")
-        start = self.clock()
-        try:
-            with self._span(trace, "store-read", {"patient": request.patient}):
-                if request.entry_id is not None:
-                    records = (self.store.get(request.patient, request.entry_id),)
-                else:
-                    records = tuple(
-                        self.store.entries_for(request.patient, request.category)
-                    )
-        except EntryNotFoundError as error:
-            self.metrics.observe_rejection(
-                op="fetch", tenant=request.tenant, code=EntryMissingError.code
-            )
-            raise EntryMissingError(str(error)) from error
-        self.metrics.observe(
-            "fetch", (self.clock() - start) * 1000, tenant=request.tenant
-        )
-        return FetchResponse(records=records)
-
-    # ------------------------------------------------------------- elasticity
-
-    def resize(
-        self,
-        shard_count: int,
-        tenant: str = "admin",
-        trace: TraceContext | None = None,
-    ) -> ResizeReport:
-        """Re-shard the process fleet while traffic continues.
-
-        Four steps, none of which stops reads:
-
-        1. **Start** the added worker processes (empty state dirs).
-        2. **Copy**: every misplaced key streams from its old owner to
-           its new one.  From this point until the end, writes
-           dual-apply to both ring generations and are skipped by the
-           sweeps (``overrides``).
-        3. **Swap** the router — new requests route on the new ring,
-           which owns every copied key.
-        4. **Cleanup**: re-enumerate the old owners, re-home any key
-           the copy sweep missed (installed concurrently with step 2's
-           enumeration), then revoke the stale copies and retire the
-           removed worker processes (deleting their state dirs).
-
-        Keys exist at *both* homes between copy and cleanup, so a
-        request racing the swap finds its key on whichever ring it
-        routed with; install-before-revoke means a crash mid-resize
-        loses nothing that a restart-time re-home cannot repair.
-        """
-        if shard_count < 1:
-            raise InvalidRequestError("shard_count must be positive")
-        with self._resize_lock:
-            self.last_migration_stats = {
-                "export_calls": 0,
-                "grant_calls": 0,
-                "grant_keys": 0,
-                "revoke_calls": 0,
-            }
-            start = self.clock()
-            old_names = self._router.shards
-            new_names = ["shard-%02d" % i for i in range(shard_count)]
-            added = tuple(name for name in new_names if name not in old_names)
-            removed = tuple(name for name in old_names if name not in new_names)
-            new_router = ShardRouter(new_names)
-            with self._span(
-                trace, "fleet-resize", {"old": len(old_names), "new": shard_count}
-            ):
-                self.fleet.ensure_started(added)
-                migration = _Migration(old_router=self._router, new_router=new_router)
-                with self._migration_mutex:
-                    self._migration = migration
-                moved = 0
-                try:
-                    moved += self._copy_sweep(migration, old_names, tenant, trace)
-                    with self._migration_mutex:
-                        self._router = new_router
-                    moved += self._cleanup_sweep(migration, old_names, tenant, trace)
-                finally:
-                    with self._migration_mutex:
-                        self._migration = None
-            self.fleet.retire(removed)
-            elapsed_ms = (self.clock() - start) * 1000
-            self.metrics.observe("resize", elapsed_ms, tenant=tenant)
-            self.metrics.observe_resize(moved)
-            self.events.emit(
-                "fleet-resized",
-                old=len(old_names),
-                new=shard_count,
-                moved=moved,
-                added=list(added),
-                removed=list(removed),
-            )
-            return ResizeReport(
-                old_shard_count=len(old_names),
-                new_shard_count=shard_count,
-                keys_moved=moved,
-                shards_added=added,
-                shards_removed=removed,
-                elapsed_ms=elapsed_ms,
-            )
-
-    def _misplaced(self, name: str, migration: _Migration, trace) -> list[ProxyKey]:
-        """Keys on shard ``name`` that the new ring homes elsewhere."""
-        keys = self._shard_call(
-            "export", name, lambda client, t: client.list_keys(trace=t), trace
-        )
-        stats = self.last_migration_stats
-        if stats is not None:
-            stats["export_calls"] += 1
-        misplaced = []
-        for key in keys:
-            owner = migration.new_router.shard_for(
-                key.delegator_domain, key.delegator, key.type_label
-            )
-            if owner != name:
-                misplaced.append(key)
-        return misplaced
-
-    def _by_new_owner(
-        self, migration: _Migration, keys: list[ProxyKey]
-    ) -> dict[str, list[ProxyKey]]:
-        """Group misplaced keys by the shard the new ring homes them on."""
-        grouped: dict[str, list[ProxyKey]] = {}
-        for key in keys:
-            owner = migration.new_router.shard_for(
-                key.delegator_domain, key.delegator, key.type_label
-            )
-            grouped.setdefault(owner, []).append(key)
-        return grouped
-
-    def _grant_chunk(self, owner: str, keys: list[ProxyKey], tenant: str, trace):
-        """Install a chunk of re-homed keys with one wire round trip."""
-        self._shard_call(
-            "grant",
-            owner,
-            lambda client, t, keys=keys: client.grant_batch(
-                [GrantRequest(tenant=tenant, proxy_key=key) for key in keys],
-                trace=t,
-            ),
-            trace,
-        )
-        stats = self.last_migration_stats
-        if stats is not None:
-            stats["grant_calls"] += 1
-            stats["grant_keys"] += len(keys)
-
-    def _copy_sweep(
-        self, migration: _Migration, old_names: list[str], tenant: str, trace
-    ) -> int:
-        moved = 0
-        chunk_size = self.migration_chunk_size
-        for name in old_names:
-            grouped = self._by_new_owner(
-                migration, self._misplaced(name, migration, trace)
-            )
-            for owner, keys in grouped.items():
-                for at in range(0, len(keys), chunk_size):
-                    with self._migration_mutex:
-                        chunk = []
-                        for key in keys[at : at + chunk_size]:
-                            index = ProxyKeyTable.index_of(key)
-                            if index in migration.overrides:
-                                # A live write already placed the latest truth.
-                                continue
-                            migration.copied.add(index)
-                            chunk.append(key)
-                        if chunk:
-                            self._grant_chunk(owner, chunk, tenant, trace)
-                            moved += len(chunk)
-        return moved
-
-    def _cleanup_sweep(
-        self, migration: _Migration, old_names: list[str], tenant: str, trace
-    ) -> int:
-        moved = 0
-        chunk_size = self.migration_chunk_size
-        for name in old_names:
-            grouped = self._by_new_owner(
-                migration, self._misplaced(name, migration, trace)
-            )
-            for owner, keys in grouped.items():
-                for at in range(0, len(keys), chunk_size):
-                    with self._migration_mutex:
-                        chunk = []
-                        revokes = []
-                        for key in keys[at : at + chunk_size]:
-                            index = ProxyKeyTable.index_of(key)
-                            if index in migration.overrides:
-                                # The live write already reached both
-                                # generations (a dual-applied revoke must
-                                # stay revoked).
-                                continue
-                            if index not in migration.copied:
-                                # Landed on the old owner after the copy
-                                # sweep's enumeration passed it: re-home
-                                # before revoking.
-                                migration.copied.add(index)
-                                chunk.append(key)
-                            revokes.append(index)
-                        if chunk:
-                            self._grant_chunk(owner, chunk, tenant, trace)
-                            moved += len(chunk)
-                        for index in revokes:
-                            self._shard_call(
-                                "revoke",
-                                name,
-                                lambda client, t, index=index: client.revoke(
-                                    RevokeRequest(
-                                        tenant=tenant,
-                                        delegator_domain=index[0],
-                                        delegator=index[1],
-                                        delegatee_domain=index[2],
-                                        delegatee=index[3],
-                                        type_label=index[4],
-                                    ),
-                                    trace=t,
-                                ),
-                                trace,
-                            )
-                            stats = self.last_migration_stats
-                            if stats is not None:
-                                stats["revoke_calls"] += 1
-        return moved
-
-    # ---------------------------------------------------------- observability
-
-    @property
-    def shard_names(self) -> list[str]:
-        return self._router.shards
-
-    def key_count(self) -> int:
-        return sum(self.shard_key_counts().values())
-
-    def shard_key_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for name in self._router.shards:
-            counts[name] = len(
-                self._shard_call(
-                    "export", name, lambda client, t: client.list_keys(), None
-                )
-            )
-        return counts
-
-    def list_keys(self) -> list[ProxyKey]:
-        keys: list[ProxyKey] = []
-        for name in self._router.shards:
-            keys.extend(
-                self._shard_call(
-                    "export", name, lambda client, t: client.list_keys(), None
-                )
-            )
-        return keys
-
-    def snapshot(self) -> MetricsSnapshot:
-        """One fleet-wide view: every live shard's snapshot plus our own.
-
-        The routing tier's local metrics only count what shards cannot
-        see (fetches served from the router's store, transport
-        failures), so the merge never double-counts an operation.
-        """
-        parts: dict[str, MetricsSnapshot] = {}
-        for name in self._router.shards:
-            try:
-                parts[name] = self.fleet.client(name).snapshot()
-            except GatewayError as error:
-                self.events.emit(
-                    "shard-snapshot-failed", shard=name, error=str(error)
-                )
-                self.fleet.note_failure(name)
-        parts["router"] = self.metrics.snapshot()
-        return merge_snapshots(parts)
-
-    def close(self) -> None:
-        self._executor.shutdown(wait=False)
-        self.fleet.close()
-
-    def __enter__(self) -> "FleetGateway":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+                path.parent.rmdir()
+            except OSError:  # not empty: leave what else it holds
+                pass
+    finally:
+        table.close()

@@ -35,6 +35,11 @@ decoded once.  A request off the wire arrives as an
 decompressed only on a miss, before admission and any crypto; a hit
 answers with the cached bytes as an :class:`~repro.core.api.Encoded` the
 codec writes back without serializing.
+
+Shards may live in other processes: a shard whose ``forwards`` is set (a
+fleet's :class:`~repro.service.fleet.RemoteShard`) sends the resolved
+key and the request's bytes to a worker, and the gateway then decodes
+no request ciphertext and no answer at all.
 """
 
 from __future__ import annotations
@@ -331,7 +336,7 @@ class ReEncryptionGateway:
       log, ``<state_dir>/keys.log``.  Opening a state dir folds the
       per-shard logs of the older layout (``shard-NN.log``) into it.
     * :meth:`resize` swaps the router and the lock set; no key moves and
-      nothing is written.
+      nothing is written.  A shard a resize removes is retired.
     """
 
     # The paper's raw scheme (historical spelling) or any registered
@@ -347,9 +352,9 @@ class ReEncryptionGateway:
     clock: Callable[[], float] = time.monotonic
     state_dir: str | Path | None = None  # None = in-memory key table
     fsync: bool = False  # fsync every durable append (slow, strongest)
-    # Custom shard construction, e.g. a benchmark modelling remote-shard
-    # latency; receives (name, the gateway's key table), and the shard it
-    # returns must keep its keys in that table.
+    # Custom shard construction, e.g. a fleet's remote shards or a
+    # benchmark modelling their latency; receives (name, the gateway's key
+    # table), and the shard it returns must keep its keys in that table.
     shard_factory: Callable[[str, ProxyKeyTable], ProxyService] | None = None
     # Telemetry (PR 6): ``telemetry=False`` disables span recording and
     # event emission entirely (the bench_e14 baseline); otherwise a
@@ -364,6 +369,8 @@ class ReEncryptionGateway:
     # limiter for that tenant; False falls through to it.
     policy: object | None = None
     backend: PreBackend = field(init=False, repr=False)
+    # Whether the shards send their transformations to other processes.
+    forwards: bool = field(init=False)
     _table: ProxyKeyTable = field(init=False, repr=False)
     _shards: dict[str, ProxyService] = field(init=False)
     _router: ShardRouter = field(init=False)
@@ -396,6 +403,7 @@ class ReEncryptionGateway:
             else open_key_log(self.state_dir, self.backend, fsync=self.fsync)
         )
         self._shards = {name: self._make_shard(name) for name in names}
+        self.forwards = any(shard.forwards for shard in self._shards.values())
         self._result_cache = LruCache(self.result_cache_size, name="result_cache")
         self._audit = deque(maxlen=self.max_audit_entries)
         self._audit_lock = threading.Lock()
@@ -607,8 +615,12 @@ class ReEncryptionGateway:
         return key
 
     def _decoded(self, ciphertext, op: str, tenant: str, trace: TraceContext | None):
-        """The request's ciphertext decoded; bytes that do not decode are refused."""
-        if not isinstance(ciphertext, Encoded):
+        """The request's ciphertext decoded; bytes that do not decode are refused.
+
+        Forwarding shards send the bytes on as they are, so a forwarding
+        gateway decodes nothing: its shard's worker refuses bad bytes.
+        """
+        if self.forwards or not isinstance(ciphertext, Encoded):
             return ciphertext
         try:
             return ciphertext.element
@@ -619,6 +631,20 @@ class ReEncryptionGateway:
 
     def _encoded_result(self, blob: bytes, result=None) -> Encoded:
         return Encoded(blob, self.backend.deserialize_reencrypted, result)
+
+    def _cache_result(self, blob: bytes, index: KeyIndex, result) -> Encoded:
+        """File a transformation's bytes in the result cache; returns it encoded.
+
+        A forwarding shard's answer already is an encoded view.
+        """
+        if not isinstance(result, Encoded):
+            result = self._encoded_result(self.backend.serialize_reencrypted(result), result)
+        self._result_cache.put(blob, result.blob, group=index)
+        return result
+
+    def _shard_trace(self, span) -> TraceContext | None:
+        """The trace context a forwarding shard sends on (None in process)."""
+        return span.context if span is not None and self.forwards else None
 
     # ------------------------------------------------------------ operations
 
@@ -765,18 +791,21 @@ class ReEncryptionGateway:
                         "reencrypt", request.tenant, DelegationNotFoundError, str(error), trace
                     ) from error
                 try:
-                    result = shard.reencrypt_with_key(ciphertext, key)
+                    result = shard.reencrypt_with_key(
+                        ciphertext, key, trace=self._shard_trace(span)
+                    )
                 except PointOrderError as error:
                     # Grants are not subgroup-checked, so a key whose point
                     # is on the curve but outside G1 fails on first use.
                     raise self._rejection(
                         "reencrypt", request.tenant, InvalidRequestError, str(error), trace
                     ) from error
+                except GatewayError as error:  # a forwarding shard's refusal
+                    raise self._rejection(
+                        "reencrypt", request.tenant, type(error), str(error), trace
+                    ) from error
                 if blob is not None:
-                    result = self._encoded_result(
-                        self.backend.serialize_reencrypted(result), result
-                    )
-                    self._result_cache.put(blob, result.blob, group=index)
+                    result = self._cache_result(blob, index, result)
         latency_ms = (self.clock() - start) * 1000
         self.metrics.observe("reencrypt", latency_ms, shard_name, tenant=request.tenant)
         self._record_audit(
@@ -856,7 +885,7 @@ class ReEncryptionGateway:
         hit_flags = [False] * len(items)
         shard_names = [""] * len(items)
 
-        def transform_group(group) -> None:
+        def transform_group(group, shard_trace) -> None:
             with self._owned_shard(
                 group.group_key[0],
                 group.group_key[1],
@@ -899,7 +928,9 @@ class ReEncryptionGateway:
                 # backend amortises the pairing precomputation across
                 # every ciphertext sharing this proxy key.
                 try:
-                    transformed = shard.reencrypt_many_with_key(miss_ciphertexts, key)
+                    transformed = shard.reencrypt_many_with_key(
+                        miss_ciphertexts, key, trace=shard_trace
+                    )
                 except Exception:  # noqa: BLE001 - replayed for attribution
                     # The batch failed as a unit; replay item-by-item so
                     # the error is pinned to a position (the ops are
@@ -908,17 +939,14 @@ class ReEncryptionGateway:
                     transformed = []
                     for position, ciphertext in zip(miss_positions, miss_ciphertexts):
                         try:
-                            transformed.append(shard.reencrypt_with_key(ciphertext, key))
+                            transformed.append(
+                                shard.reencrypt_with_key(ciphertext, key, trace=shard_trace)
+                            )
                         except Exception as error:  # noqa: BLE001 - rewrapped
                             raise BatchItemError(position, error) from error
                 for position, result in zip(miss_positions, transformed):
                     if blobs is not None:
-                        result = self._encoded_result(
-                            self.backend.serialize_reencrypted(result), result
-                        )
-                        self._result_cache.put(
-                            blobs[position], result.blob, group=group.group_key
-                        )
+                        result = self._cache_result(blobs[position], group.group_key, result)
                     results[position] = result
                 for position, miss_index in duplicates:
                     results[position] = results[miss_positions[miss_index]]
@@ -926,15 +954,18 @@ class ReEncryptionGateway:
         try:
             with self._span(trace, "delegation-check", {"groups": len(groups)}):
                 ReEncryptBatcher.resolve_all(groups, self._resolve_key)
-            with self._span(trace, "shard-crypto", {"groups": len(groups)}):
+            with self._span(trace, "shard-crypto", {"groups": len(groups)}) as span:
+                shard_trace = self._shard_trace(span)
                 for group in groups:
-                    transform_group(group)
+                    transform_group(group, shard_trace)
         except BatchItemError as error:
             error_class = GatewayError
             if isinstance(error.cause, NoProxyKeyError):
                 error_class = DelegationNotFoundError
             elif isinstance(error.cause, PointOrderError):
                 error_class = InvalidRequestError
+            elif isinstance(error.cause, GatewayError):  # a forwarding shard's refusal
+                error_class = type(error.cause)
             raise self._rejection(
                 "reencrypt-batch",
                 requests[error.position].tenant,
@@ -1017,7 +1048,9 @@ class ReEncryptionGateway:
 
         Every shard shares the one key table, so a resize swaps the router
         and the lock set while holding every shard lock (concurrent
-        requests queue on them) and writes nothing.  ``keys_moved``
+        requests queue on them) and writes nothing.  Added shards are
+        built by the shard factory and removed ones retired, so a fleet
+        starts or stops its worker processes here.  ``keys_moved``
         counts the keys whose owning shard differs between the two
         routers: consistent hashing keeps that to about a ``1/(n+1)``
         share when growing by one shard.
@@ -1040,7 +1073,7 @@ class ReEncryptionGateway:
             for name in added:
                 self._shards[name] = self._make_shard(name)
             for name in removed:
-                del self._shards[name]
+                self._shards.pop(name).retire()
             self._router = new_router
             self._pool.set_shards(new_names)
             self.shard_count = shard_count
@@ -1092,8 +1125,7 @@ class ReEncryptionGateway:
         """Every installed proxy key, in shard order, then grant order.
 
         This is the wire export body.  Lock-free: a concurrent grant or
-        revoke may or may not be reflected.  The fleet tier streams these
-        during resize migration.
+        revoke may or may not be reflected.
         """
         router = self._router
         by_shard: dict[str, list[ProxyKey]] = {name: [] for name in sorted(router.shards)}

@@ -22,13 +22,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.service.cache import CacheStats
-from repro.service.telemetry import Histogram, HistogramSnapshot, merge_histogram_snapshots
+from repro.service.telemetry import Histogram, HistogramSnapshot
 
 __all__ = [
     "LatencySummary",
     "MetricsSnapshot",
     "GatewayMetrics",
-    "merge_snapshots",
     "WireServerStats",
     "WireStatsSnapshot",
 ]
@@ -133,75 +132,6 @@ class MetricsSnapshot:
                 ]
             )
         return rows
-
-
-def merge_snapshots(parts: dict[str, MetricsSnapshot]) -> MetricsSnapshot:
-    """Aggregate per-process snapshots into one fleet-wide view.
-
-    ``parts`` maps a label (a shard process name, or ``"router"`` for the
-    routing tier's local metrics) to that process's snapshot.  Counters,
-    outcome maps and resize totals sum; ``elapsed_s`` is the max (the
-    longest-lived process defines fleet uptime); ``shard_requests`` is
-    re-labelled so each *process* becomes one shard entry, keeping
-    per-process balance visible after the merge; cache stats are
-    prefixed with their process label.  Latency histograms merge
-    bucket-wise per operation — a part whose bounds differ from the
-    first seen for that op is skipped (mixed-version fleets), never
-    mis-added.
-    """
-    requests_total = served = rejected = rate_limited = 0
-    resizes = keys_migrated = 0
-    elapsed_s = 0.0
-    shard_requests: dict[str, int] = {}
-    caches: dict[str, CacheStats] = {}
-    histogram_parts: dict[str, list[HistogramSnapshot]] = {}
-    queue_parts: dict[str, list[HistogramSnapshot]] = {}
-    outcomes: Counter = Counter()
-    tenant_outcomes: Counter = Counter()
-    auth_failures: Counter = Counter()
-    for label in sorted(parts):
-        part = parts[label]
-        requests_total += part.requests_total
-        served += part.served
-        rejected += part.rejected
-        rate_limited += part.rate_limited
-        resizes += part.resizes
-        keys_migrated += part.keys_migrated
-        elapsed_s = max(elapsed_s, part.elapsed_s)
-        shard_requests[label] = sum(part.shard_requests.values()) or part.served
-        for name, stats in part.caches.items():
-            caches["%s/%s" % (label, name)] = stats
-        for kind, histogram in part.histograms.items():
-            histogram_parts.setdefault(kind, []).append(histogram)
-        for tenant, histogram in part.tenant_queue_ms.items():
-            queue_parts.setdefault(tenant, []).append(histogram)
-        outcomes.update(part.outcomes)
-        tenant_outcomes.update(part.tenant_outcomes)
-        auth_failures.update(part.auth_failures)
-    histograms: dict[str, HistogramSnapshot] = {}
-    for kind, group in histogram_parts.items():
-        mergeable = [h for h in group if h.bounds == group[0].bounds]
-        histograms[kind] = merge_histogram_snapshots(mergeable)
-    tenant_queue_ms: dict[str, HistogramSnapshot] = {}
-    for tenant, group in queue_parts.items():
-        mergeable = [h for h in group if h.bounds == group[0].bounds]
-        tenant_queue_ms[tenant] = merge_histogram_snapshots(mergeable)
-    return MetricsSnapshot(
-        requests_total=requests_total,
-        served=served,
-        rejected=rejected,
-        rate_limited=rate_limited,
-        elapsed_s=elapsed_s,
-        shard_requests=shard_requests,
-        caches=caches,
-        resizes=resizes,
-        keys_migrated=keys_migrated,
-        histograms=histograms,
-        outcomes=dict(outcomes),
-        tenant_outcomes=dict(tenant_outcomes),
-        tenant_queue_ms=tenant_queue_ms,
-        auth_failures=dict(auth_failures),
-    )
 
 
 @dataclass

@@ -62,7 +62,6 @@ __all__ = [
     "Tracer",
     "Histogram",
     "HistogramSnapshot",
-    "merge_histogram_snapshots",
     "DEFAULT_LATENCY_BUCKETS_MS",
     "EventLog",
     "jsonl_sink",
@@ -555,41 +554,6 @@ class Histogram:
                 sum=self._sum,
                 max_value=self._max,
             )
-
-
-def merge_histogram_snapshots(
-    snapshots: "list[HistogramSnapshot]",
-) -> HistogramSnapshot:
-    """Sum histograms observed independently (one per shard process).
-
-    All inputs must share the same bucket bounds — counts add
-    bucket-wise, count/sum add, max takes the max, so the merged
-    snapshot is exactly what one histogram would have recorded had every
-    process observed into it.  Raises ``ValueError`` on mismatched
-    bounds (callers decide whether to skip or fail).
-    """
-    if not snapshots:
-        raise ValueError("nothing to merge")
-    first = snapshots[0]
-    counts = [0] * (len(first.bounds) + 1)
-    total = 0
-    total_sum = 0.0
-    max_value = 0.0
-    for snapshot in snapshots:
-        if snapshot.bounds != first.bounds:
-            raise ValueError("histogram bounds differ; cannot merge")
-        for i, bucket_count in enumerate(snapshot.counts):
-            counts[i] += bucket_count
-        total += snapshot.count
-        total_sum += snapshot.sum
-        max_value = max(max_value, snapshot.max_value)
-    return HistogramSnapshot(
-        bounds=first.bounds,
-        counts=tuple(counts),
-        count=total,
-        sum=total_sum,
-        max_value=max_value,
-    )
 
 
 # ------------------------------------------------------------------- events

@@ -93,6 +93,8 @@ from repro.service.wire.codec import (
     ReEncryptBatchRequest,
     ReEncryptBatchResponse,
     ResizeRequest,
+    TransformRequest,
+    TransformResponse,
     from_wire,
     to_wire,
 )
@@ -558,11 +560,7 @@ class RemoteGateway:
         requests: Sequence[GrantRequest],
         trace: TraceContext | None = None,
     ) -> list[GrantResponse]:
-        """Install many proxy keys in one wire round-trip.
-
-        The fleet's resize migration ships each chunk of re-homed keys
-        this way instead of paying one HTTP request per key.
-        """
+        """Install many proxy keys in one wire round-trip."""
         message = GrantBatchRequest(requests=tuple(requests))
         response = self._call(
             "POST", "grant", message, GrantBatchResponse, trace=trace
@@ -624,16 +622,19 @@ class RemoteGateway:
     def list_keys(
         self, tenant: str = "admin", trace: TraceContext | None = None
     ) -> list:
-        """Every proxy key the remote gateway holds (all shards).
-
-        The fleet's routing tier uses this during resize migration to
-        enumerate a shard process's keys over the wire.
-        """
+        """Every proxy key the remote gateway holds (all shards)."""
         message = KeyExportRequest(tenant=tenant)
         response = self._call(
             "POST", "export", message, KeyExportResponse, trace=trace
         )
         return list(response.keys)
+
+    def transform(
+        self, request: TransformRequest, trace: TraceContext | None = None
+    ) -> TransformResponse:
+        """A fleet router's call to one of its workers (see
+        :class:`~repro.service.fleet.TransformWorker`)."""
+        return self._call("POST", "transform", request, TransformResponse, trace=trace)
 
     # --------------------------------------------------------- observability
 

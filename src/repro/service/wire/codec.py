@@ -111,6 +111,8 @@ __all__ = [
     "ResizeRequest",
     "KeyExportRequest",
     "KeyExportResponse",
+    "TransformRequest",
+    "TransformResponse",
     "to_wire",
     "from_wire",
     "ParsedBody",
@@ -158,11 +160,7 @@ ERROR_TYPES: dict[str, type] = {
 
 @dataclass(frozen=True)
 class GrantBatchRequest:
-    """A sequence of :class:`GrantRequest` shipped as one message.
-
-    The fleet resize migration re-homes whole chunks of proxy keys at
-    once with this instead of paying one HTTP round-trip per key.
-    """
+    """A sequence of :class:`GrantRequest` shipped as one message."""
 
     requests: tuple[GrantRequest, ...]
 
@@ -203,9 +201,7 @@ class ResizeRequest:
 class KeyExportRequest:
     """Admin request: enumerate every installed proxy key.
 
-    The fleet tier's resize migration streams keys off a shard process
-    with this; it is a read (replayable) and deliberately carries no
-    filter — consistent-hash ownership is the caller's business.
+    A read (replayable) that deliberately carries no filter.
     """
 
     tenant: str
@@ -214,6 +210,25 @@ class KeyExportRequest:
 @dataclass(frozen=True)
 class KeyExportResponse:
     keys: tuple[ProxyKey, ...]  # or the scheme's own proxy key envelopes
+
+
+@dataclass(frozen=True)
+class TransformRequest:
+    """A fleet router's call to a worker: transform ``ciphertexts`` under
+    one proxy key, given as its container bytes.
+
+    The router has already checked the delegation; a worker holds no key
+    table and only runs the transformation.
+    """
+
+    tenant: str
+    proxy_key: bytes
+    ciphertexts: tuple[TypedCiphertext, ...]
+
+
+@dataclass(frozen=True)
+class TransformResponse:
+    ciphertexts: tuple[ReEncryptedCiphertext, ...]  # in request order
 
 
 # --------------------------------------------------------- scheme documents
@@ -552,6 +567,8 @@ _WIRE_NAMES: dict[type, str] = {
     ResizeReport: "resize-report",
     KeyExportRequest: "key-export-request",
     KeyExportResponse: "key-export-response",
+    TransformRequest: "transform-request",
+    TransformResponse: "transform-response",
     MetricsSnapshot: "metrics-snapshot",
     _ErrorBody: "error",
 }

@@ -16,6 +16,7 @@ Every hosted fleet owns a scheme-id-prefixed route family::
     POST /v1/{scheme}/fetch        read stored ciphertext blobs
     POST /v1/{scheme}/resize       rebalance that fleet's shards
     POST /v1/{scheme}/export       list that fleet's installed proxy keys
+    POST /v1/{scheme}/transform    a fleet worker's transformation (router only)
     GET  /v1/{scheme}/metrics      that fleet's live metrics snapshot
     GET  /v1/{scheme}/scheme       that fleet's scheme document
 
@@ -64,7 +65,6 @@ from repro.service.gateway import (
     GatewayError,
     GrantRequest,
     InvalidRequestError,
-    ReEncryptionGateway,
     ReEncryptRequest,
     RevokeRequest,
 )
@@ -85,6 +85,7 @@ from repro.service.wire.codec import (
     ReEncryptBatchRequest,
     ReEncryptBatchResponse,
     ResizeRequest,
+    TransformRequest,
     from_wire,
     neutral_error_to_wire,
     parse_body,
@@ -296,10 +297,12 @@ def _split(target: str):
 
 class _Op(NamedTuple):
     """One POST operation: the request messages it accepts, the gateway
-    call ``call(gateway, request, kwargs) -> response`` and whether its
-    retries are deduplicated by client request id."""
+    method that serves it (a gateway without it does not offer the op),
+    the call ``call(gateway, request, kwargs) -> response`` and whether
+    its retries are deduplicated by client request id."""
 
     expect: tuple
+    method: str
     call: Callable
     idempotent: bool = False
 
@@ -327,27 +330,37 @@ _BATCH_TYPES = {"grant": "grant-batch-request", "reencrypt": "reencrypt-batch-re
 # Revoke and resize are the mutations whose wire replay must not
 # re-execute: rerunning one against its own result mis-reports it.
 _POST_OPS = {
-    "grant": _Op((GrantRequest, GrantBatchRequest), _grant),
+    "grant": _Op((GrantRequest, GrantBatchRequest), "grant", _grant),
     "revoke": _Op(
         (RevokeRequest,),
+        "revoke",
         lambda gateway, request, kwargs: gateway.revoke(request, **kwargs),
         idempotent=True,
     ),
-    "reencrypt": _Op((ReEncryptRequest, ReEncryptBatchRequest), _reencrypt),
+    "reencrypt": _Op((ReEncryptRequest, ReEncryptBatchRequest), "reencrypt", _reencrypt),
     "fetch": _Op(
         (FetchRequest,),
+        "fetch",
         lambda gateway, request, kwargs: gateway.fetch(request, **kwargs),
     ),
     "export": _Op(
         (KeyExportRequest,),
+        "list_keys",
         lambda gateway, request, kwargs: KeyExportResponse(keys=tuple(gateway.list_keys())),
     ),
     "resize": _Op(
         (ResizeRequest,),
+        "resize",
         lambda gateway, request, kwargs: gateway.resize(
             request.shard_count, tenant=request.tenant, **kwargs
         ),
         idempotent=True,
+    ),
+    # Only a fleet worker (repro.service.fleet.TransformWorker) has it.
+    "transform": _Op(
+        (TransformRequest,),
+        "transform",
+        lambda gateway, request, kwargs: gateway.transform(request, **kwargs),
     ),
 }
 # One root-span name per op, shared by every span the tracer keeps.
@@ -390,10 +403,10 @@ class WireRequestExecutor:
         self.auth = auth
         self.trace_sample = float(trace_sample)
         self.wire_stats = wire_stats
-        # A gateway of any other class forwards its calls to other
-        # processes (a fleet router) and blocks on their sockets.
+        # A gateway whose shards forward to other processes (a fleet
+        # router) blocks on their sockets.
         self._forwarding = any(
-            not isinstance(fleet, ReEncryptionGateway) for fleet, _backend in hosts.values()
+            getattr(fleet, "forwards", False) for fleet, _backend in hosts.values()
         )
         # Deterministic seed: sampling decisions are reproducible across
         # runs, and tests can predict exact sampled counts.  The lock
@@ -474,9 +487,9 @@ class WireRequestExecutor:
         A request whose work is one in-process gateway operation runs
         inline.  Two kinds go to the worker pool, where they overlap
         with everything else: grant and re-encrypt batches, and calls to
-        a gateway that is not a :class:`ReEncryptionGateway` (a fleet
-        router's calls block on its workers' sockets).  Of the GET
-        routes only metrics and traces call a gateway.  A request the
+        a gateway that says it ``forwards`` (a fleet router, whose
+        shards block on its workers' sockets).  Of the GET routes only
+        traces read a forwarding gateway's workers.  A request the
         engine refuses before any gateway call runs inline.  Only grant
         and re-encrypt bodies are parsed here, for their type; the parse
         is handed to :meth:`handle`, so no body is parsed twice.
@@ -487,15 +500,12 @@ class WireRequestExecutor:
         except _UnknownEndpoint:
             return True, None
         if method != "POST":
-            return not (
-                self._forwarding
-                and (path.startswith(_TRACE_ROUTE) or path.endswith("/metrics"))
-            ), None
+            return not (self._forwarding and path.startswith(_TRACE_ROUTE)), None
         try:
             op, gateway, _backend = self._resolve(path)
         except (_UnknownEndpoint, InvalidRequestError):
             return True, None
-        if not isinstance(gateway, ReEncryptionGateway):
+        if getattr(gateway, "forwards", False):
             return op not in _POST_OPS, None
         batch_type = _BATCH_TYPES.get(op)
         if batch_type is None:
@@ -820,7 +830,7 @@ class WireRequestExecutor:
         try:
             base = _split(target).path
             op, gateway, backend = self._resolve(base)
-            if op not in _POST_OPS:
+            if op not in _POST_OPS or not hasattr(gateway, _POST_OPS[op].method):
                 raise _UnknownEndpoint(base)
         except _UnknownEndpoint as error:
             return self._unknown_endpoint(error.path, echo)

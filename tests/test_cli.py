@@ -16,7 +16,7 @@ from repro.pairing.group import PairingGroup
 from repro.serialization.containers import deserialize_proxy_key, from_json_envelope
 from repro.service.gateway import GrantRequest
 from repro.service.wire import WIRE_FORMAT, from_wire
-from test_service_fleet import _worker_pids_for
+from test_service_fleet import _alive, _fleet_workers
 
 
 @pytest.fixture()
@@ -381,7 +381,8 @@ class TestServeAsyncLifecycle:
         process, banner = _spawn_serve("--fleet", "1", "--state-dir", str(state_dir))
         try:
             assert "fleet gateway listening on mux://" in banner
-            assert _worker_pids_for(str(state_dir))
+            workers = _fleet_workers(process.pid)
+            assert list(workers) == ["shard-00"]
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=15) == 0
         finally:
@@ -389,7 +390,7 @@ class TestServeAsyncLifecycle:
                 process.kill()
                 process.wait()
             process.stdout.close()
-        assert _worker_pids_for(str(state_dir)) == []
+        assert not any(_alive(pid) for pid in workers.values())
 
 
 class TestSchemes:

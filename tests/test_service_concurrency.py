@@ -256,7 +256,7 @@ class TestGatewayRaces:
         release = threading.Event()
 
         class BlockingShard(ProxyService):
-            def reencrypt_with_key(self, ciphertext, key):
+            def reencrypt_with_key(self, ciphertext, key, trace=None):
                 entered.set()
                 assert release.wait(timeout=30.0)
                 return super().reencrypt_with_key(ciphertext, key)

@@ -936,8 +936,10 @@ class _ReentrancyProbeRng(random.Random):
 
 
 class _Forwarding:
-    """A gateway hosted as a fleet router is: not a ReEncryptionGateway,
-    so the server runs its calls on the worker pool, concurrently."""
+    """A gateway that forwards, as a fleet router does, so the server
+    runs its calls on the worker pool, concurrently."""
+
+    forwards = True
 
     def __init__(self, gateway):
         self._gateway = gateway

@@ -1585,8 +1585,10 @@ def _record_handle_threads(server) -> list:
 
 
 class _Forwarding:
-    """A gateway that is not a ReEncryptionGateway, as a fleet router is.
-    Its first re-encryption blocks until ``release`` is set."""
+    """A gateway that forwards, as a fleet router does.  Its first
+    re-encryption blocks until ``release`` is set."""
+
+    forwards = True
 
     def __init__(self, gateway):
         self._gateway = gateway
@@ -1637,9 +1639,9 @@ class TestPlacement:
         forwarded = {
             ("GET", "/v1/health", b""): False,
             ("GET", PREFIX + "/scheme", b""): False,
-            # Metrics and traces read every shard process of a router.
-            ("GET", PREFIX + "/metrics", b""): True,
-            ("GET", "/v1/metrics?format=prometheus", b""): True,
+            # A router's metrics are its own; its traces read every worker.
+            ("GET", PREFIX + "/metrics", b""): False,
+            ("GET", "/v1/metrics?format=prometheus", b""): False,
             ("GET", "/v1/trace/abc", b""): True,
             ("POST", PREFIX + "/reencrypt", bodies["single"]): True,
             ("POST", PREFIX + "/revoke", b"{}"): True,
