@@ -77,6 +77,9 @@ _BANNER = re.compile(r"listening on (muxs?://\S+)")
 # The router's identity on its workers when per-worker HMAC credentials
 # are enabled.  "admin" because only that role may call ``transform``.
 ROUTER_TENANT = "fleet-router"
+# Decoded proxy keys a worker keeps: as many as a gateway's result cache
+# holds results, so a working set the router caches stays decoded too.
+_KEY_CACHE_SIZE = 1024
 
 
 def _repro_env() -> dict[str, str]:
@@ -581,17 +584,17 @@ class TransformWorker:
     :class:`~repro.service.wire.codec.TransformRequest`): no key table,
     no state dir, no admission; the router did all of that.  Decoded
     proxy keys stay in a bounded LRU keyed by their container bytes, so
-    a key's point is decompressed once while the key is in use.  A
+    a key's points are decompressed once while the key is in use.  A
     traced call records a ``shard-crypto`` span under the trace the
     router sent, which the router's trace lookup merges in.
     """
 
-    def __init__(self, backend: PreBackend, name: str = "worker", key_cache_size: int = 1024):
+    def __init__(self, backend: PreBackend, name: str):
         self.backend = backend
         self.name = name
         self.tracer = Tracer()
         self.metrics = GatewayMetrics()
-        self._keys = LruCache(key_cache_size, name="key_cache")
+        self._keys = LruCache(_KEY_CACHE_SIZE, name="key_cache")
 
     def transform(
         self, request: TransformRequest, trace: TraceContext | None = None

@@ -112,7 +112,7 @@ def _served_detail(shard: str, cache_hit: bool = False) -> str:
 _UNTRACED = nullcontext()
 
 
-def untraced_span(_trace, _name, _attributes=None) -> nullcontext:
+def _untraced_span(_trace, _name, _attributes=None) -> nullcontext:
     return _UNTRACED
 
 
@@ -420,7 +420,7 @@ class ReEncryptionGateway:
             self.event_log = None
         # A stage's context manager: the tracer's span (a no-op for a call
         # given no trace), or a no-op when tracing is off.
-        self._span = untraced_span if self.tracer is None else self.tracer.span
+        self._span = _untraced_span if self.tracer is None else self.tracer.span
         self._limiter = None
         self.set_rate_limit(self.rate_per_s, self.burst)
 

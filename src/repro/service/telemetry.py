@@ -607,9 +607,9 @@ class _Collector:
     def __init__(self, log: "EventLog") -> None:
         self.log = log
         # One (part, numbers, refs) tuple per event, added by one append:
-        # threads running in copies of the request's context (a fleet's
-        # fan-out) share the collector, and must not interleave one
-        # event's pieces with another's.
+        # threads running in copies of the request's context share the
+        # collector, and must not interleave one event's pieces with
+        # another's.
         self.events: list[tuple] = []
 
     def __enter__(self) -> "_Collector":

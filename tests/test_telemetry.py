@@ -625,8 +625,8 @@ class TestConcurrentRecords:
                 assert after["part"] == before["part"] + 1
 
     def test_threads_in_copies_of_a_request_context_share_its_collector(self):
-        """A fleet fans a batch out to pool threads, each in a copy of the
-        request's context: their events, of different shapes, join the
+        """Threads each running in a copy of the request's context (as a
+        pool hand-off does): their events, of different shapes, join the
         request's collector and read back whole, even when the threads
         take turns between any two lines of the log's code."""
         from repro.service import telemetry
