@@ -43,7 +43,13 @@ from repro.bench.counters import count_operations
 from repro.core.api import create_backend
 from repro.core.proxy import ProxyKeyTable
 from repro.pairing.group import PairingGroup
-from repro.service.auth import ForbiddenError, RequestVerifier, TenantCredentialStore
+from repro.service.auth import (
+    AUTH_HEADER,
+    ForbiddenError,
+    RequestSigner,
+    RequestVerifier,
+    TenantCredentialStore,
+)
 from repro.service.driver import (
     DELEGATEE_DOMAIN,
     DELEGATOR_DOMAIN,
@@ -443,8 +449,14 @@ class TestTransformWorker:
         request = _transform_request(setting, _keys_of(setting)[0], 0)
         try:
             with AsyncGatewayServer(worker, auth=RequestVerifier(store)) as server:
-                status, answer = _post(server, "/v1/tipre/v1/transform", request, setting)
+                path = "/v1/tipre/v1/transform"
+                status, answer = _post(server, path, request, setting)
                 assert (status, answer["body"]["code"]) == (401, "auth-required")
+                signed = RequestSigner("clinic", "c" * 64).header(
+                    "POST", path, to_wire(setting.backend, request).encode()
+                )
+                status, answer = _post(server, path, request, setting, signed)
+                assert (status, answer["body"]["code"]) == (403, "auth-forbidden")
                 client = RemoteGateway(
                     server.http_url, setting.group, tenant="clinic", secret="c" * 64
                 )
@@ -478,10 +490,13 @@ class TestTransformWorker:
             setting.gateway.close()
 
 
-def _post(server, path: str, message, setting) -> tuple[int, dict]:
+def _post(server, path: str, message, setting, auth: str | None = None) -> tuple[int, dict]:
     conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
     try:
-        conn.request("POST", path, body=to_wire(setting.backend, message).encode())
+        headers = {AUTH_HEADER: auth} if auth is not None else {}
+        conn.request(
+            "POST", path, body=to_wire(setting.backend, message).encode(), headers=headers
+        )
         response = conn.getresponse()
         return response.status, json.loads(response.read())
     finally:
