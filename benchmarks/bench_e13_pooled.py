@@ -46,8 +46,15 @@ Measured claims:
    warm stream from 1 to 512 client threads, through the pooled client
    over HTTP and through one mux connection.
 
-TOY parameters: like E9-E12 this measures workload structure and
-transport, not key size.
+6. **Batches flood one pool thread, and singles stay on the loop.**  A
+   real ``serve`` process on SS256: a cached single read every 10 ms,
+   alone and while 4 connections flood cold batches of 8.  Its p50, p90
+   and p99 latency and the server's thread count are recorded; only zero
+   failed requests and at most 2 server threads (the loop and one pool
+   thread) are asserted, so the leg holds on any host.
+
+TOY parameters for legs 1-5: like E9-E12 they measure workload
+structure and transport, not key size.
 """
 
 from __future__ import annotations
@@ -250,8 +257,8 @@ def test_e13_pooled_client_beats_single_connection_under_concurrency():
 # ------------------------------------------------- multi-scheme subprocess
 
 
-def _spawn_server(scheme_ids):
-    """A real ``repro-pre serve --http`` process; returns (proc, HTTP url)."""
+def _spawn_server(scheme_ids=(), group="TOY"):
+    """A real ``repro-pre serve --http`` process; returns (proc, host:port)."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = (
@@ -263,7 +270,7 @@ def _spawn_server(scheme_ids):
         "repro.cli",
         "serve",
         "--group",
-        "TOY",
+        group,
         "--shards",
         "2",
         "--http",
@@ -279,7 +286,7 @@ def _spawn_server(scheme_ids):
         proc.terminate()
         raise AssertionError("server did not come up: %r" % line)
     # The banner names the mux transport; the same port answers HTTP.
-    return proc, "http://" + line.split()[3][len("mux://"):]
+    return proc, line.split()[3][len("mux://"):]
 
 
 def _drive_scheme_concurrently(setting, url, pool_size, n_requests):
@@ -305,7 +312,8 @@ def test_e13_one_process_hosts_two_scheme_fleets():
     driven concurrently, with end-to-end decrypt verification."""
     scheme_ids = ["tipre/v1", "afgh/v1"]
     settings = {}
-    proc, url = _spawn_server(scheme_ids)
+    proc, address = _spawn_server(scheme_ids)
+    url = "http://" + address
     try:
         # A multi-scheme server hosts each fleet on its own derived pairing
         # group (the single-group hosting fix); probe for the right one.
@@ -878,8 +886,188 @@ def test_e13_mux_connection_curve():
         )
 
 
+# ------------------------------------------ batch flood on one pool thread
+
+FLOOD_GROUP = "SS256"
+FLOOD_CONNECTIONS = 4
+FLOOD_BATCH = 8
+# 4 patients x 3 types x 32 records x 3 doctors = 1,152 (record, doctor)
+# pairs, more than the server's 1,024-entry result cache: batches that
+# cycle through them miss it and pay their pairings.
+FLOOD_RECORDS = 32
+SINGLE_INTERVAL_S = 0.010
+SINGLE_SAMPLES = 1000  # per phase: the p99 then has 10 samples beyond it
+MAX_SERVER_THREADS = 2  # the event loop and one pool thread
+
+
+def _server_threads(pid):
+    return len(os.listdir("/proc/%d/task" % pid))
+
+
+def _timed_singles(client, request, pid):
+    """Read one cached pair every ``SINGLE_INTERVAL_S``, open loop.
+
+    Returns (latencies in ms from each read's due time, the same reads'
+    round trips from their send, failed reads, most threads the server
+    held).  A read sent late is late by the wait of the reads before it.
+    """
+    from_due, round_trips, failed, threads = [], [], 0, 0
+    start = time.perf_counter()
+    for k in range(SINGLE_SAMPLES):
+        due = start + k * SINGLE_INTERVAL_S
+        pause = due - time.perf_counter()
+        if pause > 0:
+            time.sleep(pause)
+        sent = time.perf_counter()
+        try:
+            hit = client.reencrypt(request).cache_hit
+        except Exception:  # noqa: BLE001 - counted and asserted by the leg
+            failed += 1
+            continue
+        done = time.perf_counter()
+        from_due.append((done - due) * 1000)
+        round_trips.append((done - sent) * 1000)
+        failed += not hit  # the single is kept cached; a miss is a fault
+        threads = max(threads, _server_threads(pid))
+    return from_due, round_trips, failed, threads
+
+
+def _flood(client, batches, stop, tally, answers, lock):
+    """Send ``batches`` round and round until ``stop``; keep the first
+    item of each batch's first answer in ``answers``."""
+    position = 0
+    while not stop.is_set():
+        batch = batches[position % len(batches)]
+        try:
+            responses = client.reencrypt_batch([request for request, _message in batch])
+        except Exception:  # noqa: BLE001 - counted and asserted by the leg
+            with lock:
+                tally["failed"] += 1
+            continue
+        if position < len(batches):
+            answers.append((batch[0], responses[0]))
+        position += 1
+        with lock:
+            tally["batches"] += 1
+
+
+def test_e13_batch_flood_keeps_singles_on_the_loop():
+    """Leg 6: singles against a batch flood, on one pool thread."""
+    setting = build_setting(
+        group_name=FLOOD_GROUP,
+        shard_count=1,
+        n_patients=4,
+        n_types=3,
+        n_delegatees=3,
+        ciphertexts_per_pair=FLOOD_RECORDS,
+        seed="e13-batch-flood",
+    )
+    # Batches of 8 records sharing one delegation, dealt to the flooders.
+    batches = [
+        [
+            (ReEncryptRequest(patient, ciphertext, DELEGATEE_DOMAIN, delegatee), message)
+            for ciphertext, message in entries[offset : offset + FLOOD_BATCH]
+        ]
+        for (patient, _type_label), entries in sorted(setting.pool.items())
+        for delegatee in setting.delegatees
+        for offset in range(0, len(entries), FLOOD_BATCH)
+    ]
+    single = batches[0][0][0]
+    proc, address = _spawn_server(group=FLOOD_GROUP)
+    clients = [
+        MuxRemoteGateway("mux://" + address, setting.backend, trace_requests=False)
+        for _ in range(FLOOD_CONNECTIONS + 1)
+    ]
+    tally = {"batches": 0, "failed": 0}
+    answers: list = []
+    lock = threading.Lock()
+    stop = threading.Event()
+    flooders = [
+        threading.Thread(
+            target=_flood,
+            args=(clients[i], batches[i::FLOOD_CONNECTIONS], stop, tally, answers, lock),
+            daemon=True,
+        )
+        for i in range(FLOOD_CONNECTIONS)
+    ]
+    try:
+        for key in setting.gateway.list_keys():
+            clients[0].grant(GrantRequest(tenant="bench", proxy_key=key))
+        for client in clients:
+            client.scheme_info()
+        reader = clients[FLOOD_CONNECTIONS]
+        reader.reencrypt(single)  # cached from here on
+        alone = _timed_singles(reader, single, proc.pid)
+        for flooder in flooders:
+            flooder.start()
+        deadline = time.monotonic() + 60
+        while tally["batches"] < FLOOD_CONNECTIONS and time.monotonic() < deadline:
+            time.sleep(0.01)
+        flood = _timed_singles(reader, single, proc.pid)
+        stop.set()
+        for flooder in flooders:
+            flooder.join(timeout=120)
+        assert not any(flooder.is_alive() for flooder in flooders)
+        threads = max(alone[3], flood[3], _server_threads(proc.pid))
+        # Decrypted after the timed phases, so the checks cost them nothing.
+        for (request, message), response in answers:
+            if setting.backend.decrypt_reencrypted(
+                response.ciphertext, setting.delegatee_domain, request.delegatee
+            ) != message:
+                tally["failed"] += 1
+    finally:
+        stop.set()
+        for client in clients:
+            client.close()
+        proc.terminate()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+        setting.gateway.close()
+    failed = alone[2] + flood[2] + tally["failed"]
+    phases = {"alone": alone, "flood": flood}
+    fractions = (0.5, 0.9, 0.99)
+    print_table(
+        "E13: %s cached single every %.0f ms, alone and against %d connections "
+        "flooding batches of %d (%d batches); %d server threads, %d failed"
+        % (FLOOD_GROUP, SINGLE_INTERVAL_S * 1000, FLOOD_CONNECTIONS, FLOOD_BATCH,
+           tally["batches"], threads, failed),
+        ["single reads", "samples", "p50 / p90 / p99 ms from due", "round trip ms"],
+        [
+            [phase, str(len(from_due))]
+            + [" / ".join("%.2f" % _percentile(samples, f) for f in fractions)
+               for samples in (from_due, round_trips)]
+            for phase, (from_due, round_trips, _failed, _threads) in phases.items()
+        ],
+    )
+    _SNAPSHOT["batch_flood"] = {
+        "group": FLOOD_GROUP,
+        "single_interval_ms": SINGLE_INTERVAL_S * 1000,
+        "samples_per_phase": SINGLE_SAMPLES,
+        "flood_connections": FLOOD_CONNECTIONS,
+        "batch_size": FLOOD_BATCH,
+        "flood_batches": tally["batches"],
+        **{
+            "%s_%sp%d_ms" % (phase, kind, round(f * 100)): round(_percentile(samples, f), 2)
+            for phase, result in phases.items()
+            for kind, samples in (("", result[0]), ("round_trip_", result[1]))
+            for f in fractions
+        },
+        "server_threads": threads,
+        "failed_requests": failed,
+    }
+    _maybe_record()
+    assert failed == 0, "%d requests failed" % failed
+    assert tally["batches"] > 0, "no batch overlapped the single reads"
+    assert threads <= MAX_SERVER_THREADS, (
+        "the server held %d threads; batches on one pool thread need %d"
+        % (threads, MAX_SERVER_THREADS)
+    )
+
+
 def _maybe_record():
-    required = {"adversarial_isolation", "tls_hmac_overhead", "mux_connection_curve"}
+    required = {
+        "adversarial_isolation", "tls_hmac_overhead", "mux_connection_curve", "batch_flood",
+    }
     if required <= set(_SNAPSHOT):
         from repro.bench.report import record_bench_snapshot
 

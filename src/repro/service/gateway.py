@@ -375,6 +375,9 @@ class ReEncryptionGateway:
     _shards: dict[str, ProxyService] = field(init=False)
     _router: ShardRouter = field(init=False)
     _pool: ShardPool = field(init=False)
+    # Serializes resizes: each builds its shards before taking every
+    # shard lock, so two must not build from the same shard map.
+    _resize_lock: threading.Lock = field(init=False, repr=False)
     _result_cache: LruCache = field(init=False)
     _limiter: TokenBucket | None = field(init=False)
     # (tenant, action, outcome, detail) per request, one shared tuple per
@@ -397,6 +400,7 @@ class ReEncryptionGateway:
         names = ["shard-%02d" % i for i in range(self.shard_count)]
         self._router = ShardRouter(names)
         self._pool = ShardPool(names)
+        self._resize_lock = threading.Lock()
         self._table = (
             ProxyKeyTable()
             if self.state_dir is None
@@ -1046,37 +1050,48 @@ class ReEncryptionGateway:
     ) -> ResizeReport:
         """Re-partition the fleet into ``shard_count`` shards; no key moves.
 
-        Every shard shares the one key table, so a resize swaps the router
-        and the lock set while holding every shard lock (concurrent
-        requests queue on them) and writes nothing.  Added shards are
-        built by the shard factory and removed ones retired, so a fleet
-        starts or stops its worker processes here.  ``keys_moved``
-        counts the keys whose owning shard differs between the two
-        routers: consistent hashing keeps that to about a ``1/(n+1)``
-        share when growing by one shard.
+        Every shard shares the one key table, so a resize swaps the router,
+        the shard map and the lock set while holding every shard lock
+        (concurrent requests queue on them) and writes nothing.  Added
+        shards are built by the shard factory before the locks are taken,
+        and removed ones retired after they are released, so a fleet
+        starts or stops its worker processes while reads go on; a read
+        waits only for the swap.  Resizes run one at a time.
+        ``keys_moved`` counts the keys whose owning shard differs between
+        the two routers: consistent hashing keeps that to about a
+        ``1/(n+1)`` share when growing by one shard.
         """
         if shard_count < 1:
             raise InvalidRequestError("shard_count must be positive")
         self._admit(tenant, "resize", trace=trace)
         start = self.clock()
-        with self._span(trace, "resize", {"shard_count": shard_count}), self._pool.lock_all():
-            old_router = self._router
-            old_names = old_router.shards
+        with self._span(trace, "resize", {"shard_count": shard_count}), self._resize_lock:
             new_names = ["shard-%02d" % i for i in range(shard_count)]
+            # If a build fails the fleet is left as it was; a worker
+            # started for an earlier shard is reused by the next resize
+            # or stopped with its fleet.
+            built = {
+                name: self._make_shard(name) for name in new_names if name not in self._shards
+            }
             new_router = ShardRouter(new_names)
-            added = tuple(name for name in new_names if name not in self._shards)
-            removed = tuple(name for name in old_names if name not in new_names)
-            moved = sum(
-                old_router.shard_for(*route) != new_router.shard_for(*route)
-                for route in map(_route_of, self._table)
-            )
-            for name in added:
-                self._shards[name] = self._make_shard(name)
-            for name in removed:
-                self._shards.pop(name).retire()
-            self._router = new_router
-            self._pool.set_shards(new_names)
-            self.shard_count = shard_count
+            with self._pool.lock_all():
+                old_router = self._router
+                old_names = old_router.shards
+                removed = tuple(name for name in old_names if name not in new_names)
+                moved = sum(
+                    old_router.shard_for(*route) != new_router.shard_for(*route)
+                    for route in map(_route_of, self._table)
+                )
+                self._shards.update(built)
+                retired = [self._shards.pop(name) for name in removed]
+                self._router = new_router
+                self._pool.set_shards(new_names)
+                self.shard_count = shard_count
+            # A request that routed to a removed shard finds it gone
+            # under its lock and re-routes (see _owned_shard).
+            for shard in retired:
+                shard.retire()
+        added = tuple(built)
         elapsed_ms = (self.clock() - start) * 1000
         self.metrics.observe("resize", elapsed_ms, tenant=tenant)
         self.metrics.observe_resize(moved)

@@ -18,7 +18,7 @@ network; this package makes that literal.  Five layers:
 * :mod:`repro.service.wire.aio_server` — :class:`AsyncGatewayServer`,
   the server: one or several scheme fleets behind one event loop, both
   mux framing and HTTP/1.1 on one port, single requests answered on the
-  loop and only batches and forwarded calls on a bounded worker pool;
+  loop and only batches and forwarded calls on a worker pool;
 * :mod:`repro.service.wire.aio_client` — :class:`MuxRemoteGateway`
   (many in-flight requests over ONE socket) and the URL-dispatching
   :func:`connect_gateway` factory.

@@ -10,9 +10,13 @@ A single event loop accepts every socket and answers every request
 whose work is one in-process gateway operation itself, so a server that
 receives no batch runs one thread.  Only grant and re-encrypt batches,
 and calls to a gateway that forwards to other processes, go to a
-bounded :class:`~concurrent.futures.ThreadPoolExecutor`, where they
-overlap with the loop's work and with each other (the shard locks
-serialize them; see :meth:`WireRequestExecutor.placement`).
+:class:`~concurrent.futures.ThreadPoolExecutor`, where they overlap with
+the loop's work (see :meth:`WireRequestExecutor.placement`).  That pool
+has one thread: a batch is pure-Python pairing code holding the GIL, so
+a second thread would only interleave two batches and take the GIL from
+the loop more often.  A server hosting a gateway that ``forwards`` (the
+``--fleet`` router) gets eight, because its calls wait on worker
+sockets and overlap there.
 The listening port speaks *two* protocols, sniffed from the first octet
 of each connection:
 
@@ -93,6 +97,9 @@ MAX_BODY_BYTES = 64 * 1024 * 1024  # refuse absurd Content-Length up front
 # raises that threshold, every read maps a fresh buffer, faults its pages
 # in and unmaps it, about two page faults per served request.
 _READ_SIZE = 64 * 1024
+# Pool threads when a hosted gateway forwards; otherwise the pool has one
+# (see the module docstring).
+_FORWARDING_THREADS = 8
 # What a connection the server ends may still read and drop after its
 # last answer, and for how long (see _close_after_answer).
 _LINGER_BYTES = 1024 * 1024
@@ -268,10 +275,12 @@ class AsyncGatewayServer:
     :class:`~repro.service.auth.signing.RequestVerifier`: with one
     installed every POST must carry a valid ``X-Repro-Auth`` signature.
     ``trace_sample`` is the head-sampling fraction for incoming trace
-    headers.  ``workers`` bounds the executor that runs batches and
-    forwarded calls (its threads start on first use), and
-    ``max_streams`` is the per-connection in-flight cap, the mux
-    backpressure bound.
+    headers, and ``max_streams`` is the per-connection in-flight cap,
+    the mux backpressure bound.
+
+    Batches and forwarded calls run on a worker pool whose size follows
+    from the hosted gateways: one thread, or eight when a gateway
+    ``forwards``.  Its threads start on first use.
 
     :meth:`serve_forever` runs the event loop on the calling thread;
     :meth:`start` runs it on a daemon thread for in-process callers.
@@ -295,11 +304,8 @@ class AsyncGatewayServer:
         tls=None,
         auth=None,
         trace_sample: float = 1.0,
-        workers: int = 8,
         max_streams: int = 256,
     ):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         if max_streams < 1:
             raise ValueError("max_streams must be >= 1")
         hosts, self.scheme_ids = build_host_map(gateway, group, gateways)
@@ -323,7 +329,8 @@ class AsyncGatewayServer:
         self._bind_host = host
         self._bind_port = port
         self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="gateway-aio"
+            max_workers=_FORWARDING_THREADS if self.engine.forwarding else 1,
+            thread_name_prefix="gateway-aio",
         )
         self._loop: asyncio.AbstractEventLoop | None = None
         self._shutdown: asyncio.Event | None = None

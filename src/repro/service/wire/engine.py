@@ -405,7 +405,7 @@ class WireRequestExecutor:
         self.wire_stats = wire_stats
         # A gateway whose shards forward to other processes (a fleet
         # router) blocks on their sockets.
-        self._forwarding = any(
+        self.forwarding = any(
             getattr(fleet, "forwards", False) for fleet, _backend in hosts.values()
         )
         # Deterministic seed: sampling decisions are reproducible across
@@ -486,7 +486,7 @@ class WireRequestExecutor:
 
         A request whose work is one in-process gateway operation runs
         inline.  Two kinds go to the worker pool, where they overlap
-        with everything else: grant and re-encrypt batches, and calls to
+        with the loop's work: grant and re-encrypt batches, and calls to
         a gateway that says it ``forwards`` (a fleet router, whose
         shards block on its workers' sockets).  Of the GET routes only
         traces read a forwarding gateway's workers.  A request the
@@ -500,7 +500,7 @@ class WireRequestExecutor:
         except _UnknownEndpoint:
             return True, None
         if method != "POST":
-            return not (self._forwarding and path.startswith(_TRACE_ROUTE)), None
+            return not (self.forwarding and path.startswith(_TRACE_ROUTE)), None
         try:
             op, gateway, _backend = self._resolve(path)
         except (_UnknownEndpoint, InvalidRequestError):

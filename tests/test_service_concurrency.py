@@ -290,6 +290,50 @@ class TestGatewayRaces:
             gateway.reencrypt(_request(ciphertext))
         gateway.close()
 
+    def test_a_read_is_answered_while_a_resize_builds_its_shards(self, universe):
+        """A resize builds its new shards before it takes the shard locks:
+        while the shard factory is blocked, a cache-miss read on an
+        existing shard is answered, and a second resize waits for the
+        first instead of building the same shard again."""
+        scheme, delegations, bob = universe
+        building, release = threading.Event(), threading.Event()
+        built = []
+
+        def factory(name, table):
+            if name != "shard-00":  # built by a resize, not by the gateway's start
+                built.append(name)
+                building.set()
+                assert release.wait(timeout=30.0)
+            return ProxyService(scheme, name=name, table=table)
+
+        gateway = ReEncryptionGateway(scheme, shard_count=1, shard_factory=factory)
+        key, ciphertext, message = delegations[0][0]
+        gateway.grant(GrantRequest(tenant=key.delegator, proxy_key=key))
+        resizes = [threading.Thread(target=gateway.resize, args=(2,)) for _ in range(2)]
+        read = {}
+        reader = threading.Thread(
+            target=lambda: read.update(response=gateway.reencrypt(_request(ciphertext)))
+        )
+        resizes[0].start()
+        try:
+            assert building.wait(timeout=30.0)
+            resizes[1].start()
+            reader.start()
+            reader.join(timeout=5.0)
+            assert not reader.is_alive(), "the read waited for the shard factory"
+        finally:
+            release.set()
+            for thread in (reader, *resizes):
+                if thread.ident is not None:
+                    thread.join(timeout=JOIN_TIMEOUT_S)
+        assert not any(thread.is_alive() for thread in resizes)
+        assert built == ["shard-01"]
+        assert gateway.shard_names == ["shard-00", "shard-01"]
+        response = read["response"]
+        assert not response.cache_hit and response.shard == "shard-00"
+        assert scheme.decrypt_reencrypted(response.ciphertext, bob) == message
+        gateway.close()
+
     def test_concurrent_resize_during_traffic_loses_nothing(self, universe):
         """A resize racing live re-encrypts never drops a delegation."""
         scheme, delegations, _ = universe

@@ -20,6 +20,7 @@ import http.server
 import io
 import itertools
 import json
+import os
 import socket
 import struct
 import sys
@@ -77,6 +78,7 @@ from repro.service.wire.codec import (
     mux_request,
     neutral_error_to_wire,
 )
+from test_cli import _spawn_serve, _stop
 
 SEED = "aio-conformance"
 PREFIX = "/v1/tipre/v1"
@@ -1584,6 +1586,16 @@ def _record_handle_threads(server) -> list:
     return threads
 
 
+def _batch_reads(setting) -> list:
+    """``(request, message)`` for every record and doctor of a setting."""
+    return [
+        (ReEncryptRequest(patient, ciphertext, DELEGATEE_DOMAIN, delegatee), message)
+        for (patient, _type_label), entries in sorted(setting.pool.items())
+        for ciphertext, message in entries
+        for delegatee in setting.delegatees
+    ]
+
+
 class _Forwarding:
     """A gateway that forwards, as a fleet router does.  Its first
     re-encryption blocks until ``release`` is set."""
@@ -1757,6 +1769,103 @@ class TestPlacement:
             batch.join(10.0)
             other.close()
         assert single.ciphertext == results[0][0].ciphertext
+
+    def test_batches_queue_for_one_pool_thread(self, mux_loopback, monkeypatch):
+        """An in-process gateway's batches run on one pool thread, one
+        after another: three batches arriving while a fourth is held
+        start no thread, and a single is still answered on the loop."""
+        setting, server, _client = mux_loopback
+        entered, release = threading.Event(), threading.Event()
+        reencrypt_batch = setting.gateway.reencrypt_batch
+
+        def held(requests, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(10.0)
+            return reencrypt_batch(requests, **kwargs)
+
+        monkeypatch.setattr(setting.gateway, "reencrypt_batch", held)
+        reads = _batch_reads(setting)
+        requests = [request for request, _message in reads]
+        clients = [MuxRemoteGateway(server.url, setting.group, timeout=10.0) for _ in range(5)]
+        answers, errors = {}, []
+
+        def send(index):
+            try:
+                answers[index] = clients[index].reencrypt_batch(requests)
+            except Exception as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        batches = [threading.Thread(target=send, args=(index,)) for index in range(4)]
+        try:
+            for client in clients:
+                client.snapshot()  # each negotiates before any batch is held
+            started = server.stats.snapshot().streams_total
+            batches[0].start()
+            assert entered.wait(5.0)
+            for batch in batches[1:]:
+                batch.start()
+            deadline = time.monotonic() + 5.0
+            while server.stats.snapshot().streams_total < started + 4:
+                assert time.monotonic() < deadline, "the batches never reached the server"
+                time.sleep(0.005)
+            assert clients[4].reencrypt(requests[0]).ciphertext is not None
+            assert len(server._pool._threads) == 1
+            assert not answers  # queued behind the held batch
+        finally:
+            release.set()
+            for batch in batches:
+                batch.join(10.0)
+            for client in clients:
+                client.close()
+        assert not any(batch.is_alive() for batch in batches)
+        assert not errors and len(answers) == 4
+        assert len(server._pool._threads) == 1
+        for responses in answers.values():
+            for response, (request, message) in zip(responses, reads):
+                assert setting.backend.decrypt_reencrypted(
+                    response.ciphertext, setting.delegatee_domain, request.delegatee
+                ) == message
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+    def test_a_serve_process_runs_concurrent_batches_on_two_threads(self):
+        """A real ``serve`` process: the event loop and one pool thread,
+        however many connections send batches at once."""
+        setting = _build()
+        process, banner = _spawn_serve()
+        url = banner.split()[3]
+        try:
+            reads = _batch_reads(setting)
+            requests = [request for request, _message in reads]
+            clients = [MuxRemoteGateway(url, setting.group, timeout=30.0) for _ in range(4)]
+            for key in setting.gateway.list_keys():
+                clients[0].grant(GrantRequest(tenant="admin", proxy_key=key))
+            answers, errors = [], []
+
+            def flood(client):
+                try:
+                    for _ in range(10):
+                        answers.append(client.reencrypt_batch(requests))
+                except Exception as error:  # noqa: BLE001 - asserted below
+                    errors.append(error)
+
+            threads = [threading.Thread(target=flood, args=(client,)) for client in clients]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+            for client in clients:
+                client.close()
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors and len(answers) == 40
+            for response, (request, message) in zip(answers[-1], reads):
+                assert setting.backend.decrypt_reencrypted(
+                    response.ciphertext, setting.delegatee_domain, request.delegatee
+                ) == message
+            assert len(os.listdir("/proc/%d/task" % process.pid)) <= 2
+        finally:
+            _stop(process)
+            setting.gateway.close()
 
     def test_forwarded_calls_overlap(self):
         setting = _build()
