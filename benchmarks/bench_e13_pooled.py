@@ -53,6 +53,13 @@ Measured claims:
    failed requests and at most 2 server threads (the loop and one pool
    thread) are asserted, so the leg holds on any host.
 
+7. **A small batch waits for the batch ahead of it.**  The same SS256
+   server: a cold batch of 8 from one connection, alone and sent while
+   a cold batch of 512 from another connection is being served, on the
+   other shard, 5 trials.  Both batches' latencies are recorded; only
+   zero failed requests is asserted.  One pool thread serves batches in
+   arrival order, so the small one waits out the large one.
+
 TOY parameters for legs 1-5: like E9-E12 they measure workload
 structure and transport, not key size.
 """
@@ -79,6 +86,7 @@ from repro.service.driver import (
     resolve_remote_group,
 )
 from repro.service.gateway import GrantRequest, ReEncryptionGateway, ReEncryptRequest
+from repro.service.router import ShardRouter
 from repro.service.wire import AsyncGatewayServer, MuxRemoteGateway, RemoteGateway
 
 THREADS = 8
@@ -1064,9 +1072,146 @@ def test_e13_batch_flood_keeps_singles_on_the_loop():
     )
 
 
+# -------------------------------------------- a small batch behind a large one
+
+LARGE_BATCH = 512
+SMALL_BATCH = 8
+BEHIND_TRIALS = 5
+
+
+def _streams_in_flight(client):
+    """The server's ``repro_wire_streams_in_flight`` gauge, this read included."""
+    for line in client.metrics_text().splitlines():
+        if line.startswith("repro_wire_streams_in_flight "):
+            return int(float(line.split()[1]))
+    raise AssertionError("no repro_wire_streams_in_flight gauge")
+
+
+def test_e13_small_batch_behind_a_large_one():
+    """Leg 7: a cold batch of 8 sent while a cold batch of 512 is served."""
+    setting = build_setting(
+        group_name=FLOOD_GROUP,
+        shard_count=2,
+        n_patients=2,
+        n_types=1,
+        n_delegatees=3,
+        ciphertexts_per_pair=LARGE_BATCH + 1,  # the last one warms keys
+        seed="e13-batch-behind",
+    )
+    large_patient, small_patient = setting.patients
+    type_label = setting.types[0]
+    # On different shards of the server's two, so no shard lock orders
+    # the two batches: only the server's threads do.
+    ring = ShardRouter(["shard-00", "shard-01"])
+    assert ring.shard_for(setting.delegator_domain, large_patient, type_label) != (
+        ring.shard_for(setting.delegator_domain, small_patient, type_label)
+    )
+    large_pool = setting.pool[(large_patient, type_label)]
+    small_records = setting.pool[(small_patient, type_label)]
+    small_pool = iter(small_records[:LARGE_BATCH])
+    small_reader = setting.delegatees[0]
+
+    def request(patient, ciphertext, delegatee):
+        return ReEncryptRequest(patient, ciphertext, DELEGATEE_DOMAIN, delegatee)
+
+    proc, address = _spawn_server(group=FLOOD_GROUP)
+    large_client, small_client = (
+        MuxRemoteGateway("mux://" + address, setting.backend, trace_requests=False)
+        for _ in range(2)
+    )
+    alone_ms, behind_ms, large_ms, checks = [], [], [], []
+
+    def small_batch(into):
+        batch = [next(small_pool) for _ in range(SMALL_BATCH)]
+        started = time.perf_counter()
+        responses = small_client.reencrypt_batch(
+            [request(small_patient, ciphertext, small_reader) for ciphertext, _ in batch]
+        )
+        into.append((time.perf_counter() - started) * 1000)
+        checks.extend(
+            (small_reader, message, response)
+            for (_ciphertext, message), response in zip(batch, responses)
+        )
+
+    def large_batch(delegatee):
+        started = time.perf_counter()
+        responses = large_client.reencrypt_batch(
+            [request(large_patient, ciphertext, delegatee)
+             for ciphertext, _ in large_pool[:LARGE_BATCH]]
+        )
+        large_ms.append((time.perf_counter() - started) * 1000)
+        checks.append((delegatee, large_pool[0][1], responses[0]))
+
+    try:
+        for key in setting.gateway.list_keys():
+            large_client.grant(GrantRequest(tenant="bench", proxy_key=key))
+        for delegatee in setting.delegatees:  # each key's first use, untimed
+            large_client.reencrypt(request(large_patient, large_pool[-1][0], delegatee))
+        small_client.reencrypt(request(small_patient, small_records[-1][0], small_reader))
+        for trial in range(BEHIND_TRIALS):
+            small_batch(alone_ms)
+            # Three readers in turn: 3 x 512 pairs overflow the server's
+            # 1,024-entry result cache, so every large batch is cold.
+            sender = threading.Thread(
+                target=large_batch,
+                args=(setting.delegatees[trial % len(setting.delegatees)],),
+            )
+            sender.start()
+            deadline = time.monotonic() + 30
+            while _streams_in_flight(small_client) < 2:  # the large batch and this read
+                assert time.monotonic() < deadline, "the large batch never arrived"
+                time.sleep(0.002)
+            small_batch(behind_ms)
+            sender.join(timeout=120)
+            assert not sender.is_alive()
+        # Decrypted after the timed trials, so the checks cost them nothing.
+        failed = sum(
+            setting.backend.decrypt_reencrypted(
+                response.ciphertext, setting.delegatee_domain, delegatee
+            ) != message
+            for delegatee, message, response in checks
+        )
+    finally:
+        large_client.close()
+        small_client.close()
+        proc.terminate()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+        setting.gateway.close()
+    print_table(
+        "E13: %s cold batch of %d sent while a cold batch of %d is served "
+        "(two connections, two shards), %d trials; %d failed"
+        % (FLOOD_GROUP, SMALL_BATCH, LARGE_BATCH, BEHIND_TRIALS, failed),
+        ["batch", "median ms", "max ms"],
+        [
+            [name, "%.1f" % statistics.median(samples), "%.1f" % max(samples)]
+            for name, samples in (
+                ("%d alone" % SMALL_BATCH, alone_ms),
+                ("%d behind %d" % (SMALL_BATCH, LARGE_BATCH), behind_ms),
+                ("%d" % LARGE_BATCH, large_ms),
+            )
+        ],
+    )
+    _SNAPSHOT["batch_behind_batch"] = {
+        "group": FLOOD_GROUP,
+        "small_batch": SMALL_BATCH,
+        "large_batch": LARGE_BATCH,
+        "trials": BEHIND_TRIALS,
+        "small_alone_median_ms": round(statistics.median(alone_ms), 1),
+        "small_behind_median_ms": round(statistics.median(behind_ms), 1),
+        "small_behind_max_ms": round(max(behind_ms), 1),
+        "large_median_ms": round(statistics.median(large_ms), 1),
+        "failed_requests": failed,
+    }
+    _maybe_record()
+    assert len(large_ms) == len(behind_ms) == BEHIND_TRIALS
+    assert failed == 0, "%d answers did not decrypt" % failed
+
+
 def _maybe_record():
     required = {
         "adversarial_isolation", "tls_hmac_overhead", "mux_connection_curve", "batch_flood",
+        "batch_behind_batch",
     }
     if required <= set(_SNAPSHOT):
         from repro.bench.report import record_bench_snapshot

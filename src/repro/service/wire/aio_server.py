@@ -12,11 +12,13 @@ receives no batch runs one thread.  Only grant and re-encrypt batches,
 and calls to a gateway that forwards to other processes, go to a
 :class:`~concurrent.futures.ThreadPoolExecutor`, where they overlap with
 the loop's work (see :meth:`WireRequestExecutor.placement`).  That pool
-has one thread: a batch is pure-Python pairing code holding the GIL, so
-a second thread would only interleave two batches and take the GIL from
-the loop more often.  A server hosting a gateway that ``forwards`` (the
-``--fleet`` router) gets eight, because its calls wait on worker
-sockets and overlap there.
+has one thread, which serves batches in arrival order across every
+connection: a batch waits for every batch ahead of it.  A batch is
+pure-Python pairing code holding the GIL, so more threads would add no
+throughput; they would time-slice the batches, letting a small one
+finish beside a large one, and take the GIL from the loop more often.
+A server hosting a gateway that ``forwards`` (the ``--fleet`` router)
+gets eight, because its calls wait on worker sockets and overlap there.
 The listening port speaks *two* protocols, sniffed from the first octet
 of each connection:
 
@@ -280,7 +282,8 @@ class AsyncGatewayServer:
 
     Batches and forwarded calls run on a worker pool whose size follows
     from the hosted gateways: one thread, or eight when a gateway
-    ``forwards``.  Its threads start on first use.
+    ``forwards``.  Its threads start on first use.  With one thread,
+    batches are served in arrival order.
 
     :meth:`serve_forever` runs the event loop on the calling thread;
     :meth:`start` runs it on a daemon thread for in-process callers.
