@@ -21,9 +21,14 @@ Three measured legs:
 
 3. **Resize never stops traffic** (its own test, host-independent).
    While driver threads read through a 4-worker fleet, it grows to 6
-   workers: the resize starts the processes and swaps the router's ring
-   under every shard lock, and no key moves.  **Zero** requests fail and
+   workers: the resize starts the new processes, then swaps the router's
+   ring under every shard lock, and no key moves.  **Zero** requests fail and
    every key is still served; the longest a request waited is recorded.
+
+The first two legs also report CPU per request for each process —
+client, router (or the one server) and workers — read from each
+process's ``/proc/<pid>/stat`` before and after the timed reads.  In
+leg 1 the client and the router are one process, this one.
 
 Numbers land in ``BENCH_E15.json`` via ``tools/record_bench.py e15``.
 """
@@ -90,12 +95,56 @@ def _fleet(workers: int, **options):
     return supervisor, fleet_gateway(supervisor, telemetry=False, **options)
 
 
-def _timed_fleet_run(workers: int, seed: str) -> tuple[int, float]:
-    """Verified E9 workload through a fresh ``workers``-process fleet."""
+def _cpu_s(pid: int) -> float:
+    """Process ``pid``'s user plus system CPU seconds, from ``/proc/<pid>/stat``."""
+    with open("/proc/%d/stat" % pid, "rb") as handle:
+        fields = handle.read().rsplit(b")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def _children(pid: int) -> list[int]:
+    """The processes whose parent is ``pid`` (a router's workers)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open("/proc/%s/stat" % entry, "rb") as handle:
+                if int(handle.read().rsplit(b")", 1)[1].split()[1]) == pid:
+                    children.append(int(entry))
+        except (OSError, ValueError, IndexError):
+            continue
+    return children
+
+
+class _CpuMeter:
+    """CPU per request of each role's processes over a timed section:
+    ``roles`` maps a role (client, router, workers, ...) to its pids."""
+
+    def __init__(self, roles: dict[str, list[int]]):
+        self.roles = roles
+        self._start = self._read()
+
+    def _read(self) -> dict[str, float]:
+        return {role: sum(map(_cpu_s, pids)) for role, pids in self.roles.items()}
+
+    def per_request_ms(self, requests: int) -> dict[str, float]:
+        end = self._read()
+        return {
+            role: round((end[role] - self._start[role]) * 1000 / requests, 3)
+            for role in self.roles
+        }
+
+
+def _timed_fleet_run(workers: int, seed: str) -> tuple[int, float, dict]:
+    """Verified E9 workload through a fresh ``workers``-process fleet;
+    also each process's CPU per request."""
     setting = _setting(seed)
     supervisor, gateway = _fleet(workers)
     try:
         _grant_all(setting, gateway)
+        meter = _CpuMeter({
+            "client_and_router": [os.getpid()],
+            "workers": [worker.process.pid for worker in supervisor._workers.values()],
+        })
         start = time.perf_counter()
         verified = drive_requests(
             setting,
@@ -106,8 +155,9 @@ def _timed_fleet_run(workers: int, seed: str) -> tuple[int, float]:
             gateway=gateway,
         )
         elapsed_s = time.perf_counter() - start
+        cpu = meter.per_request_ms(N_REQUESTS)
         assert verified > 0, "nothing verified through the %d-worker fleet" % workers
-        return verified, elapsed_s
+        return verified, elapsed_s, cpu
     finally:
         gateway.close()
         supervisor.close()
@@ -116,18 +166,22 @@ def _timed_fleet_run(workers: int, seed: str) -> tuple[int, float]:
 
 def test_e15_process_fleet_vs_single_process():
     cores = len(os.sched_getaffinity(0))
-    single_verified, single_s = _timed_fleet_run(1, "e15-single")
-    fleet_verified, fleet_s = _timed_fleet_run(FLEET_WORKERS, "e15-fleet")
+    single_verified, single_s, single_cpu = _timed_fleet_run(1, "e15-single")
+    fleet_verified, fleet_s, fleet_cpu = _timed_fleet_run(FLEET_WORKERS, "e15-fleet")
     speedup = single_s / fleet_s if fleet_s else 0.0
 
     print_table(
-        "E15: E9 workload, 1 worker process vs %d" % FLEET_WORKERS,
-        ["workers", "requests", "verified", "elapsed ms", "req/s"],
+        "E15: E9 workload, 1 worker process vs %d (CPU ms per request)" % FLEET_WORKERS,
+        ["workers", "requests", "verified", "elapsed ms", "req/s", "client+router cpu",
+         "workers cpu"],
         [
-            ["1", str(N_REQUESTS), str(single_verified),
-             "%.0f" % (single_s * 1000), "%.0f" % (N_REQUESTS / single_s)],
-            [str(FLEET_WORKERS), str(N_REQUESTS), str(fleet_verified),
-             "%.0f" % (fleet_s * 1000), "%.0f" % (N_REQUESTS / fleet_s)],
+            [str(count), str(N_REQUESTS), str(verified), "%.0f" % (seconds * 1000),
+             "%.0f" % (N_REQUESTS / seconds), "%.3f" % cpu["client_and_router"],
+             "%.3f" % cpu["workers"]]
+            for count, verified, seconds, cpu in (
+                (1, single_verified, single_s, single_cpu),
+                (FLEET_WORKERS, fleet_verified, fleet_s, fleet_cpu),
+            )
         ],
     )
     _RESULTS["workload"] = {
@@ -137,6 +191,7 @@ def test_e15_process_fleet_vs_single_process():
         "fleet_ms": round(fleet_s * 1000, 1),
         "fleet_workers": FLEET_WORKERS,
         "speedup": round(speedup, 3),
+        "cpu_ms_per_request": {"one_worker": single_cpu, "fleet": fleet_cpu},
     }
     _record()
 
@@ -168,11 +223,15 @@ def _serve(*flags: str) -> tuple[subprocess.Popen, str]:
     return process, line.split()[line.split().index("on") + 1]
 
 
-def _cold_reads(url: str, setting, reads) -> float:
-    """``reads`` from ``COLD_THREADS`` threads over one mux link; wall clock."""
+def _cold_reads(url: str, setting, reads, server_pid: int) -> tuple[float, dict]:
+    """``reads`` from ``COLD_THREADS`` threads over one mux link: wall
+    clock, and CPU per read of the client, the server and its workers."""
     client = connect_gateway(url, setting.group, trace_requests=False)
     for key in setting.gateway.list_keys():
         client.grant(GrantRequest(tenant="bench", proxy_key=key))
+    meter = _CpuMeter({
+        "client": [os.getpid()], "server": [server_pid], "workers": _children(server_pid),
+    })
     answers: list = [None] * len(reads)
     errors: list = []
 
@@ -190,6 +249,7 @@ def _cold_reads(url: str, setting, reads) -> float:
     for thread in threads:
         thread.join()
     elapsed_s = time.perf_counter() - start
+    cpu = meter.per_request_ms(len(reads))
     client.close()
     assert not errors, errors[0]
     assert not any(answer.cache_hit for answer in answers), "a cold read hit the cache"
@@ -198,7 +258,7 @@ def _cold_reads(url: str, setting, reads) -> float:
             answer.ciphertext, setting.delegatee_domain, request.delegatee
         )
         assert recovered == message
-    return elapsed_s
+    return elapsed_s, cpu
 
 
 def test_e15_ss256_cold_reads_two_workers_vs_one_process():
@@ -216,7 +276,7 @@ def test_e15_ss256_cold_reads_two_workers_vs_one_process():
         for (patient, _type_label), entries in sorted(setting.pool.items())
         for index, (ciphertext, message) in enumerate(entries)
     ]
-    timings = {}
+    timings, cpu = {}, {}
     try:
         for label, flags in (
             ("one process", ("--shards", str(COLD_WORKERS))),
@@ -224,7 +284,7 @@ def test_e15_ss256_cold_reads_two_workers_vs_one_process():
         ):
             process, url = _serve(*flags)
             try:
-                timings[label] = _cold_reads(url, setting, reads)
+                timings[label], cpu[label] = _cold_reads(url, setting, reads, process.pid)
             finally:
                 process.terminate()
                 process.wait(timeout=30)
@@ -233,11 +293,14 @@ def test_e15_ss256_cold_reads_two_workers_vs_one_process():
         setting.gateway.close()
     speedup = timings["one process"] / timings["fleet"]
     print_table(
-        "E15: %s cold reads, %d client threads, one process vs %d workers"
-        % (COLD_GROUP, COLD_THREADS, COLD_WORKERS),
-        ["server", "reads", "elapsed ms", "reads/s"],
+        "E15: %s cold reads, %d client threads, one process vs %d workers "
+        "(CPU ms per read)" % (COLD_GROUP, COLD_THREADS, COLD_WORKERS),
+        ["server", "reads", "elapsed ms", "reads/s", "client cpu", "server cpu",
+         "workers cpu"],
         [
-            [label, str(len(reads)), "%.0f" % (seconds * 1000), "%.0f" % (len(reads) / seconds)]
+            [label, str(len(reads)), "%.0f" % (seconds * 1000),
+             "%.0f" % (len(reads) / seconds)]
+            + ["%.3f" % cpu[label][role] for role in ("client", "server", "workers")]
             for label, seconds in timings.items()
         ],
     )
@@ -249,6 +312,8 @@ def test_e15_ss256_cold_reads_two_workers_vs_one_process():
         "single_process_ms": round(timings["one process"] * 1000, 1),
         "fleet_ms": round(timings["fleet"] * 1000, 1),
         "speedup": round(speedup, 3),
+        # In the fleet, "server" is the router.
+        "cpu_ms_per_read": {"one_process": cpu["one process"], "fleet": cpu["fleet"]},
     }
     _record()
 

@@ -233,8 +233,6 @@ def _serve_http(args, scheme_ids: list[str]) -> int:
     model.  With several ``--scheme`` flags every fleet is isolated —
     its own shards, caches, metrics, and (under ``--state-dir``) its own
     per-scheme durable subdirectory — behind scheme-id-prefixed routes.
-    With ``--shard NAME`` the process is a fleet worker instead: a
-    :class:`~repro.service.fleet.TransformWorker`, which holds no keys.
     """
     from repro.core.api import create_backend
     from repro.pairing.group import PairingGroup
@@ -266,24 +264,17 @@ def _serve_http(args, scheme_ids: list[str]) -> int:
         event_log = EventLog()
     gateways = []
     try:
-        if args.shard is not None:
-            from repro.service.fleet import TransformWorker
-
+        for scheme_id, state_dir in zip(scheme_ids, state_dirs):
             gateways.append(
-                TransformWorker(create_backend(args.scheme, groups[args.scheme]), args.shard)
-            )
-        else:
-            for scheme_id, state_dir in zip(scheme_ids, state_dirs):
-                gateways.append(
-                    ReEncryptionGateway(
-                        create_backend(scheme_id, groups[scheme_id]),
-                        shard_count=args.shards,
-                        rate_per_s=args.rate,
-                        state_dir=state_dir,
-                        event_log=event_log,
-                        policy=policy,
-                    )
+                ReEncryptionGateway(
+                    create_backend(scheme_id, groups[scheme_id]),
+                    shard_count=args.shards,
+                    rate_per_s=args.rate,
+                    state_dir=state_dir,
+                    event_log=event_log,
+                    policy=policy,
                 )
+            )
         server = AsyncGatewayServer(
             gateways=gateways,
             host=args.host,
@@ -301,13 +292,6 @@ def _serve_http(args, scheme_ids: list[str]) -> int:
         raise
 
     def announce() -> None:
-        if args.shard is not None:
-            print(
-                "fleet worker %s listening on %s (scheme %s, group %s)"
-                % (args.shard, server.url, args.scheme, args.group),
-                flush=True,
-            )
-            return
         print(
             "gateway listening on %s (schemes %s, group %s, %d shards, %d keys loaded)"
             % (
@@ -362,8 +346,7 @@ def _serve_until_stopped(server, announce) -> None:
     releases what the server used.
 
     The loop stops between requests on either signal, so this returns
-    and worker subprocesses, durable logs and event streams are closed:
-    ``kill``/systemd never orphan a fleet's shard workers.
+    and worker subprocesses, durable logs and event streams are closed.
     """
     try:
         server.serve_forever(announce)
@@ -374,10 +357,11 @@ def _serve_until_stopped(server, announce) -> None:
 def _serve_fleet(args) -> int:
     """Run the multi-process fleet: a router over worker processes.
 
-    Spawns ``--fleet N`` worker processes (``serve --http 0 --shard
-    NAME``, each holding no keys), then serves the router on ``--http
-    PORT``: a :class:`~repro.service.gateway.ReEncryptionGateway` whose
-    shards send their transformations to the workers.  The router owns
+    Spawns ``--fleet N`` worker processes (``python -m
+    repro.service.fleet_worker``, each holding no keys and reading its
+    calls on a pipe), then serves the router on ``--http PORT``: a
+    :class:`~repro.service.gateway.ReEncryptionGateway` whose shards
+    send their transformations to the workers.  The router owns
     the one durable key table (``--state-dir/keys.log``), the result
     cache, admission, ``--rate`` and the ``--tenant-config`` policy.
     Clients connect to it exactly as to a single-process server; a
@@ -398,17 +382,7 @@ def _serve_fleet(args) -> int:
     try:
         tls, verifier, policy = _security_from_args(args)
         supervisor = FleetSupervisor(
-            args.scheme,
-            shard_count=args.fleet,
-            group_name=args.group,
-            host=args.host,
-            event_log=event_log,
-            # The worker links inherit the router's security posture:
-            # same cert for intra-fleet TLS, and per-worker HMAC
-            # credentials whenever end clients must sign too.
-            tls_cert=args.tls_cert,
-            tls_key=args.tls_key,
-            worker_auth=args.tenant_config is not None,
+            args.scheme, shard_count=args.fleet, group_name=args.group, event_log=event_log
         )
         state_dir = None
         if args.state_dir is not None:
@@ -552,12 +526,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="with --http: spawn N worker processes and serve a "
                         "router gateway over them (multi-process fleet mode): "
                         "the router keeps the keys (--state-dir), the cache, "
-                        "admission, --rate and the tenant policy, and the "
-                        "workers run the transformations, holding no keys")
-    p.add_argument("--shard", default=None, metavar="NAME",
-                   help="with --http: run as fleet worker NAME, answering only "
-                        "a fleet router's transformations (set by the fleet "
-                        "supervisor)")
+                        "admission, --rate and the tenant policy; each worker "
+                        "is a child process that runs transformations sent on "
+                        "a pipe, holds no keys and exits with the router")
     p.add_argument("--tls-cert", default=None, metavar="PEM",
                    help="with --http: terminate TLS with this certificate "
                         "(generate a dev cert with tools/gen_dev_cert.py)")

@@ -264,21 +264,22 @@ class ProxyService:
         return self.reencrypt_with_key(ciphertext, key)
 
     def reencrypt_with_key(
-        self, ciphertext: TypedCiphertext, key: ProxyKey, trace=None
+        self, ciphertext: TypedCiphertext, key: ProxyKey, stage=None
     ) -> ReEncryptedCiphertext:
         """Transform with an already-resolved key (a cached table lookup).
 
         The key must still match the ciphertext — the backend's
         transformation guard runs regardless, so a stale cache entry
-        cannot cross the policy boundary.  ``trace`` is the trace context
-        a forwarding shard sends on; this one ignores it.
+        cannot cross the policy boundary.  ``stage`` is the caller's
+        traced stage, to which a forwarding shard adds its worker's
+        costs; this one ignores it.
         """
         result = self.backend.reencrypt(ciphertext, key)
         self._log_transformation(key)
         return result
 
     def reencrypt_many_with_key(
-        self, ciphertexts: list[TypedCiphertext], key: ProxyKey, trace=None
+        self, ciphertexts: list[TypedCiphertext], key: ProxyKey, stage=None
     ) -> list[ReEncryptedCiphertext]:
         """Transform a batch sharing one resolved key (one log entry each).
 

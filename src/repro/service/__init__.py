@@ -30,10 +30,10 @@ request-serving system:
 * :mod:`repro.service.fleet` — the multi-process fleet: a router that
   is a plain :class:`~repro.service.gateway.ReEncryptionGateway`
   (:func:`~repro.service.fleet.fleet_gateway`) whose
-  :class:`~repro.service.fleet.RemoteShard` shards send transformations
-  to :class:`~repro.service.fleet.TransformWorker` processes, which a
-  :class:`~repro.service.fleet.FleetSupervisor` spawns and restarts;
-  workers hold no keys, so a restart or a resize moves none.
+  :class:`~repro.service.fleet.RemoteShard` shards write transformations
+  to worker processes on pipes (:mod:`repro.service.fleet_worker`),
+  which a :class:`~repro.service.fleet.FleetSupervisor` spawns and
+  restarts; workers hold no keys, so a restart or a resize moves none.
 """
 
 from repro._lazy import lazy_exports
@@ -52,13 +52,7 @@ __getattr__, __dir__ = lazy_exports(
             "run_demo",
             "run_remote_demo",
         ),
-        "fleet": (
-            "FleetSupervisor",
-            "RemoteShard",
-            "StaticFleet",
-            "TransformWorker",
-            "fleet_gateway",
-        ),
+        "fleet": ("FleetSupervisor", "RemoteShard", "fleet_gateway"),
         "gateway": (
             "AuditEvent",
             "DelegationNotFoundError",
@@ -147,14 +141,12 @@ __all__ = [
     "RevokeResponse",
     "SchemeMismatchError",
     "ShardPool",
-    "StaticFleet",
     "ShardRouter",
     "Span",
     "StoreUnavailableError",
     "TokenBucket",
     "TraceContext",
     "Tracer",
-    "TransformWorker",
     "TRACE_HEADER",
     "WireTransportError",
     "build_setting",

@@ -2,84 +2,59 @@
 
 A transformation is a pure function of (proxy key, ciphertext), so a
 fleet splits a gateway along that line.  The router is a plain
-:class:`~repro.service.gateway.ReEncryptionGateway`: it owns the one
-durable key table (``<state-dir>/keys.log``), the result cache,
-admission, rate limits, the tenant policy and tracing.  Its shards are
-:class:`RemoteShard` objects, one per worker process, each sending a
-resolved key (its container bytes) and the request's ciphertext bytes
-to its worker as one ``transform`` message.  A worker holds no key
-table and no state dir.
+:class:`~repro.service.gateway.ReEncryptionGateway` (:func:`fleet_gateway`):
+it owns the one durable key table (``<state-dir>/keys.log``), the result
+cache, admission, rate limits, the tenant policy and tracing.  Its shards
+are :class:`RemoteShard` objects, each writing a resolved key's container
+bytes and the request's ciphertext bytes to one worker process's stdin
+and reading the answer, with the worker's crypto time and op counts, on
+its stdout (:mod:`repro.service.fleet_worker` is the worker).  A worker
+holds no key table and no state dir.  :class:`FleetSupervisor` starts
+and restarts the workers; :func:`fold_worker_logs` folds the per-worker
+key logs an older fleet kept into the router's.
 
-Pieces:
-
-* :class:`FleetSupervisor` — spawns and supervises the worker processes
-  (``repro-pre serve --http 0 --shard NAME``), parses their "listening
-  on" banner for the bound ephemeral port, restarts a dead worker (it
-  starts empty and loses nothing) and hands out one
-  :class:`~repro.service.wire.aio_client.MuxRemoteGateway` link per
-  worker: one multiplexed socket carries every concurrent call.
-* :class:`StaticFleet` — the same surface over externally managed
-  endpoints (tests, or workers on other machines).
-* :class:`TransformWorker` — what a worker process hosts.
-* :class:`RemoteShard` and :func:`fleet_gateway` — the router's shards
-  and the router itself.  Its trace lookup merges in each worker's
-  spans, so one waterfall crosses the process boundary.
-* :func:`fold_worker_logs` — folds the per-worker key logs an older
-  fleet kept into the router's.
-
-Failure semantics: a worker the router cannot reach surfaces as
-:class:`~repro.service.wire.client.WireTransportError` (code
-``wire-transport``, HTTP 503 at the router) — never a hang — and the
-supervisor restarts the worker in the background.  A resize starts or
-retires worker processes and swaps the router's ring; no key moves.
+A call that times out, or reads EOF, a broken pipe or a malformed frame,
+fails as :class:`~repro.service.wire.client.WireTransportError`
+(``wire-transport``, HTTP 503 at the router) — never a hang — and kills
+its worker, so no later call reads that pipe.  A worker exits when its
+stdin ends, so it exits with its router however the router exits.  A
+resize starts or retires workers and swaps the router's ring; no key
+moves.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import secrets
-import shutil
+import select
 import subprocess
 import sys
-import tempfile
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from repro.core.api import PreBackend, create_backend, resolve_backend
+from repro.bench.counters import record_operation
+from repro.core.api import Encoded, PreBackend, create_backend
 from repro.core.proxy import ProxyService
-from repro.pairing.miller import PointOrderError
-from repro.service.auth.credentials import TenantCredentialStore
-from repro.service.cache import LruCache
-from repro.service.gateway import GatewayError, InvalidRequestError, ReEncryptionGateway
-from repro.service.metrics import GatewayMetrics, MetricsSnapshot
+from repro.service.fleet_worker import INVALID, READY, frame_length, pack_frame, unpack_frame
+from repro.service.gateway import InvalidRequestError, ReEncryptionGateway
 from repro.service.persistence import KEY_LOG, DurableProxyKeyTable, open_key_log
-from repro.service.telemetry import EventLog, Span, TraceContext, Tracer
-from repro.service.wire.aio_client import connect_gateway
-from repro.service.wire.client import RemoteGateway, WireTransportError
-from repro.service.wire.codec import TransformRequest, TransformResponse
+from repro.service.telemetry import EventLog
+from repro.service.wire.client import WireTransportError
 
 __all__ = [
+    "CALL_TIMEOUT",
     "FleetSupervisor",
     "RemoteShard",
-    "StaticFleet",
-    "TransformWorker",
     "fleet_gateway",
     "fold_worker_logs",
 ]
 
-_BANNER = re.compile(r"listening on (muxs?://\S+)")
-
-# The router's identity on its workers when per-worker HMAC credentials
-# are enabled.  "admin" because only that role may call ``transform``.
-ROUTER_TENANT = "fleet-router"
-# Decoded proxy keys a worker keeps: as many as a gateway's result cache
-# holds results, so a working set the router caches stays decoded too.
-_KEY_CACHE_SIZE = 1024
+# How long a call waits for its worker's answer, as long as the mux
+# client waits for a server's.
+CALL_TIMEOUT = 30.0
 
 
 def _repro_env() -> dict[str, str]:
@@ -91,33 +66,86 @@ def _repro_env() -> dict[str, str]:
     return env
 
 
+def _exchange(process, frame: bytes, timeout: float) -> list[bytes]:
+    """Write ``frame`` to ``process``'s stdin and read one frame from its
+    stdout within ``timeout`` seconds; a timeout, EOF, a broken or closed
+    pipe and a malformed frame raise :class:`WireTransportError`.  The
+    stdin pipe is non-blocking, so a worker that stops reading cannot
+    hold the write past the deadline."""
+    deadline = time.monotonic() + timeout
+    poller = select.poll()
+
+    def wait() -> None:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or not poller.poll(remaining * 1000):
+            raise WireTransportError("no answer within %.1fs" % timeout)
+
+    def read(size: int) -> bytes:
+        data = b""
+        while len(data) < size:
+            wait()
+            chunk = os.read(source, size - len(data))
+            if not chunk:
+                raise WireTransportError("the worker closed its pipe")
+            data += chunk
+        return data
+
+    try:
+        target, view = process.stdin.fileno(), memoryview(frame)
+        poller.register(target, select.POLLOUT)
+        while view:
+            wait()
+            view = view[os.write(target, view) :]
+        poller.unregister(target)
+        source = process.stdout.fileno()
+        poller.register(source, select.POLLIN)
+        return unpack_frame(read(frame_length(read(4))))
+    except (OSError, ValueError) as error:  # BrokenPipeError; a closed pipe; a bad frame
+        raise WireTransportError(str(error) or type(error).__name__) from error
+
+
+def _call(process, parts: Sequence[bytes]) -> tuple[bytes, float, dict[str, int], list[bytes]]:
+    """One call's answer: its status, the worker's crypto ms, its op counts
+    and the parts after them.  Raises WireTransportError, or ValueError
+    for an answer that does not parse."""
+    status, cost, *answer = _exchange(process, pack_frame(parts), CALL_TIMEOUT)
+    if status not in (b"ok", INVALID):
+        raise ValueError("unknown answer status %r" % status[:32])
+    worker_ms, *counts = cost.decode("ascii").split()
+    ops = {op: int(count) for op, count in (item.split("=") for item in counts)}
+    return status, float(worker_ms), ops, answer
+
+
 @dataclass
 class _Worker:
-    """One supervised worker process and what we know about it."""
+    """One supervised worker process."""
 
     name: str
-    url: str
     process: subprocess.Popen
-    output: deque = field(default_factory=lambda: deque(maxlen=200))
     restarts: int = 0
+
+    def stop(self, grace: float = 10.0) -> None:
+        """Close the worker's pipes, which ends its loop, and reap it;
+        kill it if it has not exited after ``grace`` seconds."""
+        for pipe in (self.process.stdin, self.process.stdout):
+            if pipe is not None:
+                pipe.close()
+        try:
+            self.process.wait(timeout=grace)
+        except subprocess.TimeoutExpired:
+            self.process.kill()
+            self.process.wait()
 
 
 class FleetSupervisor:
-    """Spawn, watch and restart the fleet's worker processes.
+    """Start, watch and restart the fleet's worker processes.
 
-    Each worker is ``python -m repro.cli serve --http 0 --shard <name>``,
-    a :class:`TransformWorker` server on an ephemeral port.  The
-    supervisor parses the worker's startup banner for the bound
-    ``mux://`` URL, keeps the last 200 output lines per worker for
-    diagnostics, and exposes one
-    :class:`~repro.service.wire.aio_client.MuxRemoteGateway` client per
-    live worker.
-
-    ``note_failure`` is the router's crash report: when the named
-    process is dead it is respawned **in the background**, so one
-    unreachable worker fails exactly the transformations routed to it
-    instead of stalling the caller.  A worker keeps nothing at rest, so
-    a respawned one starts empty and loses nothing.
+    Each worker is ``python -m repro.service.fleet_worker SCHEME GROUP
+    NAME``: a fresh interpreter, never a fork of the router, which runs
+    an event loop and pool threads.  A worker is up once it writes its
+    first frame; one that cannot start fails :meth:`ensure_started`.
+    ``note_failure``, sent once a failed call has stopped its worker,
+    respawns it **in the background**, empty: it held nothing.
     """
 
     def __init__(
@@ -125,16 +153,12 @@ class FleetSupervisor:
         scheme_id: str,
         shard_count: int = 0,
         group_name: str = "TOY",
-        host: str = "127.0.0.1",
         spawn_timeout: float = 60.0,
         event_log: EventLog | None = None,
         backoff_base: float = 0.5,
         backoff_max: float = 30.0,
         crash_loop_threshold: int = 5,
         crash_loop_window: float = 60.0,
-        tls_cert: str | Path | None = None,
-        tls_key: str | Path | None = None,
-        worker_auth: bool = False,
     ):
         from repro.pairing.group import PairingGroup
 
@@ -143,30 +167,13 @@ class FleetSupervisor:
         self.backend: PreBackend = create_backend(
             scheme_id, PairingGroup.shared(group_name)
         )
-        self.host = host
         self.spawn_timeout = spawn_timeout
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
         self.crash_loop_threshold = crash_loop_threshold
         self.crash_loop_window = crash_loop_window
-        # Worker links: when tls_cert/tls_key are given the shard servers
-        # terminate TLS and the supervisor's clients pin the cert file as
-        # their CA (the dev self-signed cert is its own CA).  worker_auth
-        # gives each worker its own tenants.json carrying one
-        # supervisor-generated secret for ROUTER_TENANT, so a process that
-        # finds a worker's ephemeral port still cannot speak to it.
-        self.tls_cert = Path(tls_cert) if tls_cert is not None else None
-        self.tls_key = Path(tls_key) if tls_key is not None else None
-        if self.tls_key is not None and self.tls_cert is None:
-            raise ValueError("tls_key given without tls_cert")
-        self.worker_auth = worker_auth
-        self._secrets: dict[str, str] = {}
-        self._auth_root: Path | None = None
-        if worker_auth:
-            self._auth_root = Path(tempfile.mkdtemp(prefix="repro-fleet-auth-"))
         self.events = event_log if event_log is not None else EventLog()
         self._workers: dict[str, _Worker] = {}
-        self._clients: dict[str, RemoteGateway] = {}
         self._lock = threading.RLock()
         self._reviving: set[str] = set()
         self._failures: dict[str, list[float]] = {}
@@ -180,83 +187,28 @@ class FleetSupervisor:
 
     # ------------------------------------------------------------- lifecycle
 
-    def _worker_command(self, name: str) -> list[str]:
-        command = [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "serve",
-            "--http",
-            "0",
-            "--host",
-            self.host,
-            "--group",
-            self.group_name,
-            "--scheme",
-            self.scheme_id,
-            "--shard",
-            name,
-        ]
-        if self.tls_cert is not None:
-            command += ["--tls-cert", str(self.tls_cert)]
-            if self.tls_key is not None:
-                command += ["--tls-key", str(self.tls_key)]
-        if self.worker_auth:
-            command += ["--tenant-config", str(self._credential_path(name))]
-        return command
-
-    def _credential_path(self, name: str) -> Path:
-        assert self._auth_root is not None
-        return self._auth_root / name / "tenants.json"
-
-    def _write_worker_credentials(self, name: str) -> None:
-        """(Re)write one worker's tenants.json before it spawns.
-
-        The secret is minted once per worker *name* and reused across
-        restarts, so the cached signing client stays valid over a
-        supervisor-driven respawn.
-        """
-        secret = self._secrets.setdefault(name, secrets.token_hex(32))
-        path = self._credential_path(name)
-        if path.exists():
-            path.unlink()
-        store = TenantCredentialStore.initialize(path)
-        store.add(ROUTER_TENANT, secret=secret, roles=("admin",))
+    def _start(self, name: str) -> subprocess.Popen:
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro.service.fleet_worker", self.scheme_id,
+             self.group_name, name],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            bufsize=0,
+            env=_repro_env(),
+        )
 
     def _spawn(self, name: str) -> _Worker:
-        if self.worker_auth:
-            self._write_worker_credentials(name)
-        process = subprocess.Popen(
-            self._worker_command(name),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            env=_repro_env(),
-            text=True,
-        )
-        worker = _Worker(name=name, url="", process=process)
-        ready = threading.Event()
-
-        def drain() -> None:
-            for line in process.stdout:
-                worker.output.append(line.rstrip("\n"))
-                if not ready.is_set():
-                    match = _BANNER.search(line)
-                    if match:
-                        worker.url = match.group(1)
-                        ready.set()
-            process.stdout.close()
-
-        thread = threading.Thread(
-            target=drain, name="fleet-drain-%s" % name, daemon=True
-        )
-        thread.start()
-        if not ready.wait(self.spawn_timeout) or not worker.url:
-            process.kill()
-            process.wait()
+        worker = _Worker(name=name, process=self._start(name))
+        os.set_blocking(worker.process.stdin.fileno(), False)
+        try:
+            if _exchange(worker.process, b"", self.spawn_timeout) != [READY]:
+                raise WireTransportError("its first frame was not %r" % READY)
+        except WireTransportError as error:
+            worker.stop(grace=1.0)  # time to report its own exit status
             raise WireTransportError(
-                "worker %s did not report a listen address within %.0fs; output: %s"
-                % (name, self.spawn_timeout, " | ".join(list(worker.output)[-5:]))
-            )
+                "worker %s did not start (exit status %s): %s"
+                % (name, worker.process.returncode, error)
+            ) from None
         return worker
 
     def ensure_started(self, names: Sequence[str]) -> None:
@@ -269,63 +221,45 @@ class FleetSupervisor:
                 # and start fresh failure accounting for this shard.
                 self._broken.discard(name)
                 self._failures.pop(name, None)
-                if name in self._workers and self._workers[name].process.poll() is None:
+                dead = self._workers.get(name)
+                if dead is not None and dead.process.poll() is None:
                     continue
             worker = self._spawn(name)
             with self._lock:
                 self._workers[name] = worker
-                stale = self._clients.pop(name, None)
-            if stale is not None:
-                stale.close()
-            self.events.emit(
-                "shard-started", shard=name, url=worker.url, pid=worker.process.pid
-            )
+            if dead is not None:  # a shard being built: nothing calls it yet
+                dead.stop()
+            self.events.emit("shard-started", shard=name, pid=worker.process.pid)
 
     def retire(self, names: Sequence[str]) -> None:
         """Stop workers (they hold nothing to save)."""
         for name in names:
             with self._lock:
                 worker = self._workers.pop(name, None)
-                client = self._clients.pop(name, None)
-            if client is not None:
-                client.close()
             if worker is None:
                 continue
-            worker.process.terminate()
-            try:
-                worker.process.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
-                worker.process.kill()
-                worker.process.wait()
-            if self._auth_root is not None:
-                shutil.rmtree(self._auth_root / name, ignore_errors=True)
-                self._secrets.pop(name, None)
+            worker.stop()
             self.events.emit("shard-retired", shard=name)
 
     def restart(self, name: str) -> None:
-        """Respawn one (dead or alive) worker, empty; blocking."""
+        """Respawn a stopped worker, empty; blocking."""
         with self._lock:
             worker = self._workers.get(name)
         if worker is None:
             raise InvalidRequestError("no shard named %r" % name)
-        if worker.process.poll() is None:
-            worker.process.terminate()
-            try:
-                worker.process.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
-                worker.process.kill()
-                worker.process.wait()
         replacement = self._spawn(name)
         replacement.restarts = worker.restarts + 1
         with self._lock:
-            self._workers[name] = replacement
-            stale = self._clients.pop(name, None)
-        if stale is not None:
-            stale.close()
+            # Retired or closed while it started: the name is not ours.
+            current = not self._closed and self._workers.get(name) is worker
+            if current:
+                self._workers[name] = replacement
+        if not current:
+            replacement.stop()
+            return
         self.events.emit(
             "shard-restarted",
             shard=name,
-            url=replacement.url,
             pid=replacement.process.pid,
             restarts=replacement.restarts,
         )
@@ -430,24 +364,11 @@ class FleetSupervisor:
         with self._lock:
             self._closed = True
             workers = list(self._workers.values())
-            clients = list(self._clients.values())
             self._workers.clear()
-            self._clients.clear()
-        for client in clients:
-            client.close()
         for worker in workers:
-            if worker.process.poll() is None:
-                worker.process.terminate()
-        for worker in workers:
-            try:
-                worker.process.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
-                worker.process.kill()
-                worker.process.wait()
-        if self._auth_root is not None:
-            shutil.rmtree(self._auth_root, ignore_errors=True)
+            worker.stop()
 
-    # --------------------------------------------------------------- clients
+    # --------------------------------------------------------------- workers
 
     @property
     def names(self) -> list[str]:
@@ -455,186 +376,26 @@ class FleetSupervisor:
             return sorted(self._workers)
 
     def alive(self, name: str) -> bool:
-        with self._lock:
-            worker = self._workers.get(name)
+        worker = self._workers.get(name)
         return worker is not None and worker.process.poll() is None
 
-    def url_of(self, name: str) -> str:
-        with self._lock:
-            return self._workers[name].url
-
-    def output_of(self, name: str) -> list[str]:
-        with self._lock:
-            return list(self._workers[name].output)
-
-    def client(self, name: str) -> RemoteGateway:
-        """The mux link to one worker (rebuilt after respawn)."""
-        with self._lock:
-            client = self._clients.get(name)
-            if client is not None:
-                return client
-            worker = self._workers.get(name)
-            if worker is None:
-                raise WireTransportError("no shard named %r" % name)
-            client = connect_gateway(
-                worker.url,
-                self.backend,
-                trace_requests=False,
-                tenant=ROUTER_TENANT if self.worker_auth else None,
-                secret=self._secrets.get(name) if self.worker_auth else None,
-                tls_ca=str(self.tls_cert) if self.tls_cert is not None else None,
-            )
-            self._clients[name] = client
-            return client
-
-
-class StaticFleet:
-    """The supervisor surface over worker endpoints someone else manages.
-
-    ``endpoints`` maps worker name (``shard-00``, ``shard-01``, ...) to
-    base URL.  Useful for tests (in-process worker servers) and for
-    workers on other machines.  The fleet cannot grow, so a resize that
-    adds shards raises; ``note_failure`` never restarts anything.
-    """
-
-    def __init__(
-        self,
-        context,
-        endpoints: dict[str, str],
-        pool_size: int = 2,
-        event_log: EventLog | None = None,
-        tenant: str | None = None,
-        secret: str | None = None,
-        tls_ca: str | None = None,
-    ):
-        if not endpoints:
-            raise ValueError("need at least one endpoint")
-        self.backend = resolve_backend(context)
-        self.pool_size = pool_size
-        self.events = event_log if event_log is not None else EventLog()
-        self.tenant = tenant
-        self._secret = secret
-        self.tls_ca = tls_ca
-        self._endpoints = dict(endpoints)
-        self._clients: dict[str, RemoteGateway] = {}
-        self._lock = threading.Lock()
-
-    @property
-    def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._endpoints)
-
-    def alive(self, name: str) -> bool:
-        with self._lock:
-            return name in self._endpoints
-
-    def client(self, name: str) -> RemoteGateway:
-        with self._lock:
-            client = self._clients.get(name)
-            if client is None:
-                url = self._endpoints.get(name)
-                if url is None:
-                    raise WireTransportError("no shard named %r" % name)
-                client = self._clients[name] = connect_gateway(
-                    url,
-                    self.backend,
-                    pool_size=self.pool_size,
-                    trace_requests=False,
-                    tenant=self.tenant,
-                    secret=self._secret,
-                    tls_ca=self.tls_ca,
-                )
-            return client
-
-    def ensure_started(self, names: Sequence[str]) -> None:
-        missing = [name for name in names if name not in self._endpoints]
-        if missing:
-            raise InvalidRequestError(
-                "static fleet cannot start shards %s; register their endpoints"
-                % ", ".join(missing)
-            )
-
-    def retire(self, names: Sequence[str]) -> None:
-        for name in names:
-            with self._lock:
-                self._endpoints.pop(name, None)
-                client = self._clients.pop(name, None)
-            if client is not None:
-                client.close()
-
-    def note_failure(self, name: str) -> bool:
-        self.events.emit("shard-unreachable", shard=name, supervised=False)
-        return False
-
-    def kill(self, name: str) -> None:
-        raise InvalidRequestError("static fleet does not own shard processes")
-
-    def close(self) -> None:
-        with self._lock:
-            clients = list(self._clients.values())
-            self._clients.clear()
-        for client in clients:
-            client.close()
-
-
-class TransformWorker:
-    """What a fleet worker process hosts: transformations, nothing at rest.
-
-    It answers one operation, ``transform`` (a
-    :class:`~repro.service.wire.codec.TransformRequest`): no key table,
-    no state dir, no admission; the router did all of that.  Decoded
-    proxy keys stay in a bounded LRU keyed by their container bytes, so
-    a key's points are decompressed once while the key is in use.  A
-    traced call records a ``shard-crypto`` span under the trace the
-    router sent, which the router's trace lookup merges in.
-    """
-
-    def __init__(self, backend: PreBackend, name: str):
-        self.backend = backend
-        self.name = name
-        self.tracer = Tracer()
-        self.metrics = GatewayMetrics()
-        self._keys = LruCache(_KEY_CACHE_SIZE, name="key_cache")
-
-    def transform(
-        self, request: TransformRequest, trace: TraceContext | None = None
-    ) -> TransformResponse:
-        start = time.monotonic()
-        key = self._keys.get(request.proxy_key)
-        if key is None:
-            try:
-                key = self.backend.deserialize_proxy_key(request.proxy_key)
-            except ValueError as error:  # EncodingError included
-                raise InvalidRequestError("field 'proxy_key': %s" % error) from error
-            self._keys.put(request.proxy_key, key)
-        attributes = {"shard": self.name, "items": len(request.ciphertexts)}
-        with self.tracer.span(trace, "shard-crypto", attributes):
-            try:
-                results = self.backend.reencrypt_batch(list(request.ciphertexts), key)
-            except (ValueError, PointOrderError) as error:
-                # Bytes that do not decode, a key outside G1 or one that
-                # does not match the ciphertexts.
-                raise InvalidRequestError(str(error)) from error
-        self.metrics.observe("transform", (time.monotonic() - start) * 1000, self.name)
-        return TransformResponse(ciphertexts=tuple(results))
-
-    def snapshot(self) -> MetricsSnapshot:
-        return self.metrics.snapshot(caches={"key_cache": self._keys.stats()})
-
-    def close(self) -> None:
-        """Nothing to release: a worker keeps nothing at rest."""
+    def worker(self, name: str) -> _Worker:
+        """The current worker of shard ``name`` (replaced on a respawn)."""
+        worker = self._workers.get(name)
+        if worker is None:
+            raise WireTransportError("no shard named %r" % name)
+        return worker
 
 
 @dataclass
 class RemoteShard(ProxyService):
     """A router shard whose transformations run on the fleet worker of
-    the same name.
+    the same name; the key table stays with the router.
 
-    The key table stays with the router.  A call sends the resolved
-    key's container bytes and the ciphertexts' bytes in one
-    ``transform`` round trip and returns the worker's answers as encoded
-    views the router never decodes.  A worker it cannot reach is
-    reported to the fleet, which restarts it, and raised as
+    A call writes to the worker and reads its answer on the calling
+    thread, under the shard lock the gateway holds, so calls to one
+    worker never interleave; the answers stay encoded views.  A failed
+    call stops the worker, so its pipe is never read again, and raises
     ``wire-transport``.  Building the shard starts its worker; retiring
     it stops the worker.
     """
@@ -646,53 +407,38 @@ class RemoteShard(ProxyService):
         super().__post_init__()
         self.fleet.ensure_started([self.name])
 
-    def reencrypt_with_key(self, ciphertext, key, trace=None):
-        return self.reencrypt_many_with_key([ciphertext], key, trace)[0]
+    def reencrypt_with_key(self, ciphertext, key, stage=None):
+        return self.reencrypt_many_with_key([ciphertext], key, stage)[0]
 
-    def reencrypt_many_with_key(self, ciphertexts, key, trace=None):
-        request = TransformRequest(
-            tenant=ROUTER_TENANT,
-            proxy_key=self.backend.serialize_proxy_key(key),
-            ciphertexts=tuple(ciphertexts),
-        )
+    def reencrypt_many_with_key(self, ciphertexts, key, stage=None):
+        backend = self.backend
+        parts = [backend.serialize_proxy_key(key), *map(backend.ciphertext_bytes, ciphertexts)]
+        worker = self.fleet.worker(self.name)
         try:
-            response = self.fleet.client(self.name).transform(request, trace=trace)
-        except WireTransportError as error:
+            status, worker_ms, ops, answer = _call(worker.process, parts)
+            if len(answer) != (len(ciphertexts) if status == b"ok" else 1):
+                raise ValueError(
+                    "%d answer parts for %d transformations" % (len(answer), len(ciphertexts))
+                )
+        except (WireTransportError, ValueError) as error:
+            worker.stop(grace=0)
             self.fleet.note_failure(self.name)
             raise WireTransportError(
                 "shard %s unreachable: %s" % (self.name, error)
             ) from error
-        if len(response.ciphertexts) != len(ciphertexts):
-            raise WireTransportError(
-                "shard %s answered %d of %d transformations"
-                % (self.name, len(response.ciphertexts), len(ciphertexts))
-            )
+        for op, count in ops.items():
+            record_operation(op, count)
+        if stage is not None:
+            stage.add("worker_ms", worker_ms)
+            for op, count in ops.items():
+                stage.add(op, count)
+        if status == INVALID:
+            raise InvalidRequestError(answer[0].decode("utf-8", "replace"))
         self._log_transformation(key, len(ciphertexts))
-        return list(response.ciphertexts)
+        return [Encoded(blob, backend.deserialize_reencrypted) for blob in answer]
 
     def retire(self) -> None:
         self.fleet.retire([self.name])
-
-
-class _AggregatingTracer(Tracer):
-    """The router's tracer: a trace it holds also gets every worker's
-    spans of that trace (one waterfall across both tiers).  Only traces
-    the router has are looked up remotely, so random probes stay cheap."""
-
-    def __init__(self, fleet):
-        super().__init__()
-        self._fleet = fleet
-
-    def trace(self, trace_id: str) -> list[Span]:
-        spans = super().trace(trace_id)
-        if not spans:
-            return spans
-        for name in self._fleet.names:
-            try:
-                spans.extend(self._fleet.client(name).fetch_trace(trace_id))
-            except GatewayError:
-                continue
-        return spans
 
 
 def fleet_gateway(fleet, **options) -> ReEncryptionGateway:
@@ -709,7 +455,6 @@ def fleet_gateway(fleet, **options) -> ReEncryptionGateway:
         shard_factory=lambda name, table: RemoteShard(
             backend, name=name, table=table, fleet=fleet
         ),
-        tracer=_AggregatingTracer(fleet),
         **options,
     )
 

@@ -39,7 +39,9 @@ codec writes back without serializing.
 Shards may live in other processes: a shard whose ``forwards`` is set (a
 fleet's :class:`~repro.service.fleet.RemoteShard`) sends the resolved
 key and the request's bytes to a worker, and the gateway then decodes
-no request ciphertext and no answer at all.
+no request ciphertext and no answer at all.  A shard is handed the
+request's traced ``shard-crypto`` stage, if any; a forwarding one adds
+its worker's crypto time and op counts to it.
 """
 
 from __future__ import annotations
@@ -646,10 +648,6 @@ class ReEncryptionGateway:
         self._result_cache.put(blob, result.blob, group=index)
         return result
 
-    def _shard_trace(self, span) -> TraceContext | None:
-        """The trace context a forwarding shard sends on (None in process)."""
-        return span.context if span is not None and self.forwards else None
-
     # ------------------------------------------------------------ operations
 
     @_recorded
@@ -795,9 +793,7 @@ class ReEncryptionGateway:
                         "reencrypt", request.tenant, DelegationNotFoundError, str(error), trace
                     ) from error
                 try:
-                    result = shard.reencrypt_with_key(
-                        ciphertext, key, trace=self._shard_trace(span)
-                    )
+                    result = shard.reencrypt_with_key(ciphertext, key, span)
                 except PointOrderError as error:
                     # Grants are not subgroup-checked, so a key whose point
                     # is on the curve but outside G1 fails on first use.
@@ -889,7 +885,7 @@ class ReEncryptionGateway:
         hit_flags = [False] * len(items)
         shard_names = [""] * len(items)
 
-        def transform_group(group, shard_trace) -> None:
+        def transform_group(group, stage) -> None:
             with self._owned_shard(
                 group.group_key[0],
                 group.group_key[1],
@@ -932,9 +928,7 @@ class ReEncryptionGateway:
                 # backend amortises the pairing precomputation across
                 # every ciphertext sharing this proxy key.
                 try:
-                    transformed = shard.reencrypt_many_with_key(
-                        miss_ciphertexts, key, trace=shard_trace
-                    )
+                    transformed = shard.reencrypt_many_with_key(miss_ciphertexts, key, stage)
                 except Exception:  # noqa: BLE001 - replayed for attribution
                     # The batch failed as a unit; replay item-by-item so
                     # the error is pinned to a position (the ops are
@@ -944,7 +938,7 @@ class ReEncryptionGateway:
                     for position, ciphertext in zip(miss_positions, miss_ciphertexts):
                         try:
                             transformed.append(
-                                shard.reencrypt_with_key(ciphertext, key, trace=shard_trace)
+                                shard.reencrypt_with_key(ciphertext, key, stage)
                             )
                         except Exception as error:  # noqa: BLE001 - rewrapped
                             raise BatchItemError(position, error) from error
@@ -959,9 +953,8 @@ class ReEncryptionGateway:
             with self._span(trace, "delegation-check", {"groups": len(groups)}):
                 ReEncryptBatcher.resolve_all(groups, self._resolve_key)
             with self._span(trace, "shard-crypto", {"groups": len(groups)}) as span:
-                shard_trace = self._shard_trace(span)
                 for group in groups:
-                    transform_group(group, shard_trace)
+                    transform_group(group, span)
         except BatchItemError as error:
             error_class = GatewayError
             if isinstance(error.cause, NoProxyKeyError):

@@ -214,6 +214,14 @@ class _Stage:
         self._keys += (str(key),)
         self._values += (value,)
 
+    def add(self, key: str, amount: float) -> None:
+        """Add ``amount`` to a numeric attribute, which starts at 0."""
+        if key not in self._keys:
+            self.set(key, amount)
+            return
+        at = self._keys.index(key)
+        self._values = self._values[:at] + (self._values[at] + amount,) + self._values[at + 1 :]
+
     def __enter__(self) -> "_Stage":
         return self
 

@@ -16,8 +16,8 @@ taxonomy-error decoding are literally the same code.  A mux response
 body is byte-identical to the same server's HTTP answer (the server
 frames the same codec output), which the conformance suite asserts.
 
-:func:`connect_gateway` is the URL-dispatching factory the CLI, driver
-and fleet use: ``mux://`` / ``muxs://`` builds a mux client, ``http://``
+:func:`connect_gateway` is the URL-dispatching factory the CLI and the
+driver use: ``mux://`` / ``muxs://`` builds a mux client, ``http://``
 / ``https://`` the pooled one — ``serve --http`` prints a ``mux://``
 banner and every consumer auto-negotiates from the URL alone.
 """

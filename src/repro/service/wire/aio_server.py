@@ -18,7 +18,7 @@ pure-Python pairing code holding the GIL, so more threads would add no
 throughput; they would time-slice the batches, letting a small one
 finish beside a large one, and take the GIL from the loop more often.
 A server hosting a gateway that ``forwards`` (the ``--fleet`` router)
-gets eight, because its calls wait on worker sockets and overlap there.
+gets eight, because its calls wait on worker pipes and overlap there.
 The listening port speaks *two* protocols, sniffed from the first octet
 of each connection:
 

@@ -93,8 +93,6 @@ from repro.service.wire.codec import (
     ReEncryptBatchRequest,
     ReEncryptBatchResponse,
     ResizeRequest,
-    TransformRequest,
-    TransformResponse,
     from_wire,
     to_wire,
 )
@@ -628,13 +626,6 @@ class RemoteGateway:
             "POST", "export", message, KeyExportResponse, trace=trace
         )
         return list(response.keys)
-
-    def transform(
-        self, request: TransformRequest, trace: TraceContext | None = None
-    ) -> TransformResponse:
-        """A fleet router's call to one of its workers (see
-        :class:`~repro.service.fleet.TransformWorker`)."""
-        return self._call("POST", "transform", request, TransformResponse, trace=trace)
 
     # --------------------------------------------------------- observability
 

@@ -111,8 +111,6 @@ __all__ = [
     "ResizeRequest",
     "KeyExportRequest",
     "KeyExportResponse",
-    "TransformRequest",
-    "TransformResponse",
     "to_wire",
     "from_wire",
     "ParsedBody",
@@ -210,25 +208,6 @@ class KeyExportRequest:
 @dataclass(frozen=True)
 class KeyExportResponse:
     keys: tuple[ProxyKey, ...]  # or the scheme's own proxy key envelopes
-
-
-@dataclass(frozen=True)
-class TransformRequest:
-    """A fleet router's call to a worker: transform ``ciphertexts`` under
-    one proxy key, given as its container bytes.
-
-    The router has already checked the delegation; a worker holds no key
-    table and only runs the transformation.
-    """
-
-    tenant: str
-    proxy_key: bytes
-    ciphertexts: tuple[TypedCiphertext, ...]
-
-
-@dataclass(frozen=True)
-class TransformResponse:
-    ciphertexts: tuple[ReEncryptedCiphertext, ...]  # in request order
 
 
 # --------------------------------------------------------- scheme documents
@@ -567,8 +546,6 @@ _WIRE_NAMES: dict[type, str] = {
     ResizeReport: "resize-report",
     KeyExportRequest: "key-export-request",
     KeyExportResponse: "key-export-response",
-    TransformRequest: "transform-request",
-    TransformResponse: "transform-response",
     MetricsSnapshot: "metrics-snapshot",
     _ErrorBody: "error",
 }

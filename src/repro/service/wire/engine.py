@@ -16,7 +16,6 @@ Every hosted fleet owns a scheme-id-prefixed route family::
     POST /v1/{scheme}/fetch        read stored ciphertext blobs
     POST /v1/{scheme}/resize       rebalance that fleet's shards
     POST /v1/{scheme}/export       list that fleet's installed proxy keys
-    POST /v1/{scheme}/transform    a fleet worker's transformation (router only)
     GET  /v1/{scheme}/metrics      that fleet's live metrics snapshot
     GET  /v1/{scheme}/scheme       that fleet's scheme document
 
@@ -85,7 +84,6 @@ from repro.service.wire.codec import (
     ReEncryptBatchRequest,
     ReEncryptBatchResponse,
     ResizeRequest,
-    TransformRequest,
     from_wire,
     neutral_error_to_wire,
     parse_body,
@@ -356,12 +354,6 @@ _POST_OPS = {
         ),
         idempotent=True,
     ),
-    # Only a fleet worker (repro.service.fleet.TransformWorker) has it.
-    "transform": _Op(
-        (TransformRequest,),
-        "transform",
-        lambda gateway, request, kwargs: gateway.transform(request, **kwargs),
-    ),
 }
 # One root-span name per op, shared by every span the tracer keeps.
 _HTTP_SPAN_NAMES = {op: "http:" + op for op in _POST_OPS}
@@ -404,7 +396,7 @@ class WireRequestExecutor:
         self.trace_sample = float(trace_sample)
         self.wire_stats = wire_stats
         # A gateway whose shards forward to other processes (a fleet
-        # router) blocks on their sockets.
+        # router) blocks on their pipes.
         self.forwarding = any(
             getattr(fleet, "forwards", False) for fleet, _backend in hosts.values()
         )
@@ -488,21 +480,16 @@ class WireRequestExecutor:
         inline.  Two kinds go to the worker pool, where they overlap
         with the loop's work: grant and re-encrypt batches, and calls to
         a gateway that says it ``forwards`` (a fleet router, whose
-        shards block on its workers' sockets).  Of the GET routes only
-        traces read a forwarding gateway's workers.  A request the
-        engine refuses before any gateway call runs inline.  Only grant
-        and re-encrypt bodies are parsed here, for their type; the parse
-        is handed to :meth:`handle`, so no body is parsed twice.
+        shards block on its workers' pipes).  GET routes, and a request
+        the engine refuses before any gateway call, run inline.  Only
+        grant and re-encrypt bodies are parsed here, for their type; the
+        parse is handed to :meth:`handle`, so no body is parsed twice.
         Placement never changes a response byte, and this never raises.
         """
-        try:
-            path = _split(target).path
-        except _UnknownEndpoint:
-            return True, None
         if method != "POST":
-            return not (self.forwarding and path.startswith(_TRACE_ROUTE)), None
+            return True, None
         try:
-            op, gateway, _backend = self._resolve(path)
+            op, gateway, _backend = self._resolve(_split(target).path)
         except (_UnknownEndpoint, InvalidRequestError):
             return True, None
         if getattr(gateway, "forwards", False):

@@ -320,8 +320,7 @@ def _message_types() -> tuple:
         gateway.RevokeResponse, gateway.ReEncryptRequest, gateway.ReEncryptResponse,
         codec.ReEncryptBatchRequest, codec.ReEncryptBatchResponse, gateway.FetchRequest,
         gateway.FetchResponse, codec.ResizeRequest, gateway.ResizeReport,
-        codec.KeyExportRequest, codec.KeyExportResponse, codec.TransformRequest,
-        codec.TransformResponse, metrics.MetricsSnapshot,
+        codec.KeyExportRequest, codec.KeyExportResponse, metrics.MetricsSnapshot,
     )
 
 

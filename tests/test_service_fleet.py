@@ -1,35 +1,41 @@
 """The multi-process fleet: a router gateway over worker processes.
 
-The router is a plain :class:`ReEncryptionGateway` whose shards forward
-their transformations to :class:`TransformWorker` processes.  Layers of
-coverage:
+The router is a plain :class:`ReEncryptionGateway` whose shards write
+their transformations to worker loops on pipes
+(:mod:`repro.service.fleet_worker`).  Layers of coverage:
 
-* :class:`TestRouterStatic` — the router over *in-process* worker
-  servers via :class:`StaticFleet`: keys, cache and admission stay at
-  the router, a cache hit makes no worker call, the router decompresses
-  nothing, a resize moves no key;
-* :class:`TestTransformWorker` — the worker alone: one decompression
-  per key, and ``transform`` only for the admin role;
+* :class:`TestRouterOnThreads` — the router over worker loops on
+  *threads*, behind the pipes a process has: keys, cache and admission
+  stay at the router, a cache hit makes no worker call, the router
+  decompresses nothing, a resize moves no key;
+* :class:`TestWorkerLoop` — the worker alone: one decompression per
+  key, bad bytes answered as ``invalid-request`` while it keeps serving;
+* :class:`TestFailedCalls` — a worker that does not answer, or dies in
+  the middle of a call: ``wire-transport``, and no later call reads a
+  stale answer;
 * :class:`TestWorkerLogFold` — the per-worker key logs an older fleet
   kept (``tests/data/legacy_fleet_state/``) fold into the router's one;
 * :class:`TestFleetAdmission` — ``serve --fleet`` admits once, at the
   router: one bucket per tenant, the tenant policy enforced;
 * :class:`TestFleetProcesses` / :class:`TestFleetResizeUnderLoad` /
   :class:`TestRevocationThroughTheFleet` — the real thing: supervised
-  ``repro-pre serve`` worker *processes*, including the kill -9 path
-  (taxonomy error, background restart, zero keys lost), a resize under
-  sustained traffic with zero failed requests, and revocation holding
-  across both.
+  worker *processes*, including the kill -9 path (taxonomy error,
+  background restart, zero keys lost), a resize under sustained traffic
+  with zero failed requests, revocation holding across both, and
+  workers that exit with a router killed by -9.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
+import functools
 import http.client
 import json
 import os
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -39,17 +45,11 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.bench.counters import count_operations
-from repro.core.api import create_backend
+from repro.bench.counters import OperationCounter, count_operations
+from repro.cli import main
 from repro.core.proxy import ProxyKeyTable
-from repro.pairing.group import PairingGroup
-from repro.service.auth import (
-    AUTH_HEADER,
-    ForbiddenError,
-    RequestSigner,
-    RequestVerifier,
-    TenantCredentialStore,
-)
+from repro.service import fleet, fleet_worker
+from repro.service.auth import TenantCredentialStore
 from repro.service.driver import (
     DELEGATEE_DOMAIN,
     DELEGATOR_DOMAIN,
@@ -58,8 +58,7 @@ from repro.service.driver import (
 )
 from repro.service.fleet import (
     FleetSupervisor,
-    StaticFleet,
-    TransformWorker,
+    RemoteShard,
     fleet_gateway,
     fold_worker_logs,
 )
@@ -79,9 +78,7 @@ from repro.service.wire import (
     RemoteGateway,
     WireTransportError,
     connect_gateway,
-    to_wire,
 )
-from repro.service.wire.codec import TransformRequest
 
 LEGACY_FLEET_STATE = Path(__file__).parent / "data" / "legacy_fleet_state"
 
@@ -135,49 +132,131 @@ def _revoke_request(key) -> RevokeRequest:
     return RevokeRequest("fleet-test", *ProxyKeyTable.index_of(key))
 
 
-# --------------------------------------------------- static (in-process) fleet
+# ------------------------------------------------- worker loops on threads
+
+
+class _ThreadWorker:
+    """A fleet worker's loop on a thread, behind the two pipes a worker
+    process has: what a supervisor in these tests starts in place of a
+    process.  ``counter`` counts every operation the loop runs."""
+
+    pid = 0
+
+    def __init__(self, backend):
+        call_out, call_in = os.pipe()
+        answer_out, answer_in = os.pipe()
+        self.stdin = open(call_in, "wb", buffering=0)
+        self.stdout = open(answer_out, "rb", buffering=0)
+        self._reader = open(call_out, "rb")
+        self._writer = open(answer_in, "wb")
+        self.returncode = None
+        self.counter = OperationCounter()
+        self.thread = threading.Thread(target=self._run, args=(backend,), daemon=True)
+        self.thread.start()
+
+    def _run(self, backend) -> None:
+        with self.counter:
+            try:
+                fleet_worker.run(backend, self._reader, self._writer)
+            except (OSError, ValueError):
+                pass  # killed, or the router's end of a pipe closed
+            finally:
+                for pipe in (self._reader, self._writer):
+                    with contextlib.suppress(OSError):
+                        pipe.close()
+
+    def kill(self) -> None:
+        """Die as a process does: the router reads EOF from now on."""
+        self.returncode = -9
+        with contextlib.suppress(OSError):
+            self._writer.close()
+
+    terminate = kill
+
+    def poll(self):
+        if self.returncode is None and not self.thread.is_alive():
+            self.returncode = 0
+        return self.returncode
+
+    def wait(self, timeout=None):
+        if self.returncode is None:
+            self.thread.join(timeout)
+            if self.thread.is_alive():
+                raise subprocess.TimeoutExpired("worker thread", timeout)
+            self.returncode = 0
+        return self.returncode
+
+
+class _Malformed(_ThreadWorker):
+    """A worker that is ready, then answers its first call with the raw
+    bytes ``answer`` and closes its end, as a process that exits."""
+
+    def __init__(self, backend, answer: bytes):
+        self.answer = answer
+        super().__init__(backend)
+
+    def _run(self, backend) -> None:
+        with contextlib.suppress(OSError, ValueError):
+            self._writer.write(fleet_worker.pack_frame([fleet_worker.READY]))
+            self._writer.flush()
+            self._reader.read(fleet_worker.frame_length(self._reader.read(4)))
+            self._writer.write(self.answer)
+            self._writer.close()
+            self._reader.read()  # until the router closes its end
+        for pipe in (self._reader, self._writer):
+            with contextlib.suppress(OSError):
+                pipe.close()
+
+
+def _thread_fleet(*names: str) -> FleetSupervisor:
+    """A supervisor whose workers are loops on threads."""
+    supervisor = FleetSupervisor("tipre/v1", group_name="TOY")
+    supervisor._start = lambda _name: _ThreadWorker(supervisor.backend)
+    supervisor.ensure_started(names)
+    return supervisor
 
 
 @pytest.fixture()
-def static_fleet():
-    """Two in-process worker servers behind one router, no processes."""
-    backend = create_backend("tipre/v1", PairingGroup.shared("TOY"))
-    workers = {name: TransformWorker(backend, name) for name in ("shard-00", "shard-01")}
-    servers = {name: AsyncGatewayServer(worker).start() for name, worker in workers.items()}
-    fleet = StaticFleet(backend, {name: server.url for name, server in servers.items()})
-    gateway = fleet_gateway(fleet)
+def thread_fleet():
+    """Two worker loops on threads behind one router, no processes."""
+    supervisor = _thread_fleet("shard-00", "shard-01")
+    gateway = fleet_gateway(supervisor)
     try:
-        yield gateway, workers
+        yield gateway, supervisor
     finally:
         gateway.close()
-        fleet.close()
-        for server in servers.values():
-            server.close()
+        supervisor.close()
 
 
-def _count_calls(monkeypatch, workers) -> collections.Counter:
-    """Count each worker's ``transform`` calls."""
+def _loop_of(supervisor, name: str) -> _ThreadWorker:
+    return supervisor.worker(name).process
+
+
+def _count_calls(monkeypatch) -> collections.Counter:
+    """Count each shard's calls to its worker."""
     calls: collections.Counter = collections.Counter()
-    for name, worker in workers.items():
+    original = RemoteShard.reencrypt_many_with_key
 
-        def counted(request, _call=worker.transform, _name=name, **kwargs):
-            calls[_name] += 1
-            return _call(request, **kwargs)
+    def counted(shard, *args, **kwargs):
+        calls[shard.name] += 1
+        return original(shard, *args, **kwargs)
 
-        monkeypatch.setattr(worker, "transform", counted)
+    monkeypatch.setattr(RemoteShard, "reencrypt_many_with_key", counted)
     return calls
 
 
-class TestRouterStatic:
-    def test_keys_stay_at_the_router_and_serve_end_to_end(self, static_fleet):
-        gateway, workers = static_fleet
+class TestRouterOnThreads:
+    def test_keys_stay_at_the_router_and_serve_end_to_end(self, thread_fleet):
+        gateway, supervisor = thread_fleet
         setting = _small_setting("fleet-static")
         try:
             granted = _grant_all(setting, gateway)
             assert gateway.key_count() == granted
             assert gateway.forwards is True
             # Workers hold no keys: nothing reached them yet.
-            assert all(len(worker._keys) == 0 for worker in workers.values())
+            assert all(
+                _loop_of(supervisor, name).counter.total() == 0 for name in supervisor.names
+            )
             # The identical seeded stream the in-process gateway serves,
             # with decrypt-and-compare verification, through the fleet.
             verified = drive_requests(
@@ -188,8 +267,8 @@ class TestRouterStatic:
         finally:
             setting.gateway.close()
 
-    def test_revoke_is_one_router_write_and_ends_cached_reads(self, static_fleet):
-        gateway, _workers = static_fleet
+    def test_revoke_is_one_router_write_and_ends_cached_reads(self, thread_fleet):
+        gateway, _supervisor = thread_fleet
         setting = _small_setting("fleet-revoke")
         try:
             _grant_all(setting, gateway)
@@ -210,9 +289,9 @@ class TestRouterStatic:
         finally:
             setting.gateway.close()
 
-    def test_a_cache_hit_makes_no_worker_call(self, static_fleet, monkeypatch):
-        gateway, workers = static_fleet
-        calls = _count_calls(monkeypatch, workers)
+    def test_a_cache_hit_makes_no_worker_call(self, thread_fleet, monkeypatch):
+        gateway, _supervisor = thread_fleet
+        calls = _count_calls(monkeypatch)
         setting = _small_setting("fleet-hit")
         try:
             _grant_all(setting, gateway)
@@ -233,8 +312,8 @@ class TestRouterStatic:
         finally:
             setting.gateway.close()
 
-    def test_resize_down_retires_a_worker_and_moves_no_key(self, static_fleet, monkeypatch):
-        gateway, workers = static_fleet
+    def test_resize_down_retires_a_worker_and_moves_no_key(self, thread_fleet, monkeypatch):
+        gateway, supervisor = thread_fleet
         setting = _small_setting("fleet-shrink")
         try:
             granted = _grant_all(setting, gateway)
@@ -246,8 +325,9 @@ class TestRouterStatic:
             # The keys that changed owner, counted; none was sent anywhere.
             assert report.keys_moved == owned["shard-01"]
             assert gateway.shard_names == ["shard-00"]
+            assert supervisor.names == ["shard-00"]
             assert gateway.key_count() == granted
-            calls = _count_calls(monkeypatch, workers)
+            calls = _count_calls(monkeypatch)
             request, message = _reencrypt_request(
                 setting, sorted(setting.pool)[0], setting.delegatees[0]
             )
@@ -258,14 +338,8 @@ class TestRouterStatic:
         finally:
             setting.gateway.close()
 
-    def test_static_fleet_cannot_grow(self, static_fleet):
-        gateway, _workers = static_fleet
-        with pytest.raises(InvalidRequestError, match="register their endpoints"):
-            gateway.resize(3)
-        assert gateway.shard_names == ["shard-00", "shard-01"]
-
-    def test_the_routers_snapshot_counts_every_request(self, static_fleet):
-        gateway, _workers = static_fleet
+    def test_the_routers_snapshot_counts_every_request(self, thread_fleet):
+        gateway, _supervisor = thread_fleet
         setting = _small_setting("fleet-metrics")
         try:
             granted = _grant_all(setting, gateway)
@@ -285,35 +359,44 @@ class TestRouterStatic:
         finally:
             setting.gateway.close()
 
-    def test_the_router_decompresses_nothing(self, static_fleet, monkeypatch):
+    def test_the_router_decompresses_nothing(self, thread_fleet, monkeypatch):
         """A miss costs exactly one G1 decompression, of the request's
         ``c1``, on the worker that transforms it; a hit costs none.  The
         router forwards the request's bytes and writes the worker's answer
         back as it is.  Nothing reads a response component inside a count."""
-        gateway, workers = static_fleet
+        gateway, supervisor = thread_fleet
         setting = _small_setting("fleet-decompress", ciphertexts_per_pair=2)
         # A counter counts the operations of its own context only, so each
-        # side counts its own: every worker, the router and the client.
+        # side counts its own: every worker's loop, the router and the client.
         per_side: collections.Counter = collections.Counter()
-        sides = [(name, worker, ("transform",)) for name, worker in workers.items()]
-        sides.append(("router", gateway, ("reencrypt", "reencrypt_batch")))
-        for name, side, ops in sides:
-            for op in ops:
+        for op in ("reencrypt", "reencrypt_batch"):
 
-                def counted(*args, _call=getattr(side, op), _name=name, **kwargs):
-                    with count_operations() as counter:
-                        try:
-                            return _call(*args, **kwargs)
-                        finally:
-                            per_side[_name] += counter.get("g1_decompress")
+            def counted(*args, _call=getattr(gateway, op), **kwargs):
+                with count_operations() as counter:
+                    try:
+                        return _call(*args, **kwargs)
+                    finally:
+                        per_side["router"] += counter.get("g1_decompress")
 
-                monkeypatch.setattr(side, op, counted)
+            monkeypatch.setattr(gateway, op, counted)
+
+        def worker_counts() -> dict[str, int]:
+            return {
+                name: _loop_of(supervisor, name).counter.get("g1_decompress")
+                for name in supervisor.names
+            }
 
         def decompressions(call):
             per_side.clear()
+            before = worker_counts()
             with count_operations() as counter:
                 response = call()
             per_side["client"] += counter.get("g1_decompress")
+            for name, count in worker_counts().items():
+                per_side[name] += count - before[name]
+                # The router adds each answer's counts to its own request's:
+                # what it decompressed itself is the rest.
+                per_side["router"] -= count - before[name]
             # Unary plus drops the sides that counted zero.
             return response, sum(per_side.values()), +per_side
 
@@ -358,8 +441,8 @@ class TestRouterStatic:
         finally:
             setting.gateway.close()
 
-    def test_an_unreachable_worker_is_wire_transport(self, static_fleet):
-        gateway, _workers = static_fleet
+    def test_an_unreachable_worker_is_wire_transport(self, thread_fleet):
+        gateway, _supervisor = thread_fleet
         setting = _small_setting("fleet-down")
         try:
             _grant_all(setting, gateway)
@@ -368,7 +451,7 @@ class TestRouterStatic:
             )
             owner = gateway._route(DELEGATOR_DOMAIN, *sorted(setting.pool)[0])
             fleet = gateway.shard_named(owner).fleet
-            fleet.retire([owner])  # its endpoint is gone; the route is not
+            fleet.retire([owner])  # its worker is gone; the route is not
             with pytest.raises(WireTransportError, match=owner):
                 gateway.reencrypt(request)
             with pytest.raises(WireTransportError, match=owner):
@@ -383,20 +466,22 @@ class TestRouterStatic:
 # ------------------------------------------------------------- the worker
 
 
-def _transform_request(setting, key, which: int) -> TransformRequest:
-    ciphertext, _message = setting.pool[(key.delegator, key.type_label)][which]
-    return TransformRequest(
-        tenant="router",
-        proxy_key=setting.backend.serialize_proxy_key(key),
-        ciphertexts=(ciphertext,),
+def _key_and_ciphertext(setting, which: int = 0) -> tuple[bytes, bytes, object, object]:
+    """A granted key's bytes and one of its ciphertexts' bytes, and both."""
+    key = _keys_of(setting)[0]
+    ciphertext = setting.pool[(key.delegator, key.type_label)][which][0]
+    backend = setting.backend
+    return (
+        backend.serialize_proxy_key(key), backend.ciphertext_bytes(ciphertext), key, ciphertext
     )
 
 
-class TestTransformWorker:
+class TestWorkerLoop:
     def test_a_worker_decompresses_each_keys_point_once(self):
         setting = _small_setting("fleet-worker", ciphertexts_per_pair=3)
         backend = setting.backend
-        worker = TransformWorker(backend, "shard-00")
+        supervisor = _thread_fleet("shard-00")
+        worker = _loop_of(supervisor, "shard-00")
         key = _keys_of(setting)[0]
         with count_operations() as counter:
             backend.deserialize_proxy_key(backend.serialize_proxy_key(key))
@@ -404,103 +489,229 @@ class TestTransformWorker:
         try:
             counts = []
             for which in range(3):
-                request = _transform_request(setting, key, which)
-                # The ciphertexts as a server decodes them: bytes.
-                encoded = tuple(
-                    backend.encoded_ciphertext(backend.ciphertext_bytes(ciphertext))
-                    for ciphertext in request.ciphertexts
+                key_bytes, ciphertext_bytes, key, ciphertext = _key_and_ciphertext(setting, which)
+                # The counts the worker reports, counted in its own thread.
+                status, worker_ms, ops, (answer,) = fleet._call(
+                    worker, [key_bytes, ciphertext_bytes]
                 )
-                with count_operations() as counter:
-                    worker.transform(
-                        TransformRequest(request.tenant, request.proxy_key, encoded)
-                    )
-                counts.append(counter.get("g1_decompress"))
+                assert status == b"ok" and worker_ms > 0
+                counts.append(ops["g1_decompress"])
+                assert answer == backend.serialize_reencrypted(backend.reencrypt(ciphertext, key))
             # The key's points once, then one c1 per ciphertext.
             assert counts == [key_points + 1, 1, 1]
-            with AsyncGatewayServer(worker) as server:
-                client = RemoteGateway(server.http_url, setting.group, trace_requests=False)
-                response = client.transform(_transform_request(setting, key, 0))
-                client.close()
-            ciphertext = setting.pool[(key.delegator, key.type_label)][0][0]
-            assert backend.reencrypted_bytes(response.ciphertexts[0]) == (
-                backend.serialize_reencrypted(backend.reencrypt(ciphertext, key))
-            )
+            assert worker.counter.get("g1_decompress") == key_points + 3
         finally:
+            supervisor.close()
             setting.gateway.close()
 
     def test_bad_key_bytes_are_invalid_request(self):
         setting = _small_setting("fleet-worker-bad")
-        worker = TransformWorker(setting.backend, "shard-00")
-        request = _transform_request(setting, _keys_of(setting)[0], 0)
+        supervisor = _thread_fleet("shard-00")
+        worker = _loop_of(supervisor, "shard-00")
+        key_bytes, ciphertext_bytes, key, ciphertext = _key_and_ciphertext(setting)
+        group = setting.group
+        canonical = group.serialize_g1(ciphertext.c1)
+        off_curve_x = next(x for x in range(1, 1000) if group.params.curve.lift_x(x) is None)
+        off_curve = b"\x00" + off_curve_x.to_bytes(len(canonical) - 1, "big")
         try:
-            with pytest.raises(InvalidRequestError, match="proxy_key"):
-                worker.transform(
-                    TransformRequest(request.tenant, b"\x00" * 8, request.ciphertexts)
+            for parts, refusal in (
+                ([b"\x00" * 8, ciphertext_bytes], b"proxy_key"),
+                ([key_bytes, ciphertext_bytes.replace(canonical, off_curve)], b"not on the curve"),
+            ):
+                status, _ms, _ops, (message,) = fleet._call(worker, parts)
+                assert status == b"invalid-request" and refusal in message
+                # The worker keeps serving.
+                status, _ms, _ops, (answer,) = fleet._call(worker, [key_bytes, ciphertext_bytes])
+                assert answer == setting.backend.serialize_reencrypted(
+                    setting.backend.reencrypt(ciphertext, key)
                 )
+            assert supervisor.alive("shard-00")
         finally:
+            supervisor.close()
             setting.gateway.close()
 
-    def test_only_the_admin_role_may_transform(self, tmp_path):
-        setting = _small_setting("fleet-worker-auth")
-        store = TenantCredentialStore.initialize(tmp_path / "tenants.json")
-        store.add("clinic", secret="c" * 64)
-        store.add("fleet-router", secret="r" * 64, roles=("admin",))
-        worker = TransformWorker(setting.backend, "shard-00")
-        request = _transform_request(setting, _keys_of(setting)[0], 0)
+    def test_a_refusal_reaches_the_router_as_invalid_request(self, thread_fleet):
+        gateway, supervisor = thread_fleet
+        setting = _small_setting("fleet-worker-refusal")
         try:
-            with AsyncGatewayServer(worker, auth=RequestVerifier(store)) as server:
-                path = "/v1/tipre/v1/transform"
-                status, answer = _post(server, path, request, setting)
-                assert (status, answer["body"]["code"]) == (401, "auth-required")
-                signed = RequestSigner("clinic", "c" * 64).header(
-                    "POST", path, to_wire(setting.backend, request).encode()
-                )
-                status, answer = _post(server, path, request, setting, signed)
-                assert (status, answer["body"]["code"]) == (403, "auth-forbidden")
-                client = RemoteGateway(
-                    server.http_url, setting.group, tenant="clinic", secret="c" * 64
-                )
-                with pytest.raises(ForbiddenError):
-                    client.transform(request)
-                client.close()
-                router = RemoteGateway(
-                    server.http_url, setting.group, tenant="fleet-router", secret="r" * 64
-                )
-                assert len(router.transform(request).ciphertexts) == 1
-                router.close()
-        finally:
-            setting.gateway.close()
-
-    def test_transform_is_a_workers_route_only(self):
-        """A gateway offers no ``transform``, and a worker nothing else:
-        each answers the other's routes as unknown endpoints."""
-        setting = _small_setting("fleet-worker-routes")
-        key = _keys_of(setting)[0]
-        worker = TransformWorker(setting.backend, "shard-00")
-        try:
-            with AsyncGatewayServer(setting.gateway) as server:
-                request = _transform_request(setting, key, 0)
-                status, answer = _post(server, "/v1/tipre/v1/transform", request, setting)
-                assert (status, answer["body"]["code"]) == (404, "invalid-request")
-            with AsyncGatewayServer(worker) as server:
-                grant = GrantRequest("admin", key)
-                status, answer = _post(server, "/v1/tipre/v1/grant", grant, setting)
-                assert (status, answer["body"]["code"]) == (404, "invalid-request")
+            _grant_all(setting, gateway)
+            request, message = _reencrypt_request(
+                setting, sorted(setting.pool)[0], setting.delegatees[0]
+            )
+            ciphertext = request.ciphertext
+            group, backend = setting.group, gateway.backend
+            canonical = group.serialize_g1(ciphertext.c1)
+            off_curve_x = next(x for x in range(1, 1000) if group.params.curve.lift_x(x) is None)
+            tampered = backend.ciphertext_bytes(ciphertext).replace(
+                canonical, b"\x00" + off_curve_x.to_bytes(len(canonical) - 1, "big")
+            )
+            # As the wire decodes it: checked, its square roots deferred.
+            bad = ReEncryptRequest(
+                request.tenant, backend.encoded_ciphertext(tampered),
+                request.delegatee_domain, request.delegatee,
+            )
+            with pytest.raises(InvalidRequestError, match="not on the curve"):
+                gateway.reencrypt(bad)
+            with pytest.raises(InvalidRequestError, match="not on the curve"):
+                gateway.reencrypt_batch([bad])
+            assert gateway.snapshot().outcomes[("reencrypt", "invalid-request")] == 1
+            _verify(setting, request, gateway.reencrypt(request), message)
+            assert all(supervisor.alive(name) for name in supervisor.names)
         finally:
             setting.gateway.close()
 
 
-def _post(server, path: str, message, setting, auth: str | None = None) -> tuple[int, dict]:
-    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
-    try:
-        headers = {AUTH_HEADER: auth} if auth is not None else {}
-        conn.request(
-            "POST", path, body=to_wire(setting.backend, message).encode(), headers=headers
-        )
-        response = conn.getresponse()
-        return response.status, json.loads(response.read())
-    finally:
-        conn.close()
+# ----------------------------------------------------------- failed calls
+
+
+def _wait_for_restart(supervisor, name: str, restarts: int) -> None:
+    deadline = time.monotonic() + 60.0
+    while not (supervisor.alive(name) and supervisor.worker(name).restarts > restarts):
+        assert time.monotonic() < deadline, "the worker was not restarted"
+        time.sleep(0.05)
+
+
+class TestFailedCalls:
+    """A call that fails kills its worker: the supervisor starts another,
+    and no later call reads the answer the failed call was waiting for."""
+
+    def test_a_late_answer_is_never_read(self, monkeypatch):
+        """The worker holds its first call past the timeout, then answers
+        it.  That answer goes to a pipe nobody reads: the next read on the
+        shard decrypts to its own plaintext."""
+        monkeypatch.setattr(fleet, "CALL_TIMEOUT", 0.5)
+        setting = _small_setting("fleet-late", ciphertexts_per_pair=2)
+        supervisor = _thread_fleet("shard-00")
+        gateway = fleet_gateway(supervisor)
+        held, release = threading.Event(), threading.Event()
+        original = supervisor.backend.reencrypt_batch
+
+        def hold_the_first_call(ciphertexts, key):
+            if not held.is_set():
+                held.set()
+                release.wait(30)
+            return original(ciphertexts, key)
+
+        monkeypatch.setattr(supervisor.backend, "reencrypt_batch", hold_the_first_call)
+        try:
+            _grant_all(setting, gateway)
+            route = sorted(setting.pool)[0]
+            first, _first_message = _reencrypt_request(setting, route, setting.delegatees[0])
+            second, second_message = _reencrypt_request(
+                setting, route, setting.delegatees[0], which=1
+            )
+            held_loop = _loop_of(supervisor, "shard-00")
+            start = time.monotonic()
+            with pytest.raises(WireTransportError, match="no answer within 0.5s"):
+                gateway.reencrypt(first)
+            assert time.monotonic() - start < 5.0
+            assert held_loop.poll() is not None  # killed
+            release.set()  # the held loop answers now, into its old pipe
+            held_loop.thread.join(10)
+            assert not held_loop.thread.is_alive()
+            _wait_for_restart(supervisor, "shard-00", 0)
+            _verify(setting, second, gateway.reencrypt(second), second_message)
+        finally:
+            release.set()
+            gateway.close()
+            supervisor.close()
+            setting.gateway.close()
+
+    @pytest.mark.parametrize("failure", ["stopped", "killed mid-call"])
+    def test_a_worker_process_that_does_not_answer(self, monkeypatch, failure):
+        """A real worker stopped with SIGSTOP times out; one killed while a
+        call waits fails at once.  Either way the call fails as
+        ``wire-transport``, and the next read verifies on a new worker."""
+        monkeypatch.setattr(fleet, "CALL_TIMEOUT", 2.0)
+        setting = _small_setting("fleet-stop", ciphertexts_per_pair=2)
+        supervisor = FleetSupervisor("tipre/v1", shard_count=1, group_name="TOY")
+        gateway = fleet_gateway(supervisor)
+        pid = supervisor.worker("shard-00").process.pid
+        try:
+            _grant_all(setting, gateway)
+            route = sorted(setting.pool)[0]
+            first, _message = _reencrypt_request(setting, route, setting.delegatees[0])
+            second, second_message = _reencrypt_request(
+                setting, route, setting.delegatees[0], which=1
+            )
+            os.kill(pid, signal.SIGSTOP)
+            if failure == "killed mid-call":
+                threading.Timer(0.3, os.kill, (pid, signal.SIGKILL)).start()
+            start = time.monotonic()
+            with pytest.raises(WireTransportError, match="shard-00"):
+                gateway.reencrypt(first)
+            elapsed = time.monotonic() - start
+            assert elapsed < (2.0 if failure == "killed mid-call" else 5.0)
+            _wait_for_restart(supervisor, "shard-00", 0)
+            assert supervisor.worker("shard-00").process.pid != pid
+            _verify(setting, second, gateway.reencrypt(second), second_message)
+        finally:
+            gateway.close()
+            supervisor.close()
+            setting.gateway.close()
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            struct.pack(">I", 3) + b"abc",  # a part's length cut short
+            struct.pack(">II", 6, 100) + b"ab",  # a part longer than its frame
+            struct.pack(">I", fleet_worker.MAX_FRAME_BYTES + 1),  # too large
+            struct.pack(">I", 10) + b"abc",  # then EOF
+            fleet_worker.pack_frame([b"maybe", b"0.1"]),  # no such status
+            fleet_worker.pack_frame([b"ok", b"fast"]),  # no crypto time
+            fleet_worker.pack_frame([b"ok", b"0.1 pairing=one", b"x"]),  # no count
+            fleet_worker.pack_frame([b"ok", b"0.1 pairing=1"]),  # no re-encryption
+        ],
+        ids=["cut", "overrun", "too-large", "eof", "status", "time", "count", "missing"],
+    )
+    def test_a_malformed_answer_is_wire_transport(self, answer):
+        """A worker whose answer does not parse is killed: the call fails
+        as ``wire-transport`` and the next read verifies on a new worker."""
+        setting = _small_setting("fleet-malformed", ciphertexts_per_pair=2)
+        supervisor = FleetSupervisor("tipre/v1", group_name="TOY")
+        started: list = []
+
+        def start(_name):
+            factory = _ThreadWorker if started else functools.partial(_Malformed, answer=answer)
+            started.append(factory(supervisor.backend))
+            return started[-1]
+
+        supervisor._start = start
+        supervisor.ensure_started(["shard-00"])
+        gateway = fleet_gateway(supervisor)
+        try:
+            _grant_all(setting, gateway)
+            route = sorted(setting.pool)[0]
+            first, _message = _reencrypt_request(setting, route, setting.delegatees[0])
+            second, second_message = _reencrypt_request(
+                setting, route, setting.delegatees[0], which=1
+            )
+            with pytest.raises(WireTransportError, match="shard-00"):
+                gateway.reencrypt(first)
+            assert started[0].poll() is not None
+            _wait_for_restart(supervisor, "shard-00", 0)
+            _verify(setting, second, gateway.reencrypt(second), second_message)
+        finally:
+            gateway.close()
+            supervisor.close()
+            setting.gateway.close()
+
+    def test_a_worker_that_cannot_start_fails_the_fleet_before_its_banner(
+        self, monkeypatch, capsys
+    ):
+        def exits(_supervisor, _name):
+            return subprocess.Popen(
+                [sys.executable, "-c", "import sys; sys.exit(3)"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0,
+            )
+
+        monkeypatch.setattr(FleetSupervisor, "_start", exits)
+        with pytest.raises(WireTransportError, match=r"shard-00 did not start \(exit status 3\)"):
+            FleetSupervisor("tipre/v1", shard_count=1, group_name="TOY")
+        assert main(["serve", "--http", "0", "--group", "TOY", "--fleet", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "listening" not in captured.out
+        assert "did not start" in captured.err
 
 
 # ------------------------------------------------- the old per-worker layout
@@ -634,7 +845,7 @@ def _stop(router: subprocess.Popen) -> None:
 
 
 def _fleet_workers(router_pid: int) -> dict[str, int]:
-    """Shard name -> PID of each live ``--shard`` worker ``router_pid`` spawned."""
+    """Shard name -> PID of each live fleet worker ``router_pid`` spawned."""
     workers = {}
     for entry in os.listdir("/proc"):
         if not entry.isdigit():
@@ -646,9 +857,11 @@ def _fleet_workers(router_pid: int) -> dict[str, int]:
                 argv = [part.decode(errors="replace") for part in handle.read().split(b"\0")]
         except OSError:
             continue
-        # fields[0] is the state, fields[1] the parent pid.
-        if fields[0] != b"Z" and int(fields[1]) == router_pid and "--shard" in argv:
-            workers[argv[argv.index("--shard") + 1]] = int(entry)
+        # fields[0] is the state, fields[1] the parent pid.  A worker's
+        # arguments after its module are SCHEME GROUP NAME.
+        module = "repro.service.fleet_worker"
+        if fields[0] != b"Z" and int(fields[1]) == router_pid and module in argv:
+            workers[argv[argv.index(module) + 3]] = int(entry)
     return workers
 
 
@@ -804,35 +1017,40 @@ class TestFleetProcesses:
         for (request, message), response in zip(batch, responses):
             _verify(setting, request, response, message)
 
-    def test_the_routers_trace_shows_each_workers_crypto(self, process_fleet):
-        """client -> router -> worker processes, one trace id end to end:
-        the router's waterfall holds its own stages *and* the
-        ``shard-crypto`` span of every worker a batch reached."""
+    def test_the_router_counts_its_workers_work(self, process_fleet):
+        """After N cold reads through the router, its
+        ``repro_substrate_ops_total`` counts N pairings, every one run on
+        a worker, and a traced read's ``shard-crypto`` span at the router
+        carries its worker's crypto time and op counts."""
         gateway = process_fleet["gateway"]
         setting = process_fleet["setting"]
-        supervisor = process_fleet["supervisor"]
-        batch = [
+        reads = [
             _reencrypt_request(setting, pool_key, delegatee, which=1)
             for pool_key in sorted(setting.pool)
             for delegatee in setting.delegatees
         ]
         with AsyncGatewayServer(gateway) as server:
-            client = RemoteGateway(server.http_url, supervisor.backend)
-            responses = client.reencrypt_batch([request for request, _ in batch])
-            for (request, message), response in zip(batch, responses):
-                _verify(setting, request, response, message)
-            owners = {response.shard for response in responses}
-            assert len(owners) >= 2
-            spans = client.fetch_trace(client.last_trace.trace_id)
-            client.close()
-        names = [span.name for span in spans]
-        assert "http:reencrypt" in names and "http:transform" in names
-        worker_crypto = {
-            span.attribute_dict()["shard"]
-            for span in spans
-            if span.name == "shard-crypto" and "items" in span.attribute_dict()
-        }
-        assert worker_crypto == owners
+            client = RemoteGateway(server.http_url, gateway.backend)
+            try:
+                for request, message in reads:
+                    response = client.reencrypt(request)
+                    assert response.cache_hit is False
+                    _verify(setting, request, response, message)
+                spans = client.fetch_trace(client.last_trace.trace_id)
+                exposition = client.metrics_text()
+            finally:
+                client.close()
+        pairings = [
+            float(line.rsplit(" ", 1)[1])
+            for line in exposition.splitlines()
+            if line.startswith("repro_substrate_ops_total{") and 'op="pairing"' in line
+        ]
+        assert pairings == [len(reads)]
+        (crypto,) = [span.attribute_dict() for span in spans if span.name == "shard-crypto"]
+        assert crypto["shard"] == response.shard
+        assert float(crypto["worker_ms"]) > 0
+        assert crypto["pairing"] == "1"
+        assert int(crypto["g1_decompress"]) >= 1  # c1, and the key's points once
 
     def test_the_routers_metrics_count_every_request(self, process_fleet):
         gateway = process_fleet["gateway"]
@@ -881,7 +1099,7 @@ class TestFleetProcesses:
             ):
                 break
             time.sleep(0.1)
-        assert supervisor.alive(victim), supervisor.output_of(victim)[-5:]
+        assert supervisor.alive(victim)
 
         # Zero keys lost: they never left the router's durable table.
         assert gateway.key_count() == keys_before
@@ -944,6 +1162,23 @@ class TestFleetCli:
             assert {ProxyKeyTable.index_of(key) for key in table} == folded | granted
         finally:
             table.close()
+
+
+    def test_workers_exit_when_their_router_is_killed(self):
+        """``kill -9`` of the router: no signal reaches the workers, but
+        their stdin ends, and each exits within 10 s."""
+        router, _line = _serve_fleet("--fleet", "2")
+        try:
+            workers = _fleet_workers(router.pid)
+            assert sorted(workers) == ["shard-00", "shard-01"]
+            router.kill()
+            router.wait()
+        finally:
+            _stop(router)
+        deadline = time.monotonic() + 10
+        while any(_alive(pid) for pid in workers.values()):
+            assert time.monotonic() < deadline, "fleet workers outlived their router"
+            time.sleep(0.1)
 
 
 # -------------------------------------------------------- resize under traffic
@@ -1158,6 +1393,7 @@ class _DeadProcess:
     """A process handle that is already dead (``poll()`` -> exit code 1)."""
 
     pid = 4242
+    stdin = stdout = None
 
     def poll(self):
         return 1
@@ -1191,9 +1427,7 @@ class TestCrashLoopBreaker:
         supervisor = FleetSupervisor(
             "tipre/v1", shard_count=0, group_name="TOY", **options
         )
-        supervisor._workers["shard-00"] = _Worker(
-            name="shard-00", url="http://127.0.0.1:1/", process=_DeadProcess()
-        )
+        supervisor._workers["shard-00"] = _Worker(name="shard-00", process=_DeadProcess())
         return supervisor
 
     @staticmethod
@@ -1298,7 +1532,7 @@ class TestCrashLoopBreaker:
 
             def fake_spawn(name: str) -> _Worker:
                 spawned.append(name)
-                return _Worker(name=name, url="http://127.0.0.1:1/", process=_DeadProcess())
+                return _Worker(name=name, process=_DeadProcess())
 
             supervisor._spawn = fake_spawn
             supervisor.ensure_started(["shard-00"])

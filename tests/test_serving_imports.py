@@ -34,6 +34,7 @@ finally:
 # Modules a single-process gateway never runs.
 UNUSED_BY_SERVE = (
     "repro.service.fleet",
+    "repro.service.fleet_worker",
     "repro.service.driver",
     "repro.service.wire.client",
     "repro.service.wire.aio_client",

@@ -1651,10 +1651,10 @@ class TestPlacement:
         forwarded = {
             ("GET", "/v1/health", b""): False,
             ("GET", PREFIX + "/scheme", b""): False,
-            # A router's metrics are its own; its traces read every worker.
+            # A router's metrics and traces are its own: no GET reads a worker.
             ("GET", PREFIX + "/metrics", b""): False,
             ("GET", "/v1/metrics?format=prometheus", b""): False,
-            ("GET", "/v1/trace/abc", b""): True,
+            ("GET", "/v1/trace/abc", b""): False,
             ("POST", PREFIX + "/reencrypt", bodies["single"]): True,
             ("POST", PREFIX + "/revoke", b"{}"): True,
             ("POST", PREFIX + "/nope", b"{}"): False,
@@ -2171,20 +2171,3 @@ class TestMuxTls:
             client.close()
         setting.gateway.close()
 
-
-# ----------------------------------------------------------------- fleet
-
-
-class TestAsyncFleet:
-    def test_fleet_workers_speak_mux(self):
-        from repro.service.fleet import FleetSupervisor
-
-        supervisor = FleetSupervisor("tipre/v1", shard_count=1, group_name="TOY")
-        try:
-            name = supervisor.names[0]
-            assert supervisor.url_of(name).startswith("mux://")
-            client = supervisor.client(name)
-            assert isinstance(client, MuxRemoteGateway)
-            assert [e["scheme"] for e in client.schemes_info()] == ["tipre/v1"]
-        finally:
-            supervisor.close()

@@ -52,8 +52,6 @@ from repro.service.wire.codec import (
     ReEncryptBatchRequest,
     ReEncryptBatchResponse,
     ResizeRequest,
-    TransformRequest,
-    TransformResponse,
 )
 
 MESSAGES_PATH = Path(__file__).resolve().parent / "data" / "wire_messages.json"
@@ -157,12 +155,6 @@ def golden_messages(scheme_id: str):
         "key-export-request": KeyExportRequest(tenant="admin"),
         "key-export-response": KeyExportResponse(keys=(labs, imaging)),
         "key-export-response/empty": KeyExportResponse(keys=()),
-        "transform-request": TransformRequest(
-            tenant="fleet-router",
-            proxy_key=backend.serialize_proxy_key(labs),
-            ciphertexts=tuple(ciphertexts),
-        ),
-        "transform-response": TransformResponse(ciphertexts=tuple(reencrypted)),
         "metrics-snapshot": metrics,
         "metrics-snapshot/fresh": fresh_metrics,
         "error/invalid-request": InvalidRequestError("wire field 'tenant' must be str"),
@@ -206,9 +198,9 @@ ENTRIES = (
 
 def test_every_message_type_is_pinned_under_both_schemes():
     kinds = {(e["scheme"], json.loads(e["wire"])["type"]) for e in ENTRIES}
-    assert len({kind for _scheme, kind in kinds}) == 20
+    assert len({kind for _scheme, kind in kinds}) == 18
     assert {scheme for scheme, _kind in kinds} == set(SCHEMES)
-    assert len(kinds) == 40
+    assert len(kinds) == 36
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=_entry_id)
@@ -224,7 +216,3 @@ def test_golden_message(entry):
         assert isinstance(decoded.ciphertext, EncodedCiphertext)
     if isinstance(message, ReEncryptResponse):
         assert isinstance(decoded.ciphertext, Encoded)
-    if isinstance(message, TransformRequest):
-        assert all(isinstance(c, EncodedCiphertext) for c in decoded.ciphertexts)
-    if isinstance(message, TransformResponse):
-        assert all(isinstance(c, Encoded) for c in decoded.ciphertexts)
