@@ -530,6 +530,45 @@ class TestWorkerLoop:
             supervisor.close()
             setting.gateway.close()
 
+    def test_what_a_worker_prints_stays_out_of_its_frames(self, monkeypatch):
+        """A worker process whose transformation prints to stdout still
+        answers in frames: what it prints goes to its stderr."""
+        noisy = (
+            "import sys\n"
+            "from repro.service import fleet_worker\n"
+            "transform = fleet_worker._transform\n"
+            "def noisy(*args):\n"
+            "    print('a stray line on stdout', flush=True)\n"
+            "    return transform(*args)\n"
+            "fleet_worker._transform = noisy\n"
+            "fleet_worker.main(sys.argv[1:])\n"
+        )
+
+        def start(supervisor, name):
+            return subprocess.Popen(
+                [sys.executable, "-c", noisy, supervisor.scheme_id, supervisor.group_name, name],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                bufsize=0, env=fleet._repro_env(),
+            )
+
+        monkeypatch.setattr(FleetSupervisor, "_start", start)
+        setting = _small_setting("fleet-noisy")
+        supervisor = FleetSupervisor("tipre/v1", shard_count=1, group_name="TOY")
+        gateway = fleet_gateway(supervisor)
+        process = supervisor.worker("shard-00").process
+        try:
+            _grant_all(setting, gateway)
+            request, message = _reencrypt_request(
+                setting, sorted(setting.pool)[0], setting.delegatees[0]
+            )
+            _verify(setting, request, gateway.reencrypt(request), message)
+        finally:
+            gateway.close()
+            supervisor.close()
+            setting.gateway.close()
+        assert b"a stray line on stdout" in process.stderr.read()
+        process.stderr.close()
+
     def test_a_refusal_reaches_the_router_as_invalid_request(self, thread_fleet):
         gateway, supervisor = thread_fleet
         setting = _small_setting("fleet-worker-refusal")
